@@ -24,9 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import exprcore as xc
 from . import raymodel as rm
-from .dynamics import ForceBreakdown, Trajectory, _cache
+from .dynamics import Trajectory
 from .raymodel import CheckReport, SystemSpec
 
 
@@ -41,6 +40,14 @@ class AuditTolerances:
     slope_window: tuple = (1.8, 2.2)
     check_samples: int = 100
     check_seed: int = 20260823
+
+
+@dataclass(frozen=True)
+class ForceBreakdown:
+    conservative: np.ndarray  # Q = -dV/dq
+    inertial: np.ndarray      # dT/dq - d/dt(dT/dv)
+    dissipative: np.ndarray   # -dR/dv
+    generalized: np.ndarray   # conservative + inertial
 
 
 @dataclass(frozen=True)
@@ -222,23 +229,21 @@ def generalized_force(sys: SystemSpec, traj: Trajectory,
     if not (1 <= k <= len(traj) - 2):
         raise IndexError(
             f"sample index {k} needs interior position 1..{len(traj) - 2}")
-    cache = _cache(sys)
+    sm = sys.model
     states = traj.states()
     s0, s1, s2 = states[k - 1], states[k], states[k + 1]
-    p = [cache.mass(s.q) @ s.v for s in (s0, s1, s2)]
+    p = [sm.mass(s.q) @ s.v for s in (s0, s1, s2)]
     dp_dt = _central_diff(s0.t, s1.t, s2.t, *p)
     qt, vt = tuple(s1.q), tuple(s1.v)
-    ctx = sys.ctx(qt, vt)
-    dV_dq = xc.grad_q(sys.potential, ctx)
-    m = sys.dof
-    if cache.mass_const:
-        dT_dq = np.zeros(m)
+    dV_dq = np.array(sm.grad_V(qt, vt, sm.params)[1])
+    if sm.mass_const:
+        dT_dq = np.zeros(sys.dof)
     else:
-        dM = sys.mass_grad(qt)
+        dM = sm.mass_grad(qt)
         dT_dq = 0.5 * np.einsum("a,jab,b->j", s1.v, dM, s1.v)
     conservative = -dV_dq
     inertial = dT_dq - dp_dt
-    dissipative = -cache.grad_R_v(qt, vt)
+    dissipative = -sm.dissipation.grad_R(qt, vt, sm.params)
     return ForceBreakdown(conservative=conservative, inertial=inertial,
                           dissipative=dissipative,
                           generalized=conservative + inertial)
@@ -262,7 +267,8 @@ def stationarity_audit(sys: SystemSpec, traj: Trajectory, k: int,
     if not (1 <= k <= len(traj) - 2):
         raise IndexError(
             f"sample index {k} needs interior position 1..{len(traj) - 2}")
-    cache = _cache(sys)
+    sm = sys.model
+    dissipation = sm.dissipation
     states = traj.states()
     s = states[k]
     spacing = 0.5 * (states[k + 1].t - states[k - 1].t)
@@ -271,11 +277,12 @@ def stationarity_audit(sys: SystemSpec, traj: Trajectory, k: int,
     frozen_force = np.asarray(frozen_force, dtype=float)
     qt, vt = tuple(s.q), tuple(s.v)
     v = np.asarray(s.v, dtype=float)
-    grad_R = cache.grad_R_v(qt, vt)
+    grad_R = dissipation.grad_R(qt, vt, sm.params)
     residual = grad_R - frozen_force
 
     def rtilde(w):
-        return cache.eval_R(qt, tuple(w)) - float(np.dot(w, frozen_force))
+        return (dissipation.R(qt, tuple(w), sm.params)
+                - float(np.dot(w, frozen_force)))
 
     base = rtilde(v)
     rng = np.random.default_rng(seed)

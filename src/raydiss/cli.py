@@ -164,26 +164,27 @@ def cmd_derive_r(cfg: RunConfig, q, v) -> int:
         print(f"derive-r: error: q and v must have {sys.dof} components",
               file=_sys.stderr)
         return EXIT_ERROR
-    ctx = sys.ctx(q, v)
+    qt, vt, p = tuple(q), tuple(v), sys.params
     d = sys.dissipation
     try:
+        model = d.model(sys.dof)
         if d.mode == "homogeneous_sum":
             total_d = total_r = 0.0
             print(f"{'term':<30} {'degree':>8} {'D_n':>14} {'D_n/n':>14}")
             for term in d.terms:
-                dn = xc.evaluate(term.expr, ctx)
+                dn = term.evaluate(qt, vt, p)
                 print(f"{xc.to_source(term.expr):<30} {term.degree:>8g} "
                       f"{dn:>14.8g} {dn / term.degree:>14.8g}")
                 total_d += dn
                 total_r += dn / term.degree
         else:
-            total_d = rm.eval_D(d, ctx)
-            total_r, warning = rm.eval_R_quadrature(d, ctx)
+            total_d = model.D(qt, vt, p)
+            total_r, warning = model.R_with_warning(qt, vt, p)
             qc = d.quadrature
             print(f"quadrature: {qc.node_count} nodes x {qc.panels} panels, "
                   f"refinement tolerance {qc.tolerance:g}")
             print("refinement: " + (warning or "converged on first doubling"))
-        force = rm.grad_R_v(d, ctx)
+        force = model.grad_R(qt, vt, p)
     except (rm.ModelError, xc.ExprError) as e:
         print(f"derive-r: error at q={list(q)}, v={list(v)}: {e}",
               file=_sys.stderr)
@@ -200,6 +201,12 @@ def cmd_sweep(cfg: RunConfig, param, values, out_stem=None, jobs=None) -> int:
     if param not in cfg.system.params:
         print(f"sweep: error: unknown parameter '{param}' (have: "
               f"{', '.join(sorted(cfg.system.params))})", file=_sys.stderr)
+        return EXIT_ERROR
+    names = [f"{x:g}" for x in values]  # file names below use {value:g}
+    clash = [repr(x) for x, n in zip(values, names) if names.count(n) > 1]
+    if clash:
+        print(f"sweep: error: values {', '.join(clash)} would write the "
+              f"same {param}=... file names", file=_sys.stderr)
         return EXIT_ERROR
     stem = out_stem or os.path.splitext(
         _default_out(cfg, None))[0]
@@ -291,9 +298,6 @@ def build_parser():
     sp.add_argument("--out")
     sp.add_argument("--format", choices=("csv", "jsonl"))
     sp.add_argument("--plot-data", action="store_true")
-    sp.add_argument("--jobs", type=int, default=None,
-                    help="accepted for interface symmetry; simulate is "
-                         "single-threaded")
 
     sp = sub.add_parser("check", help="static dissipation checks, no "
                                       "integration")

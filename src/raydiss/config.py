@@ -56,17 +56,15 @@ class RunConfig:
             raise ConfigError(
                 f"unknown parameter(s): {', '.join(sorted(unknown))}",
                 "params")
+        # structure does not depend on parameters, so the new system keeps
+        # the parsed expressions and shares the compiled dissipation model
+        system = replace(self.system,
+                         params={**self.system.params, **overrides})
+        reference = None
         if self.builtin_name:
-            b = bi.get_builtin(self.builtin_name,
-                               {**self.system.params, **overrides})
-            return replace(self, system=b.system, reference=b.reference)
-        params = {**self.system.params, **overrides}
-        sys2 = rm.SystemSpec(
-            dof=self.system.dof, mass_matrix=self.system.mass_matrix,
-            potential=self.system.potential,
-            dissipation=self.system.dissipation, params=params,
-            labels=self.system.labels)
-        return replace(self, system=sys2, reference=None)
+            reference = bi.get_builtin(self.builtin_name,
+                                       system.params).reference
+        return replace(self, system=system, reference=reference)
 
 
 # ---------------------------------------------------------------------------

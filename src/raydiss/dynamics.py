@@ -8,6 +8,9 @@ The motion solves M(q) qdd = b with
 obtained by expanding d/dt(dT/dv) = M qdd + Mdot v for T = 0.5 v.M(q)v.
 Only first derivatives of the mass-matrix entries are needed.
 
+Every evaluation goes through the compiled model the SystemSpec owns
+(`sys.model`); this module only assembles b and solves.
+
 Integrators: classical fixed-step RK4, and the Dormand-Prince 5(4)
 embedded pair with standard step-size control. Both additionally carry a
 running integral of the dissipation D alongside the mechanical state, so
@@ -16,21 +19,15 @@ energy-balance audits can use a quadrature at full integrator accuracy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import exprcore as xc
-from . import raymodel as rm
-from .raymodel import SystemSpec
+from .raymodel import MassMatrixError, SystemSpec
 
 
 class DynamicsError(Exception):
     pass
-
-
-class MassMatrixError(DynamicsError):
-    """M(q) failed the positive-definite factorization."""
 
 
 class DivergenceError(DynamicsError):
@@ -73,14 +70,6 @@ class Diagnostics:
 
 
 @dataclass(frozen=True)
-class ForceBreakdown:
-    conservative: np.ndarray  # Q = -dV/dq
-    inertial: np.ndarray      # dT/dq - d/dt(dT/dv)
-    dissipative: np.ndarray   # -dR/dv
-    generalized: np.ndarray   # conservative + inertial
-
-
-@dataclass(frozen=True)
 class IntegratorConfig:
     method: str = "rk45"
     dt: float = 1e-3
@@ -107,7 +96,6 @@ class Trajectory:
     dt: float | None = None
     rel_tol: float | None = None
     abs_tol: float | None = None
-    force_breakdowns: list | None = None
 
     def __post_init__(self):
         ts = self.times()
@@ -134,151 +122,44 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# Per-system compiled cache. Keyed by object identity; SystemSpec is
-# immutable so this is safe.
-
-
-class _SysCache:
-    def __init__(self, sys: SystemSpec):
-        m = sys.dof
-        self.sys = sys
-        self.m = m
-        self.params = sys.params
-        self.mass_const = not any(
-            any(isinstance(n, xc.Coord) for n in xc.walk(e))
-            for row in sys.mass_matrix for e in row)
-        self.mass_fns = [[xc.compiled(e) for e in row]
-                         for row in sys.mass_matrix]
-        self.mass_grad_fns = [[xc.compiled(e, m, "q") for e in row]
-                              for row in sys.mass_matrix]
-        self.pot_fn = xc.compiled(sys.potential)
-        self.pot_grad_fn = xc.compiled(sys.potential, m, "q")
-        d = sys.dissipation
-        self.general = d.mode == "general"
-        if not self.general:
-            self.term_fns = [
-                (xc.compiled(t.expr), xc.compiled(t.expr, m, "v", t.smooth_eps),
-                 t.degree) for t in d.terms]
-        if self.mass_const:
-            q0 = tuple([0.0] * m)
-            M = self._mass_at(q0)
-            self.M0 = M
-            self.Minv0 = self._inv_pd(M, q0)
-
-    def _mass_at(self, q):
-        M = np.array([[fn(q, q, self.params) for fn in row]
-                      for row in self.mass_fns])
-        if not np.allclose(M, M.T, rtol=0.0,
-                           atol=1e-12 * (1.0 + np.abs(M).max())):
-            raise MassMatrixError(f"mass matrix not symmetric at q={list(q)}")
-        return M
-
-    def _inv_pd(self, M, q):
-        try:
-            np.linalg.cholesky(M)
-        except np.linalg.LinAlgError:
-            raise MassMatrixError(
-                f"mass matrix not positive definite at q={list(q)}") from None
-        return np.linalg.inv(M)
-
-    def mass(self, q):
-        return self.M0 if self.mass_const else self._mass_at(tuple(q))
-
-    def grad_R_v(self, q, v):
-        if self.general:
-            return rm.grad_R_v(self.sys.dissipation, self.sys.ctx(q, v))
-        out = np.zeros(self.m)
-        for _, gfn, deg in self.term_fns:
-            _, g = gfn(q, v, self.params)
-            out += np.array(g) / deg
-        return out
-
-    def eval_D(self, q, v):
-        if self.general:
-            return rm.eval_D(self.sys.dissipation, self.sys.ctx(q, v))
-        return sum(fn(q, v, self.params) for fn, _, _ in self.term_fns)
-
-    def eval_R(self, q, v):
-        if self.general:
-            return rm.eval_R(self.sys.dissipation, self.sys.ctx(q, v))
-        return sum(fn(q, v, self.params) / deg
-                   for fn, _, deg in self.term_fns)
-
-    def accel(self, q, v):
-        m = self.m
-        _, gV = self.pot_grad_fn(q, v, self.params)
-        b = -np.array(gV) - self.grad_R_v(q, v)
-        if self.mass_const:
-            return self.Minv0 @ b
-        qt = tuple(q)
-        M = self._mass_at(qt)
-        dM = np.empty((m, m, m))
-        for a in range(m):
-            for c in range(m):
-                dM[:, a, c] = self.mass_grad_fns[a][c](qt, qt, self.params)[1]
-        va = np.asarray(v, dtype=float)
-        dT_dq = 0.5 * np.einsum("a,jab,b->j", va, dM, va)
-        Mdot = np.einsum("j,jab->ab", va, dM)
-        b = b + dT_dq - Mdot @ va
-        return self._inv_pd(M, qt) @ b
-
-    def diagnostics(self, q, v, e_diss):
-        M = self.mass(q)
-        va = np.asarray(v, dtype=float)
-        T = 0.5 * float(va @ M @ va)
-        V = self.pot_fn(q, v, self.params)
-        D = self.eval_D(q, v)
-        R = self.eval_R(q, v)
-        W = float(np.dot(va, self.grad_R_v(q, v)))  # on-shell W = v.dR/dv
-        return Diagnostics(H=T + V, T_kin=T, V_pot=V, D_val=D, R_val=R,
-                           W=W, L_val=T - V, E_diss=e_diss)
-
-
-_SYS_CACHE = {}
-
-
-def _cache(sys: SystemSpec) -> _SysCache:
-    hit = _SYS_CACHE.get(id(sys))
-    if hit is not None and hit.sys is sys:
-        return hit
-    c = _SysCache(sys)
-    _SYS_CACHE[id(sys)] = c
-    return c
-
-
-# ---------------------------------------------------------------------------
 # Force assembly
+
+
+def _accel(sm, q, v):
+    """M(q)^-1 b at tuple state (q, v) from the system's compiled model."""
+    p = sm.params
+    _, gV = sm.grad_V(q, v, p)
+    b = -np.array(gV) - sm.dissipation.grad_R(q, v, p)
+    if sm.mass_const:
+        return sm.Minv0 @ b
+    Minv = sm.inv_mass(q)
+    dM = sm.mass_grad(q)
+    va = np.asarray(v, dtype=float)
+    dT_dq = 0.5 * np.einsum("a,jab,b->j", va, dM, va)
+    Mdot = np.einsum("j,jab->ab", va, dM)
+    return Minv @ (b + dT_dq - Mdot @ va)
 
 
 def accel(sys: SystemSpec, s: State) -> np.ndarray:
     """Explicit second-order form of the dissipative Lagrange equations."""
     try:
-        return _cache(sys).accel(tuple(s.q), tuple(s.v))
+        return _accel(sys.model, tuple(s.q), tuple(s.v))
     except MassMatrixError as e:
         raise MassMatrixError(f"{e} (t={s.t})") from None
 
 
 def diagnostics(sys: SystemSpec, s: State, e_diss: float = 0.0) -> Diagnostics:
-    return _cache(sys).diagnostics(tuple(s.q), tuple(s.v), e_diss)
-
-
-def force_breakdown(sys: SystemSpec, s: State) -> ForceBreakdown:
-    """Force components with the inertial part taken from the assembled EOM
-    (d/dt(dT/dv) evaluated with qdd = accel)."""
-    m = sys.dof
-    M = sys.mass(s.q)
-    dM = sys.mass_grad(s.q)
-    ctx = sys.ctx(s.q, s.v)
-    qdd = accel(sys, s)
-    dT_dq = 0.5 * np.einsum("a,jab,b->j", s.v, dM, s.v)
-    Mdot = np.einsum("j,jab->ab", s.v, dM)
-    ddt_p = M @ qdd + Mdot @ s.v
-    conservative = -xc.grad_q(sys.potential, ctx)
-    inertial = dT_dq - ddt_p
-    dissipative = -rm.grad_R_v(sys.dissipation, ctx)
-    return ForceBreakdown(conservative=conservative, inertial=inertial,
-                          dissipative=dissipative,
-                          generalized=conservative + inertial)
+    sm = sys.model
+    d, p = sm.dissipation, sm.params
+    q, v = tuple(s.q), tuple(s.v)
+    va = np.asarray(v, dtype=float)
+    T = 0.5 * float(va @ sm.mass(q) @ va)
+    V = sm.V(q, v, p)
+    D = d.D(q, v, p)
+    R = d.R(q, v, p)
+    W = float(np.dot(va, d.grad_R(q, v, p)))  # on-shell W = v.dR/dv
+    return Diagnostics(H=T + V, T_kin=T, V_pot=V, D_val=D, R_val=R,
+                       W=W, L_val=T - V, E_diss=e_diss)
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +168,13 @@ def force_breakdown(sys: SystemSpec, s: State) -> ForceBreakdown:
 
 def _rhs(sys, t, y):
     m = sys.dof
-    c = _cache(sys)
+    sm = sys.model
     q = tuple(y[:m])
     v = tuple(y[m:2 * m])
     out = np.empty(2 * m + 1)
     out[:m] = v
-    out[m:2 * m] = c.accel(q, v)
-    out[2 * m] = c.eval_D(q, v)
+    out[m:2 * m] = _accel(sm, q, v)
+    out[2 * m] = sm.dissipation.D(q, v, sm.params)
     return out
 
 
@@ -361,7 +242,9 @@ def _rk45_raw(sys, t, y, dt, cfg):
     errvec = dt * (_DP_E @ K)[:nmech]
     w = cfg.abs_tol + cfg.rel_tol * np.abs(y[:nmech])
     err = float(np.sqrt(np.mean((errvec / w) ** 2)))
-    return ynew, err
+    # the step-size controller shared by step_rk45 and integrate
+    factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+    return ynew, err <= 1.0, dt * factor
 
 
 def step_rk45(sys: SystemSpec, s: State, dt_try: float,
@@ -371,11 +254,8 @@ def step_rk45(sys: SystemSpec, s: State, dt_try: float,
         raise ValueError("dt_try must be positive")
     if not s.is_finite():
         raise DivergenceError(f"non-finite state at t={s.t}")
-    y = _pack(s, 0.0)
-    ynew, err = _rk45_raw(sys, s.t, y, dt_try, cfg)
-    factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-    dt_next = dt_try * factor
-    if err <= 1.0:
+    ynew, accepted, dt_next = _rk45_raw(sys, s.t, _pack(s, 0.0), dt_try, cfg)
+    if accepted:
         return _unpack(sys, s.t + dt_try, ynew)[0], dt_next, True
     return s, dt_next, False
 
@@ -425,7 +305,7 @@ def _integrate_rk45(sys, init, t_end, cfg):
     y = _pack(init, 0.0)
     t = init.t
     dt = min(1e-2 * (t_end - init.t), 0.1)
-    steps = accepted = rejected = 0
+    steps = accepted = 0
     while t < t_end - 1e-15 * (1.0 + abs(t_end)):
         if steps >= cfg.max_steps:
             raise MaxStepsError(f"max_steps={cfg.max_steps} exceeded at t={t}")
@@ -434,21 +314,16 @@ def _integrate_rk45(sys, init, t_end, cfg):
                 f"step size underflow (dt={dt:.3e}) at t={t}; "
                 "the problem is likely too stiff for an explicit pair")
         clipped = min(dt, t_end - t)
-        ynew, err = _rk45_raw(sys, t, y, clipped, cfg)
+        ynew, ok, dt = _rk45_raw(sys, t, y, clipped, cfg)
         steps += 1
-        factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-        if err <= 1.0:
+        if ok:
             y = ynew
             t += clipped
             accepted += 1
-            dt = clipped * factor
             if (accepted % cfg.sample_every == 0
                     or t >= t_end - 1e-15 * (1.0 + abs(t_end))):
                 s, e = _unpack(sys, t, y)
                 traj.samples.append((s, diagnostics(sys, s, e)))
-        else:
-            rejected += 1
-            dt = clipped * factor
     traj.steps_taken = accepted
-    traj.steps_rejected = rejected
+    traj.steps_rejected = steps - accepted
     return traj

@@ -346,10 +346,6 @@ def uses_abs_or_sign(node) -> bool:
     return any(isinstance(n, Call) and n.fn in ("abs", "sign") for n in walk(node))
 
 
-def param_names(node):
-    return {n.name for n in walk(node) if isinstance(n, Param)}
-
-
 def bind_check(node, dof, params):
     """Validate variable references against a system of `dof` coordinates
     and the given parameter table. Raises BindError on any violation."""
@@ -545,8 +541,9 @@ class _Evaluator:
 # The dual interpreter above is the reference engine; the hot paths
 # (dynamics, quadrature, sampled checks) go through code generated from the
 # AST: straight-line float arithmetic that propagates the value and the
-# tangent components of one forward-mode pass. Compiled callables are
-# cached per AST object.
+# tangent components of one forward-mode pass. Systems compile their own
+# expressions with compile_expr and keep the result; the expression-level
+# helpers below (evaluate, grad_v, grad_q) cache per AST object.
 
 
 def _csgn(x):
@@ -813,7 +810,9 @@ class _CodeGen:
         return val, g
 
 
-def _compile(node, dof, wrt, smooth_eps):
+def compile_expr(node, dof=0, wrt=None, smooth_eps=None):
+    """Uncached compiled evaluator: f(q, v, params) -> value, or
+    (value, tangent tuple) when wrt is 'q' or 'v'."""
     cg = _CodeGen(dof, wrt, smooth_eps)
     val, g = cg.gen(node)
     body = "\n".join(cg.lines) or "    pass"
@@ -832,13 +831,12 @@ _COMPILE_CACHE = {}
 
 
 def compiled(node, dof=0, wrt=None, smooth_eps=None):
-    """Cached compiled evaluator: f(q, v, params) -> value, or
-    (value, tangent tuple) when wrt is 'q' or 'v'."""
+    """compile_expr, cached per AST object."""
     key = (id(node), dof, wrt, smooth_eps)
     hit = _COMPILE_CACHE.get(key)
     if hit is not None:
         return hit[1]
-    fn = _compile(node, dof, wrt, smooth_eps)
+    fn = compile_expr(node, dof, wrt, smooth_eps)
     _COMPILE_CACHE[key] = (node, fn)
     return fn
 
@@ -886,11 +884,6 @@ def grad_q(e: ExprNode, ctx: EvalContext) -> np.ndarray:
     """Exact forward-mode gradient of e w.r.t. all coordinates."""
     _, g = compiled(e, ctx.dof, "q", None)(ctx.q, ctx.v, ctx.params)
     return np.array(g)
-
-
-def value_and_grad_v(e, ctx, smooth_eps=None):
-    val, g = compiled(e, ctx.dof, "v", smooth_eps)(ctx.q, ctx.v, ctx.params)
-    return val, np.array(g)
 
 
 def grad_v_interpreted(e, ctx, smooth_eps=None):

@@ -10,6 +10,11 @@ for nonconservative forces. The dissipation potential R is built from D:
   computed by composite Gauss-Legendre quadrature with panel-doubling
   refinement. The arbitrary additive constant is fixed by R(q, 0) = 0.
 
+Each spec compiles its evaluators once, on first use, and keeps them for
+its own lifetime: a DissipationSpec owns D, R and dR/dv (per dof), a
+SystemSpec owns M, dM/dq, V and dV/dq. Evaluators take (q, v, params); the
+eval_* functions below are adapters over them.
+
 Structural checks (homogeneity, Euler identity v.dR/dv = D, positivity)
 are seeded and reproducible.
 """
@@ -17,6 +22,7 @@ are seeded and reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +36,10 @@ class ModelError(Exception):
 
 class QuadratureError(ModelError):
     """Panel-doubling refinement of the R integral failed to converge."""
+
+
+class MassMatrixError(ModelError):
+    """M(q) is not symmetric or failed the positive-definite factorization."""
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +76,11 @@ class DissipationTerm:
                 "a degree-0 or rest-nonvanishing part makes the "
                 "dissipation-potential integral diverge")
 
+    @cached_property
+    def evaluate(self):
+        """Compiled term value, called as evaluate(q, v, params)."""
+        return xc.compile_expr(self.expr)
+
 
 @dataclass(frozen=True)
 class DissipationSpec:
@@ -85,6 +100,18 @@ class DissipationSpec:
                 raise ModelError("general mode requires 'raw'")
             if self.terms:
                 raise ModelError("general mode must not set 'terms'")
+        object.__setattr__(self, "_models", {})
+
+    def model(self, dof):
+        """Compiled D, R and dR/dv for `dof` coordinates, built on first
+        use. A racing thread may build a duplicate; only a complete model
+        is ever stored."""
+        hit = self._models.get(dof)
+        if hit is None:
+            cls = (_GeneralModel if self.mode == "general"
+                   else _HomogeneousSumModel)
+            hit = self._models[dof] = cls(self, dof)
+        return hit
 
     @property
     def is_null(self):
@@ -136,24 +163,183 @@ class SystemSpec:
     def ctx(self, q, v):
         return EvalContext(tuple(q), tuple(v), self.params)
 
+    @cached_property
+    def model(self) -> SystemModel:
+        """Compiled evaluators of this system, built on first use."""
+        return SystemModel(self)
+
     def mass(self, q):
-        """Evaluate M(q); checks symmetry to 1e-12."""
-        ctx = self.ctx(q, np.zeros(self.dof))
-        M = np.array([[xc.evaluate(e, ctx) for e in row]
-                      for row in self.mass_matrix])
-        if not np.allclose(M, M.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(M).max())):
-            raise ModelError(f"mass matrix not symmetric at q={list(q)}")
-        return M
+        """Evaluate M(q); checks symmetry to 1e-12. Read-only when M is
+        constant."""
+        return self.model.mass(q)
 
     def mass_grad(self, q):
         """dM/dq_j for all j: array of shape (dof, dof, dof), [j, a, b]."""
-        m = self.dof
-        ctx = self.ctx(q, np.zeros(m))
-        out = np.zeros((m, m, m))
-        for a in range(m):
-            for b in range(m):
-                out[:, a, b] = xc.grad_q(self.mass_matrix[a][b], ctx)
+        return self.model.mass_grad(tuple(q))
+
+
+# ---------------------------------------------------------------------------
+# Compiled models
+
+
+class SystemModel:
+    """M, dM/dq, V and dV/dq of one SystemSpec plus its dissipation model.
+    V and grad_V are compiled f(q, v, params); grad_V returns (V, dV/dq)."""
+
+    def __init__(self, sys: SystemSpec):
+        m = sys.dof
+        mm = sys.mass_matrix
+        self.params = sys.params
+        self.dissipation = sys.dissipation.model(m)
+        self.V = xc.compile_expr(sys.potential)
+        self.grad_V = xc.compile_expr(sys.potential, m, "q")
+        self._mass_fns = [[xc.compile_expr(e) for e in row] for row in mm]
+        self._mass_grad_fns = [[xc.compile_expr(e, m, "q") for e in row]
+                               for row in mm]
+        # identical ASTs compile to identical code and return identical
+        # doubles, so only pairs whose expressions differ can be asymmetric
+        self._asym_pairs = [(a, b) for a in range(m) for b in range(a + 1, m)
+                            if mm[a][b] != mm[b][a]]
+        self.mass_const = not any(
+            any(isinstance(n, xc.Coord) for n in xc.walk(e))
+            for row in mm for e in row)
+        if self.mass_const:
+            self._q0 = (0.0,) * m
+            self.M0 = self._mass_at(self._q0)
+            self.M0.setflags(write=False)
+
+    def _mass_at(self, q):
+        p = self.params
+        M = np.array([[fn(q, q, p) for fn in row] for row in self._mass_fns])
+        if self._asym_pairs:
+            atol = 1e-12 * (1.0 + np.abs(M).max())
+            for a, b in self._asym_pairs:
+                if not abs(M[a, b] - M[b, a]) <= atol:
+                    raise MassMatrixError(
+                        f"mass matrix not symmetric at q={list(q)}")
+        return M
+
+    def mass(self, q):
+        return self.M0 if self.mass_const else self._mass_at(tuple(q))
+
+    def mass_grad(self, q):
+        m = len(self._mass_grad_fns)
+        p = self.params
+        dM = np.empty((m, m, m))
+        for a, row in enumerate(self._mass_grad_fns):
+            for b, fn in enumerate(row):
+                dM[:, a, b] = fn(q, q, p)[1]
+        return dM
+
+    @cached_property
+    def Minv0(self):
+        """Inverse of the constant mass matrix."""
+        return self.inv_mass(self._q0)
+
+    def inv_mass(self, q):
+        """M(q)^-1 at a tuple q, after a positive-definiteness check."""
+        M = self._mass_at(q)
+        try:
+            np.linalg.cholesky(M)
+        except np.linalg.LinAlgError:
+            raise MassMatrixError(
+                f"mass matrix not positive definite at q={list(q)}") from None
+        return np.linalg.inv(M)
+
+
+class _HomogeneousSumModel:
+    """R = sum of term/degree, exact for velocity-homogeneous terms."""
+
+    def __init__(self, spec, dof):
+        self.dof = dof
+        self.terms = [(t.evaluate, xc.compile_expr(t.expr, dof, "v",
+                                                   t.smooth_eps), t.degree)
+                      for t in spec.terms]
+
+    def D(self, q, v, p):
+        return sum(fn(q, v, p) for fn, _, _ in self.terms)
+
+    def R(self, q, v, p):
+        return sum(fn(q, v, p) / deg for fn, _, deg in self.terms)
+
+    def grad_R(self, q, v, p):
+        out = np.zeros(self.dof)
+        for _, gfn, deg in self.terms:
+            _, g = gfn(q, v, p)
+            out += np.array(g) / deg
         return out
+
+
+class _GeneralModel:
+    """R(q, v) = integral over u in (0, 1] of D(q, u*v)/u du by composite
+    Gauss-Legendre quadrature with panel-doubling refinement."""
+
+    def __init__(self, spec, dof):
+        self.dof = dof
+        self.quadrature = qc = spec.quadrature
+        self.nodes, self.weights = np.polynomial.legendre.leggauss(
+            qc.node_count)
+        self.D = xc.compile_expr(spec.raw)
+        self._D_grad_v = xc.compile_expr(spec.raw, dof, "v")
+
+    def _quad_once(self, q, v, p, panels, with_grad):
+        """Composite Gauss-Legendre estimate of integral over (0,1] of
+        D(q, u*v)/u du, optionally with its velocity gradient.
+
+        d/dv_j of D(q, u*v) is u * (dD/dv_j)(q, u*v); the 1/u weight
+        cancels the chain factor, so the gradient integrand is just dD/dv
+        at u*v.
+        """
+        fn = self._D_grad_v if with_grad else self.D
+        acc_val = 0.0
+        acc_g = np.zeros(self.dof)
+        v = np.asarray(v, dtype=float)
+        edges = np.linspace(0.0, 1.0, panels + 1)
+        for a, b in zip(edges[:-1], edges[1:]):
+            half = 0.5 * (b - a)
+            mid = 0.5 * (a + b)
+            for x, w in zip(self.nodes, self.weights):
+                u = mid + half * x
+                vs = tuple(u * v)
+                if with_grad:
+                    val, g = fn(q, vs, p)
+                    acc_g += (w * half) * np.array(g)
+                else:
+                    val = fn(q, vs, p)
+                acc_val += (w * half / u) * val
+        return acc_val, acc_g
+
+    def _refined(self, q, v, p, with_grad):
+        qc = self.quadrature
+        prev = self._quad_once(q, v, p, qc.panels, with_grad)
+        panels = qc.panels
+        warning = None
+        for attempt in range(2):
+            panels *= 2
+            cur = self._quad_once(q, v, p, panels, with_grad)
+            change = abs(cur[0] - prev[0])
+            if change <= qc.tolerance * (1.0 + abs(cur[0])):
+                if attempt > 0:
+                    warning = (f"quadrature needed {panels} panels "
+                               f"(configured {qc.panels}) to converge")
+                return cur, warning
+            prev = cur
+        raise QuadratureError(
+            f"R quadrature did not converge after doubling panels twice "
+            f"(last change {change:.3e} > tolerance {qc.tolerance:.3e}); "
+            f"check that D(q, 0) = 0 and D has velocity degree > 0")
+
+    def R_with_warning(self, q, v, p):
+        """(R, refinement warning or None)."""
+        (val, _), warning = self._refined(q, v, p, False)
+        return float(val), warning
+
+    def R(self, q, v, p):
+        return self.R_with_warning(q, v, p)[0]
+
+    def grad_R(self, q, v, p):
+        (_, g), _ = self._refined(q, v, p, True)
+        return g
 
 
 # ---------------------------------------------------------------------------
@@ -204,99 +390,30 @@ def sample_states(dof, samples, seed, v_norm_range=(0.1, 10.0)):
 
 
 def eval_D(spec: DissipationSpec, ctx: EvalContext) -> float:
-    if spec.mode == "general":
-        return xc.evaluate(spec.raw, ctx)
-    return sum(xc.evaluate(t.expr, ctx) for t in spec.terms)
+    return spec.model(ctx.dof).D(ctx.q, ctx.v, ctx.params)
 
 
 def eval_R_closed(spec: DissipationSpec, ctx: EvalContext) -> float:
     """R = sum over terms of term/degree (exact for homogeneous terms)."""
     if spec.mode != "homogeneous_sum":
         raise ModelError("eval_R_closed requires homogeneous_sum mode")
-    return sum(xc.evaluate(t.expr, ctx) / t.degree for t in spec.terms)
-
-
-def _gl_rule(node_count):
-    return np.polynomial.legendre.leggauss(node_count)
-
-
-def _quad_once(spec, ctx, panels, with_grad):
-    """Composite Gauss-Legendre estimate of integral over (0,1] of
-    D(q, u*v)/u du, optionally with its velocity gradient.
-
-    d/dv_j of D(q, u*v) is u * (dD/dv_j)(q, u*v); the 1/u weight cancels
-    the chain factor, so the gradient integrand is just dD/dv at u*v.
-    """
-    m = ctx.dof
-    nodes, weights = _gl_rule(spec.quadrature.node_count)
-    if with_grad:
-        fn = xc.compiled(spec.raw, m, "v", None)
-    else:
-        fn = xc.compiled(spec.raw)
-    acc_val = 0.0
-    acc_g = np.zeros(m)
-    v = np.asarray(ctx.v, dtype=float)
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        for x, w in zip(nodes, weights):
-            u = mid + half * x
-            vs = tuple(u * v)
-            if with_grad:
-                val, g = fn(ctx.q, vs, ctx.params)
-                acc_g += (w * half) * np.array(g)
-            else:
-                val = fn(ctx.q, vs, ctx.params)
-            acc_val += (w * half / u) * val
-    return acc_val, acc_g
-
-
-def _refined_quadrature(spec, ctx, with_grad=False):
-    qc = spec.quadrature
-    prev = _quad_once(spec, ctx, qc.panels, with_grad)
-    panels = qc.panels
-    warning = None
-    for attempt in range(2):
-        panels *= 2
-        cur = _quad_once(spec, ctx, panels, with_grad)
-        change = abs(cur[0] - prev[0])
-        if change <= qc.tolerance * (1.0 + abs(cur[0])):
-            if attempt > 0:
-                warning = (f"quadrature needed {panels} panels "
-                           f"(configured {qc.panels}) to converge")
-            return cur, warning
-        prev = cur
-    raise QuadratureError(
-        f"R quadrature did not converge after doubling panels twice "
-        f"(last change {change:.3e} > tolerance {qc.tolerance:.3e}); "
-        f"check that D(q, 0) = 0 and D has velocity degree > 0")
+    return spec.model(ctx.dof).R(ctx.q, ctx.v, ctx.params)
 
 
 def eval_R_quadrature(spec: DissipationSpec, ctx: EvalContext):
     """General-mode R via the u-integral; returns (value, warning|None)."""
     if spec.mode != "general":
         raise ModelError("eval_R_quadrature requires general mode")
-    (val, _), warning = _refined_quadrature(spec, ctx)
-    return float(val), warning
+    return spec.model(ctx.dof).R_with_warning(ctx.q, ctx.v, ctx.params)
 
 
 def eval_R(spec: DissipationSpec, ctx: EvalContext) -> float:
-    if spec.mode == "homogeneous_sum":
-        return eval_R_closed(spec, ctx)
-    return eval_R_quadrature(spec, ctx)[0]
+    return spec.model(ctx.dof).R(ctx.q, ctx.v, ctx.params)
 
 
 def grad_R_v(spec: DissipationSpec, ctx: EvalContext) -> np.ndarray:
     """dR/dv, the (negated) dissipative generalized force."""
-    m = ctx.dof
-    if spec.mode == "homogeneous_sum":
-        out = np.zeros(m)
-        for t in spec.terms:
-            out += xc.grad_v(t.expr, ctx, smooth_eps=t.smooth_eps) / t.degree
-        return out
-    (_, g), _ = _refined_quadrature(spec, ctx, with_grad=True)
-    return g
+    return spec.model(ctx.dof).grad_R(ctx.q, ctx.v, ctx.params)
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +427,12 @@ def homogeneity_check(term: DissipationTerm, dof: int, params: dict,
         raise ValueError("samples must be >= 1")
     worst = 0.0
     witness = None
+    fn = term.evaluate
     for q, v in sample_states(dof, samples, seed):
-        base = xc.evaluate(term.expr, EvalContext(q, v, params))
+        qt = tuple(q)
+        base = fn(qt, tuple(v), params)
         for lam in (0.5, 2.0, 3.0):
-            scaled = xc.evaluate(term.expr, EvalContext(q, lam * v, params))
+            scaled = fn(qt, tuple(lam * v), params)
             expected = lam ** term.degree * base
             rel = abs(scaled - expected) / (1.0 + abs(expected))
             if rel > worst:

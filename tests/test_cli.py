@@ -304,6 +304,15 @@ def test_sweep_unknown_param_fails_before_running(workdir):
     assert not list(workdir.glob("*_sweep.csv"))
 
 
+def test_sweep_rejects_values_with_colliding_file_names(workdir, capsys):
+    rc = main(["sweep", "--config",
+               write_json(workdir / "b.json", {"system": "damped_sho"}),
+               "--param", "c", "--values", "0.2,0.1,0.1000001"])
+    assert rc == 1
+    assert "0.1, 0.1000001" in capsys.readouterr().err
+    assert not list(workdir.glob("damped_sho_*"))
+
+
 def test_sweep_bad_values_exit_one(workdir):
     rc = main(["sweep", "--config",
                write_json(workdir / "b.json", {"system": "damped_sho"}),

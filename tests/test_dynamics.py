@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -56,8 +59,62 @@ def test_mass_matrix_must_be_positive_definite():
     sys = rm.SystemSpec(dof=1, mass_matrix=[[xc.parse("-1")]],
                         potential=xc.parse("0"),
                         dissipation=rm.null_dissipation())
-    with pytest.raises(dy.MassMatrixError):
+    with pytest.raises(dy.MassMatrixError, match=r"q=.*\(t=0\.0\)"):
         dy.accel(sys, dy.State(0.0, [0.0], [0.0]))
+
+
+def test_asymmetric_mass_raises_from_accel():
+    # the off-diagonal pair has different expressions that agree at q1 = 0
+    sys = rm.SystemSpec(
+        dof=2,
+        mass_matrix=[[xc.parse("2"), xc.parse("0.1*q1")],
+                     [xc.parse("0.1*sin(q1)"), xc.parse("2")]],
+        potential=xc.parse("0"), dissipation=rm.null_dissipation())
+    dy.accel(sys, dy.State(0.0, [0.0, 0.0], [1.0, 0.0]))
+    with pytest.raises(dy.MassMatrixError, match=r"not symmetric.*t=1\.5"):
+        dy.accel(sys, dy.State(1.5, [1.0, 0.0], [1.0, 0.0]))
+
+
+def _first_use_race(n):
+    spec = rm.DissipationSpec(
+        "homogeneous_sum", [rm.DissipationTerm(xc.parse("c*v1^2"), 2.0)])
+    systems = [rm.SystemSpec(dof=1, mass_matrix=[[xc.parse("m")]],
+                             potential=xc.parse("0.5*q1^2"), dissipation=spec,
+                             params={"m": 1.0, "c": 0.1 * (i + 1)})
+               for i in range(n)]
+    state = dy.State(0.0, [0.5], [1.0])
+    barrier = threading.Barrier(n)
+    results = [None] * n
+
+    def work(i):
+        ctx = systems[i].ctx(state.q, state.v)
+        barrier.wait(timeout=10)
+        results[i] = (rm.grad_R_v(spec, ctx)[0],
+                      dy.accel(systems[i], state)[0])
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(n)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    return results
+
+
+def test_concurrent_first_use_builds_complete_models():
+    # sweep threads share one DissipationSpec and may build its model at
+    # once; a thread that saw a half-built model would leave no result
+    n = min(os.cpu_count() or 1, 32) + 2
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rounds = [_first_use_race(n) for _ in range(20)]
+    finally:
+        sys.setswitchinterval(old)
+    for results in rounds:
+        for i, r in enumerate(results):
+            c = 0.1 * (i + 1)
+            assert r == pytest.approx((c, -0.5 - c), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,81 @@ def test_system_mass_symmetry_enforced():
         sys.mass((1.0, 0.0))
 
 
+def test_constant_mass_cannot_be_corrupted_through_mass():
+    sys = rm.SystemSpec(dof=1, mass_matrix=[[xc.parse("m")]],
+                        potential=xc.parse("0"),
+                        dissipation=rm.null_dissipation(), params={"m": 2.0})
+    M = sys.mass((0.0,))
+    try:
+        M[0, 0] = 99.0
+    except ValueError:
+        pass  # read-only
+    assert sys.mass((0.5,))[0, 0] == 2.0
+    assert sys.model.Minv0[0, 0] == 0.5
+
+
+# ---------------------------------------------------------------------------
+# Compiled models
+
+
+def test_general_quadrature_rule_built_once_per_spec(monkeypatch):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(n):
+        calls.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    spec = general("v1^2 + abs(v2)^3")
+    for q, v in rm.sample_states(2, 3, seed=4):
+        c = ctx(q, v)
+        rm.grad_R_v(spec, c)
+        rm.eval_R(spec, c)
+        rm.eval_R_quadrature(spec, c)
+    assert calls == [64]
+
+
+def test_runs_do_not_grow_the_expression_compile_cache():
+    from raydiss import audit as au
+    from raydiss import config as cf
+    from raydiss import dynamics as dy
+
+    def run(cfg):
+        traj = dy.integrate(cfg.system, cfg.initial, cfg.t_end,
+                            cfg.integrator)
+        assert au.full_audit(cfg.system, traj, cfg.tolerances).passed
+
+    base = cf.config_from_dict({"system": "damped_sho", "t_end": 0.5})
+    inline = {
+        "dof": 2, "params": {"a": 1.0, "A": 0.1},
+        "mass_matrix": [["2", "a*cos(q1-q2)"], ["a*cos(q1-q2)", "2"]],
+        "potential": "-cos(q1) - cos(q2)",
+        "dissipation": {"mode": "homogeneous_sum",
+                        "terms": [{"expr": "A*(v1^2+v2^2)^1.5",
+                                   "degree": 3}]},
+        "initial": {"q": [0.6, -0.3], "v": [0.0, 0.0]}, "t_end": 0.2,
+    }
+    before = len(xc._COMPILE_CACHE)
+    for c in (0.1, 0.2, 0.3):
+        run(base.with_params({"c": c}))
+    for _ in range(2):
+        run(cf.config_from_dict(inline))
+    assert len(xc._COMPILE_CACHE) == before
+
+
+def test_with_params_shares_the_builtin_dissipation_model():
+    from raydiss import config as cf
+
+    base = cf.config_from_dict({"system": "damped_sho"})
+    a = base.with_params({"c": 0.1})
+    b = base.with_params({"c": 0.3})
+    assert a.system.dissipation is base.system.dissipation
+    assert a.system.dissipation.model(1) is b.system.dissipation.model(1)
+    assert a.system.params["c"] == 0.1 and b.system.params["c"] == 0.3
+    assert a.reference is not None
+
+
 # ---------------------------------------------------------------------------
 # Homogeneity
 
