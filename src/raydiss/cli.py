@@ -107,11 +107,19 @@ def run_simulation(cfg: RunConfig):
 
 def cmd_simulate(cfg: RunConfig, out_path=None, plot_data=False) -> int:
     out = _default_out(cfg, out_path)
+    model = cfg.system.dissipation.model(cfg.system.dof)
+    refined_before = model.refinements
     try:
         traj, report = run_simulation(cfg)
     except (dy.DynamicsError, rm.ModelError, xc.ExprError) as e:
         print(f"simulate: error: {e}", file=_sys.stderr)
         return EXIT_ERROR
+    refined = model.refinements - refined_before
+    if refined:
+        qc = cfg.system.dissipation.quadrature
+        print(f"simulate: warning: {refined} R quadrature evaluations "
+              f"needed {qc.panels * 4} panels (configured {qc.panels}) to "
+              f"converge", file=_sys.stderr)
     write_trajectory(traj, cfg.system.dof, out, cfg.output.format)
     audit_path = os.path.splitext(out)[0] + ".audit.json"
     with open(audit_path, "w", encoding="utf-8") as f:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -540,10 +541,17 @@ class _Evaluator:
 #
 # The dual interpreter above is the reference engine; the hot paths
 # (dynamics, quadrature, sampled checks) go through code generated from the
-# AST: straight-line float arithmetic that propagates the value and the
-# tangent components of one forward-mode pass. Systems compile their own
-# expressions with compile_expr and keep the result; the expression-level
-# helpers below (evaluate, grad_v, grad_q) cache per AST object.
+# AST: straight-line arithmetic that propagates the value and the tangent
+# components of one forward-mode pass. The one generator, _CodeGen, emits
+# calls to `math.*` and to the _c* helpers, which hold every branch and
+# domain check. compile_expr runs that source on floats (scalar mode, for
+# point evaluations); compile_array runs the same source against numpy
+# (array mode), where `math.*` resolves to ufuncs and each _c* name to an
+# array helper whose domain check reports the first offending element in
+# flat order, with the scalar text. Its one consumer is the general-mode R
+# quadrature, one call per pass over every node. Systems compile their own
+# expressions and keep the result; the expression-level helpers below
+# (evaluate, grad_v, grad_q) cache scalar code per AST object.
 
 
 def _csgn(x):
@@ -626,6 +634,117 @@ _COMPILE_GLOBALS = {
     "_csqrt": _csqrt, "_cdsqrt": _cdsqrt, "_cpowi": _cpowi,
     "_cdpowi": _cdpowi, "_cpowf": _cpowf, "_cdpowf": _cdpowf,
     "_cpow3": _cpow3,
+}
+
+
+# Array versions of the helpers above. Arguments are scalars or arrays of
+# one shape; a masked branch is computed only on elements where it is
+# defined, so no divide or invalid warning leaks from the discarded side.
+
+
+def _aany(bad):
+    # ndarray.any skips np.any's dispatch; scalars come as (numpy) bools
+    return bad.any() if isinstance(bad, np.ndarray) else bool(bad)
+
+
+def _afirst(x, bad):
+    """x at the first element (flat order) where bad holds."""
+    return float(np.broadcast_to(x, np.shape(bad)).flat[np.argmax(bad)])
+
+
+def _asgn(x):
+    return np.where(x == 0.0, 0.0, np.copysign(1.0, x))
+
+
+def _adiv0(b, src):
+    if _aany(b == 0.0):
+        raise EvalDomainError("division by zero", src=src)
+
+
+def _aln(x, src):
+    bad = x <= 0.0
+    if _aany(bad):
+        raise EvalDomainError(
+            f"ln of non-positive value {_afirst(x, bad)}", src=src)
+    return np.log(x)
+
+
+def _asqrt(x, src):
+    bad = x < 0.0
+    if _aany(bad):
+        raise EvalDomainError(
+            f"sqrt of negative value {_afirst(x, bad)}", src=src)
+    return np.sqrt(x)
+
+
+def _adsqrt(val, src):
+    if _aany(val == 0.0):
+        raise EvalDomainError("sqrt derivative at zero", src=src)
+    return 0.5 / val
+
+
+def _apowi(a, n, src):
+    if n < 0 and _aany(a == 0.0):
+        raise EvalDomainError("zero base with negative exponent", src=src)
+    return a ** n
+
+
+def _adpowi(a, n):
+    # n >= 1 gives the kink convention at a = 0 unmasked (0, or 1 for
+    # n == 1); n < 0 never sees a = 0 after _apowi; n == 0 is flat
+    return n * a ** (n - 1) if n else 0.0
+
+
+def _apowf(a, p, src):
+    bad = a < 0.0
+    if _aany(bad):
+        raise EvalDomainError(
+            f"non-integer exponent {p} requires nonnegative base, got "
+            f"{_afirst(a, bad)}", src=src)
+    return a ** p
+
+
+def _adpowf(a, p):
+    if p > 1.0:  # a >= 0 after _apowf, and 0 ** (p - 1) is already 0
+        return p * a ** (p - 1.0)
+    pos = a > 0.0
+    return np.where(pos, p * np.where(pos, a, 1.0) ** (p - 1.0), 0.0)
+
+
+def _apow3(a, b, need_db, src):
+    """_cpow3 over arrays: each element raises what _cpow3 would."""
+    a, b = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
+    neg = a < 0.0
+    zero = a == 0.0
+    nonint = ~((np.floor(b) == b) & (np.abs(b) < 1e9))
+    bad_base = nonint & neg
+    bad_zero = zero & (b < 0.0)
+    bad = bad_base | bad_zero | (neg if need_db else False)
+    if _aany(bad):
+        k = np.argmax(bad)
+        if bad_base.flat[k]:
+            raise EvalDomainError(
+                f"non-integer exponent {float(b.flat[k])} requires "
+                f"nonnegative base, got {float(a.flat[k])}", src=src)
+        if bad_zero.flat[k]:
+            raise EvalDomainError("zero base with negative exponent",
+                                  src=src)
+        raise EvalDomainError(
+            "derivative w.r.t. exponent needs positive base", src=src)
+    safe = np.where(zero, 1.0, a)
+    val = np.where(zero, np.where(b == 0.0, 1.0, 0.0), safe ** b)
+    da = np.where(zero, np.where(b == 1.0, 1.0, 0.0),
+                  b * safe ** (b - 1.0))
+    db = np.where(zero, 0.0, val * np.log(safe)) if need_db else 0.0
+    return val, da, db
+
+
+_ARRAY_GLOBALS = {
+    "math": SimpleNamespace(sin=np.sin, cos=np.cos, exp=np.exp,
+                            tanh=np.tanh),
+    "_csgn": _asgn, "_cdiv0": _adiv0, "_cln": _aln, "_csqrt": _asqrt,
+    "_cdsqrt": _adsqrt, "_cpowi": _apowi, "_cdpowi": _adpowi,
+    "_cpowf": _apowf, "_cdpowf": _adpowf, "_cpow3": _apow3,
 }
 
 
@@ -810,9 +929,8 @@ class _CodeGen:
         return val, g
 
 
-def compile_expr(node, dof=0, wrt=None, smooth_eps=None):
-    """Uncached compiled evaluator: f(q, v, params) -> value, or
-    (value, tangent tuple) when wrt is 'q' or 'v'."""
+def _load(node, dof, wrt, smooth_eps, namespace):
+    """Generate the source of _f(q, v, p) and execute it in namespace."""
     cg = _CodeGen(dof, wrt, smooth_eps)
     val, g = cg.gen(node)
     body = "\n".join(cg.lines) or "    pass"
@@ -821,9 +939,45 @@ def compile_expr(node, dof=0, wrt=None, smooth_eps=None):
     else:
         ret = f"    return {val}"
     source = f"def _f(q, v, p):\n{body}\n{ret}\n"
-    ns = dict(_COMPILE_GLOBALS)
+    ns = dict(namespace)
     exec(source, ns)
     return ns["_f"]
+
+
+def compile_expr(node, dof=0, wrt=None, smooth_eps=None):
+    """Uncached compiled evaluator: f(q, v, params) -> value, or
+    (value, tangent tuple) when wrt is 'q' or 'v'."""
+    return _load(node, dof, wrt, smooth_eps, _COMPILE_GLOBALS)
+
+
+def compile_array(node, dof=0, wrt=None, smooth_eps=None):
+    """Uncached array-mode evaluator: compile_expr's code evaluated at many
+    points in one call. f(q, v, params) takes q and v each as a sequence
+    of scalars, shared by all points, or as an array of shape (dof,) + S
+    for points of shape S. Returns the value as an array of shape S, or
+    (value, tangents of shape (dof,) + S) when wrt is 'q' or 'v'; parts
+    that do not depend on the points are broadcast. A domain error names
+    the first offending element in flat order, in the scalar text.
+    """
+    fn = _load(node, dof, wrt, smooth_eps, _ARRAY_GLOBALS)
+
+    def f(q, v, p):
+        shape = v.shape[1:] if isinstance(v, np.ndarray) else ()
+        if isinstance(q, np.ndarray) and q.shape[1:] != shape:
+            shape = np.broadcast_shapes(q.shape[1:], shape)
+        if not wrt:
+            return _abroadcast(fn(q, v, p), shape)
+        val, g = fn(q, v, p)
+        tan = np.empty((len(g),) + shape)
+        for i, x in enumerate(g):
+            tan[i] = x
+        return _abroadcast(val, shape), tan
+
+    return f
+
+
+def _abroadcast(x, shape):
+    return x if np.shape(x) == shape else np.broadcast_to(x, shape)
 
 
 # Keyed by AST object identity; the AST is kept alive by the cache entry.

@@ -9,11 +9,16 @@ for nonconservative forces. The dissipation potential R is built from D:
 * general mode: R(q, v) = integral over u in (0, 1] of D(q, u*v)/u du,
   computed by composite Gauss-Legendre quadrature with panel-doubling
   refinement. The arbitrary additive constant is fixed by R(q, 0) = 0.
+  Each quadrature pass evaluates D (or D and dD/dv) at all of its nodes in
+  one array-mode call (exprcore.compile_array); the model counts the
+  evaluations that needed the second panel doubling.
 
 Each spec compiles its evaluators once, on first use, and keeps them for
 its own lifetime: a DissipationSpec owns D, R and dR/dv (per dof), a
 SystemSpec owns M, dM/dq, V and dV/dq. Evaluators take (q, v, params); the
-eval_* functions below are adapters over them.
+eval_* functions below are adapters over them. Point evaluations (D in the
+equations of motion, diagnostics, the sampled checks, homogeneous_sum R)
+use the scalar compiled code.
 
 Structural checks (homogeneity, Euler identity v.dR/dv = D, positivity)
 are seeded and reproducible.
@@ -21,6 +26,7 @@ are seeded and reproducible.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -250,6 +256,8 @@ class SystemModel:
 class _HomogeneousSumModel:
     """R = sum of term/degree, exact for velocity-homogeneous terms."""
 
+    refinements = 0  # closed form: nothing to refine
+
     def __init__(self, spec, dof):
         self.dof = dof
         self.terms = [(t.evaluate, xc.compile_expr(t.expr, dof, "v",
@@ -272,56 +280,56 @@ class _HomogeneousSumModel:
 
 class _GeneralModel:
     """R(q, v) = integral over u in (0, 1] of D(q, u*v)/u du by composite
-    Gauss-Legendre quadrature with panel-doubling refinement."""
+    Gauss-Legendre quadrature with panel-doubling refinement.
+
+    A quadrature pass is one array-mode call of D, or of D and dD/dv, at
+    the nodes of every panel (panel-major order), reduced with np.dot.
+    The node and weight vectors for the configured panel count and its
+    two doublings are built here from one leggauss rule. Point values of D
+    use the scalar compiled code. `refinements` counts the evaluations
+    that needed the second doubling.
+    """
 
     def __init__(self, spec, dof):
         self.dof = dof
+        self.refinements = 0
         self.quadrature = qc = spec.quadrature
-        self.nodes, self.weights = np.polynomial.legendre.leggauss(
-            qc.node_count)
+        x, w = np.polynomial.legendre.leggauss(qc.node_count)
+        self._rules = [_composite_rule(x, w, qc.panels << k)
+                       for k in range(3)]
         self.D = xc.compile_expr(spec.raw)
-        self._D_grad_v = xc.compile_expr(spec.raw, dof, "v")
+        self._D_nodes = xc.compile_array(spec.raw)
+        self._D_grad_nodes = xc.compile_array(spec.raw, dof, "v")
+        self._lock = threading.Lock()
 
-    def _quad_once(self, q, v, p, panels, with_grad):
+    def _quad_once(self, q, v, p, rule, with_grad):
         """Composite Gauss-Legendre estimate of integral over (0,1] of
-        D(q, u*v)/u du, optionally with its velocity gradient.
+        D(q, u*v)/u du, and its velocity gradient when with_grad.
 
         d/dv_j of D(q, u*v) is u * (dD/dv_j)(q, u*v); the 1/u weight
         cancels the chain factor, so the gradient integrand is just dD/dv
         at u*v.
         """
-        fn = self._D_grad_v if with_grad else self.D
-        acc_val = 0.0
-        acc_g = np.zeros(self.dof)
-        v = np.asarray(v, dtype=float)
-        edges = np.linspace(0.0, 1.0, panels + 1)
-        for a, b in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (b - a)
-            mid = 0.5 * (a + b)
-            for x, w in zip(self.nodes, self.weights):
-                u = mid + half * x
-                vs = tuple(u * v)
-                if with_grad:
-                    val, g = fn(q, vs, p)
-                    acc_g += (w * half) * np.array(g)
-                else:
-                    val = fn(q, vs, p)
-                acc_val += (w * half / u) * val
-        return acc_val, acc_g
+        u, w, w_over_u = rule
+        vs = np.asarray(v, dtype=float)[:, None] * u
+        if not with_grad:
+            return np.dot(w_over_u, self._D_nodes(q, vs, p)), None
+        val, g = self._D_grad_nodes(q, vs, p)
+        return np.dot(w_over_u, val), g @ w
 
     def _refined(self, q, v, p, with_grad):
         qc = self.quadrature
-        prev = self._quad_once(q, v, p, qc.panels, with_grad)
-        panels = qc.panels
-        warning = None
-        for attempt in range(2):
-            panels *= 2
-            cur = self._quad_once(q, v, p, panels, with_grad)
+        prev = self._quad_once(q, v, p, self._rules[0], with_grad)
+        for attempt in (1, 2):
+            cur = self._quad_once(q, v, p, self._rules[attempt], with_grad)
             change = abs(cur[0] - prev[0])
             if change <= qc.tolerance * (1.0 + abs(cur[0])):
-                if attempt > 0:
-                    warning = (f"quadrature needed {panels} panels "
-                               f"(configured {qc.panels}) to converge")
+                warning = None
+                if attempt > 1:
+                    warning = (f"quadrature needed {qc.panels << attempt} "
+                               f"panels (configured {qc.panels}) to converge")
+                    with self._lock:
+                        self.refinements += 1
                 return cur, warning
             prev = cur
         raise QuadratureError(
@@ -340,6 +348,17 @@ class _GeneralModel:
     def grad_R(self, q, v, p):
         (_, g), _ = self._refined(q, v, p, True)
         return g
+
+
+def _composite_rule(x, w, panels):
+    """(u, w, w/u) over all nodes of `panels` equal panels of (0, 1],
+    panel-major, from the Gauss-Legendre rule (x, w) on [-1, 1]."""
+    edges = np.linspace(0.0, 1.0, panels + 1)
+    half = (0.5 * (edges[1:] - edges[:-1]))[:, None]
+    mid = (0.5 * (edges[:-1] + edges[1:]))[:, None]
+    u = (mid + half * x).ravel()
+    wh = (w * half).ravel()
+    return u, wh, wh / u
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,29 @@ def test_simulate_adversarial_negative_d_exit_two(workdir):
     assert report["euler_identity"]["passed"] is True
 
 
+def test_simulate_reports_refined_quadrature_evaluations(workdir, capsys):
+    # D = c*v1*tanh(v1/0.001) needs 16 panels for |v1| near 1
+    doc = {"dof": 1, "params": {"c": 0.1}, "mass_matrix": [["1"]],
+           "potential": "0.5*q1^2",
+           "dissipation": {"mode": "general",
+                           "raw": "c*v1*tanh(v1/0.001)"},
+           "initial": {"q": [0.0], "v": [1.0]}, "t_end": 0.2}
+    rc = main(["simulate", "--config", write_json(workdir / "g.json", doc),
+               "--out", "g.csv"])
+    report = json.loads((workdir / "g.audit.json").read_text())
+    assert rc == (0 if report["pass"] else 2)
+    lines = [ln for ln in capsys.readouterr().err.splitlines()
+             if "quadrature" in ln]
+    assert len(lines) == 1
+    count = int(lines[0].split("warning: ")[1].split()[0])
+    assert count > 0
+    assert lines[0].endswith("needed 16 panels (configured 4) to converge")
+
+    rc = main(["simulate", "--config", write_json(workdir / "b.json",
+                                                  {"system": "damped_sho"})])
+    assert rc == 0 and "quadrature" not in capsys.readouterr().err
+
+
 def test_simulate_bad_config_exit_one(workdir):
     assert main(["simulate", "--config", "missing.json"]) == 1
 

@@ -238,3 +238,118 @@ def test_ad_matches_fd_on_corpus(corpus_asts):
                 fd = xc.fd_gradient(node, ctx, wrt, step=1e-6)
                 assert np.all(np.abs(ad - fd) <= 1e-6 * (1.0 + np.abs(ad))), \
                     (src, wrt, ctx)
+
+
+# ---------------------------------------------------------------------------
+# Array mode
+
+# Every function and operator, integer, non-integer and variable (_cpow3)
+# exponents, and expressions that do not depend on v (broadcast results).
+# Evaluated at the positive points of random_contexts.
+ARRAY_SMOOTH = CORPUS + [
+    "ln(v1)*sqrt(v2) + exp(-v1*v2) - cos(v1)/sin(v2)",
+    "2^v1 + q1^v2 + v1^v2 + (v1*v2)^-2",
+    "v1^-1 + (v1 - v2)^3 + v2^0.25",
+    "sign(v2 - 3) + abs(v1) + tanh(v2)",
+    "q1^2 + sin(q2)",
+    "c",
+    "k*ln(q1)",
+]
+
+# Valid at any sign and at exact zeros: sign(0) = 0, d|x|/dx = 0 at 0,
+# x^n derivative at 0 (1 only for n = 1), and _cpow3's zero-base branch.
+ARRAY_SIGNED = [
+    "sign(v1)", "abs(v2)", "sign(v1)*v1^2", "mu*abs(v1 - v2)",
+    "abs(v1)^3 + v2^1", "v1^3*v2 + v2^2", "v1^q1 + v2^q2",
+    "tanh(v1/0.01)*v1", "sqrt(v1^2 + v2^2 + 0.01)",
+    "exp(v1)*sin(v2) + cos(v1*v2)", "c*q1",
+]
+# Valid where v >= 0, including non-integer powers of exact zeros.
+ARRAY_NONNEG = ["v1^1.5 + v2^0.5", "A*(v1^2+v2^2)^1.5", "v1^q1 + v2^2.5"]
+
+_SIGNED_V = [(a, b) for a in (-1.3, -0.0, 0.0, 0.7)
+             for b in (0.0, -0.4, 1.1)]
+_NONNEG_V = [(a, b) for a in (0.0, 0.7, 1.3) for b in (0.0, 0.45)]
+
+
+def _array_cases():
+    smooth = [c.v for c in random_contexts(12, seed=5)]
+    for q in ((0.7, 1.2), (1.0, 2.5)):
+        for src in ARRAY_SMOOTH:
+            yield src, q, smooth, None
+    # v1^q1 at negative v1 needs an integer q1; q2 = 1 is the da = 1 kink
+    for q in ((2.0, 1.0), (3.0, 2.0)):
+        for src in ARRAY_SIGNED:
+            yield src, q, _SIGNED_V, None
+            yield src, q, _SIGNED_V, 1e-3
+    for q in ((0.7, 1.2), (2.0, 1.0)):
+        for src in ARRAY_NONNEG:
+            yield src, q, _NONNEG_V, None
+
+
+def _rel_close(a, b):
+    """|a - b| <= 1e-13 |b| elementwise, so exact zeros must match."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.all(np.abs(a - b) <= 1e-13 * np.abs(b))
+
+
+def test_array_mode_matches_scalar_and_interpreter():
+    checked = 0
+    for src, q, points, eps in _array_cases():
+        node = xc.parse(src)
+        P = CORPUS_PARAMS
+        vs = np.array(points).T  # (dof, N)
+        val = xc.compile_array(node)(q, vs, P)
+        gval, grad = xc.compile_array(node, 2, "v", eps)(q, vs, P)
+        assert val.shape == gval.shape == (len(points),), src
+        assert grad.shape == (2, len(points)), src
+        f = xc.compile_expr(node)
+        fg = xc.compile_expr(node, 2, "v", eps)
+        for k, v in enumerate(points):
+            ctx = xc.EvalContext(q, v, P)
+            s_val, s_grad = fg(q, v, P)
+            assert _rel_close(val[k], f(q, v, P)), (src, v)
+            assert _rel_close(val[k], xc.evaluate_interpreted(node, ctx))
+            assert _rel_close(gval[k], s_val), (src, v, eps)
+            assert _rel_close(gval[k], xc.eval_dual(node, q, v, P, eps))
+            assert _rel_close(grad[:, k], np.array(s_grad)), (src, v, eps)
+            assert _rel_close(grad[:, k],
+                              xc.grad_v_interpreted(node, ctx, eps))
+            checked += 1
+    assert checked > 500
+
+
+def test_array_mode_accepts_per_point_coordinates():
+    node = xc.parse("k*q1^2*v1 + sin(q2)")
+    qs = np.array([[0.1, -0.5, 2.0], [1.0, 0.0, -1.0]])
+    vs = np.array([[0.3, 0.0, -2.0], [0.0, 0.0, 0.0]])
+    val, grad = xc.compile_array(node, 2, "q")(qs, vs, CORPUS_PARAMS)
+    fg = xc.compile_expr(node, 2, "q")
+    for k in range(3):
+        s_val, s_grad = fg(tuple(qs[:, k]), tuple(vs[:, k]), CORPUS_PARAMS)
+        assert _rel_close(val[k], s_val)
+        assert _rel_close(grad[:, k], np.array(s_grad))
+
+
+@pytest.mark.parametrize("src, points", [
+    ("ln(v1)", [(0.5, 1.0), (-0.25, 1.0), (-2.0, 1.0)]),
+    ("sqrt(v1)*v2", [(1.0, 1.0), (-0.5, 1.0), (-1.5, 1.0)]),
+    ("v1^1.5", [(0.3, 0.0), (0.0, 0.0), (-0.7, 0.0), (-0.1, 0.0)]),
+    ("v1^v2", [(1.0, 1.0), (2.0, 0.5), (-3.0, 2.5), (0.0, -1.0)]),
+    ("v1^v2", [(1.0, 1.0), (0.0, -1.0), (-3.0, 2.5)]),
+    ("v1^-2", [(1.0, 0.0), (0.0, 0.0)]),
+    ("1/(v1 - 1)", [(0.0, 0.0), (1.0, 0.0)]),
+    ("sqrt(v1^2 + v2^2)", [(1.0, 0.0), (0.0, 0.0)]),
+])
+def test_array_mode_domain_error_matches_first_scalar_error(src, points):
+    node = xc.parse(src)
+    fg = xc.compile_expr(node, 2, "v")
+    for v in points:
+        try:
+            fg((0.0, 0.0), v, {})
+        except xc.EvalDomainError as e:
+            expected = str(e)
+            break
+    with pytest.raises(xc.EvalDomainError) as exc:
+        xc.compile_array(node, 2, "v")((0.0, 0.0), np.array(points).T, {})
+    assert str(exc.value) == expected

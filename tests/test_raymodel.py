@@ -255,6 +255,142 @@ def test_quadrature_coarse_settings_still_converge_on_polynomials():
 
 
 # ---------------------------------------------------------------------------
+# Vectorised quadrature against the per-node scalar loop it replaced
+
+
+def _scalar_loop_refined(spec, dof, q, v, p, with_grad):
+    """Reference: the model's quadrature before array mode, one scalar
+    compiled call per node. Returns ((R, dR/dv), warning)."""
+    qc = spec.quadrature
+    nodes, weights = np.polynomial.legendre.leggauss(qc.node_count)
+    fn = (xc.compile_expr(spec.raw, dof, "v") if with_grad
+          else xc.compile_expr(spec.raw))
+
+    def quad_once(panels):
+        acc_val = 0.0
+        acc_g = np.zeros(dof)
+        va = np.asarray(v, dtype=float)
+        edges = np.linspace(0.0, 1.0, panels + 1)
+        for a, b in zip(edges[:-1], edges[1:]):
+            half = 0.5 * (b - a)
+            mid = 0.5 * (a + b)
+            for x, w in zip(nodes, weights):
+                u = mid + half * x
+                vs = tuple(u * va)
+                if with_grad:
+                    val, g = fn(q, vs, p)
+                    acc_g += (w * half) * np.array(g)
+                else:
+                    val = fn(q, vs, p)
+                acc_val += (w * half / u) * val
+        return acc_val, acc_g
+
+    prev = quad_once(qc.panels)
+    panels = qc.panels
+    for attempt in range(2):
+        panels *= 2
+        cur = quad_once(panels)
+        if abs(cur[0] - prev[0]) <= qc.tolerance * (1.0 + abs(cur[0])):
+            warning = None
+            if attempt > 0:
+                warning = (f"quadrature needed {panels} panels "
+                           f"(configured {qc.panels}) to converge")
+            return cur, warning
+        prev = cur
+    raise rm.QuadratureError("did not converge")
+
+
+def _rel_close(a, b):
+    """|a - b| <= 1e-13 |b| elementwise, so exact zeros must match."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.all(np.abs(a - b) <= 1e-13 * np.abs(b))
+
+
+QUAD_ORACLE_D = [
+    "A*(v1^2+v2^2)^1.5",
+    "v1^2 + abs(v2)^3",
+    "mu*abs(v1 - v2)",
+    "sign(v1)*v1^2 + abs(v2)",
+    "v1*tanh(v1/0.001) + v2^2",     # needs 16 panels near |v1| = 1
+    "exp(v1^2 + v2^2) - 1 + (1 + q1^2)*v2^4",
+]
+
+
+def test_vectorised_quadrature_matches_scalar_loop():
+    p = {"A": 1.3, "mu": 0.7}
+    states = [(q, v) for q, v in rm.sample_states(2, 12, seed=21,
+                                                  v_norm_range=(0.1, 2.0))]
+    states += [((0.3, -1.0), v) for v in
+               ((0.0, 0.0), (0.0, 0.8), (-1.1, 0.0), (1.0, 0.3))]
+    warned = 0
+    for src in QUAD_ORACLE_D:
+        spec = general(src)
+        model = spec.model(2)
+        for q, v in states:
+            q, v = tuple(q), tuple(v)
+            (ref_r, _), ref_w = _scalar_loop_refined(spec, 2, q, v, p, False)
+            (_, ref_g), ref_gw = _scalar_loop_refined(spec, 2, q, v, p, True)
+            r, w = model.R_with_warning(q, v, p)
+            assert _rel_close(r, ref_r), (src, v)
+            assert w == ref_w, (src, v)
+            assert _rel_close(model.grad_R(q, v, p), ref_g), (src, v)
+            assert model._refined(q, v, p, True)[1] == ref_gw, (src, v)
+            warned += ref_w is not None
+    assert warned > 0
+
+
+def test_refined_evaluations_are_counted_on_the_model():
+    model = general("v1*tanh(v1/0.001)").model(1)
+    assert model.refinements == 0
+    model.R((0.0,), (0.5,), {})  # converges on the first doubling
+    assert model.refinements == 0
+    assert rm.eval_R_quadrature(general("v1*tanh(v1/0.001)"),
+                                ctx([0.0], [1.0]))[1] == (
+        "quadrature needed 16 panels (configured 4) to converge")
+    model.R((0.0,), (1.0,), {})
+    model.grad_R((0.0,), (1.0,), {})
+    assert model.refinements == 2
+    assert homsum(("v1^2", 2.0)).model(1).refinements == 0
+
+
+@pytest.mark.parametrize("src, v, with_grad", [
+    ("v1^1.5", (-0.8,), False),
+    ("v1^1.5", (-0.8,), True),
+    ("ln(v1)", (-0.5,), False),
+    ("ln(v1)", (0.0,), True),
+    ("v1^2 + ln(1 - v1)", (1.5,), False),  # fails from u = 2/3 on
+    ("v1^2 + ln(1 - v1)", (1.5,), True),
+    ("sqrt(v1)*v1^2", (0.0,), True),
+])
+def test_vectorised_quadrature_domain_error_matches_scalar_loop(
+        src, v, with_grad):
+    spec = general(src)
+    with pytest.raises(xc.EvalDomainError) as ref:
+        _scalar_loop_refined(spec, 1, (0.0,), v, {}, with_grad)
+    model = spec.model(1)
+    call = model.grad_R if with_grad else model.R
+    with pytest.raises(xc.EvalDomainError) as got:
+        call((0.0,), v, {})
+    assert str(got.value) == str(ref.value)
+
+
+def test_sqrt_derivative_at_zero_fails_only_the_gradient():
+    spec = general("sqrt(v2)*v1^2")
+    q, v = (0.0, 0.0), (1.2, 0.0)
+    (ref_r, _), _ = _scalar_loop_refined(spec, 2, q, v, {}, False)
+    assert _rel_close(spec.model(2).R(q, v, {}), ref_r)
+    with pytest.raises(xc.EvalDomainError, match="sqrt derivative at zero"):
+        spec.model(2).grad_R(q, v, {})
+
+
+def test_vectorised_quadrature_still_diverges_for_rest_nonvanishing_d():
+    spec = general("v1^2 + 1")
+    for call in (spec.model(1).R, spec.model(1).grad_R):
+        with pytest.raises(rm.QuadratureError):
+            call((0.0,), (1.0,), {})
+
+
+# ---------------------------------------------------------------------------
 # Dissipative force dR/dv
 
 
