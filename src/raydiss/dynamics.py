@@ -9,10 +9,18 @@ obtained by expanding d/dt(dT/dv) = M qdd + Mdot v for T = 0.5 v.M(q)v.
 Only first derivatives of the mass-matrix entries are needed.
 
 Every evaluation goes through the compiled model the SystemSpec owns
-(`sys.model`); this module only assembles b and solves.
+(`sys.model`); this module only assembles b and solves. Per RHS call, one
+compiled call per mass entry returns both M_ab and dM_ab/dq, b is
+accumulated in Python floats, and one square-root-free LDL^T
+factorisation and solve gives qdd (a constant M keeps its factor). The
+compiled code is fed Python floats, never numpy scalars.
 
 Integrators: classical fixed-step RK4, and the Dormand-Prince 5(4)
-embedded pair with standard step-size control. Both additionally carry a
+embedded pair with standard step-size control. The pair is "first same as
+last" (FSAL; Hairer, Norsett & Wanner, Solving ODEs I, sec. II.6): its
+7th stage is evaluated at the new state, so an accepted step hands it on
+as the next step's 1st stage, and an attempt costs six RHS calls, not
+seven. Trajectory.rhs_calls records the count. Both integrators carry a
 running integral of the dissipation D alongside the mechanical state, so
 energy-balance audits can use a quadrature at full integrator accuracy.
 """
@@ -23,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raymodel import MassMatrixError, SystemSpec
+from .raymodel import MassMatrixError, SystemSpec, ldl_factor, ldl_solve
 
 
 class DynamicsError(Exception):
@@ -93,6 +101,7 @@ class Trajectory:
     method: str
     steps_taken: int = 0
     steps_rejected: int = 0
+    rhs_calls: int = 0  # right-hand-side evaluations, set by integrate
     dt: float | None = None
     rel_tol: float | None = None
     abs_tol: float | None = None
@@ -126,24 +135,34 @@ class Trajectory:
 
 
 def _accel(sm, q, v):
-    """M(q)^-1 b at tuple state (q, v) from the system's compiled model."""
+    """M(q)^-1 b at state (q, v), given and returned as lists of floats."""
     p = sm.params
-    _, gV = sm.grad_V(q, v, p)
-    b = -np.array(gV) - sm.dissipation.grad_R(q, v, p)
+    gV = sm.grad_V(q, v, p)[1]
+    gR = sm.dissipation.grad_R(q, v, p).tolist()
+    b = [-x - y for x, y in zip(gV, gR)]
     if sm.mass_const:
-        return sm.Minv0 @ b
-    Minv = sm.inv_mass(q)
-    dM = sm.mass_grad(q)
-    va = np.asarray(v, dtype=float)
-    dT_dq = 0.5 * np.einsum("a,jab,b->j", va, dM, va)
-    Mdot = np.einsum("j,jab->ab", va, dM)
-    return Minv @ (b + dT_dq - Mdot @ va)
+        return ldl_solve(sm.factor0, b)
+    M, dM = sm.mass_and_grad(q)
+    m = len(b)
+    # b_j += 0.5 v.(dM/dq_j).v and b_a -= (Mdot v)_a, where
+    # (Mdot v)_a = sum over c, j of v_j dM_ac/dq_j v_c
+    for a in range(m):
+        va, dMa = v[a], dM[a]
+        for c in range(m):
+            g = dMa[c]
+            w = 0.5 * va * v[c]
+            vg = 0.0
+            for j in range(m):
+                b[j] += w * g[j]
+                vg += v[j] * g[j]
+            b[a] -= vg * v[c]
+    return ldl_solve(ldl_factor(M, q), b)
 
 
 def accel(sys: SystemSpec, s: State) -> np.ndarray:
     """Explicit second-order form of the dissipative Lagrange equations."""
     try:
-        return _accel(sys.model, tuple(s.q), tuple(s.v))
+        return np.array(_accel(sys.model, s.q.tolist(), s.v.tolist()))
     except MassMatrixError as e:
         raise MassMatrixError(f"{e} (t={s.t})") from None
 
@@ -151,13 +170,12 @@ def accel(sys: SystemSpec, s: State) -> np.ndarray:
 def diagnostics(sys: SystemSpec, s: State, e_diss: float = 0.0) -> Diagnostics:
     sm = sys.model
     d, p = sm.dissipation, sm.params
-    q, v = tuple(s.q), tuple(s.v)
-    va = np.asarray(v, dtype=float)
-    T = 0.5 * float(va @ sm.mass(q) @ va)
+    q, v = s.q.tolist(), s.v.tolist()
+    T = 0.5 * float(s.v @ sm.mass(q) @ s.v)
     V = sm.V(q, v, p)
     D = d.D(q, v, p)
     R = d.R(q, v, p)
-    W = float(np.dot(va, d.grad_R(q, v, p)))  # on-shell W = v.dR/dv
+    W = float(np.dot(s.v, d.grad_R(q, v, p)))  # on-shell W = v.dR/dv
     return Diagnostics(H=T + V, T_kin=T, V_pot=V, D_val=D, R_val=R,
                        W=W, L_val=T - V, E_diss=e_diss)
 
@@ -169,13 +187,10 @@ def diagnostics(sys: SystemSpec, s: State, e_diss: float = 0.0) -> Diagnostics:
 def _rhs(sys, t, y):
     m = sys.dof
     sm = sys.model
-    q = tuple(y[:m])
-    v = tuple(y[m:2 * m])
-    out = np.empty(2 * m + 1)
-    out[:m] = v
-    out[m:2 * m] = _accel(sm, q, v)
-    out[2 * m] = sm.dissipation.D(q, v, sm.params)
-    return out
+    x = y.tolist()
+    q, v = x[:m], x[m:2 * m]
+    return np.array(v + _accel(sm, q, v)
+                    + [sm.dissipation.D(q, v, sm.params)])
 
 
 def _pack(s: State, e_diss: float):
@@ -210,9 +225,11 @@ def step_rk4(sys: SystemSpec, s: State, dt: float) -> State:
     return _unpack(sys, s.t + dt, y)[0]
 
 
-# Dormand-Prince 5(4) tableau.
+# Dormand-Prince 5(4) tableau. Row 6 of _DP_A is the 5th-order weights
+# b5, so stage 7 is evaluated at the new state (FSAL, "first same as
+# last"): an accepted step's k7 is the next step's k1.
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
+_DP_A = np.array([row + [0.0] * (7 - len(row)) for row in [
     [],
     [1 / 5],
     [3 / 40, 9 / 40],
@@ -220,31 +237,29 @@ _DP_A = [
     [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
-                   11 / 84, 0.0])
+]])
 _DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
                   22 / 525, -1 / 40])  # b5 - b4
 
 
-def _rk45_raw(sys, t, y, dt, cfg):
+def _rk45_raw(sys, t, y, dt, cfg, k1):
+    """One Dormand-Prince attempt from (t, y) with k1 = f(t, y), in six
+    RHS calls. Returns (ynew, accepted, dt_next, k7), where ynew is the
+    exact stage-7 argument, so k7 = f(t + dt, ynew)."""
     nmech = 2 * sys.dof
-    k = []
-    for i in range(7):
-        yi = y.copy()
-        for j, a in enumerate(_DP_A[i]):
-            if a:
-                yi = yi + dt * a * k[j]
-        k.append(_rhs(sys, t + _DP_C[i] * dt, yi))
-    K = np.array(k)
-    ynew = y + dt * (_DP_B5 @ K)
+    K = np.zeros((7, len(y)))
+    K[0] = k1
+    for i in range(1, 6):
+        K[i] = _rhs(sys, t + _DP_C[i] * dt, y + dt * (_DP_A[i] @ K))
+    ynew = y + dt * (_DP_A[6] @ K)
     _check_finite(ynew, t + dt)
+    K[6] = _rhs(sys, t + dt, ynew)
     errvec = dt * (_DP_E @ K)[:nmech]
     w = cfg.abs_tol + cfg.rel_tol * np.abs(y[:nmech])
     err = float(np.sqrt(np.mean((errvec / w) ** 2)))
     # the step-size controller shared by step_rk45 and integrate
     factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-    return ynew, err <= 1.0, dt * factor
+    return ynew, err <= 1.0, dt * factor, K[6]
 
 
 def step_rk45(sys: SystemSpec, s: State, dt_try: float,
@@ -254,7 +269,9 @@ def step_rk45(sys: SystemSpec, s: State, dt_try: float,
         raise ValueError("dt_try must be positive")
     if not s.is_finite():
         raise DivergenceError(f"non-finite state at t={s.t}")
-    ynew, accepted, dt_next = _rk45_raw(sys, s.t, _pack(s, 0.0), dt_try, cfg)
+    y = _pack(s, 0.0)
+    ynew, accepted, dt_next, _ = _rk45_raw(sys, s.t, y, dt_try, cfg,
+                                           _rhs(sys, s.t, y))
     if accepted:
         return _unpack(sys, s.t + dt_try, ynew)[0], dt_next, True
     return s, dt_next, False
@@ -296,6 +313,7 @@ def _integrate_rk4(sys, init, t_end, cfg):
             s, e = _unpack(sys, t, y)
             traj.samples.append((s, diagnostics(sys, s, e)))
     traj.steps_taken = steps
+    traj.rhs_calls = 4 * steps
     return traj
 
 
@@ -304,6 +322,7 @@ def _integrate_rk45(sys, init, t_end, cfg):
                       method="rk45", rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)
     y = _pack(init, 0.0)
     t = init.t
+    k1 = _rhs(sys, t, y)
     dt = min(1e-2 * (t_end - init.t), 0.1)
     steps = accepted = 0
     while t < t_end - 1e-15 * (1.0 + abs(t_end)):
@@ -314,10 +333,10 @@ def _integrate_rk45(sys, init, t_end, cfg):
                 f"step size underflow (dt={dt:.3e}) at t={t}; "
                 "the problem is likely too stiff for an explicit pair")
         clipped = min(dt, t_end - t)
-        ynew, ok, dt = _rk45_raw(sys, t, y, clipped, cfg)
+        ynew, ok, dt, k7 = _rk45_raw(sys, t, y, clipped, cfg, k1)
         steps += 1
         if ok:
-            y = ynew
+            y, k1 = ynew, k7
             t += clipped
             accepted += 1
             if (accepted % cfg.sample_every == 0
@@ -326,4 +345,5 @@ def _integrate_rk45(sys, init, t_end, cfg):
                 traj.samples.append((s, diagnostics(sys, s, e)))
     traj.steps_taken = accepted
     traj.steps_rejected = steps - accepted
+    traj.rhs_calls = 1 + 6 * steps  # k1, then six stages per attempt
     return traj

@@ -549,7 +549,11 @@ class _Evaluator:
 # (array mode), where `math.*` resolves to ufuncs and each _c* name to an
 # array helper whose domain check reports the first offending element in
 # flat order, with the scalar text. Its one consumer is the general-mode R
-# quadrature, one call per pass over every node. Systems compile their own
+# quadrature, one call per pass over every node. In both modes an overflow
+# (OverflowError from math.exp or float ** in scalar mode, numpy's overflow
+# trapped by errstate in array mode) raises EvalDomainError naming the
+# whole expression, so it never surfaces as inf, a numpy warning or a bare
+# traceback. Systems compile their own
 # expressions and keep the result; the expression-level helpers below
 # (evaluate, grad_v, grad_q) cache scalar code per AST object.
 
@@ -629,11 +633,15 @@ def _cpow3(a, b, need_db, src):
     return val, da, db
 
 
+def _coverflow(src):
+    raise EvalDomainError("floating-point overflow", src=src) from None
+
+
 _COMPILE_GLOBALS = {
     "math": math, "_csgn": _csgn, "_cdiv0": _cdiv0, "_cln": _cln,
     "_csqrt": _csqrt, "_cdsqrt": _cdsqrt, "_cpowi": _cpowi,
     "_cdpowi": _cdpowi, "_cpowf": _cpowf, "_cdpowf": _cdpowf,
-    "_cpow3": _cpow3,
+    "_cpow3": _cpow3, "_coverflow": _coverflow,
 }
 
 
@@ -745,6 +753,7 @@ _ARRAY_GLOBALS = {
     "_csgn": _asgn, "_cdiv0": _adiv0, "_cln": _aln, "_csqrt": _asqrt,
     "_cdsqrt": _adsqrt, "_cpowi": _apowi, "_cdpowi": _adpowi,
     "_cpowf": _apowf, "_cdpowf": _adpowf, "_cpow3": _apow3,
+    "_coverflow": _coverflow,
 }
 
 
@@ -930,15 +939,19 @@ class _CodeGen:
 
 
 def _load(node, dof, wrt, smooth_eps, namespace):
-    """Generate the source of _f(q, v, p) and execute it in namespace."""
+    """Generate the source of _f(q, v, p) and execute it in namespace.
+    An OverflowError (math.exp or float **) becomes an EvalDomainError
+    naming the expression."""
     cg = _CodeGen(dof, wrt, smooth_eps)
     val, g = cg.gen(node)
-    body = "\n".join(cg.lines) or "    pass"
     if wrt:
         ret = f"    return {val}, ({', '.join(g)}{',' if g else ''})"
     else:
         ret = f"    return {val}"
-    source = f"def _f(q, v, p):\n{body}\n{ret}\n"
+    body = "\n    ".join(cg.lines + [ret])
+    source = (f"def _f(q, v, p):\n    try:\n    {body}\n"
+              f"    except OverflowError:\n"
+              f"        _coverflow({to_source(node)!r})\n")
     ns = dict(namespace)
     exec(source, ns)
     return ns["_f"]
@@ -957,17 +970,24 @@ def compile_array(node, dof=0, wrt=None, smooth_eps=None):
     for points of shape S. Returns the value as an array of shape S, or
     (value, tangents of shape (dof,) + S) when wrt is 'q' or 'v'; parts
     that do not depend on the points are broadcast. A domain error names
-    the first offending element in flat order, in the scalar text.
+    the first offending element in flat order, in the scalar text; an
+    overflow raises the scalar code's EvalDomainError, not a numpy warning.
     """
     fn = _load(node, dof, wrt, smooth_eps, _ARRAY_GLOBALS)
+    src = to_source(node)
 
     def f(q, v, p):
         shape = v.shape[1:] if isinstance(v, np.ndarray) else ()
         if isinstance(q, np.ndarray) and q.shape[1:] != shape:
             shape = np.broadcast_shapes(q.shape[1:], shape)
+        try:
+            with np.errstate(over="raise"):
+                out = fn(q, v, p)
+        except FloatingPointError:
+            _coverflow(src)
         if not wrt:
-            return _abroadcast(fn(q, v, p), shape)
-        val, g = fn(q, v, p)
+            return _abroadcast(out, shape)
+        val, g = out
         tan = np.empty((len(g),) + shape)
         for i, x in enumerate(g):
             tan[i] = x

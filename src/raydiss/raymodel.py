@@ -190,67 +190,112 @@ class SystemSpec:
 
 class SystemModel:
     """M, dM/dq, V and dV/dq of one SystemSpec plus its dissipation model.
-    V and grad_V are compiled f(q, v, params); grad_V returns (V, dV/dq)."""
+    V and grad_V are compiled f(q, v, params); grad_V returns (V, dV/dq).
+
+    Each distinct mass entry is one compiled q-gradient function, which
+    returns the entry and its q-gradient in one call. A mirrored entry
+    with the same expression is not evaluated again: identical ASTs
+    compile to identical code and return identical doubles, so only pairs
+    whose expressions differ are evaluated twice and checked for symmetry.
+    """
 
     def __init__(self, sys: SystemSpec):
         m = sys.dof
         mm = sys.mass_matrix
+        self.dof = m
         self.params = sys.params
         self.dissipation = sys.dissipation.model(m)
         self.V = xc.compile_expr(sys.potential)
         self.grad_V = xc.compile_expr(sys.potential, m, "q")
-        self._mass_fns = [[xc.compile_expr(e) for e in row] for row in mm]
-        self._mass_grad_fns = [[xc.compile_expr(e, m, "q") for e in row]
-                               for row in mm]
-        # identical ASTs compile to identical code and return identical
-        # doubles, so only pairs whose expressions differ can be asymmetric
         self._asym_pairs = [(a, b) for a in range(m) for b in range(a + 1, m)
                             if mm[a][b] != mm[b][a]]
+        self._entries = [(a, b, xc.compile_expr(mm[a][b], m, "q"))
+                         for a in range(m) for b in range(m)
+                         if a <= b or (b, a) in self._asym_pairs]
+        self._mirrored = [(a, b) for a in range(m) for b in range(a + 1, m)
+                          if (a, b) not in self._asym_pairs]
         self.mass_const = not any(
             any(isinstance(n, xc.Coord) for n in xc.walk(e))
             for row in mm for e in row)
         if self.mass_const:
             self._q0 = (0.0,) * m
-            self.M0 = self._mass_at(self._q0)
+            self.M0 = np.array(self.mass_and_grad(self._q0)[0])
             self.M0.setflags(write=False)
 
-    def _mass_at(self, q):
-        p = self.params
-        M = np.array([[fn(q, q, p) for fn in row] for row in self._mass_fns])
+    def mass_and_grad(self, q):
+        """(M, dM) at q as nested lists of floats, M[a][b] and
+        dM[a][b][j] = dM_ab/dq_j, after the symmetry check."""
+        m, p = self.dof, self.params
+        M = [[0.0] * m for _ in range(m)]
+        dM = [[None] * m for _ in range(m)]
+        for a, b, fn in self._entries:
+            M[a][b], dM[a][b] = fn(q, q, p)
+        for a, b in self._mirrored:
+            M[b][a] = M[a][b]
+            dM[b][a] = dM[a][b]
         if self._asym_pairs:
-            atol = 1e-12 * (1.0 + np.abs(M).max())
+            atol = 1e-12 * (1.0 + max(abs(x) for row in M for x in row))
             for a, b in self._asym_pairs:
-                if not abs(M[a, b] - M[b, a]) <= atol:
+                if not abs(M[a][b] - M[b][a]) <= atol:
                     raise MassMatrixError(
                         f"mass matrix not symmetric at q={list(q)}")
-        return M
+        return M, dM
 
     def mass(self, q):
-        return self.M0 if self.mass_const else self._mass_at(tuple(q))
+        return self.M0 if self.mass_const else np.array(
+            self.mass_and_grad(tuple(q))[0])
 
     def mass_grad(self, q):
-        m = len(self._mass_grad_fns)
-        p = self.params
-        dM = np.empty((m, m, m))
-        for a, row in enumerate(self._mass_grad_fns):
-            for b, fn in enumerate(row):
-                dM[:, a, b] = fn(q, q, p)[1]
-        return dM
+        """dM/dq_j for all j: array of shape (dof, dof, dof), [j, a, b]."""
+        return np.array(self.mass_and_grad(tuple(q))[1]).transpose(2, 0, 1)
 
     @cached_property
-    def Minv0(self):
-        """Inverse of the constant mass matrix."""
-        return self.inv_mass(self._q0)
+    def factor0(self):
+        """LDL^T factor of the constant mass matrix."""
+        return ldl_factor(self.M0.tolist(), self._q0)
 
-    def inv_mass(self, q):
-        """M(q)^-1 at a tuple q, after a positive-definiteness check."""
-        M = self._mass_at(q)
-        try:
-            np.linalg.cholesky(M)
-        except np.linalg.LinAlgError:
+
+def ldl_factor(M, q):
+    """Square-root-free LDL^T factor (L, d) of the symmetric matrix M
+    (nested lists; only the lower triangle is read). L is unit lower
+    triangular and stored below its diagonal. Raises MassMatrixError,
+    naming q, unless every pivot d_i > 0, which also fails on NaN."""
+    m = len(M)
+    L = [[0.0] * m for _ in range(m)]
+    d = [0.0] * m
+    for i in range(m):
+        Li, Mi = L[i], M[i]
+        for j in range(i):
+            Lj = L[j]
+            s = Mi[j]
+            for k in range(j):
+                s -= Li[k] * Lj[k] * d[k]
+            Li[j] = s / d[j]
+        di = Mi[i]
+        for k in range(i):
+            di -= Li[k] * Li[k] * d[k]
+        if not di > 0.0:
             raise MassMatrixError(
-                f"mass matrix not positive definite at q={list(q)}") from None
-        return np.linalg.inv(M)
+                f"mass matrix not positive definite at q={list(q)}")
+        d[i] = di
+    return L, d
+
+
+def ldl_solve(factor, b):
+    """x with L D L^T x = b, as a list; a 1x1 factor gives exactly b/m."""
+    L, d = factor
+    m = len(d)
+    x = list(b)
+    for i in range(1, m):
+        Li = L[i]
+        for k in range(i):
+            x[i] -= Li[k] * x[k]
+    for i in range(m):
+        x[i] /= d[i]
+    for i in range(m - 2, -1, -1):
+        for k in range(i + 1, m):
+            x[i] -= L[k][i] * x[k]
+    return x
 
 
 class _HomogeneousSumModel:
@@ -271,11 +316,11 @@ class _HomogeneousSumModel:
         return sum(fn(q, v, p) / deg for fn, _, deg in self.terms)
 
     def grad_R(self, q, v, p):
-        out = np.zeros(self.dof)
+        out = [0.0] * self.dof
         for _, gfn, deg in self.terms:
             _, g = gfn(q, v, p)
-            out += np.array(g) / deg
-        return out
+            out = [o + x / deg for o, x in zip(out, g)]
+        return np.array(out)
 
 
 class _GeneralModel:

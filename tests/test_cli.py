@@ -284,6 +284,27 @@ def test_derive_r_general_mode_reports_quadrature(workdir, capsys):
     assert "total R      = 2.0" in out
 
 
+@pytest.mark.parametrize("dissipation, q, v, expr", [
+    ({"mode": "general", "raw": "exp(v1^2) - 1"}, "0", "30",
+     "exp(v1 ^ 2.0) - 1.0"),
+    ({"mode": "homogeneous_sum",
+      "terms": [{"expr": "v1^2*exp(q1^2)", "degree": 2}]}, "30", "1",
+     "v1 ^ 2.0 * exp(q1 ^ 2.0)"),
+])
+def test_derive_r_overflow_is_a_one_line_error(workdir, capsys, dissipation,
+                                               q, v, expr):
+    doc = json.loads(json.dumps(DSHO_INLINE))
+    doc["dissipation"] = dissipation
+    rc = main(["derive-r", "--config", write_json(workdir / "c.json", doc),
+               "--q", q, "--v", v])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("derive-r: error at ")
+    assert f"floating-point overflow in subexpression '{expr}'" in err
+    assert "Warning" not in err and "Traceback" not in err
+
+
 def test_derive_r_wrong_arity(workdir):
     rc = main(["derive-r", "--config",
                write_json(workdir / "c.json", DSHO_INLINE),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import sys
@@ -73,6 +74,95 @@ def test_asymmetric_mass_raises_from_accel():
     dy.accel(sys, dy.State(0.0, [0.0, 0.0], [1.0, 0.0]))
     with pytest.raises(dy.MassMatrixError, match=r"not symmetric.*t=1\.5"):
         dy.accel(sys, dy.State(1.5, [1.0, 0.0], [1.0, 0.0]))
+
+
+def _reference_accel(sys, q, v):
+    """The einsum + np.linalg.solve assembly, with every piece evaluated
+    per expression through exprcore rather than the system's model."""
+    ctx = sys.ctx(q, v)
+    M = np.array([[xc.evaluate(e, ctx) for e in row]
+                  for row in sys.mass_matrix])
+    dM = np.moveaxis(np.array([[xc.grad_q(e, ctx) for e in row]
+                               for row in sys.mass_matrix]), 2, 0)
+    va = np.asarray(v, dtype=float)
+    b = (-xc.grad_q(sys.potential, ctx)
+         - rm.grad_R_v(sys.dissipation, ctx)
+         + 0.5 * np.einsum("a,jab,b->j", va, dM, va)
+         - np.einsum("j,jab->ab", va, dM) @ va)
+    return np.linalg.solve(M, b)
+
+
+def full_mass_3dof():
+    # M = diag(2 + q_a^2) + s s^T is positive definite everywhere, and
+    # every entry depends on q, so dM/dq has off-diagonal terms in every
+    # direction; the (3, 1) entry is the (1, 3) product written in the
+    # other order, which takes the evaluated-twice symmetry path
+    s = ["sin(q1+q2)", "cos(q2-q3)", "q1*sin(q3)"]
+    mm = [[f"{'2 + q%d^2 + ' % (a + 1) if a == b else ''}"
+           f"{s[min(a, b)]}*{s[max(a, b)]}" for b in range(3)]
+          for a in range(3)]
+    mm[2][0] = f"{s[2]}*{s[0]}"
+    terms = [rm.DissipationTerm(xc.parse("c*(v1^2 + v2^2 + v3^2)"), 2.0),
+             rm.DissipationTerm(xc.parse("(1 + q1^2)*abs(v2)^3"), 3.0)]
+    return rm.SystemSpec(
+        dof=3, mass_matrix=[[xc.parse(e) for e in row] for row in mm],
+        potential=xc.parse("0.5*k*(q1^2 + q2^2 + q3^2) + q1*q2*q3"),
+        dissipation=rm.DissipationSpec("homogeneous_sum", terms),
+        params={"c": 0.3, "k": 2.0})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: get_builtin("pendulum_drag_2dof").system, full_mass_3dof])
+def test_accel_matches_numpy_assembly(make):
+    sys = make()
+    assert sys.model._asym_pairs == ([(0, 2)] if sys.dof == 3 else [])
+    for q, v in rm.sample_states(sys.dof, 50, seed=17):
+        a = dy.accel(sys, dy.State(0.0, q, v))
+        ref = _reference_accel(sys, q, v)
+        assert np.max(np.abs(a - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("name", ["sho", "damped_sho", "quad_drag_particle",
+                                  "pendulum_drag_2dof", "coulomb_block"])
+def test_mass_is_the_compiled_entry_values(name):
+    sys = get_builtin(name).system
+    for q, v in rm.sample_states(sys.dof, 10, seed=3):
+        ctx = sys.ctx(q, v)
+        M = sys.mass(q)
+        dM = sys.mass_grad(q)
+        for a, row in enumerate(sys.mass_matrix):
+            for b, e in enumerate(row):
+                assert M[a, b] == xc.evaluate(e, ctx)
+                assert np.array_equal(dM[:, a, b], xc.grad_q(e, ctx))
+
+
+def _mass_system(entries, params=None):
+    return rm.SystemSpec(
+        dof=len(entries),
+        mass_matrix=[[xc.parse(e) for e in row] for row in entries],
+        potential=xc.parse("0"), dissipation=rm.null_dissipation(),
+        params=params or {})
+
+
+@pytest.mark.parametrize("sys, q, match", [
+    (_mass_system([["1", "q1"], ["q1", "1"]]), [2.0, 0.0],
+     "not positive definite"),
+    (_mass_system([["2", "0"], ["0", "1 - q2"]]), [0.0, 1.0],
+     "not positive definite"),
+    (_mass_system([["m*(1 + q1^2)"]], {"m": math.nan}), [0.5],
+     "not positive definite"),
+    (_mass_system([["m"]], {"m": math.nan}), [0.5],
+     "not positive definite"),
+    (_mass_system([["2", "0.5*q1"], ["0.5*sin(q1)", "2"]]), [1.0, 0.0],
+     "not symmetric"),
+])
+def test_mass_matrix_errors_name_the_state(sys, q, match):
+    s = dy.State(0.25, q, [0.0] * len(q))
+    with pytest.raises(dy.MassMatrixError,
+                       match=match + r" at q=\[.*\] \(t=0\.25\)"):
+        dy.accel(sys, s)
+    with pytest.raises(dy.MassMatrixError):
+        dy.integrate(sys, s, 1.0, dy.IntegratorConfig())
 
 
 def _first_use_race(n):
@@ -178,6 +268,61 @@ def test_rk45_step_rejects_oversized_step():
     assert not accepted
     assert s2 is s
     assert dt_next < 1.0
+
+
+def _counting_rhs(monkeypatch):
+    calls = []
+    rhs = dy._rhs
+
+    def counted(sys, t, y):
+        calls.append(t)
+        return rhs(sys, t, y)
+
+    monkeypatch.setattr(dy, "_rhs", counted)
+    return calls
+
+
+def test_rk45_counts_rhs_calls_with_first_same_as_last(monkeypatch):
+    b = get_builtin("pendulum_drag_2dof")
+    calls = _counting_rhs(monkeypatch)
+    traj = dy.integrate(b.system, b.initial, 3.0, b.integrator)
+    assert traj.steps_rejected > 0
+    attempts = traj.steps_taken + traj.steps_rejected
+    assert traj.rhs_calls == len(calls) == 1 + 6 * attempts
+
+
+def test_rk4_counts_rhs_calls(monkeypatch):
+    calls = _counting_rhs(monkeypatch)
+    traj = dy.integrate(make_damped_sho(), dy.State(0.0, [1.0], [0.0]), 1.0,
+                        dy.IntegratorConfig(method="rk4", dt=0.01))
+    assert traj.rhs_calls == len(calls) == 4 * traj.steps_taken == 400
+
+
+def test_integrate_replays_step_rk45_bit_for_bit():
+    # integrate reuses each accepted step's last stage as the next first
+    # stage; step_rk45 evaluates every stage afresh, so a stale reused
+    # stage after an accept or a reject would show as a differing bit
+    # (or, when it shrinks the steps, as MaxStepsError)
+    b = get_builtin("pendulum_drag_2dof")
+    cfg = dataclasses.replace(b.integrator, max_steps=2000)
+    t_end = 3.0
+    traj = dy.integrate(b.system, b.initial, t_end, cfg)
+    s = b.initial
+    dt = min(1e-2 * (t_end - s.t), 0.1)
+    replay = [s]
+    rejected = 0
+    while s.t < t_end - 1e-15 * (1.0 + t_end):
+        s, dt_next, ok = dy.step_rk45(b.system, s, min(dt, t_end - s.t), cfg)
+        dt = dt_next
+        if ok:
+            replay.append(s)
+        else:
+            rejected += 1
+    assert rejected == traj.steps_rejected > 0
+    assert len(replay) == len(traj)
+    for r, (x, _) in zip(replay, traj.samples):
+        assert r.t == x.t
+        assert np.array_equal(r.q, x.q) and np.array_equal(r.v, x.v)
 
 
 def test_rk45_nan_state_is_divergence_error():

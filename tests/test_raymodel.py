@@ -62,16 +62,20 @@ def test_system_mass_symmetry_enforced():
 
 
 def test_constant_mass_cannot_be_corrupted_through_mass():
+    from raydiss import dynamics as dy
+
     sys = rm.SystemSpec(dof=1, mass_matrix=[[xc.parse("m")]],
-                        potential=xc.parse("0"),
-                        dissipation=rm.null_dissipation(), params={"m": 2.0})
+                        potential=xc.parse("k*q1"),
+                        dissipation=rm.null_dissipation(),
+                        params={"m": 2.0, "k": 0.3})
     M = sys.mass((0.0,))
     try:
         M[0, 0] = 99.0
     except ValueError:
         pass  # read-only
     assert sys.mass((0.5,))[0, 0] == 2.0
-    assert sys.model.Minv0[0, 0] == 0.5
+    # the cached factor is built after the write attempt: b = -k, M = 2
+    assert dy.accel(sys, dy.State(0.0, [0.5], [1.0]))[0] == -0.3 / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +392,28 @@ def test_vectorised_quadrature_still_diverges_for_rest_nonvanishing_d():
     for call in (spec.model(1).R, spec.model(1).grad_R):
         with pytest.raises(rm.QuadratureError):
             call((0.0,), (1.0,), {})
+
+
+@pytest.mark.parametrize("src, q, v, which", [
+    ("exp(v1^2) - 1", 0.0, 26.7, "R"),  # D overflows near u = 1
+    ("exp(v1^2) - 1", 0.0, 26.6, "grad_R"),  # only dD/dv overflows
+    ("v1^2*exp(q1^2)", 30.0, 1.0, "R"),
+    ("v1^2*exp(q1^2)", 30.0, 1.0, "grad_R"),
+])
+def test_quadrature_overflow_is_named_not_blamed_on_rest_value(
+        src, q, v, which):
+    import re
+    import warnings
+
+    spec = general(src)
+    call = getattr(spec.model(1), which)
+    expected = (f"floating-point overflow in subexpression "
+                f"'{xc.to_source(spec.raw)}'")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(xc.EvalDomainError,
+                           match=f"^{re.escape(expected)}$"):
+            call((q,), (v,), {})
 
 
 # ---------------------------------------------------------------------------
