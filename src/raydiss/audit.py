@@ -41,6 +41,17 @@ class AuditTolerances:
     check_samples: int = 100
     check_seed: int = 20260823
 
+    def __post_init__(self):
+        if not (self.energy > 0 and self.stationarity > 0):
+            raise ValueError("energy and stationarity must be positive")
+        lo, hi = self.slope_window
+        if not lo < hi:
+            raise ValueError(f"slope_window must be (lo, hi) with lo < hi, "
+                             f"got {self.slope_window}")
+        if self.check_samples < 1 or self.check_seed < 0:
+            raise ValueError("check_samples must be >= 1 and check_seed "
+                             ">= 0")
+
 
 @dataclass(frozen=True)
 class ForceBreakdown:

@@ -89,7 +89,7 @@ def make_pendulum_drag_2dof(params=None):
         dof=2, mass_matrix=mm, potential=pot,
         dissipation=_homsum(
             [rm.DissipationTerm(_expr("A*(v1^2+v2^2)^1.5"), 3.0)]),
-        params=p, labels=("theta1", "theta2"))
+        params=p)
 
 
 def _sho_reference(params, q0, v0):

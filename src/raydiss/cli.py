@@ -13,6 +13,7 @@ import concurrent.futures
 import json
 import os
 import sys as _sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -89,14 +90,10 @@ def read_trajectory_csv(path):
 # Commands
 
 
-def _default_out(cfg, explicit):
-    if explicit:
-        return explicit
+def _default_out(cfg):
     if cfg.output.path:
         return cfg.output.path
-    base = cfg.builtin_name or "run"
-    ext = "csv" if cfg.output.format == "csv" else "jsonl"
-    return f"{base}.{ext}"
+    return f"{cfg.builtin_name or 'run'}.{cfg.output.format}"
 
 
 def run_simulation(cfg: RunConfig):
@@ -105,8 +102,8 @@ def run_simulation(cfg: RunConfig):
     return traj, report
 
 
-def cmd_simulate(cfg: RunConfig, out_path=None, plot_data=False) -> int:
-    out = _default_out(cfg, out_path)
+def cmd_simulate(cfg: RunConfig) -> int:
+    out = _default_out(cfg)
     model = cfg.system.dissipation.model(cfg.system.dof)
     refined_before = model.refinements
     try:
@@ -116,16 +113,15 @@ def cmd_simulate(cfg: RunConfig, out_path=None, plot_data=False) -> int:
         return EXIT_ERROR
     refined = model.refinements - refined_before
     if refined:
-        qc = cfg.system.dissipation.quadrature
         print(f"simulate: warning: {refined} R quadrature evaluations "
-              f"needed {qc.panels * 4} panels (configured {qc.panels}) to "
-              f"converge", file=_sys.stderr)
+              f"needed {model.refined_panels} panels (configured "
+              f"{model.quadrature.panels}) to converge", file=_sys.stderr)
     write_trajectory(traj, cfg.system.dof, out, cfg.output.format)
     audit_path = os.path.splitext(out)[0] + ".audit.json"
     with open(audit_path, "w", encoding="utf-8") as f:
         json.dump(report.to_dict(), f, indent=2)
         f.write("\n")
-    if plot_data or cfg.output.plot_data:
+    if cfg.output.plot_data:
         write_plot_data(traj, cfg.system.dof, os.path.splitext(out)[0])
     print(f"simulate: wrote {out} ({len(traj)} samples) and {audit_path}")
     if not report.passed:
@@ -149,7 +145,9 @@ def cmd_check(cfg: RunConfig) -> int:
                          rep.passed, rep.max_violation))
             ok &= rep.passed
     else:
-        rep = rm.rest_value_check(d, sys.dof, sys.params)
+        rep = rm.rest_value_check(d, sys.dof, sys.params,
+                                  samples=cfg.tolerances.check_samples,
+                                  seed=cfg.tolerances.check_seed)
         rows.append(("rest value D(q,0)=0", rep.passed, rep.max_violation))
         ok &= rep.passed
     for fn in (rm.positivity_scan, rm.euler_identity_check):
@@ -206,22 +204,17 @@ def cmd_derive_r(cfg: RunConfig, q, v) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, param, values, out_stem=None, jobs=None) -> int:
-    if param not in cfg.system.params:
-        print(f"sweep: error: unknown parameter '{param}' (have: "
-              f"{', '.join(sorted(cfg.system.params))})", file=_sys.stderr)
-        return EXIT_ERROR
+    members = [cfg.with_params({param: x}) for x in values]
     names = [f"{x:g}" for x in values]  # file names below use {value:g}
     clash = [repr(x) for x, n in zip(values, names) if names.count(n) > 1]
     if clash:
         print(f"sweep: error: values {', '.join(clash)} would write the "
               f"same {param}=... file names", file=_sys.stderr)
         return EXIT_ERROR
-    stem = out_stem or os.path.splitext(
-        _default_out(cfg, None))[0]
+    stem = out_stem or os.path.splitext(_default_out(cfg))[0]
     jobs = jobs or os.cpu_count() or 1
 
-    def one(value):
-        c = cfg.with_params({param: value})
+    def one(value, c):
         out = f"{stem}_{param}={value:g}.{c.output.format}"
         try:
             traj, report = run_simulation(c)
@@ -236,7 +229,7 @@ def cmd_sweep(cfg: RunConfig, param, values, out_stem=None, jobs=None) -> int:
                 "max_energy_defect": defect, "file": out}
 
     with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as ex:
-        results = list(ex.map(one, values))
+        results = list(ex.map(one, values, members))
     summary = f"{stem}_sweep.csv"
     m = cfg.system.dof
     with open(summary, "w", encoding="utf-8") as f:
@@ -334,16 +327,14 @@ def main(argv=None) -> int:
         if overrides:
             cfg = cfg.with_params(overrides)
         if args.command == "simulate":
-            from dataclasses import replace
             if args.t_end is not None:
                 cfg = replace(cfg, t_end=args.t_end)
-            if args.format:
-                from .config import OutputConfig
-                cfg = replace(cfg, output=OutputConfig(
-                    path=cfg.output.path, format=args.format,
-                    plot_data=cfg.output.plot_data))
-            return cmd_simulate(cfg, out_path=args.out,
-                                plot_data=args.plot_data)
+            out = cfg.output
+            cfg = replace(cfg, output=replace(
+                out, path=args.out or out.path,
+                format=args.format or out.format,
+                plot_data=args.plot_data or out.plot_data))
+            return cmd_simulate(cfg)
         if args.command == "check":
             return cmd_check(cfg)
         if args.command == "derive-r":

@@ -1,16 +1,23 @@
 """Run configuration: JSON schema, validation, serialization.
 
 A config either embeds the full system (dof, mass_matrix, potential,
-dissipation, params) or selects a builtin by name with parameter
-overrides. Expressions are strings in the expression grammar; they are
-parsed and bound at load time, and declared homogeneity degrees are
-verified immediately so bad configs fail before any integration.
+dissipation, params) or selects a builtin by name; either may carry
+parameter `overrides`. Expressions are strings in the expression grammar;
+they are parsed and bound at load time, and declared homogeneity degrees
+are verified immediately so bad configs fail before any integration.
+
+The sections `integrator`, `audit`, `output` and `dissipation.quadrature`
+are read field by field into their dataclasses: each key must name a
+field, and each value must have the type of that field's default. The
+defaults and the range checks live only in those dataclasses.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+import sys as _sys
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from . import builtins as bi
 from . import exprcore as xc
@@ -34,8 +41,8 @@ class OutputConfig:
 
     def __post_init__(self):
         if self.format not in ("csv", "jsonl"):
-            raise ConfigError(f"format must be csv or jsonl, got "
-                              f"'{self.format}'", "output.format")
+            raise ValueError(f"format must be csv or jsonl, got "
+                             f"'{self.format}'")
 
 
 @dataclass(frozen=True)
@@ -49,17 +56,30 @@ class RunConfig:
     builtin_name: str | None = None
     reference: object = None
 
-    def with_params(self, overrides: dict) -> "RunConfig":
-        """New config with parameter values replaced."""
+    def __post_init__(self):
+        if not (math.isfinite(self.t_end) and self.t_end > self.initial.t):
+            raise ConfigError(f"t_end ({self.t_end}) must be finite and "
+                              f"exceed t0 ({self.initial.t})", "t_end")
+
+    def with_params(self, overrides) -> "RunConfig":
+        """New config with parameter values replaced. `overrides` (JSON
+        `overrides`, --set or a sweep value) maps known parameter names
+        to finite numbers."""
+        if not isinstance(overrides, dict):
+            raise ConfigError(f"expected an object, got {overrides!r}",
+                              "overrides")
         unknown = set(overrides) - set(self.system.params)
         if unknown:
             raise ConfigError(
-                f"unknown parameter(s): {', '.join(sorted(unknown))}",
-                "params")
+                f"unknown parameter(s): {', '.join(sorted(unknown))} "
+                f"(have: {', '.join(sorted(self.system.params))})",
+                "overrides")
+        params = dict(self.system.params)
+        for name, value in overrides.items():
+            params[name] = _num(value, f"overrides.{name}")
         # structure does not depend on parameters, so the new system keeps
         # the parsed expressions and shares the compiled dissipation model
-        system = replace(self.system,
-                         params={**self.system.params, **overrides})
+        system = replace(self.system, params=params)
         reference = None
         if self.builtin_name:
             reference = bi.get_builtin(self.builtin_name,
@@ -72,21 +92,63 @@ class RunConfig:
 
 
 def _req(obj, key, path):
+    if not isinstance(obj, dict):
+        raise ConfigError(f"expected an object, got {obj!r}", path)
     if key not in obj:
         raise ConfigError(f"missing required field '{key}'", path)
     return obj[key]
 
 
 def _num(x, path):
-    if not isinstance(x, (int, float)) or isinstance(x, bool):
-        raise ConfigError(f"expected a number, got {x!r}", path)
-    return float(x)
+    # the bound also rejects NaN, and an int too large for a float
+    if (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= _sys.float_info.max):
+        return float(x)
+    raise ConfigError(f"expected a finite number, got {x!r}", path)
 
 
-def _vector(x, n, path):
-    if not isinstance(x, list) or len(x) != n:
-        raise ConfigError(f"expected a list of {n} numbers", path)
-    return [_num(e, f"{path}[{i}]") for i, e in enumerate(x)]
+def _typed(x, default, path):
+    """JSON value `x` as the type of `default` (a section field's default,
+    or a vector of zeros): a finite number for a float, an integral number
+    for an int, true/false for a bool, a string (or null where the default
+    is None), and a list of the same length for a tuple."""
+    if isinstance(default, tuple):
+        if not isinstance(x, (list, tuple)) or len(x) != len(default):
+            raise ConfigError(f"expected a list of length {len(default)}, "
+                              f"got {x!r}", path)
+        return tuple(_typed(e, d, f"{path}[{i}]")
+                     for i, (e, d) in enumerate(zip(x, default)))
+    if isinstance(default, bool):
+        if not isinstance(x, bool):
+            raise ConfigError(f"expected true or false, got {x!r}", path)
+        return x
+    if isinstance(default, int):
+        if not ((isinstance(x, int) and not isinstance(x, bool))
+                or (isinstance(x, float) and x.is_integer())):
+            raise ConfigError(f"expected an integer, got {x!r}", path)
+        return int(x)
+    if isinstance(default, float):
+        return _num(x, path)
+    if not (isinstance(x, str) or (default is None and x is None)):
+        raise ConfigError(f"expected a string, got {x!r}", path)
+    return x
+
+
+def _section(cls, obj, path):
+    """The dataclass `cls` built from the JSON object `obj` at `path`."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"expected an object, got {obj!r}", path)
+    defaults = {f.name: f.default for f in fields(cls)}
+    values = {}
+    for key, x in obj.items():
+        if key not in defaults:
+            raise ConfigError(f"unknown key (known: {', '.join(defaults)})",
+                              f"{path}.{key}")
+        values[key] = _typed(x, defaults[key], f"{path}.{key}")
+    try:
+        return cls(**values)
+    except ValueError as e:
+        raise ConfigError(str(e), path) from None
 
 
 def _parse_expr(src, path):
@@ -116,60 +178,27 @@ def _load_dissipation(obj, path):
         return rm.DissipationSpec("homogeneous_sum", terms)
     if mode == "general":
         raw = _parse_expr(_req(obj, "raw", path), f"{path}.raw")
-        qc = obj.get("quadrature", {})
-        try:
-            quad = rm.QuadratureConfig(
-                node_count=int(qc.get("node_count", 64)),
-                panels=int(qc.get("panels", 4)),
-                tolerance=float(qc.get("tolerance", 1e-10)))
-        except ValueError as e:
-            raise ConfigError(str(e), f"{path}.quadrature") from None
+        quad = _section(rm.QuadratureConfig, obj.get("quadrature", {}),
+                        f"{path}.quadrature")
         return rm.DissipationSpec("general", raw=raw, quadrature=quad)
     raise ConfigError(f"mode must be homogeneous_sum or general, got "
                       f"'{mode}'", f"{path}.mode")
 
 
-def _load_integrator(obj):
-    try:
-        return IntegratorConfig(
-            method=obj.get("method", "rk45"),
-            dt=float(obj.get("dt", 1e-3)),
-            rel_tol=float(obj.get("rel_tol", 1e-9)),
-            abs_tol=float(obj.get("abs_tol", 1e-12)),
-            max_steps=int(obj.get("max_steps", 10_000_000)),
-            sample_every=int(obj.get("sample_every", 1)))
-    except ValueError as e:
-        raise ConfigError(str(e), "integrator") from None
-
-
-def _load_tolerances(obj):
-    return AuditTolerances(
-        energy=float(obj.get("energy", 1e-6)),
-        stationarity=float(obj.get("stationarity", 1e-5)),
-        slope_window=tuple(obj.get("slope_window", (1.8, 2.2))),
-        check_samples=int(obj.get("check_samples", 100)),
-        check_seed=int(obj.get("check_seed", 20260823)))
-
-
 def config_from_dict(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("top-level document must be a JSON object")
-    reference = None
-    builtin_name = None
     if "system" in doc:
         name = doc["system"]
         if not isinstance(name, str):
             raise ConfigError("builtin selection must be a name string",
                               "system")
         try:
-            b = bi.get_builtin(name, doc.get("overrides", {}))
+            b = bi.get_builtin(name)
         except KeyError as e:
             raise ConfigError(str(e.args[0]), "system") from None
-        system = b.system
-        builtin_name = name
-        reference = b.reference
-        default_initial, default_t_end = b.initial, b.t_end
-        default_integrator = b.integrator
+        system, initial, t_end = b.system, b.initial, b.t_end
+        integrator, reference = b.integrator, b.reference
     else:
         dof = _req(doc, "dof", "")
         if not isinstance(dof, int) or dof < 1:
@@ -198,43 +227,34 @@ def config_from_dict(doc: dict) -> RunConfig:
                                    dissipation=dissipation, params=params)
         except (rm.ModelError, xc.BindError) as e:
             raise ConfigError(str(e)) from None
-        default_initial = None
-        default_t_end = None
-        default_integrator = IntegratorConfig()
+        name = initial = t_end = reference = None
+        integrator = IntegratorConfig()
 
     if "initial" in doc:
         init = doc["initial"]
-        q = _vector(_req(init, "q", "initial"), system.dof, "initial.q")
-        v = _vector(_req(init, "v", "initial"), system.dof, "initial.v")
+        zeros = (0.0,) * system.dof
+        q = _typed(_req(init, "q", "initial"), zeros, "initial.q")
+        v = _typed(_req(init, "v", "initial"), zeros, "initial.v")
         t0 = _num(init.get("t0", 0.0), "initial.t0")
         initial = State(t0, q, v)
-    elif default_initial is not None:
-        initial = default_initial
-    else:
+    elif initial is None:
         raise ConfigError("missing required field 'initial'")
-
     if "t_end" in doc:
         t_end = _num(doc["t_end"], "t_end")
-    elif default_t_end is not None:
-        t_end = default_t_end
-    else:
+    elif t_end is None:
         raise ConfigError("missing required field 't_end'")
-    if t_end <= initial.t:
-        raise ConfigError(f"t_end ({t_end}) must exceed t0 ({initial.t})",
-                          "t_end")
+    if "integrator" in doc:
+        integrator = _section(IntegratorConfig, doc["integrator"],
+                              "integrator")
 
-    integrator = (_load_integrator(doc["integrator"])
-                  if "integrator" in doc else default_integrator)
-    tolerances = _load_tolerances(doc.get("audit", {}))
-    out = doc.get("output", {})
-    output = OutputConfig(path=out.get("path"),
-                          format=out.get("format", "csv"),
-                          plot_data=bool(out.get("plot_data", False)))
-
-    cfg = RunConfig(system=system, initial=initial, t_end=t_end,
-                    integrator=integrator, tolerances=tolerances,
-                    output=output, builtin_name=builtin_name,
-                    reference=reference)
+    cfg = RunConfig(
+        system=system, initial=initial, t_end=t_end,
+        integrator=integrator,
+        tolerances=_section(AuditTolerances, doc.get("audit", {}), "audit"),
+        output=_section(OutputConfig, doc.get("output", {}), "output"),
+        builtin_name=name, reference=reference)
+    if "overrides" in doc:
+        cfg = cfg.with_params(doc["overrides"])
     _check_declared_degrees(cfg)
     return cfg
 
@@ -286,11 +306,8 @@ def config_to_dict(cfg: RunConfig) -> dict:
                     for t in d.terms]}
     else:
         diss = {"mode": "general", "raw": xc.to_source(d.raw),
-                "quadrature": {"node_count": d.quadrature.node_count,
-                               "panels": d.quadrature.panels,
-                               "tolerance": d.quadrature.tolerance}}
-    it = cfg.integrator
-    doc = {
+                "quadrature": asdict(d.quadrature)}
+    return {
         "dof": sys.dof,
         "params": dict(sys.params),
         "mass_matrix": [[xc.to_source(e) for e in row]
@@ -300,20 +317,10 @@ def config_to_dict(cfg: RunConfig) -> dict:
         "initial": {"q": list(cfg.initial.q), "v": list(cfg.initial.v),
                     "t0": cfg.initial.t},
         "t_end": cfg.t_end,
-        "integrator": {"method": it.method, "dt": it.dt,
-                       "rel_tol": it.rel_tol, "abs_tol": it.abs_tol,
-                       "max_steps": it.max_steps,
-                       "sample_every": it.sample_every},
-        "audit": {"energy": cfg.tolerances.energy,
-                  "stationarity": cfg.tolerances.stationarity,
-                  "slope_window": list(cfg.tolerances.slope_window),
-                  "check_samples": cfg.tolerances.check_samples,
-                  "check_seed": cfg.tolerances.check_seed},
-        "output": {"format": cfg.output.format,
-                   "plot_data": cfg.output.plot_data,
-                   **({"path": cfg.output.path} if cfg.output.path else {})},
+        "integrator": asdict(cfg.integrator),
+        "audit": asdict(cfg.tolerances),
+        "output": asdict(cfg.output),
     }
-    return doc
 
 
 def save_config(cfg: RunConfig, path):

@@ -73,7 +73,6 @@ class Diagnostics:
     D_val: float
     R_val: float
     W: float
-    L_val: float
     E_diss: float = 0.0  # integrator-accumulated integral of D since t0
 
 
@@ -177,7 +176,7 @@ def diagnostics(sys: SystemSpec, s: State, e_diss: float = 0.0) -> Diagnostics:
     R = d.R(q, v, p)
     W = float(np.dot(s.v, d.grad_R(q, v, p)))  # on-shell W = v.dR/dv
     return Diagnostics(H=T + V, T_kin=T, V_pot=V, D_val=D, R_val=R,
-                       W=W, L_val=T - V, E_diss=e_diss)
+                       W=W, E_diss=e_diss)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +286,8 @@ def integrate(sys: SystemSpec, init: State, t_end: float,
     t_end. Deterministic for identical inputs."""
     if not init.is_finite():
         raise DivergenceError("initial state is not finite")
-    if t_end <= init.t:
-        raise ValueError("t_end must exceed the initial time")
+    if not (np.isfinite(t_end) and t_end > init.t):
+        raise ValueError("t_end must be finite and exceed the initial time")
     if cfg.method == "rk4":
         return _integrate_rk4(sys, init, t_end, cfg)
     return _integrate_rk45(sys, init, t_end, cfg)

@@ -27,7 +27,7 @@ are seeded and reproducible.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -142,7 +142,6 @@ class SystemSpec:
     potential: ExprNode
     dissipation: DissipationSpec
     params: dict = field(default_factory=dict)
-    labels: tuple | None = None
 
     def __post_init__(self):
         m = self.dof
@@ -332,13 +331,14 @@ class _GeneralModel:
     The node and weight vectors for the configured panel count and its
     two doublings are built here from one leggauss rule. Point values of D
     use the scalar compiled code. `refinements` counts the evaluations
-    that needed the second doubling.
+    that needed the second doubling, to `refined_panels` panels.
     """
 
     def __init__(self, spec, dof):
         self.dof = dof
         self.refinements = 0
         self.quadrature = qc = spec.quadrature
+        self.refined_panels = qc.panels << 2
         x, w = np.polynomial.legendre.leggauss(qc.node_count)
         self._rules = [_composite_rule(x, w, qc.panels << k)
                        for k in range(3)]
@@ -371,7 +371,7 @@ class _GeneralModel:
             if change <= qc.tolerance * (1.0 + abs(cur[0])):
                 warning = None
                 if attempt > 1:
-                    warning = (f"quadrature needed {qc.panels << attempt} "
+                    warning = (f"quadrature needed {self.refined_panels} "
                                f"panels (configured {qc.panels}) to converge")
                     with self._lock:
                         self.refinements += 1
@@ -434,6 +434,8 @@ class CheckReport:
 def sample_states(dof, samples, seed, v_norm_range=(0.1, 10.0)):
     """Seeded reproducible state sampler: q uniform in [-2,2]^m, speed
     log-uniform in v_norm_range, uniform direction."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     lo, hi = np.log(v_norm_range[0]), np.log(v_norm_range[1])
     out = []
@@ -484,86 +486,68 @@ def grad_R_v(spec: DissipationSpec, ctx: EvalContext) -> np.ndarray:
 # Structural checks
 
 
+def _sampled_check(name, states, violations, tol, detail=""):
+    """CheckReport of the largest value that violations(q, v) yields over
+    `states` (a NaN never counts); it passes iff that is <= tol, and a
+    failing report names the worst state as its witness."""
+    worst = 0.0
+    witness = None
+    for q, v in states:
+        for x in violations(q, v):
+            if x > worst:
+                worst = x
+                witness = (tuple(q), tuple(v))
+    passed = worst <= tol
+    return CheckReport(
+        name=name, passed=bool(passed), max_violation=float(worst),
+        samples=len(states), detail=detail,
+        witness=None if passed else witness)
+
+
 def homogeneity_check(term: DissipationTerm, dof: int, params: dict,
                       samples: int = 50, seed: int = 0) -> CheckReport:
     """Verify expr(q, lam*v) = lam^n * expr(q, v) on sampled states."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    worst = 0.0
-    witness = None
     fn = term.evaluate
-    for q, v in sample_states(dof, samples, seed):
+
+    def violations(q, v):
         qt = tuple(q)
         base = fn(qt, tuple(v), params)
         for lam in (0.5, 2.0, 3.0):
-            scaled = fn(qt, tuple(lam * v), params)
             expected = lam ** term.degree * base
-            rel = abs(scaled - expected) / (1.0 + abs(expected))
-            if rel > worst:
-                worst = rel
-                witness = (tuple(q), tuple(v))
-    passed = worst <= 1e-9
-    return CheckReport(
-        name="homogeneity", passed=bool(passed), max_violation=float(worst),
-        samples=samples,
-        detail=f"declared degree {term.degree}",
-        witness=None if passed else witness)
+            yield (abs(fn(qt, tuple(lam * v), params) - expected)
+                   / (1.0 + abs(expected)))
+    return _sampled_check("homogeneity", sample_states(dof, samples, seed),
+                          violations, 1e-9, f"declared degree {term.degree}")
 
 
 def euler_identity_check(spec: DissipationSpec, dof: int, params: dict,
                          samples: int = 50, seed: int = 0) -> CheckReport:
     """Verify v . dR/dv = D, the defining relation of the R construction."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    worst = 0.0
-    witness = None
-    for q, v in sample_states(dof, samples, seed):
+    def violations(q, v):
         ctx = EvalContext(q, v, params)
         lhs = float(np.dot(v, grad_R_v(spec, ctx)))
         d = eval_D(spec, ctx)
-        rel = abs(lhs - d) / (1.0 + abs(d))
-        if rel > worst:
-            worst = rel
-            witness = (tuple(q), tuple(v))
-    passed = worst <= 1e-8
-    return CheckReport(
-        name="euler_identity", passed=bool(passed), max_violation=float(worst),
-        samples=samples, detail="v . dR/dv vs D",
-        witness=None if passed else witness)
+        yield abs(lhs - d) / (1.0 + abs(d))
+    return _sampled_check("euler_identity", sample_states(dof, samples, seed),
+                          violations, 1e-8, "v . dR/dv vs D")
 
 
 def positivity_scan(spec: DissipationSpec, dof: int, params: dict,
                     samples: int = 50, seed: int = 0) -> CheckReport:
     """Report the minimum of D over sampled states; pass iff >= -1e-12."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    dmin = 0.0
-    witness = None
-    for q, v in sample_states(dof, samples, seed):
-        d = eval_D(spec, EvalContext(q, v, params))
-        if d < dmin:
-            dmin = d
-            witness = (tuple(q), tuple(v))
-    passed = dmin >= -1e-12
-    return CheckReport(
-        name="positivity", passed=bool(passed), max_violation=float(max(0.0, -dmin)),
-        samples=samples, detail=f"min D = {dmin:.6g}",
-        witness=None if passed else witness)
+    rep = _sampled_check(
+        "positivity", sample_states(dof, samples, seed),
+        lambda q, v: (-eval_D(spec, EvalContext(q, v, params)),), 1e-12)
+    # 0.0 - x, not -x: with no negative D the detail reads "min D = 0"
+    return replace(rep, detail=f"min D = {0.0 - rep.max_violation:.6g}")
 
 
 def rest_value_check(spec: DissipationSpec, dof: int, params: dict,
                      samples: int = 20, seed: int = 0) -> CheckReport:
     """D(q, 0) must vanish, else the R integral diverges."""
-    worst = 0.0
-    witness = None
     zeros = np.zeros(dof)
-    for q, _ in sample_states(dof, samples, seed):
-        d = abs(eval_D(spec, EvalContext(q, zeros, params)))
-        if d > worst:
-            worst = d
-            witness = (tuple(q), tuple(zeros))
-    passed = worst <= 1e-12
-    return CheckReport(
-        name="rest_value", passed=bool(passed), max_violation=float(worst),
-        samples=samples, detail="D(q, 0) = 0 hypothesis",
-        witness=None if passed else witness)
+    states = [(q, zeros) for q, _ in sample_states(dof, samples, seed)]
+    return _sampled_check(
+        "rest_value", states,
+        lambda q, v: (abs(eval_D(spec, EvalContext(q, v, params))),), 1e-12,
+        "D(q, 0) = 0 hypothesis")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from raydiss import cli
 from raydiss import config as cf
+from raydiss.builtins import BUILTIN_NAMES
 from raydiss.cli import main
 
 
@@ -108,6 +110,60 @@ def test_general_mode_rest_value_rejected_at_load(workdir):
     assert "vanish at rest" in str(exc.value)
 
 
+DSHO = {"system": "damped_sho"}
+GENERAL_INLINE = {**DSHO_INLINE,
+                  "dissipation": {"mode": "general", "raw": "c*v1^2"}}
+
+# (config, command and flags, path the one-line error names). Each used to
+# end in a traceback, or in a run of something other than what was asked.
+MALFORMED = [
+    ({**DSHO, "audit": {"energy": "x"}}, ["simulate"], "audit.energy"),
+    ({**DSHO, "integrator": {"dt": None}}, ["simulate"], "integrator.dt"),
+    ({**DSHO, "integrator": "rk4"}, ["simulate"], "integrator"),
+    ({**DSHO, "output": "x"}, ["simulate"], "output"),
+    ({**DSHO, "audit": {"slope_window": 3}}, ["simulate"],
+     "audit.slope_window"),
+    ({**DSHO, "overrides": [1]}, ["simulate"], "overrides"),
+    ({**DSHO, "overrides": {"c": "x"}}, ["simulate"], "overrides.c"),
+    (DSHO, ["simulate", "--t-end", "-1"], "t_end"),
+    ({**DSHO, "audit": {"check_samples": 0}}, ["check"], "audit"),
+    ({**DSHO, "audit": {"check_seed": -1}}, ["check"], "audit"),
+    ({**DSHO, "output": {"plot_data": "false"}}, ["simulate"],
+     "output.plot_data"),
+    ({**GENERAL_INLINE, "dissipation": {**GENERAL_INLINE["dissipation"],
+                                        "quadrature": {"node_count": 8.7}}},
+     ["simulate"], "dissipation.quadrature.node_count"),
+    ({**DSHO, "integrator": {"max_steps": 2.9}}, ["simulate"],
+     "integrator.max_steps"),
+    ({**DSHO, "overrides": {"zz": 1}}, ["simulate"], "overrides"),
+    ({**DSHO, "integrator": {"rtol": 1e-8}}, ["simulate"], "integrator.rtol"),
+    ({**DSHO, "t_end": float("inf")}, ["simulate"], "t_end"),
+    (DSHO, ["simulate", "--t-end", "inf"], "t_end"),
+    (DSHO, ["simulate", "--t-end", "nan"], "t_end"),
+    ({**DSHO, "audit": {"energy": -1}}, ["simulate"], "audit"),
+    (DSHO, ["simulate", "--set", "c=nan"], "overrides.c"),
+    ({**DSHO, "t_end": 10 ** 400}, ["simulate"], "t_end"),
+    ({**DSHO, "initial": "qv"}, ["simulate"], "initial"),
+]
+
+
+@pytest.mark.parametrize("doc, argv, path", MALFORMED, ids=[
+    f"{i:02d}-{path}" for i, (_, _, path) in enumerate(MALFORMED)])
+def test_malformed_input_is_a_one_line_config_error(workdir, capsys, doc,
+                                                    argv, path):
+    config = write_json(workdir / "c.json", doc)
+    if len(argv) == 1:  # the config itself is malformed
+        with pytest.raises(cf.ConfigError) as exc:
+            cf.load_config(config)
+        assert exc.value.path == path
+    rc = main([argv[0], "--config", config] + argv[1:])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"raydiss: config error at '{path}': ")
+    assert [p.name for p in workdir.iterdir()] == ["c.json"]
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -191,6 +247,11 @@ def test_simulate_jsonl_and_plot_data(workdir):
     first = json.loads(lines[0])
     assert set(first) == {"t", "q1", "v1", "H", "T", "V", "D", "R", "W"}
     assert (workdir / "run_plot" / "H.dat").exists()
+    doc = {"system": "damped_sho", "t_end": 1.0,
+           "output": {"path": "cfg.csv", "plot_data": True}}
+    rc = main(["simulate", "--config", write_json(workdir / "p.json", doc)])
+    assert rc == 0
+    assert (workdir / "cfg_plot" / "H.dat").exists()
 
 
 def test_csv_round_trips_to_identical_doubles(workdir):
@@ -223,6 +284,22 @@ def test_check_cubic_reports_degree_and_ratio(workdir, capsys):
     out = capsys.readouterr().out
     assert "degree 3" in out
     assert "R/D = 0.333333" in out
+
+
+def test_check_rows_use_the_audit_sampling(workdir, monkeypatch):
+    calls = []
+    for name in ("rest_value_check", "positivity_scan",
+                 "euler_identity_check"):
+        def spy(*args, _fn=getattr(cli.rm, name), _name=name, **kw):
+            calls.append((_name, kw.get("samples"), kw.get("seed")))
+            return _fn(*args, **kw)
+        monkeypatch.setattr(cli.rm, name, spy)
+    doc = {**GENERAL_INLINE, "audit": {"check_samples": 7, "check_seed": 3}}
+    rc = main(["check", "--config", write_json(workdir / "g.json", doc)])
+    assert rc == 0
+    assert calls[-3:] == [("rest_value_check", 7, 3),
+                          ("positivity_scan", 7, 3),
+                          ("euler_identity_check", 7, 3)]
 
 
 def test_check_negative_d_fails(workdir, capsys):
@@ -375,6 +452,35 @@ def test_config_round_trip_same_simulation(workdir):
     cli.write_trajectory(cli.run_simulation(cfg)[0], 1, "a.csv", "csv")
     cli.write_trajectory(cli.run_simulation(cfg2)[0], 1, "b.csv", "csv")
     assert (workdir / "a.csv").read_bytes() == (workdir / "b.csv").read_bytes()
+
+
+FULL_INLINE = {
+    **GENERAL_INLINE,
+    "dissipation": {"mode": "general", "raw": "c*v1^2",
+                    "quadrature": {"node_count": 32, "panels": 2,
+                                   "tolerance": 1e-9}},
+    "t_end": 3.5,
+    "integrator": {"method": "rk4", "dt": 2e-3, "rel_tol": 1e-8,
+                   "abs_tol": 1e-11, "max_steps": 5000, "sample_every": 2},
+    "audit": {"energy": 1e-5, "stationarity": 1e-4, "slope_window": [1.7, 2.3],
+              "check_samples": 40, "check_seed": 7},
+    "output": {"path": "x.jsonl", "format": "jsonl", "plot_data": True},
+}
+
+
+@pytest.mark.parametrize("doc", [{"system": n} for n in BUILTIN_NAMES]
+                         + [FULL_INLINE], ids=list(BUILTIN_NAMES) + ["full"])
+def test_config_dict_round_trip_keeps_every_section(doc):
+    def sections(c):
+        return (c.integrator, c.tolerances, c.output,
+                c.system.dissipation.quadrature)
+    cfg = cf.config_from_dict(doc)
+    back = cf.config_from_dict(cf.config_to_dict(cfg))
+    assert sections(back) == sections(cfg)
+    assert back.t_end == cfg.t_end
+    if doc is FULL_INLINE:  # every field differs from its default
+        assert all(getattr(s, f.name) != f.default
+                   for s in sections(cfg) for f in dataclasses.fields(s))
 
 
 def test_exit_codes_are_limited_to_contract(workdir):

@@ -387,8 +387,10 @@ def test_integrate_lands_exactly_on_t_end():
 
 def test_integrate_rejects_bad_time_span():
     b = get_builtin("sho")
-    with pytest.raises(ValueError):
-        dy.integrate(b.system, b.initial, 0.0, b.integrator)
+    # a non-finite t_end used to return a 1-sample trajectory
+    for t_end in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            dy.integrate(b.system, b.initial, t_end, b.integrator)
 
 
 def test_integrate_max_steps_guard():
@@ -411,7 +413,6 @@ def test_diagnostics_energy_partition():
     assert d.T_kin == pytest.approx(2.0)
     assert d.V_pot == pytest.approx(0.5)
     assert d.H == pytest.approx(2.5)
-    assert d.L_val == pytest.approx(1.5)
     assert d.D_val == pytest.approx(0.2 * 4.0)
     assert d.R_val == pytest.approx(0.2 * 4.0 / 2.0)
     # on-shell the rate of working of the drag equals v . dR/dv = D

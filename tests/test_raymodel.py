@@ -354,6 +354,7 @@ def test_refined_evaluations_are_counted_on_the_model():
     model.R((0.0,), (1.0,), {})
     model.grad_R((0.0,), (1.0,), {})
     assert model.refinements == 2
+    assert model.refined_panels == 16
     assert homsum(("v1^2", 2.0)).model(1).refinements == 0
 
 
@@ -472,6 +473,7 @@ def test_euler_identity_null():
 def test_positivity_quadratic_passes():
     rep = rm.positivity_scan(homsum(("c*v1^2", 2.0)), 1, {"c": 1.0})
     assert rep.passed
+    assert rep.detail == "min D = 0"  # not "-0"
 
 
 def test_positivity_negative_fails_with_witness():
@@ -480,6 +482,7 @@ def test_positivity_negative_fails_with_witness():
     assert rep.witness is not None
     q, v = rep.witness
     assert -(v[0] ** 2) < 0.0
+    assert rep.detail == f"min D = {-rep.max_violation:.6g}"
 
 
 def test_positivity_configuration_coefficient():
@@ -493,6 +496,20 @@ def test_rest_value_check():
     assert good.passed
     bad = rm.rest_value_check(general("v1^2 + q1"), 1, {})
     assert not bad.passed
+    assert bad.witness[1] == (0.0,)  # the witness is the state at rest
+
+
+@pytest.mark.parametrize("check", [
+    lambda n: rm.homogeneity_check(homsum(("v1^2", 2.0)).terms[0], 1, {},
+                                   samples=n),
+    lambda n: rm.euler_identity_check(general("v1^2"), 1, {}, samples=n),
+    lambda n: rm.positivity_scan(general("v1^2"), 1, {}, samples=n),
+    lambda n: rm.rest_value_check(general("v1^2"), 1, {}, samples=n),
+], ids=["homogeneity", "euler_identity", "positivity", "rest_value"])
+def test_sampled_checks_need_at_least_one_sample(check):
+    assert check(1).samples == 1
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        check(0)
 
 
 def test_sample_states_reproducible():
