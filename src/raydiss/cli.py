@@ -96,6 +96,12 @@ def _default_out(cfg):
     return f"{cfg.builtin_name or 'run'}.{cfg.output.format}"
 
 
+def _refined_text(model, count):
+    return (f"{count} R quadrature evaluations needed "
+            f"{model.refined_panels} panels (configured "
+            f"{model.quadrature.panels}) to converge")
+
+
 def run_simulation(cfg: RunConfig):
     traj = dy.integrate(cfg.system, cfg.initial, cfg.t_end, cfg.integrator)
     report = au.full_audit(cfg.system, traj, cfg.tolerances)
@@ -113,9 +119,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
         return EXIT_ERROR
     refined = model.refinements - refined_before
     if refined:
-        print(f"simulate: warning: {refined} R quadrature evaluations "
-              f"needed {model.refined_panels} panels (configured "
-              f"{model.quadrature.panels}) to converge", file=_sys.stderr)
+        print(f"simulate: warning: {_refined_text(model, refined)}",
+              file=_sys.stderr)
     write_trajectory(traj, cfg.system.dof, out, cfg.output.format)
     audit_path = os.path.splitext(out)[0] + ".audit.json"
     with open(audit_path, "w", encoding="utf-8") as f:
@@ -203,8 +208,57 @@ def cmd_derive_r(cfg: RunConfig, q, v) -> int:
     return EXIT_OK
 
 
+# (config, output path) of each sweep member. Set in each worker by
+# `_adopt`; under fork it is inherited, never pickled (a RunConfig holds
+# compiled code).
+_MEMBERS = ()
+
+
+def _adopt(members):
+    global _MEMBERS
+    _MEMBERS = members
+
+
+def _run_member(i):
+    """Run sweep member `i` and write its file. The result holds only
+    numbers, lists and strings, so it pickles back to the parent;
+    `refined` is exact per member, since a worker runs one at a time."""
+    c, out = _MEMBERS[i]
+    model = c.system.dissipation.model(c.system.dof)
+    refined_before = model.refinements
+    try:
+        traj, report = run_simulation(c)
+    except Exception as e:
+        return {"status": f"error: {e}"}
+    write_trajectory(traj, c.system.dof, out, c.output.format)
+    s = traj.states()[-1]
+    defect = (report.energy_balance.max_defect
+              if report.energy_balance else float("nan"))
+    return {"status": "ok" if report.passed else "audit_fail",
+            "final_q": [float(x) for x in s.q],
+            "final_v": [float(x) for x in s.v],
+            "max_energy_defect": float(defect), "file": out,
+            "refined": model.refinements - refined_before}
+
+
+def _run_forked(members, indices, workers):
+    """Results of the members at `indices`, run on `workers` forked
+    processes; a member whose future failed gets its exception instead."""
+    # imported here, not at the top: it adds about 20 ms and 1 MB to the
+    # start of every command
+    import multiprocessing
+
+    fork = multiprocessing.get_context("fork")
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, mp_context=fork, initializer=_adopt,
+            initargs=(members,)) as ex:
+        futures = [ex.submit(_run_member, i) for i in indices]
+        return [f.exception() or f.result() for f in futures]
+
+
 def cmd_sweep(cfg: RunConfig, param, values, out_stem=None, jobs=None) -> int:
-    members = [cfg.with_params({param: x}) for x in values]
+    if not values:
+        raise ConfigError("--values needs at least one number")
     names = [f"{x:g}" for x in values]  # file names below use {value:g}
     clash = [repr(x) for x, n in zip(values, names) if names.count(n) > 1]
     if clash:
@@ -212,39 +266,41 @@ def cmd_sweep(cfg: RunConfig, param, values, out_stem=None, jobs=None) -> int:
               f"same {param}=... file names", file=_sys.stderr)
         return EXIT_ERROR
     stem = out_stem or os.path.splitext(_default_out(cfg))[0]
-    jobs = jobs or os.cpu_count() or 1
-
-    def one(value, c):
-        out = f"{stem}_{param}={value:g}.{c.output.format}"
-        try:
-            traj, report = run_simulation(c)
-        except Exception as e:
-            return {"value": value, "status": f"error: {e}"}
-        write_trajectory(traj, c.system.dof, out, c.output.format)
-        s = traj.states()[-1]
-        defect = (report.energy_balance.max_defect
-                  if report.energy_balance else float("nan"))
-        return {"value": value, "status": "ok" if report.passed
-                else "audit_fail", "final_q": list(s.q), "final_v": list(s.v),
-                "max_energy_defect": defect, "file": out}
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as ex:
-        results = list(ex.map(one, values, members))
+    members = [(cfg.with_params({param: x}),
+                f"{stem}_{param}={name}.{cfg.output.format}")
+               for x, name in zip(values, names)]
+    # members share one dissipation model: build it once, before the fork
+    model = cfg.system.dissipation.model(cfg.system.dof)
+    n = len(members)
+    results = _run_forked(members, range(n),
+                          min(jobs or os.cpu_count() or 1, n))
+    # a worker that dies fails every member still pending in its pool;
+    # rerun those alone, so that only the member that died keeps the error
+    results = [_run_forked(members, [i], 1)[0]
+               if isinstance(r, concurrent.futures.BrokenExecutor) and n > 1
+               else r
+               for i, r in enumerate(results)]
+    results = [{"status": f"error: {r}"} if isinstance(r, Exception) else r
+               for r in results]
     summary = f"{stem}_sweep.csv"
     m = cfg.system.dof
     with open(summary, "w", encoding="utf-8") as f:
         qcols = ",".join(f"final_q{i + 1}" for i in range(m))
         vcols = ",".join(f"final_v{i + 1}" for i in range(m))
         f.write(f"{param},status,{qcols},{vcols},max_energy_defect,file\n")
-        for r in results:
+        for x, r in zip(values, results):
+            if r.get("refined"):
+                print(f"sweep: warning: {param}={x:g}: "
+                      f"{_refined_text(model, r['refined'])}",
+                      file=_sys.stderr)
             if "final_q" in r:
                 f.write(",".join(
-                    [_fmt(r["value"]), r["status"]]
-                    + [_fmt(x) for x in r["final_q"]]
-                    + [_fmt(x) for x in r["final_v"]]
+                    [_fmt(x), r["status"]]
+                    + [_fmt(y) for y in r["final_q"]]
+                    + [_fmt(y) for y in r["final_v"]]
                     + [_fmt(r["max_energy_defect"]), r["file"]]) + "\n")
             else:
-                f.write(f"{_fmt(r['value'])},\"{r['status']}\""
+                f.write(f"{_fmt(x)},\"{r['status']}\""
                         + "," * (2 * m + 2) + "\n")
     print(f"sweep: {len(results)} runs, summary in {summary}")
     bad = [r for r in results if r["status"] != "ok"]
@@ -277,6 +333,13 @@ def _parse_floats(text, flag):
     except ValueError:
         raise ConfigError(f"{flag} expects comma-separated numbers, "
                           f"got '{text}'") from None
+
+
+def positive_int(text):
+    n = int(text)
+    if n < 1:
+        raise ValueError(text)  # argparse: "invalid positive_int value"
+    return n
 
 
 def build_parser():
@@ -315,7 +378,9 @@ def build_parser():
     sp.add_argument("--values", required=True,
                     help="comma-separated parameter values")
     sp.add_argument("--out")
-    sp.add_argument("--jobs", type=int, default=None)
+    sp.add_argument("--jobs", type=positive_int, default=None,
+                    help="worker processes (default: CPU count, at most "
+                         "one per value)")
     return p
 
 

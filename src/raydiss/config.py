@@ -9,7 +9,9 @@ are verified immediately so bad configs fail before any integration.
 The sections `integrator`, `audit`, `output` and `dissipation.quadrature`
 are read field by field into their dataclasses: each key must name a
 field, and each value must have the type of that field's default. The
-defaults and the range checks live only in those dataclasses.
+defaults and the range checks live only in those dataclasses. The other
+objects (the top level, `dissipation`, its terms and `initial`) reject
+unknown keys too, so a misspelt key is an error, not a silent default.
 """
 
 from __future__ import annotations
@@ -134,17 +136,23 @@ def _typed(x, default, path):
     return x
 
 
-def _section(cls, obj, path):
-    """The dataclass `cls` built from the JSON object `obj` at `path`."""
+def _check_keys(obj, known, path):
+    """Require `obj` (at `path`) to be a JSON object whose every key is in
+    `known`."""
     if not isinstance(obj, dict):
         raise ConfigError(f"expected an object, got {obj!r}", path)
+    for key in obj:
+        if key not in known:
+            raise ConfigError(f"unknown key (known: {', '.join(known)})",
+                              f"{path}.{key}" if path else key)
+
+
+def _section(cls, obj, path):
+    """The dataclass `cls` built from the JSON object `obj` at `path`."""
     defaults = {f.name: f.default for f in fields(cls)}
-    values = {}
-    for key, x in obj.items():
-        if key not in defaults:
-            raise ConfigError(f"unknown key (known: {', '.join(defaults)})",
-                              f"{path}.{key}")
-        values[key] = _typed(x, defaults[key], f"{path}.{key}")
+    _check_keys(obj, defaults, path)
+    values = {key: _typed(x, defaults[key], f"{path}.{key}")
+              for key, x in obj.items()}
     try:
         return cls(**values)
     except ValueError as e:
@@ -163,9 +171,11 @@ def _parse_expr(src, path):
 def _load_dissipation(obj, path):
     mode = _req(obj, "mode", path)
     if mode == "homogeneous_sum":
+        _check_keys(obj, ("mode", "terms"), path)
         terms = []
         for i, t in enumerate(obj.get("terms", [])):
             tp = f"{path}.terms[{i}]"
+            _check_keys(t, ("expr", "degree", "smooth_eps"), tp)
             expr = _parse_expr(_req(t, "expr", tp), f"{tp}.expr")
             degree = _num(_req(t, "degree", tp), f"{tp}.degree")
             eps = t.get("smooth_eps")
@@ -177,6 +187,7 @@ def _load_dissipation(obj, path):
                 raise ConfigError(str(e), tp) from None
         return rm.DissipationSpec("homogeneous_sum", terms)
     if mode == "general":
+        _check_keys(obj, ("mode", "raw", "quadrature"), path)
         raw = _parse_expr(_req(obj, "raw", path), f"{path}.raw")
         quad = _section(rm.QuadratureConfig, obj.get("quadrature", {}),
                         f"{path}.quadrature")
@@ -185,10 +196,15 @@ def _load_dissipation(obj, path):
                       f"'{mode}'", f"{path}.mode")
 
 
+_RUN_KEYS = ("initial", "t_end", "integrator", "audit", "output",
+             "overrides")
+
+
 def config_from_dict(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("top-level document must be a JSON object")
     if "system" in doc:
+        _check_keys(doc, ("system",) + _RUN_KEYS, "")
         name = doc["system"]
         if not isinstance(name, str):
             raise ConfigError("builtin selection must be a name string",
@@ -200,6 +216,8 @@ def config_from_dict(doc: dict) -> RunConfig:
         system, initial, t_end = b.system, b.initial, b.t_end
         integrator, reference = b.integrator, b.reference
     else:
+        _check_keys(doc, ("dof", "params", "mass_matrix", "potential",
+                          "dissipation") + _RUN_KEYS, "")
         dof = _req(doc, "dof", "")
         if not isinstance(dof, int) or dof < 1:
             raise ConfigError("dof must be a positive integer", "dof")
@@ -232,6 +250,7 @@ def config_from_dict(doc: dict) -> RunConfig:
 
     if "initial" in doc:
         init = doc["initial"]
+        _check_keys(init, ("q", "v", "t0"), "initial")
         zeros = (0.0,) * system.dof
         q = _typed(_req(init, "q", "initial"), zeros, "initial.q")
         v = _typed(_req(init, "v", "initial"), zeros, "initial.v")
@@ -287,6 +306,9 @@ def load_config(path) -> RunConfig:
         raise ConfigError(
             f"JSON syntax error in {path}: line {e.lineno} column {e.colno}: "
             f"{e.msg}") from None
+    except ValueError as e:  # bad UTF-8, or an integer over 4,300 digits
+        raise ConfigError(f"cannot read {path}: "
+                          f"{str(e).split(';')[0]}") from None
     return config_from_dict(doc)
 
 

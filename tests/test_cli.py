@@ -1,5 +1,8 @@
+import concurrent.futures
 import dataclasses
 import json
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -144,6 +147,20 @@ MALFORMED = [
     (DSHO, ["simulate", "--set", "c=nan"], "overrides.c"),
     ({**DSHO, "t_end": 10 ** 400}, ["simulate"], "t_end"),
     ({**DSHO, "initial": "qv"}, ["simulate"], "initial"),
+    ({**DSHO, "overide": {"c": 5}}, ["simulate"], "overide"),
+    ({**DSHO, "params": {"c": 5}}, ["simulate"], "params"),
+    ({**DSHO_INLINE, "dissipation": {
+        "mode": "homogeneous_sum",
+        "terms": [{"expr": "c*abs(v1)", "degree": 1, "smooth-eps": 1e-4}]}},
+     ["simulate"], "dissipation.terms[0].smooth-eps"),
+    ({**GENERAL_INLINE, "dissipation": {**GENERAL_INLINE["dissipation"],
+                                        "terms": []}},
+     ["simulate"], "dissipation.terms"),
+    ({**DSHO, "initial": {"q": [1.0], "v": [0.0], "t_0": 1.0}},
+     ["simulate"], "initial.t_0"),
+    # JSON text, not a document: an integer json.load cannot convert
+    ('{"system": "damped_sho", "t_end": ' + "1" * 5000 + "}", ["simulate"],
+     ""),
 ]
 
 
@@ -151,16 +168,18 @@ MALFORMED = [
     f"{i:02d}-{path}" for i, (_, _, path) in enumerate(MALFORMED)])
 def test_malformed_input_is_a_one_line_config_error(workdir, capsys, doc,
                                                     argv, path):
-    config = write_json(workdir / "c.json", doc)
+    config = workdir / "c.json"
+    config.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     if len(argv) == 1:  # the config itself is malformed
         with pytest.raises(cf.ConfigError) as exc:
             cf.load_config(config)
         assert exc.value.path == path
-    rc = main([argv[0], "--config", config] + argv[1:])
+    rc = main([argv[0], "--config", str(config)] + argv[1:])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert err.startswith(f"raydiss: config error at '{path}': ")
+    assert err.startswith(f"raydiss: config error at '{path}': " if path
+                          else "raydiss: config error: ")
     assert [p.name for p in workdir.iterdir()] == ["c.json"]
 
 
@@ -439,6 +458,149 @@ def test_sweep_bad_values_exit_one(workdir):
                write_json(workdir / "b.json", {"system": "damped_sho"}),
                "--param", "c", "--values", "0.1,squid"])
     assert rc == 1
+
+
+@pytest.fixture
+def time_limit():
+    """Fail, rather than hang, a test that waits on worker processes."""
+    def expire(signum, frame):
+        signal.alarm(5)  # again, in case the executor's cleanup waits too
+        raise TimeoutError("sweep did not finish within 120 s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(120)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+def test_sweep_jobs_must_be_a_positive_integer(workdir, capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", "b.json", "--param", "c",
+              "--values", "0.1", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "argument --jobs: invalid positive_int value" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("values", ["", ","])
+def test_sweep_without_values_is_a_config_error(workdir, capsys, values):
+    rc = main(["sweep", "--config",
+               write_json(workdir / "b.json", {"system": "damped_sho"}),
+               "--param", "c", "--values", values])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        "raydiss: config error: --values needs at least one number\n"
+    assert [p.name for p in workdir.iterdir()] == ["b.json"]
+
+
+@pytest.mark.parametrize("jobs, values, workers", [
+    ("8", "0.1,0.2", 2), ("1", "0.1,0.2,0.3", 1), (None, "0.1,0.2", 2),
+    (None, "0.1", 1)])
+def test_sweep_workers_are_capped_at_the_value_count(workdir, monkeypatch,
+                                                     time_limit, jobs, values,
+                                                     workers):
+    seen = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            seen.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    argv = ["sweep", "--config",
+            write_json(workdir / "b.json", {"system": "damped_sho"}),
+            "--param", "c", "--values", values]
+    assert main(argv + (["--jobs", jobs] if jobs else [])) == 0
+    assert seen == [workers]
+
+
+@pytest.mark.parametrize("doc, argv", [
+    ({"system": "damped_sho"}, ["--param", "c", "--values", "0,0.1,0.2"]),
+    ({"system": "pendulum_drag_2dof"},
+     ["--param", "A", "--values", "0.05,0.2", "--set", "g=1.2"])],
+    ids=["damped_sho", "pendulum_set"])
+def test_sweep_files_do_not_depend_on_jobs(workdir, monkeypatch, time_limit,
+                                           doc, argv):
+    config = write_json(workdir / "b.json", {**doc, "t_end": 1.0})
+    files = {}
+    for jobs in ("1", "2"):
+        (workdir / jobs).mkdir()
+        monkeypatch.chdir(workdir / jobs)
+        assert main(["sweep", "--config", config, "--jobs", jobs,
+                     "--out", "sw"] + argv) == 0
+        files[jobs] = {p.name: p.read_bytes()
+                       for p in (workdir / jobs).iterdir()}
+    assert len(files["1"]) == len(argv[3].split(",")) + 1
+    assert files["1"] == files["2"]
+
+
+def _failing_run(monkeypatch, how):
+    """Make the member with c = 0.2 raise, or kill its worker process."""
+    real = cli.run_simulation
+
+    def run(c):
+        if c.system.params["c"] == 0.2:
+            if how == "die":
+                os._exit(3)
+            raise cli.dy.DynamicsError("step size underflow (forced)")
+        return real(c)
+
+    monkeypatch.setattr(cli, "run_simulation", run)
+
+
+@pytest.mark.parametrize("how", ["raise", "die"])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_member_failure_is_an_error_row(workdir, capsys, monkeypatch,
+                                              time_limit, how, jobs):
+    _failing_run(monkeypatch, how)
+    rc = main(["sweep", "--config",
+               write_json(workdir / "b.json", {"system": "damped_sho"}),
+               "--param", "c", "--values", "0.1,0.2,0.3,0.4",
+               "--jobs", jobs])
+    assert rc == 1
+    assert "Traceback" not in capsys.readouterr().err
+    rows = (workdir / "damped_sho_sweep.csv").read_text().splitlines()[1:]
+    status = [row.split(",")[1] for row in rows]
+    assert status[0] == status[2] == status[3] == "ok"
+    assert status[1].startswith('"error: ')
+    if how == "raise":
+        assert "step size underflow (forced)" in status[1]
+    assert sorted(p.name for p in workdir.glob("damped_sho_c=*")) == [
+        "damped_sho_c=0.1.csv", "damped_sho_c=0.3.csv",
+        "damped_sho_c=0.4.csv"]
+
+
+def test_sweep_reports_refined_quadrature_evaluations_per_member(
+        workdir, capsys, time_limit):
+    # as in the simulate test: D = c*v1*tanh(v1/0.001) near |v1| = 1; each
+    # member's count must equal what simulate reports for that value alone
+    doc = {"dof": 1, "params": {"c": 0.1}, "mass_matrix": [["1"]],
+           "potential": "0.5*q1^2",
+           "dissipation": {"mode": "general",
+                           "raw": "c*v1*tanh(v1/0.001)"},
+           "initial": {"q": [0.0], "v": [1.0]}, "t_end": 0.2}
+    config = write_json(workdir / "g.json", doc)
+    expected = []
+    for c in ("0.1", "0.2", "0.3"):
+        main(["simulate", "--config", config, "--set", f"c={c}",
+              "--out", "g.csv"])
+        line, = [ln for ln in capsys.readouterr().err.splitlines()
+                 if "quadrature" in ln]
+        expected.append(f"sweep: warning: c={c}: "
+                        + line.split("simulate: warning: ")[1])
+    # three members on two workers: one worker runs two of them
+    main(["sweep", "--config", config, "--param", "c",
+          "--values", "0.1,0.2,0.3", "--jobs", "2", "--out", "g"])
+    lines = [ln for ln in capsys.readouterr().err.splitlines()
+             if "quadrature" in ln]
+    assert lines == expected
+    assert all(ln.endswith("needed 16 panels (configured 4) to converge")
+               for ln in lines)
+    assert (workdir / "g_sweep.csv").read_text().splitlines()[0] == \
+        "c,status,final_q1,final_v1,max_energy_defect,file"
 
 
 # ---------------------------------------------------------------------------

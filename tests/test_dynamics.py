@@ -192,8 +192,8 @@ def _first_use_race(n):
 
 
 def test_concurrent_first_use_builds_complete_models():
-    # sweep threads share one DissipationSpec and may build its model at
-    # once; a thread that saw a half-built model would leave no result
+    # threads that share one DissipationSpec may build its model at once;
+    # a thread that saw a half-built model would leave no result
     n = min(os.cpu_count() or 1, 32) + 2
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
