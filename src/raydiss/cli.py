@@ -96,10 +96,14 @@ def _default_out(cfg):
     return f"{cfg.builtin_name or 'run'}.{cfg.output.format}"
 
 
-def _refined_text(model, count):
-    return (f"{count} R quadrature evaluations needed "
-            f"{model.refined_panels} panels (configured "
-            f"{model.quadrature.panels}) to converge")
+def _missing_dir(command, path):
+    """True, after one error line, when the directory of `path` is missing."""
+    d = os.path.dirname(path)
+    if d and not os.path.isdir(d):
+        print(f"{command}: error: output directory '{d}' does not exist",
+              file=_sys.stderr)
+        return True
+    return False
 
 
 def run_simulation(cfg: RunConfig):
@@ -110,17 +114,13 @@ def run_simulation(cfg: RunConfig):
 
 def cmd_simulate(cfg: RunConfig) -> int:
     out = _default_out(cfg)
-    model = cfg.system.dissipation.model(cfg.system.dof)
-    refined_before = model.refinements
+    if _missing_dir("simulate", out):
+        return EXIT_ERROR
     try:
         traj, report = run_simulation(cfg)
     except (dy.DynamicsError, rm.ModelError, xc.ExprError) as e:
         print(f"simulate: error: {e}", file=_sys.stderr)
         return EXIT_ERROR
-    refined = model.refinements - refined_before
-    if refined:
-        print(f"simulate: warning: {_refined_text(model, refined)}",
-              file=_sys.stderr)
     write_trajectory(traj, cfg.system.dof, out, cfg.output.format)
     audit_path = os.path.splitext(out)[0] + ".audit.json"
     with open(audit_path, "w", encoding="utf-8") as f:
@@ -188,14 +188,14 @@ def cmd_derive_r(cfg: RunConfig, q, v) -> int:
                       f"{dn:>14.8g} {dn / term.degree:>14.8g}")
                 total_d += dn
                 total_r += dn / term.degree
+            force = model.grad_R(qt, vt, p)
         else:
-            total_d = model.D(qt, vt, p)
-            total_r, warning = model.R_with_warning(qt, vt, p)
             qc = d.quadrature
-            print(f"quadrature: {qc.node_count} nodes x {qc.panels} panels, "
-                  f"refinement tolerance {qc.tolerance:g}")
-            print("refinement: " + (warning or "converged on first doubling"))
-        force = model.grad_R(qt, vt, p)
+            print(f"quadrature: {qc.panels} graded panels (ratio "
+                  f"{rm.GRADING:g}) x {qc.node_count} Gauss nodes, estimate "
+                  f"rule {qc.estimate_nodes} nodes, tolerance {qc.tolerance:g}")
+            total_d = model.D(qt, vt, p)
+            total_r, force = model.R_grad(qt, vt, p)
     except (rm.ModelError, xc.ExprError) as e:
         print(f"derive-r: error at q={list(q)}, v={list(v)}: {e}",
               file=_sys.stderr)
@@ -221,11 +221,8 @@ def _adopt(members):
 
 def _run_member(i):
     """Run sweep member `i` and write its file. The result holds only
-    numbers, lists and strings, so it pickles back to the parent;
-    `refined` is exact per member, since a worker runs one at a time."""
+    numbers, lists and strings, so it pickles back to the parent."""
     c, out = _MEMBERS[i]
-    model = c.system.dissipation.model(c.system.dof)
-    refined_before = model.refinements
     try:
         traj, report = run_simulation(c)
     except Exception as e:
@@ -237,8 +234,7 @@ def _run_member(i):
     return {"status": "ok" if report.passed else "audit_fail",
             "final_q": [float(x) for x in s.q],
             "final_v": [float(x) for x in s.v],
-            "max_energy_defect": float(defect), "file": out,
-            "refined": model.refinements - refined_before}
+            "max_energy_defect": float(defect), "file": out}
 
 
 def _run_forked(members, indices, workers):
@@ -266,11 +262,13 @@ def cmd_sweep(cfg: RunConfig, param, values, out_stem=None, jobs=None) -> int:
               f"same {param}=... file names", file=_sys.stderr)
         return EXIT_ERROR
     stem = out_stem or os.path.splitext(_default_out(cfg))[0]
+    if _missing_dir("sweep", stem):
+        return EXIT_ERROR
     members = [(cfg.with_params({param: x}),
                 f"{stem}_{param}={name}.{cfg.output.format}")
                for x, name in zip(values, names)]
     # members share one dissipation model: build it once, before the fork
-    model = cfg.system.dissipation.model(cfg.system.dof)
+    cfg.system.dissipation.model(cfg.system.dof)
     n = len(members)
     results = _run_forked(members, range(n),
                           min(jobs or os.cpu_count() or 1, n))
@@ -289,10 +287,6 @@ def cmd_sweep(cfg: RunConfig, param, values, out_stem=None, jobs=None) -> int:
         vcols = ",".join(f"final_v{i + 1}" for i in range(m))
         f.write(f"{param},status,{qcols},{vcols},max_energy_defect,file\n")
         for x, r in zip(values, results):
-            if r.get("refined"):
-                print(f"sweep: warning: {param}={x:g}: "
-                      f"{_refined_text(model, r['refined'])}",
-                      file=_sys.stderr)
             if "final_q" in r:
                 f.write(",".join(
                     [_fmt(x), r["status"]]

@@ -20,9 +20,11 @@ embedded pair with standard step-size control. The pair is "first same as
 last" (FSAL; Hairer, Norsett & Wanner, Solving ODEs I, sec. II.6): its
 7th stage is evaluated at the new state, so an accepted step hands it on
 as the next step's 1st stage, and an attempt costs six RHS calls, not
-seven. Trajectory.rhs_calls records the count. Both integrators carry a
-running integral of the dissipation D alongside the mechanical state, so
-energy-balance audits can use a quadrature at full integrator accuracy.
+seven. Trajectory.rhs_calls records the count. An RHS call also yields its
+D, R and dR/dv; an rk45 sample takes them from the accepted 7th stage and
+evaluates only T and V. Both integrators carry a running integral of the
+dissipation D alongside the mechanical state, so energy-balance audits can
+use a quadrature at full integrator accuracy.
 """
 
 from __future__ import annotations
@@ -133,11 +135,9 @@ class Trajectory:
 # Force assembly
 
 
-def _accel(sm, q, v):
-    """M(q)^-1 b at state (q, v), given and returned as lists of floats."""
-    p = sm.params
-    gV = sm.grad_V(q, v, p)[1]
-    gR = sm.dissipation.grad_R(q, v, p).tolist()
+def _accel(sm, q, v, gR):
+    """M(q)^-1 b at (q, v) with dR/dv = gR; lists of floats in and out."""
+    gV = sm.grad_V(q, v, sm.params)[1]
     b = [-x - y for x, y in zip(gV, gR)]
     if sm.mass_const:
         return ldl_solve(sm.factor0, b)
@@ -160,21 +160,29 @@ def _accel(sm, q, v):
 
 def accel(sys: SystemSpec, s: State) -> np.ndarray:
     """Explicit second-order form of the dissipative Lagrange equations."""
+    sm = sys.model
+    q, v = s.q.tolist(), s.v.tolist()
     try:
-        return np.array(_accel(sys.model, s.q.tolist(), s.v.tolist()))
+        return np.array(_accel(
+            sm, q, v, sm.dissipation.grad_R(q, v, sm.params).tolist()))
     except MassMatrixError as e:
         raise MassMatrixError(f"{e} (t={s.t})") from None
 
 
 def diagnostics(sys: SystemSpec, s: State, e_diss: float = 0.0) -> Diagnostics:
-    sm = sys.model
-    d, p = sm.dissipation, sm.params
+    d, p = sys.model.dissipation, sys.params
     q, v = s.q.tolist(), s.v.tolist()
+    return _diagnostics(sys.model, s, e_diss,
+                        (d.D(q, v, p),) + d.R_grad(q, v, p))
+
+
+def _diagnostics(sm, s, e_diss, dissipation):
+    """Diagnostics at s, given (D, R, dR/dv) at s."""
+    D, R, gR = dissipation
+    q = s.q.tolist()
     T = 0.5 * float(s.v @ sm.mass(q) @ s.v)
-    V = sm.V(q, v, p)
-    D = d.D(q, v, p)
-    R = d.R(q, v, p)
-    W = float(np.dot(s.v, d.grad_R(q, v, p)))  # on-shell W = v.dR/dv
+    V = sm.V(q, s.v.tolist(), sm.params)
+    W = float(np.dot(s.v, gR))  # on-shell W = v.dR/dv
     return Diagnostics(H=T + V, T_kin=T, V_pot=V, D_val=D, R_val=R,
                        W=W, E_diss=e_diss)
 
@@ -184,12 +192,14 @@ def diagnostics(sys: SystemSpec, s: State, e_diss: float = 0.0) -> Diagnostics:
 
 
 def _rhs(sys, t, y):
+    """(f(t, y), (D, R, dR/dv) at the state of y)."""
     m = sys.dof
-    sm = sys.model
+    sm, d = sys.model, sys.model.dissipation
     x = y.tolist()
     q, v = x[:m], x[m:2 * m]
-    return np.array(v + _accel(sm, q, v)
-                    + [sm.dissipation.D(q, v, sm.params)])
+    R, gR = d.R_grad(q, v, sm.params)
+    D = d.D(q, v, sm.params)
+    return np.array(v + _accel(sm, q, v, gR) + [D]), (D, R, gR)
 
 
 def _pack(s: State, e_diss: float):
@@ -207,10 +217,10 @@ def _check_finite(y, t):
 
 
 def _rk4_raw(sys, t, y, dt):
-    k1 = _rhs(sys, t, y)
-    k2 = _rhs(sys, t + 0.5 * dt, y + 0.5 * dt * k1)
-    k3 = _rhs(sys, t + 0.5 * dt, y + 0.5 * dt * k2)
-    k4 = _rhs(sys, t + dt, y + dt * k3)
+    k1 = _rhs(sys, t, y)[0]
+    k2 = _rhs(sys, t + 0.5 * dt, y + 0.5 * dt * k1)[0]
+    k3 = _rhs(sys, t + 0.5 * dt, y + 0.5 * dt * k2)[0]
+    k4 = _rhs(sys, t + dt, y + dt * k3)[0]
     ynew = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     _check_finite(ynew, t + dt)
     return ynew
@@ -243,22 +253,23 @@ _DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
 
 def _rk45_raw(sys, t, y, dt, cfg, k1):
     """One Dormand-Prince attempt from (t, y) with k1 = f(t, y), in six
-    RHS calls. Returns (ynew, accepted, dt_next, k7), where ynew is the
-    exact stage-7 argument, so k7 = f(t + dt, ynew)."""
+    RHS calls. Returns (ynew, accepted, dt_next, last), where ynew is the
+    exact stage-7 argument and last = _rhs(sys, t + dt, ynew)."""
     nmech = 2 * sys.dof
     K = np.zeros((7, len(y)))
     K[0] = k1
     for i in range(1, 6):
-        K[i] = _rhs(sys, t + _DP_C[i] * dt, y + dt * (_DP_A[i] @ K))
+        K[i] = _rhs(sys, t + _DP_C[i] * dt, y + dt * (_DP_A[i] @ K))[0]
     ynew = y + dt * (_DP_A[6] @ K)
     _check_finite(ynew, t + dt)
-    K[6] = _rhs(sys, t + dt, ynew)
+    last = _rhs(sys, t + dt, ynew)
+    K[6] = last[0]
     errvec = dt * (_DP_E @ K)[:nmech]
     w = cfg.abs_tol + cfg.rel_tol * np.abs(y[:nmech])
     err = float(np.sqrt(np.mean((errvec / w) ** 2)))
     # the step-size controller shared by step_rk45 and integrate
     factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-    return ynew, err <= 1.0, dt * factor, K[6]
+    return ynew, err <= 1.0, dt * factor, last
 
 
 def step_rk45(sys: SystemSpec, s: State, dt_try: float,
@@ -270,7 +281,7 @@ def step_rk45(sys: SystemSpec, s: State, dt_try: float,
         raise DivergenceError(f"non-finite state at t={s.t}")
     y = _pack(s, 0.0)
     ynew, accepted, dt_next, _ = _rk45_raw(sys, s.t, y, dt_try, cfg,
-                                           _rhs(sys, s.t, y))
+                                           _rhs(sys, s.t, y)[0])
     if accepted:
         return _unpack(sys, s.t + dt_try, ynew)[0], dt_next, True
     return s, dt_next, False
@@ -317,11 +328,12 @@ def _integrate_rk4(sys, init, t_end, cfg):
 
 
 def _integrate_rk45(sys, init, t_end, cfg):
-    traj = Trajectory(samples=[(init, diagnostics(sys, init, 0.0))],
-                      method="rk45", rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)
     y = _pack(init, 0.0)
     t = init.t
-    k1 = _rhs(sys, t, y)
+    f1 = _rhs(sys, t, y)  # k1 of the next attempt, and (D, R, dR/dv) at t
+    sm = sys.model
+    traj = Trajectory(samples=[(init, _diagnostics(sm, init, 0.0, f1[1]))],
+                      method="rk45", rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)
     dt = min(1e-2 * (t_end - init.t), 0.1)
     steps = accepted = 0
     while t < t_end - 1e-15 * (1.0 + abs(t_end)):
@@ -332,16 +344,16 @@ def _integrate_rk45(sys, init, t_end, cfg):
                 f"step size underflow (dt={dt:.3e}) at t={t}; "
                 "the problem is likely too stiff for an explicit pair")
         clipped = min(dt, t_end - t)
-        ynew, ok, dt, k7 = _rk45_raw(sys, t, y, clipped, cfg, k1)
+        ynew, ok, dt, last = _rk45_raw(sys, t, y, clipped, cfg, f1[0])
         steps += 1
         if ok:
-            y, k1 = ynew, k7
+            y, f1 = ynew, last
             t += clipped
             accepted += 1
             if (accepted % cfg.sample_every == 0
                     or t >= t_end - 1e-15 * (1.0 + abs(t_end))):
                 s, e = _unpack(sys, t, y)
-                traj.samples.append((s, diagnostics(sys, s, e)))
+                traj.samples.append((s, _diagnostics(sm, s, e, f1[1])))
     traj.steps_taken = accepted
     traj.steps_rejected = steps - accepted
     traj.rhs_calls = 1 + 6 * steps  # k1, then six stages per attempt

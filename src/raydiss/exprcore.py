@@ -549,11 +549,11 @@ class _Evaluator:
 # (array mode), where `math.*` resolves to ufuncs and each _c* name to an
 # array helper whose domain check reports the first offending element in
 # flat order, with the scalar text. Its one consumer is the general-mode R
-# quadrature, one call per pass over every node. In both modes an overflow
-# (OverflowError from math.exp or float ** in scalar mode, numpy's overflow
-# trapped by errstate in array mode) raises EvalDomainError naming the
-# whole expression, so it never surfaces as inf, a numpy warning or a bare
-# traceback. Systems compile their own
+# quadrature, one call per evaluation over the nodes of both its rules. In
+# both modes an overflow (OverflowError from math.exp or float ** in scalar
+# mode, numpy's overflow trapped by errstate in array mode) raises
+# EvalDomainError naming the whole expression, so it never surfaces as inf,
+# a numpy warning or a bare traceback. Systems compile their own
 # expressions and keep the result; the expression-level helpers below
 # (evaluate, grad_v, grad_q) cache scalar code per AST object.
 

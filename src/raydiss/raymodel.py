@@ -7,11 +7,12 @@ for nonconservative forces. The dissipation potential R is built from D:
 * homogeneous_sum mode: D = sum of terms, each velocity-homogeneous of a
   declared degree n > 0; then R = sum(term / n) exactly.
 * general mode: R(q, v) = integral over u in (0, 1] of D(q, u*v)/u du,
-  computed by composite Gauss-Legendre quadrature with panel-doubling
-  refinement. The arbitrary additive constant is fixed by R(q, 0) = 0.
-  Each quadrature pass evaluates D (or D and dD/dv) at all of its nodes in
-  one array-mode call (exprcore.compile_array); the model counts the
-  evaluations that needed the second panel doubling.
+  computed by one graded Gauss-Legendre rule whose panels shrink
+  geometrically towards u = 0, where D(q, u*v)/u need not be smooth, with
+  an error estimate from a cheaper rule on the same mesh. The arbitrary
+  additive constant is fixed by R(q, 0) = 0. Each evaluation of R, or of
+  R and dR/dv together, evaluates D (or D and dD/dv) at the nodes of both
+  rules in one array-mode call (exprcore.compile_array).
 
 Each spec compiles its evaluators once, on first use, and keeps them for
 its own lifetime: a DissipationSpec owns D, R and dR/dv (per dof), a
@@ -26,7 +27,6 @@ are seeded and reproducible.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -41,7 +41,8 @@ class ModelError(Exception):
 
 
 class QuadratureError(ModelError):
-    """Panel-doubling refinement of the R integral failed to converge."""
+    """R from the graded rule and from its estimate rule disagree beyond
+    the tolerance; the message names q, v, both values and the tolerance."""
 
 
 class MassMatrixError(ModelError):
@@ -52,10 +53,18 @@ class MassMatrixError(ModelError):
 # Types
 
 
+# Ratio of neighbouring edges of the graded mesh: 0, s^(P-1), ..., s, 1.
+GRADING = 0.15
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
-    node_count: int = 64
-    panels: int = 4
+    """General-mode rule: `panels` graded panels of `node_count` Gauss
+    nodes, and an estimate rule of `estimate_nodes` (3/4 of node_count) on
+    the same panels; R passes when the two agree to tolerance*(1 + |R|)."""
+
+    node_count: int = 16
+    panels: int = 13
     tolerance: float = 1e-10
 
     def __post_init__(self):
@@ -65,6 +74,10 @@ class QuadratureConfig:
             raise ValueError("panels must be >= 1")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
+
+    @property
+    def estimate_nodes(self):
+        return self.node_count * 3 // 4
 
 
 @dataclass(frozen=True)
@@ -300,8 +313,6 @@ def ldl_solve(factor, b):
 class _HomogeneousSumModel:
     """R = sum of term/degree, exact for velocity-homogeneous terms."""
 
-    refinements = 0  # closed form: nothing to refine
-
     def __init__(self, spec, dof):
         self.dof = dof
         self.terms = [(t.evaluate, xc.compile_expr(t.expr, dof, "v",
@@ -321,89 +332,80 @@ class _HomogeneousSumModel:
             out = [o + x / deg for o, x in zip(out, g)]
         return np.array(out)
 
+    def R_grad(self, q, v, p):
+        """(R, dR/dv as a list of floats), the values R and grad_R give."""
+        R = 0.0
+        g = [0.0] * self.dof
+        for fn, gfn, deg in self.terms:
+            R += fn(q, v, p) / deg
+            g = [o + x / deg for o, x in zip(g, gfn(q, v, p)[1])]
+        return R, g
+
 
 class _GeneralModel:
-    """R(q, v) = integral over u in (0, 1] of D(q, u*v)/u du by composite
-    Gauss-Legendre quadrature with panel-doubling refinement.
-
-    A quadrature pass is one array-mode call of D, or of D and dD/dv, at
-    the nodes of every panel (panel-major order), reduced with np.dot.
-    The node and weight vectors for the configured panel count and its
-    two doublings are built here from one leggauss rule. Point values of D
-    use the scalar compiled code. `refinements` counts the evaluations
-    that needed the second doubling, to `refined_panels` panels.
+    """R(q, v) = integral over u in (0, 1] of D(q, u*v)/u du by one graded
+    Gauss-Legendre rule, built once per model: hp-quadrature's geometric
+    mesh (Schwab, p- and hp-FEM, 1998) puts short panels where u*v is small,
+    so a sharp feature of D near rest or a non-integer power of the speed
+    needs no refinement. The main and then the estimate nodes, each
+    panel-major, go through one array-mode call of D, or of D and dD/dv;
+    R is the same np.dot over the main nodes either way, so bit-identical.
+    Point values of D use the scalar compiled code.
     """
 
     def __init__(self, spec, dof):
         self.dof = dof
-        self.refinements = 0
         self.quadrature = qc = spec.quadrature
-        self.refined_panels = qc.panels << 2
-        x, w = np.polynomial.legendre.leggauss(qc.node_count)
-        self._rules = [_composite_rule(x, w, qc.panels << k)
-                       for k in range(3)]
+        edges = [0.0] + [GRADING ** k for k in range(qc.panels - 1, -1, -1)]
+        half = (0.5 * np.diff(edges))[:, None]
+        mid = (0.5 * np.add(edges[:-1], edges[1:]))[:, None]
+        rules = [np.polynomial.legendre.leggauss(n)
+                 for n in (qc.node_count, qc.estimate_nodes)]
+        # main nodes first, then estimate nodes, each panel-major
+        self._u = np.concatenate([(mid + half * x).ravel() for x, _ in rules])
+        w = np.concatenate([(half * wx).ravel() for _, wx in rules])
+        self._n = n = qc.panels * qc.node_count
+        self._w = w[:n]
+        self._w_over_u, self._w_over_u_est = np.split(w / self._u, [n])
         self.D = xc.compile_expr(spec.raw)
         self._D_nodes = xc.compile_array(spec.raw)
         self._D_grad_nodes = xc.compile_array(spec.raw, dof, "v")
-        self._lock = threading.Lock()
 
-    def _quad_once(self, q, v, p, rule, with_grad):
-        """Composite Gauss-Legendre estimate of integral over (0,1] of
-        D(q, u*v)/u du, and its velocity gradient when with_grad.
+    def _quad(self, q, v, p, with_grad):
+        """R, and dR/dv when with_grad (else None), from one array call.
 
         d/dv_j of D(q, u*v) is u * (dD/dv_j)(q, u*v); the 1/u weight
         cancels the chain factor, so the gradient integrand is just dD/dv
         at u*v.
         """
-        u, w, w_over_u = rule
-        vs = np.asarray(v, dtype=float)[:, None] * u
-        if not with_grad:
-            return np.dot(w_over_u, self._D_nodes(q, vs, p)), None
-        val, g = self._D_grad_nodes(q, vs, p)
-        return np.dot(w_over_u, val), g @ w
-
-    def _refined(self, q, v, p, with_grad):
-        qc = self.quadrature
-        prev = self._quad_once(q, v, p, self._rules[0], with_grad)
-        for attempt in (1, 2):
-            cur = self._quad_once(q, v, p, self._rules[attempt], with_grad)
-            change = abs(cur[0] - prev[0])
-            if change <= qc.tolerance * (1.0 + abs(cur[0])):
-                warning = None
-                if attempt > 1:
-                    warning = (f"quadrature needed {self.refined_panels} "
-                               f"panels (configured {qc.panels}) to converge")
-                    with self._lock:
-                        self.refinements += 1
-                return cur, warning
-            prev = cur
-        raise QuadratureError(
-            f"R quadrature did not converge after doubling panels twice "
-            f"(last change {change:.3e} > tolerance {qc.tolerance:.3e}); "
-            f"check that D(q, 0) = 0 and D has velocity degree > 0")
-
-    def R_with_warning(self, q, v, p):
-        """(R, refinement warning or None)."""
-        (val, _), warning = self._refined(q, v, p, False)
-        return float(val), warning
+        n = self._n
+        vs = np.asarray(v, dtype=float)[:, None] * self._u
+        if with_grad:
+            val, g = self._D_grad_nodes(q, vs, p)
+        else:
+            val, g = self._D_nodes(q, vs, p), None
+        r = float(np.dot(self._w_over_u, val[:n]))
+        est = float(np.dot(self._w_over_u_est, val[n:]))
+        tol = self.quadrature.tolerance
+        if not abs(r - est) <= tol * (1.0 + abs(r)):
+            raise QuadratureError(
+                f"R quadrature did not converge at q={[float(x) for x in q]}"
+                f", v={[float(x) for x in v]}: R = {r!r}, estimate {est!r} "
+                f"(tolerance {tol:g}); check that D(q, 0) = 0; a D of "
+                f"velocity degree below 1 may need more quadrature panels")
+        return r, None if g is None else g[:, :n] @ self._w
 
     def R(self, q, v, p):
-        return self.R_with_warning(q, v, p)[0]
+        return self._quad(q, v, p, False)[0]
 
     def grad_R(self, q, v, p):
-        (_, g), _ = self._refined(q, v, p, True)
-        return g
+        return self._quad(q, v, p, True)[1]
 
-
-def _composite_rule(x, w, panels):
-    """(u, w, w/u) over all nodes of `panels` equal panels of (0, 1],
-    panel-major, from the Gauss-Legendre rule (x, w) on [-1, 1]."""
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    half = (0.5 * (edges[1:] - edges[:-1]))[:, None]
-    mid = (0.5 * (edges[:-1] + edges[1:]))[:, None]
-    u = (mid + half * x).ravel()
-    wh = (w * half).ravel()
-    return u, wh, wh / u
+    def R_grad(self, q, v, p):
+        """(R, dR/dv as a list of floats) from one pass; R equals self.R
+        bit for bit."""
+        r, g = self._quad(q, v, p, True)
+        return r, g.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +469,10 @@ def eval_R_closed(spec: DissipationSpec, ctx: EvalContext) -> float:
 
 
 def eval_R_quadrature(spec: DissipationSpec, ctx: EvalContext):
-    """General-mode R via the u-integral; returns (value, warning|None)."""
+    """General-mode R via the u-integral, as (value, None): no warnings."""
     if spec.mode != "general":
         raise ModelError("eval_R_quadrature requires general mode")
-    return spec.model(ctx.dof).R_with_warning(ctx.q, ctx.v, ctx.params)
+    return spec.model(ctx.dof).R(ctx.q, ctx.v, ctx.params), None
 
 
 def eval_R(spec: DissipationSpec, ctx: EvalContext) -> float:

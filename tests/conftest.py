@@ -35,6 +35,18 @@ def random_contexts(n, seed=7, dof=2):
     return out
 
 
+def count_array_calls(model, monkeypatch):
+    """Names of the array-mode calls a general-mode model makes, in order,
+    from now on."""
+    calls = []
+    for name in ("_D_nodes", "_D_grad_nodes"):
+        def counted(q, v, p, fn=getattr(model, name), name=name):
+            calls.append(name)
+            return fn(q, v, p)
+        monkeypatch.setattr(model, name, counted)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def corpus_asts():
     return [(src, xc.parse(src)) for src in CORPUS]

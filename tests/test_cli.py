@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import json
+import math
 import os
 import signal
 
@@ -220,27 +221,55 @@ def test_simulate_adversarial_negative_d_exit_two(workdir):
     assert report["euler_identity"]["passed"] is True
 
 
-def test_simulate_reports_refined_quadrature_evaluations(workdir, capsys):
-    # D = c*v1*tanh(v1/0.001) needs 16 panels for |v1| near 1
-    doc = {"dof": 1, "params": {"c": 0.1}, "mass_matrix": [["1"]],
-           "potential": "0.5*q1^2",
-           "dissipation": {"mode": "general",
-                           "raw": "c*v1*tanh(v1/0.001)"},
-           "initial": {"q": [0.0], "v": [1.0]}, "t_end": 0.2}
+# D = c*v1*tanh(v1/0.001), a regularised Coulomb law, from |v1| = 1: the
+# former uniform rule needed 16 panels there and warned on stderr
+TANH_DOC = {"dof": 1, "params": {"c": 0.1}, "mass_matrix": [["1"]],
+            "potential": "0.5*q1^2",
+            "dissipation": {"mode": "general", "raw": "c*v1*tanh(v1/0.001)"},
+            "initial": {"q": [0.0], "v": [1.0]}, "t_end": 0.2}
+
+
+def test_simulate_tanh_law_converges_without_quadrature_warning(workdir,
+                                                                capsys):
+    rc = main(["simulate", "--config",
+               write_json(workdir / "g.json", TANH_DOC), "--out", "g.csv"])
+    assert rc == 0
+    assert json.loads((workdir / "g.audit.json").read_text())["pass"]
+    assert capsys.readouterr().err == ""
+
+
+def test_simulate_quadrature_failure_is_one_error_line(workdir, capsys):
+    # D = |v1|^(1/2) vanishes at rest, so the config loads, but D/u ~ u^-1/2
+    # on the smallest panel is too steep for 13 panels
+    doc = {**TANH_DOC,
+           "dissipation": {"mode": "general", "raw": "sqrt(abs(v1))"},
+           "initial": {"q": [0.5], "v": [1.0]}}
     rc = main(["simulate", "--config", write_json(workdir / "g.json", doc),
                "--out", "g.csv"])
-    report = json.loads((workdir / "g.audit.json").read_text())
-    assert rc == (0 if report["pass"] else 2)
-    lines = [ln for ln in capsys.readouterr().err.splitlines()
-             if "quadrature" in ln]
-    assert len(lines) == 1
-    count = int(lines[0].split("warning: ")[1].split()[0])
-    assert count > 0
-    assert lines[0].endswith("needed 16 panels (configured 4) to converge")
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("simulate: error: R quadrature did not converge "
+                             "at q=[0.5], v=[1.0]: R = ")
+    assert "(tolerance 1e-10)" in err[0]
+    assert err[0].endswith("may need more quadrature panels")
+    assert sorted(p.name for p in workdir.iterdir()) == ["g.json"]
 
-    rc = main(["simulate", "--config", write_json(workdir / "b.json",
-                                                  {"system": "damped_sho"})])
-    assert rc == 0 and "quadrature" not in capsys.readouterr().err
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--out", "nodir/x.csv"],
+    ["simulate", "--out", "nodir/x.csv", "--plot-data"],
+    ["sweep", "--param", "c", "--values", "0.1,0.2", "--out", "nodir/sw"],
+], ids=["simulate", "simulate-plot", "sweep"])
+def test_output_in_a_missing_directory_is_one_error_line(workdir, capsys,
+                                                         argv):
+    config = write_json(workdir / "c.json",
+                        {"system": "damped_sho", "t_end": 0.5})
+    rc = main(argv[:1] + ["--config", config] + argv[1:])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"{argv[0]}: error: output directory 'nodir' does not exist\n")
+    assert sorted(p.name for p in workdir.iterdir()) == ["c.json"]
 
 
 def test_simulate_bad_config_exit_one(workdir):
@@ -375,9 +404,15 @@ def test_derive_r_general_mode_reports_quadrature(workdir, capsys):
     rc = main(["derive-r", "--config", write_json(workdir / "c.json", doc),
                "--q", "0", "--v", "2"])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "quadrature" in out
-    assert "total R      = 2.0" in out
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == ("quadrature: 13 graded panels (ratio 0.15) x 16 Gauss "
+                      "nodes, estimate rule 12 nodes, tolerance 1e-10")
+    assert not any("refinement" in ln for ln in out)
+    # R = v1^2/2 = 2; the weighted sum over 208 nodes rounds to within a
+    # few ulps of it (it prints 1.9999999999999996, one ulp of 2 below)
+    total_r, = [float(ln.split("=")[1]) for ln in out
+                if ln.startswith("total R")]
+    assert abs(total_r - 2.0) <= 4 * math.ulp(2.0)
 
 
 @pytest.mark.parametrize("dissipation, q, v, expr", [
@@ -573,34 +608,18 @@ def test_sweep_member_failure_is_an_error_row(workdir, capsys, monkeypatch,
         "damped_sho_c=0.4.csv"]
 
 
-def test_sweep_reports_refined_quadrature_evaluations_per_member(
+def test_sweep_tanh_law_converges_without_quadrature_warning(
         workdir, capsys, time_limit):
-    # as in the simulate test: D = c*v1*tanh(v1/0.001) near |v1| = 1; each
-    # member's count must equal what simulate reports for that value alone
-    doc = {"dof": 1, "params": {"c": 0.1}, "mass_matrix": [["1"]],
-           "potential": "0.5*q1^2",
-           "dissipation": {"mode": "general",
-                           "raw": "c*v1*tanh(v1/0.001)"},
-           "initial": {"q": [0.0], "v": [1.0]}, "t_end": 0.2}
-    config = write_json(workdir / "g.json", doc)
-    expected = []
-    for c in ("0.1", "0.2", "0.3"):
-        main(["simulate", "--config", config, "--set", f"c={c}",
-              "--out", "g.csv"])
-        line, = [ln for ln in capsys.readouterr().err.splitlines()
-                 if "quadrature" in ln]
-        expected.append(f"sweep: warning: c={c}: "
-                        + line.split("simulate: warning: ")[1])
-    # three members on two workers: one worker runs two of them
-    main(["sweep", "--config", config, "--param", "c",
-          "--values", "0.1,0.2,0.3", "--jobs", "2", "--out", "g"])
-    lines = [ln for ln in capsys.readouterr().err.splitlines()
-             if "quadrature" in ln]
-    assert lines == expected
-    assert all(ln.endswith("needed 16 panels (configured 4) to converge")
-               for ln in lines)
-    assert (workdir / "g_sweep.csv").read_text().splitlines()[0] == \
-        "c,status,final_q1,final_v1,max_energy_defect,file"
+    # the simulate test's law: every member converges, with no warning;
+    # three members on two workers, so one worker runs two of them
+    config = write_json(workdir / "g.json", TANH_DOC)
+    rc = main(["sweep", "--config", config, "--param", "c",
+               "--values", "0.1,0.2,0.3", "--jobs", "2", "--out", "g"])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    rows = (workdir / "g_sweep.csv").read_text().splitlines()
+    assert rows[0] == "c,status,final_q1,final_v1,max_energy_defect,file"
+    assert [row.split(",")[1] for row in rows[1:]] == ["ok"] * 3
 
 
 # ---------------------------------------------------------------------------

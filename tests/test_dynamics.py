@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+from conftest import count_array_calls
 from raydiss import dynamics as dy
 from raydiss import exprcore as xc
 from raydiss import raymodel as rm
@@ -289,6 +290,35 @@ def test_rk45_counts_rhs_calls_with_first_same_as_last(monkeypatch):
     assert traj.steps_rejected > 0
     attempts = traj.steps_taken + traj.steps_rejected
     assert traj.rhs_calls == len(calls) == 1 + 6 * attempts
+
+
+def _general_pendulum(b):
+    """b.system with its D in general mode (quadrature R)."""
+    d = rm.DissipationSpec("general", raw=xc.parse("A*(v1^2+v2^2)^1.5"))
+    return dataclasses.replace(b.system, dissipation=d)
+
+
+@pytest.mark.parametrize("general", [False, True],
+                         ids=["homogeneous_sum", "general"])
+def test_rk45_samples_reuse_stage_values_bit_for_bit(general):
+    # each sample takes D, R and dR/dv from the accepted step's last
+    # stage (the first sample from the first stage) instead of evaluating
+    # them again; they must be the values a fresh evaluation gives
+    b = get_builtin("pendulum_drag_2dof")
+    system = _general_pendulum(b) if general else b.system
+    traj = dy.integrate(system, b.initial, 2.0, b.integrator)
+    assert len(traj) > 20
+    for s, d in traj.samples:
+        assert d == dy.diagnostics(system, s, d.E_diss)
+
+
+def test_rk45_general_mode_samples_add_no_quadrature(monkeypatch):
+    b = get_builtin("pendulum_drag_2dof")
+    system = _general_pendulum(b)
+    calls = count_array_calls(system.dissipation.model(2), monkeypatch)
+    traj = dy.integrate(system, b.initial, 1.0, b.integrator)
+    assert len(traj) > 20
+    assert len(calls) == traj.rhs_calls
 
 
 def test_rk4_counts_rhs_calls(monkeypatch):

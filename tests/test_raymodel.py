@@ -1,6 +1,10 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 
+from conftest import count_array_calls
 from raydiss import exprcore as xc
 from raydiss import raymodel as rm
 
@@ -97,7 +101,8 @@ def test_general_quadrature_rule_built_once_per_spec(monkeypatch):
         rm.grad_R_v(spec, c)
         rm.eval_R(spec, c)
         rm.eval_R_quadrature(spec, c)
-    assert calls == [64]
+        spec.model(2).R_grad(c.q, c.v, {})
+    assert calls == [16, 12]  # the main and the estimate rule, once each
 
 
 def test_runs_do_not_grow_the_expression_compile_cache():
@@ -249,6 +254,20 @@ def test_quadrature_diverges_for_rest_nonvanishing_d():
         rm.eval_R_quadrature(general("v1^2 + 1"), ctx([0.0], [1.0]))
 
 
+def test_quadrature_error_names_state_estimate_and_tolerance():
+    with pytest.raises(rm.QuadratureError) as err:
+        rm.eval_R_quadrature(general("v1^2 + 1"), ctx([0.25], [-1.5]))
+    msg = str(err.value)
+    assert msg.startswith("R quadrature did not converge at q=[0.25], "
+                          "v=[-1.5]: R = ")
+    assert "estimate " in msg and "(tolerance 1e-10)" in msg
+    r = float(msg.split("R = ")[1].split(",")[0])
+    est = float(msg.split("estimate ")[1].split()[0])
+    # each rule sums 1/u over its nodes: the two differ by far more than
+    # the tolerance, and R grows like the log of the smallest node
+    assert abs(r - est) > 1e-10 * (1.0 + abs(r)) and r > 20.0
+
+
 def test_quadrature_coarse_settings_still_converge_on_polynomials():
     # integrand u^3 v^4 is polynomial, exact even on the coarsest rule
     val, warning = rm.eval_R_quadrature(
@@ -259,49 +278,47 @@ def test_quadrature_coarse_settings_still_converge_on_polynomials():
 
 
 # ---------------------------------------------------------------------------
-# Vectorised quadrature against the per-node scalar loop it replaced
+# Graded quadrature against closed forms and a per-node scalar loop
 
 
-def _scalar_loop_refined(spec, dof, q, v, p, with_grad):
-    """Reference: the model's quadrature before array mode, one scalar
-    compiled call per node. Returns ((R, dR/dv), warning)."""
+def _graded_nodes(qc):
+    """[(u, w) per node] of the main rule, then of the estimate rule, each
+    panel-major on the edges 0, GRADING^(panels-1), ..., GRADING, 1."""
+    edges = [0.0] + [rm.GRADING ** k for k in range(qc.panels - 1, -1, -1)]
+    rules = []
+    for n in (qc.node_count, qc.estimate_nodes):
+        nodes, weights = np.polynomial.legendre.leggauss(n)
+        rules.append([(0.5 * (a + b) + 0.5 * (b - a) * x, 0.5 * (b - a) * w)
+                      for a, b in zip(edges[:-1], edges[1:])
+                      for x, w in zip(nodes, weights)])
+    return rules
+
+
+def _scalar_loop_graded(spec, dof, q, v, p, with_grad):
+    """Reference: the graded rule as one scalar compiled call per node, in
+    the model's node order. Returns (R, dR/dv); raises QuadratureError
+    when the estimate rule's R differs beyond the tolerance."""
     qc = spec.quadrature
-    nodes, weights = np.polynomial.legendre.leggauss(qc.node_count)
     fn = (xc.compile_expr(spec.raw, dof, "v") if with_grad
           else xc.compile_expr(spec.raw))
-
-    def quad_once(panels):
+    va = np.asarray(v, dtype=float)
+    sums = []
+    for rule in _graded_nodes(qc):
         acc_val = 0.0
         acc_g = np.zeros(dof)
-        va = np.asarray(v, dtype=float)
-        edges = np.linspace(0.0, 1.0, panels + 1)
-        for a, b in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (b - a)
-            mid = 0.5 * (a + b)
-            for x, w in zip(nodes, weights):
-                u = mid + half * x
-                vs = tuple(u * va)
-                if with_grad:
-                    val, g = fn(q, vs, p)
-                    acc_g += (w * half) * np.array(g)
-                else:
-                    val = fn(q, vs, p)
-                acc_val += (w * half / u) * val
-        return acc_val, acc_g
-
-    prev = quad_once(qc.panels)
-    panels = qc.panels
-    for attempt in range(2):
-        panels *= 2
-        cur = quad_once(panels)
-        if abs(cur[0] - prev[0]) <= qc.tolerance * (1.0 + abs(cur[0])):
-            warning = None
-            if attempt > 0:
-                warning = (f"quadrature needed {panels} panels "
-                           f"(configured {qc.panels}) to converge")
-            return cur, warning
-        prev = cur
-    raise rm.QuadratureError("did not converge")
+        for u, w in rule:
+            vs = tuple(u * va)
+            if with_grad:
+                val, g = fn(q, vs, p)
+                acc_g += w * np.array(g)
+            else:
+                val = fn(q, vs, p)
+            acc_val += (w / u) * val
+        sums.append((acc_val, acc_g))
+    (r, g), (est, _) = sums
+    if not abs(r - est) <= qc.tolerance * (1.0 + abs(r)):
+        raise rm.QuadratureError("did not converge")
+    return r, g
 
 
 def _rel_close(a, b):
@@ -310,12 +327,20 @@ def _rel_close(a, b):
     return a.shape == b.shape and np.all(np.abs(a - b) <= 1e-13 * np.abs(b))
 
 
+def _close(a, b, tol=1e-13):
+    """|a - b| <= tol (1 + |b|) elementwise, the quadrature's own error
+    measure."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.all(np.abs(a - b)
+                                         <= tol * (1.0 + np.abs(b)))
+
+
 QUAD_ORACLE_D = [
     "A*(v1^2+v2^2)^1.5",
     "v1^2 + abs(v2)^3",
     "mu*abs(v1 - v2)",
     "sign(v1)*v1^2 + abs(v2)",
-    "v1*tanh(v1/0.001) + v2^2",     # needs 16 panels near |v1| = 1
+    "v1*tanh(v1/0.001) + v2^2",     # needed 16 uniform panels at |v1| = 1
     "exp(v1^2 + v2^2) - 1 + (1 + q1^2)*v2^4",
 ]
 
@@ -326,36 +351,109 @@ def test_vectorised_quadrature_matches_scalar_loop():
                                                   v_norm_range=(0.1, 2.0))]
     states += [((0.3, -1.0), v) for v in
                ((0.0, 0.0), (0.0, 0.8), (-1.1, 0.0), (1.0, 0.3))]
-    warned = 0
     for src in QUAD_ORACLE_D:
         spec = general(src)
         model = spec.model(2)
         for q, v in states:
             q, v = tuple(q), tuple(v)
-            (ref_r, _), ref_w = _scalar_loop_refined(spec, 2, q, v, p, False)
-            (_, ref_g), ref_gw = _scalar_loop_refined(spec, 2, q, v, p, True)
-            r, w = model.R_with_warning(q, v, p)
+            ref_r, _ = _scalar_loop_graded(spec, 2, q, v, p, False)
+            _, ref_g = _scalar_loop_graded(spec, 2, q, v, p, True)
+            r = model.R(q, v, p)
+            g = model.grad_R(q, v, p)
             assert _rel_close(r, ref_r), (src, v)
-            assert w == ref_w, (src, v)
-            assert _rel_close(model.grad_R(q, v, p), ref_g), (src, v)
-            assert model._refined(q, v, p, True)[1] == ref_gw, (src, v)
-            warned += ref_w is not None
-    assert warned > 0
+            assert _rel_close(g, ref_g), (src, v)
+            # the gradient pass reduces the same node values for R
+            r2, g2 = model.R_grad(q, v, p)
+            assert r2 == r and np.array_equal(g2, g), (src, v)
 
 
-def test_refined_evaluations_are_counted_on_the_model():
+def test_tanh_law_converges_where_uniform_panels_refined():
+    # |v1| = 1 needed 16 uniform panels of 64 nodes and |v1| = 1.78 did not
+    # converge on them; R = eps ln cosh(v/eps), dR/dv = tanh(v/eps)
     model = general("v1*tanh(v1/0.001)").model(1)
-    assert model.refinements == 0
-    model.R((0.0,), (0.5,), {})  # converges on the first doubling
-    assert model.refinements == 0
-    assert rm.eval_R_quadrature(general("v1*tanh(v1/0.001)"),
-                                ctx([0.0], [1.0]))[1] == (
-        "quadrature needed 16 panels (configured 4) to converge")
-    model.R((0.0,), (1.0,), {})
-    model.grad_R((0.0,), (1.0,), {})
-    assert model.refinements == 2
-    assert model.refined_panels == 16
-    assert homsum(("v1^2", 2.0)).model(1).refinements == 0
+    for v in (0.5, 1.0, 1.78):
+        r, g = model.R_grad((0.0,), (v,), {})
+        exact = v + 0.001 * (math.log1p(math.exp(-2000.0 * v))
+                             - math.log(2.0))
+        assert _close(r, exact) and _close(g, [math.tanh(1000.0 * v)])
+    assert not hasattr(model, "refinements")
+
+
+def test_regularised_coulomb_law_matches_closed_form():
+    # c v tanh(v/eps): R = c eps ln cosh(v/eps), dR/dv = c tanh(v/eps), at
+    # 400 log-spaced speeds of both signs, the feature at u = eps/|v|. The
+    # estimate rule checks R only; the gradient's integrand,
+    # c (tanh s + s sech^2 s) at s = u v/eps, is sharper, and its error
+    # reaches 9e-13 near |v| = 0.017
+    c, eps = 0.3, 0.001
+    model = general("c*v1*tanh(v1/0.001)").model(1)
+    for speed in np.logspace(-2.0, 1.0, 400):
+        exact = c * (speed + eps * (math.log1p(math.exp(-2.0 * speed / eps))
+                                    - math.log(2.0)))
+        for v in (speed, -speed):
+            r, g = model.R_grad((0.0,), (float(v),), {"c": c})
+            assert _close(r, exact), v
+            assert _close(g, [c * math.tanh(v / eps)], 1e-11), v
+
+
+@pytest.mark.parametrize("src, degree", [
+    ("(v1^2+v2^2)^0.75", 1.5),
+    ("abs(v1)^1.2", 1.2),
+    ("sqrt(v1^2+v2^2)^2.5", 2.5),
+])
+def test_non_integer_power_laws_match_d_over_degree(src, degree):
+    # D(u v)/u = u^(n-1) D(v) is not smooth at u = 0 for these n; for a
+    # degree-n homogeneous D, R = D/n and dR/dv = (dD/dv)/n
+    model = general(src).model(2)
+    grad_D = xc.compile_expr(xc.parse(src), 2, "v")
+    for q, v in rm.sample_states(2, 300, seed=13):
+        q, v = tuple(q), tuple(v)
+        d, dd = grad_D(q, v, {})
+        r, g = model.R_grad(q, v, {})
+        assert _close(r, d / degree), v
+        assert _close(g, np.array(dd) / degree), v
+
+
+def _uniform_rule_R(src, q, v, p):
+    """R from the former default rule at its first pass: 4 equal panels of
+    64 Gauss-Legendre nodes."""
+    fn = xc.compile_expr(xc.parse(src))
+    x, w = np.polynomial.legendre.leggauss(64)
+    total = 0.0
+    for k in range(4):
+        u = 0.125 * x + (0.25 * k + 0.125)
+        total += sum(0.125 * wi / ui * fn(q, tuple(ui * np.asarray(v)), p)
+                     for ui, wi in zip(u, w))
+    return total
+
+
+@pytest.mark.parametrize("src, twin", [
+    ("A*(v1^2+v2^2)^1.5", [("A*(v1^2+v2^2)^1.5", 3.0)]),
+    ("v1^2 + abs(v2)^3", [("v1^2", 2.0), ("abs(v2)^3", 3.0)]),
+    ("abs(v1) + 0.3*v2^2", [("abs(v1)", 1.0), ("0.3*v2^2", 2.0)]),
+    ("v1^4*(1+q1^2)", [("v1^4*(1+q1^2)", 4.0)]),
+])
+def test_smooth_laws_match_homogeneous_twin_and_uniform_rule(src, twin):
+    p = {"A": 0.1}
+    model = general(src).model(2)
+    twin_model = homsum(*twin).model(2)
+    for q, v in rm.sample_states(2, 25, seed=8):
+        q, v = tuple(q), tuple(v)
+        r, g = model.R_grad(q, v, p)
+        assert _close(r, twin_model.R(q, v, p)), v
+        assert _close(g, twin_model.grad_R(q, v, p)), v
+        assert _close(r, _uniform_rule_R(src, q, v, p)), v
+
+
+def test_each_quadrature_evaluation_is_one_array_call(monkeypatch):
+    model = general("v1^2 + abs(v2)^3").model(2)
+    calls = count_array_calls(model, monkeypatch)
+    q, v = (0.1, 0.2), (0.7, -1.3)
+    model.R(q, v, {})
+    assert calls == ["_D_nodes"]
+    model.grad_R(q, v, {})
+    model.R_grad(q, v, {})
+    assert calls == ["_D_nodes", "_D_grad_nodes", "_D_grad_nodes"]
 
 
 @pytest.mark.parametrize("src, v, with_grad", [
@@ -371,7 +469,7 @@ def test_vectorised_quadrature_domain_error_matches_scalar_loop(
         src, v, with_grad):
     spec = general(src)
     with pytest.raises(xc.EvalDomainError) as ref:
-        _scalar_loop_refined(spec, 1, (0.0,), v, {}, with_grad)
+        _scalar_loop_graded(spec, 1, (0.0,), v, {}, with_grad)
     model = spec.model(1)
     call = model.grad_R if with_grad else model.R
     with pytest.raises(xc.EvalDomainError) as got:
@@ -382,7 +480,7 @@ def test_vectorised_quadrature_domain_error_matches_scalar_loop(
 def test_sqrt_derivative_at_zero_fails_only_the_gradient():
     spec = general("sqrt(v2)*v1^2")
     q, v = (0.0, 0.0), (1.2, 0.0)
-    (ref_r, _), _ = _scalar_loop_refined(spec, 2, q, v, {}, False)
+    ref_r, _ = _scalar_loop_graded(spec, 2, q, v, {}, False)
     assert _rel_close(spec.model(2).R(q, v, {}), ref_r)
     with pytest.raises(xc.EvalDomainError, match="sqrt derivative at zero"):
         spec.model(2).grad_R(q, v, {})
@@ -390,14 +488,26 @@ def test_sqrt_derivative_at_zero_fails_only_the_gradient():
 
 def test_vectorised_quadrature_still_diverges_for_rest_nonvanishing_d():
     spec = general("v1^2 + 1")
-    for call in (spec.model(1).R, spec.model(1).grad_R):
+    for call in (spec.model(1).R, spec.model(1).grad_R,
+                 spec.model(1).R_grad):
         with pytest.raises(rm.QuadratureError):
             call((0.0,), (1.0,), {})
 
 
+def _exp_overflow_speeds(qc):
+    """Speeds above which D = exp(v1^2) - 1, and dD/dv = 2 v1 exp(v1^2),
+    overflow at the largest node of the graded rule."""
+    u_max = max(u for rule in _graded_nodes(qc) for u, _ in rule)
+    big = math.log(sys.float_info.max)
+    x = math.sqrt(big)
+    for _ in range(50):  # x^2 + ln(2x) = big, by fixed-point iteration
+        x = math.sqrt(big - math.log(2.0 * x))
+    return math.sqrt(big) / u_max, x / u_max
+
+
 @pytest.mark.parametrize("src, q, v, which", [
-    ("exp(v1^2) - 1", 0.0, 26.7, "R"),  # D overflows near u = 1
-    ("exp(v1^2) - 1", 0.0, 26.6, "grad_R"),  # only dD/dv overflows
+    ("exp(v1^2) - 1", 0.0, 26.8, "R"),  # D overflows near u = 1
+    ("exp(v1^2) - 1", 0.0, 26.72, "grad_R"),  # only dD/dv overflows
     ("v1^2*exp(q1^2)", 30.0, 1.0, "R"),
     ("v1^2*exp(q1^2)", 30.0, 1.0, "grad_R"),
 ])
@@ -407,6 +517,10 @@ def test_quadrature_overflow_is_named_not_blamed_on_rest_value(
     import warnings
 
     spec = general(src)
+    if src.startswith("exp"):
+        d_over, grad_over = _exp_overflow_speeds(spec.quadrature)
+        assert v > (d_over if which == "R" else grad_over)
+        assert which == "R" or v < d_over
     call = getattr(spec.model(1), which)
     expected = (f"floating-point overflow in subexpression "
                 f"'{xc.to_source(spec.raw)}'")
