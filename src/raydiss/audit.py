@@ -4,7 +4,7 @@ Three independent families of checks:
 
 * energy balance: Hdot = -D, verified as the running defect
   H(t) - H(t0) + integral of D. The integral uses the integrator's own
-  accumulated dissipation channel when available (full integrator
+  accumulated dissipation channel by default (full integrator
   accuracy); a sample-based trapezoid/Simpson accumulation is available
   as an explicitly requested alternative.
 * generalized-force reconstruction: F = dL/dq - d/dt(dL/dv) along the
@@ -187,13 +187,15 @@ def _cumulative_simpson(t, f):
 
 
 def energy_balance_audit(traj: Trajectory, tol: float,
-                         method: str = "auto") -> EnergyBalanceResult:
+                         method: str = "accumulated") -> EnergyBalanceResult:
     """Max over samples of |H(t) - H(t0) + integral of D|, relative to
     1 + |H(t0)|.
 
-    method 'auto' prefers the integrator-accumulated dissipation channel;
-    'trapezoid'/'simpson' force sample-based accumulation (Simpson needs
-    uniform spacing).
+    method 'accumulated' (the default) reads the integral of D that the
+    integrator carries as a state channel, at full integrator accuracy;
+    'trapezoid'/'simpson' accumulate the samples' D instead (Simpson needs
+    uniform spacing). A sample's D comes from the RHS call at its state
+    that either integrator hands on as the next step's first stage.
     """
     if len(traj) < 3:
         raise AuditError("energy balance audit needs at least 3 samples")
@@ -201,8 +203,6 @@ def energy_balance_audit(traj: Trajectory, tol: float,
     t = traj.times()
     H = np.array([d.H for d in diags])
     D = np.array([d.D_val for d in diags])
-    if method == "auto":
-        method = "accumulated"
     if method == "accumulated":
         integral = np.array([d.E_diss for d in diags])
     elif method == "simpson":
@@ -320,8 +320,7 @@ def stationarity_audit(sys: SystemSpec, traj: Trajectory, k: int,
     else:
         eps_thresh = 1e-3
         if sys.dissipation.uses_abs_or_sign():
-            eps_list = [t.smooth_eps for t in
-                        getattr(sys.dissipation, "terms", ())
+            eps_list = [t.smooth_eps for t in sys.dissipation.terms
                         if t.smooth_eps]
             if eps_list:
                 eps_thresh = max(eps_thresh, 10.0 * max(eps_list))

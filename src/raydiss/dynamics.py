@@ -15,16 +15,15 @@ accumulated in Python floats, and one square-root-free LDL^T
 factorisation and solve gives qdd (a constant M keeps its factor). The
 compiled code is fed Python floats, never numpy scalars.
 
-Integrators: classical fixed-step RK4, and the Dormand-Prince 5(4)
-embedded pair with standard step-size control. The pair is "first same as
-last" (FSAL; Hairer, Norsett & Wanner, Solving ODEs I, sec. II.6): its
-7th stage is evaluated at the new state, so an accepted step hands it on
-as the next step's 1st stage, and an attempt costs six RHS calls, not
-seven. Trajectory.rhs_calls records the count. An RHS call also yields its
-D, R and dR/dv; an rk45 sample takes them from the accepted 7th stage and
-evaluates only T and V. Both integrators carry a running integral of the
-dissipation D alongside the mechanical state, so energy-balance audits can
-use a quadrature at full integrator accuracy.
+Integrators: classical fixed-step RK4 and the Dormand-Prince 5(4) pair
+with standard step-size control, in one loop. Every attempt ends with an
+RHS call at its new state, which the next attempt takes as its 1st stage
+(for the pair, its 7th stage: "first same as last", FSAL; Hairer, Norsett
+& Wanner, Solving ODEs I, sec. II.6), so Trajectory.rhs_calls is
+1 + stages * attempts (4 stages for RK4, 6 for the pair). That call also
+yields D, R and dR/dv, which a sample takes, evaluating only T and V.
+Both integrators carry a running integral of D alongside the mechanical
+state, so energy-balance audits run at full integrator accuracy.
 """
 
 from __future__ import annotations
@@ -102,10 +101,9 @@ class Trajectory:
     method: str
     steps_taken: int = 0
     steps_rejected: int = 0
-    rhs_calls: int = 0  # right-hand-side evaluations, set by integrate
-    dt: float | None = None
-    rel_tol: float | None = None
-    abs_tol: float | None = None
+    # right-hand-side evaluations, set by integrate: 1 + stages * attempts
+    # (4 stages for rk4, 6 for rk45)
+    rhs_calls: int = 0
 
     def __post_init__(self):
         ts = self.times()
@@ -216,27 +214,33 @@ def _check_finite(y, t):
         raise DivergenceError(f"non-finite state at t={t}")
 
 
-def _rk4_raw(sys, t, y, dt):
-    k1 = _rhs(sys, t, y)[0]
+def _rk4_raw(sys, t, y, dt, cfg, k1):
+    """One RK4 step from (t, y) with k1 = f(t, y), in four RHS calls;
+    returns as _rk45_raw does, always accepted and with dt_next = dt."""
     k2 = _rhs(sys, t + 0.5 * dt, y + 0.5 * dt * k1)[0]
     k3 = _rhs(sys, t + 0.5 * dt, y + 0.5 * dt * k2)[0]
     k4 = _rhs(sys, t + dt, y + dt * k3)[0]
     ynew = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     _check_finite(ynew, t + dt)
-    return ynew
+    return ynew, True, dt, _rhs(sys, t + dt, ynew)
+
+
+def _step(attempt, sys, s, dt, cfg):
+    """One attempt from s with a fresh k1: (state, dt_next, accepted)."""
+    y = _pack(s, 0.0)
+    ynew, ok, dt_next, _ = attempt(sys, s.t, y, dt, cfg, _rhs(sys, s.t, y)[0])
+    return (_unpack(sys, s.t + dt, ynew)[0] if ok else s), dt_next, ok
 
 
 def step_rk4(sys: SystemSpec, s: State, dt: float) -> State:
     """One classical RK4 step; local error O(dt^5)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    y = _rk4_raw(sys, s.t, _pack(s, 0.0), dt)
-    return _unpack(sys, s.t + dt, y)[0]
+    return _step(_rk4_raw, sys, s, dt, None)[0]
 
 
 # Dormand-Prince 5(4) tableau. Row 6 of _DP_A is the 5th-order weights
-# b5, so stage 7 is evaluated at the new state (FSAL, "first same as
-# last"): an accepted step's k7 is the next step's k1.
+# b5, so stage 7 is evaluated at the new state (FSAL).
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = np.array([row + [0.0] * (7 - len(row)) for row in [
     [],
@@ -279,16 +283,22 @@ def step_rk45(sys: SystemSpec, s: State, dt_try: float,
         raise ValueError("dt_try must be positive")
     if not s.is_finite():
         raise DivergenceError(f"non-finite state at t={s.t}")
-    y = _pack(s, 0.0)
-    ynew, accepted, dt_next, _ = _rk45_raw(sys, s.t, y, dt_try, cfg,
-                                           _rhs(sys, s.t, y)[0])
-    if accepted:
-        return _unpack(sys, s.t + dt_try, ynew)[0], dt_next, True
-    return s, dt_next, False
+    return _step(_rk45_raw, sys, s, dt_try, cfg)
 
 
 # ---------------------------------------------------------------------------
 # Driver
+
+
+# Per method: the attempt, its stages, the first step size, the time after
+# the n-th accepted step h, and the step-size floor relative to 1 + |t|.
+# RK4 times are exact multiples of dt: no rounding-made sliver step at the end.
+_METHODS = {
+    "rk4": (_rk4_raw, 4, lambda cfg, span: cfg.dt,
+            lambda cfg, t0, n, t, h, t_end: min(t0 + n * cfg.dt, t_end), 0.0),
+    "rk45": (_rk45_raw, 6, lambda cfg, span: min(1e-2 * span, 0.1),
+             lambda cfg, t0, n, t, h, t_end: t + h, 1e-14),
+}
 
 
 def integrate(sys: SystemSpec, init: State, t_end: float,
@@ -299,62 +309,32 @@ def integrate(sys: SystemSpec, init: State, t_end: float,
         raise DivergenceError("initial state is not finite")
     if not (np.isfinite(t_end) and t_end > init.t):
         raise ValueError("t_end must be finite and exceed the initial time")
-    if cfg.method == "rk4":
-        return _integrate_rk4(sys, init, t_end, cfg)
-    return _integrate_rk45(sys, init, t_end, cfg)
-
-
-def _integrate_rk4(sys, init, t_end, cfg):
-    traj = Trajectory(samples=[(init, diagnostics(sys, init, 0.0))],
-                      method="rk4", dt=cfg.dt)
-    y = _pack(init, 0.0)
-    t = init.t
-    steps = 0
-    while t < t_end - 1e-15 * (1.0 + abs(t_end)):
-        if steps >= cfg.max_steps:
-            raise MaxStepsError(f"max_steps={cfg.max_steps} exceeded at t={t}")
-        dt = min(cfg.dt, t_end - t)
-        y = _rk4_raw(sys, t, y, dt)
-        steps += 1
-        # exact-multiple time tracking avoids a spurious sliver step at
-        # the end from accumulated rounding in repeated addition
-        t = min(init.t + steps * cfg.dt, t_end)
-        if steps % cfg.sample_every == 0 or t >= t_end - 1e-15 * (1.0 + abs(t_end)):
-            s, e = _unpack(sys, t, y)
-            traj.samples.append((s, diagnostics(sys, s, e)))
-    traj.steps_taken = steps
-    traj.rhs_calls = 4 * steps
-    return traj
-
-
-def _integrate_rk45(sys, init, t_end, cfg):
-    y = _pack(init, 0.0)
-    t = init.t
+    attempt, stages, first_dt, advance, floor = _METHODS[cfg.method]
+    y, t, sm = _pack(init, 0.0), init.t, sys.model
     f1 = _rhs(sys, t, y)  # k1 of the next attempt, and (D, R, dR/dv) at t
-    sm = sys.model
     traj = Trajectory(samples=[(init, _diagnostics(sm, init, 0.0, f1[1]))],
-                      method="rk45", rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)
-    dt = min(1e-2 * (t_end - init.t), 0.1)
-    steps = accepted = 0
-    while t < t_end - 1e-15 * (1.0 + abs(t_end)):
-        if steps >= cfg.max_steps:
+                      method=cfg.method)
+    dt = first_dt(cfg, t_end - init.t)
+    end = t_end - 1e-15 * (1.0 + abs(t_end))
+    attempts = accepted = 0
+    while t < end:
+        if attempts >= cfg.max_steps:
             raise MaxStepsError(f"max_steps={cfg.max_steps} exceeded at t={t}")
-        if dt < 1e-14 * (1.0 + abs(t)):
+        if dt < floor * (1.0 + abs(t)):
             raise StiffnessError(
                 f"step size underflow (dt={dt:.3e}) at t={t}; "
                 "the problem is likely too stiff for an explicit pair")
-        clipped = min(dt, t_end - t)
-        ynew, ok, dt, last = _rk45_raw(sys, t, y, clipped, cfg, f1[0])
-        steps += 1
+        h = min(dt, t_end - t)
+        ynew, ok, dt, last = attempt(sys, t, y, h, cfg, f1[0])
+        attempts += 1
         if ok:
-            y, f1 = ynew, last
-            t += clipped
             accepted += 1
-            if (accepted % cfg.sample_every == 0
-                    or t >= t_end - 1e-15 * (1.0 + abs(t_end))):
+            y, f1 = ynew, last
+            t = advance(cfg, init.t, accepted, t, h, t_end)
+            if accepted % cfg.sample_every == 0 or t >= end:
                 s, e = _unpack(sys, t, y)
                 traj.samples.append((s, _diagnostics(sm, s, e, f1[1])))
     traj.steps_taken = accepted
-    traj.steps_rejected = steps - accepted
-    traj.rhs_calls = 1 + 6 * steps  # k1, then six stages per attempt
+    traj.steps_rejected = attempts - accepted
+    traj.rhs_calls = 1 + stages * attempts  # k1, then the stages
     return traj

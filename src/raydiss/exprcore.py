@@ -19,6 +19,7 @@ Central finite differences are provided as an independent cross-check only.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -1000,18 +1001,18 @@ def _abroadcast(x, shape):
     return x if np.shape(x) == shape else np.broadcast_to(x, shape)
 
 
-# Keyed by AST object identity; the AST is kept alive by the cache entry.
+# Keyed by AST object identity. An entry is dropped when its AST dies,
+# before the id can be reused, so the cache keeps no AST alive.
 _COMPILE_CACHE = {}
 
 
 def compiled(node, dof=0, wrt=None, smooth_eps=None):
     """compile_expr, cached per AST object."""
     key = (id(node), dof, wrt, smooth_eps)
-    hit = _COMPILE_CACHE.get(key)
-    if hit is not None:
-        return hit[1]
-    fn = compile_expr(node, dof, wrt, smooth_eps)
-    _COMPILE_CACHE[key] = (node, fn)
+    fn = _COMPILE_CACHE.get(key)
+    if fn is None:
+        fn = _COMPILE_CACHE[key] = compile_expr(node, dof, wrt, smooth_eps)
+        weakref.finalize(node, _COMPILE_CACHE.pop, key, None).atexit = False
     return fn
 
 

@@ -298,15 +298,21 @@ def _general_pendulum(b):
     return dataclasses.replace(b.system, dissipation=d)
 
 
-@pytest.mark.parametrize("general", [False, True],
-                         ids=["homogeneous_sum", "general"])
-def test_rk45_samples_reuse_stage_values_bit_for_bit(general):
+def _rk4(b):
+    return dataclasses.replace(b.integrator, method="rk4", dt=2.0 ** -7)
+
+
+@pytest.mark.parametrize("method,general", [
+    ("rk45", False), ("rk45", True), ("rk4", False), ("rk4", True)],
+    ids=["homogeneous_sum", "general", "rk4-homogeneous_sum", "rk4-general"])
+def test_rk45_samples_reuse_stage_values_bit_for_bit(method, general):
     # each sample takes D, R and dR/dv from the accepted step's last
     # stage (the first sample from the first stage) instead of evaluating
     # them again; they must be the values a fresh evaluation gives
     b = get_builtin("pendulum_drag_2dof")
     system = _general_pendulum(b) if general else b.system
-    traj = dy.integrate(system, b.initial, 2.0, b.integrator)
+    cfg = _rk4(b) if method == "rk4" else b.integrator
+    traj = dy.integrate(system, b.initial, 2.0, cfg)
     assert len(traj) > 20
     for s, d in traj.samples:
         assert d == dy.diagnostics(system, s, d.E_diss)
@@ -321,11 +327,37 @@ def test_rk45_general_mode_samples_add_no_quadrature(monkeypatch):
     assert len(calls) == traj.rhs_calls
 
 
+def test_rk4_general_mode_samples_add_no_quadrature(monkeypatch):
+    b = get_builtin("pendulum_drag_2dof")
+    system = _general_pendulum(b)
+    calls = count_array_calls(system.dissipation.model(2), monkeypatch)
+    traj = dy.integrate(system, b.initial, 1.0, _rk4(b))
+    assert len(traj) > 20
+    assert len(calls) == traj.rhs_calls == 1 + 4 * traj.steps_taken
+
+
 def test_rk4_counts_rhs_calls(monkeypatch):
+    # k1 at the start, then four stages per step: the last stage of a
+    # step is evaluated at its new state and is the next step's k1
     calls = _counting_rhs(monkeypatch)
     traj = dy.integrate(make_damped_sho(), dy.State(0.0, [1.0], [0.0]), 1.0,
                         dy.IntegratorConfig(method="rk4", dt=0.01))
-    assert traj.rhs_calls == len(calls) == 4 * traj.steps_taken == 400
+    assert traj.rhs_calls == len(calls) == 1 + 4 * traj.steps_taken == 401
+
+
+def test_rk4_evaluates_dissipation_once_per_state(monkeypatch):
+    b = get_builtin("damped_sho")
+    model = b.system.dissipation.model(1)
+    calls = {"D": 0, "R_grad": 0}
+    for name in calls:
+        def counted(q, v, p, fn=getattr(model, name), name=name):
+            calls[name] += 1
+            return fn(q, v, p)
+        monkeypatch.setattr(model, name, counted)
+    traj = dy.integrate(b.system, b.initial, 1.0,
+                        dy.IntegratorConfig(method="rk4", dt=2e-3))
+    assert len(traj) == 501
+    assert calls["D"] == calls["R_grad"] == traj.rhs_calls == 2001
 
 
 def test_integrate_replays_step_rk45_bit_for_bit():
@@ -350,6 +382,24 @@ def test_integrate_replays_step_rk45_bit_for_bit():
             rejected += 1
     assert rejected == traj.steps_rejected > 0
     assert len(replay) == len(traj)
+    for r, (x, _) in zip(replay, traj.samples):
+        assert r.t == x.t
+        assert np.array_equal(r.q, x.q) and np.array_equal(r.v, x.v)
+
+
+@pytest.mark.parametrize("name", ["pendulum_drag_2dof", "coulomb_block"])
+def test_integrate_replays_step_rk4_bit_for_bit(name):
+    # integrate hands each step's last RHS call on as the next k1;
+    # step_rk4 evaluates k1 afresh, so a stale k1 would show as a bit
+    b = get_builtin(name)
+    cfg = dataclasses.replace(_rk4(b), sample_every=1)
+    traj = dy.integrate(b.system, b.initial, 1.0, cfg)
+    s = b.initial
+    replay = [s]
+    while len(replay) < len(traj):
+        s = dy.step_rk4(b.system, s, cfg.dt)
+        replay.append(s)
+    assert len(traj) == 129 and s.t == traj.samples[-1][0].t == 1.0
     for r, (x, _) in zip(replay, traj.samples):
         assert r.t == x.t
         assert np.array_equal(r.q, x.q) and np.array_equal(r.v, x.v)

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -353,3 +354,23 @@ def test_array_mode_domain_error_matches_first_scalar_error(src, points):
     with pytest.raises(xc.EvalDomainError) as exc:
         xc.compile_array(node, 2, "v")((0.0, 0.0), np.array(points).T, {})
     assert str(exc.value) == expected
+
+
+def test_compile_cache_drops_entries_with_their_ast():
+    # the cache is keyed by AST identity and must not keep ASTs alive:
+    # a loop over freshly parsed expressions ends at the starting size
+    ctx = xc.EvalContext((0.3,), (0.7,), {"c": 0.2})
+    gc.collect()
+    before = len(xc._COMPILE_CACHE)
+    for i in range(2000):
+        e = xc.parse(f"c*v1^2 + {i}*q1")
+        xc.evaluate(e, ctx)
+        xc.grad_v(e, ctx)
+    assert len(xc._COMPILE_CACHE) > before
+    del e
+    gc.collect()
+    assert len(xc._COMPILE_CACHE) == before
+    e = xc.parse("c*v1^2*sin(q1)")
+    fn = xc.compiled(e)
+    assert xc.compiled(e) is fn
+    assert xc.compiled(e, 1, "v", None) is xc.compiled(e, 1, "v", None)
