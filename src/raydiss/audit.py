@@ -254,7 +254,7 @@ def generalized_force(sys: SystemSpec, traj: Trajectory,
         dT_dq = 0.5 * np.einsum("a,jab,b->j", s1.v, dM, s1.v)
     conservative = -dV_dq
     inertial = dT_dq - dp_dt
-    dissipative = -sm.dissipation.grad_R(qt, vt, sm.params)
+    dissipative = -np.array(sm.dissipation.D_R_grad(qt, vt, sm.params)[2])
     return ForceBreakdown(conservative=conservative, inertial=inertial,
                           dissipative=dissipative,
                           generalized=conservative + inertial)
@@ -288,7 +288,7 @@ def stationarity_audit(sys: SystemSpec, traj: Trajectory, k: int,
     frozen_force = np.asarray(frozen_force, dtype=float)
     qt, vt = tuple(s.q), tuple(s.v)
     v = np.asarray(s.v, dtype=float)
-    grad_R = dissipation.grad_R(qt, vt, sm.params)
+    grad_R = np.array(dissipation.D_R_grad(qt, vt, sm.params)[2])
     residual = grad_R - frozen_force
 
     def rtilde(w):

@@ -178,24 +178,18 @@ def cmd_derive_r(cfg: RunConfig, q, v) -> int:
     qt, vt, p = tuple(q), tuple(v), sys.params
     d = sys.dissipation
     try:
-        model = d.model(sys.dof)
+        total_d, total_r, force = d.model(sys.dof).D_R_grad(qt, vt, p)
         if d.mode == "homogeneous_sum":
-            total_d = total_r = 0.0
             print(f"{'term':<30} {'degree':>8} {'D_n':>14} {'D_n/n':>14}")
             for term in d.terms:
                 dn = term.evaluate(qt, vt, p)
                 print(f"{xc.to_source(term.expr):<30} {term.degree:>8g} "
                       f"{dn:>14.8g} {dn / term.degree:>14.8g}")
-                total_d += dn
-                total_r += dn / term.degree
-            force = model.grad_R(qt, vt, p)
         else:
             qc = d.quadrature
             print(f"quadrature: {qc.panels} graded panels (ratio "
                   f"{rm.GRADING:g}) x {qc.node_count} Gauss nodes, estimate "
                   f"rule {qc.estimate_nodes} nodes, tolerance {qc.tolerance:g}")
-            total_d = model.D(qt, vt, p)
-            total_r, force = model.R_grad(qt, vt, p)
     except (rm.ModelError, xc.ExprError) as e:
         print(f"derive-r: error at q={list(q)}, v={list(v)}: {e}",
               file=_sys.stderr)

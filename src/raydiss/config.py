@@ -172,8 +172,12 @@ def _load_dissipation(obj, path):
     mode = _req(obj, "mode", path)
     if mode == "homogeneous_sum":
         _check_keys(obj, ("mode", "terms"), path)
+        listed = obj.get("terms", [])
+        if not isinstance(listed, list):
+            raise ConfigError(f"expected a list, got {listed!r}",
+                              f"{path}.terms")
         terms = []
-        for i, t in enumerate(obj.get("terms", [])):
+        for i, t in enumerate(listed):
             tp = f"{path}.terms[{i}]"
             _check_keys(t, ("expr", "degree", "smooth_eps"), tp)
             expr = _parse_expr(_req(t, "expr", tp), f"{tp}.expr")

@@ -10,7 +10,8 @@ Only first derivatives of the mass-matrix entries are needed.
 
 Every evaluation goes through the compiled model the SystemSpec owns
 (`sys.model`); this module only assembles b and solves. Per RHS call, one
-compiled call per mass entry returns both M_ab and dM_ab/dq, b is
+compiled call per mass entry returns both M_ab and dM_ab/dq, one returns
+V and dV/dq, one dissipation call returns D, R and dR/dv, b is
 accumulated in Python floats, and one square-root-free LDL^T
 factorisation and solve gives qdd (a constant M keeps its factor). The
 compiled code is fed Python floats, never numpy scalars.
@@ -21,7 +22,8 @@ RHS call at its new state, which the next attempt takes as its 1st stage
 (for the pair, its 7th stage: "first same as last", FSAL; Hairer, Norsett
 & Wanner, Solving ODEs I, sec. II.6), so Trajectory.rhs_calls is
 1 + stages * attempts (4 stages for RK4, 6 for the pair). That call also
-yields D, R and dR/dv, which a sample takes, evaluating only T and V.
+yields M, V, D, R and dR/dv at the new state, so a sample calls no
+compiled code: it forms T = 0.5 v.M.v and W = v.dR/dv from them.
 Both integrators carry a running integral of D alongside the mechanical
 state, so energy-balance audits run at full integrator accuracy.
 """
@@ -134,11 +136,12 @@ class Trajectory:
 
 
 def _accel(sm, q, v, gR):
-    """M(q)^-1 b at (q, v) with dR/dv = gR; lists of floats in and out."""
-    gV = sm.grad_V(q, v, sm.params)[1]
+    """(M(q)^-1 b, M(q), V(q)) at (q, v) with dR/dv = gR: lists of floats
+    in, qdd as a list, M as nested lists (the read-only M0 when constant)."""
+    V, gV = sm.grad_V(q, v, sm.params)
     b = [-x - y for x, y in zip(gV, gR)]
     if sm.mass_const:
-        return ldl_solve(sm.factor0, b)
+        return ldl_solve(sm.factor0, b), sm.M0, V
     M, dM = sm.mass_and_grad(q)
     m = len(b)
     # b_j += 0.5 v.(dM/dq_j).v and b_a -= (Mdot v)_a, where
@@ -153,7 +156,7 @@ def _accel(sm, q, v, gR):
                 b[j] += w * g[j]
                 vg += v[j] * g[j]
             b[a] -= vg * v[c]
-    return ldl_solve(ldl_factor(M, q), b)
+    return ldl_solve(ldl_factor(M, q), b), M, V
 
 
 def accel(sys: SystemSpec, s: State) -> np.ndarray:
@@ -161,25 +164,23 @@ def accel(sys: SystemSpec, s: State) -> np.ndarray:
     sm = sys.model
     q, v = s.q.tolist(), s.v.tolist()
     try:
-        return np.array(_accel(
-            sm, q, v, sm.dissipation.grad_R(q, v, sm.params).tolist()))
+        gR = sm.dissipation.D_R_grad(q, v, sm.params)[2]
+        return np.array(_accel(sm, q, v, gR)[0])
     except MassMatrixError as e:
         raise MassMatrixError(f"{e} (t={s.t})") from None
 
 
 def diagnostics(sys: SystemSpec, s: State, e_diss: float = 0.0) -> Diagnostics:
-    d, p = sys.model.dissipation, sys.params
+    sm = sys.model
     q, v = s.q.tolist(), s.v.tolist()
-    return _diagnostics(sys.model, s, e_diss,
-                        (d.D(q, v, p),) + d.R_grad(q, v, p))
+    return _diagnostics(s, e_diss, (sm.mass(q), sm.grad_V(q, v, sm.params)[0])
+                        + sm.dissipation.D_R_grad(q, v, sm.params))
 
 
-def _diagnostics(sm, s, e_diss, dissipation):
-    """Diagnostics at s, given (D, R, dR/dv) at s."""
-    D, R, gR = dissipation
-    q = s.q.tolist()
-    T = 0.5 * float(s.v @ sm.mass(q) @ s.v)
-    V = sm.V(q, s.v.tolist(), sm.params)
+def _diagnostics(s, e_diss, evals):
+    """Diagnostics at s, given (M, V, D, R, dR/dv) at s."""
+    M, V, D, R, gR = evals
+    T = 0.5 * float(s.v @ M @ s.v)
     W = float(np.dot(s.v, gR))  # on-shell W = v.dR/dv
     return Diagnostics(H=T + V, T_kin=T, V_pot=V, D_val=D, R_val=R,
                        W=W, E_diss=e_diss)
@@ -190,14 +191,14 @@ def _diagnostics(sm, s, e_diss, dissipation):
 
 
 def _rhs(sys, t, y):
-    """(f(t, y), (D, R, dR/dv) at the state of y)."""
+    """(f(t, y), (M, V, D, R, dR/dv) at the state of y)."""
     m = sys.dof
-    sm, d = sys.model, sys.model.dissipation
+    sm = sys.model
     x = y.tolist()
     q, v = x[:m], x[m:2 * m]
-    R, gR = d.R_grad(q, v, sm.params)
-    D = d.D(q, v, sm.params)
-    return np.array(v + _accel(sm, q, v, gR) + [D]), (D, R, gR)
+    D, R, gR = sm.dissipation.D_R_grad(q, v, sm.params)
+    qdd, M, V = _accel(sm, q, v, gR)
+    return np.array(v + qdd + [D]), (M, V, D, R, gR)
 
 
 def _pack(s: State, e_diss: float):
@@ -310,9 +311,9 @@ def integrate(sys: SystemSpec, init: State, t_end: float,
     if not (np.isfinite(t_end) and t_end > init.t):
         raise ValueError("t_end must be finite and exceed the initial time")
     attempt, stages, first_dt, advance, floor = _METHODS[cfg.method]
-    y, t, sm = _pack(init, 0.0), init.t, sys.model
-    f1 = _rhs(sys, t, y)  # k1 of the next attempt, and (D, R, dR/dv) at t
-    traj = Trajectory(samples=[(init, _diagnostics(sm, init, 0.0, f1[1]))],
+    y, t = _pack(init, 0.0), init.t
+    f1 = _rhs(sys, t, y)  # k1 of the next attempt, and (M, V, D, R, dR/dv)
+    traj = Trajectory(samples=[(init, _diagnostics(init, 0.0, f1[1]))],
                       method=cfg.method)
     dt = first_dt(cfg, t_end - init.t)
     end = t_end - 1e-15 * (1.0 + abs(t_end))
@@ -333,7 +334,7 @@ def integrate(sys: SystemSpec, init: State, t_end: float,
             t = advance(cfg, init.t, accepted, t, h, t_end)
             if accepted % cfg.sample_every == 0 or t >= end:
                 s, e = _unpack(sys, t, y)
-                traj.samples.append((s, _diagnostics(sm, s, e, f1[1])))
+                traj.samples.append((s, _diagnostics(s, e, f1[1])))
     traj.steps_taken = accepted
     traj.steps_rejected = attempts - accepted
     traj.rhs_calls = 1 + stages * attempts  # k1, then the stages

@@ -16,10 +16,11 @@ for nonconservative forces. The dissipation potential R is built from D:
 
 Each spec compiles its evaluators once, on first use, and keeps them for
 its own lifetime: a DissipationSpec owns D, R and dR/dv (per dof), a
-SystemSpec owns M, dM/dq, V and dV/dq. Evaluators take (q, v, params); the
-eval_* functions below are adapters over them. Point evaluations (D in the
-equations of motion, diagnostics, the sampled checks, homogeneous_sum R)
-use the scalar compiled code.
+SystemSpec owns M with dM/dq, and V with dV/dq. Evaluators take
+(q, v, params); the eval_* functions below are adapters over them. D, R
+and dR/dv at one state come from one call, D_R_grad, in either mode, so
+v.dR/dv = D compares values of one evaluation. Point evaluations (D,
+homogeneous_sum R and dR/dv) use the scalar compiled code.
 
 Structural checks (homogeneity, Euler identity v.dR/dv = D, positivity)
 are seeded and reproducible.
@@ -202,7 +203,7 @@ class SystemSpec:
 
 class SystemModel:
     """M, dM/dq, V and dV/dq of one SystemSpec plus its dissipation model.
-    V and grad_V are compiled f(q, v, params); grad_V returns (V, dV/dq).
+    grad_V is one compiled f(q, v, params) that returns (V, dV/dq).
 
     Each distinct mass entry is one compiled q-gradient function, which
     returns the entry and its q-gradient in one call. A mirrored entry
@@ -217,7 +218,6 @@ class SystemModel:
         self.dof = m
         self.params = sys.params
         self.dissipation = sys.dissipation.model(m)
-        self.V = xc.compile_expr(sys.potential)
         self.grad_V = xc.compile_expr(sys.potential, m, "q")
         self._asym_pairs = [(a, b) for a in range(m) for b in range(a + 1, m)
                             if mm[a][b] != mm[b][a]]
@@ -325,21 +325,17 @@ class _HomogeneousSumModel:
     def R(self, q, v, p):
         return sum(fn(q, v, p) / deg for fn, _, deg in self.terms)
 
-    def grad_R(self, q, v, p):
-        out = [0.0] * self.dof
-        for _, gfn, deg in self.terms:
-            _, g = gfn(q, v, p)
-            out = [o + x / deg for o, x in zip(out, g)]
-        return np.array(out)
-
-    def R_grad(self, q, v, p):
-        """(R, dR/dv as a list of floats), the values R and grad_R give."""
-        R = 0.0
+    def D_R_grad(self, q, v, p):
+        """(D, R, dR/dv as a list of floats) from one loop over the terms;
+        D and R equal self.D and self.R bit for bit."""
+        D = R = 0.0
         g = [0.0] * self.dof
         for fn, gfn, deg in self.terms:
-            R += fn(q, v, p) / deg
+            d = fn(q, v, p)
+            D += d
+            R += d / deg
             g = [o + x / deg for o, x in zip(g, gfn(q, v, p)[1])]
-        return R, g
+        return D, R, g
 
 
 class _GeneralModel:
@@ -398,14 +394,11 @@ class _GeneralModel:
     def R(self, q, v, p):
         return self._quad(q, v, p, False)[0]
 
-    def grad_R(self, q, v, p):
-        return self._quad(q, v, p, True)[1]
-
-    def R_grad(self, q, v, p):
-        """(R, dR/dv as a list of floats) from one pass; R equals self.R
-        bit for bit."""
+    def D_R_grad(self, q, v, p):
+        """(D, R, dR/dv as a list of floats): the gradient pass, then D at
+        the point. R equals self.R bit for bit."""
         r, g = self._quad(q, v, p, True)
-        return r, g.tolist()
+        return self.D(q, v, p), r, g.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +474,7 @@ def eval_R(spec: DissipationSpec, ctx: EvalContext) -> float:
 
 def grad_R_v(spec: DissipationSpec, ctx: EvalContext) -> np.ndarray:
     """dR/dv, the (negated) dissipative generalized force."""
-    return spec.model(ctx.dof).grad_R(ctx.q, ctx.v, ctx.params)
+    return np.array(spec.model(ctx.dof).D_R_grad(ctx.q, ctx.v, ctx.params)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -525,11 +518,11 @@ def homogeneity_check(term: DissipationTerm, dof: int, params: dict,
 def euler_identity_check(spec: DissipationSpec, dof: int, params: dict,
                          samples: int = 50, seed: int = 0) -> CheckReport:
     """Verify v . dR/dv = D, the defining relation of the R construction."""
+    model = spec.model(dof)
+
     def violations(q, v):
-        ctx = EvalContext(q, v, params)
-        lhs = float(np.dot(v, grad_R_v(spec, ctx)))
-        d = eval_D(spec, ctx)
-        yield abs(lhs - d) / (1.0 + abs(d))
+        d, _, g = model.D_R_grad(tuple(q), tuple(v), params)
+        yield abs(float(np.dot(v, g)) - d) / (1.0 + abs(d))
     return _sampled_check("euler_identity", sample_states(dof, samples, seed),
                           violations, 1e-8, "v . dR/dv vs D")
 

@@ -162,6 +162,11 @@ MALFORMED = [
     # JSON text, not a document: an integer json.load cannot convert
     ('{"system": "damped_sho", "t_end": ' + "1" * 5000 + "}", ["simulate"],
      ""),
+] + [
+    ({**DSHO_INLINE, "dissipation": {"mode": "homogeneous_sum",
+                                     "terms": terms}},
+     ["simulate"], "dissipation.terms")
+    for terms in (5, None, "v1^2")
 ]
 
 

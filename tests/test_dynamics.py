@@ -346,18 +346,29 @@ def test_rk4_counts_rhs_calls(monkeypatch):
 
 
 def test_rk4_evaluates_dissipation_once_per_state(monkeypatch):
-    b = get_builtin("damped_sho")
-    model = b.system.dissipation.model(1)
-    calls = {"D": 0, "R_grad": 0}
-    for name in calls:
-        def counted(q, v, p, fn=getattr(model, name), name=name):
-            calls[name] += 1
-            return fn(q, v, p)
-        monkeypatch.setattr(model, name, counted)
-    traj = dy.integrate(b.system, b.initial, 1.0,
-                        dy.IntegratorConfig(method="rk4", dt=2e-3))
-    assert len(traj) == 501
-    assert calls["D"] == calls["R_grad"] == traj.rhs_calls == 2001
+    # each RHS call makes one dissipation call (D, R and dR/dv), one
+    # potential call (V and dV/dq) and, for a q-dependent M, one mass
+    # call (M and dM/dq); a sample takes all of them from its step's last
+    # RHS call and evaluates nothing, under either method
+    for name in ("damped_sho", "pendulum_drag_2dof"):
+        b = get_builtin(name)
+        sm = b.system.model
+        owners = {"D_R_grad": sm.dissipation, "grad_V": sm}
+        if not sm.mass_const:
+            owners["mass_and_grad"] = sm
+        calls = dict.fromkeys(owners, 0)
+        for key, owner in owners.items():
+            def counted(*args, fn=getattr(owner, key), key=key):
+                calls[key] += 1
+                return fn(*args)
+            monkeypatch.setattr(owner, key, counted)
+        for cfg in (dy.IntegratorConfig(method="rk4", dt=2e-3),
+                    dy.IntegratorConfig(method="rk45")):
+            calls.update(dict.fromkeys(calls, 0))
+            traj = dy.integrate(b.system, b.initial, 1.0, cfg)
+            assert len(traj) == 1 + traj.steps_taken > 20
+            assert cfg.method == "rk45" or traj.rhs_calls == 2001
+            assert set(calls.values()) == {traj.rhs_calls}, (name, cfg, calls)
 
 
 def test_integrate_replays_step_rk45_bit_for_bit():
@@ -387,11 +398,25 @@ def test_integrate_replays_step_rk45_bit_for_bit():
         assert np.array_equal(r.q, x.q) and np.array_equal(r.v, x.v)
 
 
-@pytest.mark.parametrize("name", ["pendulum_drag_2dof", "coulomb_block"])
-def test_integrate_replays_step_rk4_bit_for_bit(name):
+def _sprung_coulomb_block():
+    """coulomb_block on a spring, 0.5*k*q1^2: its right-hand side is not
+    constant, and its velocity reverses inside t < 1."""
+    b = get_builtin("coulomb_block")
+    system = dataclasses.replace(
+        b.system, potential=xc.parse("0.5*k*q1^2"),
+        params={**b.system.params, "k": 40.0})
+    return dataclasses.replace(b, system=system)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: get_builtin("pendulum_drag_2dof"),
+    lambda: get_builtin("coulomb_block"),
+    _sprung_coulomb_block,
+], ids=["pendulum_drag_2dof", "coulomb_block", "sprung_coulomb_block"])
+def test_integrate_replays_step_rk4_bit_for_bit(make):
     # integrate hands each step's last RHS call on as the next k1;
     # step_rk4 evaluates k1 afresh, so a stale k1 would show as a bit
-    b = get_builtin(name)
+    b = make()
     cfg = dataclasses.replace(_rk4(b), sample_every=1)
     traj = dy.integrate(b.system, b.initial, 1.0, cfg)
     s = b.initial

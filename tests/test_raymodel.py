@@ -101,7 +101,7 @@ def test_general_quadrature_rule_built_once_per_spec(monkeypatch):
         rm.grad_R_v(spec, c)
         rm.eval_R(spec, c)
         rm.eval_R_quadrature(spec, c)
-        spec.model(2).R_grad(c.q, c.v, {})
+        spec.model(2).D_R_grad(c.q, c.v, {})
     assert calls == [16, 12]  # the main and the estimate rule, once each
 
 
@@ -359,12 +359,11 @@ def test_vectorised_quadrature_matches_scalar_loop():
             ref_r, _ = _scalar_loop_graded(spec, 2, q, v, p, False)
             _, ref_g = _scalar_loop_graded(spec, 2, q, v, p, True)
             r = model.R(q, v, p)
-            g = model.grad_R(q, v, p)
+            d, r2, g = model.D_R_grad(q, v, p)
             assert _rel_close(r, ref_r), (src, v)
             assert _rel_close(g, ref_g), (src, v)
             # the gradient pass reduces the same node values for R
-            r2, g2 = model.R_grad(q, v, p)
-            assert r2 == r and np.array_equal(g2, g), (src, v)
+            assert r2 == r and d == model.D(q, v, p), (src, v)
 
 
 def test_tanh_law_converges_where_uniform_panels_refined():
@@ -372,7 +371,7 @@ def test_tanh_law_converges_where_uniform_panels_refined():
     # converge on them; R = eps ln cosh(v/eps), dR/dv = tanh(v/eps)
     model = general("v1*tanh(v1/0.001)").model(1)
     for v in (0.5, 1.0, 1.78):
-        r, g = model.R_grad((0.0,), (v,), {})
+        _, r, g = model.D_R_grad((0.0,), (v,), {})
         exact = v + 0.001 * (math.log1p(math.exp(-2000.0 * v))
                              - math.log(2.0))
         assert _close(r, exact) and _close(g, [math.tanh(1000.0 * v)])
@@ -391,7 +390,7 @@ def test_regularised_coulomb_law_matches_closed_form():
         exact = c * (speed + eps * (math.log1p(math.exp(-2.0 * speed / eps))
                                     - math.log(2.0)))
         for v in (speed, -speed):
-            r, g = model.R_grad((0.0,), (float(v),), {"c": c})
+            _, r, g = model.D_R_grad((0.0,), (float(v),), {"c": c})
             assert _close(r, exact), v
             assert _close(g, [c * math.tanh(v / eps)], 1e-11), v
 
@@ -409,7 +408,7 @@ def test_non_integer_power_laws_match_d_over_degree(src, degree):
     for q, v in rm.sample_states(2, 300, seed=13):
         q, v = tuple(q), tuple(v)
         d, dd = grad_D(q, v, {})
-        r, g = model.R_grad(q, v, {})
+        _, r, g = model.D_R_grad(q, v, {})
         assert _close(r, d / degree), v
         assert _close(g, np.array(dd) / degree), v
 
@@ -439,9 +438,9 @@ def test_smooth_laws_match_homogeneous_twin_and_uniform_rule(src, twin):
     twin_model = homsum(*twin).model(2)
     for q, v in rm.sample_states(2, 25, seed=8):
         q, v = tuple(q), tuple(v)
-        r, g = model.R_grad(q, v, p)
+        _, r, g = model.D_R_grad(q, v, p)
         assert _close(r, twin_model.R(q, v, p)), v
-        assert _close(g, twin_model.grad_R(q, v, p)), v
+        assert _close(g, twin_model.D_R_grad(q, v, p)[2]), v
         assert _close(r, _uniform_rule_R(src, q, v, p)), v
 
 
@@ -451,9 +450,8 @@ def test_each_quadrature_evaluation_is_one_array_call(monkeypatch):
     q, v = (0.1, 0.2), (0.7, -1.3)
     model.R(q, v, {})
     assert calls == ["_D_nodes"]
-    model.grad_R(q, v, {})
-    model.R_grad(q, v, {})
-    assert calls == ["_D_nodes", "_D_grad_nodes", "_D_grad_nodes"]
+    model.D_R_grad(q, v, {})
+    assert calls == ["_D_nodes", "_D_grad_nodes"]
 
 
 @pytest.mark.parametrize("src, v, with_grad", [
@@ -471,7 +469,7 @@ def test_vectorised_quadrature_domain_error_matches_scalar_loop(
     with pytest.raises(xc.EvalDomainError) as ref:
         _scalar_loop_graded(spec, 1, (0.0,), v, {}, with_grad)
     model = spec.model(1)
-    call = model.grad_R if with_grad else model.R
+    call = model.D_R_grad if with_grad else model.R
     with pytest.raises(xc.EvalDomainError) as got:
         call((0.0,), v, {})
     assert str(got.value) == str(ref.value)
@@ -483,13 +481,12 @@ def test_sqrt_derivative_at_zero_fails_only_the_gradient():
     ref_r, _ = _scalar_loop_graded(spec, 2, q, v, {}, False)
     assert _rel_close(spec.model(2).R(q, v, {}), ref_r)
     with pytest.raises(xc.EvalDomainError, match="sqrt derivative at zero"):
-        spec.model(2).grad_R(q, v, {})
+        spec.model(2).D_R_grad(q, v, {})
 
 
 def test_vectorised_quadrature_still_diverges_for_rest_nonvanishing_d():
     spec = general("v1^2 + 1")
-    for call in (spec.model(1).R, spec.model(1).grad_R,
-                 spec.model(1).R_grad):
+    for call in (spec.model(1).R, spec.model(1).D_R_grad):
         with pytest.raises(rm.QuadratureError):
             call((0.0,), (1.0,), {})
 
@@ -521,7 +518,7 @@ def test_quadrature_overflow_is_named_not_blamed_on_rest_value(
         d_over, grad_over = _exp_overflow_speeds(spec.quadrature)
         assert v > (d_over if which == "R" else grad_over)
         assert which == "R" or v < d_over
-    call = getattr(spec.model(1), which)
+    call = getattr(spec.model(1), "D_R_grad" if which == "grad_R" else which)
     expected = (f"floating-point overflow in subexpression "
                 f"'{xc.to_source(spec.raw)}'")
     with warnings.catch_warnings():
