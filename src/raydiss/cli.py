@@ -40,8 +40,9 @@ def _columns(dof):
 
 
 def _rows(traj):
+    """One row of Python floats per sample, in _columns order."""
     for s, d in traj.samples:
-        yield ([s.t] + list(s.q) + list(s.v)
+        yield ([float(s.t)] + s.q.tolist() + s.v.tolist()
                + [d.H, d.T_kin, d.V_pot, d.D_val, d.R_val, d.W])
 
 
@@ -51,7 +52,7 @@ def write_trajectory(traj, dof, path, fmt):
         if fmt == "csv":
             f.write(",".join(cols) + "\n")
             for row in _rows(traj):
-                f.write(",".join(_fmt(x) for x in row) + "\n")
+                f.write(",".join(map(repr, row)) + "\n")
         else:
             for row in _rows(traj):
                 f.write(json.dumps({c: float(x) for c, x in zip(cols, row)})

@@ -13,8 +13,11 @@ Every evaluation goes through the compiled model the SystemSpec owns
 compiled call per mass entry returns both M_ab and dM_ab/dq, one returns
 V and dV/dq, one dissipation call returns D, R and dR/dv, b is
 accumulated in Python floats, and one square-root-free LDL^T
-factorisation and solve gives qdd (a constant M keeps its factor). The
-compiled code is fed Python floats, never numpy scalars.
+factorisation and solve gives qdd (a constant M keeps its factor).
+The stepper state y = [q, v, E] and the stages are lists of Python floats
+from start to end, so the compiled code never sees a numpy scalar; numpy
+appears only in State and samples. RK4 sums its stages in textbook order,
+and the pair's stage sums are exactly rounded (math.fsum), not BLAS-ordered.
 
 Integrators: classical fixed-step RK4 and the Dormand-Prince 5(4) pair
 with standard step-size control, in one loop. Every attempt ends with an
@@ -30,7 +33,9 @@ state, so energy-balance audits run at full integrator accuracy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -194,34 +199,38 @@ def _rhs(sys, t, y):
     """(f(t, y), (M, V, D, R, dR/dv) at the state of y)."""
     m = sys.dof
     sm = sys.model
-    x = y.tolist()
-    q, v = x[:m], x[m:2 * m]
+    q, v = y[:m], y[m:2 * m]
     D, R, gR = sm.dissipation.D_R_grad(q, v, sm.params)
     qdd, M, V = _accel(sm, q, v, gR)
-    return np.array(v + qdd + [D]), (M, V, D, R, gR)
+    return v + qdd + [D], (M, V, D, R, gR)
 
 
 def _pack(s: State, e_diss: float):
-    return np.concatenate([s.q, s.v, [e_diss]])
+    return s.q.tolist() + s.v.tolist() + [e_diss]
 
 
 def _unpack(sys, t, y):
     m = sys.dof
-    return State(t, y[:m], y[m:2 * m]), float(y[2 * m])
+    return State(t, y[:m], y[m:2 * m]), y[2 * m]
 
 
 def _check_finite(y, t):
-    if not np.all(np.isfinite(y)):
+    if not all(map(math.isfinite, y)):
         raise DivergenceError(f"non-finite state at t={t}")
+
+
+def _axpy(y, h, k):
+    return [a + h * b for a, b in zip(y, k)]
 
 
 def _rk4_raw(sys, t, y, dt, cfg, k1):
     """One RK4 step from (t, y) with k1 = f(t, y), in four RHS calls;
     returns as _rk45_raw does, always accepted and with dt_next = dt."""
-    k2 = _rhs(sys, t + 0.5 * dt, y + 0.5 * dt * k1)[0]
-    k3 = _rhs(sys, t + 0.5 * dt, y + 0.5 * dt * k2)[0]
-    k4 = _rhs(sys, t + dt, y + dt * k3)[0]
-    ynew = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = _rhs(sys, t + 0.5 * dt, _axpy(y, 0.5 * dt, k1))[0]
+    k3 = _rhs(sys, t + 0.5 * dt, _axpy(y, 0.5 * dt, k2))[0]
+    k4 = _rhs(sys, t + dt, _axpy(y, dt, k3))[0]
+    ynew = _axpy(y, dt / 6.0, [a + 2.0 * b + 2.0 * c + d
+                               for a, b, c, d in zip(k1, k2, k3, k4)])
     _check_finite(ynew, t + dt)
     return ynew, True, dt, _rhs(sys, t + dt, ynew)
 
@@ -242,8 +251,8 @@ def step_rk4(sys: SystemSpec, s: State, dt: float) -> State:
 
 # Dormand-Prince 5(4) tableau. Row 6 of _DP_A is the 5th-order weights
 # b5, so stage 7 is evaluated at the new state (FSAL).
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = np.array([row + [0.0] * (7 - len(row)) for row in [
+_DP_C = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]
+_DP_A = [
     [],
     [1 / 5],
     [3 / 40, 9 / 40],
@@ -251,9 +260,15 @@ _DP_A = np.array([row + [0.0] * (7 - len(row)) for row in [
     [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]])
-_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
-                  22 / 525, -1 / 40])  # b5 - b4
+]
+_DP_E = [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+         22 / 525, -1 / 40]  # b5 - b4
+
+
+def _lincomb(y, h, coeffs, K):
+    """[y_c + h * fsum_j(coeffs[j] * K[j][c]) for each entry c of y]."""
+    return [c + h * math.fsum(map(mul, coeffs, col))
+            for c, col in zip(y, zip(*K))]
 
 
 def _rk45_raw(sys, t, y, dt, cfg, k1):
@@ -261,17 +276,17 @@ def _rk45_raw(sys, t, y, dt, cfg, k1):
     RHS calls. Returns (ynew, accepted, dt_next, last), where ynew is the
     exact stage-7 argument and last = _rhs(sys, t + dt, ynew)."""
     nmech = 2 * sys.dof
-    K = np.zeros((7, len(y)))
-    K[0] = k1
+    K = [k1]
     for i in range(1, 6):
-        K[i] = _rhs(sys, t + _DP_C[i] * dt, y + dt * (_DP_A[i] @ K))[0]
-    ynew = y + dt * (_DP_A[6] @ K)
+        K.append(_rhs(sys, t + _DP_C[i] * dt,
+                      _lincomb(y, dt, _DP_A[i], K))[0])
+    ynew = _lincomb(y, dt, _DP_A[6], K)
     _check_finite(ynew, t + dt)
     last = _rhs(sys, t + dt, ynew)
-    K[6] = last[0]
-    errvec = dt * (_DP_E @ K)[:nmech]
-    w = cfg.abs_tol + cfg.rel_tol * np.abs(y[:nmech])
-    err = float(np.sqrt(np.mean((errvec / w) ** 2)))
+    K.append(last[0])
+    errvec = _lincomb([0.0] * nmech, dt, _DP_E, K)  # q and v entries only
+    err = math.sqrt(math.fsum((e / (cfg.abs_tol + cfg.rel_tol * abs(c))) ** 2
+                              for e, c in zip(errvec, y)) / nmech)
     # the step-size controller shared by step_rk45 and integrate
     factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
     return ynew, err <= 1.0, dt * factor, last

@@ -1,8 +1,10 @@
 import dataclasses
 import math
 import os
+import re
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -276,6 +278,8 @@ def _counting_rhs(monkeypatch):
     rhs = dy._rhs
 
     def counted(sys, t, y):
+        # the stepper's state and stages are lists of Python floats
+        assert type(y) is list and all(type(x) is float for x in y), y
         calls.append(t)
         return rhs(sys, t, y)
 
@@ -430,10 +434,122 @@ def test_integrate_replays_step_rk4_bit_for_bit(make):
         assert np.array_equal(r.q, x.q) and np.array_equal(r.v, x.v)
 
 
+def _numpy_f(system):
+    """f(t, y) for y = [q, v, E] as a numpy array, from the public accel and
+    diagnostics: E' = D."""
+    m = system.dof
+
+    def f(t, y):
+        s = dy.State(t, y[:m], y[m:2 * m])
+        return np.concatenate([s.v, dy.accel(system, s),
+                               [dy.diagnostics(system, s).D_val]])
+    return f
+
+
+def _numpy_y(s):
+    return np.concatenate([s.q, s.v, [0.0]])
+
+
+@pytest.mark.parametrize("name", ["damped_sho", "pendulum_drag_2dof"])
+def test_integrate_rk4_matches_numpy_textbook_rk4_bit_for_bit(name):
+    # y_{n+1} = y_n + h/6 (k1 + 2 k2 + 2 k3 + k4) on numpy arrays, with
+    # k2 = f(y_n + h/2 k1), k3 = f(y_n + h/2 k2), k4 = f(y_n + h k3)
+    b = get_builtin(name)
+    cfg = dataclasses.replace(_rk4(b), sample_every=1)
+    traj = dy.integrate(b.system, b.initial, 1.0, cfg)
+    f, h, m = _numpy_f(b.system), cfg.dt, b.system.dof
+    y = _numpy_y(b.initial)
+    for n, (s, d) in enumerate(traj.samples):
+        assert s.t == n * h
+        assert np.array_equal(s.q, y[:m]) and np.array_equal(s.v, y[m:2 * m])
+        assert d.E_diss == y[2 * m]
+        t = n * h
+        k1 = f(t, y)
+        k2 = f(t + h / 2, y + h / 2 * k1)
+        k3 = f(t + h / 2, y + h / 2 * k2)
+        k4 = f(t + h, y + h * k3)
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    assert len(traj) == 129
+
+
+# Dormand-Prince 5(4) Butcher tableau (Hairer, Norsett & Wanner, Solving
+# ODEs I, table II.5.2): nodes c, matrix a, 5th-order weights b5 and
+# 4th-order weights b4
+_BUTCHER_C = np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1, 1])
+_BUTCHER_A = np.array([
+    [0, 0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0],
+    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+])
+_BUTCHER_B5 = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784,
+                        11 / 84, 0])
+_BUTCHER_B4 = np.array([5179 / 57600, 0, 7571 / 16695, 393 / 640,
+                        -92097 / 339200, 187 / 2100, 1 / 40])
+
+
+def test_integrate_rk45_matches_numpy_dormand_prince():
+    # a fresh numpy Dormand-Prince from the tableau with the documented
+    # controller (weighted RMS error over q and v, safety 0.9, factor in
+    # [0.2, 5]) takes the same accepted and rejected steps; stage sums
+    # are ordered differently, so states agree to round-off only
+    b = get_builtin("pendulum_drag_2dof")
+    cfg, t_end = b.integrator, 3.0
+    traj = dy.integrate(b.system, b.initial, t_end, cfg)
+    f, m = _numpy_f(b.system), b.system.dof
+    y, t = _numpy_y(b.initial), b.initial.t
+    dt = min(1e-2 * (t_end - t), 0.1)
+    accepted = rejected = 0
+    while t < t_end - 1e-15 * (1.0 + t_end):
+        h = min(dt, t_end - t)
+        K = np.zeros((7, len(y)))
+        for i in range(7):
+            K[i] = f(t + _BUTCHER_C[i] * h, y + h * (_BUTCHER_A[i] @ K[:6]))
+        err_est = h * ((_BUTCHER_B5 - _BUTCHER_B4) @ K)[:2 * m]
+        w = cfg.abs_tol + cfg.rel_tol * np.abs(y[:2 * m])
+        err = math.sqrt(np.mean((err_est / w) ** 2))
+        if err <= 1.0:
+            y, t = y + h * (_BUTCHER_B5 @ K), t + h
+            accepted += 1
+        else:
+            rejected += 1
+        dt = h * (5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** -0.2)))
+    assert (accepted, rejected) == (traj.steps_taken, traj.steps_rejected)
+    assert rejected > 0
+    s, d = traj.samples[-1]
+    assert s.t == pytest.approx(t, abs=1e-12)
+    assert np.max(np.abs(np.concatenate([s.q, s.v, [d.E_diss]]) - y)) <= 1e-12
+
+
 def test_rk45_nan_state_is_divergence_error():
     with pytest.raises(dy.DivergenceError):
         dy.step_rk45(make_sho(), dy.State(0.0, [float("nan")], [0.0]),
                      1e-3, dy.IntegratorConfig())
+
+
+@pytest.mark.parametrize("potential,cfg,error,match", [
+    ("-q1*q1*q1*q1*q1*q1", dy.IntegratorConfig(method="rk4", dt=0.2),
+     dy.DivergenceError, "t=0.6000000000000001"),
+    ("-q1^4", dy.IntegratorConfig(method="rk4", dt=0.05),
+     xc.EvalDomainError, "'-q1 ^ 4.0'"),
+    ("-q1^4", dy.IntegratorConfig(), dy.StiffnessError, "underflow"),
+], ids=["rk4-product-overflow", "rk4-power-overflow", "rk45-stiff"])
+def test_mid_run_blow_up_is_named_without_warnings(potential, cfg, error,
+                                                   match):
+    # a state that runs off to infinity mid-run: Python float products
+    # overflow to inf silently, so the finite check after each step (or
+    # the compiled code's overflow check, or the step-size floor) must
+    # stop the run with a named error, and no warning may leak
+    system = rm.SystemSpec(dof=1, mass_matrix=[[xc.parse("1")]],
+                           potential=xc.parse(potential),
+                           dissipation=rm.null_dissipation())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=re.escape(match)):
+            dy.integrate(system, dy.State(0.0, [1.0], [10.0]), 10.0, cfg)
 
 
 # ---------------------------------------------------------------------------
