@@ -546,17 +546,17 @@ class _Evaluator:
 # components of one forward-mode pass. The one generator, _CodeGen, emits
 # calls to `math.*` and to the _c* helpers, which hold every branch and
 # domain check. compile_expr runs that source on floats (scalar mode, for
-# point evaluations); compile_array runs the same source against numpy
-# (array mode), where `math.*` resolves to ufuncs and each _c* name to an
-# array helper whose domain check reports the first offending element in
-# flat order, with the scalar text. Its one consumer is the general-mode R
-# quadrature, one call per evaluation over the nodes of both its rules. In
-# both modes an overflow (OverflowError from math.exp or float ** in scalar
-# mode, numpy's overflow trapped by errstate in array mode) raises
-# EvalDomainError naming the whole expression, so it never surfaces as inf,
-# a numpy warning or a bare traceback. Systems compile their own
-# expressions and keep the result; the expression-level helpers below
-# (evaluate, grad_v, grad_q) cache scalar code per AST object.
+# point evaluations). compile_array runs it against numpy (array mode),
+# where `math.*` resolves to ufuncs and each _c* name to plain numpy
+# arithmetic; its one consumer is the general-mode R quadrature, one call
+# per evaluation over the nodes of both its rules. The scalar code decides
+# every domain error and kink: a numpy flag in array mode only hands the
+# points to it. An overflow raises EvalDomainError naming the whole
+# expression: an OverflowError (math.exp, float **) in scalar mode, and in
+# array mode any overflow that no domain error at an earlier point
+# precedes. Systems compile their own expressions and keep the result; the
+# expression-level helpers below (evaluate, grad_v, grad_q) cache scalar
+# code per AST object.
 
 
 def _csgn(x):
@@ -646,9 +646,11 @@ _COMPILE_GLOBALS = {
 }
 
 
-# Array versions of the helpers above. Arguments are scalars or arrays of
-# one shape; a masked branch is computed only on elements where it is
-# defined, so no divide or invalid warning leaks from the discarded side.
+# Array versions of the helpers above. They state no domain rule: array
+# mode runs them under np.errstate, and a divide, invalid or overflow flag
+# (or a ZeroDivisionError from Python floats) sends the points to the
+# scalar code, which decides. A masked branch is computed only on elements
+# where it is defined, so the zero-speed conventions raise no flag.
 
 
 def _aany(bad):
@@ -656,61 +658,23 @@ def _aany(bad):
     return bad.any() if isinstance(bad, np.ndarray) else bool(bad)
 
 
-def _afirst(x, bad):
-    """x at the first element (flat order) where bad holds."""
-    return float(np.broadcast_to(x, np.shape(bad)).flat[np.argmax(bad)])
-
-
 def _asgn(x):
     return np.where(x == 0.0, 0.0, np.copysign(1.0, x))
 
 
-def _adiv0(b, src):
-    if _aany(b == 0.0):
-        raise EvalDomainError("division by zero", src=src)
-
-
-def _aln(x, src):
-    bad = x <= 0.0
-    if _aany(bad):
-        raise EvalDomainError(
-            f"ln of non-positive value {_afirst(x, bad)}", src=src)
-    return np.log(x)
-
-
-def _asqrt(x, src):
-    bad = x < 0.0
-    if _aany(bad):
-        raise EvalDomainError(
-            f"sqrt of negative value {_afirst(x, bad)}", src=src)
-    return np.sqrt(x)
-
-
-def _adsqrt(val, src):
-    if _aany(val == 0.0):
-        raise EvalDomainError("sqrt derivative at zero", src=src)
-    return 0.5 / val
-
-
-def _apowi(a, n, src):
-    if n < 0 and _aany(a == 0.0):
-        raise EvalDomainError("zero base with negative exponent", src=src)
-    return a ** n
-
-
 def _adpowi(a, n):
     # n >= 1 gives the kink convention at a = 0 unmasked (0, or 1 for
-    # n == 1); n < 0 never sees a = 0 after _apowi; n == 0 is flat
+    # n == 1); n < 0 never sees a = 0, as a ** n flags it; n == 0 is flat
     return n * a ** (n - 1) if n else 0.0
 
 
 def _apowf(a, p, src):
-    bad = a < 0.0
-    if _aany(bad):
-        raise EvalDomainError(
-            f"non-integer exponent {p} requires nonnegative base, got "
-            f"{_afirst(a, bad)}", src=src)
-    return a ** p
+    # |p| >= 1e9 is non-integer to the scalar code, but numpy raises a
+    # negative base to it without a flag; a Python float base would turn
+    # complex, so it becomes a np.float64
+    if abs(p) >= 1e9 and _aany(a < 0.0):
+        raise FloatingPointError
+    return (a if isinstance(a, np.ndarray) else np.float64(a)) ** p
 
 
 def _adpowf(a, p):
@@ -721,25 +685,13 @@ def _adpowf(a, p):
 
 
 def _apow3(a, b, need_db, src):
-    """_cpow3 over arrays: each element raises what _cpow3 would."""
+    """_cpow3's values over arrays, the exponent kept as an array."""
     a, b = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
-    neg = a < 0.0
     zero = a == 0.0
-    nonint = ~((np.floor(b) == b) & (np.abs(b) < 1e9))
-    bad_base = nonint & neg
-    bad_zero = zero & (b < 0.0)
-    bad = bad_base | bad_zero | (neg if need_db else False)
-    if _aany(bad):
-        k = np.argmax(bad)
-        if bad_base.flat[k]:
-            raise EvalDomainError(
-                f"non-integer exponent {float(b.flat[k])} requires "
-                f"nonnegative base, got {float(a.flat[k])}", src=src)
-        if bad_zero.flat[k]:
-            raise EvalDomainError("zero base with negative exponent",
-                                  src=src)
-        raise EvalDomainError(
-            "derivative w.r.t. exponent needs positive base", src=src)
+    # the rules numpy cannot flag: a zero base is masked below, and a
+    # negative base to |b| >= 1e9 is real in numpy
+    if _aany((zero & (b < 0.0)) | ((a < 0.0) & (np.abs(b) >= 1e9))):
+        raise FloatingPointError
     safe = np.where(zero, 1.0, a)
     val = np.where(zero, np.where(b == 0.0, 1.0, 0.0), safe ** b)
     da = np.where(zero, np.where(b == 1.0, 1.0, 0.0),
@@ -751,8 +703,10 @@ def _apow3(a, b, need_db, src):
 _ARRAY_GLOBALS = {
     "math": SimpleNamespace(sin=np.sin, cos=np.cos, exp=np.exp,
                             tanh=np.tanh),
-    "_csgn": _asgn, "_cdiv0": _adiv0, "_cln": _aln, "_csqrt": _asqrt,
-    "_cdsqrt": _adsqrt, "_cpowi": _apowi, "_cdpowi": _adpowi,
+    "_csgn": _asgn, "_cdiv0": lambda b, src: None,
+    "_cln": lambda x, src: np.log(x), "_csqrt": lambda x, src: np.sqrt(x),
+    "_cdsqrt": lambda val, src: 0.5 / val,
+    "_cpowi": lambda a, n, src: a ** n, "_cdpowi": _adpowi,
     "_cpowf": _apowf, "_cdpowf": _adpowf, "_cpow3": _apow3,
     "_coverflow": _coverflow,
 }
@@ -970,22 +924,22 @@ def compile_array(node, dof=0, wrt=None, smooth_eps=None):
     of scalars, shared by all points, or as an array of shape (dof,) + S
     for points of shape S. Returns the value as an array of shape S, or
     (value, tangents of shape (dof,) + S) when wrt is 'q' or 'v'; parts
-    that do not depend on the points are broadcast. A domain error names
-    the first offending element in flat order, in the scalar text; an
-    overflow raises the scalar code's EvalDomainError, not a numpy warning.
+    that do not depend on the points are broadcast. The scalar code
+    decides every domain error and kink: a numpy divide, invalid or
+    overflow flag only hands the points to it (_scalar_pass), so an error
+    is the scalar code's at the first offending point in flat order.
     """
     fn = _load(node, dof, wrt, smooth_eps, _ARRAY_GLOBALS)
-    src = to_source(node)
 
     def f(q, v, p):
         shape = v.shape[1:] if isinstance(v, np.ndarray) else ()
         if isinstance(q, np.ndarray) and q.shape[1:] != shape:
             shape = np.broadcast_shapes(q.shape[1:], shape)
         try:
-            with np.errstate(over="raise"):
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
                 out = fn(q, v, p)
-        except FloatingPointError:
-            _coverflow(src)
+        except (FloatingPointError, ZeroDivisionError):
+            out = _scalar_pass(node, dof, wrt, smooth_eps, q, v, p, shape)
         if not wrt:
             return _abroadcast(out, shape)
         val, g = out
@@ -995,6 +949,24 @@ def compile_array(node, dof=0, wrt=None, smooth_eps=None):
         return _abroadcast(val, shape), tan
 
     return f
+
+
+def _scalar_pass(node, dof, wrt, smooth_eps, q, v, p, shape):
+    """Array mode's output from the scalar code, one point at a time in
+    flat order, so the scalar code raises its own error at the first bad
+    point. A non-finite result of finite points is an overflow."""
+    fn = compiled(node, dof, wrt, smooth_eps)
+    qs = [np.broadcast_to(x, shape).ravel() for x in q]
+    vs = [np.broadcast_to(x, shape).ravel() for x in v]
+    out = [fn(tuple(float(x[k]) for x in qs),
+              tuple(float(x[k]) for x in vs), p)
+           for k in range(math.prod(shape))]
+    val = np.reshape([o[0] if wrt else o for o in out], shape)
+    tan = (np.moveaxis(np.reshape([o[1] for o in out], shape + (dof,)),
+                       -1, 0) if wrt else 0.0)
+    if not (np.isfinite(val).all() and np.isfinite(tan).all()):
+        _coverflow(to_source(node))
+    return (val, tan) if wrt else val
 
 
 def _abroadcast(x, shape):

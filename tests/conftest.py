@@ -47,6 +47,18 @@ def count_array_calls(model, monkeypatch):
     return calls
 
 
+def count_scalar_passes(monkeypatch):
+    """The arguments of every scalar pass that array mode takes from now
+    on (a numpy flag hands its points to the scalar code)."""
+    passes = []
+
+    def counted(*args, fn=xc._scalar_pass):
+        passes.append(args)
+        return fn(*args)
+    monkeypatch.setattr(xc, "_scalar_pass", counted)
+    return passes
+
+
 @pytest.fixture(scope="session")
 def corpus_asts():
     return [(src, xc.parse(src)) for src in CORPUS]

@@ -78,6 +78,22 @@ def test_load_rejects_wrong_declared_degree(workdir):
     assert "homogeneous" in str(exc.value)
 
 
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_huge_declared_degree_is_a_one_line_config_error(workdir, capsys,
+                                                         command):
+    # lam ** 1e30 overflows a float for lam > 1: that sample's violation
+    # is infinite, not a traceback
+    doc = json.loads(json.dumps(DSHO_INLINE))
+    doc["dissipation"]["terms"][0]["degree"] = 1e30
+    rc = main([command, "--config", write_json(workdir / "c.json", doc)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "raydiss: config error at 'dissipation.terms[0]': term is not "
+        "homogeneous of declared degree 1e+30 (max relative violation "
+        "inf)\n")
+    assert [p.name for p in workdir.iterdir()] == ["c.json"]
+
+
 def test_load_rejects_wrong_initial_length(workdir):
     doc = json.loads(json.dumps(DSHO_INLINE))
     doc["initial"]["q"] = [1.0, 2.0]

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import count_array_calls
+from conftest import count_array_calls, count_scalar_passes
 from raydiss import dynamics as dy
 from raydiss import exprcore as xc
 from raydiss import raymodel as rm
@@ -329,6 +329,16 @@ def test_rk45_general_mode_samples_add_no_quadrature(monkeypatch):
     traj = dy.integrate(system, b.initial, 1.0, b.integrator)
     assert len(traj) > 20
     assert len(calls) == traj.rhs_calls
+
+
+def test_general_pendulum_from_rest_takes_no_scalar_pass(monkeypatch):
+    # the speed norm's kink at rest stays in array mode (no numpy flag)
+    b = get_builtin("pendulum_drag_2dof")
+    assert list(b.initial.v) == [0.0, 0.0]
+    passes = count_scalar_passes(monkeypatch)
+    traj = dy.integrate(_general_pendulum(b), b.initial, 0.5, b.integrator)
+    assert len(traj) > 5
+    assert passes == []
 
 
 def test_rk4_general_mode_samples_add_no_quadrature(monkeypatch):

@@ -341,19 +341,99 @@ def test_array_mode_accepts_per_point_coordinates():
     ("v1^-2", [(1.0, 0.0), (0.0, 0.0)]),
     ("1/(v1 - 1)", [(0.0, 0.0), (1.0, 0.0)]),
     ("sqrt(v1^2 + v2^2)", [(1.0, 0.0), (0.0, 0.0)]),
+    ("1/(v2/v1)", [(-1.3, 0.0), (0.0, 1.0)]),
+    ("-sqrt(v2) + sign(v1)", [(1.0, 0.0), (1.0, -0.4)]),
+    # a subexpression that depends on no point is a Python float
+    ("(-2)^1.5 + v1", [(1.0, 0.0), (0.5, 0.0)]),
+    ("2/0 + v1", [(1.0, 0.0), (0.5, 0.0)]),
+    ("v1/(q1 - 0.7)", [(1.0, 0.0), (0.5, 0.0)]),
+    ("ln(q1 - 1)*v1", [(1.0, 0.0), (0.5, 0.0)]),
+    ("v1^k", [(1.0, 0.0), (-1.0, 0.0)]),
+    ("v1^1e10", [(1.0, 0.0), (-1.0, 0.0)]),
 ])
 def test_array_mode_domain_error_matches_first_scalar_error(src, points):
     node = xc.parse(src)
     fg = xc.compile_expr(node, 2, "v")
+    q, p = _SHARED_Q_AND_PARAMS.get(src, ((0.0, 0.0), {}))
     for v in points:
         try:
-            fg((0.0, 0.0), v, {})
+            fg(q, v, p)
         except xc.EvalDomainError as e:
             expected = str(e)
             break
     with pytest.raises(xc.EvalDomainError) as exc:
-        xc.compile_array(node, 2, "v")((0.0, 0.0), np.array(points).T, {})
+        xc.compile_array(node, 2, "v")(q, np.array(points).T, p)
     assert str(exc.value) == expected
+
+
+# The shared coordinates and parameters of the cases above that need them
+_SHARED_Q_AND_PARAMS = {
+    "v1/(q1 - 0.7)": ((0.7, 0.0), {}),
+    "ln(q1 - 1)*v1": ((0.7, 0.0), {}),
+    # 1e10 is non-integer to the scalar code (as "v1^1e10" is); numpy
+    # gives (-1)^1e10 = 1 without a flag
+    "v1^k": ((0.0, 0.0), {"k": 1e10}),
+}
+
+
+def _grammar_exprs():
+    """Expression source text from the grammar: every function and
+    operator, with constant, parameter and variable exponents."""
+    leaves = st.sampled_from(["v1", "v2", "q1", "q2", "c", "k", "0",
+                              "0.5", "2", "(-2)"])
+    exponents = st.sampled_from(["2", "3", "-1", "0.5", "1.5", "-0.5",
+                                 "k", "q1", "v2"])
+
+    def extend(sub):
+        return st.one_of(
+            st.builds("({} {} {})".format, sub,
+                      st.sampled_from("+-*/"), sub),
+            st.builds("{}^{}".format, sub, exponents),
+            st.builds("{}({})".format,
+                      st.sampled_from([f for f, n in xc.FUNCTIONS.items()
+                                       if n == 1]), sub))
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+_POINT_VALUES = st.sampled_from([-1.3, -0.4, -0.0, 0.0, 0.5, 1.0, 2.0])
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(src=_grammar_exprs(),
+       v=st.lists(st.tuples(_POINT_VALUES, _POINT_VALUES),
+                  min_size=1, max_size=5),
+       q_per_point=st.booleans(), q=st.tuples(_POINT_VALUES, _POINT_VALUES),
+       wrt=st.sampled_from([None, "v", "q"]),
+       eps=st.sampled_from([None, 1e-3]))
+def test_array_mode_is_the_scalar_code_at_every_point(src, v, q_per_point,
+                                                      q, wrt, eps):
+    # array mode gives the scalar values at every point, or raises the
+    # scalar code's error at its first failing point in flat order; a
+    # non-finite scalar value (a product that overflowed) is an overflow
+    node = xc.parse(src)
+    p = {"c": 0.7, "k": 3.0}
+    qs = [(q[0] + a, q[1] - b) for a, b in v] if q_per_point else [q] * len(v)
+    fn = xc.compile_expr(node, 2, wrt, eps)
+    arr = xc.compile_array(node, 2, wrt, eps)
+    args = (np.array(qs).T if q_per_point else q, np.array(v).T, p)
+    try:
+        ref = [fn(qk, vk, p) for qk, vk in zip(qs, v)]
+    except xc.EvalDomainError as e:
+        with pytest.raises(xc.EvalDomainError) as exc:
+            arr(*args)
+        assert str(exc.value) == str(e)
+        return
+    val = np.array([r[0] if wrt else r for r in ref])
+    tan = np.array([r[1] for r in ref]).T if wrt else np.zeros(0)
+    if not (np.isfinite(val).all() and np.isfinite(tan).all()):
+        with pytest.raises(xc.EvalDomainError, match="overflow"):
+            arr(*args)
+        return
+    out = arr(*args)
+    if wrt:
+        assert _rel_close(out[0], val) and _rel_close(out[1], tan)
+    else:
+        assert _rel_close(out, val)
 
 
 def test_compile_cache_drops_entries_with_their_ast():

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import count_array_calls
+from conftest import count_array_calls, count_scalar_passes
 from raydiss import exprcore as xc
 from raydiss import raymodel as rm
 
@@ -452,6 +452,20 @@ def test_each_quadrature_evaluation_is_one_array_call(monkeypatch):
     assert calls == ["_D_nodes"]
     model.D_R_grad(q, v, {})
     assert calls == ["_D_nodes", "_D_grad_nodes"]
+
+
+@pytest.mark.parametrize("src, p, v", [
+    ("c*(v1^2+v2^2)^0.5", {"c": 0.3}, (0.0, 0.0)),
+    ("c*abs(v1)^n", {"c": 0.3, "n": 0.5}, (0.0, 0.7)),
+])
+def test_zero_speed_conventions_take_no_scalar_pass(monkeypatch, src, p, v):
+    # a zero base to a power below 1 is masked in array mode, so the kink
+    # convention (value and derivative 0) costs no point-by-point pass
+    passes = count_scalar_passes(monkeypatch)
+    model = general(src).model(2)
+    assert model.D_R_grad((0.1, 0.2), v, p) == (0.0, 0.0, [0.0, 0.0])
+    assert model.R((0.1, 0.2), v, p) == 0.0
+    assert passes == []
 
 
 @pytest.mark.parametrize("src, v, with_grad", [
