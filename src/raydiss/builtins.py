@@ -8,6 +8,11 @@ configuration-dependent mass matrix:
 * quad_drag_particle -- free particle with D = A*|v|^3 (high-Reynolds drag)
 * coulomb_block     -- dry friction, D = mu*|v|, tanh-regularized force
 * pendulum_drag_2dof -- double pendulum with D = A*(v1^2+v2^2)^(3/2)
+
+Each builtin is a config document in `DOCS`, of the same JSON shape as an
+inline config, run under tight rk45 tolerances. `config_from_dict` loads a
+selection `{"system": name, ...}` as that document; `get_builtin` loads it
+the same way and adds the closed-form reference where one exists.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import exprcore as xc
+from . import config as cf
 from . import raymodel as rm
 from .dynamics import IntegratorConfig, State
 
@@ -32,64 +37,47 @@ class BuiltinSystem:
     reference: object = None  # callable t -> (q, v), or None
 
 
-def _expr(s):
-    return xc.parse(s)
+def _doc(params, mass_matrix, potential, terms, q, v, t_end):
+    return {"dof": len(q), "params": params, "mass_matrix": mass_matrix,
+            "potential": potential,
+            "dissipation": {"mode": "homogeneous_sum", "terms": terms},
+            "initial": {"q": q, "v": v}, "t_end": t_end,
+            "integrator": {"method": "rk45", "rel_tol": 1e-10,
+                           "abs_tol": 1e-12}}
 
 
-def _homsum(terms):
-    return rm.DissipationSpec("homogeneous_sum", terms)
+_M12 = "m2*l1*l2*cos(q1-q2)"
 
-
-def make_sho(params=None):
-    p = {"m": 1.0, "k": 1.0}
-    p.update(params or {})
-    return rm.SystemSpec(
-        dof=1, mass_matrix=[[_expr("m")]], potential=_expr("0.5*k*q1^2"),
-        dissipation=rm.null_dissipation(), params=p)
-
-
-def make_damped_sho(params=None):
-    p = {"m": 1.0, "k": 1.0, "c": 0.2}
-    p.update(params or {})
-    return rm.SystemSpec(
-        dof=1, mass_matrix=[[_expr("m")]], potential=_expr("0.5*k*q1^2"),
-        dissipation=_homsum([rm.DissipationTerm(_expr("c*v1^2"), 2.0)]),
-        params=p)
-
-
-def make_quad_drag_particle(params=None):
-    p = {"m": 1.0, "A": 0.5}
-    p.update(params or {})
-    return rm.SystemSpec(
-        dof=1, mass_matrix=[[_expr("m")]], potential=_expr("0"),
-        dissipation=_homsum([rm.DissipationTerm(_expr("A*abs(v1)^3"), 3.0)]),
-        params=p)
-
-
-def make_coulomb_block(params=None):
-    p = {"m": 1.0, "mu": 0.3}
-    p.update(params or {})
-    return rm.SystemSpec(
-        dof=1, mass_matrix=[[_expr("m")]], potential=_expr("0"),
-        dissipation=_homsum(
-            [rm.DissipationTerm(_expr("mu*abs(v1)"), 1.0, smooth_eps=1e-4)]),
-        params=p)
-
-
-def make_pendulum_drag_2dof(params=None):
+DOCS = {
+    "sho": _doc({"m": 1.0, "k": 1.0}, [["m"]], "0.5*k*q1^2", [],
+                q=[1.0], v=[0.0], t_end=10.0),
+    "damped_sho": _doc({"m": 1.0, "k": 1.0, "c": 0.2}, [["m"]],
+                       "0.5*k*q1^2", [{"expr": "c*v1^2", "degree": 2.0}],
+                       q=[1.0], v=[0.0], t_end=10.0),
+    "quad_drag_particle": _doc({"m": 1.0, "A": 0.5}, [["m"]], "0",
+                               [{"expr": "A*abs(v1)^3", "degree": 3.0}],
+                               q=[0.0], v=[2.0], t_end=3.0),
+    "coulomb_block": _doc({"m": 1.0, "mu": 0.3}, [["m"]], "0",
+                          [{"expr": "mu*abs(v1)", "degree": 1.0,
+                            "smooth_eps": 1e-4}],
+                          q=[0.0], v=[1.0], t_end=2.0),
     # nondimensional units (g = l = m = 1) keep the benchmark gentle
-    p = {"m1": 1.0, "m2": 1.0, "l1": 1.0, "l2": 1.0, "g": 1.0, "A": 0.1}
-    p.update(params or {})
-    mm = [
-        [_expr("(m1+m2)*l1^2"), _expr("m2*l1*l2*cos(q1-q2)")],
-        [_expr("m2*l1*l2*cos(q1-q2)"), _expr("m2*l2^2")],
-    ]
-    pot = _expr("-(m1+m2)*g*l1*cos(q1) - m2*g*l2*cos(q2)")
-    return rm.SystemSpec(
-        dof=2, mass_matrix=mm, potential=pot,
-        dissipation=_homsum(
-            [rm.DissipationTerm(_expr("A*(v1^2+v2^2)^1.5"), 3.0)]),
-        params=p)
+    "pendulum_drag_2dof": _doc(
+        {"m1": 1.0, "m2": 1.0, "l1": 1.0, "l2": 1.0, "g": 1.0, "A": 0.1},
+        [["(m1+m2)*l1^2", _M12], [_M12, "m2*l2^2"]],
+        "-(m1+m2)*g*l1*cos(q1) - m2*g*l2*cos(q2)",
+        [{"expr": "A*(v1^2+v2^2)^1.5", "degree": 3.0}],
+        q=[0.6, -0.3], v=[0.0, 0.0], t_end=5.0),
+}
+BUILTIN_NAMES = tuple(DOCS)
+
+
+def document(name) -> dict:
+    """`DOCS[name]`, or a KeyError that names the builtins."""
+    if name not in DOCS:
+        raise KeyError(f"unknown builtin system '{name}'; available: "
+                       f"{', '.join(BUILTIN_NAMES)}")
+    return DOCS[name]
 
 
 def _sho_reference(params, q0, v0):
@@ -104,11 +92,10 @@ def _sho_reference(params, q0, v0):
 
 def _damped_sho_reference(params, q0, v0):
     m, k, c = params["m"], params["k"], params["c"]
+    if c ** 2 >= 4 * k * m:
+        return None  # the closed form covers the underdamped regime only
     gam = c / (2.0 * m)  # force is -c*v, so damping rate c/(2m)
-    w0sq = k / m
-    if gam * gam >= w0sq:
-        raise ValueError("reference covers the underdamped regime only")
-    wd = math.sqrt(w0sq - gam * gam)
+    wd = math.sqrt(k / m - gam * gam)
 
     def ref(t):
         e = math.exp(-gam * t)
@@ -147,38 +134,19 @@ def _coulomb_reference(params, q0, v0):
     return ref
 
 
+# name -> factory (params, q0, v0) -> reference, or None
+_REFERENCES = {"sho": _sho_reference, "damped_sho": _damped_sho_reference,
+               "quad_drag_particle": _quad_drag_reference,
+               "coulomb_block": _coulomb_reference}
+
+
 def get_builtin(name, overrides=None) -> BuiltinSystem:
-    overrides = dict(overrides or {})
-    tight = IntegratorConfig(method="rk45", rel_tol=1e-10, abs_tol=1e-12)
-    if name == "sho":
-        sys = make_sho(overrides)
-        return BuiltinSystem(name, sys, State(0.0, [1.0], [0.0]),
-                             t_end=10.0, integrator=tight,
-                             reference=_sho_reference(sys.params, 1.0, 0.0))
-    if name == "damped_sho":
-        sys = make_damped_sho(overrides)
-        ref = None
-        if sys.params["c"] ** 2 < 4 * sys.params["k"] * sys.params["m"]:
-            ref = _damped_sho_reference(sys.params, 1.0, 0.0)
-        return BuiltinSystem(name, sys, State(0.0, [1.0], [0.0]),
-                             t_end=10.0, integrator=tight, reference=ref)
-    if name == "quad_drag_particle":
-        sys = make_quad_drag_particle(overrides)
-        return BuiltinSystem(name, sys, State(0.0, [0.0], [2.0]),
-                             t_end=3.0, integrator=tight,
-                             reference=_quad_drag_reference(sys.params, 0.0, 2.0))
-    if name == "coulomb_block":
-        sys = make_coulomb_block(overrides)
-        return BuiltinSystem(name, sys, State(0.0, [0.0], [1.0]),
-                             t_end=2.0, integrator=tight,
-                             reference=_coulomb_reference(sys.params, 0.0, 1.0))
-    if name == "pendulum_drag_2dof":
-        sys = make_pendulum_drag_2dof(overrides)
-        return BuiltinSystem(name, sys, State(0.0, [0.6, -0.3], [0.0, 0.0]),
-                             t_end=5.0, integrator=tight, reference=None)
-    raise KeyError(f"unknown builtin system '{name}'; available: "
-                   f"{', '.join(BUILTIN_NAMES)}")
-
-
-BUILTIN_NAMES = ("sho", "damped_sho", "quad_drag_particle", "coulomb_block",
-                 "pendulum_drag_2dof")
+    """Builtin `name` with parameter `overrides`, loaded from its document
+    like any config."""
+    cfg = cf.config_from_dict({**document(name),
+                               "overrides": dict(overrides or {})})
+    factory = _REFERENCES.get(name)
+    reference = None if factory is None else factory(
+        cfg.system.params, float(cfg.initial.q[0]), float(cfg.initial.v[0]))
+    return BuiltinSystem(name, cfg.system, cfg.initial, cfg.t_end,
+                         cfg.integrator, reference)

@@ -180,6 +180,11 @@ def cmd_derive_r(cfg: RunConfig, q, v) -> int:
     d = sys.dissipation
     try:
         total_d, total_r, force = d.model(sys.dof).D_R_grad(qt, vt, p)
+        force = [float(x) for x in force]
+        if not np.all(np.isfinite([total_d, total_r, *force])):
+            raise rm.ModelError(
+                f"non-finite result: D = {float(total_d)!r}, R = "
+                f"{float(total_r)!r}, dR/dv = {force!r}")
         if d.mode == "homogeneous_sum":
             print(f"{'term':<30} {'degree':>8} {'D_n':>14} {'D_n/n':>14}")
             for term in d.terms:
@@ -199,7 +204,7 @@ def cmd_derive_r(cfg: RunConfig, q, v) -> int:
     print(f"total R      = {total_r!r}")
     ratio = total_r / total_d if total_d else float("nan")
     print(f"R/D          = {ratio!r}")
-    print(f"dR/dv        = {[float(x) for x in force]!r}")
+    print(f"dR/dv        = {force!r}")
     return EXIT_OK
 
 

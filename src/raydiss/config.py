@@ -1,10 +1,13 @@
 """Run configuration: JSON schema, validation, serialization.
 
 A config either embeds the full system (dof, mass_matrix, potential,
-dissipation, params) or selects a builtin by name; either may carry
-parameter `overrides`. Expressions are strings in the expression grammar;
-they are parsed and bound at load time, and declared homogeneity degrees
-are verified immediately so bad configs fail before any integration.
+dissipation, params) or selects a builtin by name. A selection loads as
+the builtin's document (`builtins.DOCS`), each of its other top-level keys
+replacing that whole section, so both kinds take one path from here on.
+Either may carry parameter `overrides`, applied after the sections.
+Expressions are strings in the expression grammar; they are parsed and
+bound at load time, and declared homogeneity degrees are verified
+immediately so bad configs fail before any integration.
 
 The sections `integrator`, `audit`, `output` and `dissipation.quadrature`
 are read field by field into their dataclasses: each key must name a
@@ -56,7 +59,6 @@ class RunConfig:
     tolerances: AuditTolerances = field(default_factory=AuditTolerances)
     output: OutputConfig = field(default_factory=OutputConfig)
     builtin_name: str | None = None
-    reference: object = None
 
     def __post_init__(self):
         if not (math.isfinite(self.t_end) and self.t_end > self.initial.t):
@@ -81,12 +83,7 @@ class RunConfig:
             params[name] = _num(value, f"overrides.{name}")
         # structure does not depend on parameters, so the new system keeps
         # the parsed expressions and shares the compiled dissipation model
-        system = replace(self.system, params=params)
-        reference = None
-        if self.builtin_name:
-            reference = bi.get_builtin(self.builtin_name,
-                                       system.params).reference
-        return replace(self, system=system, reference=reference)
+        return replace(self, system=replace(self.system, params=params))
 
 
 # ---------------------------------------------------------------------------
@@ -207,75 +204,60 @@ _RUN_KEYS = ("initial", "t_end", "integrator", "audit", "output",
 def config_from_dict(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("top-level document must be a JSON object")
+    name = doc.get("system")
     if "system" in doc:
         _check_keys(doc, ("system",) + _RUN_KEYS, "")
-        name = doc["system"]
         if not isinstance(name, str):
             raise ConfigError("builtin selection must be a name string",
                               "system")
         try:
-            b = bi.get_builtin(name)
+            builtin = bi.document(name)
         except KeyError as e:
             raise ConfigError(str(e.args[0]), "system") from None
-        system, initial, t_end = b.system, b.initial, b.t_end
-        integrator, reference = b.integrator, b.reference
-    else:
-        _check_keys(doc, ("dof", "params", "mass_matrix", "potential",
-                          "dissipation") + _RUN_KEYS, "")
-        dof = _req(doc, "dof", "")
-        if not isinstance(dof, int) or dof < 1:
-            raise ConfigError("dof must be a positive integer", "dof")
-        params = doc.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError("params must be an object", "params")
-        params = {k: _num(v, f"params.{k}") for k, v in params.items()}
-        mm_src = _req(doc, "mass_matrix", "")
-        if not isinstance(mm_src, list) or len(mm_src) != dof:
-            raise ConfigError(f"mass_matrix must be a {dof}x{dof} grid",
-                              "mass_matrix")
-        mm = []
-        for i, row in enumerate(mm_src):
-            if not isinstance(row, list) or len(row) != dof:
-                raise ConfigError(f"row must have {dof} entries",
-                                  f"mass_matrix[{i}]")
-            mm.append([_parse_expr(e, f"mass_matrix[{i}][{j}]")
-                       for j, e in enumerate(row)])
-        potential = _parse_expr(_req(doc, "potential", ""), "potential")
-        dissipation = _load_dissipation(_req(doc, "dissipation", ""),
-                                        "dissipation")
-        try:
-            system = rm.SystemSpec(dof=dof, mass_matrix=mm,
-                                   potential=potential,
-                                   dissipation=dissipation, params=params)
-        except (rm.ModelError, xc.BindError) as e:
-            raise ConfigError(str(e)) from None
-        name = initial = t_end = reference = None
-        integrator = IntegratorConfig()
+        doc = {**builtin, **{k: v for k, v in doc.items() if k != "system"}}
+    _check_keys(doc, ("dof", "params", "mass_matrix", "potential",
+                      "dissipation") + _RUN_KEYS, "")
+    dof = _req(doc, "dof", "")
+    if not isinstance(dof, int) or dof < 1:
+        raise ConfigError("dof must be a positive integer", "dof")
+    params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError("params must be an object", "params")
+    params = {k: _num(v, f"params.{k}") for k, v in params.items()}
+    mm_src = _req(doc, "mass_matrix", "")
+    if not isinstance(mm_src, list) or len(mm_src) != dof:
+        raise ConfigError(f"mass_matrix must be a {dof}x{dof} grid",
+                          "mass_matrix")
+    mm = []
+    for i, row in enumerate(mm_src):
+        if not isinstance(row, list) or len(row) != dof:
+            raise ConfigError(f"row must have {dof} entries",
+                              f"mass_matrix[{i}]")
+        mm.append([_parse_expr(e, f"mass_matrix[{i}][{j}]")
+                   for j, e in enumerate(row)])
+    potential = _parse_expr(_req(doc, "potential", ""), "potential")
+    dissipation = _load_dissipation(_req(doc, "dissipation", ""),
+                                    "dissipation")
+    try:
+        system = rm.SystemSpec(dof=dof, mass_matrix=mm, potential=potential,
+                               dissipation=dissipation, params=params)
+    except (rm.ModelError, xc.BindError) as e:
+        raise ConfigError(str(e)) from None
 
-    if "initial" in doc:
-        init = doc["initial"]
-        _check_keys(init, ("q", "v", "t0"), "initial")
-        zeros = (0.0,) * system.dof
-        q = _typed(_req(init, "q", "initial"), zeros, "initial.q")
-        v = _typed(_req(init, "v", "initial"), zeros, "initial.v")
-        t0 = _num(init.get("t0", 0.0), "initial.t0")
-        initial = State(t0, q, v)
-    elif initial is None:
-        raise ConfigError("missing required field 'initial'")
-    if "t_end" in doc:
-        t_end = _num(doc["t_end"], "t_end")
-    elif t_end is None:
-        raise ConfigError("missing required field 't_end'")
-    if "integrator" in doc:
-        integrator = _section(IntegratorConfig, doc["integrator"],
-                              "integrator")
-
+    init = _req(doc, "initial", "")
+    _check_keys(init, ("q", "v", "t0"), "initial")
+    zeros = (0.0,) * dof
+    q = _typed(_req(init, "q", "initial"), zeros, "initial.q")
+    v = _typed(_req(init, "v", "initial"), zeros, "initial.v")
+    t0 = _num(init.get("t0", 0.0), "initial.t0")
     cfg = RunConfig(
-        system=system, initial=initial, t_end=t_end,
-        integrator=integrator,
+        system=system, initial=State(t0, q, v),
+        t_end=_num(_req(doc, "t_end", ""), "t_end"),
+        integrator=_section(IntegratorConfig, doc.get("integrator", {}),
+                            "integrator"),
         tolerances=_section(AuditTolerances, doc.get("audit", {}), "audit"),
         output=_section(OutputConfig, doc.get("output", {}), "output"),
-        builtin_name=name, reference=reference)
+        builtin_name=name)
     if "overrides" in doc:
         cfg = cfg.with_params(doc["overrides"])
     _check_declared_degrees(cfg)

@@ -28,8 +28,6 @@ import numpy as np
 FUNCTIONS = {"sin": 1, "cos": 1, "exp": 1, "ln": 1, "sqrt": 1, "abs": 1,
              "sign": 1, "tanh": 1, "pow": 2}
 
-_BINOPS = {"+", "-", "*", "/", "^"}
-
 
 class ExprError(Exception):
     """Base for all expression-layer failures."""

@@ -125,8 +125,7 @@ class DissipationSpec:
 
     def model(self, dof):
         """Compiled D, R and dR/dv for `dof` coordinates, built on first
-        use. A racing thread may build a duplicate; only a complete model
-        is ever stored."""
+        use and kept for the life of this spec."""
         hit = self._models.get(dof)
         if hit is None:
             cls = (_GeneralModel if self.mode == "general"

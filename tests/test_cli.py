@@ -10,7 +10,8 @@ import pytest
 
 from raydiss import cli
 from raydiss import config as cf
-from raydiss.builtins import BUILTIN_NAMES
+from raydiss import dynamics as dy
+from raydiss.builtins import BUILTIN_NAMES, DOCS, get_builtin
 from raydiss.cli import main
 
 
@@ -114,6 +115,26 @@ def test_load_missing_file_and_bad_json(workdir):
 def test_load_rejects_unknown_builtin(workdir):
     with pytest.raises(cf.ConfigError):
         cf.load_config(write_json(workdir / "b.json", {"system": "nope"}))
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_selection_loads_as_its_document(name):
+    assert (cf.config_to_dict(cf.config_from_dict({"system": name}))
+            == cf.config_to_dict(cf.config_from_dict(DOCS[name])))
+
+
+def test_selection_section_replaces_the_whole_builtin_section():
+    # the builtin's rel_tol=1e-10 does not survive an integrator section
+    cfg = cf.config_from_dict({"system": "damped_sho",
+                               "integrator": {"method": "rk4"}})
+    assert cfg.integrator == dy.IntegratorConfig(method="rk4")
+
+
+def test_get_builtin_rejects_unknown_override_and_name():
+    with pytest.raises(cf.ConfigError, match="unknown parameter"):
+        get_builtin("sho", {"c": 1.0})
+    with pytest.raises(KeyError, match="unknown builtin system 'nope'"):
+        get_builtin("nope")
 
 
 def test_with_params_rejects_unknown(workdir):
@@ -455,6 +476,21 @@ def test_derive_r_overflow_is_a_one_line_error(workdir, capsys, dissipation,
     assert err.startswith("derive-r: error at ")
     assert f"floating-point overflow in subexpression '{expr}'" in err
     assert "Warning" not in err and "Traceback" not in err
+
+
+def test_derive_r_non_finite_result_is_a_one_line_error(workdir, capsys):
+    # exp(400) is finite, but D = exp(400)^2 overflows to inf without an
+    # error from the subexpression that does it
+    doc = json.loads(json.dumps(DSHO_INLINE))
+    doc["dissipation"]["terms"] = [{"expr": "v1^2*exp(q1)*exp(q1)",
+                                    "degree": 2}]
+    rc = main(["derive-r", "--config", write_json(workdir / "c.json", doc),
+               "--q", "400", "--v", "1"])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("derive-r: error at q=[400.0], v=[1.0]: non-finite "
+                   "result: D = inf, R = inf, dR/dv = [inf]\n")
 
 
 def test_derive_r_wrong_arity(workdir):

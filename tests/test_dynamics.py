@@ -13,8 +13,19 @@ from conftest import count_array_calls, count_scalar_passes
 from raydiss import dynamics as dy
 from raydiss import exprcore as xc
 from raydiss import raymodel as rm
-from raydiss.builtins import (get_builtin, make_damped_sho,
-                              make_quad_drag_particle, make_sho)
+from raydiss.builtins import get_builtin
+
+
+def make_sho():
+    return get_builtin("sho").system
+
+
+def make_damped_sho():
+    return get_builtin("damped_sho").system
+
+
+def make_quad_drag_particle():
+    return get_builtin("quad_drag_particle").system
 
 
 def free_particle(dissipation=None):

@@ -135,6 +135,7 @@ def test_runs_do_not_grow_the_expression_compile_cache():
 
 def test_with_params_shares_the_builtin_dissipation_model():
     from raydiss import config as cf
+    from raydiss.builtins import get_builtin
 
     base = cf.config_from_dict({"system": "damped_sho"})
     a = base.with_params({"c": 0.1})
@@ -142,7 +143,8 @@ def test_with_params_shares_the_builtin_dissipation_model():
     assert a.system.dissipation is base.system.dissipation
     assert a.system.dissipation.model(1) is b.system.dissipation.model(1)
     assert a.system.params["c"] == 0.1 and b.system.params["c"] == 0.3
-    assert a.reference is not None
+    assert get_builtin("damped_sho", {"c": 0.1}).reference is not None
+    assert get_builtin("damped_sho", {"c": 3.0}).reference is None
 
 
 # ---------------------------------------------------------------------------
