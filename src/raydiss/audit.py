@@ -3,10 +3,8 @@
 Three independent families of checks:
 
 * energy balance: Hdot = -D, verified as the running defect
-  H(t) - H(t0) + integral of D. The integral uses the integrator's own
-  accumulated dissipation channel by default (full integrator
-  accuracy); a sample-based trapezoid/Simpson accumulation is available
-  as an explicitly requested alternative.
+  H(t) - H(t0) + integral of D. The integral is the dissipation channel
+  the integrator carries, so the check runs at full integrator accuracy.
 * generalized-force reconstruction: F = dL/dq - d/dt(dL/dv) along the
   trajectory with the momentum time-derivative taken by finite
   differences of the stored samples. This path is independent of the
@@ -66,11 +64,11 @@ class EnergyBalanceResult:
     max_defect: float
     passed: bool
     tol: float
-    method: str  # 'accumulated' | 'trapezoid' | 'simpson'
 
     def to_dict(self):
+        # "method" says how the integral of D was formed
         return {"max_defect": self.max_defect, "pass": self.passed,
-                "tol": self.tol, "method": self.method}
+                "tol": self.tol, "method": "accumulated"}
 
 
 @dataclass(frozen=True)
@@ -139,16 +137,12 @@ class AuditReport:
         return all(sections) and not self.errors
 
     def to_dict(self):
-        return {
+        return _json_data({
             "pass": self.passed,
-            "energy_balance": None if self.energy_balance is None
-                              else self.energy_balance.to_dict(),
-            "euler_identity": None if self.euler_identity is None
-                              else self.euler_identity.to_dict(),
-            "positivity": None if self.positivity is None
-                          else self.positivity.to_dict(),
-            "stationarity": None if self.stationarity is None
-                            else self.stationarity.to_dict(),
+            "energy_balance": self.energy_balance,
+            "euler_identity": self.euler_identity,
+            "positivity": self.positivity,
+            "stationarity": self.stationarity,
             "conservative_limit": self.conservative_limit,
             "tolerances": {
                 "energy": self.tolerances.energy,
@@ -156,68 +150,38 @@ class AuditReport:
                 "slope_window": list(self.tolerances.slope_window),
             },
             "errors": dict(self.errors),
-        }
+        })
+
+
+def _json_data(x):
+    """x with each section (an object with to_dict) as its dict, and each
+    non-finite number as None (null), as JSON has no NaN or Infinity."""
+    if hasattr(x, "to_dict"):
+        x = x.to_dict()
+    if isinstance(x, dict):
+        return {k: _json_data(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_json_data(v) for v in x]
+    return None if isinstance(x, float) and not math.isfinite(x) else x
 
 
 # ---------------------------------------------------------------------------
 # Energy balance
 
 
-def _cumulative_trapezoid(t, f):
-    out = np.zeros_like(f)
-    out[1:] = np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(t))
-    return out
-
-
-def _cumulative_simpson(t, f):
-    """Cumulative integral on a uniform grid; Simpson pairs plus a
-    quadratic end-correction for odd indices."""
-    h = t[1] - t[0]
-    out = np.zeros_like(f)
-    for k in range(1, len(f)):
-        if k == 1:
-            # quadratic through f0..f2 integrated over the first interval
-            out[1] = h * (5.0 * f[0] + 8.0 * f[1] - f[2]) / 12.0
-        elif k % 2 == 0:
-            out[k] = out[k - 2] + h * (f[k - 2] + 4.0 * f[k - 1] + f[k]) / 3.0
-        else:
-            out[k] = out[k - 1] + h * (-f[k - 2] + 8.0 * f[k - 1]
-                                       + 5.0 * f[k]) / 12.0
-    return out
-
-
-def energy_balance_audit(traj: Trajectory, tol: float,
-                         method: str = "accumulated") -> EnergyBalanceResult:
+def energy_balance_audit(traj: Trajectory, tol: float) -> EnergyBalanceResult:
     """Max over samples of |H(t) - H(t0) + integral of D|, relative to
-    1 + |H(t0)|.
-
-    method 'accumulated' (the default) reads the integral of D that the
-    integrator carries as a state channel, at full integrator accuracy;
-    'trapezoid'/'simpson' accumulate the samples' D instead (Simpson needs
-    uniform spacing). A sample's D comes from the RHS call at its state
-    that either integrator hands on as the next step's first stage.
-    """
+    1 + |H(t0)|, with the integral of D that the integrator carries as a
+    state channel (Diagnostics.E_diss), at full integrator accuracy."""
     if len(traj) < 3:
         raise AuditError("energy balance audit needs at least 3 samples")
     diags = traj.diagnostics()
-    t = traj.times()
     H = np.array([d.H for d in diags])
-    D = np.array([d.D_val for d in diags])
-    if method == "accumulated":
-        integral = np.array([d.E_diss for d in diags])
-    elif method == "simpson":
-        if not traj.spacing_uniform():
-            raise AuditError("Simpson accumulation needs uniform spacing")
-        integral = _cumulative_simpson(t, D)
-    elif method == "trapezoid":
-        integral = _cumulative_trapezoid(t, D)
-    else:
-        raise ValueError(f"unknown energy integral method '{method}'")
+    integral = np.array([d.E_diss for d in diags])
     defect = float(np.max(np.abs(H - H[0] + integral)))
     thresh = tol * (1.0 + abs(H[0]))
     return EnergyBalanceResult(max_defect=defect,
-                               passed=bool(defect <= thresh),
-                               tol=tol, method=method)
+                               passed=bool(defect <= thresh), tol=tol)
 
 
 # ---------------------------------------------------------------------------

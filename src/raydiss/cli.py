@@ -64,17 +64,12 @@ def write_plot_data(traj, dof, stem):
     cols = _columns(dof)
     outdir = stem + "_plot"
     os.makedirs(outdir, exist_ok=True)
-    series = {c: [] for c in cols[1:]}
-    ts = []
-    for row in _rows(traj):
-        ts.append(row[0])
-        for c, x in zip(cols[1:], row[1:]):
-            series[c].append(x)
-    for c, ys in series.items():
+    rows = list(_rows(traj))
+    for j, c in enumerate(cols[1:], 1):
         with open(os.path.join(outdir, f"{c}.dat"), "w",
                   encoding="utf-8") as f:
-            for t, y in zip(ts, ys):
-                f.write(f"{_fmt(t)} {_fmt(y)}\n")
+            for row in rows:
+                f.write(f"{_fmt(row[0])} {_fmt(row[j])}\n")
     return outdir
 
 
@@ -97,14 +92,18 @@ def _default_out(cfg):
     return f"{cfg.builtin_name or 'run'}.{cfg.output.format}"
 
 
-def _missing_dir(command, path):
-    """True, after one error line, when the directory of `path` is missing."""
+def _bad_output(command, path):
+    """True, after one error line, when the directory of the output file
+    `path` is missing or `path` is itself a directory."""
     d = os.path.dirname(path)
     if d and not os.path.isdir(d):
-        print(f"{command}: error: output directory '{d}' does not exist",
-              file=_sys.stderr)
-        return True
-    return False
+        msg = f"output directory '{d}' does not exist"
+    elif os.path.isdir(path):
+        msg = f"output path '{path}' is a directory"
+    else:
+        return False
+    print(f"{command}: error: {msg}", file=_sys.stderr)
+    return True
 
 
 def run_simulation(cfg: RunConfig):
@@ -115,7 +114,7 @@ def run_simulation(cfg: RunConfig):
 
 def cmd_simulate(cfg: RunConfig) -> int:
     out = _default_out(cfg)
-    if _missing_dir("simulate", out):
+    if _bad_output("simulate", out):
         return EXIT_ERROR
     try:
         traj, report = run_simulation(cfg)
@@ -125,7 +124,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     write_trajectory(traj, cfg.system.dof, out, cfg.output.format)
     audit_path = os.path.splitext(out)[0] + ".audit.json"
     with open(audit_path, "w", encoding="utf-8") as f:
-        json.dump(report.to_dict(), f, indent=2)
+        json.dump(report.to_dict(), f, indent=2, allow_nan=False)
         f.write("\n")
     if cfg.output.plot_data:
         write_plot_data(traj, cfg.system.dof, os.path.splitext(out)[0])
@@ -262,7 +261,8 @@ def cmd_sweep(cfg: RunConfig, param, values, out_stem=None, jobs=None) -> int:
               f"same {param}=... file names", file=_sys.stderr)
         return EXIT_ERROR
     stem = out_stem or os.path.splitext(_default_out(cfg))[0]
-    if _missing_dir("sweep", stem):
+    summary = f"{stem}_sweep.csv"
+    if _bad_output("sweep", summary):
         return EXIT_ERROR
     members = [(cfg.with_params({param: x}),
                 f"{stem}_{param}={name}.{cfg.output.format}")
@@ -280,7 +280,6 @@ def cmd_sweep(cfg: RunConfig, param, values, out_stem=None, jobs=None) -> int:
                for i, r in enumerate(results)]
     results = [{"status": f"error: {r}"} if isinstance(r, Exception) else r
                for r in results]
-    summary = f"{stem}_sweep.csv"
     m = cfg.system.dof
     with open(summary, "w", encoding="utf-8") as f:
         qcols = ",".join(f"final_q{i + 1}" for i in range(m))

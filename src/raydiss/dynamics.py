@@ -129,12 +129,6 @@ class Trajectory:
     def diagnostics(self):
         return [d for _, d in self.samples]
 
-    def spacing_uniform(self, rtol=1e-9):
-        dt = np.diff(self.times())
-        if len(dt) < 2:
-            return True
-        return np.ptp(dt) <= rtol * dt.mean()
-
 
 # ---------------------------------------------------------------------------
 # Force assembly

@@ -483,12 +483,14 @@ def grad_R_v(spec: DissipationSpec, ctx: EvalContext) -> np.ndarray:
 
 def _sampled_check(name, states, violations, tol, detail=""):
     """CheckReport of the largest value that violations(q, v) yields over
-    `states` (a NaN never counts); it passes iff that is <= tol, and a
-    failing report names the worst state as its witness."""
+    `states`, a NaN (say inf - inf) counting as inf; it passes iff that is
+    <= tol, and a failing report names the worst state as its witness."""
     worst = 0.0
     witness = None
     for q, v in states:
         for x in violations(q, v):
+            if math.isnan(x):
+                x = math.inf
             if x > worst:
                 worst = x
                 witness = (tuple(q), tuple(v))

@@ -95,6 +95,25 @@ def test_huge_declared_degree_is_a_one_line_config_error(workdir, capsys,
     assert [p.name for p in workdir.iterdir()] == ["c.json"]
 
 
+# numpy's overflow warnings from the sampled checks are a separate matter;
+# this test is about the verdict
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_term_is_a_one_line_config_error(workdir, capsys):
+    # D = A*|v1|^3 overflows to inf above |v1| ~ 5.6, where the homogeneity
+    # violation inf - inf is NaN
+    doc = {**DSHO_INLINE, "params": {"m": 1.0, "k": 1.0, "A": 1e306},
+           "dissipation": {"mode": "homogeneous_sum",
+                           "terms": [{"expr": "A*abs(v1)^3", "degree": 3}]},
+           "initial": {"q": [0.0], "v": [0.0]}, "t_end": 0.5,
+           "integrator": {"method": "rk4", "dt": 0.01}}
+    rc = main(["simulate", "--config", write_json(workdir / "c.json", doc)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "raydiss: config error at 'dissipation.terms[0]': term is not "
+        "homogeneous of declared degree 3.0 (max relative violation inf)\n")
+    assert [p.name for p in workdir.iterdir()] == ["c.json"]
+
+
 def test_load_rejects_wrong_initial_length(workdir):
     doc = json.loads(json.dumps(DSHO_INLINE))
     doc["initial"]["q"] = [1.0, 2.0]
@@ -312,6 +331,25 @@ def test_output_in_a_missing_directory_is_one_error_line(workdir, capsys,
     assert capsys.readouterr().err == (
         f"{argv[0]}: error: output directory 'nodir' does not exist\n")
     assert sorted(p.name for p in workdir.iterdir()) == ["c.json"]
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["simulate", "--out", "d"], "d"),
+    (["simulate", "--out", "d/"], "d/"),
+    (["sweep", "--param", "c", "--values", "0.1,0.2", "--out", "d"],
+     "d_sweep.csv"),
+], ids=["simulate", "simulate-slash", "sweep-summary"])
+def test_output_path_that_is_a_directory_is_one_error_line(workdir, capsys,
+                                                           argv, path):
+    config = write_json(workdir / "c.json",
+                        {"system": "damped_sho", "t_end": 0.5})
+    os.mkdir(path)
+    rc = main(argv[:1] + ["--config", config] + argv[1:])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"{argv[0]}: error: output path '{path}' is a directory\n")
+    assert sorted(p.name for p in workdir.iterdir()) == sorted(
+        ["c.json", path.rstrip("/")])
 
 
 def test_simulate_bad_config_exit_one(workdir):

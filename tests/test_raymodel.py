@@ -639,6 +639,15 @@ def test_sampled_checks_need_at_least_one_sample(check):
         check(0)
 
 
+def test_sampled_check_counts_a_nan_violation_as_inf():
+    # inf - inf in a check's arithmetic must fail the check, not pass it
+    states = rm.sample_states(1, 3, seed=0)
+    rep = rm._sampled_check("nan", states, lambda q, v: (0.0, math.nan), 1.0)
+    assert not rep.passed
+    assert rep.max_violation == math.inf
+    assert rep.witness == (tuple(states[0][0]), tuple(states[0][1]))
+
+
 def test_sample_states_reproducible():
     a = rm.sample_states(2, 5, seed=42)
     b = rm.sample_states(2, 5, seed=42)
