@@ -114,7 +114,15 @@ def run_simulation(cfg: RunConfig):
 
 def cmd_simulate(cfg: RunConfig) -> int:
     out = _default_out(cfg)
-    if _bad_output("simulate", out):
+    stem = os.path.splitext(out)[0]
+    audit_path = stem + ".audit.json"
+    if _bad_output("simulate", out) or _bad_output("simulate", audit_path):
+        return EXIT_ERROR
+    plot_dir = stem + "_plot"
+    if (cfg.output.plot_data and os.path.exists(plot_dir)
+            and not os.path.isdir(plot_dir)):
+        print(f"simulate: error: plot directory '{plot_dir}' exists and is "
+              f"not a directory", file=_sys.stderr)
         return EXIT_ERROR
     try:
         traj, report = run_simulation(cfg)
@@ -122,12 +130,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
         print(f"simulate: error: {e}", file=_sys.stderr)
         return EXIT_ERROR
     write_trajectory(traj, cfg.system.dof, out, cfg.output.format)
-    audit_path = os.path.splitext(out)[0] + ".audit.json"
     with open(audit_path, "w", encoding="utf-8") as f:
         json.dump(report.to_dict(), f, indent=2, allow_nan=False)
         f.write("\n")
     if cfg.output.plot_data:
-        write_plot_data(traj, cfg.system.dof, os.path.splitext(out)[0])
+        write_plot_data(traj, cfg.system.dof, stem)
     print(f"simulate: wrote {out} ({len(traj)} samples) and {audit_path}")
     if not report.passed:
         print("simulate: audit FAILED (see audit JSON)", file=_sys.stderr)

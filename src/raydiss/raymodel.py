@@ -428,7 +428,8 @@ class CheckReport:
 
 def sample_states(dof, samples, seed, v_norm_range=(0.1, 10.0)):
     """Seeded reproducible state sampler: q uniform in [-2,2]^m, speed
-    log-uniform in v_norm_range, uniform direction."""
+    log-uniform in v_norm_range, uniform direction. States are pairs of
+    tuples of Python floats, so the checks evaluate in Python floats."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
@@ -442,7 +443,7 @@ def sample_states(dof, samples, seed, v_norm_range=(0.1, 10.0)):
             d[0] = 1.0
             n = 1.0
         speed = np.exp(rng.uniform(lo, hi))
-        out.append((q, speed * d / n))
+        out.append((tuple(q.tolist()), tuple((speed * d / n).tolist())))
     return out
 
 
@@ -493,7 +494,7 @@ def _sampled_check(name, states, violations, tol, detail=""):
                 x = math.inf
             if x > worst:
                 worst = x
-                witness = (tuple(q), tuple(v))
+                witness = (q, v)
     passed = worst <= tol
     return CheckReport(
         name=name, passed=bool(passed), max_violation=float(worst),
@@ -507,15 +508,14 @@ def homogeneity_check(term: DissipationTerm, dof: int, params: dict,
     fn = term.evaluate
 
     def violations(q, v):
-        qt = tuple(q)
-        base = fn(qt, tuple(v), params)
+        base = fn(q, v, params)
         for lam in (0.5, 2.0, 3.0):
             try:
                 expected = lam ** term.degree * base
             except OverflowError:  # a huge declared degree
                 yield math.inf
                 continue
-            yield (abs(fn(qt, tuple(lam * v), params) - expected)
+            yield (abs(fn(q, tuple(lam * x for x in v), params) - expected)
                    / (1.0 + abs(expected)))
     return _sampled_check("homogeneity", sample_states(dof, samples, seed),
                           violations, 1e-9, f"declared degree {term.degree}")
@@ -527,7 +527,7 @@ def euler_identity_check(spec: DissipationSpec, dof: int, params: dict,
     model = spec.model(dof)
 
     def violations(q, v):
-        d, _, g = model.D_R_grad(tuple(q), tuple(v), params)
+        d, _, g = model.D_R_grad(q, v, params)
         yield abs(float(np.dot(v, g)) - d) / (1.0 + abs(d))
     return _sampled_check("euler_identity", sample_states(dof, samples, seed),
                           violations, 1e-8, "v . dR/dv vs D")
@@ -546,7 +546,7 @@ def positivity_scan(spec: DissipationSpec, dof: int, params: dict,
 def rest_value_check(spec: DissipationSpec, dof: int, params: dict,
                      samples: int = 20, seed: int = 0) -> CheckReport:
     """D(q, 0) must vanish, else the R integral diverges."""
-    zeros = np.zeros(dof)
+    zeros = (0.0,) * dof
     states = [(q, zeros) for q, _ in sample_states(dof, samples, seed)]
     return _sampled_check(
         "rest_value", states,

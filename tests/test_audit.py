@@ -165,6 +165,19 @@ def test_full_audit_conservative_section():
     assert report.conservative_limit["pass"]
     assert report.conservative_limit["H_drift"] <= 1e-9
     assert report.passed
+    # with no D the conservative limit is the energy balance, bit for bit
+    energy = report.energy_balance
+    assert report.conservative_limit == {"H_drift": energy.max_defect,
+                                         "pass": energy.passed}
+    b, traj = rk4_run("sho", 0.5, 1.0)  # 3 coarse samples: both fail
+    coarse = au.full_audit(b.system, traj)
+    assert len(traj) == 3 and not coarse.energy_balance.passed
+    assert coarse.conservative_limit == {
+        "H_drift": coarse.energy_balance.max_defect, "pass": False}
+    # too few samples for the energy balance: no conservative section
+    b, traj = rk4_run("sho", 1.0, 1.0)
+    short = au.full_audit(b.system, traj)
+    assert short.conservative_limit is None and not short.passed
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)

@@ -95,9 +95,6 @@ def test_huge_declared_degree_is_a_one_line_config_error(workdir, capsys,
     assert [p.name for p in workdir.iterdir()] == ["c.json"]
 
 
-# numpy's overflow warnings from the sampled checks are a separate matter;
-# this test is about the verdict
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_term_is_a_one_line_config_error(workdir, capsys):
     # D = A*|v1|^3 overflows to inf above |v1| ~ 5.6, where the homogeneity
     # violation inf - inf is NaN
@@ -338,7 +335,8 @@ def test_output_in_a_missing_directory_is_one_error_line(workdir, capsys,
     (["simulate", "--out", "d/"], "d/"),
     (["sweep", "--param", "c", "--values", "0.1,0.2", "--out", "d"],
      "d_sweep.csv"),
-], ids=["simulate", "simulate-slash", "sweep-summary"])
+    (["simulate", "--out", "x.csv"], "x.audit.json"),
+], ids=["simulate", "simulate-slash", "sweep-summary", "simulate-audit"])
 def test_output_path_that_is_a_directory_is_one_error_line(workdir, capsys,
                                                            argv, path):
     config = write_json(workdir / "c.json",
@@ -350,6 +348,19 @@ def test_output_path_that_is_a_directory_is_one_error_line(workdir, capsys,
         f"{argv[0]}: error: output path '{path}' is a directory\n")
     assert sorted(p.name for p in workdir.iterdir()) == sorted(
         ["c.json", path.rstrip("/")])
+
+
+def test_plot_directory_that_is_a_file_is_one_error_line(workdir, capsys):
+    config = write_json(workdir / "c.json",
+                        {"system": "damped_sho", "t_end": 0.5})
+    (workdir / "y_plot").write_text("")
+    rc = main(["simulate", "--config", config, "--out", "y.csv",
+               "--plot-data"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "simulate: error: plot directory 'y_plot' exists and is not a "
+        "directory\n")
+    assert sorted(p.name for p in workdir.iterdir()) == ["c.json", "y_plot"]
 
 
 def test_simulate_bad_config_exit_one(workdir):

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from raydiss import exprcore as xc
 
 from conftest import CORPUS, CORPUS_PARAMS, random_contexts
+from dual_interpreter import (Dual, eval_dual, evaluate_interpreted,
+                              grad_q_interpreted, grad_v_interpreted)
 
 
 def ctx1(q, v, **params):
@@ -118,7 +120,7 @@ def test_compiled_matches_interpreter_on_corpus(corpus_asts):
     for src, node in corpus_asts:
         for ctx in random_contexts(10, seed=hash(src) % 2**32):
             a = xc.evaluate(node, ctx)
-            b = xc.evaluate_interpreted(node, ctx)
+            b = evaluate_interpreted(node, ctx)
             assert a == pytest.approx(b, rel=1e-14, abs=1e-14), src
 
 
@@ -165,9 +167,54 @@ def test_grad_interpreted_matches_compiled(corpus_asts):
     for src, node in corpus_asts:
         for ctx in random_contexts(5, seed=3):
             assert xc.grad_v(node, ctx) == pytest.approx(
-                xc.grad_v_interpreted(node, ctx), rel=1e-13, abs=1e-13), src
+                grad_v_interpreted(node, ctx), rel=1e-13, abs=1e-13), src
             assert xc.grad_q(node, ctx) == pytest.approx(
-                xc.grad_q_interpreted(node, ctx), rel=1e-13, abs=1e-13), src
+                grad_q_interpreted(node, ctx), rel=1e-13, abs=1e-13), src
+
+
+# Points outside an expression's domain, or on its edge where only a
+# derivative is undefined: (source, q, v, how many of the value, grad_v and
+# grad_q passes raise)
+_DOMAIN_CASES = [
+    ("ln(v1)", (1.0, 1.0), (0.0, 1.0), 3),
+    ("ln(v1)", (1.0, 1.0), (-0.5, 1.0), 3),
+    ("ln(q1*v1)", (-1.0, 1.0), (1.0, 1.0), 3),
+    ("sqrt(v1)", (1.0, 1.0), (-1.0, 1.0), 3),
+    ("sqrt(v1)", (1.0, 1.0), (0.0, 1.0), 1),
+    ("sqrt(v1^2 + v2^2)", (1.0, 1.0), (0.0, 0.0), 1),
+    ("1/v1", (1.0, 1.0), (0.0, 1.0), 3),
+    ("q1/(v1 - v2)", (1.0, 1.0), (0.5, 0.5), 3),
+    ("v1^1.5", (1.0, 1.0), (-1.0, 1.0), 3),
+    ("(q1 - 2)^0.5", (1.0, 1.0), (1.0, 1.0), 3),
+    ("v1^q1", (0.5, 1.0), (-1.0, 1.0), 3),
+    ("v1^k", (1.0, 1.0), (-1.0, 1.0), 3),
+    ("v1^-2", (1.0, 1.0), (0.0, 1.0), 3),
+    ("v1^q1", (-1.0, 1.0), (0.0, 1.0), 3),
+    ("q1^v1", (-2.0, 1.0), (2.0, 1.0), 1),
+    ("v1^v2", (1.0, 1.0), (-1.0, 3.0), 1),
+    ("q1^v1", (0.0, 1.0), (2.0, 1.0), 0),
+]
+
+
+@pytest.mark.parametrize("src, q, v, failing", _DOMAIN_CASES)
+def test_compiled_matches_interpreter_at_domain_errors(src, q, v, failing):
+    node = xc.parse(src)
+    ctx = xc.EvalContext(q, v, {"k": 2.5})
+    passes = [(xc.evaluate, evaluate_interpreted),
+              (xc.grad_v, grad_v_interpreted),
+              (xc.grad_q, grad_q_interpreted)]
+    raised = 0
+    for compiled, oracle in passes:
+        try:
+            expected = oracle(node, ctx)
+        except xc.EvalDomainError as e:
+            with pytest.raises(xc.EvalDomainError) as exc:
+                compiled(node, ctx)
+            assert str(exc.value) == str(e)
+            raised += 1
+        else:
+            assert _rel_close(compiled(node, ctx), expected)
+    assert raised == failing
 
 
 def test_smooth_eps_regularizes_abs_gradient_only():
@@ -225,8 +272,7 @@ def test_parser_is_total(src):
        st.floats(-1e3, 1e3, allow_nan=False))
 def test_dual_square_identity(x, t):
     # tangent of x*x is exactly 2*value*tangent in forward mode
-    r = xc.eval_dual(xc.parse("v1*v1"), (0.0,), (xc.Dual(x, np.array([t])),),
-                     {})
+    r = eval_dual(xc.parse("v1*v1"), (0.0,), (Dual(x, np.array([t])),), {})
     assert r.val == x * x
     assert r.tan[0] == x * t + x * t  # same roundings as the product rule
 
@@ -310,12 +356,12 @@ def test_array_mode_matches_scalar_and_interpreter():
             ctx = xc.EvalContext(q, v, P)
             s_val, s_grad = fg(q, v, P)
             assert _rel_close(val[k], f(q, v, P)), (src, v)
-            assert _rel_close(val[k], xc.evaluate_interpreted(node, ctx))
+            assert _rel_close(val[k], evaluate_interpreted(node, ctx))
             assert _rel_close(gval[k], s_val), (src, v, eps)
-            assert _rel_close(gval[k], xc.eval_dual(node, q, v, P, eps))
+            assert _rel_close(gval[k], eval_dual(node, q, v, P, eps))
             assert _rel_close(grad[:, k], np.array(s_grad)), (src, v, eps)
             assert _rel_close(grad[:, k],
-                              xc.grad_v_interpreted(node, ctx, eps))
+                              grad_v_interpreted(node, ctx, eps))
             checked += 1
     assert checked > 500
 
