@@ -9,11 +9,11 @@ obtained by expanding d/dt(dT/dv) = M qdd + Mdot v for T = 0.5 v.M(q)v.
 Only first derivatives of the mass-matrix entries are needed.
 
 Every evaluation goes through the compiled model the SystemSpec owns
-(`sys.model`); this module only assembles b and solves. Per RHS call, one
-compiled call per mass entry returns both M_ab and dM_ab/dq, one returns
-V and dV/dq, one dissipation call returns D, R and dR/dv, b is
-accumulated in Python floats, and one square-root-free LDL^T
-factorisation and solve gives qdd (a constant M keeps its factor).
+(`sys.model`). Per RHS call, one dissipation call returns D, R and dR/dv,
+and one call of the model's generated straight-line `mechanics` returns
+qdd, M and V: it assembles b in Python floats and solves by an unrolled
+LDL^T factorisation (see raymodel.SystemModel). A MassMatrixError from it
+gains the stage time t.
 The stepper state y = [q, v, E] and the stages are lists of Python floats
 from start to end, so the compiled code never sees a numpy scalar; numpy
 appears only in State and samples. RK4 sums its stages in textbook order,
@@ -39,7 +39,7 @@ from operator import mul
 
 import numpy as np
 
-from .raymodel import MassMatrixError, SystemSpec, ldl_factor, ldl_solve
+from .raymodel import MassMatrixError, SystemSpec
 
 
 class DynamicsError(Exception):
@@ -134,39 +134,10 @@ class Trajectory:
 # Force assembly
 
 
-def _accel(sm, q, v, gR):
-    """(M(q)^-1 b, M(q), V(q)) at (q, v) with dR/dv = gR: lists of floats
-    in, qdd as a list, M as nested lists (the read-only M0 when constant)."""
-    V, gV = sm.grad_V(q, v, sm.params)
-    b = [-x - y for x, y in zip(gV, gR)]
-    if sm.mass_const:
-        return ldl_solve(sm.factor0, b), sm.M0, V
-    M, dM = sm.mass_and_grad(q)
-    m = len(b)
-    # b_j += 0.5 v.(dM/dq_j).v and b_a -= (Mdot v)_a, where
-    # (Mdot v)_a = sum over c, j of v_j dM_ac/dq_j v_c
-    for a in range(m):
-        va, dMa = v[a], dM[a]
-        for c in range(m):
-            g = dMa[c]
-            w = 0.5 * va * v[c]
-            vg = 0.0
-            for j in range(m):
-                b[j] += w * g[j]
-                vg += v[j] * g[j]
-            b[a] -= vg * v[c]
-    return ldl_solve(ldl_factor(M, q), b), M, V
-
-
 def accel(sys: SystemSpec, s: State) -> np.ndarray:
     """Explicit second-order form of the dissipative Lagrange equations."""
-    sm = sys.model
-    q, v = s.q.tolist(), s.v.tolist()
-    try:
-        gR = sm.dissipation.D_R_grad(q, v, sm.params)[2]
-        return np.array(_accel(sm, q, v, gR)[0])
-    except MassMatrixError as e:
-        raise MassMatrixError(f"{e} (t={s.t})") from None
+    m = sys.dof
+    return np.array(_rhs(sys, s.t, _pack(s, 0.0))[0][m:2 * m])
 
 
 def diagnostics(sys: SystemSpec, s: State, e_diss: float = 0.0) -> Diagnostics:
@@ -195,7 +166,10 @@ def _rhs(sys, t, y):
     sm = sys.model
     q, v = y[:m], y[m:2 * m]
     D, R, gR = sm.dissipation.D_R_grad(q, v, sm.params)
-    qdd, M, V = _accel(sm, q, v, gR)
+    try:
+        qdd, M, V = sm.mechanics(q, v, gR, sm.params)
+    except MassMatrixError as e:
+        raise MassMatrixError(f"{e} (t={t})") from None
     return v + qdd + [D], (M, V, D, R, gR)
 
 

@@ -367,7 +367,9 @@ def bind_check(node, dof, params):
 # forward-mode pass. The one generator, _CodeGen, emits
 # calls to `math.*` and to the _c* helpers, which hold every branch and
 # domain check. compile_expr runs that source on floats (scalar mode, for
-# point evaluations). compile_array runs it against numpy (array mode),
+# point evaluations); compile_blocks hands the scalar code of several
+# expressions to a system's generated mechanics, each expression still in
+# its own overflow guard. compile_array runs it against numpy (array mode),
 # where `math.*` resolves to ufuncs and each _c* name to plain numpy
 # arithmetic; its one consumer is the general-mode R quadrature, one call
 # per evaluation over the nodes of both its rules. The scalar code decides
@@ -545,8 +547,20 @@ class _CodeGen:
     def temp(self, expr):
         name = f"t{self.n}"
         self.n += 1
-        self.lines.append(f"    {name} = {expr}")
+        self.lines.append(f"{name} = {expr}")
         return name
+
+    def block(self, node):
+        """(lines, value, tangents) of node: the lines of gen(node) in a try
+        statement that turns an OverflowError (math.exp or float **) into
+        an EvalDomainError naming node."""
+        self.lines = []
+        val, g = self.gen(node)
+        if self.lines:
+            self.lines = (["try:"] + [f"    {x}" for x in self.lines]
+                          + ["except OverflowError:",
+                             f"    _coverflow({to_source(node)!r})"])
+        return self.lines, val, g
 
     def zeros(self):
         return ["0.0"] * (self.dof if self.wrt else 0)
@@ -613,7 +627,7 @@ class _CodeGen:
             return val, g
         if op == "/":
             src = to_source(node)
-            self.lines.append(f"    _cdiv0({b}, {src!r})")
+            self.lines.append(f"_cdiv0({b}, {src!r})")
             val = self.temp(f"{a} / {b}")
             g = []
             for x, y in zip(ga, gb):
@@ -716,22 +730,28 @@ class _CodeGen:
 
 
 def _load(node, dof, wrt, smooth_eps, namespace):
-    """Generate the source of _f(q, v, p) and execute it in namespace.
-    An OverflowError (math.exp or float **) becomes an EvalDomainError
-    naming the expression."""
-    cg = _CodeGen(dof, wrt, smooth_eps)
-    val, g = cg.gen(node)
+    """Generate the source of _f(q, v, p) and execute it in namespace."""
+    lines, val, g = _CodeGen(dof, wrt, smooth_eps).block(node)
     if wrt:
-        ret = f"    return {val}, ({', '.join(g)}{',' if g else ''})"
+        ret = f"return {val}, ({', '.join(g)}{',' if g else ''})"
     else:
-        ret = f"    return {val}"
-    body = "\n    ".join(cg.lines + [ret])
-    source = (f"def _f(q, v, p):\n    try:\n    {body}\n"
-              f"    except OverflowError:\n"
-              f"        _coverflow({to_source(node)!r})\n")
-    ns = dict(namespace)
-    exec(source, ns)
-    return ns["_f"]
+        ret = f"return {val}"
+    return define("_f(q, v, p)", lines + [ret], namespace)
+
+
+def define(signature, body, namespace=None, **names):
+    """The function `def <signature>:` with the given body lines, executed
+    with the scalar helpers (or namespace) and `names` as globals."""
+    ns = dict(_COMPILE_GLOBALS if namespace is None else namespace, **names)
+    exec("\n    ".join([f"def {signature}:"] + body), ns)
+    return ns[signature.split("(")[0]]
+
+
+def compile_blocks(nodes, dof, wrt):
+    """(lines, value, tangents) of each node's scalar code for define(),
+    with temporaries unique across all of the nodes."""
+    cg = _CodeGen(dof, wrt, None)
+    return [cg.block(node) for node in nodes]
 
 
 def compile_expr(node, dof=0, wrt=None, smooth_eps=None):

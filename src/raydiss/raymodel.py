@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -205,109 +205,134 @@ class SystemModel:
     """M, dM/dq, V and dV/dq of one SystemSpec plus its dissipation model.
     grad_V is one compiled f(q, v, params) that returns (V, dV/dq).
 
-    Each distinct mass entry is one compiled q-gradient function, which
-    returns the entry and its q-gradient in one call. A mirrored entry
-    with the same expression is not evaluated again: identical ASTs
-    compile to identical code and return identical doubles, so only pairs
-    whose expressions differ are evaluated twice and checked for symmetry.
+    When built, the model emits two straight-line functions, unrolled for
+    its dof from the expressions' own compiled code (partial evaluation).
+    _mass(q, p) gives M and dM/dq as nested lists, M[a][b] and
+    dM[a][b][j] = dM_ab/dq_j, after the symmetry check; mass and mass_grad
+    read it and never check definiteness. mechanics(q, v, gR, p) gives
+    (qdd, M, V) at (q, v) with dR/dv = gR: it evaluates V, dV/dq and the
+    mass entries, forms b = -dV/dq - dR/dv, adds the dM terms in the loop
+    order of tests/mechanics_oracle.py, every accumulator starting at 0.0
+    as there, and solves by an unrolled square-root-free LDL^T
+    factorisation that raises MassMatrixError naming q unless every pivot
+    is > 0 (NaN fails too). A constant M has no dM terms, mechanics returns
+    the read-only M0, and M0's factor is baked in as constants, so a 1-dof
+    solve is exactly b/m.
+
+    A mirrored entry with the same expression is not evaluated again:
+    identical ASTs compile to identical code and return identical doubles,
+    so only pairs whose expressions differ are evaluated twice and checked
+    for symmetry.
     """
 
     def __init__(self, sys: SystemSpec):
         m = sys.dof
         mm = sys.mass_matrix
         self.dof = m
-        self.params = sys.params
+        self.params = p = sys.params
         self.dissipation = sys.dissipation.model(m)
         self.grad_V = xc.compile_expr(sys.potential, m, "q")
         self._asym_pairs = [(a, b) for a in range(m) for b in range(a + 1, m)
                             if mm[a][b] != mm[b][a]]
-        self._entries = [(a, b, xc.compile_expr(mm[a][b], m, "q"))
-                         for a in range(m) for b in range(m)
-                         if a <= b or (b, a) in self._asym_pairs]
-        self._mirrored = [(a, b) for a in range(m) for b in range(a + 1, m)
-                          if (a, b) not in self._asym_pairs]
+        pairs = [(a, b) for a in range(m) for b in range(m)
+                 if a <= b or (b, a) in self._asym_pairs]
+        (head, V, gV), *blocks = xc.compile_blocks(
+            [sys.potential] + [mm[a][b] for a, b in pairs], m, "q")
+        M = [[None] * m for _ in range(m)]
+        dM = [[None] * m for _ in range(m)]
+        entries = []
+        for (a, b), (lines, val, g) in zip(pairs, blocks):
+            entries += lines
+            M[a][b], dM[a][b] = val, g
+            if (b, a) not in pairs:
+                M[b][a], dM[b][a] = val, g
+        if self._asym_pairs:
+            entries.append("atol = 1e-12 * (1.0 + max(%s))" % ", ".join(
+                f"abs({x})" for row in M for x in row))
+        for a, b in self._asym_pairs:
+            entries += [f"if not abs({M[a][b]} - {M[b][a]}) <= atol:",
+                        "    " + _raise("symmetric")]
+        self._mass = _define("_mass(q, p)",
+                             entries + [f"return {_list(M)}, {_list(dM)}"])
         self.mass_const = not any(
             any(isinstance(n, xc.Coord) for n in xc.walk(e))
             for row in mm for e in row)
+        self.M0, name = None, str  # factor entry -> its source text
+        body = head + [f"b{j} = -({gV[j]}) - gR[{j}]" for j in range(m)]
         if self.mass_const:
-            self._q0 = (0.0,) * m
-            self.M0 = np.array(self.mass_and_grad(self._q0)[0])
+            q0 = (0.0,) * m
+            self.M0 = np.array(self._mass(q0, p)[0])
             self.M0.setflags(write=False)
-
-    def mass_and_grad(self, q):
-        """(M, dM) at q as nested lists of floats, M[a][b] and
-        dM[a][b][j] = dM_ab/dq_j, after the symmetry check."""
-        m, p = self.dof, self.params
-        M = [[0.0] * m for _ in range(m)]
-        dM = [[None] * m for _ in range(m)]
-        for a, b, fn in self._entries:
-            M[a][b], dM[a][b] = fn(q, q, p)
-        for a, b in self._mirrored:
-            M[b][a] = M[a][b]
-            dM[b][a] = dM[a][b]
-        if self._asym_pairs:
-            atol = 1e-12 * (1.0 + max(abs(x) for row in M for x in row))
-            for a, b in self._asym_pairs:
-                if not abs(M[a][b] - M[b][a]) <= atol:
-                    raise MassMatrixError(
-                        f"mass matrix not symmetric at q={list(q)}")
-        return M, dM
+            try:  # M0's factor as repr constants (a pivot may be inf)
+                env = _define("_f(q, p)", entries + _ldl_lines(M)
+                              + ["return locals()"])(q0, p)
+                name = lambda x: repr(env[x])
+            except MassMatrixError:  # left to each call, which raises
+                body += entries + _ldl_lines(M)
+        else:
+            body += ([", ".join(f"v{j}" for j in range(m)) + ", = v"]
+                     + entries + _b_lines(dM) + _ldl_lines(M))
+        body += [f"y{i} = b{i}" + "".join(
+            f" - {name(f'L{i}_{k}')} * y{k}" for k in range(i))
+            for i in range(m)]
+        body += [f"x{i} = y{i} / {name(f'd{i}')}" + "".join(
+            f" - {name(f'L{k}_{i}')} * x{k}" for k in range(i + 1, m))
+            for i in reversed(range(m))]
+        qdd = _list([f"x{i}" for i in range(m)])
+        self.mechanics = _define("_mech(q, v, gR, p)", body + [
+            f"return {qdd}, {'_M0' if self.mass_const else _list(M)}, {V}"],
+            _M0=self.M0)
 
     def mass(self, q):
         return self.M0 if self.mass_const else np.array(
-            self.mass_and_grad(tuple(q))[0])
+            self._mass(tuple(q), self.params)[0])
 
     def mass_grad(self, q):
         """dM/dq_j for all j: array of shape (dof, dof, dof), [j, a, b]."""
-        return np.array(self.mass_and_grad(tuple(q))[1]).transpose(2, 0, 1)
-
-    @cached_property
-    def factor0(self):
-        """LDL^T factor of the constant mass matrix."""
-        return ldl_factor(self.M0.tolist(), self._q0)
+        return np.moveaxis(self._mass(tuple(q), self.params)[1], 2, 0)
 
 
-def ldl_factor(M, q):
-    """Square-root-free LDL^T factor (L, d) of the symmetric matrix M
-    (nested lists; only the lower triangle is read). L is unit lower
-    triangular and stored below its diagonal. Raises MassMatrixError,
-    naming q, unless every pivot d_i > 0, which also fails on NaN."""
-    m = len(M)
-    L = [[0.0] * m for _ in range(m)]
-    d = [0.0] * m
-    for i in range(m):
-        Li, Mi = L[i], M[i]
+_define = partial(xc.define, MassMatrixError=MassMatrixError, inf=math.inf)
+
+
+def _list(x):
+    """Source of the nested list of the expressions in x."""
+    return x if isinstance(x, str) else f"[{', '.join(map(_list, x))}]"
+
+
+def _raise(what):
+    return (f"raise MassMatrixError(f'mass matrix not {what} "
+            "at q={list(q)}')")
+
+
+def _b_lines(dM):
+    """b_j += 0.5 v_a v_c dM_ac/dq_j and b_a -= (v . dM_ac/dq) v_c, over
+    a, then c, then j: the loop order of the tests' oracle."""
+    lines, m = [], len(dM)
+    for a in range(m):
+        for c in range(m):
+            g = dM[a][c]
+            lines.append(f"w = 0.5 * v{a} * v{c}")
+            lines += [f"b{j} += w * {g[j]}" for j in range(m)]
+            lines.append(f"b{a} -= (0.0 + %s) * v{c}" % " + ".join(
+                f"v{j} * {g[j]}" for j in range(m)))
+    return lines
+
+
+def _ldl_lines(M):
+    """Unrolled square-root-free LDL^T factor (L{i}_{k}, d{i}) of the
+    symmetric matrix whose entries are the expressions M[a][b] (only the
+    lower triangle is read), each pivot checked as soon as it is formed."""
+    lines = []
+    for i in range(len(M)):
         for j in range(i):
-            Lj = L[j]
-            s = Mi[j]
-            for k in range(j):
-                s -= Li[k] * Lj[k] * d[k]
-            Li[j] = s / d[j]
-        di = Mi[i]
-        for k in range(i):
-            di -= Li[k] * Li[k] * d[k]
-        if not di > 0.0:
-            raise MassMatrixError(
-                f"mass matrix not positive definite at q={list(q)}")
-        d[i] = di
-    return L, d
-
-
-def ldl_solve(factor, b):
-    """x with L D L^T x = b, as a list; a 1x1 factor gives exactly b/m."""
-    L, d = factor
-    m = len(d)
-    x = list(b)
-    for i in range(1, m):
-        Li = L[i]
-        for k in range(i):
-            x[i] -= Li[k] * x[k]
-    for i in range(m):
-        x[i] /= d[i]
-    for i in range(m - 2, -1, -1):
-        for k in range(i + 1, m):
-            x[i] -= L[k][i] * x[k]
-    return x
+            lines.append(f"L{i}_{j} = ({M[i][j]}" + "".join(
+                f" - L{i}_{k} * L{j}_{k} * d{k}" for k in range(j))
+                + f") / d{j}")
+        lines += [f"d{i} = {M[i][i]}" + "".join(
+            f" - L{i}_{k} * L{i}_{k} * d{k}" for k in range(i)),
+            f"if not d{i} > 0.0:", "    " + _raise("positive definite")]
+    return lines
 
 
 class _HomogeneousSumModel:
@@ -315,26 +340,35 @@ class _HomogeneousSumModel:
 
     def __init__(self, spec, dof):
         self.dof = dof
-        self.terms = [(t.evaluate, xc.compile_expr(t.expr, dof, "v",
-                                                   t.smooth_eps), t.degree)
+        # per term: value code, gradient code, degree, and whether the
+        # gradient code's value differs (sign under smooth_eps is tanh there)
+        self.terms = [(t.evaluate,
+                       xc.compile_expr(t.expr, dof, "v", t.smooth_eps),
+                       t.degree, bool(t.smooth_eps) and any(
+                           isinstance(n, xc.Call) and n.fn == "sign"
+                           for n in xc.walk(t.expr)))
                       for t in spec.terms]
 
     def D(self, q, v, p):
-        return sum(fn(q, v, p) for fn, _, _ in self.terms)
+        return sum(fn(q, v, p) for fn, _, _, _ in self.terms)
 
     def R(self, q, v, p):
-        return sum(fn(q, v, p) / deg for fn, _, deg in self.terms)
+        return sum(fn(q, v, p) / deg for fn, _, deg, _ in self.terms)
 
     def D_R_grad(self, q, v, p):
-        """(D, R, dR/dv as a list of floats) from one loop over the terms;
-        D and R equal self.D and self.R bit for bit."""
+        """(D, R, dR/dv as a list of floats) from one loop over the terms,
+        each term's value taken from its gradient call where that is the
+        same; D and R equal self.D and self.R bit for bit."""
         D = R = 0.0
         g = [0.0] * self.dof
-        for fn, gfn, deg in self.terms:
-            d = fn(q, v, p)
+        for fn, gfn, deg, own_value in self.terms:
+            d, dv = gfn(q, v, p)
+            if own_value:
+                d = fn(q, v, p)
             D += d
             R += d / deg
-            g = [o + x / deg for o, x in zip(g, gfn(q, v, p)[1])]
+            for j, x in enumerate(dv):
+                g[j] += x / deg
         return D, R, g
 
 

@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+import mechanics_oracle
 from conftest import count_array_calls, count_scalar_passes
 from raydiss import dynamics as dy
 from raydiss import exprcore as xc
@@ -175,8 +176,78 @@ def test_mass_matrix_errors_name_the_state(sys, q, match):
     with pytest.raises(dy.MassMatrixError,
                        match=match + r" at q=\[.*\] \(t=0\.25\)"):
         dy.accel(sys, s)
-    with pytest.raises(dy.MassMatrixError):
+    with pytest.raises(dy.MassMatrixError,
+                       match=match + r" at q=\[.*\] \(t=0\.25\)"):
         dy.integrate(sys, s, 1.0, dy.IntegratorConfig())
+
+
+def test_mid_run_mass_matrix_error_names_the_stage_time():
+    # M = 1 - q1 loses definiteness once q1 passes 1, at a stage of a step
+    sys = _mass_system([["1 - q1"]])
+    with pytest.raises(dy.MassMatrixError,
+                       match=r"not positive definite at q=\[1\.0\d*\] "
+                             r"\(t=0\.6\d*\)$"):
+        dy.integrate(sys, dy.State(0.0, [0.0], [1.0]), 10.0,
+                     dy.IntegratorConfig(method="rk4", dt=0.01))
+
+
+@pytest.mark.parametrize("mass, potential, src", [
+    ("1 + exp(q1)", "0", "1.0 + exp(q1)"), ("1", "exp(q1)", "exp(q1)")])
+def test_overflow_in_mass_or_potential_names_the_expression(mass, potential,
+                                                            src):
+    sys = rm.SystemSpec(dof=1, mass_matrix=[[xc.parse(mass)]],
+                        potential=xc.parse(potential),
+                        dissipation=rm.null_dissipation())
+    match = f"floating-point overflow in subexpression '{re.escape(src)}'"
+    with pytest.raises(xc.EvalDomainError, match=match):
+        dy.accel(sys, dy.State(0.0, [800.0], [0.0]))
+    with pytest.raises(xc.EvalDomainError, match=match):
+        dy.integrate(sys, dy.State(0.0, [800.0], [0.0]), 1.0,
+                     dy.IntegratorConfig())
+
+
+def _asymmetric_2dof():
+    # the off-diagonal pair has different expressions that agree at q1 = 0
+    return _mass_system([["2", "0.1*q1"], ["0.1*sin(q1)", "2"]])
+
+
+def _bits(x):
+    return np.array(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("make", [
+    *[lambda name=name: get_builtin(name).system
+      for name in ("sho", "damped_sho", "quad_drag_particle",
+                   "pendulum_drag_2dof", "coulomb_block")],
+    full_mass_3dof, _asymmetric_2dof,
+    lambda: _mass_system([["1 + q1^2"]])],
+    ids=["sho", "damped_sho", "quad_drag_particle", "pendulum_drag_2dof",
+         "coulomb_block", "full_mass_3dof", "asymmetric_2dof", "1+q1^2"])
+def test_generated_mechanics_matches_loop_oracle(make):
+    # (qdd, M, V), or the MassMatrixError, of the generated code and of the
+    # loop form agree bit for bit, signed zeros included
+    sys = make()
+    sm = sys.model
+    states = rm.sample_states(sys.dof, 40, seed=29)
+    states.append(((0.0,) * sys.dof, (0.0,) * sys.dof))
+    outcomes = set()
+    for q, v in states:
+        q, v = list(q), list(v)
+        gR = sm.dissipation.D_R_grad(q, v, sm.params)[2]
+        try:
+            ref = mechanics_oracle.mechanics(sys, q, v, gR)
+        except dy.MassMatrixError as e:
+            with pytest.raises(dy.MassMatrixError) as got:
+                sm.mechanics(q, v, gR, sm.params)
+            assert str(got.value) == str(e)
+            outcomes.add("error")
+            continue
+        qdd, M, V = sm.mechanics(q, v, gR, sm.params)
+        assert [_bits(x) for x in (qdd, M, V)] == [
+            _bits(x) for x in ref], (q, v)
+        outcomes.add("value")
+    assert outcomes == ({"value", "error"} if make is _asymmetric_2dof
+                        else {"value"})
 
 
 def _first_use_race(n):
@@ -371,16 +442,15 @@ def test_rk4_counts_rhs_calls(monkeypatch):
 
 
 def test_rk4_evaluates_dissipation_once_per_state(monkeypatch):
-    # each RHS call makes one dissipation call (D, R and dR/dv), one
-    # potential call (V and dV/dq) and, for a q-dependent M, one mass
-    # call (M and dM/dq); a sample takes all of them from its step's last
-    # RHS call and evaluates nothing, under either method
+    # each RHS call makes one dissipation call (D, R and dR/dv) and one
+    # call of the generated mechanics (V, M and qdd); a sample takes all of
+    # them from its step's last RHS call and evaluates nothing, under
+    # either method
     for name in ("damped_sho", "pendulum_drag_2dof"):
         b = get_builtin(name)
         sm = b.system.model
-        owners = {"D_R_grad": sm.dissipation, "grad_V": sm}
-        if not sm.mass_const:
-            owners["mass_and_grad"] = sm
+        owners = {"D_R_grad": sm.dissipation, "mechanics": sm,
+                  "grad_V": sm, "mass": sm}
         calls = dict.fromkeys(owners, 0)
         for key, owner in owners.items():
             def counted(*args, fn=getattr(owner, key), key=key):
@@ -393,7 +463,9 @@ def test_rk4_evaluates_dissipation_once_per_state(monkeypatch):
             traj = dy.integrate(b.system, b.initial, 1.0, cfg)
             assert len(traj) == 1 + traj.steps_taken > 20
             assert cfg.method == "rk45" or traj.rhs_calls == 2001
-            assert set(calls.values()) == {traj.rhs_calls}, (name, cfg, calls)
+            assert calls == {"D_R_grad": traj.rhs_calls,
+                             "mechanics": traj.rhs_calls,
+                             "grad_V": 0, "mass": 0}, (name, cfg)
 
 
 def test_integrate_replays_step_rk45_bit_for_bit():

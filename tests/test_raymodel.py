@@ -7,6 +7,7 @@ import pytest
 from conftest import count_array_calls, count_scalar_passes
 from raydiss import exprcore as xc
 from raydiss import raymodel as rm
+from raydiss.builtins import get_builtin
 
 
 def ctx(q, v, **params):
@@ -206,6 +207,34 @@ def test_r_ratio_is_reciprocal_degree():
             if d > 1e-10:
                 assert rm.eval_R_closed(spec, c) / d == pytest.approx(
                     1.0 / deg, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["sho", "damped_sho", "quad_drag_particle",
+                                  "pendulum_drag_2dof", "coulomb_block",
+                                  "smoothed_sign"])
+def test_d_r_grad_sums_equal_the_value_code(name):
+    # D_R_grad takes a term's value from its gradient code, except for sign
+    # under smooth_eps, where the gradient code's value is tanh(x/eps);
+    # its D and R still equal the value code's sums bit for bit
+    if name == "smoothed_sign":
+        terms = [rm.DissipationTerm(xc.parse("mu*v1*sign(v1)"), 1.0,
+                                    smooth_eps=0.5),
+                 rm.DissipationTerm(xc.parse("c*abs(v2)^3"), 3.0,
+                                    smooth_eps=0.5)]
+        spec, dof, p = (rm.DissipationSpec("homogeneous_sum", terms), 2,
+                        {"mu": 0.4, "c": 0.3})
+    else:
+        system = get_builtin(name).system
+        spec, dof, p = system.dissipation, system.dof, system.params
+    model = spec.model(dof)
+    for q, v in rm.sample_states(dof, 100, seed=13):
+        d, r, _ = model.D_R_grad(q, v, p)
+        bits = [float(x).hex() for x in (d, r, model.D(q, v, p),
+                                         model.R(q, v, p))]
+        assert bits[:2] == bits[2:], (q, v)
+    if name == "smoothed_sign":
+        smoothed = xc.compile_expr(terms[0].expr, dof, "v", 0.5)
+        assert smoothed(q, v, p)[0] != terms[0].evaluate(q, v, p)
 
 
 def test_r_vanishes_at_rest():
