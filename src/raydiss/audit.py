@@ -172,12 +172,11 @@ def _json_data(x):
 def energy_balance_audit(traj: Trajectory, tol: float) -> EnergyBalanceResult:
     """Max over samples of |H(t) - H(t0) + integral of D|, relative to
     1 + |H(t0)|, with the integral of D that the integrator carries as a
-    state channel (Diagnostics.E_diss), at full integrator accuracy."""
+    state channel (column E), at full integrator accuracy."""
     if len(traj) < 3:
         raise AuditError("energy balance audit needs at least 3 samples")
-    diags = traj.diagnostics()
-    H = np.array([d.H for d in diags])
-    integral = np.array([d.E_diss for d in diags])
+    H = np.array(traj.column("H"))
+    integral = np.array(traj.column("E"))
     defect = float(np.max(np.abs(H - H[0] + integral)))
     thresh = tol * (1.0 + abs(H[0]))
     return EnergyBalanceResult(max_defect=defect,
@@ -205,8 +204,7 @@ def generalized_force(sys: SystemSpec, traj: Trajectory,
         raise IndexError(
             f"sample index {k} needs interior position 1..{len(traj) - 2}")
     sm = sys.model
-    states = traj.states()
-    s0, s1, s2 = states[k - 1], states[k], states[k + 1]
+    s0, s1, s2 = map(traj.state, (k - 1, k, k + 1))
     p = [sm.mass(s.q) @ s.v for s in (s0, s1, s2)]
     dp_dt = _central_diff(s0.t, s1.t, s2.t, *p)
     qt, vt = tuple(s1.q), tuple(s1.v)
@@ -244,14 +242,12 @@ def stationarity_audit(sys: SystemSpec, traj: Trajectory, k: int,
             f"sample index {k} needs interior position 1..{len(traj) - 2}")
     sm = sys.model
     dissipation = sm.dissipation
-    states = traj.states()
-    s = states[k]
-    spacing = 0.5 * (states[k + 1].t - states[k - 1].t)
+    s = traj.state(k)
+    spacing = 0.5 * (traj.state(k + 1).t - traj.state(k - 1).t)
     if frozen_force is None:
         frozen_force = generalized_force(sys, traj, k).generalized
     frozen_force = np.asarray(frozen_force, dtype=float)
-    qt, vt = tuple(s.q), tuple(s.v)
-    v = np.asarray(s.v, dtype=float)
+    qt, vt, v = tuple(s.q), tuple(s.v), s.v
     grad_R = np.array(dissipation.D_R_grad(qt, vt, sm.params)[2])
     residual = grad_R - frozen_force
 

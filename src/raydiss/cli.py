@@ -33,42 +33,27 @@ def _fmt(x):
     return repr(float(x))
 
 
-def _columns(dof):
-    return (["t"] + [f"q{i + 1}" for i in range(dof)]
-            + [f"v{i + 1}" for i in range(dof)]
-            + ["H", "T", "V", "D", "R", "W"])
-
-
-def _rows(traj):
-    """One row of Python floats per sample, in _columns order."""
-    for s, d in traj.samples:
-        yield ([float(s.t)] + s.q.tolist() + s.v.tolist()
-               + [d.H, d.T_kin, d.V_pot, d.D_val, d.R_val, d.W])
-
-
 def write_trajectory(traj, dof, path, fmt):
-    cols = _columns(dof)
+    cols = dy.columns(dof)
     with open(path, "w", encoding="utf-8") as f:
         if fmt == "csv":
             f.write(",".join(cols) + "\n")
-            for row in _rows(traj):
-                f.write(",".join(map(repr, row)) + "\n")
+            for row in traj.rows:
+                f.write(",".join(map(repr, row[:-1])) + "\n")
         else:
-            for row in _rows(traj):
-                f.write(json.dumps({c: float(x) for c, x in zip(cols, row)})
-                        + "\n")
+            for row in traj.rows:
+                f.write(json.dumps(dict(zip(cols, map(float, row)))) + "\n")
 
 
 def write_plot_data(traj, dof, stem):
     """One two-column (t, value) series file per trajectory column."""
-    cols = _columns(dof)
+    cols = dy.columns(dof)
     outdir = stem + "_plot"
     os.makedirs(outdir, exist_ok=True)
-    rows = list(_rows(traj))
     for j, c in enumerate(cols[1:], 1):
         with open(os.path.join(outdir, f"{c}.dat"), "w",
                   encoding="utf-8") as f:
-            for row in rows:
+            for row in traj.rows:
                 f.write(f"{_fmt(row[0])} {_fmt(row[j])}\n")
     return outdir
 
@@ -234,7 +219,7 @@ def _run_member(i):
     except Exception as e:
         return {"status": f"error: {e}"}
     write_trajectory(traj, c.system.dof, out, c.output.format)
-    s = traj.states()[-1]
+    s = traj.state(-1)
     defect = (report.energy_balance.max_defect
               if report.energy_balance else float("nan"))
     return {"status": "ok" if report.passed else "audit_fail",

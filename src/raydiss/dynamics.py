@@ -14,28 +14,32 @@ and one call of the model's generated straight-line `mechanics` returns
 qdd, M and V: it assembles b in Python floats and solves by an unrolled
 LDL^T factorisation (see raymodel.SystemModel). A MassMatrixError from it
 gains the stage time t.
-The stepper state y = [q, v, E] and the stages are lists of Python floats
-from start to end, so the compiled code never sees a numpy scalar; numpy
-appears only in State and samples. RK4 sums its stages in textbook order,
-and the pair's stage sums are exactly rounded (math.fsum), not BLAS-ordered.
 
 Integrators: classical fixed-step RK4 and the Dormand-Prince 5(4) pair
 with standard step-size control, in one loop. Every attempt ends with an
 RHS call at its new state, which the next attempt takes as its 1st stage
 (for the pair, its 7th stage: "first same as last", FSAL; Hairer, Norsett
 & Wanner, Solving ODEs I, sec. II.6), so Trajectory.rhs_calls is
-1 + stages * attempts (4 stages for RK4, 6 for the pair). That call also
-yields M, V, D, R and dR/dv at the new state, so a sample calls no
-compiled code: it forms T = 0.5 v.M.v and W = v.dR/dv from them.
-Both integrators carry a running integral of D alongside the mechanical
-state, so energy-balance audits run at full integrator accuracy.
+1 + stages * attempts (4 stages for RK4, 6 for the pair). RK4 sums its
+stages in textbook order; the pair's stage sums are exactly rounded
+(math.fsum). Both carry the integral E of D alongside q and v, so the
+energy-balance audit runs at full integrator accuracy.
+
+The stepper state y = [q, v, E], its stages and the samples are lists of
+Python floats; a sample is the row t, q, v, H, T, V, D, R, W, E (the
+columns(dof), then E). It calls no compiled code: the step's last RHS
+call gave M, V, D, R and dR/dv there, and _row forms T = 0.5 (v.M).v and
+W = v.dR/dv as left-to-right sums, which, unlike BLAS, do not depend on
+the host. State and Diagnostics exist only at the API edge: the steppers,
+accel, diagnostics and the Trajectory accessors build them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -102,32 +106,48 @@ class IntegratorConfig:
             raise ValueError("max_steps and sample_every must be >= 1")
 
 
+def columns(dof):
+    """Names of a sample's entries in row order; E (integral of D) follows."""
+    return (["t"] + [f"q{i + 1}" for i in range(dof)]
+            + [f"v{i + 1}" for i in range(dof)]
+            + ["H", "T", "V", "D", "R", "W"])
+
+
 @dataclass
 class Trajectory:
-    samples: list  # of (State, Diagnostics)
+    rows: list  # one list of Python floats per sample: columns(dof) + [E]
+    dof: int
     method: str
     steps_taken: int = 0
     steps_rejected: int = 0
-    # right-hand-side evaluations, set by integrate: 1 + stages * attempts
-    # (4 stages for rk4, 6 for rk45)
-    rhs_calls: int = 0
+    rhs_calls: int = 0  # set by integrate: 1 + stages * attempts
 
     def __post_init__(self):
-        ts = self.times()
-        if len(ts) and np.any(np.diff(ts) <= 0):
+        ts = self.column("t")
+        if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("trajectory times must be strictly increasing")
 
     def __len__(self):
-        return len(self.samples)
+        return len(self.rows)
+
+    def column(self, name):
+        """Entry `name` (of columns(dof), or "E") of every sample."""
+        j = (columns(self.dof) + ["E"]).index(name)
+        return [r[j] for r in self.rows]
 
     def times(self):
-        return np.array([s.t for s, _ in self.samples])
+        return np.array(self.column("t"))
+
+    def state(self, k):
+        r, m = self.rows[k], self.dof
+        return State(r[0], r[1:1 + m], r[1 + m:1 + 2 * m])
 
     def states(self):
-        return [s for s, _ in self.samples]
+        return [self.state(k) for k in range(len(self.rows))]
 
     def diagnostics(self):
-        return [d for _, d in self.samples]
+        # the last seven entries, H to E, in Diagnostics' field order
+        return [Diagnostics(*r[-7:]) for r in self.rows]
 
 
 # ---------------------------------------------------------------------------
@@ -141,19 +161,21 @@ def accel(sys: SystemSpec, s: State) -> np.ndarray:
 
 
 def diagnostics(sys: SystemSpec, s: State, e_diss: float = 0.0) -> Diagnostics:
-    sm = sys.model
-    q, v = s.q.tolist(), s.v.tolist()
-    return _diagnostics(s, e_diss, (sm.mass(q), sm.grad_V(q, v, sm.params)[0])
-                        + sm.dissipation.D_R_grad(q, v, sm.params))
+    y = _pack(s, e_diss)
+    return Diagnostics(*_row(s.t, y, _rhs(sys, s.t, y)[1])[-7:])
 
 
-def _diagnostics(s, e_diss, evals):
-    """Diagnostics at s, given (M, V, D, R, dR/dv) at s."""
+def _row(t, y, evals):
+    """The sample row at t of y = [q, v, E], given (M, V, D, R, dR/dv)."""
     M, V, D, R, gR = evals
-    T = 0.5 * float(s.v @ M @ s.v)
-    W = float(np.dot(s.v, gR))  # on-shell W = v.dR/dv
-    return Diagnostics(H=T + V, T_kin=T, V_pot=V, D_val=D, R_val=R,
-                       W=W, E_diss=e_diss)
+    v = y[len(gR):-1]
+    T = 0.5 * _dot([_dot(v, col) for col in zip(*M)], v)
+    return [t, *y[:-1], T + V, T, V, D, R, _dot(v, gR), y[-1]]
+
+
+def _dot(x, y):
+    """x.y from the first product on (so a 1-entry dot keeps its sign)."""
+    return reduce(add, map(mul, x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +197,6 @@ def _rhs(sys, t, y):
 
 def _pack(s: State, e_diss: float):
     return s.q.tolist() + s.v.tolist() + [e_diss]
-
-
-def _unpack(sys, t, y):
-    m = sys.dof
-    return State(t, y[:m], y[m:2 * m]), y[2 * m]
 
 
 def _check_finite(y, t):
@@ -205,9 +222,12 @@ def _rk4_raw(sys, t, y, dt, cfg, k1):
 
 def _step(attempt, sys, s, dt, cfg):
     """One attempt from s with a fresh k1: (state, dt_next, accepted)."""
-    y = _pack(s, 0.0)
+    if not s.is_finite():
+        raise DivergenceError(f"non-finite state at t={s.t}")
+    y, m = _pack(s, 0.0), sys.dof
     ynew, ok, dt_next, _ = attempt(sys, s.t, y, dt, cfg, _rhs(sys, s.t, y)[0])
-    return (_unpack(sys, s.t + dt, ynew)[0] if ok else s), dt_next, ok
+    return (State(s.t + dt, ynew[:m], ynew[m:2 * m]) if ok else s,
+            dt_next, ok)
 
 
 def step_rk4(sys: SystemSpec, s: State, dt: float) -> State:
@@ -265,8 +285,6 @@ def step_rk45(sys: SystemSpec, s: State, dt_try: float,
     """One embedded 5(4) step. Returns (state, dt_next, accepted)."""
     if dt_try <= 0:
         raise ValueError("dt_try must be positive")
-    if not s.is_finite():
-        raise DivergenceError(f"non-finite state at t={s.t}")
     return _step(_rk45_raw, sys, s, dt_try, cfg)
 
 
@@ -294,11 +312,12 @@ def integrate(sys: SystemSpec, init: State, t_end: float,
     if not (np.isfinite(t_end) and t_end > init.t):
         raise ValueError("t_end must be finite and exceed the initial time")
     attempt, stages, first_dt, advance, floor = _METHODS[cfg.method]
-    y, t = _pack(init, 0.0), init.t
+    t0, t_end = float(init.t), float(t_end)
+    y, t = _pack(init, 0.0), t0
     f1 = _rhs(sys, t, y)  # k1 of the next attempt, and (M, V, D, R, dR/dv)
-    traj = Trajectory(samples=[(init, _diagnostics(init, 0.0, f1[1]))],
+    traj = Trajectory(rows=[_row(t, y, f1[1])], dof=sys.dof,
                       method=cfg.method)
-    dt = first_dt(cfg, t_end - init.t)
+    dt = first_dt(cfg, t_end - t0)
     end = t_end - 1e-15 * (1.0 + abs(t_end))
     attempts = accepted = 0
     while t < end:
@@ -314,10 +333,9 @@ def integrate(sys: SystemSpec, init: State, t_end: float,
         if ok:
             accepted += 1
             y, f1 = ynew, last
-            t = advance(cfg, init.t, accepted, t, h, t_end)
+            t = advance(cfg, t0, accepted, t, h, t_end)
             if accepted % cfg.sample_every == 0 or t >= end:
-                s, e = _unpack(sys, t, y)
-                traj.samples.append((s, _diagnostics(s, e, f1[1])))
+                traj.rows.append(_row(t, y, f1[1]))
     traj.steps_taken = accepted
     traj.steps_rejected = attempts - accepted
     traj.rhs_calls = 1 + stages * attempts  # k1, then the stages

@@ -238,6 +238,8 @@ class _Parser:
     def atom(self):
         kind, text, off = self.next()
         if kind == "num":
+            if math.isinf(float(text)):
+                raise ParseError(f"number '{text}' overflows a double", off)
             return Const(float(text))
         if kind == "ident":
             nk, nt, _ = self.peek()
@@ -620,9 +622,9 @@ class _CodeGen:
             for x, y in zip(ga, gb):
                 terms = []
                 if x != "0.0":
-                    terms.append(f"{b} * {x}")
+                    terms.append(_times(b, x))
                 if y != "0.0":
-                    terms.append(f"{a} * {y}")
+                    terms.append(_times(a, y))
                 g.append(self.temp(" + ".join(terms)) if terms else "0.0")
             return val, g
         if op == "/":
@@ -636,9 +638,9 @@ class _CodeGen:
                 elif y == "0.0":
                     g.append(self.temp(f"{x} / {b}"))
                 elif x == "0.0":
-                    g.append(self.temp(f"-{val} * {y} / {b}"))
+                    g.append(self.temp(f"-{_times(val, y)} / {b}"))
                 else:
-                    g.append(self.temp(f"({x} - {val} * {y}) / {b}"))
+                    g.append(self.temp(f"({x} - {_times(val, y)}) / {b}"))
             return val, g
         raise AssertionError(op)
 
@@ -647,18 +649,14 @@ class _CodeGen:
         a, ga = self.gen(node.left)
         if isinstance(node.right, Const):
             p = node.right.value
-            if float(p).is_integer() and abs(p) < 1e9:
-                n = int(p)
-                val = self.temp(f"_cpowi({a}, {n}, {src!r})")
-                if not self.any_grad(ga):
-                    return val, self.zeros()
-                d = self.temp(f"_cdpowi({a}, {n})")
-            else:
-                val = self.temp(f"_cpowf({a}, {p!r}, {src!r})")
-                if not self.any_grad(ga):
-                    return val, self.zeros()
-                d = self.temp(f"_cdpowf({a}, {p!r})")
-            g = [x if x == "0.0" else self.temp(f"{d} * {x}") for x in ga]
+            # a whole exponent below 1e9 takes the exact _cpowi/_cdpowi
+            kind, p = (("i", int(p)) if float(p).is_integer() and abs(p) < 1e9
+                       else ("f", p))
+            val = self.temp(f"_cpow{kind}({a}, {p!r}, {src!r})")
+            if not self.any_grad(ga):
+                return val, self.zeros()
+            d = self.temp(f"_cdpow{kind}({a}, {p!r})")
+            g = [x if x == "0.0" else self.temp(_times(d, x)) for x in ga]
             return val, g
         b, gb = self.gen(node.right)
         need_db = self.any_grad(gb)
@@ -670,9 +668,9 @@ class _CodeGen:
         for x, y in zip(ga, gb):
             terms = []
             if x != "0.0":
-                terms.append(f"{da} * {x}")
+                terms.append(_times(da, x))
             if y != "0.0":
-                terms.append(f"{db} * {y}")
+                terms.append(_times(db, y))
             g.append(self.temp(" + ".join(terms)) if terms else "0.0")
         return val, g
 
@@ -718,15 +716,20 @@ class _CodeGen:
                 val = self.temp(f"math.tanh({a} / {eps!r})")
                 if active:
                     d = self.temp(f"(1.0 - {val} * {val}) / {eps!r}")
-            else:
+            else:  # derivative 0 by convention
                 val = self.temp(f"_csgn({a})")
-                d = None  # derivative 0 by convention
         else:
             raise AssertionError(fn)
         if d is None:
             return val, self.zeros()
-        g = [x if x == "0.0" else self.temp(f"{d} * {x}") for x in ga]
+        g = [x if x == "0.0" else self.temp(_times(d, x)) for x in ga]
         return val, g
+
+
+def _times(a, x):
+    """Source of a * x for a tangent x: just a when x is the literal 1.0,
+    which is the same double bit for bit."""
+    return a if x == "1.0" else f"{a} * {x}"
 
 
 def _load(node, dof, wrt, smooth_eps, namespace):

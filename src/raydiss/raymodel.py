@@ -188,8 +188,7 @@ class SystemSpec:
         return SystemModel(self)
 
     def mass(self, q):
-        """Evaluate M(q); checks symmetry to 1e-12. Read-only when M is
-        constant."""
+        """Evaluate M(q), as a new array; checks symmetry to 1e-12."""
         return self.model.mass(q)
 
     def mass_grad(self, q):
@@ -216,8 +215,8 @@ class SystemModel:
     as there, and solves by an unrolled square-root-free LDL^T
     factorisation that raises MassMatrixError naming q unless every pivot
     is > 0 (NaN fails too). A constant M has no dM terms, mechanics returns
-    the read-only M0, and M0's factor is baked in as constants, so a 1-dof
-    solve is exactly b/m.
+    its entries M0 as one tuple of tuples of floats, and M0's factor is
+    baked in as constants, so a 1-dof solve is exactly b/m.
 
     A mirrored entry with the same expression is not evaluated again:
     identical ASTs compile to identical code and return identical doubles,
@@ -257,12 +256,11 @@ class SystemModel:
         self.mass_const = not any(
             any(isinstance(n, xc.Coord) for n in xc.walk(e))
             for row in mm for e in row)
-        self.M0, name = None, str  # factor entry -> its source text
+        M0, name = None, str  # factor entry -> its source text
         body = head + [f"b{j} = -({gV[j]}) - gR[{j}]" for j in range(m)]
         if self.mass_const:
             q0 = (0.0,) * m
-            self.M0 = np.array(self._mass(q0, p)[0])
-            self.M0.setflags(write=False)
+            M0 = tuple(map(tuple, self._mass(q0, p)[0]))
             try:  # M0's factor as repr constants (a pivot may be inf)
                 env = _define("_f(q, p)", entries + _ldl_lines(M)
                               + ["return locals()"])(q0, p)
@@ -281,11 +279,10 @@ class SystemModel:
         qdd = _list([f"x{i}" for i in range(m)])
         self.mechanics = _define("_mech(q, v, gR, p)", body + [
             f"return {qdd}, {'_M0' if self.mass_const else _list(M)}, {V}"],
-            _M0=self.M0)
+            _M0=M0)
 
     def mass(self, q):
-        return self.M0 if self.mass_const else np.array(
-            self._mass(tuple(q), self.params)[0])
+        return np.array(self._mass(tuple(q), self.params)[0])
 
     def mass_grad(self, q):
         """dM/dq_j for all j: array of shape (dof, dof, dof), [j, a, b]."""

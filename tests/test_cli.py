@@ -111,6 +111,19 @@ def test_overflowing_term_is_a_one_line_config_error(workdir, capsys):
     assert [p.name for p in workdir.iterdir()] == ["c.json"]
 
 
+def test_overflowing_literal_is_a_one_line_config_error(workdir, capsys):
+    # float('1e400') is inf, which the generated code cannot spell: the
+    # parser rejects the literal at its offset instead of a NameError later
+    doc = {**DSHO_INLINE,
+           "dissipation": {"mode": "homogeneous_sum",
+                           "terms": [{"expr": "1e400*v1^2", "degree": 2}]}}
+    rc = main(["check", "--config", write_json(workdir / "c.json", doc)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "raydiss: config error at 'dissipation.terms[0].expr': expression "
+        "'1e400*v1^2': number '1e400' overflows a double at offset 0\n")
+
+
 def test_load_rejects_wrong_initial_length(workdir):
     doc = json.loads(json.dumps(DSHO_INLINE))
     doc["initial"]["q"] = [1.0, 2.0]
@@ -398,8 +411,9 @@ def test_csv_round_trips_to_identical_doubles(workdir):
     traj, _ = cli.run_simulation(cfg)
     cli.write_trajectory(traj, 1, "out.csv", "csv")
     _, rows = cli.read_trajectory_csv("out.csv")
-    for row, orig in zip(rows, cli._rows(traj)):
-        assert row == [float(x) for x in orig]  # exact, not approximate
+    assert len(rows) == len(traj)
+    for row, orig in zip(rows, traj.rows):
+        assert row == orig[:-1]  # exact, not approximate; E is not written
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from conftest import count_array_calls, count_scalar_passes
 from raydiss import dynamics as dy
 from raydiss import exprcore as xc
 from raydiss import raymodel as rm
-from raydiss.builtins import get_builtin
+from raydiss.builtins import BUILTIN_NAMES, get_builtin
 
 
 def make_sho():
@@ -250,6 +250,25 @@ def test_generated_mechanics_matches_loop_oracle(make):
                         else {"value"})
 
 
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_generated_code_has_no_neutral_factor(name, monkeypatch):
+    # a tangent that is the literal 1.0 (the seed of a coordinate or a
+    # velocity) contributes its other factor, the same double bit for bit,
+    # not a product `x * 1.0`
+    lines = []
+
+    def block(self, node, block=xc._CodeGen.block):
+        out = block(self, node)
+        lines.extend(out[0] + list(out[2]))
+        return out
+    monkeypatch.setattr(xc._CodeGen, "block", block)
+    b = get_builtin(name)
+    b.system.model.dissipation.D_R_grad(b.initial.q.tolist(),
+                                        b.initial.v.tolist(), b.system.params)
+    assert len(lines) > 10
+    assert [x for x in lines if re.search(r"\* 1\.0(?![\d.e])", x)] == []
+
+
 def _first_use_race(n):
     spec = rm.DissipationSpec(
         "homogeneous_sum", [rm.DissipationTerm(xc.parse("c*v1^2"), 2.0)])
@@ -400,8 +419,60 @@ def test_rk45_samples_reuse_stage_values_bit_for_bit(method, general):
     cfg = _rk4(b) if method == "rk4" else b.integrator
     traj = dy.integrate(system, b.initial, 2.0, cfg)
     assert len(traj) > 20
-    for s, d in traj.samples:
+    for s, d in zip(traj.states(), traj.diagnostics()):
         assert d == dy.diagnostics(system, s, d.E_diss)
+
+
+@pytest.mark.parametrize("name", ["damped_sho", "pendulum_drag_2dof"])
+def test_integrate_builds_rows_of_python_floats_only(name, monkeypatch):
+    # a sample is one row of Python floats, columns(dof) then E; integrate
+    # builds no State or Diagnostics, and the accessors build one per row
+    b = get_builtin(name)
+    built = []
+    for cls in (dy.State, dy.Diagnostics):
+        def counted(self, *args, init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    for cfg in (dy.IntegratorConfig(method="rk4", dt=1e-2), b.integrator):
+        traj = dy.integrate(b.system, b.initial, 1.0, cfg)
+        assert built == []
+        width = len(dy.columns(b.system.dof)) + 1
+        assert all(len(r) == width and all(type(x) is float for x in r)
+                   for r in traj.rows)
+        states, diags = traj.states(), traj.diagnostics()
+        assert built == ["State"] * len(traj) + ["Diagnostics"] * len(traj)
+        assert [d.E_diss for d in diags] == traj.column("E")
+        assert [s.t for s in states] == traj.column("t")
+        built.clear()
+
+
+def test_sample_T_and_W_are_fixed_order_sums():
+    # T = 0.5 (v.M).v and W = v.dR/dv are left-to-right sums of Python
+    # float products, pinned on a 2-dof state where numpy's v @ M @ v
+    # rounds differently (it differs at about a third of random states)
+    b = get_builtin("pendulum_drag_2dof")
+    sm = b.system.model
+    rng = np.random.default_rng(16)
+    for _ in range(200):
+        q, v = rng.uniform(-2.0, 2.0, 2).tolist(), rng.uniform(-2.0, 2.0,
+                                                             2).tolist()
+        (m00, m01), (m10, m11) = sm.mass(q).tolist()
+        T = 0.5 * ((v[0] * m00 + v[1] * m10) * v[0]
+                   + (v[0] * m01 + v[1] * m11) * v[1])
+        if T != 0.5 * float(np.array(v) @ sm.mass(q) @ np.array(v)):
+            break
+    else:
+        pytest.fail("no state where numpy's v @ M @ v differs")
+    g = sm.dissipation.D_R_grad(q, v, sm.params)[2]
+    s = dy.State(0.0, q, v)
+    traj = dy.integrate(b.system, s, 0.01,
+                        dy.IntegratorConfig(method="rk4", dt=0.01))
+    d = traj.diagnostics()[0]
+    assert d.T_kin == T
+    assert d.W == v[0] * g[0] + v[1] * g[1]
+    assert d.H == T + d.V_pot
+    assert d == dy.diagnostics(b.system, s)
 
 
 def test_rk45_general_mode_samples_add_no_quadrature(monkeypatch):
@@ -490,7 +561,7 @@ def test_integrate_replays_step_rk45_bit_for_bit():
             rejected += 1
     assert rejected == traj.steps_rejected > 0
     assert len(replay) == len(traj)
-    for r, (x, _) in zip(replay, traj.samples):
+    for r, x in zip(replay, traj.states()):
         assert r.t == x.t
         assert np.array_equal(r.q, x.q) and np.array_equal(r.v, x.v)
 
@@ -521,8 +592,8 @@ def test_integrate_replays_step_rk4_bit_for_bit(make):
     while len(replay) < len(traj):
         s = dy.step_rk4(b.system, s, cfg.dt)
         replay.append(s)
-    assert len(traj) == 129 and s.t == traj.samples[-1][0].t == 1.0
-    for r, (x, _) in zip(replay, traj.samples):
+    assert len(traj) == 129 and s.t == traj.state(-1).t == 1.0
+    for r, x in zip(replay, traj.states()):
         assert r.t == x.t
         assert np.array_equal(r.q, x.q) and np.array_equal(r.v, x.v)
 
@@ -552,7 +623,7 @@ def test_integrate_rk4_matches_numpy_textbook_rk4_bit_for_bit(name):
     traj = dy.integrate(b.system, b.initial, 1.0, cfg)
     f, h, m = _numpy_f(b.system), cfg.dt, b.system.dof
     y = _numpy_y(b.initial)
-    for n, (s, d) in enumerate(traj.samples):
+    for n, (s, d) in enumerate(zip(traj.states(), traj.diagnostics())):
         assert s.t == n * h
         assert np.array_equal(s.q, y[:m]) and np.array_equal(s.v, y[m:2 * m])
         assert d.E_diss == y[2 * m]
@@ -612,7 +683,7 @@ def test_integrate_rk45_matches_numpy_dormand_prince():
         dt = h * (5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** -0.2)))
     assert (accepted, rejected) == (traj.steps_taken, traj.steps_rejected)
     assert rejected > 0
-    s, d = traj.samples[-1]
+    s, d = traj.state(-1), traj.diagnostics()[-1]
     assert s.t == pytest.approx(t, abs=1e-12)
     assert np.max(np.abs(np.concatenate([s.q, s.v, [d.E_diss]]) - y)) <= 1e-12
 
@@ -621,6 +692,22 @@ def test_rk45_nan_state_is_divergence_error():
     with pytest.raises(dy.DivergenceError):
         dy.step_rk45(make_sho(), dy.State(0.0, [float("nan")], [0.0]),
                      1e-3, dy.IntegratorConfig())
+
+
+@pytest.mark.parametrize("name", ["damped_sho", "pendulum_drag_2dof"])
+@pytest.mark.parametrize("step", [
+    lambda sys, s: dy.step_rk4(sys, s, 0.1),
+    lambda sys, s: dy.step_rk45(sys, s, 0.1, dy.IntegratorConfig())],
+    ids=["rk4", "rk45"])
+def test_non_finite_start_is_divergence_error_at_its_time(step, name):
+    # both steppers refuse a non-finite start before any RHS call: not at
+    # the end of the step, and not as a mass-matrix failure of the NaN
+    b = get_builtin(name)
+    q = list(b.initial.q)
+    q[0] = float("nan")
+    with pytest.raises(dy.DivergenceError,
+                       match=r"^non-finite state at t=0\.0$"):
+        step(b.system, dy.State(0.0, q, b.initial.v))
 
 
 @pytest.mark.parametrize("potential,cfg,error,match", [
@@ -716,9 +803,9 @@ def test_integrate_max_steps_guard():
 
 def test_trajectory_times_must_increase():
     b = get_builtin("sho")
-    d = dy.diagnostics(b.system, b.initial)
+    row = dy.integrate(b.system, b.initial, 0.1, b.integrator).rows[0]
     with pytest.raises(ValueError):
-        dy.Trajectory(samples=[(b.initial, d), (b.initial, d)], method="rk4")
+        dy.Trajectory(rows=[row, row], dof=1, method="rk4")
 
 
 def test_diagnostics_energy_partition():

@@ -46,6 +46,14 @@ def test_parse_error_has_position(src):
     assert 0 <= exc.value.offset <= len(src)
 
 
+@pytest.mark.parametrize("src, offset", [("1e400*v1", 0),
+                                         ("2*v1 + 1.5E999", 7)])
+def test_overflowing_literal_is_a_parse_error_at_its_offset(src, offset):
+    with pytest.raises(xc.ParseError, match="overflows a double") as exc:
+        xc.parse(src)
+    assert exc.value.offset == offset
+
+
 def test_unary_minus_binds_looser_than_power():
     # -x^2 reads as -(x^2)
     e = xc.parse("-v1^2")
