@@ -72,10 +72,6 @@ class State:
         object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
 
-    def is_finite(self):
-        return (np.isfinite(self.t) and np.all(np.isfinite(self.q))
-                and np.all(np.isfinite(self.v)))
-
 
 @dataclass(frozen=True)
 class Diagnostics:
@@ -117,7 +113,6 @@ def columns(dof):
 class Trajectory:
     rows: list  # one list of Python floats per sample: columns(dof) + [E]
     dof: int
-    method: str
     steps_taken: int = 0
     steps_rejected: int = 0
     rhs_calls: int = 0  # set by integrate: 1 + stages * attempts
@@ -222,9 +217,8 @@ def _rk4_raw(sys, t, y, dt, cfg, k1):
 
 def _step(attempt, sys, s, dt, cfg):
     """One attempt from s with a fresh k1: (state, dt_next, accepted)."""
-    if not s.is_finite():
-        raise DivergenceError(f"non-finite state at t={s.t}")
     y, m = _pack(s, 0.0), sys.dof
+    _check_finite([s.t] + y, s.t)
     ynew, ok, dt_next, _ = attempt(sys, s.t, y, dt, cfg, _rhs(sys, s.t, y)[0])
     return (State(s.t + dt, ynew[:m], ynew[m:2 * m]) if ok else s,
             dt_next, ok)
@@ -307,16 +301,15 @@ def integrate(sys: SystemSpec, init: State, t_end: float,
               cfg: IntegratorConfig) -> Trajectory:
     """Integrate from init.t to t_end; the final step lands exactly on
     t_end. Deterministic for identical inputs."""
-    if not init.is_finite():
-        raise DivergenceError("initial state is not finite")
+    y = _pack(init, 0.0)
+    _check_finite([init.t] + y, init.t)
     if not (np.isfinite(t_end) and t_end > init.t):
         raise ValueError("t_end must be finite and exceed the initial time")
     attempt, stages, first_dt, advance, floor = _METHODS[cfg.method]
     t0, t_end = float(init.t), float(t_end)
-    y, t = _pack(init, 0.0), t0
+    t = t0
     f1 = _rhs(sys, t, y)  # k1 of the next attempt, and (M, V, D, R, dR/dv)
-    traj = Trajectory(rows=[_row(t, y, f1[1])], dof=sys.dof,
-                      method=cfg.method)
+    traj = Trajectory(rows=[_row(t, y, f1[1])], dof=sys.dof)
     dt = first_dt(cfg, t_end - t0)
     end = t_end - 1e-15 * (1.0 + abs(t_end))
     attempts = accepted = 0

@@ -19,6 +19,7 @@ Central finite differences are provided as an independent cross-check only.
 from __future__ import annotations
 
 import math
+import re
 import weakref
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -366,22 +367,23 @@ def bind_check(node, dof, params):
 # Every evaluation (dynamics, quadrature, sampled checks, the helpers
 # below) goes through code generated from the AST: straight-line
 # arithmetic that propagates the value and the tangent components of one
-# forward-mode pass. The one generator, _CodeGen, emits
-# calls to `math.*` and to the _c* helpers, which hold every branch and
-# domain check. compile_expr runs that source on floats (scalar mode, for
-# point evaluations); compile_blocks hands the scalar code of several
-# expressions to a system's generated mechanics, each expression still in
-# its own overflow guard. compile_array runs it against numpy (array mode),
-# where `math.*` resolves to ufuncs and each _c* name to plain numpy
-# arithmetic; its one consumer is the general-mode R quadrature, one call
-# per evaluation over the nodes of both its rules. The scalar code decides
-# every domain error and kink: a numpy flag in array mode only hands the
-# points to it. An overflow raises EvalDomainError naming the whole
-# expression: an OverflowError (math.exp, float **) in scalar mode, and in
-# array mode any overflow that no domain error at an earlier point
-# precedes. Systems compile their own expressions and keep the result; the
-# expression-level helpers below (evaluate, grad_v, grad_q) cache scalar
-# code per AST object.
+# forward-mode pass. The one generator, _CodeGen, states the tangent rule
+# once (combine: a node's tangent is the sum of partial * child tangent)
+# and each function's value and derivative once (_FUNCTION_RULES);
+# division keeps its own rule. It emits calls to `math.*` and to the _c*
+# helpers, which hold every branch and domain check. compile_expr runs
+# that source on floats (scalar mode, for point evaluations);
+# compile_blocks hands the scalar code of several expressions to a
+# system's generated mechanics, each expression still in its own overflow
+# guard. compile_array runs it against numpy (array mode), where `math.*`
+# resolves to ufuncs and each _c* name to plain numpy arithmetic; its one
+# consumer is the general-mode R quadrature. The scalar code decides every
+# domain error and kink: a numpy flag in array mode only hands the points
+# to it. An overflow raises EvalDomainError naming the whole expression:
+# an OverflowError (math.exp, float **) in scalar mode, and in array mode
+# any overflow that no domain error at an earlier point precedes. Systems
+# compile their own expressions and keep the result; the expression-level
+# helpers below (evaluate, grad_v, grad_q) cache scalar code per AST object.
 
 
 def _csgn(x):
@@ -538,6 +540,23 @@ _ARRAY_GLOBALS = {
 }
 
 
+# Value and derivative source of each function ({a} argument, {v} value,
+# {src} source, {eps} smooth_eps; a derivative None is 0 by convention).
+# With smooth_eps set, the "_eps" entries replace abs and sign.
+_FUNCTION_RULES = {
+    "sin": ("math.sin({a})", "math.cos({a})"),
+    "cos": ("math.cos({a})", "-math.sin({a})"),
+    "exp": ("math.exp({a})", "{v}"),
+    "tanh": ("math.tanh({a})", "1.0 - {v} * {v}"),
+    "ln": ("_cln({a}, {src})", "1.0 / {a}"),
+    "sqrt": ("_csqrt({a}, {src})", "_cdsqrt({v}, {src})"),
+    "abs": ("abs({a})", "_csgn({a})"),
+    "sign": ("_csgn({a})", None),
+    "abs_eps": ("abs({a})", "math.tanh({a} / {eps})"),
+    "sign_eps": ("math.tanh({a} / {eps})", "(1.0 - {v} * {v}) / {eps}"),
+}
+
+
 class _CodeGen:
     def __init__(self, dof, wrt, smooth_eps):
         self.dof = dof
@@ -547,6 +566,10 @@ class _CodeGen:
         self.n = 0
 
     def temp(self, expr):
+        """Name of expr's value: expr itself when it is a lone name or a
+        nonzero literal, else a new temporary."""
+        if _NAME.fullmatch(expr) or _LITERAL.fullmatch(expr) and float(expr):
+            return expr
         name = f"t{self.n}"
         self.n += 1
         self.lines.append(f"{name} = {expr}")
@@ -570,27 +593,40 @@ class _CodeGen:
     def any_grad(self, g):
         return any(x != "0.0" for x in g)
 
+    def combine(self, *terms):
+        """The forward-mode rule: tangent i of a node is the sum over the
+        terms (op, factor, g) of factor * g[i], added (op '+') or subtracted
+        ('-'), factor None standing for 1. A child tangent "0.0" is a
+        structural zero, skipped: it never marks a tangent with a value."""
+        out = []
+        for xs in zip(*(g for _, _, g in terms)):
+            parts = [(op, x if f is None else _times(f, x))
+                     for (op, f, _), x in zip(terms, xs) if x != "0.0"]
+            if not parts:
+                out.append("0.0")
+                continue
+            (op, s), rest = parts[0], parts[1:]
+            if op == "-" and not rest and _LITERAL.fullmatch(s):
+                out.append(repr(-float(s)))  # -(1.0) is the literal -1.0
+                continue
+            out.append(self.temp((s if op == "+" else f"-({s})") + "".join(
+                f" {o} {t}" for o, t in rest)))
+        return out
+
     def gen(self, node):
         """Return (value expression, list of tangent expressions)."""
         if isinstance(node, Const):
             return repr(node.value), self.zeros()
-        if isinstance(node, Coord):
-            g = self.zeros()
-            if self.wrt == "q":
+        if isinstance(node, (Coord, Vel)):
+            x, g = "q" if isinstance(node, Coord) else "v", self.zeros()
+            if self.wrt == x:  # the seed
                 g[node.index - 1] = "1.0"
-            return f"q[{node.index - 1}]", g
-        if isinstance(node, Vel):
-            g = self.zeros()
-            if self.wrt == "v":
-                g[node.index - 1] = "1.0"
-            return f"v[{node.index - 1}]", g
+            return f"{x}[{node.index - 1}]", g
         if isinstance(node, Param):
             return self.temp(f"p[{node.name!r}]"), self.zeros()
         if isinstance(node, Neg):
             a, ga = self.gen(node.child)
-            val = self.temp(f"-({a})")
-            g = [x if x == "0.0" else self.temp(f"-({x})") for x in ga]
-            return val, g
+            return self.temp(f"-({a})"), self.combine(("-", None, ga))
         if isinstance(node, BinOp):
             return self.gen_binop(node)
         if isinstance(node, Call):
@@ -604,29 +640,11 @@ class _CodeGen:
         a, ga = self.gen(node.left)
         b, gb = self.gen(node.right)
         if op in "+-":
-            val = self.temp(f"{a} {op} {b}")
-            g = []
-            for x, y in zip(ga, gb):
-                if x == "0.0" and y == "0.0":
-                    g.append("0.0")
-                elif x == "0.0":
-                    g.append(y if op == "+" else self.temp(f"-({y})"))
-                elif y == "0.0":
-                    g.append(x)
-                else:
-                    g.append(self.temp(f"{x} {op} {y}"))
-            return val, g
+            return (self.temp(f"{a} {op} {b}"),
+                    self.combine(("+", None, ga), (op, None, gb)))
         if op == "*":
-            val = self.temp(f"{a} * {b}")
-            g = []
-            for x, y in zip(ga, gb):
-                terms = []
-                if x != "0.0":
-                    terms.append(_times(b, x))
-                if y != "0.0":
-                    terms.append(_times(a, y))
-                g.append(self.temp(" + ".join(terms)) if terms else "0.0")
-            return val, g
+            return (self.temp(f"{a} * {b}"),
+                    self.combine(("+", b, ga), ("+", a, gb)))
         if op == "/":
             src = to_source(node)
             self.lines.append(f"_cdiv0({b}, {src!r})")
@@ -656,79 +674,37 @@ class _CodeGen:
             if not self.any_grad(ga):
                 return val, self.zeros()
             d = self.temp(f"_cdpow{kind}({a}, {p!r})")
-            g = [x if x == "0.0" else self.temp(_times(d, x)) for x in ga]
-            return val, g
+            return val, self.combine(("+", d, ga))
         b, gb = self.gen(node.right)
         need_db = self.any_grad(gb)
         val = self.temp(f"_cpow3({a}, {b}, {need_db}, {src!r})")
         da = self.temp(f"{val}[1]")
         db = self.temp(f"{val}[2]") if need_db else "0.0"
         val = self.temp(f"{val}[0]")
-        g = []
-        for x, y in zip(ga, gb):
-            terms = []
-            if x != "0.0":
-                terms.append(_times(da, x))
-            if y != "0.0":
-                terms.append(_times(db, y))
-            g.append(self.temp(" + ".join(terms)) if terms else "0.0")
-        return val, g
+        return val, self.combine(("+", da, ga), ("+", db, gb))
 
     def gen_call(self, node):
-        fn = node.fn
-        src = to_source(node)
         a, ga = self.gen(node.args[0])
-        active = self.any_grad(ga)
         eps = self.smooth_eps
-        d = None
-        if fn == "sin":
-            val = self.temp(f"math.sin({a})")
-            if active:
-                d = self.temp(f"math.cos({a})")
-        elif fn == "cos":
-            val = self.temp(f"math.cos({a})")
-            if active:
-                d = self.temp(f"-math.sin({a})")
-        elif fn == "exp":
-            val = self.temp(f"math.exp({a})")
-            d = val
-        elif fn == "tanh":
-            val = self.temp(f"math.tanh({a})")
-            if active:
-                d = self.temp(f"1.0 - {val} * {val}")
-        elif fn == "ln":
-            val = self.temp(f"_cln({a}, {src!r})")
-            if active:
-                d = self.temp(f"1.0 / {a}")
-        elif fn == "sqrt":
-            val = self.temp(f"_csqrt({a}, {src!r})")
-            if active:
-                d = self.temp(f"_cdsqrt({val}, {src!r})")
-        elif fn == "abs":
-            val = self.temp(f"abs({a})")
-            if active:
-                if eps:
-                    d = self.temp(f"math.tanh({a} / {eps!r})")
-                else:
-                    d = self.temp(f"_csgn({a})")
-        elif fn == "sign":
-            if eps:
-                val = self.temp(f"math.tanh({a} / {eps!r})")
-                if active:
-                    d = self.temp(f"(1.0 - {val} * {val}) / {eps!r}")
-            else:  # derivative 0 by convention
-                val = self.temp(f"_csgn({a})")
-        else:
-            raise AssertionError(fn)
-        if d is None:
+        value, deriv = (eps and _FUNCTION_RULES.get(f"{node.fn}_eps")
+                        or _FUNCTION_RULES[node.fn])
+        fill = {"a": a, "src": repr(to_source(node)), "eps": repr(eps)}
+        val = self.temp(value.format(**fill))
+        if deriv is None or not self.any_grad(ga):
             return val, self.zeros()
-        g = [x if x == "0.0" else self.temp(_times(d, x)) for x in ga]
-        return val, g
+        d = self.temp(deriv.format(v=val, **fill))
+        return val, self.combine(("+", d, ga))
+
+
+# the source of a lone name (a temporary, q[i] or v[i]) or a float's repr
+_NAME = re.compile(r"t\d+|[qv]\[\d+\]")
+_LITERAL = re.compile(r"-?\d[\d.]*(e[-+]\d+)?")
 
 
 def _times(a, x):
-    """Source of a * x for a tangent x: just a when x is the literal 1.0,
-    which is the same double bit for bit."""
+    """Source of the partial a times the tangent x, a term of combine's sum
+    (or of division's rule): a itself when x is the seed 1.0, the same
+    double bit for bit."""
     return a if x == "1.0" else f"{a} * {x}"
 
 

@@ -254,7 +254,10 @@ def test_generated_mechanics_matches_loop_oracle(make):
 def test_builtin_generated_code_has_no_neutral_factor(name, monkeypatch):
     # a tangent that is the literal 1.0 (the seed of a coordinate or a
     # velocity) contributes its other factor, the same double bit for bit,
-    # not a product `x * 1.0`
+    # not a product `x * 1.0`; a tangent that is a lone name is used as it
+    # is, not copied (`t4 = t3`), and the negation of a literal is a
+    # literal, not a temporary (`t37 = -(1.0)`). (A zero product such as
+    # 0*v1 keeps a temporary `tN = 0.0`: no builtin has one.)
     lines = []
 
     def block(self, node, block=xc._CodeGen.block):
@@ -267,6 +270,8 @@ def test_builtin_generated_code_has_no_neutral_factor(name, monkeypatch):
                                         b.initial.v.tolist(), b.system.params)
     assert len(lines) > 10
     assert [x for x in lines if re.search(r"\* 1\.0(?![\d.e])", x)] == []
+    assert [x for x in lines if re.fullmatch(
+        r"\s*t\d+ = (t\d+|[qv]\[\d+\]|-?\(?[\d.e+-]+\)?)", x)] == []
 
 
 def _first_use_race(n):
@@ -697,17 +702,22 @@ def test_rk45_nan_state_is_divergence_error():
 @pytest.mark.parametrize("name", ["damped_sho", "pendulum_drag_2dof"])
 @pytest.mark.parametrize("step", [
     lambda sys, s: dy.step_rk4(sys, s, 0.1),
-    lambda sys, s: dy.step_rk45(sys, s, 0.1, dy.IntegratorConfig())],
-    ids=["rk4", "rk45"])
+    lambda sys, s: dy.step_rk45(sys, s, 0.1, dy.IntegratorConfig()),
+    lambda sys, s: dy.integrate(sys, s, 1.0, dy.IntegratorConfig())],
+    ids=["rk4", "rk45", "integrate"])
 def test_non_finite_start_is_divergence_error_at_its_time(step, name):
-    # both steppers refuse a non-finite start before any RHS call: not at
-    # the end of the step, and not as a mass-matrix failure of the NaN
+    # both steppers and integrate refuse a non-finite start (a NaN time
+    # too) before any RHS call, in one wording: not at the end of the step,
+    # and not as a mass-matrix failure of the NaN
     b = get_builtin(name)
     q = list(b.initial.q)
     q[0] = float("nan")
     with pytest.raises(dy.DivergenceError,
                        match=r"^non-finite state at t=0\.0$"):
         step(b.system, dy.State(0.0, q, b.initial.v))
+    with pytest.raises(dy.DivergenceError,
+                       match=r"^non-finite state at t=nan$"):
+        step(b.system, dy.State(float("nan"), b.initial.q, b.initial.v))
 
 
 @pytest.mark.parametrize("potential,cfg,error,match", [
@@ -805,7 +815,7 @@ def test_trajectory_times_must_increase():
     b = get_builtin("sho")
     row = dy.integrate(b.system, b.initial, 0.1, b.integrator).rows[0]
     with pytest.raises(ValueError):
-        dy.Trajectory(rows=[row, row], dof=1, method="rk4")
+        dy.Trajectory(rows=[row, row], dof=1)
 
 
 def test_diagnostics_energy_partition():

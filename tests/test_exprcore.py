@@ -171,6 +171,18 @@ def test_grad_q_product_rule():
     assert g == pytest.approx([5.0, 2.0])
 
 
+def test_zero_product_tangent_keeps_its_sign():
+    # the tangent of 0*v1 is the factor 0.0 times the seed 1.0, a value and
+    # not a structural zero: times q1 = -2 it is -0.0, where a structural
+    # zero would give +0.0
+    node = xc.parse("q1*(0*v1)")
+    _, (g,) = xc.compile_expr(node, 1, "v")((-2.0,), (0.5,), {})
+    _, ga = xc.compile_array(node, 1, "v")((-2.0,), np.array([[0.5, 3.0]]),
+                                           {})
+    assert g == 0.0 and math.copysign(1.0, g) == -1.0
+    assert ga.shape == (1, 2) and not ga.any() and np.signbit(ga).all()
+
+
 def test_grad_interpreted_matches_compiled(corpus_asts):
     for src, node in corpus_asts:
         for ctx in random_contexts(5, seed=3):
