@@ -13,6 +13,11 @@ Three independent families of checks:
   stationary at the true velocity. Verified as (a) a small gradient
   residual and (b) quadratic growth of probe perturbations after the
   linear part from the residual is removed.
+
+The last two read the trajectory's rows and the system's statics (M,
+dM/dq, V, dV/dq), and form each small dot product as a left-to-right sum
+of Python float products (raymodel._dot), which, unlike BLAS, does not
+depend on the host.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 
 from . import raymodel as rm
 from .dynamics import Trajectory
-from .raymodel import CheckReport, SystemSpec
+from .raymodel import CheckReport, SystemSpec, _dot
 
 
 class AuditError(Exception):
@@ -203,23 +208,23 @@ def generalized_force(sys: SystemSpec, traj: Trajectory,
     if not (1 <= k <= len(traj) - 2):
         raise IndexError(
             f"sample index {k} needs interior position 1..{len(traj) - 2}")
-    sm = sys.model
-    s0, s1, s2 = map(traj.state, (k - 1, k, k + 1))
-    p = [sm.mass(s.q) @ s.v for s in (s0, s1, s2)]
-    dp_dt = _central_diff(s0.t, s1.t, s2.t, *p)
-    qt, vt = tuple(s1.q), tuple(s1.v)
-    dV_dq = np.array(sm.grad_V(qt, vt, sm.params)[1])
-    if sm.mass_const:
-        dT_dq = np.zeros(sys.dof)
-    else:
-        dM = sm.mass_grad(qt)
-        dT_dq = 0.5 * np.einsum("a,jab,b->j", s1.v, dM, s1.v)
-    conservative = -dV_dq
-    inertial = dT_dq - dp_dt
-    dissipative = -np.array(sm.dissipation.D_R_grad(qt, vt, sm.params)[2])
-    return ForceBreakdown(conservative=conservative, inertial=inertial,
-                          dissipative=dissipative,
-                          generalized=conservative + inertial)
+    sm, m = sys.model, sys.dof
+    rows = traj.rows[k - 1:k + 2]
+    st = [sm.statics(r[1:1 + m], sm.params) for r in rows]
+    p = [[_dot(Ma, r[1 + m:1 + 2 * m]) for Ma in s[0]]
+         for s, r in zip(st, rows)]
+    dp_dt = [_central_diff(*(r[0] for r in rows), *f) for f in zip(*p)]
+    q, v = rows[1][1:1 + m], rows[1][1 + m:1 + 2 * m]
+    _, dM, _, dV_dq = st[1]
+    # 0.5 v.(dM/dq_j).v summed over a, then b (v * m repeats v_b)
+    dT_dq = [0.5 * _dot([va * g[j] for va, row in zip(v, dM) for g in row],
+                        v * m) for j in range(m)]
+    conservative = [-x for x in dV_dq]
+    inertial = [x - y for x, y in zip(dT_dq, dp_dt)]
+    gR = sm.dissipation.D_R_grad(q, v, sm.params)[2]
+    return ForceBreakdown(*map(np.array, (
+        conservative, inertial, [-x for x in gR],
+        [x + y for x, y in zip(conservative, inertial)])))
 
 
 # ---------------------------------------------------------------------------
@@ -240,38 +245,35 @@ def stationarity_audit(sys: SystemSpec, traj: Trajectory, k: int,
     if not (1 <= k <= len(traj) - 2):
         raise IndexError(
             f"sample index {k} needs interior position 1..{len(traj) - 2}")
-    sm = sys.model
+    sm, m = sys.model, sys.dof
     dissipation = sm.dissipation
-    s = traj.state(k)
-    spacing = 0.5 * (traj.state(k + 1).t - traj.state(k - 1).t)
+    q, v = traj.rows[k][1:1 + m], traj.rows[k][1 + m:1 + 2 * m]
+    spacing = 0.5 * (traj.rows[k + 1][0] - traj.rows[k - 1][0])
     if frozen_force is None:
         frozen_force = generalized_force(sys, traj, k).generalized
     frozen_force = np.asarray(frozen_force, dtype=float)
-    qt, vt, v = tuple(s.q), tuple(s.v), s.v
-    grad_R = np.array(dissipation.D_R_grad(qt, vt, sm.params)[2])
-    residual = grad_R - frozen_force
+    F = frozen_force.tolist()
+    residual = [g - f for g, f in
+                zip(dissipation.D_R_grad(q, v, sm.params)[2], F)]
 
     def rtilde(w):
-        return (dissipation.R(qt, tuple(w), sm.params)
-                - float(np.dot(w, frozen_force)))
+        return dissipation.R(q, w, sm.params) - _dot(w, F)
 
     base = rtilde(v)
     rng = np.random.default_rng(seed)
-    dirs = []
-    for _ in range(probes):
-        d = rng.normal(size=sys.dof)
-        n = np.linalg.norm(d)
-        dirs.append(d / n if n else np.eye(sys.dof)[0])
     mags = (1e-1, 1e-2, 1e-3)
     probe_deltas = []
-    per_mag = {m: [] for m in mags}
-    for d in dirs:
+    per_mag = {mag: [] for mag in mags}
+    for _ in range(probes):
+        d = rng.normal(size=m).tolist()
+        n = math.sqrt(_dot(d, d))
+        d = [x / n for x in d] if n else [1.0] + [0.0] * (m - 1)
         for mag in mags:
-            delta = mag * d
-            change = rtilde(v + delta) - base
+            delta = [mag * x for x in d]
+            change = rtilde([a + b for a, b in zip(v, delta)]) - base
             probe_deltas.append((mag, change))
             # remove the linear part contributed by the gradient residual
-            per_mag[mag].append(abs(change - float(np.dot(delta, residual))))
+            per_mag[mag].append(abs(change - _dot(delta, residual)))
     probe_deltas.sort(key=lambda p: p[0])
     slope = None
     skipped = None
@@ -284,11 +286,11 @@ def stationarity_audit(sys: SystemSpec, traj: Trajectory, k: int,
                         if t.smooth_eps]
             if eps_list:
                 eps_thresh = max(eps_thresh, 10.0 * max(eps_list))
-            if np.min(np.abs(v)) < eps_thresh:
+            if min(map(abs, v)) < eps_thresh:
                 skipped = ("dissipation is non-smooth (abs/sign) and a "
                            "velocity component sits near the kink")
         if skipped is None:
-            means = np.array([np.mean(per_mag[m]) for m in mags])
+            means = np.array([np.mean(per_mag[mag]) for mag in mags])
             floor = 1e-14 * (1.0 + abs(base))
             if np.all(means <= floor):
                 skipped = ("probe changes below floating-point floor; "
@@ -299,8 +301,8 @@ def stationarity_audit(sys: SystemSpec, traj: Trajectory, k: int,
                 logd = np.log(np.array(mags))
                 slope = float(np.polyfit(logd, logm, 1)[0])
     return ReducedDissipationReport(
-        sample_index=k, state_t=s.t, frozen_force=frozen_force,
-        gradient_residual=residual, probe_deltas=probe_deltas,
+        sample_index=k, state_t=traj.rows[k][0], frozen_force=frozen_force,
+        gradient_residual=np.array(residual), probe_deltas=probe_deltas,
         slope=slope, slope_skipped_reason=skipped, spacing=spacing)
 
 

@@ -276,10 +276,14 @@ def _check_declared_degrees(cfg):
     for i, term in enumerate(d.terms):
         rep = rm.homogeneity_check(term, cfg.system.dof, cfg.system.params)
         if not rep.passed:
+            q, v = rep.witness
+            finite = math.isfinite(term.evaluate(q, v, cfg.system.params))
             raise ConfigError(
-                f"term is not homogeneous of declared degree "
-                f"{term.degree} (max relative violation "
-                f"{rep.max_violation:.3e})", f"dissipation.terms[{i}]")
+                f"term is not homogeneous of declared degree {term.degree} "
+                f"(max relative violation {rep.max_violation:.3e} at "
+                f"q={list(q)}, v={list(v)}"
+                f"{'' if finite else ', where the term overflows'})",
+                f"dissipation.terms[{i}]")
 
 
 def load_config(path) -> RunConfig:

@@ -29,21 +29,20 @@ The stepper state y = [q, v, E], its stages and the samples are lists of
 Python floats; a sample is the row t, q, v, H, T, V, D, R, W, E (the
 columns(dof), then E). It calls no compiled code: the step's last RHS
 call gave M, V, D, R and dR/dv there, and _row forms T = 0.5 (v.M).v and
-W = v.dR/dv as left-to-right sums, which, unlike BLAS, do not depend on
-the host. State and Diagnostics exist only at the API edge: the steppers,
-accel, diagnostics and the Trajectory accessors build them.
+W = v.dR/dv as left-to-right sums (_dot), which, unlike BLAS, do not
+depend on the host. State and Diagnostics exist only at the API edge: the
+steppers, accel, diagnostics and the Trajectory accessors build them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from operator import add, mul
+from operator import mul
 
 import numpy as np
 
-from .raymodel import MassMatrixError, SystemSpec
+from .raymodel import MassMatrixError, SystemSpec, _dot
 
 
 class DynamicsError(Exception):
@@ -166,11 +165,6 @@ def _row(t, y, evals):
     v = y[len(gR):-1]
     T = 0.5 * _dot([_dot(v, col) for col in zip(*M)], v)
     return [t, *y[:-1], T + V, T, V, D, R, _dot(v, gR), y[-1]]
-
-
-def _dot(x, y):
-    """x.y from the first product on (so a 1-entry dot keeps its sign)."""
-    return reduce(add, map(mul, x, y))
 
 
 # ---------------------------------------------------------------------------

@@ -16,21 +16,22 @@ for nonconservative forces. The dissipation potential R is built from D:
 
 Each spec compiles its evaluators once, on first use, and keeps them for
 its own lifetime: a DissipationSpec owns D, R and dR/dv (per dof), a
-SystemSpec owns M with dM/dq, and V with dV/dq. Evaluators take
+SystemSpec owns M, dM/dq, V and dV/dq. Evaluators take
 (q, v, params); the eval_* functions below are adapters over them. D, R
 and dR/dv at one state come from one call, D_R_grad, in either mode, so
 v.dR/dv = D compares values of one evaluation. Point evaluations (D,
 homogeneous_sum R and dR/dv) use the scalar compiled code.
 
 Structural checks (homogeneity, Euler identity v.dR/dv = D, positivity)
-are seeded and reproducible.
+are seeded and reproducible, with left-to-right dot products (_dot).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -57,6 +58,9 @@ class MassMatrixError(ModelError):
 
 # Ratio of neighbouring edges of the graded mesh: 0, s^(P-1), ..., s, 1.
 GRADING = 0.15
+# Smallest edge GRADING^(panels-1) a normal double; leggauss(n) is n x n.
+MAX_PANELS = 1 + int(math.log(np.finfo(float).tiny) / math.log(GRADING))
+MAX_NODES = 256
 
 
 @dataclass(frozen=True)
@@ -70,10 +74,10 @@ class QuadratureConfig:
     tolerance: float = 1e-10
 
     def __post_init__(self):
-        if self.node_count < 8:
-            raise ValueError("node_count must be >= 8")
-        if self.panels < 1:
-            raise ValueError("panels must be >= 1")
+        if not 8 <= self.node_count <= MAX_NODES:
+            raise ValueError(f"node_count must be in 8..{MAX_NODES}")
+        if not 1 <= self.panels <= MAX_PANELS:
+            raise ValueError(f"panels must be in 1..{MAX_PANELS}")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
 
@@ -188,12 +192,12 @@ class SystemSpec:
         return SystemModel(self)
 
     def mass(self, q):
-        """Evaluate M(q), as a new array; checks symmetry to 1e-12."""
-        return self.model.mass(q)
+        """M(q) as a new array, from statics: checks symmetry, needs V(q)."""
+        return np.array(self.model.statics(tuple(q), self.params)[0])
 
     def mass_grad(self, q):
         """dM/dq_j for all j: array of shape (dof, dof, dof), [j, a, b]."""
-        return self.model.mass_grad(tuple(q))
+        return np.moveaxis(self.model.statics(tuple(q), self.params)[1], 2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +206,12 @@ class SystemSpec:
 
 class SystemModel:
     """M, dM/dq, V and dV/dq of one SystemSpec plus its dissipation model.
-    grad_V is one compiled f(q, v, params) that returns (V, dV/dq).
 
     When built, the model emits two straight-line functions, unrolled for
-    its dof from the expressions' own compiled code (partial evaluation).
-    _mass(q, p) gives M and dM/dq as nested lists, M[a][b] and
-    dM[a][b][j] = dM_ab/dq_j, after the symmetry check; mass and mass_grad
-    read it and never check definiteness. mechanics(q, v, gR, p) gives
+    its dof from the same lines of the expressions' own compiled code
+    (partial evaluation). statics(q, p) gives (M, dM, V, dV/dq), M[a][b]
+    and dM[a][b][j] = dM_ab/dq_j as nested lists, after the symmetry
+    check; it never checks definiteness. mechanics(q, v, gR, p) gives
     (qdd, M, V) at (q, v) with dR/dv = gR: it evaluates V, dV/dq and the
     mass entries, forms b = -dV/dq - dR/dv, adds the dM terms in the loop
     order of tests/mechanics_oracle.py, every accumulator starting at 0.0
@@ -216,7 +219,8 @@ class SystemModel:
     factorisation that raises MassMatrixError naming q unless every pivot
     is > 0 (NaN fails too). A constant M has no dM terms, mechanics returns
     its entries M0 as one tuple of tuples of floats, and M0's factor is
-    baked in as constants, so a 1-dof solve is exactly b/m.
+    baked in as constants, so a 1-dof solve is exactly b/m. M0 comes from
+    the mass entries alone, evaluated at q = 0, where V may be undefined.
 
     A mirrored entry with the same expression is not evaluated again:
     identical ASTs compile to identical code and return identical doubles,
@@ -227,10 +231,8 @@ class SystemModel:
     def __init__(self, sys: SystemSpec):
         m = sys.dof
         mm = sys.mass_matrix
-        self.dof = m
         self.params = p = sys.params
         self.dissipation = sys.dissipation.model(m)
-        self.grad_V = xc.compile_expr(sys.potential, m, "q")
         self._asym_pairs = [(a, b) for a in range(m) for b in range(a + 1, m)
                             if mm[a][b] != mm[b][a]]
         pairs = [(a, b) for a in range(m) for b in range(m)
@@ -251,8 +253,8 @@ class SystemModel:
         for a, b in self._asym_pairs:
             entries += [f"if not abs({M[a][b]} - {M[b][a]}) <= atol:",
                         "    " + _raise("symmetric")]
-        self._mass = _define("_mass(q, p)",
-                             entries + [f"return {_list(M)}, {_list(dM)}"])
+        self.statics = _define("_statics(q, p)", head + entries + [
+            f"return {_list(M)}, {_list(dM)}, {V}, {_list(gV)}"])
         self.mass_const = not any(
             any(isinstance(n, xc.Coord) for n in xc.walk(e))
             for row in mm for e in row)
@@ -260,7 +262,8 @@ class SystemModel:
         body = head + [f"b{j} = -({gV[j]}) - gR[{j}]" for j in range(m)]
         if self.mass_const:
             q0 = (0.0,) * m
-            M0 = tuple(map(tuple, self._mass(q0, p)[0]))
+            M0 = tuple(map(tuple, _define(
+                "_m0(q, p)", entries + [f"return {_list(M)}"])(q0, p)))
             try:  # M0's factor as repr constants (a pivot may be inf)
                 env = _define("_f(q, p)", entries + _ldl_lines(M)
                               + ["return locals()"])(q0, p)
@@ -280,13 +283,6 @@ class SystemModel:
         self.mechanics = _define("_mech(q, v, gR, p)", body + [
             f"return {qdd}, {'_M0' if self.mass_const else _list(M)}, {V}"],
             _M0=M0)
-
-    def mass(self, q):
-        return np.array(self._mass(tuple(q), self.params)[0])
-
-    def mass_grad(self, q):
-        """dM/dq_j for all j: array of shape (dof, dof, dof), [j, a, b]."""
-        return np.moveaxis(self._mass(tuple(q), self.params)[1], 2, 0)
 
 
 _define = partial(xc.define, MassMatrixError=MassMatrixError, inf=math.inf)
@@ -457,6 +453,11 @@ class CheckReport:
         }
 
 
+def _dot(x, y):
+    """x.y from the first product on (so a 1-entry dot keeps its sign)."""
+    return reduce(add, map(mul, x, y))
+
+
 def sample_states(dof, samples, seed, v_norm_range=(0.1, 10.0)):
     """Seeded reproducible state sampler: q uniform in [-2,2]^m, speed
     log-uniform in v_norm_range, uniform direction. States are pairs of
@@ -468,13 +469,12 @@ def sample_states(dof, samples, seed, v_norm_range=(0.1, 10.0)):
     out = []
     for _ in range(samples):
         q = rng.uniform(-2.0, 2.0, dof)
-        d = rng.normal(size=dof)
-        n = np.linalg.norm(d)
+        d = rng.normal(size=dof).tolist()
+        n = math.sqrt(_dot(d, d))
         if n == 0.0:
-            d[0] = 1.0
-            n = 1.0
-        speed = np.exp(rng.uniform(lo, hi))
-        out.append((tuple(q.tolist()), tuple((speed * d / n).tolist())))
+            d, n = [1.0] + d[1:], 1.0
+        speed = float(np.exp(rng.uniform(lo, hi)))
+        out.append((tuple(q.tolist()), tuple(speed * x / n for x in d)))
     return out
 
 
@@ -559,7 +559,7 @@ def euler_identity_check(spec: DissipationSpec, dof: int, params: dict,
 
     def violations(q, v):
         d, _, g = model.D_R_grad(q, v, params)
-        yield abs(float(np.dot(v, g)) - d) / (1.0 + abs(d))
+        yield abs(_dot(v, g) - d) / (1.0 + abs(d))
     return _sampled_check("euler_identity", sample_states(dof, samples, seed),
                           violations, 1e-8, "v . dR/dv vs D")
 

@@ -89,6 +89,34 @@ def test_generalized_force_matches_drag():
     assert fb.dissipative == pytest.approx([-c * s.v[0]], abs=1e-12)
 
 
+def test_generalized_force_forms_fixed_order_sums():
+    # p = M.v and dT/dq_j = 0.5 v.(dM/dq_j).v (over a, then b) are
+    # left-to-right sums of Python float products, pinned at a sample
+    # where numpy's M @ v rounds differently
+    b, traj = run_builtin("pendulum_drag_2dof", t_end=1.0)
+    sys = b.system
+
+    def momentum(k):
+        q, v = traj.rows[k][1:3], traj.rows[k][3:5]
+        (m00, m01), (m10, m11) = sys.mass(q).tolist()
+        return [m00 * v[0] + m01 * v[1], m10 * v[0] + m11 * v[1]], q, v
+
+    for k in range(2, len(traj) - 1):
+        p, q, v = momentum(k)
+        if p != (sys.mass(q) @ np.array(v)).tolist():
+            break
+    else:
+        pytest.fail("no sample where numpy's M @ v differs")
+    (p0, _, _), (p2, _, _) = momentum(k - 1), momentum(k + 1)
+    t0, t1, t2 = (traj.rows[i][0] for i in (k - 1, k, k + 1))
+    dM = sys.mass_grad(q).tolist()  # [j][a][b]
+    inertial = [0.5 * (v[0] * d[0][0] * v[0] + v[0] * d[0][1] * v[1]
+                       + v[1] * d[1][0] * v[0] + v[1] * d[1][1] * v[1])
+                - au._central_diff(t0, t1, t2, p0[j], p[j], p2[j])
+                for j, d in enumerate(dM)]
+    assert au.generalized_force(sys, traj, k).inertial.tolist() == inertial
+
+
 def test_generalized_force_boundary_index_error():
     b, traj = rk4_run("damped_sho", dt=1e-2, t_end=0.1)
     with pytest.raises(IndexError):
@@ -184,6 +212,24 @@ def test_full_audit_conservative_section():
 def test_full_audit_every_builtin_passes_at_defaults(name):
     b, traj = run_builtin(name)
     report = au.full_audit(b.system, traj)
+    assert report.passed, report.to_dict()
+
+
+def test_constant_mass_with_a_potential_singular_at_zero_is_audited():
+    # the constant mass and its factor come from the mass entries alone:
+    # the statics at q = 0 would divide by zero in V = -k/q1, a point the
+    # run never reaches
+    sys = rm.SystemSpec(
+        dof=1, mass_matrix=[[xc.parse("m")]], potential=xc.parse("-k/q1"),
+        dissipation=rm.DissipationSpec(
+            "homogeneous_sum", [rm.DissipationTerm(xc.parse("c*v1^2"), 2.0)]),
+        params={"m": 1.0, "k": 0.5, "c": 0.2})
+    with pytest.raises(xc.EvalDomainError, match="division by zero"):
+        sys.model.statics((0.0,), sys.params)
+    traj = dy.integrate(sys, dy.State(0.0, [1.0], [0.5]), 2.0,
+                        dy.IntegratorConfig())
+    assert len(traj) > 20
+    report = au.full_audit(sys, traj)
     assert report.passed, report.to_dict()
 
 

@@ -11,6 +11,7 @@ import pytest
 from raydiss import cli
 from raydiss import config as cf
 from raydiss import dynamics as dy
+from raydiss import raymodel as rm
 from raydiss.builtins import BUILTIN_NAMES, DOCS, get_builtin
 from raydiss.cli import main
 
@@ -83,7 +84,8 @@ def test_load_rejects_wrong_declared_degree(workdir):
 def test_huge_declared_degree_is_a_one_line_config_error(workdir, capsys,
                                                          command):
     # lam ** 1e30 overflows a float for lam > 1: that sample's violation
-    # is infinite, not a traceback
+    # is infinite, not a traceback; the line names that sample, where the
+    # term itself is finite
     doc = json.loads(json.dumps(DSHO_INLINE))
     doc["dissipation"]["terms"][0]["degree"] = 1e30
     rc = main([command, "--config", write_json(workdir / "c.json", doc)])
@@ -91,13 +93,13 @@ def test_huge_declared_degree_is_a_one_line_config_error(workdir, capsys,
     assert capsys.readouterr().err == (
         "raydiss: config error at 'dissipation.terms[0]': term is not "
         "homogeneous of declared degree 1e+30 (max relative violation "
-        "inf)\n")
+        "inf at q=[0.5478467492858172], v=[-0.12076665792328144])\n")
     assert [p.name for p in workdir.iterdir()] == ["c.json"]
 
 
 def test_overflowing_term_is_a_one_line_config_error(workdir, capsys):
     # D = A*|v1|^3 overflows to inf above |v1| ~ 5.6, where the homogeneity
-    # violation inf - inf is NaN
+    # violation inf - inf is NaN; the line names the first such sample
     doc = {**DSHO_INLINE, "params": {"m": 1.0, "k": 1.0, "A": 1e306},
            "dissipation": {"mode": "homogeneous_sum",
                            "terms": [{"expr": "A*abs(v1)^3", "degree": 3}]},
@@ -107,7 +109,9 @@ def test_overflowing_term_is_a_one_line_config_error(workdir, capsys):
     assert rc == 1
     assert capsys.readouterr().err == (
         "raydiss: config error at 'dissipation.terms[0]': term is not "
-        "homogeneous of declared degree 3.0 (max relative violation inf)\n")
+        "homogeneous of declared degree 3.0 (max relative violation inf at "
+        "q=[-1.9338894578858836], v=[-6.691310059954056], where the term "
+        "overflows)\n")
     assert [p.name for p in workdir.iterdir()] == ["c.json"]
 
 
@@ -233,6 +237,13 @@ MALFORMED = [
                                      "terms": terms}},
      ["simulate"], "dissipation.terms")
     for terms in (5, None, "v1^2")
+] + [
+    # one past each quadrature bound
+    ({**GENERAL_INLINE, "dissipation": {**GENERAL_INLINE["dissipation"],
+                                        "quadrature": quad}},
+     ["check"], "dissipation.quadrature")
+    for quad in ({"panels": rm.MAX_PANELS + 1},
+                 {"node_count": rm.MAX_NODES + 1})
 ]
 
 

@@ -462,10 +462,11 @@ def test_sample_T_and_W_are_fixed_order_sums():
     for _ in range(200):
         q, v = rng.uniform(-2.0, 2.0, 2).tolist(), rng.uniform(-2.0, 2.0,
                                                              2).tolist()
-        (m00, m01), (m10, m11) = sm.mass(q).tolist()
+        M = b.system.mass(q)
+        (m00, m01), (m10, m11) = M.tolist()
         T = 0.5 * ((v[0] * m00 + v[1] * m10) * v[0]
                    + (v[0] * m01 + v[1] * m11) * v[1])
-        if T != 0.5 * float(np.array(v) @ sm.mass(q) @ np.array(v)):
+        if T != 0.5 * float(np.array(v) @ M @ np.array(v)):
             break
     else:
         pytest.fail("no state where numpy's v @ M @ v differs")
@@ -521,12 +522,12 @@ def test_rk4_evaluates_dissipation_once_per_state(monkeypatch):
     # each RHS call makes one dissipation call (D, R and dR/dv) and one
     # call of the generated mechanics (V, M and qdd); a sample takes all of
     # them from its step's last RHS call and evaluates nothing, under
-    # either method
+    # either method, and the audit's statics are not called
     for name in ("damped_sho", "pendulum_drag_2dof"):
         b = get_builtin(name)
         sm = b.system.model
         owners = {"D_R_grad": sm.dissipation, "mechanics": sm,
-                  "grad_V": sm, "mass": sm}
+                  "statics": sm}
         calls = dict.fromkeys(owners, 0)
         for key, owner in owners.items():
             def counted(*args, fn=getattr(owner, key), key=key):
@@ -541,7 +542,7 @@ def test_rk4_evaluates_dissipation_once_per_state(monkeypatch):
             assert cfg.method == "rk45" or traj.rhs_calls == 2001
             assert calls == {"D_R_grad": traj.rhs_calls,
                              "mechanics": traj.rhs_calls,
-                             "grad_V": 0, "mass": 0}, (name, cfg)
+                             "statics": 0}, (name, cfg)
 
 
 def test_integrate_replays_step_rk45_bit_for_bit():

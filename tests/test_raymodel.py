@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -306,6 +307,23 @@ def test_quadrature_coarse_settings_still_converge_on_polynomials():
         ctx([0.0], [2.0]))
     assert val == pytest.approx(4.0, rel=1e-12)  # D/4 = 16/4
     assert warning is None
+
+
+def test_quadrature_config_is_bounded():
+    # the smallest edge GRADING^(panels-1) is a normal double up to
+    # MAX_PANELS, where the rule still works without a numpy warning; one
+    # past either bound is rejected before any rule is built
+    assert sys.float_info.min <= rm.GRADING ** (rm.MAX_PANELS - 1)
+    assert rm.GRADING ** rm.MAX_PANELS < sys.float_info.min
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val, _ = rm.eval_R_quadrature(general("v1^4", panels=rm.MAX_PANELS),
+                                      ctx([0.0], [2.0]))
+    assert val == pytest.approx(4.0, rel=1e-12)
+    with pytest.raises(ValueError, match=r"panels must be in 1\.\.374$"):
+        rm.QuadratureConfig(panels=rm.MAX_PANELS + 1)
+    with pytest.raises(ValueError, match=r"node_count must be in 8\.\.256$"):
+        rm.QuadratureConfig(node_count=rm.MAX_NODES + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -684,3 +702,44 @@ def test_sample_states_reproducible():
         assert np.array_equal(qa, qb) and np.array_equal(va, vb)
     speeds = [np.linalg.norm(v) for _, v in rm.sample_states(2, 200, seed=1)]
     assert 0.1 <= min(speeds) and max(speeds) <= 10.0
+
+
+def test_sample_states_normalise_by_the_left_to_right_norm():
+    # v = speed * d / |d| with |d| = sqrt(d1 d1 + d2 d2) summed left to
+    # right, on numpy's seeded draws, including the states where numpy's
+    # norm rounds differently
+    rng = np.random.default_rng(7)
+    lo, hi = np.log(0.1), np.log(10.0)
+    moved = 0
+    for q, v in rm.sample_states(2, 200, seed=7):
+        assert q == tuple(rng.uniform(-2.0, 2.0, 2).tolist())
+        d = rng.normal(size=2).tolist()
+        speed = float(np.exp(rng.uniform(lo, hi)))
+        n = math.sqrt(d[0] * d[0] + d[1] * d[1])
+        assert v == (speed * d[0] / n, speed * d[1] / n)
+        moved += n != np.linalg.norm(d)
+    assert moved
+
+
+def test_euler_check_forms_v_dot_grad_as_the_sample_w(monkeypatch):
+    # the Euler check's v.dR/dv is a sample row's W bit for bit, pinned on
+    # a 2-dof pendulum state where numpy's np.dot rounds differently
+    from raydiss import dynamics as dy
+
+    b = get_builtin("pendulum_drag_2dof")
+    sm = b.system.model
+    rng = np.random.default_rng(18)
+    for _ in range(200):
+        q, v = (tuple(rng.uniform(-2.0, 2.0, 2).tolist()) for _ in range(2))
+        D, _, g = sm.dissipation.D_R_grad(q, v, sm.params)
+        if float(np.dot(v, g)) != v[0] * g[0] + v[1] * g[1]:
+            break
+    else:
+        pytest.fail("no state where numpy's np.dot differs")
+    traj = dy.integrate(b.system, dy.State(0.0, q, v), 0.01,
+                        dy.IntegratorConfig(method="rk4", dt=0.01))
+    W = traj.diagnostics()[0].W
+    monkeypatch.setattr(rm, "sample_states",
+                        lambda dof, samples, seed: [(q, v)])
+    rep = rm.euler_identity_check(b.system.dissipation, 2, b.system.params)
+    assert rep.max_violation == abs(W - D) / (1.0 + abs(D))
