@@ -95,7 +95,7 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("rk4", "rk45"):
             raise ValueError(f"unknown integrator method '{self.method}'")
-        if self.dt <= 0 or self.rel_tol <= 0 or self.abs_tol <= 0:
+        if not (self.dt > 0 and self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("dt, rel_tol and abs_tol must be positive")
         if self.max_steps < 1 or self.sample_every < 1:
             raise ValueError("max_steps and sample_every must be >= 1")
@@ -220,7 +220,7 @@ def _step(attempt, sys, s, dt, cfg):
 
 def step_rk4(sys: SystemSpec, s: State, dt: float) -> State:
     """One classical RK4 step; local error O(dt^5)."""
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
     return _step(_rk4_raw, sys, s, dt, None)[0]
 
@@ -271,7 +271,7 @@ def _rk45_raw(sys, t, y, dt, cfg, k1):
 def step_rk45(sys: SystemSpec, s: State, dt_try: float,
               cfg: IntegratorConfig):
     """One embedded 5(4) step. Returns (state, dt_next, accepted)."""
-    if dt_try <= 0:
+    if not dt_try > 0:
         raise ValueError("dt_try must be positive")
     return _step(_rk45_raw, sys, s, dt_try, cfg)
 

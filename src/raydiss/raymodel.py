@@ -78,7 +78,7 @@ class QuadratureConfig:
             raise ValueError(f"node_count must be in 8..{MAX_NODES}")
         if not 1 <= self.panels <= MAX_PANELS:
             raise ValueError(f"panels must be in 1..{MAX_PANELS}")
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
 
     @property
@@ -95,7 +95,7 @@ class DissipationTerm:
     smooth_eps: float | None = None  # optional tanh regularization of sign/abs kinks
 
     def __post_init__(self):
-        if self.degree <= 0:
+        if not self.degree > 0:
             raise ModelError(
                 f"dissipation term degree must be > 0, got {self.degree}; "
                 "a degree-0 or rest-nonvanishing part makes the "
@@ -217,10 +217,9 @@ class SystemModel:
     order of tests/mechanics_oracle.py, every accumulator starting at 0.0
     as there, and solves by an unrolled square-root-free LDL^T
     factorisation that raises MassMatrixError naming q unless every pivot
-    is > 0 (NaN fails too). A constant M has no dM terms, mechanics returns
-    its entries M0 as one tuple of tuples of floats, and M0's factor is
-    baked in as constants, so a 1-dof solve is exactly b/m. M0 comes from
-    the mass entries alone, evaluated at q = 0, where V may be undefined.
+    is > 0 (NaN fails too), so a 1-dof solve is exactly b/m. A mass entry
+    that references no coordinate adds no dM terms, so a constant M has
+    none. Both functions read params at each call.
 
     A mirrored entry with the same expression is not evaluated again:
     identical ASTs compile to identical code and return identical doubles,
@@ -231,12 +230,12 @@ class SystemModel:
     def __init__(self, sys: SystemSpec):
         m = sys.dof
         mm = sys.mass_matrix
-        self.params = p = sys.params
+        self.params = sys.params
         self.dissipation = sys.dissipation.model(m)
-        self._asym_pairs = [(a, b) for a in range(m) for b in range(a + 1, m)
-                            if mm[a][b] != mm[b][a]]
+        asym = [(a, b) for a in range(m) for b in range(a + 1, m)
+                if mm[a][b] != mm[b][a]]
         pairs = [(a, b) for a in range(m) for b in range(m)
-                 if a <= b or (b, a) in self._asym_pairs]
+                 if a <= b or (b, a) in asym]
         (head, V, gV), *blocks = xc.compile_blocks(
             [sys.potential] + [mm[a][b] for a, b in pairs], m, "q")
         M = [[None] * m for _ in range(m)]
@@ -247,45 +246,30 @@ class SystemModel:
             M[a][b], dM[a][b] = val, g
             if (b, a) not in pairs:
                 M[b][a], dM[b][a] = val, g
-        if self._asym_pairs:
+        if asym:
             entries.append("atol = 1e-12 * (1.0 + max(%s))" % ", ".join(
                 f"abs({x})" for row in M for x in row))
-        for a, b in self._asym_pairs:
+        for a, b in asym:
             entries += [f"if not abs({M[a][b]} - {M[b][a]}) <= atol:",
                         "    " + _raise("symmetric")]
         self.statics = _define("_statics(q, p)", head + entries + [
             f"return {_list(M)}, {_list(dM)}, {V}, {_list(gV)}"])
-        self.mass_const = not any(
-            any(isinstance(n, xc.Coord) for n in xc.walk(e))
-            for row in mm for e in row)
-        M0, name = None, str  # factor entry -> its source text
+        b_lines = _b_lines(mm, dM)
         body = head + [f"b{j} = -({gV[j]}) - gR[{j}]" for j in range(m)]
-        if self.mass_const:
-            q0 = (0.0,) * m
-            M0 = tuple(map(tuple, _define(
-                "_m0(q, p)", entries + [f"return {_list(M)}"])(q0, p)))
-            try:  # M0's factor as repr constants (a pivot may be inf)
-                env = _define("_f(q, p)", entries + _ldl_lines(M)
-                              + ["return locals()"])(q0, p)
-                name = lambda x: repr(env[x])
-            except MassMatrixError:  # left to each call, which raises
-                body += entries + _ldl_lines(M)
-        else:
-            body += ([", ".join(f"v{j}" for j in range(m)) + ", = v"]
-                     + entries + _b_lines(dM) + _ldl_lines(M))
+        if b_lines:
+            body.append(", ".join(f"v{j}" for j in range(m)) + ", = v")
+        body += entries + b_lines + _ldl_lines(M)
         body += [f"y{i} = b{i}" + "".join(
-            f" - {name(f'L{i}_{k}')} * y{k}" for k in range(i))
-            for i in range(m)]
-        body += [f"x{i} = y{i} / {name(f'd{i}')}" + "".join(
-            f" - {name(f'L{k}_{i}')} * x{k}" for k in range(i + 1, m))
+            f" - L{i}_{k} * y{k}" for k in range(i)) for i in range(m)]
+        body += [f"x{i} = y{i} / d{i}" + "".join(
+            f" - L{k}_{i} * x{k}" for k in range(i + 1, m))
             for i in reversed(range(m))]
         qdd = _list([f"x{i}" for i in range(m)])
         self.mechanics = _define("_mech(q, v, gR, p)", body + [
-            f"return {qdd}, {'_M0' if self.mass_const else _list(M)}, {V}"],
-            _M0=M0)
+            f"return {qdd}, {_list(M)}, {V}"])
 
 
-_define = partial(xc.define, MassMatrixError=MassMatrixError, inf=math.inf)
+_define = partial(xc.define, MassMatrixError=MassMatrixError)
 
 
 def _list(x):
@@ -298,12 +282,15 @@ def _raise(what):
             "at q={list(q)}')")
 
 
-def _b_lines(dM):
+def _b_lines(mm, dM):
     """b_j += 0.5 v_a v_c dM_ac/dq_j and b_a -= (v . dM_ac/dq) v_c, over
-    a, then c, then j: the loop order of the tests' oracle."""
+    a, then c, then j: the loop order of the tests' oracle. A pair whose
+    mass entry mm[a][c] references no coordinate adds nothing."""
     lines, m = [], len(dM)
     for a in range(m):
         for c in range(m):
+            if not any(isinstance(n, xc.Coord) for n in xc.walk(mm[a][c])):
+                continue
             g = dM[a][c]
             lines.append(f"w = 0.5 * v{a} * v{c}")
             lines += [f"b{j} += w * {g[j]}" for j in range(m)]

@@ -7,9 +7,10 @@ own compiled code (`exprcore.compiled`), assembles
     b = -dV/dq - dR/dv,  b_j += 0.5 v_a v_c dM_ac/dq_j,
     b_a -= (v . dM_ac/dq) v_c  (over a, then c, then j),
 
-in nested loops, and solves with a generic square-root-free LDL^T
-factorisation. Its floating-point operations come in the same order as
-the generated code's, so the two agree bit for bit.
+in nested loops, skipping each pair (a, c) whose entry M_ac references no
+coordinate (so a constant M has no dM terms), and solves with a generic
+square-root-free LDL^T factorisation. Its floating-point operations come
+in the same order as the generated code's, so the two agree bit for bit.
 """
 
 from raydiss import exprcore as xc
@@ -83,18 +84,17 @@ def ldl_solve(factor, b):
 
 def mechanics(sys, q, v, gR):
     """(qdd, M, V) at (q, v) with dR/dv = gR, lists of floats in and out.
-    A constant M is evaluated and factored at q = 0 and has no dM terms."""
-    m = sys.dof
+    A pair (a, c) whose mass entry references no coordinate, as read from
+    its expression, adds no dM terms."""
+    m, mm = sys.dof, sys.mass_matrix
     V, gV = xc.compiled(sys.potential, m, "q")(q, v, sys.params)
     b = [-x - y for x, y in zip(gV, gR)]
-    if sys.model.mass_const:
-        q0 = [0.0] * m
-        M = mass_and_grad(sys, q0)[0]
-        return ldl_solve(ldl_factor(M, q0), b), M, V
     M, dM = mass_and_grad(sys, q)
     for a in range(m):
         va, dMa = v[a], dM[a]
         for c in range(m):
+            if not any(isinstance(n, xc.Coord) for n in xc.walk(mm[a][c])):
+                continue
             g = dMa[c]
             w = 0.5 * va * v[c]
             vg = 0.0

@@ -126,11 +126,27 @@ def full_mass_3dof():
         params={"c": 0.3, "k": 2.0})
 
 
+def _generated(make, monkeypatch):
+    """(system, {function name: body lines}) of the functions that
+    SystemModel defines for the system make() returns."""
+    bodies = {}
+
+    def define(signature, body, define=rm._define, **names):
+        bodies[signature.split("(")[0]] = body
+        return define(signature, body, **names)
+    monkeypatch.setattr(rm, "_define", define)
+    sys = make()
+    sys.model
+    return sys, bodies
+
+
 @pytest.mark.parametrize("make", [
     lambda: get_builtin("pendulum_drag_2dof").system, full_mass_3dof])
-def test_accel_matches_numpy_assembly(make):
-    sys = make()
-    assert sys.model._asym_pairs == ([(0, 2)] if sys.dof == 3 else [])
+def test_accel_matches_numpy_assembly(make, monkeypatch):
+    sys, bodies = _generated(make, monkeypatch)
+    # one symmetry check, for the (1, 3) pair written in two orders
+    assert sum(x.startswith("if not abs(") for x in bodies["_statics"]) == (
+        1 if sys.dof == 3 else 0)
     for q, v in rm.sample_states(sys.dof, 50, seed=17):
         a = dy.accel(sys, dy.State(0.0, q, v))
         ref = _reference_accel(sys, q, v)
@@ -211,6 +227,16 @@ def _asymmetric_2dof():
     return _mass_system([["2", "0.1*q1"], ["0.1*sin(q1)", "2"]])
 
 
+def _constant_mass_2dof():
+    # a q-free mass with an off-diagonal entry, and a potential undefined
+    # at q1 = 0, where no mass entry needs it
+    return rm.SystemSpec(
+        dof=2, mass_matrix=[[xc.parse(e) for e in row]
+                            for row in [["2", "a"], ["a", "1"]]],
+        potential=xc.parse("-k/q1 + 0.5*k*q2^2"),
+        dissipation=rm.null_dissipation(), params={"a": 0.7, "k": 1.5})
+
+
 def _bits(x):
     return np.array(x, dtype=float).tobytes()
 
@@ -220,12 +246,14 @@ def _bits(x):
       for name in ("sho", "damped_sho", "quad_drag_particle",
                    "pendulum_drag_2dof", "coulomb_block")],
     full_mass_3dof, _asymmetric_2dof,
-    lambda: _mass_system([["1 + q1^2"]])],
+    lambda: _mass_system([["1 + q1^2"]]), _constant_mass_2dof],
     ids=["sho", "damped_sho", "quad_drag_particle", "pendulum_drag_2dof",
-         "coulomb_block", "full_mass_3dof", "asymmetric_2dof", "1+q1^2"])
+         "coulomb_block", "full_mass_3dof", "asymmetric_2dof", "1+q1^2",
+         "constant_mass_2dof"])
 def test_generated_mechanics_matches_loop_oracle(make):
-    # (qdd, M, V), or the MassMatrixError, of the generated code and of the
-    # loop form agree bit for bit, signed zeros included
+    # (qdd, M, V), or the MassMatrixError or EvalDomainError, of the
+    # generated code and of the loop form agree bit for bit, signed zeros
+    # included
     sys = make()
     sm = sys.model
     states = rm.sample_states(sys.dof, 40, seed=29)
@@ -236,8 +264,8 @@ def test_generated_mechanics_matches_loop_oracle(make):
         gR = sm.dissipation.D_R_grad(q, v, sm.params)[2]
         try:
             ref = mechanics_oracle.mechanics(sys, q, v, gR)
-        except dy.MassMatrixError as e:
-            with pytest.raises(dy.MassMatrixError) as got:
+        except (dy.MassMatrixError, xc.EvalDomainError) as e:
+            with pytest.raises(type(e)) as got:
                 sm.mechanics(q, v, gR, sm.params)
             assert str(got.value) == str(e)
             outcomes.add("error")
@@ -246,8 +274,18 @@ def test_generated_mechanics_matches_loop_oracle(make):
         assert [_bits(x) for x in (qdd, M, V)] == [
             _bits(x) for x in ref], (q, v)
         outcomes.add("value")
-    assert outcomes == ({"value", "error"} if make is _asymmetric_2dof
-                        else {"value"})
+    assert outcomes == (
+        {"value", "error"} if make in (_asymmetric_2dof, _constant_mass_2dof)
+        else {"value"})
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_mechanics_has_no_zero_factor(name, monkeypatch):
+    # a mass entry that references no coordinate adds no dM terms, so the
+    # generated mechanics never multiplies by a dM/dq that is the literal 0
+    _, bodies = _generated(lambda: get_builtin(name).system, monkeypatch)
+    assert [x for x in bodies["_mech"]
+            if re.search(r"\* 0\.0(?![\d.e])", x)] == []
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -817,6 +855,33 @@ def test_trajectory_times_must_increase():
     row = dy.integrate(b.system, b.initial, 0.1, b.integrator).rows[0]
     with pytest.raises(ValueError):
         dy.Trajectory(rows=[row, row], dof=1)
+
+
+def test_params_are_read_at_call_time():
+    # the compiled model, built before the write, reads the new mass
+    sys = make_damped_sho()
+    s = dy.State(0.0, [1.0], [1.0])
+    a1 = dy.accel(sys, s)[0]
+    sys.params["m"] = 2.0
+    assert sys.mass([1.0])[0, 0] == 2.0
+    assert dy.accel(sys, s)[0] == a1 / 2.0
+    assert dy.diagnostics(sys, s).T_kin == 1.0
+
+
+@pytest.mark.parametrize("field", ["dt", "rel_tol", "abs_tol"])
+def test_integrator_config_rejects_nan(field):
+    with pytest.raises(ValueError,
+                       match="^dt, rel_tol and abs_tol must be positive$"):
+        dy.IntegratorConfig(**{field: float("nan")})
+
+
+@pytest.mark.parametrize("step", [
+    lambda sys, s, dt: dy.step_rk4(sys, s, dt),
+    lambda sys, s, dt: dy.step_rk45(sys, s, dt, dy.IntegratorConfig())],
+    ids=["rk4", "rk45"])
+def test_step_rejects_nan_dt(step):
+    with pytest.raises(ValueError, match="must be positive$"):
+        step(make_sho(), dy.State(0.0, [1.0], [0.0]), float("nan"))
 
 
 def test_diagnostics_energy_partition():

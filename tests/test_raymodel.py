@@ -35,6 +35,8 @@ def test_degree_must_be_positive():
         rm.DissipationTerm(xc.parse("v1^2"), 0.0)
     with pytest.raises(rm.ModelError):
         rm.DissipationTerm(xc.parse("v1^2"), -1.0)
+    with pytest.raises(rm.ModelError, match="got nan"):
+        rm.DissipationTerm(xc.parse("v1^2"), float("nan"))
 
 
 def test_mode_field_consistency():
@@ -80,7 +82,7 @@ def test_constant_mass_cannot_be_corrupted_through_mass():
     except ValueError:
         pass  # read-only
     assert sys.mass((0.5,))[0, 0] == 2.0
-    # the cached factor is built after the write attempt: b = -k, M = 2
+    # mechanics evaluates M at each call, unchanged by the write: b = -k
     assert dy.accel(sys, dy.State(0.0, [0.5], [1.0]))[0] == -0.3 / 2.0
 
 
@@ -324,6 +326,11 @@ def test_quadrature_config_is_bounded():
         rm.QuadratureConfig(panels=rm.MAX_PANELS + 1)
     with pytest.raises(ValueError, match=r"node_count must be in 8\.\.256$"):
         rm.QuadratureConfig(node_count=rm.MAX_NODES + 1)
+
+
+def test_quadrature_tolerance_rejects_nan():
+    with pytest.raises(ValueError, match="^tolerance must be positive$"):
+        rm.QuadratureConfig(tolerance=float("nan"))
 
 
 # ---------------------------------------------------------------------------
