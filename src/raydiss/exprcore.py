@@ -370,7 +370,9 @@ def bind_check(node, dof, params):
 # forward-mode pass. The one generator, _CodeGen, states the tangent rule
 # once (combine: a node's tangent is the sum of partial * child tangent)
 # and each function's value and derivative once (_FUNCTION_RULES);
-# division keeps its own rule. It emits calls to `math.*` and to the _c*
+# division keeps its own rule, and `^` has one rule for every exponent,
+# literal or not: _cpow for the value, _cdpow and _cdbpow for the partials
+# in base and exponent. It emits calls to `math.*` and to the _c*
 # helpers, which hold every branch and domain check. compile_expr runs
 # that source on floats (scalar mode, for point evaluations);
 # compile_blocks hands the scalar code of several expressions to a
@@ -413,53 +415,32 @@ def _cdsqrt(val, src):
     return 0.5 / val
 
 
-def _cpowi(a, n, src):
-    if a == 0.0 and n < 0:
-        raise EvalDomainError("zero base with negative exponent", src=src)
-    return a ** n
+def _cpow(a, b, src):
+    if a <= 0.0:
+        # b % 1 is nonzero for a fractional b, NaN for a NaN or infinite b
+        if a < 0.0 and (b % 1 or abs(b) >= 1e9):
+            raise EvalDomainError(
+                f"non-integer exponent {b} requires nonnegative base, "
+                f"got {a}", src=src)
+        if a == 0.0 and b < 0.0:
+            raise EvalDomainError("zero base with negative exponent",
+                                  src=src)
+    return a ** b
 
 
-def _cdpowi(a, n):
-    # d(a^n)/da for integer n; 0 at a=0 unless n==1 (kink convention)
+def _cdpow(a, b):
+    # d(a^b)/da; 0 at a = 0 unless b == 1 (kink convention)
     if a == 0.0:
-        return 1.0 if n == 1 else 0.0
-    return n * a ** (n - 1)
+        return 1.0 if b == 1 else 0.0
+    return b * a ** (b - 1)
 
 
-def _cpowf(a, p, src):
+def _cdbpow(val, a, src):
+    # d(a^b)/db, where val is a^b
     if a < 0.0:
         raise EvalDomainError(
-            f"non-integer exponent {p} requires nonnegative base, got {a}",
-            src=src)
-    return a ** p
-
-
-def _cdpowf(a, p):
-    return p * a ** (p - 1.0) if a > 0.0 else 0.0
-
-
-def _cpow3(a, b, need_db, src):
-    """General a^b with its partials (value, d/da, d/db). A zero base
-    follows the kink convention: d/da is 1 for b == 1 and 0 otherwise."""
-    is_int = float(b).is_integer() and abs(b) < 1e9
-    if not is_int and a < 0.0:
-        raise EvalDomainError(
-            f"non-integer exponent {b} requires nonnegative base, got {a}",
-            src=src)
-    if a == 0.0:
-        if b < 0.0:
-            raise EvalDomainError("zero base with negative exponent", src=src)
-        val = 1.0 if b == 0.0 else 0.0
-        return val, (1.0 if b == 1.0 else 0.0), 0.0
-    val = a ** b
-    da = b * a ** (b - 1.0)
-    db = 0.0
-    if need_db:
-        if a <= 0.0:
-            raise EvalDomainError(
-                "derivative w.r.t. exponent needs positive base", src=src)
-        db = val * math.log(a)
-    return val, da, db
+            "derivative w.r.t. exponent needs positive base", src=src)
+    return 0.0 if a == 0.0 else val * math.log(a)
 
 
 def _coverflow(src):
@@ -468,9 +449,8 @@ def _coverflow(src):
 
 _COMPILE_GLOBALS = {
     "math": math, "_csgn": _csgn, "_cdiv0": _cdiv0, "_cln": _cln,
-    "_csqrt": _csqrt, "_cdsqrt": _cdsqrt, "_cpowi": _cpowi,
-    "_cdpowi": _cdpowi, "_cpowf": _cpowf, "_cdpowf": _cdpowf,
-    "_cpow3": _cpow3, "_coverflow": _coverflow,
+    "_csqrt": _csqrt, "_cdsqrt": _cdsqrt, "_cpow": _cpow, "_cdpow": _cdpow,
+    "_cdbpow": _cdbpow, "_coverflow": _coverflow,
 }
 
 
@@ -490,42 +470,30 @@ def _asgn(x):
     return np.where(x == 0.0, 0.0, np.copysign(1.0, x))
 
 
-def _adpowi(a, n):
-    # n >= 1 gives the kink convention at a = 0 unmasked (0, or 1 for
-    # n == 1); n < 0 never sees a = 0, as a ** n flags it; n == 0 is flat
-    return n * a ** (n - 1) if n else 0.0
+def _apow(a, b, src):
+    # a NaN b or |b| >= 1e9 is non-integer to the scalar code, but numpy
+    # raises a negative base to it without a flag; a Python float base
+    # would turn complex, so it becomes a np.float64
+    if isinstance(b, np.ndarray) or not abs(b) < 1e9:
+        if _aany((a < 0.0) & ~(np.abs(b) < 1e9)):
+            raise FloatingPointError
+    return (a if isinstance(a, np.ndarray) else np.float64(a)) ** b
 
 
-def _apowf(a, p, src):
-    # |p| >= 1e9 is non-integer to the scalar code, but numpy raises a
-    # negative base to it without a flag; a Python float base would turn
-    # complex, so it becomes a np.float64
-    if abs(p) >= 1e9 and _aany(a < 0.0):
-        raise FloatingPointError
-    return (a if isinstance(a, np.ndarray) else np.float64(a)) ** p
-
-
-def _adpowf(a, p):
-    if p > 1.0:  # a >= 0 after _apowf, and 0 ** (p - 1) is already 0
-        return p * a ** (p - 1.0)
-    pos = a > 0.0
-    return np.where(pos, p * np.where(pos, a, 1.0) ** (p - 1.0), 0.0)
-
-
-def _apow3(a, b, need_db, src):
-    """_cpow3's values over arrays, the exponent kept as an array."""
-    a, b = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
+def _adpow(a, b):
+    # a scalar b >= 1 gives the kink convention at a = 0 unmasked (0, or 1
+    # for b == 1); any other b would flag 0 ** (b - 1), so a zero base is
+    # masked. A negative base never gets here unless b is whole
+    if not isinstance(b, np.ndarray) and b >= 1:
+        return b * a ** (b - 1)
     zero = a == 0.0
-    # the rules numpy cannot flag: a zero base is masked below, and a
-    # negative base to |b| >= 1e9 is real in numpy
-    if _aany((zero & (b < 0.0)) | ((a < 0.0) & (np.abs(b) >= 1e9))):
-        raise FloatingPointError
-    safe = np.where(zero, 1.0, a)
-    val = np.where(zero, np.where(b == 0.0, 1.0, 0.0), safe ** b)
-    da = np.where(zero, np.where(b == 1.0, 1.0, 0.0),
-                  b * safe ** (b - 1.0))
-    db = np.where(zero, 0.0, val * np.log(safe)) if need_db else 0.0
-    return val, da, db
+    return np.where(zero, np.where(b == 1, 1.0, 0.0),
+                    b * np.where(zero, 1.0, a) ** (b - 1))
+
+
+def _adbpow(val, a, src):
+    zero = a == 0.0
+    return np.where(zero, 0.0, val * np.log(np.where(zero, 1.0, a)))
 
 
 _ARRAY_GLOBALS = {
@@ -534,8 +502,7 @@ _ARRAY_GLOBALS = {
     "_csgn": _asgn, "_cdiv0": lambda b, src: None,
     "_cln": lambda x, src: np.log(x), "_csqrt": lambda x, src: np.sqrt(x),
     "_cdsqrt": lambda val, src: 0.5 / val,
-    "_cpowi": lambda a, n, src: a ** n, "_cdpowi": _adpowi,
-    "_cpowf": _apowf, "_cdpowf": _adpowf, "_cpow3": _apow3,
+    "_cpow": _apow, "_cdpow": _adpow, "_cdbpow": _adbpow,
     "_coverflow": _coverflow,
 }
 
@@ -663,24 +630,19 @@ class _CodeGen:
         raise AssertionError(op)
 
     def gen_pow(self, node):
-        src = to_source(node)
+        src = repr(to_source(node))
         a, ga = self.gen(node.left)
-        if isinstance(node.right, Const):
-            p = node.right.value
-            # a whole exponent below 1e9 takes the exact _cpowi/_cdpowi
-            kind, p = (("i", int(p)) if float(p).is_integer() and abs(p) < 1e9
-                       else ("f", p))
-            val = self.temp(f"_cpow{kind}({a}, {p!r}, {src!r})")
-            if not self.any_grad(ga):
-                return val, self.zeros()
-            d = self.temp(f"_cdpow{kind}({a}, {p!r})")
-            return val, self.combine(("+", d, ga))
         b, gb = self.gen(node.right)
-        need_db = self.any_grad(gb)
-        val = self.temp(f"_cpow3({a}, {b}, {need_db}, {src!r})")
-        da = self.temp(f"{val}[1]")
-        db = self.temp(f"{val}[2]") if need_db else "0.0"
-        val = self.temp(f"{val}[0]")
+        p = node.right.value if isinstance(node.right, Const) else None
+        if p is not None and float(p).is_integer() and abs(p) < 1e9:
+            # numpy's integer fast path (arr ** 2); a float to an int is
+            # the same double
+            b = repr(int(p))
+        val = self.temp(f"_cpow({a}, {b}, {src})")
+        # a child without a tangent needs no partial: combine skips it
+        da = self.temp(f"_cdpow({a}, {b})") if self.any_grad(ga) else "0.0"
+        db = (self.temp(f"_cdbpow({val}, {a}, {src})") if self.any_grad(gb)
+              else "0.0")
         return val, self.combine(("+", da, ga), ("+", db, gb))
 
     def gen_call(self, node):
@@ -741,26 +703,24 @@ def compile_expr(node, dof=0, wrt=None, smooth_eps=None):
 
 def compile_array(node, dof=0, wrt=None, smooth_eps=None):
     """Uncached array-mode evaluator: compile_expr's code evaluated at many
-    points in one call. f(q, v, params) takes q and v each as a sequence
-    of scalars, shared by all points, or as an array of shape (dof,) + S
-    for points of shape S. Returns the value as an array of shape S, or
-    (value, tangents of shape (dof,) + S) when wrt is 'q' or 'v'; parts
-    that do not depend on the points are broadcast. The scalar code
-    decides every domain error and kink: a numpy divide, invalid or
-    overflow flag only hands the points to it (_scalar_pass), so an error
-    is the scalar code's at the first offending point in flat order.
+    points in one call. f(q, v, params) takes q as a sequence of scalars,
+    shared by all points, and v as an array of shape (dof,) + S for points
+    of shape S. Returns the value as an array of shape S, or (value,
+    tangents of shape (dof,) + S) when wrt is 'q' or 'v'; parts that do
+    not depend on the points are broadcast. The scalar code decides every
+    domain error and kink: a numpy divide, invalid or overflow flag only
+    hands the points to it (_scalar_pass), so an error is the scalar
+    code's at the first offending point in flat order.
     """
     fn = _load(node, dof, wrt, smooth_eps, _ARRAY_GLOBALS)
 
     def f(q, v, p):
-        shape = v.shape[1:] if isinstance(v, np.ndarray) else ()
-        if isinstance(q, np.ndarray) and q.shape[1:] != shape:
-            shape = np.broadcast_shapes(q.shape[1:], shape)
+        shape = v.shape[1:]
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 out = fn(q, v, p)
         except (FloatingPointError, ZeroDivisionError):
-            out = _scalar_pass(node, dof, wrt, smooth_eps, q, v, p, shape)
+            out = _scalar_pass(node, dof, wrt, smooth_eps, q, v, p)
         if not wrt:
             return _abroadcast(out, shape)
         val, g = out
@@ -772,16 +732,13 @@ def compile_array(node, dof=0, wrt=None, smooth_eps=None):
     return f
 
 
-def _scalar_pass(node, dof, wrt, smooth_eps, q, v, p, shape):
+def _scalar_pass(node, dof, wrt, smooth_eps, q, v, p):
     """Array mode's output from the scalar code, one point at a time in
     flat order, so the scalar code raises its own error at the first bad
     point. A non-finite result of finite points is an overflow."""
     fn = compiled(node, dof, wrt, smooth_eps)
-    qs = [np.broadcast_to(x, shape).ravel() for x in q]
-    vs = [np.broadcast_to(x, shape).ravel() for x in v]
-    out = [fn(tuple(float(x[k]) for x in qs),
-              tuple(float(x[k]) for x in vs), p)
-           for k in range(math.prod(shape))]
+    q, shape = tuple(float(x) for x in q), v.shape[1:]
+    out = [fn(q, tuple(x), p) for x in v.reshape(len(v), -1).T.tolist()]
     val = np.reshape([o[0] if wrt else o for o in out], shape)
     tan = (np.moveaxis(np.reshape([o[1] for o in out], shape + (dof,)),
                        -1, 0) if wrt else 0.0)

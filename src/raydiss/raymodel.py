@@ -100,6 +100,10 @@ class DissipationTerm:
                 f"dissipation term degree must be > 0, got {self.degree}; "
                 "a degree-0 or rest-nonvanishing part makes the "
                 "dissipation-potential integral diverge")
+        if not (self.smooth_eps is None or self.smooth_eps > 0):
+            raise ModelError(
+                f"smooth_eps must be > 0, got {self.smooth_eps}; a negative "
+                "width turns the regularised friction force around")
 
     @cached_property
     def evaluate(self):

@@ -80,6 +80,21 @@ def test_load_rejects_wrong_declared_degree(workdir):
     assert "homogeneous" in str(exc.value)
 
 
+@pytest.mark.parametrize("eps", [-1e-3, 0])
+def test_non_positive_smooth_eps_is_a_config_error(eps):
+    doc = json.loads(json.dumps(DSHO_INLINE))
+    doc["params"]["mu"] = 0.3
+    doc["dissipation"]["terms"] = [
+        {"expr": "c*v1^2", "degree": 2},
+        {"expr": "mu*abs(v1)", "degree": 1, "smooth_eps": eps}]
+    with pytest.raises(cf.ConfigError) as exc:
+        cf.config_from_dict(doc)
+    assert str(exc.value) == (
+        f"config error at 'dissipation.terms[1]': smooth_eps must be > 0, "
+        f"got {float(eps)}; a negative width turns the regularised friction "
+        "force around")
+
+
 @pytest.mark.parametrize("command", ["check", "simulate"])
 def test_huge_declared_degree_is_a_one_line_config_error(workdir, capsys,
                                                          command):

@@ -237,6 +237,66 @@ def test_compiled_matches_interpreter_at_domain_errors(src, q, v, failing):
     assert raised == failing
 
 
+def _outcome(fn, *args):
+    """fn(*args) as ("ok", result as nested lists) or ("error", message)."""
+    try:
+        out = fn(*args)
+    except xc.EvalDomainError as e:
+        return "error", str(e)
+    return "ok", [np.asarray(x).tolist() for x in out] if isinstance(
+        out, tuple) else np.asarray(out).tolist()
+
+
+@pytest.mark.parametrize("p", [0.5, 2.0])
+def test_negative_literal_exponent_is_its_parsed_twin(p):
+    # a hand-built negative literal exponent takes the one power rule, as
+    # the parsed Neg(Const) does: the same values, tangents and errors,
+    # also at a zero base and at a negative base
+    built = xc.BinOp("^", xc.Vel(1), xc.Const(-p))
+    parsed = xc.parse(f"v1^-{p}")
+    assert parsed == xc.BinOp("^", xc.Vel(1), xc.Neg(xc.Const(p)))
+    points = [(0.7, 0.0), (2.0, 0.0), (0.0, 0.0), (-1.3, 0.0)]
+    q = (0.0, 0.0)
+    for wrt in (None, "v"):
+        fb, fp = (xc.compile_expr(n, 2, wrt) for n in (built, parsed))
+        for v in points:
+            assert _outcome(fb, q, v, {}) == _outcome(fp, q, v, {}), (wrt, v)
+        ab, ap = (xc.compile_array(n, 2, wrt) for n in (built, parsed))
+        for pts in (points[:2], points[:3], points[:2] + points[3:]):
+            vs = np.array(pts).T
+            assert _outcome(ab, q, vs, {}) == _outcome(ap, q, vs, {}), wrt
+
+
+def _dual_result(node, q, v, p, wrt):
+    """eval_dual's result in compile_expr's form: the value, or (value,
+    tangents) when wrt is set."""
+    r = eval_dual(node, q, v, p)
+    if not wrt:
+        return r
+    return (r.val, tuple(r.tan)) if isinstance(r, Dual) else (r, (0.0,))
+
+
+@pytest.mark.parametrize("wrt", [None, "v", "q"])
+def test_power_of_two_leaves_is_the_oracle_exactly(wrt):
+    # values and tangents equal to the oracle's bit for bit (==) at nonzero
+    # bases, and its error where there is one
+    leaves = ["v1", "q1", "2", "1.5", "k"]
+    p = {"k": 2.5}
+    for base in leaves:
+        for exponent in leaves:
+            node = xc.parse(f"{base}^{exponent}")
+            fn = xc.compile_expr(node, 1, wrt)
+            for q1, v1 in [(0.7, 1.3), (1.6, 0.4), (-1.3, 2.0), (3.0, -0.8),
+                           (-2.0, -1.5)]:
+                q, v = [q1], [v1]
+                if wrt:
+                    seeded = q if wrt == "q" else v
+                    seeded[0] = Dual(seeded[0], np.array([1.0]))
+                assert (_outcome(fn, (q1,), (v1,), p)
+                        == _outcome(_dual_result, node, q, v, p, wrt)), \
+                    (base, exponent, q1, v1)
+
+
 def test_smooth_eps_regularizes_abs_gradient_only():
     e = xc.parse("abs(v1)")
     ctx = ctx1(0.0, 5e-5)
@@ -310,8 +370,8 @@ def test_ad_matches_fd_on_corpus(corpus_asts):
 # ---------------------------------------------------------------------------
 # Array mode
 
-# Every function and operator, integer, non-integer and variable (_cpow3)
-# exponents, and expressions that do not depend on v (broadcast results).
+# Every function and operator, integer, non-integer and variable exponents,
+# and expressions that do not depend on v (broadcast results).
 # Evaluated at the positive points of random_contexts.
 ARRAY_SMOOTH = CORPUS + [
     "ln(v1)*sqrt(v2) + exp(-v1*v2) - cos(v1)/sin(v2)",
@@ -324,7 +384,8 @@ ARRAY_SMOOTH = CORPUS + [
 ]
 
 # Valid at any sign and at exact zeros: sign(0) = 0, d|x|/dx = 0 at 0,
-# x^n derivative at 0 (1 only for n = 1), and _cpow3's zero-base branch.
+# x^n derivative at 0 (1 only for n = 1), and a variable exponent of a zero
+# base.
 ARRAY_SIGNED = [
     "sign(v1)", "abs(v2)", "sign(v1)*v1^2", "mu*abs(v1 - v2)",
     "abs(v1)^3 + v2^1", "v1^3*v2 + v2^2", "v1^q1 + v2^q2",
@@ -386,18 +447,6 @@ def test_array_mode_matches_scalar_and_interpreter():
     assert checked > 500
 
 
-def test_array_mode_accepts_per_point_coordinates():
-    node = xc.parse("k*q1^2*v1 + sin(q2)")
-    qs = np.array([[0.1, -0.5, 2.0], [1.0, 0.0, -1.0]])
-    vs = np.array([[0.3, 0.0, -2.0], [0.0, 0.0, 0.0]])
-    val, grad = xc.compile_array(node, 2, "q")(qs, vs, CORPUS_PARAMS)
-    fg = xc.compile_expr(node, 2, "q")
-    for k in range(3):
-        s_val, s_grad = fg(tuple(qs[:, k]), tuple(vs[:, k]), CORPUS_PARAMS)
-        assert _rel_close(val[k], s_val)
-        assert _rel_close(grad[:, k], np.array(s_grad))
-
-
 @pytest.mark.parametrize("src, points", [
     ("ln(v1)", [(0.5, 1.0), (-0.25, 1.0), (-2.0, 1.0)]),
     ("sqrt(v1)*v2", [(1.0, 1.0), (-0.5, 1.0), (-1.5, 1.0)]),
@@ -416,6 +465,7 @@ def test_array_mode_accepts_per_point_coordinates():
     ("ln(q1 - 1)*v1", [(1.0, 0.0), (0.5, 0.0)]),
     ("v1^k", [(1.0, 0.0), (-1.0, 0.0)]),
     ("v1^1e10", [(1.0, 0.0), (-1.0, 0.0)]),
+    ("(v1 - 1)^k", [(2.0, 0.0), (0.5, 0.0)]),
 ])
 def test_array_mode_domain_error_matches_first_scalar_error(src, points):
     node = xc.parse(src)
@@ -439,6 +489,9 @@ _SHARED_Q_AND_PARAMS = {
     # 1e10 is non-integer to the scalar code (as "v1^1e10" is); numpy
     # gives (-1)^1e10 = 1 without a flag
     "v1^k": ((0.0, 0.0), {"k": 1e10}),
+    # a NaN exponent is non-integer to the scalar code; numpy gives
+    # (-0.5)^NaN = NaN without a flag
+    "(v1 - 1)^k": ((0.0, 0.0), {"k": math.nan}),
 }
 
 
@@ -468,22 +521,20 @@ _POINT_VALUES = st.sampled_from([-1.3, -0.4, -0.0, 0.0, 0.5, 1.0, 2.0])
 @given(src=_grammar_exprs(),
        v=st.lists(st.tuples(_POINT_VALUES, _POINT_VALUES),
                   min_size=1, max_size=5),
-       q_per_point=st.booleans(), q=st.tuples(_POINT_VALUES, _POINT_VALUES),
+       q=st.tuples(_POINT_VALUES, _POINT_VALUES),
        wrt=st.sampled_from([None, "v", "q"]),
        eps=st.sampled_from([None, 1e-3]))
-def test_array_mode_is_the_scalar_code_at_every_point(src, v, q_per_point,
-                                                      q, wrt, eps):
+def test_array_mode_is_the_scalar_code_at_every_point(src, v, q, wrt, eps):
     # array mode gives the scalar values at every point, or raises the
     # scalar code's error at its first failing point in flat order; a
     # non-finite scalar value (a product that overflowed) is an overflow
     node = xc.parse(src)
     p = {"c": 0.7, "k": 3.0}
-    qs = [(q[0] + a, q[1] - b) for a, b in v] if q_per_point else [q] * len(v)
     fn = xc.compile_expr(node, 2, wrt, eps)
     arr = xc.compile_array(node, 2, wrt, eps)
-    args = (np.array(qs).T if q_per_point else q, np.array(v).T, p)
+    args = (q, np.array(v).T, p)
     try:
-        ref = [fn(qk, vk, p) for qk, vk in zip(qs, v)]
+        ref = [fn(q, vk, p) for vk in v]
     except xc.EvalDomainError as e:
         with pytest.raises(xc.EvalDomainError) as exc:
             arr(*args)

@@ -39,6 +39,15 @@ def test_degree_must_be_positive():
         rm.DissipationTerm(xc.parse("v1^2"), float("nan"))
 
 
+@pytest.mark.parametrize("eps", [-1e-3, 0.0, float("nan")])
+def test_smooth_eps_must_be_positive(eps):
+    # tanh(v/eps) with eps < 0 points along v, and the "friction" pumps
+    # energy; 0 and NaN give no width at all
+    with pytest.raises(rm.ModelError, match=f"smooth_eps must be > 0, got "
+                                            f"{eps}"):
+        rm.DissipationTerm(xc.parse("mu*abs(v1)"), 1.0, smooth_eps=eps)
+
+
 def test_mode_field_consistency():
     with pytest.raises(rm.ModelError):
         rm.DissipationSpec("squiggly")
