@@ -22,26 +22,34 @@ RHS call at its new state, which the next attempt takes as its 1st stage
 & Wanner, Solving ODEs I, sec. II.6), so Trajectory.rhs_calls is
 1 + stages * attempts (4 stages for RK4, 6 for the pair). RK4 sums its
 stages in textbook order; the pair's stage sums are exactly rounded
-(math.fsum). Both carry the integral E of D alongside q and v, so the
-energy-balance audit runs at full integrator accuracy.
+(math.fsum, every tableau coefficient kept, zeros included). Both carry
+the integral E of D alongside q and v, so the energy-balance audit runs
+at full integrator accuracy. An attempt is one generated straight-line
+function per (method, dof) (_attempt), built on first use and shared by
+every system of that dof: y and k1 are unpacked into locals, each stage
+value is a local, and each stage calls the model's D_R_grad and
+mechanics, passed in at each call with its params. The list form it
+replaced is the test oracle, tests/stepper_oracle.py, bit for bit.
 
-The stepper state y = [q, v, E], its stages and the samples are lists of
-Python floats; a sample is the row t, q, v, H, T, V, D, R, W, E (the
-columns(dof), then E). It calls no compiled code: the step's last RHS
-call gave M, V, D, R and dR/dv there, and _row forms T = 0.5 (v.M).v and
-W = v.dR/dv as left-to-right sums (_dot), which, unlike BLAS, do not
-depend on the host. State and Diagnostics exist only at the API edge: the
-steppers, accel, diagnostics and the Trajectory accessors build them.
+The stepper state y = [q, v, E], the f values that an attempt takes and
+returns, and the samples are lists of Python floats; a sample is the row
+t, q, v, H, T, V, D, R, W, E (the columns(dof), then E). Sampling calls
+no compiled code: the step's last RHS call gave M, V, D, R and dR/dv
+there, and _row forms T = 0.5 (v.M).v and W = v.dR/dv as left-to-right
+sums (_dot), which, unlike BLAS, do not depend on the host. State and
+Diagnostics exist only at the API edge: the steppers, accel, diagnostics
+and the Trajectory accessors build them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
+from functools import lru_cache, partial
 
 import numpy as np
 
+from . import exprcore as xc
 from .raymodel import MassMatrixError, SystemSpec, _dot
 
 
@@ -193,27 +201,13 @@ def _check_finite(y, t):
         raise DivergenceError(f"non-finite state at t={t}")
 
 
-def _axpy(y, h, k):
-    return [a + h * b for a, b in zip(y, k)]
-
-
-def _rk4_raw(sys, t, y, dt, cfg, k1):
-    """One RK4 step from (t, y) with k1 = f(t, y), in four RHS calls;
-    returns as _rk45_raw does, always accepted and with dt_next = dt."""
-    k2 = _rhs(sys, t + 0.5 * dt, _axpy(y, 0.5 * dt, k1))[0]
-    k3 = _rhs(sys, t + 0.5 * dt, _axpy(y, 0.5 * dt, k2))[0]
-    k4 = _rhs(sys, t + dt, _axpy(y, dt, k3))[0]
-    ynew = _axpy(y, dt / 6.0, [a + 2.0 * b + 2.0 * c + d
-                               for a, b, c, d in zip(k1, k2, k3, k4)])
-    _check_finite(ynew, t + dt)
-    return ynew, True, dt, _rhs(sys, t + dt, ynew)
-
-
-def _step(attempt, sys, s, dt, cfg):
+def _step(method, sys, s, dt, cfg):
     """One attempt from s with a fresh k1: (state, dt_next, accepted)."""
-    y, m = _pack(s, 0.0), sys.dof
+    y, m, sm = _pack(s, 0.0), sys.dof, sys.model
     _check_finite([s.t] + y, s.t)
-    ynew, ok, dt_next, _ = attempt(sys, s.t, y, dt, cfg, _rhs(sys, s.t, y)[0])
+    ynew, ok, dt_next, _ = _attempt(method, m)(
+        s.t, y, dt, _rhs(sys, s.t, y)[0], cfg, sm.dissipation.D_R_grad,
+        sm.mechanics, sm.params)
     return (State(s.t + dt, ynew[:m], ynew[m:2 * m]) if ok else s,
             dt_next, ok)
 
@@ -222,7 +216,15 @@ def step_rk4(sys: SystemSpec, s: State, dt: float) -> State:
     """One classical RK4 step; local error O(dt^5)."""
     if not dt > 0:
         raise ValueError("dt must be positive")
-    return _step(_rk4_raw, sys, s, dt, None)[0]
+    return _step("rk4", sys, s, dt, None)[0]
+
+
+def step_rk45(sys: SystemSpec, s: State, dt_try: float,
+              cfg: IntegratorConfig):
+    """One embedded 5(4) step. Returns (state, dt_next, accepted)."""
+    if not dt_try > 0:
+        raise ValueError("dt_try must be positive")
+    return _step("rk45", sys, s, dt_try, cfg)
 
 
 # Dormand-Prince 5(4) tableau. Row 6 of _DP_A is the 5th-order weights
@@ -241,52 +243,93 @@ _DP_E = [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
          22 / 525, -1 / 40]  # b5 - b4
 
 
-def _lincomb(y, h, coeffs, K):
-    """[y_c + h * fsum_j(coeffs[j] * K[j][c]) for each entry c of y]."""
-    return [c + h * math.fsum(map(mul, coeffs, col))
-            for c, col in zip(y, zip(*K))]
+@lru_cache(maxsize=16)
+def _attempt(method, dof):
+    """The generated attempt of `method` for `dof`:
 
+        attempt(t, y, dt, k1, cfg, D_R_grad, mechanics, p)
+            -> (ynew, accepted, dt_next, last)
 
-def _rk45_raw(sys, t, y, dt, cfg, k1):
-    """One Dormand-Prince attempt from (t, y) with k1 = f(t, y), in six
-    RHS calls. Returns (ynew, accepted, dt_next, last), where ynew is the
-    exact stage-7 argument and last = _rhs(sys, t + dt, ynew)."""
-    nmech = 2 * sys.dof
-    K = [k1]
-    for i in range(1, 6):
-        K.append(_rhs(sys, t + _DP_C[i] * dt,
-                      _lincomb(y, dt, _DP_A[i], K))[0])
-    ynew = _lincomb(y, dt, _DP_A[6], K)
-    _check_finite(ynew, t + dt)
-    last = _rhs(sys, t + dt, ynew)
-    K.append(last[0])
-    errvec = _lincomb([0.0] * nmech, dt, _DP_E, K)  # q and v entries only
-    err = math.sqrt(math.fsum((e / (cfg.abs_tol + cfg.rel_tol * abs(c))) ** 2
-                              for e, c in zip(errvec, y)) / nmech)
-    # the step-size controller shared by step_rk45 and integrate
-    factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-    return ynew, err <= 1.0, dt * factor, last
+    one step from (t, y) with k1 = f(t, y), where ynew is the exact
+    argument of the last RHS call and last = _rhs(sys, t + dt, ynew), as
+    the oracle tests/stepper_oracle.py computes it bit for bit. The model's
+    D_R_grad, mechanics and params come in at each call, so the function
+    depends only on (method, dof) and is built once per pair.
+    """
+    m, n = dof, 2 * dof + 1
+    K = [[f"k0_{c}" for c in range(n)]]
+    body = [", ".join(f"y{c}" for c in range(n)) + ", = y",
+            ", ".join(K[0]) + ", = k1"]
 
+    def stage(h, t, terms, width=2 * m):
+        # the stage input y_c + h * terms(c), then f there at time t, as
+        # _rhs: its entries become K[-1], the last one D, and R, gR, M and
+        # V are left bound. f does not read E, so only the new state
+        # (width n, which is checked) forms its E entry
+        i = len(K)
+        x = [f"s{i}_{c}" for c in range(width)]
+        body.extend(f"{x[c]} = y{c} + {h} * {terms(c)}" for c in range(width))
+        if width == n:
+            body.extend([f"ynew = [{', '.join(x)}]",
+                         "_check_finite(ynew, t + dt)"])
+        k = x[m:2 * m] + [f"k{i}_{c}" for c in range(m, n)]
+        body.extend([
+            f"q = [{', '.join(x[:m])}]", f"v = [{', '.join(x[m:2 * m])}]",
+            f"{k[-1]}, R, gR = D_R_grad(q, v, p)", "try:",
+            "    qdd, M, V = mechanics(q, v, gR, p)",
+            "except MassMatrixError as e:",
+            f"    raise MassMatrixError(f'{{e}} (t={{{t}}})') from None",
+            f"{', '.join(k[m:2 * m])}, = qdd"])
+        K.append(k)
 
-def step_rk45(sys: SystemSpec, s: State, dt_try: float,
-              cfg: IntegratorConfig):
-    """One embedded 5(4) step. Returns (state, dt_next, accepted)."""
-    if not dt_try > 0:
-        raise ValueError("dt_try must be positive")
-    return _step(_rk45_raw, sys, s, dt_try, cfg)
+    def fsum(coeffs, c):
+        return "fsum((%s,))" % ", ".join(
+            f"{a!r} * {k[c]}" for a, k in zip(coeffs, K))
+
+    if method == "rk4":
+        body.append("h = 0.5 * dt")
+        stage("h", "t + 0.5 * dt", lambda c: K[0][c])
+        stage("h", "t + 0.5 * dt", lambda c: K[1][c])
+        stage("dt", "t + dt", lambda c: K[2][c])
+        body.append("h = dt / 6.0")
+        stage("h", "t + dt", lambda c: "(%s + 2.0 * %s + 2.0 * %s + %s)"
+              % tuple(k[c] for k in K), n)
+    else:
+        for i in range(1, 7):
+            stage("dt", f"t + {_DP_C[i]!r} * dt", partial(fsum, _DP_A[i]),
+                  n if i == 6 else 2 * m)
+    last = f"([{', '.join(K[-1])}], (M, V, {K[-1][-1]}, R, gR))"
+    if method == "rk4":
+        body.append(f"return ynew, True, dt, {last}")
+    else:
+        body.append("atol, rtol = cfg.abs_tol, cfg.rel_tol")
+        # the error entries of q and v; each is squared, so the sign of a
+        # zero does not matter
+        body += [f"e{c} = dt * {fsum(_DP_E, c)}" for c in range(2 * m)]
+        body += [
+            "err = math.sqrt(fsum((%s,)) / %d)" % (", ".join(
+                f"(e{c} / (atol + rtol * abs(y{c}))) ** 2"
+                for c in range(2 * m)), 2 * m),
+            # the step-size controller shared by step_rk45 and integrate
+            "factor = 5.0 if err == 0.0 else "
+            "min(5.0, max(0.2, 0.9 * err ** -0.2))",
+            f"return ynew, err <= 1.0, dt * factor, {last}"]
+    return xc.define(f"_{method}(t, y, dt, k1, cfg, D_R_grad, mechanics, p)",
+                     body, fsum=math.fsum, MassMatrixError=MassMatrixError,
+                     _check_finite=_check_finite)
 
 
 # ---------------------------------------------------------------------------
 # Driver
 
 
-# Per method: the attempt, its stages, the first step size, the time after
-# the n-th accepted step h, and the step-size floor relative to 1 + |t|.
-# RK4 times are exact multiples of dt: no rounding-made sliver step at the end.
+# Per method: its stages, the first step size, the time after the n-th
+# accepted step h, and the step-size floor relative to 1 + |t|. RK4 times
+# are exact multiples of dt: no rounding-made sliver step at the end.
 _METHODS = {
-    "rk4": (_rk4_raw, 4, lambda cfg, span: cfg.dt,
+    "rk4": (4, lambda cfg, span: cfg.dt,
             lambda cfg, t0, n, t, h, t_end: min(t0 + n * cfg.dt, t_end), 0.0),
-    "rk45": (_rk45_raw, 6, lambda cfg, span: min(1e-2 * span, 0.1),
+    "rk45": (6, lambda cfg, span: min(1e-2 * span, 0.1),
              lambda cfg, t0, n, t, h, t_end: t + h, 1e-14),
 }
 
@@ -299,7 +342,10 @@ def integrate(sys: SystemSpec, init: State, t_end: float,
     _check_finite([init.t] + y, init.t)
     if not (np.isfinite(t_end) and t_end > init.t):
         raise ValueError("t_end must be finite and exceed the initial time")
-    attempt, stages, first_dt, advance, floor = _METHODS[cfg.method]
+    stages, first_dt, advance, floor = _METHODS[cfg.method]
+    attempt = _attempt(cfg.method, sys.dof)
+    sm = sys.model
+    D_R_grad, mechanics, p = sm.dissipation.D_R_grad, sm.mechanics, sm.params
     t0, t_end = float(init.t), float(t_end)
     t = t0
     f1 = _rhs(sys, t, y)  # k1 of the next attempt, and (M, V, D, R, dR/dv)
@@ -315,7 +361,8 @@ def integrate(sys: SystemSpec, init: State, t_end: float,
                 f"step size underflow (dt={dt:.3e}) at t={t}; "
                 "the problem is likely too stiff for an explicit pair")
         h = min(dt, t_end - t)
-        ynew, ok, dt, last = attempt(sys, t, y, h, cfg, f1[0])
+        ynew, ok, dt, last = attempt(t, y, h, f1[0], cfg, D_R_grad,
+                                      mechanics, p)
         attempts += 1
         if ok:
             accepted += 1

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from operator import add, mul
 
 import numpy as np
@@ -449,12 +449,23 @@ def _dot(x, y):
     return reduce(add, map(mul, x, y))
 
 
+# seeded draws kept by sample_states: every config load and audit of a
+# system draws the same few
+_SAMPLE_CACHE = 16
+
+
 def sample_states(dof, samples, seed, v_norm_range=(0.1, 10.0)):
     """Seeded reproducible state sampler: q uniform in [-2,2]^m, speed
     log-uniform in v_norm_range, uniform direction. States are pairs of
-    tuples of Python floats, so the checks evaluate in Python floats."""
+    tuples of Python floats, so the checks evaluate in Python floats. The
+    draw is a tuple, shared between the callers of the same arguments."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    return _draw(dof, samples, seed, tuple(v_norm_range))
+
+
+@lru_cache(maxsize=_SAMPLE_CACHE)
+def _draw(dof, samples, seed, v_norm_range):
     rng = np.random.default_rng(seed)
     lo, hi = np.log(v_norm_range[0]), np.log(v_norm_range[1])
     out = []
@@ -466,7 +477,7 @@ def sample_states(dof, samples, seed, v_norm_range=(0.1, 10.0)):
             d, n = [1.0] + d[1:], 1.0
         speed = float(np.exp(rng.uniform(lo, hi)))
         out.append((tuple(q.tolist()), tuple(speed * x / n for x in d)))
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

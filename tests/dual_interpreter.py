@@ -118,30 +118,24 @@ class _Evaluator:
             raise _domain_error(
                 f"non-integer exponent {bv} requires nonnegative base, "
                 f"got {av}", node)
-        if av == 0.0:
-            if bv < 0.0:
-                raise _domain_error("zero base with negative exponent", node)
-            if not _is_dual(a, b):
-                return 1.0 if bv == 0.0 else 0.0
-            val = 1.0 if bv == 0.0 else 0.0
-            # d(x^n)/dx at 0: n>1 -> 0; n==1 -> 1; 0<n<1 kink -> 0 by the
-            # same convention as sign(0)=0.
-            if bv == 1.0:
-                dv = self.tan(a)
-            else:
-                dv = self.zero
-            return Dual(val, dv)
+        if av == 0.0 and bv < 0.0:
+            raise _domain_error("zero base with negative exponent", node)
         val = av ** bv
         if not _is_dual(a, b):
             return val
-        # d(a^b) = b*a^(b-1)*a' + a^b*ln(a)*b'
-        dv = bv * av ** (bv - 1.0) * self.tan(a)
-        tb = self.tan(b)
+        if av == 0.0:
+            # d(x^n)/dx at 0: n>1 -> 0; n==1 -> 1; 0<n<1 kink -> 0 by the
+            # same convention as sign(0)=0.
+            return Dual(val, self.tan(a) if bv == 1.0 else self.zero)
+        # d(a^b) = b*a^(b-1)*a' + a^b*ln(a)*b', each partial formed only
+        # when its operand carries a tangent
+        dv = bv * av ** (bv - 1.0) * a.tan if isinstance(a, Dual) \
+            else self.zero
         if isinstance(b, Dual):
             if av <= 0.0:
                 raise _domain_error(
                     "derivative w.r.t. exponent needs positive base", node)
-            dv = dv + val * math.log(av) * tb
+            dv = dv + val * math.log(av) * b.tan
         return Dual(val, dv)
 
     def call(self, node, args):

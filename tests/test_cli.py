@@ -416,6 +416,36 @@ def test_simulate_set_override_and_t_end(workdir):
     assert rows[-1][6] == 0.0  # D column vanishes with c = 0
 
 
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_parameter_changes_between_runs_take_effect(workdir, method):
+    # systems of one dof and method share a generated attempt, and the
+    # parameters reach it at each call: a change made between two
+    # integrate calls takes effect in the second, through with_params,
+    # --set and a write into SystemSpec.params alike
+    doc = {"system": "damped_sho", "t_end": 2.0,
+           "integrator": {"method": method, "dt": 1e-2}}
+
+    def rows(cfg):
+        return dy.integrate(cfg.system, cfg.initial, cfg.t_end,
+                            cfg.integrator).rows
+
+    def fresh(c):
+        return rows(cf.config_from_dict({**doc, "overrides": {"c": c}}))
+
+    cfg = cf.config_from_dict(doc)
+    base = rows(cfg)
+    assert rows(cfg.with_params({"c": 0.5})) == fresh(0.5) != base
+    config = write_json(workdir / "b.json", doc)
+    for out, extra in (("set.csv", ["--set", "c=0.7"]), ("base.csv", [])):
+        assert main(["simulate", "--config", config, "--out", out]
+                    + extra) == 0
+    assert (cli.read_trajectory_csv("set.csv")[1]
+            == [r[:-1] for r in fresh(0.7)]
+            != cli.read_trajectory_csv("base.csv")[1])
+    cfg.system.params["c"] = 0.9
+    assert rows(cfg) == fresh(0.9) != base
+
+
 def test_simulate_jsonl_and_plot_data(workdir):
     rc = main(["simulate", "--config",
                write_json(workdir / "b.json", {"system": "damped_sho"}),

@@ -1,16 +1,21 @@
 import dataclasses
+import gc
 import math
 import os
 import re
+import struct
 import sys
 import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 import mechanics_oracle
+import stepper_oracle
 from conftest import count_array_calls, count_scalar_passes
+from raydiss import config as cf
 from raydiss import dynamics as dy
 from raydiss import exprcore as xc
 from raydiss import raymodel as rm
@@ -256,7 +261,7 @@ def test_generated_mechanics_matches_loop_oracle(make):
     # included
     sys = make()
     sm = sys.model
-    states = rm.sample_states(sys.dof, 40, seed=29)
+    states = list(rm.sample_states(sys.dof, 40, seed=29))
     states.append(((0.0,) * sys.dof, (0.0,) * sys.dof))
     outcomes = set()
     for q, v in states:
@@ -417,23 +422,26 @@ def test_rk45_step_rejects_oversized_step():
     assert dt_next < 1.0
 
 
-def _counting_rhs(monkeypatch):
+def _counting_rhs(monkeypatch, system):
+    # one dissipation call per RHS evaluation, in _rhs and in the attempt
     calls = []
-    rhs = dy._rhs
+    model = system.model.dissipation
+    D_R_grad = model.D_R_grad
 
-    def counted(sys, t, y):
-        # the stepper's state and stages are lists of Python floats
-        assert type(y) is list and all(type(x) is float for x in y), y
-        calls.append(t)
-        return rhs(sys, t, y)
+    def counted(q, v, p):
+        # the stepper hands the model lists of Python floats
+        for x in (q, v):
+            assert type(x) is list and all(type(c) is float for c in x), x
+        calls.append(1)
+        return D_R_grad(q, v, p)
 
-    monkeypatch.setattr(dy, "_rhs", counted)
+    monkeypatch.setattr(model, "D_R_grad", counted)
     return calls
 
 
 def test_rk45_counts_rhs_calls_with_first_same_as_last(monkeypatch):
     b = get_builtin("pendulum_drag_2dof")
-    calls = _counting_rhs(monkeypatch)
+    calls = _counting_rhs(monkeypatch, b.system)
     traj = dy.integrate(b.system, b.initial, 3.0, b.integrator)
     assert traj.steps_rejected > 0
     attempts = traj.steps_taken + traj.steps_rejected
@@ -550,8 +558,9 @@ def test_rk4_general_mode_samples_add_no_quadrature(monkeypatch):
 def test_rk4_counts_rhs_calls(monkeypatch):
     # k1 at the start, then four stages per step: the last stage of a
     # step is evaluated at its new state and is the next step's k1
-    calls = _counting_rhs(monkeypatch)
-    traj = dy.integrate(make_damped_sho(), dy.State(0.0, [1.0], [0.0]), 1.0,
+    system = make_damped_sho()
+    calls = _counting_rhs(monkeypatch, system)
+    traj = dy.integrate(system, dy.State(0.0, [1.0], [0.0]), 1.0,
                         dy.IntegratorConfig(method="rk4", dt=0.01))
     assert traj.rhs_calls == len(calls) == 1 + 4 * traj.steps_taken == 401
 
@@ -779,6 +788,126 @@ def test_mid_run_blow_up_is_named_without_warnings(potential, cfg, error,
         warnings.simplefilter("error")
         with pytest.raises(error, match=re.escape(match)):
             dy.integrate(system, dy.State(0.0, [1.0], [10.0]), 10.0, cfg)
+
+
+# ---------------------------------------------------------------------------
+# Generated attempts against the list-form oracle (tests/stepper_oracle.py)
+
+
+def _bits(x):
+    """x with every float replaced by its IEEE bits, so that == compares
+    values and sign bits."""
+    if isinstance(x, float):
+        return struct.pack("<d", x)
+    if isinstance(x, (list, tuple)):
+        return type(x)(map(_bits, x))
+    return x
+
+
+def _both(method, sys, t, y, dt, cfg, k1):
+    """(generated, oracle) outcomes of one attempt: the result, or the
+    error's type and message."""
+    sm = sys.model
+    out = []
+    for attempt in (
+            lambda: dy._attempt(method, sys.dof)(
+                t, list(y), dt, list(k1), cfg, sm.dissipation.D_R_grad,
+                sm.mechanics, sm.params),
+            lambda: stepper_oracle.METHODS[method](sys, t, list(y), dt, cfg,
+                                                   list(k1))):
+        try:
+            out.append(attempt())
+        except Exception as e:  # noqa: BLE001 - compared by the tests
+            out.append((type(e), str(e)))
+    return out
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+@pytest.mark.parametrize("make", [
+    make_damped_sho, lambda: get_builtin("pendulum_drag_2dof").system,
+    lambda: _general_pendulum(get_builtin("pendulum_drag_2dof")),
+    full_mass_3dof], ids=["damped_sho", "pendulum_drag_2dof", "general",
+                          "full_mass_3dof"])
+def test_generated_attempt_is_the_oracle_bit_for_bit(make, method):
+    # from seeded states with a fresh k1, then chained on each accepted
+    # attempt's own last stage, as integrate chains them; step sizes from
+    # small to far too large, so that rk45 both accepts and rejects
+    sys = make()
+    cfg = dy.IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
+    verdicts = set()
+    for q, v in rm.sample_states(sys.dof, 6, seed=21):
+        t, y = 0.25, [*q, *v, 0.5]
+        k1 = dy._rhs(sys, t, y)[0]
+        for dt in (1e-3, 2e-2, 0.3):
+            new, old = _both(method, sys, t, y, dt, cfg, k1)
+            assert _bits(new) == _bits(old), (q, v, dt)
+            verdicts.add(new[1])
+            if new[1]:
+                new, old = _both(method, sys, t + dt, new[0], dt, cfg,
+                                 new[3][0])
+                assert _bits(new) == _bits(old), (q, v, dt)
+    assert verdicts == ({True} if method == "rk4" else {True, False})
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_generated_attempt_errors_are_the_oracles(method):
+    cfg = dy.IntegratorConfig()
+    t, dt = 0.25, 4.0
+    # a mass that stops being positive at q1 = 1, crossed by the first
+    # stage after k1: the error names that stage's time
+    sys = _mass_system([["1 - q1"]])
+    y = [0.5, 1.0, 0.0]
+    new, old = _both(method, sys, t, y, dt, cfg, dy._rhs(sys, t, y)[0])
+    stage_t = t + (0.2 if method == "rk45" else 0.5) * dt
+    assert new == old == (rm.MassMatrixError,
+                          f"mass matrix not positive definite at q=[1.3] "
+                          f"(t={stage_t})" if method == "rk45" else
+                          f"mass matrix not positive definite at q=[2.5] "
+                          f"(t={stage_t})")
+    # a position that the step carries past the largest double: only the
+    # new state overflows, no stage product
+    sys = free_particle()
+    t, dt = 0.25, 1.0
+    y = [1.7e308, 1e307, 0.0]
+    new, old = _both(method, sys, t, y, dt, cfg, dy._rhs(sys, t, y)[0])
+    assert new == old == (dy.DivergenceError,
+                          f"non-finite state at t={t + dt}")
+    # a dissipation term whose log leaves its domain inside a stage
+    sys = free_particle(rm.DissipationSpec("homogeneous_sum", (
+        rm.DissipationTerm(xc.parse("ln(1 - q1)*v1^2"), 2.0),)))
+    y = [0.5, -1.0, 0.0]
+    k1 = dy._rhs(sys, t, y)[0]
+    y[1] = 1.0  # k1 of another speed, so the first stage steps to q1 > 1
+    new, old = _both(method, sys, t, y, dt, cfg, k1)
+    assert new[0] is xc.EvalDomainError and new == old
+    assert "ln of non-positive value" in new[1]
+
+
+def test_attempt_is_generated_once_per_method_and_dof(monkeypatch):
+    # every system of one (method, dof) shares one generated attempt: the
+    # first integrate generates it, a second config of the same dof and
+    # method generates no code at all, and the shared attempt keeps no
+    # system or model alive
+    defined = []
+
+    def define(signature, *args, define=xc.define, **names):
+        defined.append(signature.split("(")[0])
+        return define(signature, *args, **names)
+    monkeypatch.setattr(xc, "define", define)
+    dy._attempt.cache_clear()
+    for method in ("rk4", "rk45"):
+        for expected in ([f"_{method}"], []):
+            cfg = cf.config_from_dict({
+                "system": "pendulum_drag_2dof", "t_end": 0.5,
+                "integrator": {"method": method}})
+            cfg.system.model
+            defined.clear()
+            dy.integrate(cfg.system, cfg.initial, cfg.t_end, cfg.integrator)
+            assert defined == expected, method
+    refs = [weakref.ref(cfg.system), weakref.ref(cfg.system.model)]
+    del cfg
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
 
 
 # ---------------------------------------------------------------------------

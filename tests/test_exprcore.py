@@ -297,6 +297,22 @@ def test_power_of_two_leaves_is_the_oracle_exactly(wrt):
                     (base, exponent, q1, v1)
 
 
+def test_oracle_power_forms_only_the_partials_it_needs():
+    # v1^q1 in q at a tiny base: the unused d/dbase partial b*a^(b-1)
+    # overflows, and the oracle must not form it, as the compiled rule
+    # does not; 0^NaN is a ** b, NaN, in both
+    node = xc.parse("v1^q1")
+    fn = xc.compile_expr(node, 1, "q")
+    expected = (1.0000000000000204e+260, (-4.6051701859881855e+262,))
+    assert fn((-1.3,), (1e-200,), {}) == expected
+    q = [Dual(-1.3, np.array([1.0]))]
+    assert _dual_result(node, q, [1e-200], {}, "q") == expected
+    node = xc.parse("v1^k")
+    assert math.isnan(xc.compile_expr(node, 1)((0.0,), (0.0,),
+                                               {"k": math.nan}))
+    assert math.isnan(eval_dual(node, [0.0], [0.0], {"k": math.nan}))
+
+
 def test_smooth_eps_regularizes_abs_gradient_only():
     e = xc.parse("abs(v1)")
     ctx = ctx1(0.0, 5e-5)

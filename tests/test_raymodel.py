@@ -720,6 +720,20 @@ def test_sample_states_reproducible():
     assert 0.1 <= min(speeds) and max(speeds) <= 10.0
 
 
+def test_sample_states_are_one_shared_immutable_draw():
+    # config loads and audits draw the same few seeded sets: one draw per
+    # arguments is kept, as tuples that no caller can change, in a cache
+    # of fixed size
+    a = rm.sample_states(2, 100, 20260823)
+    assert rm.sample_states(2, 100, 20260823, [0.1, 10.0]) is a
+    assert type(a) is tuple and len(a) == 100
+    assert all(type(q) is tuple and type(v) is tuple for q, v in a)
+    assert rm.sample_states(2, 100, 20260824) != a
+    for seed in range(3 * rm._SAMPLE_CACHE):
+        rm.sample_states(1, 2, seed)
+    assert rm._draw.cache_info().currsize == rm._SAMPLE_CACHE
+
+
 def test_sample_states_normalise_by_the_left_to_right_norm():
     # v = speed * d / |d| with |d| = sqrt(d1 d1 + d2 d2) summed left to
     # right, on numpy's seeded draws, including the states where numpy's
