@@ -28,8 +28,9 @@ at full integrator accuracy. An attempt is one generated straight-line
 function per (method, dof) (_attempt), built on first use and shared by
 every system of that dof: y and k1 are unpacked into locals, each stage
 value is a local, and each stage calls the model's D_R_grad and
-mechanics, passed in at each call with its params. The list form it
-replaced is the test oracle, tests/stepper_oracle.py, bit for bit.
+mechanics, passed in at each call with the params and the model's
+constants (computed once per integrate call). The list form it replaced
+is the test oracle, tests/stepper_oracle.py, bit for bit.
 
 The stepper state y = [q, v, E], the f values that an attempt takes and
 returns, and the samples are lists of Python floats; a sample is the row
@@ -159,12 +160,13 @@ class Trajectory:
 def accel(sys: SystemSpec, s: State) -> np.ndarray:
     """Explicit second-order form of the dissipative Lagrange equations."""
     m = sys.dof
-    return np.array(_rhs(sys, s.t, _pack(s, 0.0))[0][m:2 * m])
+    return np.array(_rhs(sys, s.t, _pack(s, 0.0), _constants(sys))[0][m:2 * m])
 
 
 def diagnostics(sys: SystemSpec, s: State, e_diss: float = 0.0) -> Diagnostics:
     y = _pack(s, e_diss)
-    return Diagnostics(*_row(s.t, y, _rhs(sys, s.t, y)[1])[-7:])
+    return Diagnostics(
+        *_row(s.t, y, _rhs(sys, s.t, y, _constants(sys))[1])[-7:])
 
 
 def _row(t, y, evals):
@@ -179,14 +181,20 @@ def _row(t, y, evals):
 # Steppers. Internal RK state is y = [q, v, E] with E' = D(q, v).
 
 
-def _rhs(sys, t, y):
-    """(f(t, y), (M, V, D, R, dR/dv) at the state of y)."""
+def _constants(sys):
+    """The model's constants at the system's params as they are now."""
+    return sys.model.constants(sys.params)
+
+
+def _rhs(sys, t, y, c):
+    """(f(t, y), (M, V, D, R, dR/dv) at the state of y), where c is
+    _constants(sys)."""
     m = sys.dof
     sm = sys.model
     q, v = y[:m], y[m:2 * m]
     D, R, gR = sm.dissipation.D_R_grad(q, v, sm.params)
     try:
-        qdd, M, V = sm.mechanics(q, v, gR, sm.params)
+        qdd, M, V = sm.mechanics(q, v, gR, c)
     except MassMatrixError as e:
         raise MassMatrixError(f"{e} (t={t})") from None
     return v + qdd + [D], (M, V, D, R, gR)
@@ -198,16 +206,21 @@ def _pack(s: State, e_diss: float):
 
 def _check_finite(y, t):
     if not all(map(math.isfinite, y)):
-        raise DivergenceError(f"non-finite state at t={t}")
+        _diverged(t)
+
+
+def _diverged(t):
+    raise DivergenceError(f"non-finite state at t={t}") from None
 
 
 def _step(method, sys, s, dt, cfg):
     """One attempt from s with a fresh k1: (state, dt_next, accepted)."""
     y, m, sm = _pack(s, 0.0), sys.dof, sys.model
     _check_finite([s.t] + y, s.t)
+    c = _constants(sys)
     ynew, ok, dt_next, _ = _attempt(method, m)(
-        s.t, y, dt, _rhs(sys, s.t, y)[0], cfg, sm.dissipation.D_R_grad,
-        sm.mechanics, sm.params)
+        s.t, y, dt, _rhs(sys, s.t, y, c)[0], cfg, sm.dissipation.D_R_grad,
+        sm.mechanics, sm.params, c)
     return (State(s.t + dt, ynew[:m], ynew[m:2 * m]) if ok else s,
             dt_next, ok)
 
@@ -247,19 +260,29 @@ _DP_E = [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
 def _attempt(method, dof):
     """The generated attempt of `method` for `dof`:
 
-        attempt(t, y, dt, k1, cfg, D_R_grad, mechanics, p)
+        attempt(t, y, dt, k1, cfg, D_R_grad, mechanics, p, c)
             -> (ynew, accepted, dt_next, last)
 
     one step from (t, y) with k1 = f(t, y), where ynew is the exact
-    argument of the last RHS call and last = _rhs(sys, t + dt, ynew), as
+    argument of the last RHS call and last = _rhs(sys, t + dt, ynew, c), as
     the oracle tests/stepper_oracle.py computes it bit for bit. The model's
-    D_R_grad, mechanics and params come in at each call, so the function
-    depends only on (method, dof) and is built once per pair.
+    D_R_grad and mechanics, the params and the model's constants c come in
+    at each call, so the function depends only on (method, dof) and is
+    built once per pair. A Dormand-Prince stage sum or error norm that
+    math.fsum or ** cannot form (inf - inf, or an overflow) is a
+    non-finite state at t + dt, as the new state's own check reports it.
     """
     m, n = dof, 2 * dof + 1
     K = [[f"k0_{c}" for c in range(n)]]
     body = [", ".join(f"y{c}" for c in range(n)) + ", = y",
             ", ".join(K[0]) + ", = k1"]
+
+    def checked(lines):
+        if method == "rk4":  # its sums never raise: inf and NaN flow on
+            return lines
+        return (["try:"] + [f"    {x}" for x in lines]
+                + ["except (ValueError, OverflowError):",
+                   "    _diverged(t + dt)"])
 
     def stage(h, t, terms, width=2 * m):
         # the stage input y_c + h * terms(c), then f there at time t, as
@@ -268,7 +291,8 @@ def _attempt(method, dof):
         # (width n, which is checked) forms its E entry
         i = len(K)
         x = [f"s{i}_{c}" for c in range(width)]
-        body.extend(f"{x[c]} = y{c} + {h} * {terms(c)}" for c in range(width))
+        body.extend(checked([f"{x[c]} = y{c} + {h} * {terms(c)}"
+                             for c in range(width)]))
         if width == n:
             body.extend([f"ynew = [{', '.join(x)}]",
                          "_check_finite(ynew, t + dt)"])
@@ -276,7 +300,7 @@ def _attempt(method, dof):
         body.extend([
             f"q = [{', '.join(x[:m])}]", f"v = [{', '.join(x[m:2 * m])}]",
             f"{k[-1]}, R, gR = D_R_grad(q, v, p)", "try:",
-            "    qdd, M, V = mechanics(q, v, gR, p)",
+            "    qdd, M, V = mechanics(q, v, gR, c)",
             "except MassMatrixError as e:",
             f"    raise MassMatrixError(f'{{e}} (t={{{t}}})') from None",
             f"{', '.join(k[m:2 * m])}, = qdd"])
@@ -305,18 +329,20 @@ def _attempt(method, dof):
         body.append("atol, rtol = cfg.abs_tol, cfg.rel_tol")
         # the error entries of q and v; each is squared, so the sign of a
         # zero does not matter
-        body += [f"e{c} = dt * {fsum(_DP_E, c)}" for c in range(2 * m)]
-        body += [
-            "err = math.sqrt(fsum((%s,)) / %d)" % (", ".join(
+        body += checked(
+            [f"e{c} = dt * {fsum(_DP_E, c)}" for c in range(2 * m)]
+            + ["err = math.sqrt(fsum((%s,)) / %d)" % (", ".join(
                 f"(e{c} / (atol + rtol * abs(y{c}))) ** 2"
-                for c in range(2 * m)), 2 * m),
+                for c in range(2 * m)), 2 * m)])
+        body += [
             # the step-size controller shared by step_rk45 and integrate
             "factor = 5.0 if err == 0.0 else "
             "min(5.0, max(0.2, 0.9 * err ** -0.2))",
             f"return ynew, err <= 1.0, dt * factor, {last}"]
-    return xc.define(f"_{method}(t, y, dt, k1, cfg, D_R_grad, mechanics, p)",
-                     body, fsum=math.fsum, MassMatrixError=MassMatrixError,
-                     _check_finite=_check_finite)
+    return xc.define(
+        f"_{method}(t, y, dt, k1, cfg, D_R_grad, mechanics, p, c)", body,
+        fsum=math.fsum, MassMatrixError=MassMatrixError,
+        _check_finite=_check_finite, _diverged=_diverged)
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +372,10 @@ def integrate(sys: SystemSpec, init: State, t_end: float,
     attempt = _attempt(cfg.method, sys.dof)
     sm = sys.model
     D_R_grad, mechanics, p = sm.dissipation.D_R_grad, sm.mechanics, sm.params
+    c = sm.constants(p)
     t0, t_end = float(init.t), float(t_end)
     t = t0
-    f1 = _rhs(sys, t, y)  # k1 of the next attempt, and (M, V, D, R, dR/dv)
+    f1 = _rhs(sys, t, y, c)  # k1 of the next attempt, (M, V, D, R, dR/dv)
     traj = Trajectory(rows=[_row(t, y, f1[1])], dof=sys.dof)
     dt = first_dt(cfg, t_end - t0)
     end = t_end - 1e-15 * (1.0 + abs(t_end))
@@ -362,7 +389,7 @@ def integrate(sys: SystemSpec, init: State, t_end: float,
                 "the problem is likely too stiff for an explicit pair")
         h = min(dt, t_end - t)
         ynew, ok, dt, last = attempt(t, y, h, f1[0], cfg, D_R_grad,
-                                      mechanics, p)
+                                      mechanics, p, c)
         attempts += 1
         if ok:
             accepted += 1

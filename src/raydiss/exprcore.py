@@ -372,12 +372,16 @@ def bind_check(node, dof, params):
 # and each function's value and derivative once (_FUNCTION_RULES);
 # division keeps its own rule, and `^` has one rule for every exponent,
 # literal or not: _cpow for the value, _cdpow and _cdbpow for the partials
-# in base and exponent. It emits calls to `math.*` and to the _c*
-# helpers, which hold every branch and domain check. compile_expr runs
-# that source on floats (scalar mode, for point evaluations);
-# compile_blocks hands the scalar code of several expressions to a
-# system's generated mechanics, each expression still in its own overflow
-# guard. compile_array runs it against numpy (array mode), where `math.*`
+# in base and exponent. Scalar code partially evaluates that rule for a
+# literal exponent (_literal_pow): it keeps only the checks that can fire
+# for it, and calls _cpow only for a base that one of them could reject.
+# It emits calls to `math.*` and to the _c* helpers, which hold every
+# branch and domain check. compile_expr runs that source on floats (scalar
+# mode, for point evaluations); compile_blocks hands the scalar code of
+# several expressions to one generated function, each expression still in
+# its own overflow guard, and can hoist every parameter-only subexpression
+# into separate lines, run once per parameter set (loop-invariant code
+# motion). compile_array runs it against numpy (array mode), where `math.*`
 # resolves to ufuncs and each _c* name to plain numpy arithmetic; its one
 # consumer is the general-mode R quadrature. The scalar code decides every
 # domain error and kink: a numpy flag in array mode only hands the points
@@ -525,12 +529,18 @@ _FUNCTION_RULES = {
 
 
 class _CodeGen:
-    def __init__(self, dof, wrt, smooth_eps):
+    def __init__(self, dof, wrt, smooth_eps, scalar=True, hoist=False):
         self.dof = dof
         self.wrt = wrt  # 'q' | 'v' | None
         self.smooth_eps = smooth_eps
+        self.scalar = scalar  # False for array mode: no literal-power forms
         self.lines = []
         self.n = 0
+        # with hoist: the lines of each block's parameter-only
+        # subexpressions (in the block's own guard), and their value names
+        self.hoisted = [] if hoist else None
+        self.constants = []
+        self.names = []
 
     def temp(self, expr):
         """Name of expr's value: expr itself when it is a lone name or a
@@ -545,14 +555,15 @@ class _CodeGen:
     def block(self, node):
         """(lines, value, tangents) of node: the lines of gen(node) in a try
         statement that turns an OverflowError (math.exp or float **) into
-        an EvalDomainError naming node."""
+        an EvalDomainError naming node. When hoisting, the lines of its
+        parameter-only subexpressions go to self.constants instead, in a
+        guard of their own that names node too."""
         self.lines = []
+        if self.hoisted is not None:
+            self.hoisted = []
         val, g = self.gen(node)
-        if self.lines:
-            self.lines = (["try:"] + [f"    {x}" for x in self.lines]
-                          + ["except OverflowError:",
-                             f"    _coverflow({to_source(node)!r})"])
-        return self.lines, val, g
+        self.constants += _guard(self.hoisted or [], node)
+        return _guard(self.lines, node), val, g
 
     def zeros(self):
         return ["0.0"] * (self.dof if self.wrt else 0)
@@ -582,6 +593,17 @@ class _CodeGen:
 
     def gen(self, node):
         """Return (value expression, list of tangent expressions)."""
+        if (self.hoisted is not None and not isinstance(node, Const)
+                and not any(isinstance(n, (Coord, Vel)) for n in walk(node))):
+            # a parameter-only subexpression: its lines go to the hoisted
+            # list, generated as usual (its tangents are all "0.0"), and
+            # its value name is read by the lines that use it
+            main, self.lines = self.lines, self.hoisted
+            self.hoisted = None
+            val, g = self.gen(node)
+            self.lines, self.hoisted = main, self.lines
+            self.names.append(val)
+            return val, g
         if isinstance(node, Const):
             return repr(node.value), self.zeros()
         if isinstance(node, (Coord, Vel)):
@@ -637,10 +659,15 @@ class _CodeGen:
         if p is not None and float(p).is_integer() and abs(p) < 1e9:
             # numpy's integer fast path (arr ** 2); a float to an int is
             # the same double
-            b = repr(int(p))
-        val = self.temp(f"_cpow({a}, {b}, {src})")
+            p = int(p)
+            b = repr(p)
+        if self.scalar and p is not None:
+            val, da = _literal_pow(a, p, src)
+        else:
+            val, da = f"_cpow({a}, {b}, {src})", f"_cdpow({a}, {b})"
+        val = self.temp(val)
         # a child without a tangent needs no partial: combine skips it
-        da = self.temp(f"_cdpow({a}, {b})") if self.any_grad(ga) else "0.0"
+        da = self.temp(da) if self.any_grad(ga) else "0.0"
         db = (self.temp(f"_cdbpow({val}, {a}, {src})") if self.any_grad(gb)
               else "0.0")
         return val, self.combine(("+", da, ga), ("+", db, gb))
@@ -670,9 +697,40 @@ def _times(a, x):
     return a if x == "1.0" else f"{a} * {x}"
 
 
-def _load(node, dof, wrt, smooth_eps, namespace):
-    """Generate the source of _f(q, v, p) and execute it in namespace."""
-    lines, val, g = _CodeGen(dof, wrt, smooth_eps).block(node)
+def _literal_pow(a, p, src):
+    """Sources of _cpow(a, p, src) and _cdpow(a, p) for the literal
+    exponent p (an int when whole and below 1e9), equal to them bit for bit
+    with only the checks that can fire for p: a whole p >= 0 has none, a
+    whole p < 0 rejects a zero base, and any other p calls _cpow for a base
+    that is not > 0 (p < 0) or not >= 0 (a negative base or NaN). The
+    partial keeps _cdpow's value at a zero base of either sign."""
+    base = f"({a})" if a.startswith("-") else a
+    power = f"{base} ** {p!r}"
+    general = f"_cpow({a}, {p!r}, {src})"
+    if isinstance(p, int):
+        val = power if p >= 0 else f"{general} if {a} == 0.0 else {power}"
+    else:
+        val = f"{power} if {a} {'>' if p < 0 else '>='} 0.0 else {general}"
+    pm1 = p - 1
+    da = (f"{1.0 if p == 1 else 0.0!r} if {a} == 0.0 else {p!r} * "
+          + (a if pm1 == 1 else f"{base} ** {pm1!r}"))
+    return val, da
+
+
+def _guard(lines, node):
+    """lines in a try statement that turns an OverflowError (math.exp or
+    float **) into an EvalDomainError naming node; no lines, no guard."""
+    if not lines:
+        return []
+    return (["try:"] + [f"    {x}" for x in lines]
+            + ["except OverflowError:",
+               f"    _coverflow({to_source(node)!r})"])
+
+
+def _load(node, dof, wrt, smooth_eps, namespace, scalar=True):
+    """Generate the source of _f(q, v, p) and execute it in namespace;
+    scalar False gives array mode's source (no literal-power forms)."""
+    lines, val, g = _CodeGen(dof, wrt, smooth_eps, scalar).block(node)
     if wrt:
         ret = f"return {val}, ({', '.join(g)}{',' if g else ''})"
     else:
@@ -688,11 +746,20 @@ def define(signature, body, namespace=None, **names):
     return ns[signature.split("(")[0]]
 
 
-def compile_blocks(nodes, dof, wrt):
-    """(lines, value, tangents) of each node's scalar code for define(),
-    with temporaries unique across all of the nodes."""
-    cg = _CodeGen(dof, wrt, None)
-    return [cg.block(node) for node in nodes]
+def compile_blocks(nodes, dof, wrt, smooth_eps=None, hoist=False):
+    """(blocks, (constant lines, names)) for define(): the (lines, value,
+    tangents) of each node's scalar code, with temporaries unique across
+    all of the nodes, each node's code with smooth_eps[i] if given. With
+    hoist, the lines of every parameter-only subexpression are left out of
+    the blocks and make up the constant lines instead, which bind `names`,
+    the values that the blocks read; each node's constant lines keep its
+    own overflow guard. Without hoist both are empty."""
+    cg = _CodeGen(dof, wrt, None, hoist=hoist)
+    blocks = []
+    for i, node in enumerate(nodes):
+        cg.smooth_eps = smooth_eps[i] if smooth_eps else None
+        blocks.append(cg.block(node))
+    return blocks, (cg.constants, cg.names)
 
 
 def compile_expr(node, dof=0, wrt=None, smooth_eps=None):
@@ -712,7 +779,7 @@ def compile_array(node, dof=0, wrt=None, smooth_eps=None):
     hands the points to it (_scalar_pass), so an error is the scalar
     code's at the first offending point in flat order.
     """
-    fn = _load(node, dof, wrt, smooth_eps, _ARRAY_GLOBALS)
+    fn = _load(node, dof, wrt, smooth_eps, _ARRAY_GLOBALS, scalar=False)
 
     def f(q, v, p):
         shape = v.shape[1:]

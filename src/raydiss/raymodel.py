@@ -197,11 +197,14 @@ class SystemSpec:
 
     def mass(self, q):
         """M(q) as a new array, from statics: checks symmetry, needs V(q)."""
-        return np.array(self.model.statics(tuple(q), self.params)[0])
+        sm = self.model
+        return np.array(sm.statics(tuple(q), sm.constants(self.params))[0])
 
     def mass_grad(self, q):
         """dM/dq_j for all j: array of shape (dof, dof, dof), [j, a, b]."""
-        return np.moveaxis(self.model.statics(tuple(q), self.params)[1], 2, 0)
+        sm = self.model
+        return np.moveaxis(
+            sm.statics(tuple(q), sm.constants(self.params))[1], 2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -211,19 +214,25 @@ class SystemSpec:
 class SystemModel:
     """M, dM/dq, V and dV/dq of one SystemSpec plus its dissipation model.
 
-    When built, the model emits two straight-line functions, unrolled for
-    its dof from the same lines of the expressions' own compiled code
-    (partial evaluation). statics(q, p) gives (M, dM, V, dV/dq), M[a][b]
-    and dM[a][b][j] = dM_ab/dq_j as nested lists, after the symmetry
-    check; it never checks definiteness. mechanics(q, v, gR, p) gives
-    (qdd, M, V) at (q, v) with dR/dv = gR: it evaluates V, dV/dq and the
-    mass entries, forms b = -dV/dq - dR/dv, adds the dM terms in the loop
-    order of tests/mechanics_oracle.py, every accumulator starting at 0.0
-    as there, and solves by an unrolled square-root-free LDL^T
-    factorisation that raises MassMatrixError naming q unless every pivot
-    is > 0 (NaN fails too), so a 1-dof solve is exactly b/m. A mass entry
-    that references no coordinate adds no dM terms, so a constant M has
-    none. Both functions read params at each call.
+    When built, the model emits three straight-line functions, unrolled
+    for its dof from the same lines of the expressions' own compiled code
+    (partial evaluation). constants(p) computes every parameter-only
+    subexpression of V and M, each in its expression's own overflow guard,
+    and returns them as a tuple c; the other two take c and read no
+    params. So c is the parameters as of the constants call: every entry
+    point (integrate, once per run; accel, diagnostics, SystemSpec.mass
+    and mass_grad and each audit section, once per call) calls constants
+    first, and a change to params takes effect at its next call.
+    statics(q, c) gives (M, dM, V, dV/dq), M[a][b] and dM[a][b][j] =
+    dM_ab/dq_j as nested lists, after the symmetry check; it never checks
+    definiteness. mechanics(q, v, gR, c) gives (qdd, M, V) at (q, v) with
+    dR/dv = gR: it evaluates V, dV/dq and the mass entries, forms b =
+    -dV/dq - dR/dv, adds the dM terms in the loop order of
+    tests/mechanics_oracle.py, every accumulator starting at 0.0 as there,
+    and solves by an unrolled square-root-free LDL^T factorisation that
+    raises MassMatrixError naming q unless every pivot is > 0 (NaN fails
+    too), so a 1-dof solve is exactly b/m. dM_ac/dq_j adds terms only
+    where the entry M_ac references q_j, so a constant M adds none.
 
     A mirrored entry with the same expression is not evaluated again:
     identical ASTs compile to identical code and return identical doubles,
@@ -240,8 +249,10 @@ class SystemModel:
                 if mm[a][b] != mm[b][a]]
         pairs = [(a, b) for a in range(m) for b in range(m)
                  if a <= b or (b, a) in asym]
-        (head, V, gV), *blocks = xc.compile_blocks(
-            [sys.potential] + [mm[a][b] for a, b in pairs], m, "q")
+        blocks, (consts, names) = xc.compile_blocks(
+            [sys.potential] + [mm[a][b] for a, b in pairs], m, "q",
+            hoist=True)
+        (head, V, gV), *blocks = blocks
         M = [[None] * m for _ in range(m)]
         dM = [[None] * m for _ in range(m)]
         entries = []
@@ -256,7 +267,11 @@ class SystemModel:
         for a, b in asym:
             entries += [f"if not abs({M[a][b]} - {M[b][a]}) <= atol:",
                         "    " + _raise("symmetric")]
-        self.statics = _define("_statics(q, p)", head + entries + [
+        names = "".join(f"{x}, " for x in names)
+        self.constants = _define("_constants(p)",
+                                 consts + [f"return ({names})"])
+        head = ([f"{names}= c"] if names else []) + head
+        self.statics = _define("_statics(q, c)", head + entries + [
             f"return {_list(M)}, {_list(dM)}, {V}, {_list(gV)}"])
         b_lines = _b_lines(mm, dM)
         body = head + [f"b{j} = -({gV[j]}) - gR[{j}]" for j in range(m)]
@@ -269,7 +284,7 @@ class SystemModel:
             f" - L{k}_{i} * x{k}" for k in range(i + 1, m))
             for i in reversed(range(m))]
         qdd = _list([f"x{i}" for i in range(m)])
-        self.mechanics = _define("_mech(q, v, gR, p)", body + [
+        self.mechanics = _define("_mech(q, v, gR, c)", body + [
             f"return {qdd}, {_list(M)}, {V}"])
 
 
@@ -288,18 +303,21 @@ def _raise(what):
 
 def _b_lines(mm, dM):
     """b_j += 0.5 v_a v_c dM_ac/dq_j and b_a -= (v . dM_ac/dq) v_c, over
-    a, then c, then j: the loop order of the tests' oracle. A pair whose
-    mass entry mm[a][c] references no coordinate adds nothing."""
+    a, then c, then j: the loop order of the tests' oracle. Only the j
+    whose q_j the mass entry mm[a][c] references add terms, so a pair
+    whose entry references no coordinate adds nothing."""
     lines, m = [], len(dM)
     for a in range(m):
         for c in range(m):
-            if not any(isinstance(n, xc.Coord) for n in xc.walk(mm[a][c])):
+            js = sorted({n.index - 1 for n in xc.walk(mm[a][c])
+                         if isinstance(n, xc.Coord)})
+            if not js:
                 continue
             g = dM[a][c]
             lines.append(f"w = 0.5 * v{a} * v{c}")
-            lines += [f"b{j} += w * {g[j]}" for j in range(m)]
+            lines += [f"b{j} += w * {g[j]}" for j in js]
             lines.append(f"b{a} -= (0.0 + %s) * v{c}" % " + ".join(
-                f"v{j} * {g[j]}" for j in range(m)))
+                f"v{j} * {g[j]}" for j in js))
     return lines
 
 
@@ -323,37 +341,35 @@ class _HomogeneousSumModel:
     """R = sum of term/degree, exact for velocity-homogeneous terms."""
 
     def __init__(self, spec, dof):
-        self.dof = dof
-        # per term: value code, gradient code, degree, and whether the
-        # gradient code's value differs (sign under smooth_eps is tanh there)
-        self.terms = [(t.evaluate,
-                       xc.compile_expr(t.expr, dof, "v", t.smooth_eps),
-                       t.degree, bool(t.smooth_eps) and any(
-                           isinstance(n, xc.Call) and n.fn == "sign"
-                           for n in xc.walk(t.expr)))
-                      for t in spec.terms]
+        self.terms = [(t.evaluate, t.degree) for t in spec.terms]
+        # D_R_grad(q, v, p) -> (D, R, dR/dv as a list of floats): the
+        # terms' gradient code unrolled in term order, each term with its
+        # own smooth_eps, accumulating D, R and dR/dv from 0.0 as a loop
+        # over the terms would, so D and R equal self.D and self.R bit for
+        # bit. A term's value comes from its gradient code, except where
+        # that differs (sign under smooth_eps is tanh there): that term
+        # calls its value code.
+        blocks, _ = xc.compile_blocks(
+            [t.expr for t in spec.terms], dof, "v",
+            [t.smooth_eps for t in spec.terms])
+        g = [f"g{j}" for j in range(dof)]
+        body, values = [" = ".join(["D", "R", *g, "0.0"])], {}
+        for i, (t, (lines, val, dv)) in enumerate(zip(spec.terms, blocks)):
+            if t.smooth_eps and any(isinstance(n, xc.Call) and n.fn == "sign"
+                                    for n in xc.walk(t.expr)):
+                values[f"_value{i}"] = t.evaluate
+                val = f"_value{i}(q, v, p)"
+            deg = repr(float(t.degree))
+            body += lines + [f"d = {val}", "D += d", f"R += d / {deg}"]
+            body += [f"{x} += {y} / {deg}" for x, y in zip(g, dv)]
+        self.D_R_grad = xc.define("_D_R_grad(q, v, p)", body + [
+            f"return D, R, {_list(g)}"], inf=math.inf, **values)
 
     def D(self, q, v, p):
-        return sum(fn(q, v, p) for fn, _, _, _ in self.terms)
+        return sum(fn(q, v, p) for fn, _ in self.terms)
 
     def R(self, q, v, p):
-        return sum(fn(q, v, p) / deg for fn, _, deg, _ in self.terms)
-
-    def D_R_grad(self, q, v, p):
-        """(D, R, dR/dv as a list of floats) from one loop over the terms,
-        each term's value taken from its gradient call where that is the
-        same; D and R equal self.D and self.R bit for bit."""
-        D = R = 0.0
-        g = [0.0] * self.dof
-        for fn, gfn, deg, own_value in self.terms:
-            d, dv = gfn(q, v, p)
-            if own_value:
-                d = fn(q, v, p)
-            D += d
-            R += d / deg
-            for j, x in enumerate(dv):
-                g[j] += x / deg
-        return D, R, g
+        return sum(fn(q, v, p) / deg for fn, deg in self.terms)
 
 
 class _GeneralModel:

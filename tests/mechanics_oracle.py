@@ -7,8 +7,9 @@ own compiled code (`exprcore.compiled`), assembles
     b = -dV/dq - dR/dv,  b_j += 0.5 v_a v_c dM_ac/dq_j,
     b_a -= (v . dM_ac/dq) v_c  (over a, then c, then j),
 
-in nested loops, skipping each pair (a, c) whose entry M_ac references no
-coordinate (so a constant M has no dM terms), and solves with a generic
+in nested loops, adding the terms of dM_ac/dq_j only for the q_j that the
+entry M_ac references, as read from its expression (so a constant M has
+no dM terms), and solves with a generic
 square-root-free LDL^T factorisation. Its floating-point operations come
 in the same order as the generated code's, so the two agree bit for bit.
 """
@@ -84,8 +85,8 @@ def ldl_solve(factor, b):
 
 def mechanics(sys, q, v, gR):
     """(qdd, M, V) at (q, v) with dR/dv = gR, lists of floats in and out.
-    A pair (a, c) whose mass entry references no coordinate, as read from
-    its expression, adds no dM terms."""
+    The terms of dM_ac/dq_j are added only for the q_j that the mass entry
+    M_ac references, as read from its expression."""
     m, mm = sys.dof, sys.mass_matrix
     V, gV = xc.compiled(sys.potential, m, "q")(q, v, sys.params)
     b = [-x - y for x, y in zip(gV, gR)]
@@ -93,12 +94,14 @@ def mechanics(sys, q, v, gR):
     for a in range(m):
         va, dMa = v[a], dM[a]
         for c in range(m):
-            if not any(isinstance(n, xc.Coord) for n in xc.walk(mm[a][c])):
+            js = [j for j in range(m) if xc.Coord(j + 1) in
+                  list(xc.walk(mm[a][c]))]
+            if not js:
                 continue
             g = dMa[c]
             w = 0.5 * va * v[c]
             vg = 0.0
-            for j in range(m):
+            for j in js:
                 b[j] += w * g[j]
                 vg += v[j] * g[j]
             b[a] -= vg * v[c]

@@ -1,0 +1,48 @@
+import os
+import subprocess
+import sys
+
+SCRIPT = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), ".github", "compare_digests.py")
+
+AGREED = {"damped_sho.csv": "a1", "damped_sho.audit.json": "b2",
+          "pendulum_drag_2dof.rk4.csv": "c3"}
+
+
+def _compare(tmp_path, *entries):
+    """Exit code and output of the comparison over fabricated entries,
+    each a {file: digest} written as one entry's sha256sum listing."""
+    paths = []
+    for i, digests in enumerate(entries):
+        d = tmp_path / f"digests-{i}"
+        d.mkdir()
+        (d / "digests.txt").write_text("".join(
+            f"{h}  {name}\n" for name, h in digests.items()))
+        paths.append(str(d / "digests.txt"))
+    p = subprocess.run([sys.executable, SCRIPT, *paths], capture_output=True,
+                       text=True, check=False)
+    return p.returncode, p.stdout, p.stderr
+
+
+def test_agreeing_entries_pass_and_general_mode_is_only_listed(tmp_path):
+    general = [{"pendulum_general.csv": h, "pendulum_general.audit.json": h}
+               for h in ("d4", "e5", "f6")]
+    rc, out, err = _compare(tmp_path, *({**AGREED, **g} for g in general))
+    assert (rc, err) == (0, "")
+    assert "pendulum_general.csv: listed only" in out
+    assert all(f"    {h}  " in out for h in ("d4", "e5", "f6"))
+
+
+def test_a_differing_homogeneous_sum_digest_fails(tmp_path):
+    rc, out, err = _compare(tmp_path, AGREED, AGREED,
+                            {**AGREED, "damped_sho.audit.json": "x9"})
+    assert rc == 1
+    assert "damped_sho.audit.json: compared" in out
+    assert err == "digests differ between entries: damped_sho.audit.json\n"
+
+
+def test_a_missing_digest_fails(tmp_path):
+    rc, out, err = _compare(tmp_path, AGREED, dict(list(AGREED.items())[1:]))
+    assert rc == 1
+    assert "    missing  " in out
+    assert err == "digests differ between entries: damped_sho.csv\n"

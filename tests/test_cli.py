@@ -444,6 +444,18 @@ def test_parameter_changes_between_runs_take_effect(workdir, method):
             != cli.read_trajectory_csv("base.csv")[1])
     cfg.system.params["c"] = 0.9
     assert rows(cfg) == fresh(0.9) != base
+    # accel, diagnostics and SystemSpec.mass read the params at each call
+    # too: a write of the mass reaches the built model's constants
+    new = cf.config_from_dict({**doc, "overrides": {"c": 0.9, "m": 2.0}})
+    s = dy.State(0.0, [0.5], [1.0])
+    before = dy.accel(cfg.system, s).tolist()
+    cfg.system.params["m"] = 2.0
+    assert (dy.accel(cfg.system, s).tolist()
+            == dy.accel(new.system, s).tolist() != before)
+    assert dy.diagnostics(cfg.system, s) == dy.diagnostics(new.system, s)
+    assert dy.diagnostics(cfg.system, s).T_kin == 1.0
+    assert cfg.system.mass([0.5]).tolist() == [[2.0]]
+    assert rows(cfg) == rows(new)
 
 
 def test_simulate_jsonl_and_plot_data(workdir):

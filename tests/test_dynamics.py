@@ -131,6 +131,21 @@ def full_mass_3dof():
         params={"c": 0.3, "k": 2.0})
 
 
+def sparse_mass_3dof():
+    # each entry references a subset of the coordinates (the (2, 3) pair
+    # none), so dM_ac/dq_j is a structural zero for the other j; the
+    # diagonal dominates for q in [-2, 2]^3, so M is positive definite
+    mm = [["m*(2 + q1^2)", "0.3*sin(q2)", "0.1*q3"],
+          ["0.3*sin(q2)", "3 + 0.5*cos(q3)", "0"],
+          ["0.1*q3", "0", "2 + 0.2*q1*q2"]]
+    return rm.SystemSpec(
+        dof=3, mass_matrix=[[xc.parse(e) for e in row] for row in mm],
+        potential=xc.parse("0.5*k*(q1^2 + q2^2 + q3^2)"),
+        dissipation=rm.DissipationSpec("homogeneous_sum", [
+            rm.DissipationTerm(xc.parse("c*(v1^2 + v2^2 + v3^2)"), 2.0)]),
+        params={"c": 0.3, "k": 2.0, "m": 1.5})
+
+
 def _generated(make, monkeypatch):
     """(system, {function name: body lines}) of the functions that
     SystemModel defines for the system make() returns."""
@@ -227,6 +242,24 @@ def test_overflow_in_mass_or_potential_names_the_expression(mass, potential,
                      dy.IntegratorConfig())
 
 
+def test_overflow_in_a_hoisted_constant_names_its_expression():
+    # exp(k) depends on params only, so constants(p) computes it, in the
+    # potential's own overflow guard; integrate and accel call constants
+    # first, and a later write of k takes effect at the next call
+    sys = rm.SystemSpec(dof=1, mass_matrix=[[xc.parse("m")]],
+                        potential=xc.parse("exp(k)*q1^2"),
+                        dissipation=rm.null_dissipation(),
+                        params={"m": 1.0, "k": 800.0})
+    s = dy.State(0.0, [0.5], [0.0])
+    match = r"floating-point overflow in subexpression 'exp\(k\) \* q1"
+    with pytest.raises(xc.EvalDomainError, match=match):
+        dy.accel(sys, s)
+    with pytest.raises(xc.EvalDomainError, match=match):
+        dy.integrate(sys, s, 1.0, dy.IntegratorConfig())
+    sys.params["k"] = 0.0
+    assert dy.accel(sys, s).tolist() == [-1.0]
+
+
 def _asymmetric_2dof():
     # the off-diagonal pair has different expressions that agree at q1 = 0
     return _mass_system([["2", "0.1*q1"], ["0.1*sin(q1)", "2"]])
@@ -250,19 +283,23 @@ def _bits(x):
     *[lambda name=name: get_builtin(name).system
       for name in ("sho", "damped_sho", "quad_drag_particle",
                    "pendulum_drag_2dof", "coulomb_block")],
-    full_mass_3dof, _asymmetric_2dof,
+    full_mass_3dof, sparse_mass_3dof, _asymmetric_2dof,
     lambda: _mass_system([["1 + q1^2"]]), _constant_mass_2dof],
     ids=["sho", "damped_sho", "quad_drag_particle", "pendulum_drag_2dof",
-         "coulomb_block", "full_mass_3dof", "asymmetric_2dof", "1+q1^2",
-         "constant_mass_2dof"])
+         "coulomb_block", "full_mass_3dof", "sparse_mass_3dof",
+         "asymmetric_2dof", "1+q1^2", "constant_mass_2dof"])
 def test_generated_mechanics_matches_loop_oracle(make):
     # (qdd, M, V), or the MassMatrixError or EvalDomainError, of the
     # generated code and of the loop form agree bit for bit, signed zeros
-    # included
+    # included, also at states with zero coordinates and speeds of either
+    # sign
     sys = make()
     sm = sys.model
+    c = sm.constants(sm.params)
     states = list(rm.sample_states(sys.dof, 40, seed=29))
     states.append(((0.0,) * sys.dof, (0.0,) * sys.dof))
+    states += [(q[:1] + (-0.0,) * (sys.dof - 1), (-0.0,) + v[1:])
+               for q, v in states[:4]]
     outcomes = set()
     for q, v in states:
         q, v = list(q), list(v)
@@ -271,11 +308,11 @@ def test_generated_mechanics_matches_loop_oracle(make):
             ref = mechanics_oracle.mechanics(sys, q, v, gR)
         except (dy.MassMatrixError, xc.EvalDomainError) as e:
             with pytest.raises(type(e)) as got:
-                sm.mechanics(q, v, gR, sm.params)
+                sm.mechanics(q, v, gR, c)
             assert str(got.value) == str(e)
             outcomes.add("error")
             continue
-        qdd, M, V = sm.mechanics(q, v, gR, sm.params)
+        qdd, M, V = sm.mechanics(q, v, gR, c)
         assert [_bits(x) for x in (qdd, M, V)] == [
             _bits(x) for x in ref], (q, v)
         outcomes.add("value")
@@ -293,6 +330,32 @@ def test_builtin_mechanics_has_no_zero_factor(name, monkeypatch):
             if re.search(r"\* 0\.0(?![\d.e])", x)] == []
 
 
+def test_sparse_mass_adds_only_the_referenced_dm_terms(monkeypatch):
+    # dM_ac/dq_j adds b terms only where the entry M_ac references q_j:
+    # one per entry that references one coordinate, two for the (3, 3)
+    # entry, none for the zero pair, and no factor that is the literal 0
+    _, bodies = _generated(sparse_mass_3dof, monkeypatch)
+    mech = bodies["_mech"]
+    assert [x for x in mech if re.search(r"\* 0\.0(?![\d.e])", x)] == []
+    assert sum(x.startswith("w = ") for x in mech) == 7
+    assert sum(re.match(r"b\d \+= w \* ", x) is not None
+               for x in mech) == 8
+
+
+def test_parameter_only_work_is_hoisted_into_constants(monkeypatch):
+    # the double pendulum's mechanics and statics read no params: every
+    # parameter-only subexpression of V and M, as (m1 + m2)*l1^2 and
+    # m2*l1*l2, is computed once per parameter set by constants(p)
+    sys, bodies = _generated(
+        lambda: get_builtin("pendulum_drag_2dof").system, monkeypatch)
+    for name in ("_mech", "_statics"):
+        assert [x for x in bodies[name] if "p[" in x] == [], name
+        assert bodies[name][0].endswith(", = c"), name
+    assert sum("p[" in x for x in bodies["_constants"]) == 15
+    # -(m1 + m2)*g*l1 and m2*g*l2 of V, then M's three distinct entries
+    assert sys.model.constants(sys.params) == (-2.0, 1.0, 2.0, 1.0, 1.0)
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_builtin_generated_code_has_no_neutral_factor(name, monkeypatch):
     # a tangent that is the literal 1.0 (the seed of a coordinate or a
@@ -304,8 +367,9 @@ def test_builtin_generated_code_has_no_neutral_factor(name, monkeypatch):
     lines = []
 
     def block(self, node, block=xc._CodeGen.block):
+        n = len(self.constants)  # with the lines it hoists, if any
         out = block(self, node)
-        lines.extend(out[0] + list(out[2]))
+        lines.extend(out[0] + list(out[2]) + self.constants[n:])
         return out
     monkeypatch.setattr(xc._CodeGen, "block", block)
     b = get_builtin(name)
@@ -812,7 +876,7 @@ def _both(method, sys, t, y, dt, cfg, k1):
     for attempt in (
             lambda: dy._attempt(method, sys.dof)(
                 t, list(y), dt, list(k1), cfg, sm.dissipation.D_R_grad,
-                sm.mechanics, sm.params),
+                sm.mechanics, sm.params, dy._constants(sys)),
             lambda: stepper_oracle.METHODS[method](sys, t, list(y), dt, cfg,
                                                    list(k1))):
         try:
@@ -837,7 +901,7 @@ def test_generated_attempt_is_the_oracle_bit_for_bit(make, method):
     verdicts = set()
     for q, v in rm.sample_states(sys.dof, 6, seed=21):
         t, y = 0.25, [*q, *v, 0.5]
-        k1 = dy._rhs(sys, t, y)[0]
+        k1 = dy._rhs(sys, t, y, dy._constants(sys))[0]
         for dt in (1e-3, 2e-2, 0.3):
             new, old = _both(method, sys, t, y, dt, cfg, k1)
             assert _bits(new) == _bits(old), (q, v, dt)
@@ -857,7 +921,8 @@ def test_generated_attempt_errors_are_the_oracles(method):
     # stage after k1: the error names that stage's time
     sys = _mass_system([["1 - q1"]])
     y = [0.5, 1.0, 0.0]
-    new, old = _both(method, sys, t, y, dt, cfg, dy._rhs(sys, t, y)[0])
+    new, old = _both(method, sys, t, y, dt, cfg,
+                     dy._rhs(sys, t, y, dy._constants(sys))[0])
     stage_t = t + (0.2 if method == "rk45" else 0.5) * dt
     assert new == old == (rm.MassMatrixError,
                           f"mass matrix not positive definite at q=[1.3] "
@@ -869,18 +934,46 @@ def test_generated_attempt_errors_are_the_oracles(method):
     sys = free_particle()
     t, dt = 0.25, 1.0
     y = [1.7e308, 1e307, 0.0]
-    new, old = _both(method, sys, t, y, dt, cfg, dy._rhs(sys, t, y)[0])
+    new, old = _both(method, sys, t, y, dt, cfg,
+                     dy._rhs(sys, t, y, dy._constants(sys))[0])
     assert new == old == (dy.DivergenceError,
                           f"non-finite state at t={t + dt}")
+    # a speed whose stage products overflow with both signs: the pair's
+    # stage sum is inf - inf, which math.fsum cannot form
+    y = [0.0, 1e308, 0.0]
+    new, old = _both(method, sys, t, y, dt, cfg,
+                     dy._rhs(sys, t, y, dy._constants(sys))[0])
+    assert new == old == (dy.DivergenceError,
+                          f"non-finite state at t={t + dt}")
+    # a k1 far off the state's own f: the new state is finite, but the
+    # pair's scaled error overflows when it is squared
+    y, k1 = [0.0, 1.0, 0.0], [1e250, 0.0, 0.0]
+    new, old = _both(method, sys, t, y, dt, cfg, k1)
+    assert new == old
+    if method == "rk45":
+        assert new == (dy.DivergenceError, f"non-finite state at t={t + dt}")
     # a dissipation term whose log leaves its domain inside a stage
     sys = free_particle(rm.DissipationSpec("homogeneous_sum", (
         rm.DissipationTerm(xc.parse("ln(1 - q1)*v1^2"), 2.0),)))
     y = [0.5, -1.0, 0.0]
-    k1 = dy._rhs(sys, t, y)[0]
+    k1 = dy._rhs(sys, t, y, dy._constants(sys))[0]
     y[1] = 1.0  # k1 of another speed, so the first stage steps to q1 > 1
     new, old = _both(method, sys, t, y, dt, cfg, k1)
     assert new[0] is xc.EvalDomainError and new == old
     assert "ln of non-positive value" in new[1]
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_overflowing_speed_is_a_divergence_error(method):
+    # a free particle from v = 1e308: rk4's sums overflow to inf and the
+    # new state's check stops the run; the pair's stage sums meet inf and
+    # -inf, which is the same non-finite state at the same time
+    cfg = dy.IntegratorConfig(method=method)
+    dt = cfg.dt if method == "rk4" else 0.1
+    with pytest.raises(dy.DivergenceError,
+                       match=f"^non-finite state at t={re.escape(str(dt))}$"):
+        dy.integrate(free_particle(), dy.State(0.0, [0.0], [1e308]), 10.0,
+                     cfg)
 
 
 def test_attempt_is_generated_once_per_method_and_dof(monkeypatch):

@@ -1,5 +1,6 @@
 import gc
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -567,6 +568,97 @@ def test_array_mode_is_the_scalar_code_at_every_point(src, v, q, wrt, eps):
         assert _rel_close(out[0], val) and _rel_close(out[1], tan)
     else:
         assert _rel_close(out, val)
+
+
+def _general_scalar(node, dof, wrt, eps):
+    """The scalar code with `^` by the unspecialised one power rule
+    (_cpow and _cdpow at every exponent): array mode's source run on the
+    scalar helpers."""
+    return xc._load(node, dof, wrt, eps, xc._COMPILE_GLOBALS, scalar=False)
+
+
+def _exact(fn, *args):
+    """fn(*args) with every float as its IEEE bits (so the sign of a zero
+    counts), or the error's type and message."""
+    try:
+        out = fn(*args)
+    except Exception as e:  # noqa: BLE001 - compared by the tests
+        return type(e), str(e)
+
+    def bits(x):
+        if isinstance(x, tuple):
+            return tuple(map(bits, x))
+        return struct.pack("<d", x)
+    return bits(out)
+
+
+# zeros of both signs, NaN, negative bases, and bases whose powers or
+# partials overflow (the OverflowError of float **)
+_POWER_BASES = [0.0, -0.0, math.nan, -1.3, -2.0, 0.7, 2.0, 1e200, -1e200,
+                1e-200, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, 2.0, 3.0, -1.0, -2.0, 0.5, 1.5,
+                               -0.5, 2.5e9, -2.5e9, 1e10])
+def test_literal_powers_are_the_one_rule_bit_for_bit(p):
+    # v1 ^ p for a literal p: the specialised value and partial equal
+    # _cpow's and _cdpow's bit for bit, at every base, errors included;
+    # a whole p >= 0 calls no helper at all
+    node = xc.BinOp("^", xc.Vel(1), xc.Const(p))
+    for wrt in (None, "v"):
+        fn = xc.compile_expr(node, 1, wrt)
+        ref = _general_scalar(node, 1, wrt, None)
+        for a in _POWER_BASES:
+            assert _exact(fn, (), (a,), {}) == _exact(ref, (), (a,), {}), (
+                p, wrt, a)
+    lines, _, _ = xc._CodeGen(1, "v", None).block(node)
+    assert not any("_cdpow" in x for x in lines)
+    if p >= 0 and p.is_integer() and p < 1e9:
+        assert not any("_cpow" in x for x in lines)
+
+
+_EXACT_POINTS = st.sampled_from(_POWER_BASES[:10])
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(src=_grammar_exprs(),
+       v=st.tuples(_EXACT_POINTS, _EXACT_POINTS),
+       q=st.tuples(_EXACT_POINTS, _EXACT_POINTS),
+       wrt=st.sampled_from([None, "v", "q"]),
+       eps=st.sampled_from([None, 1e-3]))
+def test_specialised_powers_are_the_one_rule_on_the_grammar(src, v, q, wrt,
+                                                            eps):
+    # the scalar code with literal powers specialised gives what the one
+    # power rule gives: the same bits, the same error and message
+    node = xc.parse(src)
+    p = {"c": 0.7, "k": 3.0}
+    assert (_exact(xc.compile_expr(node, 2, wrt, eps), q, v, p)
+            == _exact(_general_scalar(node, 2, wrt, eps), q, v, p))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(src=_grammar_exprs(),
+       v=st.tuples(_EXACT_POINTS, _EXACT_POINTS),
+       q=st.tuples(_EXACT_POINTS, _EXACT_POINTS),
+       wrt=st.sampled_from([None, "v", "q"]))
+def test_hoisted_constants_leave_every_value_as_it_was(src, v, q, wrt):
+    # the blocks with their parameter-only subexpressions hoisted into
+    # constant lines give the compiled values bit for bit; an error stays
+    # an error, though a hoisted one may now come before another
+    node = xc.parse(src)
+    p = {"c": 0.7, "k": 3.0}
+    blocks, (consts, names) = xc.compile_blocks([node], 2, wrt, hoist=True)
+    (lines, val, g), = blocks
+    assert not any("p[" in x for x in lines)
+    assert all(f"{n} = " in "".join(consts) for n in names)
+    hoisted = xc.define("_f(q, v, p)", consts + lines + [
+        f"return {val}" + (f", ({', '.join(g)},)" if wrt else "")])
+    got, ref = (_exact(f, q, v, p)
+                for f in (hoisted, xc.compile_expr(node, 2, wrt)))
+    if isinstance(ref[0], type):
+        assert ref[0] is got[0] is xc.EvalDomainError or ref == got
+    else:
+        assert got == ref
 
 
 def test_compile_cache_drops_entries_with_their_ast():

@@ -249,6 +249,46 @@ def test_d_r_grad_sums_equal_the_value_code(name):
         assert smoothed(q, v, p)[0] != terms[0].evaluate(q, v, p)
 
 
+def _term_loop(spec, dof, q, v, p):
+    """(D, R, dR/dv) of a homogeneous_sum spec as a loop over its terms:
+    each term's gradient code (its value code for sign under smooth_eps),
+    every sum from 0.0, in term order."""
+    D = R = 0.0
+    g = [0.0] * dof
+    for t in spec.terms:
+        d, dv = xc.compile_expr(t.expr, dof, "v", t.smooth_eps)(q, v, p)
+        if t.smooth_eps and "sign" in xc.to_source(t.expr):
+            d = t.evaluate(q, v, p)
+        D += d
+        R += d / t.degree
+        for j, x in enumerate(dv):
+            g[j] += x / t.degree
+    return D, R, g
+
+
+def test_straight_line_d_r_grad_is_the_term_loop_bit_for_bit():
+    # the unrolled D_R_grad against the loop it replaced, signed zeros
+    # included: terms that give -0.0 (odd powers at a negative zero speed,
+    # a negative coefficient), one under smooth_eps with sign, and no terms
+    terms = [rm.DissipationTerm(xc.parse("mu*v1*sign(v1)"), 1.0,
+                                smooth_eps=0.5),
+             rm.DissipationTerm(xc.parse("c*v1^3 + v2^2*v1"), 3.0),
+             rm.DissipationTerm(xc.parse("-c*abs(v2)^1.5"), 1.5,
+                                smooth_eps=1e-3),
+             rm.DissipationTerm(xc.parse("(1 + q1^2)*v2^2"), 2.0)]
+    p = {"mu": 0.4, "c": 0.3}
+    states = list(rm.sample_states(2, 40, seed=5))
+    states += [((0.0, -0.0), v) for v in ((-0.0, -0.0), (0.0, -0.0),
+                                          (-0.0, 1.5), (-2.0, 0.0))]
+    for ts in (terms, terms[1:3], []):
+        spec = rm.DissipationSpec("homogeneous_sum", ts)
+        model = spec.model(2)
+        for q, v in states:
+            # repr tells -0.0 from 0.0, and every double from the next
+            assert (repr(model.D_R_grad(q, v, p))
+                    == repr(_term_loop(spec, 2, q, v, p))), (ts, q, v)
+
+
 def test_r_vanishes_at_rest():
     spec = homsum(("v1^2", 2.0), ("abs(v1)^3", 3.0))
     assert rm.eval_R_closed(spec, ctx([1.7], [0.0])) == 0.0
