@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -232,6 +233,21 @@ def generalized_force(sys: SystemSpec, traj: Trajectory,
 # Reduced-dissipation stationarity
 
 
+@lru_cache(maxsize=16)
+def _probe_directions(dof, probes, seed):
+    """The seeded unit probe directions of stationarity_audit, tuples of
+    Python floats drawn once per (dof, probes, seed): every sample of an
+    audit probes the same ones."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(probes):
+        d = rng.normal(size=dof).tolist()
+        n = math.sqrt(_dot(d, d))
+        out.append(tuple(x / n for x in d) if n
+                   else (1.0,) + (0.0,) * (dof - 1))
+    return tuple(out)
+
+
 def stationarity_audit(sys: SystemSpec, traj: Trajectory, k: int,
                        probes: int = 8, seed: int = 0,
                        frozen_force=None) -> ReducedDissipationReport:
@@ -261,14 +277,10 @@ def stationarity_audit(sys: SystemSpec, traj: Trajectory, k: int,
         return dissipation.R(q, w, sm.params) - _dot(w, F)
 
     base = rtilde(v)
-    rng = np.random.default_rng(seed)
     mags = (1e-1, 1e-2, 1e-3)
     probe_deltas = []
     per_mag = {mag: [] for mag in mags}
-    for _ in range(probes):
-        d = rng.normal(size=m).tolist()
-        n = math.sqrt(_dot(d, d))
-        d = [x / n for x in d] if n else [1.0] + [0.0] * (m - 1)
+    for d in _probe_directions(m, probes, seed):
         for mag in mags:
             delta = [mag * x for x in d]
             change = rtilde([a + b for a, b in zip(v, delta)]) - base

@@ -16,30 +16,37 @@ LDL^T factorisation (see raymodel.SystemModel). A MassMatrixError from it
 gains the stage time t.
 
 Integrators: classical fixed-step RK4 and the Dormand-Prince 5(4) pair
-with standard step-size control, in one loop. Every attempt ends with an
-RHS call at its new state, which the next attempt takes as its 1st stage
-(for the pair, its 7th stage: "first same as last", FSAL; Hairer, Norsett
-& Wanner, Solving ODEs I, sec. II.6), so Trajectory.rhs_calls is
+with standard step-size control. Every attempt ends with an RHS call at
+its new state, which the next attempt takes as its 1st stage (for the
+pair, its 7th stage: "first same as last", FSAL; Hairer, Norsett &
+Wanner, Solving ODEs I, sec. II.6), so Trajectory.rhs_calls is
 1 + stages * attempts (4 stages for RK4, 6 for the pair). RK4 sums its
 stages in textbook order; the pair's stage sums are exactly rounded
 (math.fsum, every tableau coefficient kept, zeros included). Both carry
 the integral E of D alongside q and v, so the energy-balance audit runs
-at full integrator accuracy. An attempt is one generated straight-line
-function per (method, dof) (_attempt), built on first use and shared by
-every system of that dof: y and k1 are unpacked into locals, each stage
-value is a local, and each stage calls the model's D_R_grad and
-mechanics, passed in at each call with the params and the model's
-constants (computed once per integrate call). The list form it replaced
-is the test oracle, tests/stepper_oracle.py, bit for bit.
+at full integrator accuracy.
 
-The stepper state y = [q, v, E], the f values that an attempt takes and
-returns, and the samples are lists of Python floats; a sample is the row
-t, q, v, H, T, V, D, R, W, E (the columns(dof), then E). Sampling calls
-no compiled code: the step's last RHS call gave M, V, D, R and dR/dv
-there, and _row forms T = 0.5 (v.M).v and W = v.dR/dv as left-to-right
-sums (_dot), which, unlike BLAS, do not depend on the host. State and
-Diagnostics exist only at the API edge: the steppers, accel, diagnostics
-and the Trajectory accessors build them.
+The code that runs is generated once per (method, dof) on first use and
+shared by every system of that dof, from one generator of the stage
+lines (_stages): _loop(method, dof) runs every attempt of an integrate call
+(the max_steps and step-size-floor checks, the stages, the controller,
+the FSAL hand-over, the time advance and the sample rows, all in locals),
+and _attempt(method, dof) is one attempt, for step_rk4 and step_rk45.
+Each stage calls the model's D_R_grad and mechanics, passed in at each
+call with the params and the model's constants (computed once per
+integrate call). integrate keeps only its setup, the first RHS call and
+the counters. The list-form attempts, the Python integration loop and the
+generic sample row that these replaced are the test oracle,
+tests/stepper_oracle.py, bit for bit.
+
+The stepper state y = [q, v, E] and the samples are Python floats; a
+sample is the row t, q, v, H, T, V, D, R, W, E (the columns(dof), then
+E). Sampling calls no compiled code: the step's last RHS call gave M, V,
+D, R and dR/dv there, and the generated row (_sample_lines, also behind
+diagnostics) forms T = 0.5 (v.M).v and W = v.dR/dv as left-to-right sums
+in raymodel._dot's order, which, unlike BLAS, do not depend on the host.
+State and Diagnostics exist only at the API edge: the steppers, accel,
+diagnostics and the Trajectory accessors build them.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import exprcore as xc
-from .raymodel import MassMatrixError, SystemSpec, _dot
+from .raymodel import MassMatrixError, SystemSpec, _list
 
 
 class DynamicsError(Exception):
@@ -165,16 +172,8 @@ def accel(sys: SystemSpec, s: State) -> np.ndarray:
 
 def diagnostics(sys: SystemSpec, s: State, e_diss: float = 0.0) -> Diagnostics:
     y = _pack(s, e_diss)
-    return Diagnostics(
-        *_row(s.t, y, _rhs(sys, s.t, y, _constants(sys))[1])[-7:])
-
-
-def _row(t, y, evals):
-    """The sample row at t of y = [q, v, E], given (M, V, D, R, dR/dv)."""
-    M, V, D, R, gR = evals
-    v = y[len(gR):-1]
-    T = 0.5 * _dot([_dot(v, col) for col in zip(*M)], v)
-    return [t, *y[:-1], T + V, T, V, D, R, _dot(v, gR), y[-1]]
+    return Diagnostics(*_sample(sys.dof)(
+        s.t, y, *_rhs(sys, s.t, y, _constants(sys))[1])[-7:])
 
 
 # ---------------------------------------------------------------------------
@@ -256,33 +255,27 @@ _DP_E = [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
          22 / 525, -1 / 40]  # b5 - b4
 
 
-@lru_cache(maxsize=16)
-def _attempt(method, dof):
-    """The generated attempt of `method` for `dof`:
-
-        attempt(t, y, dt, k1, cfg, D_R_grad, mechanics, p, c)
-            -> (ynew, accepted, dt_next, last)
-
-    one step from (t, y) with k1 = f(t, y), where ynew is the exact
-    argument of the last RHS call and last = _rhs(sys, t + dt, ynew, c), as
-    the oracle tests/stepper_oracle.py computes it bit for bit. The model's
-    D_R_grad and mechanics, the params and the model's constants c come in
-    at each call, so the function depends only on (method, dof) and is
-    built once per pair. A Dormand-Prince stage sum or error norm that
+def _stages(method, m):
+    """(lines, new, last, accepted, dt_next): the lines of one attempt of
+    `method` for m coordinates, from the state y0.. and its f k0_0.. at
+    time t with step h, and the sources of the new state's entries, of f
+    there (its last entry D; R, gR, M and V are left bound), of the
+    verdict and of the next step size. The lines read atol and rtol for
+    the pair, and the model's D_R_grad and mechanics, the params p and the
+    model's constants c. A Dormand-Prince stage sum or error norm that
     math.fsum or ** cannot form (inf - inf, or an overflow) is a
-    non-finite state at t + dt, as the new state's own check reports it.
+    non-finite state at t + h, as the new state's own check reports it.
     """
-    m, n = dof, 2 * dof + 1
+    n = 2 * m + 1
     K = [[f"k0_{c}" for c in range(n)]]
-    body = [", ".join(f"y{c}" for c in range(n)) + ", = y",
-            ", ".join(K[0]) + ", = k1"]
+    body = []
 
     def checked(lines):
         if method == "rk4":  # its sums never raise: inf and NaN flow on
             return lines
         return (["try:"] + [f"    {x}" for x in lines]
                 + ["except (ValueError, OverflowError):",
-                   "    _diverged(t + dt)"])
+                   "    _diverged(t + h)"])
 
     def stage(h, t, terms, width=2 * m):
         # the stage input y_c + h * terms(c), then f there at time t, as
@@ -294,8 +287,8 @@ def _attempt(method, dof):
         body.extend(checked([f"{x[c]} = y{c} + {h} * {terms(c)}"
                              for c in range(width)]))
         if width == n:
-            body.extend([f"ynew = [{', '.join(x)}]",
-                         "_check_finite(ynew, t + dt)"])
+            body.extend(["if not (%s):" % " and ".join(
+                f"isfinite({e})" for e in x), "    _diverged(t + h)"])
         k = x[m:2 * m] + [f"k{i}_{c}" for c in range(m, n)]
         body.extend([
             f"q = [{', '.join(x[:m])}]", f"v = [{', '.join(x[m:2 * m])}]",
@@ -305,58 +298,159 @@ def _attempt(method, dof):
             f"    raise MassMatrixError(f'{{e}} (t={{{t}}})') from None",
             f"{', '.join(k[m:2 * m])}, = qdd"])
         K.append(k)
+        return x
 
     def fsum(coeffs, c):
         return "fsum((%s,))" % ", ".join(
             f"{a!r} * {k[c]}" for a, k in zip(coeffs, K))
 
     if method == "rk4":
-        body.append("h = 0.5 * dt")
-        stage("h", "t + 0.5 * dt", lambda c: K[0][c])
-        stage("h", "t + 0.5 * dt", lambda c: K[1][c])
-        stage("dt", "t + dt", lambda c: K[2][c])
-        body.append("h = dt / 6.0")
-        stage("h", "t + dt", lambda c: "(%s + 2.0 * %s + 2.0 * %s + %s)"
-              % tuple(k[c] for k in K), n)
-    else:
-        for i in range(1, 7):
-            stage("dt", f"t + {_DP_C[i]!r} * dt", partial(fsum, _DP_A[i]),
-                  n if i == 6 else 2 * m)
-    last = f"([{', '.join(K[-1])}], (M, V, {K[-1][-1]}, R, gR))"
-    if method == "rk4":
-        body.append(f"return ynew, True, dt, {last}")
-    else:
-        body.append("atol, rtol = cfg.abs_tol, cfg.rel_tol")
-        # the error entries of q and v; each is squared, so the sign of a
-        # zero does not matter
-        body += checked(
-            [f"e{c} = dt * {fsum(_DP_E, c)}" for c in range(2 * m)]
-            + ["err = math.sqrt(fsum((%s,)) / %d)" % (", ".join(
-                f"(e{c} / (atol + rtol * abs(y{c}))) ** 2"
-                for c in range(2 * m)), 2 * m)])
-        body += [
-            # the step-size controller shared by step_rk45 and integrate
-            "factor = 5.0 if err == 0.0 else "
-            "min(5.0, max(0.2, 0.9 * err ** -0.2))",
-            f"return ynew, err <= 1.0, dt * factor, {last}"]
+        body.append("h2 = 0.5 * h")
+        stage("h2", "t + 0.5 * h", lambda c: K[0][c])
+        stage("h2", "t + 0.5 * h", lambda c: K[1][c])
+        stage("h", "t + h", lambda c: K[2][c])
+        body.append("h6 = h / 6.0")
+        new = stage("h6", "t + h", lambda c: "(%s + 2.0 * %s + 2.0 * %s + %s)"
+                    % tuple(k[c] for k in K), n)
+        return body, new, K[-1], "True", "h"
+    for i in range(1, 7):
+        new = stage("h", f"t + {_DP_C[i]!r} * h", partial(fsum, _DP_A[i]),
+                    n if i == 6 else 2 * m)
+    # the error entries of q and v; each is squared, so the sign of a zero
+    # does not matter
+    body += checked(
+        [f"e{c} = h * {fsum(_DP_E, c)}" for c in range(2 * m)]
+        + ["err = math.sqrt(fsum((%s,)) / %d)" % (", ".join(
+            f"(e{c} / (atol + rtol * abs(y{c}))) ** 2"
+            for c in range(2 * m)), 2 * m)])
+    # the step-size controller shared by step_rk45 and integrate
+    body.append("factor = 5.0 if err == 0.0 else "
+                "min(5.0, max(0.2, 0.9 * err ** -0.2))")
+    return body, new, K[-1], "err <= 1.0", "h * factor"
+
+
+def _sample_lines(m, D):
+    """(lines, row): lines that form T = 0.5 (v.M).v and W = v.dR/dv at
+    the state y0.. from M and gR, as left-to-right sums in _dot's order,
+    and the source of the sample row there, with t, V, R and D (named D)
+    bound."""
+    y = [f"y{c}" for c in range(2 * m + 1)]
+    v, g = y[m:2 * m], [f"g{a}" for a in range(m)]
+    M = [[f"M{a}_{b}" for b in range(m)] for a in range(m)]
+    cols = ["(%s)" % " + ".join(f"{v[a]} * {M[a][b]}" for a in range(m))
+            for b in range(m)]
+    lines = [f"{_list(M)} = M", f"{', '.join(g)}, = gR",
+             "T = 0.5 * (%s)" % " + ".join(
+                 f"{u} * {x}" for u, x in zip(cols, v)),
+             "W = " + " + ".join(f"{x} * {gx}" for x, gx in zip(v, g))]
+    return lines, f"[t, {', '.join(y[:-1])}, T + V, T, V, {D}, R, W, {y[-1]}]"
+
+
+_GLOBALS = dict(fsum=math.fsum, isfinite=math.isfinite,
+                MassMatrixError=MassMatrixError, MaxStepsError=MaxStepsError,
+                StiffnessError=StiffnessError, _diverged=_diverged)
+
+
+@lru_cache(maxsize=16)
+def _attempt(method, dof):
+    """The generated attempt of `method` for `dof`:
+
+        attempt(t, y, h, k1, cfg, D_R_grad, mechanics, p, c)
+            -> (ynew, accepted, dt_next, last)
+
+    one step from (t, y) with k1 = f(t, y), where ynew is the exact
+    argument of the last RHS call and last = _rhs(sys, t + h, ynew, c), as
+    the oracle tests/stepper_oracle.py computes it bit for bit. The model's
+    D_R_grad and mechanics, the params and the model's constants c come in
+    at each call, so the function depends only on (method, dof) and is
+    built once per pair.
+    """
+    body, new, last, ok, dt_next = _stages(method, dof)
+    n = 2 * dof + 1
+    head = [", ".join(f"y{c}" for c in range(n)) + ", = y",
+            ", ".join(f"k0_{c}" for c in range(n)) + ", = k1"]
+    if method == "rk45":  # step_rk4 passes no cfg
+        head.append("atol, rtol = cfg.abs_tol, cfg.rel_tol")
     return xc.define(
-        f"_{method}(t, y, dt, k1, cfg, D_R_grad, mechanics, p, c)", body,
-        fsum=math.fsum, MassMatrixError=MassMatrixError,
-        _check_finite=_check_finite, _diverged=_diverged)
+        f"_{method}(t, y, h, k1, cfg, D_R_grad, mechanics, p, c)",
+        head + body + [f"return [{', '.join(new)}], {ok}, {dt_next}, "
+                       f"([{', '.join(last)}], (M, V, {last[-1]}, R, gR))"],
+        **_GLOBALS)
+
+
+@lru_cache(maxsize=16)
+def _sample(dof):
+    """The generated sample row of `dof`: row(t, y, M, V, D, R, gR) is the
+    row at t of y = [q, v, E], given (M, V, D, R, dR/dv) there."""
+    lines, row = _sample_lines(dof, "D")
+    return xc.define("_sample(t, y, M, V, D, R, gR)", [
+        ", ".join(f"y{c}" for c in range(2 * dof + 1)) + ", = y",
+        *lines, f"return {row}"])
+
+
+@lru_cache(maxsize=16)
+def _loop(method, dof):
+    """The generated integration loop of `method` for `dof`:
+
+        loop(t, y, k1, dt, t_end, end, cfg, D_R_grad, mechanics, p, c,
+             rows) -> (attempts, accepted)
+
+    runs every attempt from (t, y) with k1 = f(t, y) and the first step
+    size dt until t reaches end, as _attempt's lines, and appends the
+    sample row of every sample_every-th accepted step, and of the last,
+    to rows. In locals: the state, the next attempt's k1 (the last stage
+    of the accepted one: FSAL), the step size and the counters. RK4 times
+    are t0 + n * cfg.dt, capped at t_end: exact multiples, so no
+    rounding-made sliver step at the end; its step-size floor is 0, which
+    a step min(cfg.dt, t_end - t) > 0 never reaches, so it has no check.
+    """
+    body, new, last, ok, dt_next = _stages(method, dof)
+    n = 2 * dof + 1
+    lines, row = _sample_lines(dof, last[-1])
+    y = ", ".join(f"y{c}" for c in range(n))
+    k = ", ".join(f"k0_{c}" for c in range(n))
+    if method == "rk4":
+        head, floor = ["t0, step = t, cfg.dt"], []
+        advance = "t = min(t0 + accepted * step, t_end)"
+    else:
+        head = ["atol, rtol = cfg.abs_tol, cfg.rel_tol"]
+        floor = [
+            "if dt < 1e-14 * (1.0 + abs(t)):",
+            "    raise StiffnessError(",
+            "        f'step size underflow (dt={dt:.3e}) at t={t}; '",
+            "        'the problem is likely too stiff for an explicit "
+            "pair')"]
+        advance = "t = t + h"
+    accept = ["accepted += 1", f"{y}, = {', '.join(new)}",
+              f"{k}, = {', '.join(last)}", advance,
+              "if accepted % every == 0 or t >= end:",
+              *[f"    {x}" for x in lines], f"    append({row})"]
+    if ok != "True":
+        accept = [f"if {ok}:"] + [f"    {x}" for x in accept]
+    step = [
+        "if attempts >= max_steps:",
+        "    raise MaxStepsError(f'max_steps={max_steps} exceeded at t={t}')",
+        *floor, "h = min(dt, t_end - t)", *body, "attempts += 1",
+        f"dt = {dt_next}", *accept]
+    return xc.define(
+        f"_{method}_loop(t, y, k1, dt, t_end, end, cfg, D_R_grad, "
+        "mechanics, p, c, rows)",
+        [f"{y}, = y", f"{k}, = k1", *head,
+         "max_steps, every = cfg.max_steps, cfg.sample_every",
+         "append = rows.append", "attempts = accepted = 0",
+         "while t < end:", *[f"    {x}" for x in step],
+         "return attempts, accepted"],
+        **_GLOBALS)
 
 
 # ---------------------------------------------------------------------------
 # Driver
 
 
-# Per method: its stages, the first step size, the time after the n-th
-# accepted step h, and the step-size floor relative to 1 + |t|. RK4 times
-# are exact multiples of dt: no rounding-made sliver step at the end.
+# Per method: its stages and its first step size
 _METHODS = {
-    "rk4": (4, lambda cfg, span: cfg.dt,
-            lambda cfg, t0, n, t, h, t_end: min(t0 + n * cfg.dt, t_end), 0.0),
-    "rk45": (6, lambda cfg, span: min(1e-2 * span, 0.1),
-             lambda cfg, t0, n, t, h, t_end: t + h, 1e-14),
+    "rk4": (4, lambda cfg, span: cfg.dt),
+    "rk45": (6, lambda cfg, span: min(1e-2 * span, 0.1)),
 }
 
 
@@ -368,35 +462,16 @@ def integrate(sys: SystemSpec, init: State, t_end: float,
     _check_finite([init.t] + y, init.t)
     if not (np.isfinite(t_end) and t_end > init.t):
         raise ValueError("t_end must be finite and exceed the initial time")
-    stages, first_dt, advance, floor = _METHODS[cfg.method]
-    attempt = _attempt(cfg.method, sys.dof)
-    sm = sys.model
-    D_R_grad, mechanics, p = sm.dissipation.D_R_grad, sm.mechanics, sm.params
-    c = sm.constants(p)
+    stages, first_dt = _METHODS[cfg.method]
+    sm, m = sys.model, sys.dof
+    c = sm.constants(sm.params)
     t0, t_end = float(init.t), float(t_end)
-    t = t0
-    f1 = _rhs(sys, t, y, c)  # k1 of the next attempt, (M, V, D, R, dR/dv)
-    traj = Trajectory(rows=[_row(t, y, f1[1])], dof=sys.dof)
-    dt = first_dt(cfg, t_end - t0)
-    end = t_end - 1e-15 * (1.0 + abs(t_end))
-    attempts = accepted = 0
-    while t < end:
-        if attempts >= cfg.max_steps:
-            raise MaxStepsError(f"max_steps={cfg.max_steps} exceeded at t={t}")
-        if dt < floor * (1.0 + abs(t)):
-            raise StiffnessError(
-                f"step size underflow (dt={dt:.3e}) at t={t}; "
-                "the problem is likely too stiff for an explicit pair")
-        h = min(dt, t_end - t)
-        ynew, ok, dt, last = attempt(t, y, h, f1[0], cfg, D_R_grad,
-                                      mechanics, p, c)
-        attempts += 1
-        if ok:
-            accepted += 1
-            y, f1 = ynew, last
-            t = advance(cfg, t0, accepted, t, h, t_end)
-            if accepted % cfg.sample_every == 0 or t >= end:
-                traj.rows.append(_row(t, y, f1[1]))
+    k1, evals = _rhs(sys, t0, y, c)
+    traj = Trajectory(rows=[_sample(m)(t0, y, *evals)], dof=m)
+    attempts, accepted = _loop(cfg.method, m)(
+        t0, y, k1, first_dt(cfg, t_end - t0), t_end,
+        t_end - 1e-15 * (1.0 + abs(t_end)), cfg, sm.dissipation.D_R_grad,
+        sm.mechanics, sm.params, c, traj.rows)
     traj.steps_taken = accepted
     traj.steps_rejected = attempts - accepted
     traj.rhs_calls = 1 + stages * attempts  # k1, then the stages

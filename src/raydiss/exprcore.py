@@ -387,7 +387,8 @@ def bind_check(node, dof, params):
 # domain error and kink: a numpy flag in array mode only hands the points
 # to it. An overflow raises EvalDomainError naming the whole expression:
 # an OverflowError (math.exp, float **) in scalar mode, and in array mode
-# any overflow that no domain error at an earlier point precedes. Systems
+# any overflow that no domain error at an earlier point precedes; so does
+# the ValueError of math.sin or math.cos at an infinite value. Systems
 # compile their own expressions and keep the result; the expression-level
 # helpers below (evaluate, grad_v, grad_q) cache scalar code per AST object.
 
@@ -451,10 +452,17 @@ def _coverflow(src):
     raise EvalDomainError("floating-point overflow", src=src) from None
 
 
+def _cdomain(src):
+    # the one ValueError the scalar helpers let through: math.sin and
+    # math.cos of an infinite argument
+    raise EvalDomainError("math domain error (sin or cos of an infinite "
+                          "value)", src=src) from None
+
+
 _COMPILE_GLOBALS = {
     "math": math, "_csgn": _csgn, "_cdiv0": _cdiv0, "_cln": _cln,
     "_csqrt": _csqrt, "_cdsqrt": _cdsqrt, "_cpow": _cpow, "_cdpow": _cdpow,
-    "_cdbpow": _cdbpow, "_coverflow": _coverflow,
+    "_cdbpow": _cdbpow, "_coverflow": _coverflow, "_cdomain": _cdomain,
 }
 
 
@@ -554,16 +562,17 @@ class _CodeGen:
 
     def block(self, node):
         """(lines, value, tangents) of node: the lines of gen(node) in a try
-        statement that turns an OverflowError (math.exp or float **) into
-        an EvalDomainError naming node. When hoisting, the lines of its
+        statement that turns an OverflowError (math.exp or float **), and
+        in scalar code a ValueError, into an EvalDomainError naming node
+        (_guard). When hoisting, the lines of its
         parameter-only subexpressions go to self.constants instead, in a
         guard of their own that names node too."""
         self.lines = []
         if self.hoisted is not None:
             self.hoisted = []
         val, g = self.gen(node)
-        self.constants += _guard(self.hoisted or [], node)
-        return _guard(self.lines, node), val, g
+        self.constants += _guard(self.hoisted or [], node, self.scalar)
+        return _guard(self.lines, node, self.scalar), val, g
 
     def zeros(self):
         return ["0.0"] * (self.dof if self.wrt else 0)
@@ -717,14 +726,18 @@ def _literal_pow(a, p, src):
     return val, da
 
 
-def _guard(lines, node):
+def _guard(lines, node, scalar=True):
     """lines in a try statement that turns an OverflowError (math.exp or
-    float **) into an EvalDomainError naming node; no lines, no guard."""
+    float **), and in scalar code a ValueError (math.sin or math.cos of an
+    infinite value), into an EvalDomainError naming node; no lines, no
+    guard. Array mode meets those points as numpy flags instead."""
     if not lines:
         return []
+    src = repr(to_source(node))
     return (["try:"] + [f"    {x}" for x in lines]
-            + ["except OverflowError:",
-               f"    _coverflow({to_source(node)!r})"])
+            + ["except OverflowError:", f"    _coverflow({src})"]
+            + (["except ValueError:", f"    _cdomain({src})"] if scalar
+               else []))
 
 
 def _load(node, dof, wrt, smooth_eps, namespace, scalar=True):

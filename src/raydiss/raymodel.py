@@ -146,6 +146,11 @@ class DissipationSpec:
         return self.mode == "homogeneous_sum" and not self.terms
 
     def uses_abs_or_sign(self):
+        return self._abs_or_sign
+
+    @cached_property
+    def _abs_or_sign(self):
+        # the expressions never change: walked once per spec
         if self.mode == "general":
             return xc.uses_abs_or_sign(self.raw)
         return any(xc.uses_abs_or_sign(t.expr) for t in self.terms)
@@ -585,9 +590,10 @@ def euler_identity_check(spec: DissipationSpec, dof: int, params: dict,
 def positivity_scan(spec: DissipationSpec, dof: int, params: dict,
                     samples: int = 50, seed: int = 0) -> CheckReport:
     """Report the minimum of D over sampled states; pass iff >= -1e-12."""
+    D = spec.model(dof).D
     rep = _sampled_check(
         "positivity", sample_states(dof, samples, seed),
-        lambda q, v: (-eval_D(spec, EvalContext(q, v, params)),), 1e-12)
+        lambda q, v: (-D(q, v, params),), 1e-12)
     # 0.0 - x, not -x: with no negative D the detail reads "min D = 0"
     return replace(rep, detail=f"min D = {0.0 - rep.max_violation:.6g}")
 
@@ -595,9 +601,9 @@ def positivity_scan(spec: DissipationSpec, dof: int, params: dict,
 def rest_value_check(spec: DissipationSpec, dof: int, params: dict,
                      samples: int = 20, seed: int = 0) -> CheckReport:
     """D(q, 0) must vanish, else the R integral diverges."""
+    D = spec.model(dof).D
     zeros = (0.0,) * dof
     states = [(q, zeros) for q, _ in sample_states(dof, samples, seed)]
-    return _sampled_check(
-        "rest_value", states,
-        lambda q, v: (abs(eval_D(spec, EvalContext(q, v, params))),), 1e-12,
-        "D(q, 0) = 0 hypothesis")
+    return _sampled_check("rest_value", states,
+                          lambda q, v: (abs(D(q, v, params)),), 1e-12,
+                          "D(q, 0) = 0 hypothesis")

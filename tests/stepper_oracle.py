@@ -1,6 +1,6 @@
-"""List form of the Runge-Kutta attempts: the test oracle for the
-straight-line attempts that `raydiss.dynamics` generates per method and
-degree of freedom.
+"""List form of the Runge-Kutta attempts and of the integration loop: the
+test oracle for the straight-line attempts and loops that
+`raydiss.dynamics` generates per method and degree of freedom.
 
 Each stage goes through `dynamics._rhs` on lists of Python floats: RK4 sums
 its stages in textbook order, and the Dormand-Prince pair forms every stage
@@ -9,13 +9,21 @@ values in tableau order (a zero coefficient included), as the generated
 attempt does, so the two agree bit for bit. A pair's stage sum or error
 norm that cannot be formed (`math.fsum` of inf and -inf, or an overflow)
 is a non-finite state at t + dt.
+
+`integrate` drives those attempts from a Python loop and forms each sample
+row with `_row`, from `_dot` sums over the last RHS call's values, as
+`raydiss.dynamics.integrate` did before its loop was generated.
 """
 
 import math
 from operator import mul
 
-from raydiss.dynamics import (_DP_A, _DP_C, _DP_E, _check_finite,
-                              _constants, _diverged, _rhs)
+import numpy as np
+
+from raydiss.dynamics import (_DP_A, _DP_C, _DP_E, MaxStepsError,
+                              StiffnessError, Trajectory, _check_finite,
+                              _constants, _diverged, _pack, _rhs)
+from raydiss.raymodel import _dot
 
 
 def _axpy(y, h, k):
@@ -72,3 +80,59 @@ def _rk45_raw(sys, t, y, dt, cfg, k1):
 
 
 METHODS = {"rk4": _rk4_raw, "rk45": _rk45_raw}
+
+
+def _row(t, y, evals):
+    """The sample row at t of y = [q, v, E], given (M, V, D, R, dR/dv)."""
+    M, V, D, R, gR = evals
+    v = y[len(gR):-1]
+    T = 0.5 * _dot([_dot(v, col) for col in zip(*M)], v)
+    return [t, *y[:-1], T + V, T, V, D, R, _dot(v, gR), y[-1]]
+
+
+# Per method: its stages, the first step size, the time after the n-th
+# accepted step h, and the step-size floor relative to 1 + |t|. RK4 times
+# are exact multiples of dt: no rounding-made sliver step at the end.
+_LOOP = {
+    "rk4": (4, lambda cfg, span: cfg.dt,
+            lambda cfg, t0, n, t, h, t_end: min(t0 + n * cfg.dt, t_end), 0.0),
+    "rk45": (6, lambda cfg, span: min(1e-2 * span, 0.1),
+             lambda cfg, t0, n, t, h, t_end: t + h, 1e-14),
+}
+
+
+def integrate(sys, init, t_end, cfg):
+    """dynamics.integrate as a Python loop over the list-form attempts."""
+    y = _pack(init, 0.0)
+    _check_finite([init.t] + y, init.t)
+    if not (np.isfinite(t_end) and t_end > init.t):
+        raise ValueError("t_end must be finite and exceed the initial time")
+    stages, first_dt, advance, floor = _LOOP[cfg.method]
+    attempt = METHODS[cfg.method]
+    t0, t_end = float(init.t), float(t_end)
+    t = t0
+    f1 = _rhs(sys, t, y, _constants(sys))  # k1 of the next attempt, evals
+    traj = Trajectory(rows=[_row(t, y, f1[1])], dof=sys.dof)
+    dt = first_dt(cfg, t_end - t0)
+    end = t_end - 1e-15 * (1.0 + abs(t_end))
+    attempts = accepted = 0
+    while t < end:
+        if attempts >= cfg.max_steps:
+            raise MaxStepsError(f"max_steps={cfg.max_steps} exceeded at t={t}")
+        if dt < floor * (1.0 + abs(t)):
+            raise StiffnessError(
+                f"step size underflow (dt={dt:.3e}) at t={t}; "
+                "the problem is likely too stiff for an explicit pair")
+        h = min(dt, t_end - t)
+        ynew, ok, dt, last = attempt(sys, t, y, h, cfg, f1[0])
+        attempts += 1
+        if ok:
+            accepted += 1
+            y, f1 = ynew, last
+            t = advance(cfg, t0, accepted, t, h, t_end)
+            if accepted % cfg.sample_every == 0 or t >= end:
+                traj.rows.append(_row(t, y, f1[1]))
+    traj.steps_taken = accepted
+    traj.steps_rejected = attempts - accepted
+    traj.rhs_calls = 1 + stages * attempts  # k1, then the stages
+    return traj

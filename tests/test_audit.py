@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -168,6 +169,21 @@ def test_stationarity_boundary_index_error():
     b, traj = rk4_run("damped_sho", dt=1e-2, t_end=0.1)
     with pytest.raises(IndexError):
         au.stationarity_audit(b.system, traj, 0)
+
+
+def test_stationarity_probes_are_drawn_once_per_dof_probes_and_seed():
+    # every sample of an audit probes the same seeded unit directions: the
+    # five samples of a full audit draw them once, and they are the
+    # normalised normal draws of default_rng(seed), one per probe
+    b, traj = run_builtin("pendulum_drag_2dof", t_end=1.0)
+    au._probe_directions.cache_clear()
+    assert au.full_audit(b.system, traj).stationarity.passed
+    info = au._probe_directions.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
+    rng = np.random.default_rng(0)
+    for d in au._probe_directions(2, 8, 0):
+        x = rng.normal(size=2)
+        assert d == tuple((x / math.sqrt(x[0] * x[0] + x[1] * x[1])).tolist())
 
 
 # ---------------------------------------------------------------------------

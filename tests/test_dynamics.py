@@ -854,6 +854,20 @@ def test_mid_run_blow_up_is_named_without_warnings(potential, cfg, error,
             dy.integrate(system, dy.State(0.0, [1.0], [10.0]), 10.0, cfg)
 
 
+@pytest.mark.parametrize("method, error, match", [
+    ("rk4", xc.EvalDomainError, "infinite value) in subexpression '-cos(q1)'"),
+    ("rk45", dy.DivergenceError, "non-finite state at t=0.1"),
+])
+def test_infinite_stage_position_is_a_named_error(method, error, match):
+    # a pendulum thrown at v = 1e300 with a huge step: an RK4 stage
+    # position overflows to inf before the new state's finite check, and
+    # dV/dq = sin(q1) there is the scalar code's domain error, not a raw
+    # ValueError; the pair's stage sums meet inf - inf first
+    cfg = dy.IntegratorConfig(method=method, dt=1e10)
+    with pytest.raises(error, match=re.escape(match)):
+        dy.integrate(pendulum(), dy.State(0.0, [0.0], [1e300]), 1e11, cfg)
+
+
 # ---------------------------------------------------------------------------
 # Generated attempts against the list-form oracle (tests/stepper_oracle.py)
 
@@ -963,6 +977,79 @@ def test_generated_attempt_errors_are_the_oracles(method):
     assert "ln of non-positive value" in new[1]
 
 
+def _runs(sys, init, t_end, cfg):
+    """(generated, oracle) outcomes of one integrate run: the repr of every
+    row and the counters, or the error's type and message."""
+    out = []
+    for integrate in (dy.integrate, stepper_oracle.integrate):
+        try:
+            traj = integrate(sys, init, t_end, cfg)
+        except Exception as e:  # noqa: BLE001 - compared by the tests
+            out.append((type(e), str(e)))
+            continue
+        out.append(([list(map(repr, r)) for r in traj.rows],
+                    traj.steps_taken, traj.steps_rejected, traj.rhs_calls))
+    return out
+
+
+@pytest.mark.parametrize("sample_every", [1, 3])
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+@pytest.mark.parametrize("name", [*BUILTIN_NAMES, "general"])
+def test_generated_loop_is_the_oracle_bit_for_bit(name, method,
+                                                  sample_every):
+    # every row (repr, so signed zeros and the last digit count) and the
+    # counters of the generated loop against the Python integration loop over
+    # the list-form attempts, which forms its rows with _dot sums
+    b = get_builtin("pendulum_drag_2dof" if name == "general" else name)
+    sys = _general_pendulum(b) if name == "general" else b.system
+    cfg = dataclasses.replace(b.integrator, method=method, dt=1e-2,
+                              sample_every=sample_every)
+    new, old = _runs(sys, b.initial, min(b.t_end, 2.0), cfg)
+    assert new == old
+    rows, taken, rejected, _ = new
+    assert len(rows) == 1 + math.ceil(taken / sample_every) and taken > 3
+    assert method == "rk45" or rejected == 0
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_generated_loop_errors_are_the_oracles(method):
+    cfg = dy.IntegratorConfig(method=method, dt=1e-2)
+    state = dy.State(0.25, [0.5], [1.0])
+    expected = {
+        # the attempt budget, spent mid-run
+        "max_steps": (dy.MaxStepsError,
+                      f"max_steps=7 exceeded at t="
+                      f"{0.25 + 7 * 1e-2 if method == 'rk4' else ''}"),
+        # a mass that stops being positive at q1 = 1: the error names the
+        # stage's time
+        "mass": (rm.MassMatrixError, "mass matrix not positive definite"),
+        # a speed whose stage sums overflow
+        "divergence": (dy.DivergenceError, "non-finite state at t="),
+    }
+    systems = {"max_steps": (pendulum(), state, 10.0,
+                             dataclasses.replace(cfg, max_steps=7)),
+               "mass": (_mass_system([["1 - q1"]]),
+                        dy.State(0.25, [0.5], [10.0]), 10.0, cfg),
+               "divergence": (free_particle(),
+                              dy.State(0.25, [0.0], [1e308]), 10.0, cfg)}
+    if method == "rk45":
+        # a quartic hill that throws the state off faster and faster: the
+        # step size falls below its floor
+        systems["stiff"] = (rm.SystemSpec(
+            dof=1, mass_matrix=[[xc.parse("1")]],
+            potential=xc.parse("-q1^4"),
+            dissipation=rm.null_dissipation()), dy.State(0.0, [1.0], [10.0]),
+            10.0, cfg)
+        expected["stiff"] = (dy.StiffnessError, "step size underflow")
+    for case, args in systems.items():
+        new, old = _runs(*args)
+        assert new == old, case
+        assert new[0] is expected[case][0], case
+        assert new[1].startswith(expected[case][1]), (case, new[1])
+        if case == "mass":
+            assert re.search(r"\(t=[0-9.e-]+\)$", new[1])
+
+
 @pytest.mark.parametrize("method", ["rk4", "rk45"])
 def test_overflowing_speed_is_a_divergence_error(method):
     # a free particle from v = 1e308: rk4's sums overflow to inf and the
@@ -977,26 +1064,33 @@ def test_overflowing_speed_is_a_divergence_error(method):
 
 
 def test_attempt_is_generated_once_per_method_and_dof(monkeypatch):
-    # every system of one (method, dof) shares one generated attempt: the
-    # first integrate generates it, a second config of the same dof and
-    # method generates no code at all, and the shared attempt keeps no
-    # system or model alive
+    # every system of one (method, dof) shares one generated loop and one
+    # generated attempt, and every system of one dof one sample row: the
+    # first integrate generates its loop (and the row, for the first
+    # sample), the first step its attempt, a second config of the same dof
+    # and method generates no code at all, and the shared functions keep
+    # no system or model alive
     defined = []
 
     def define(signature, *args, define=xc.define, **names):
         defined.append(signature.split("(")[0])
         return define(signature, *args, **names)
     monkeypatch.setattr(xc, "define", define)
-    dy._attempt.cache_clear()
-    for method in ("rk4", "rk45"):
-        for expected in ([f"_{method}"], []):
+    for cache in (dy._attempt, dy._loop, dy._sample):
+        cache.cache_clear()
+    for method, row in (("rk4", ["_sample"]), ("rk45", [])):
+        for first in (True, False):
             cfg = cf.config_from_dict({
                 "system": "pendulum_drag_2dof", "t_end": 0.5,
                 "integrator": {"method": method}})
             cfg.system.model
             defined.clear()
             dy.integrate(cfg.system, cfg.initial, cfg.t_end, cfg.integrator)
-            assert defined == expected, method
+            assert defined == (row + [f"_{method}_loop"] if first else []), \
+                method
+            defined.clear()
+            dy._step(method, cfg.system, cfg.initial, 1e-3, cfg.integrator)
+            assert defined == ([f"_{method}"] if first else []), method
     refs = [weakref.ref(cfg.system), weakref.ref(cfg.system.model)]
     del cfg
     gc.collect()

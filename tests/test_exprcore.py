@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import struct
 
 import numpy as np
@@ -568,6 +569,32 @@ def test_array_mode_is_the_scalar_code_at_every_point(src, v, q, wrt, eps):
         assert _rel_close(out[0], val) and _rel_close(out[1], tan)
     else:
         assert _rel_close(out, val)
+
+
+@pytest.mark.parametrize("src, q, v, p", [
+    ("sin(v1*v1)", (), (1e200,), {}),
+    ("cos(q1)*v1", (math.inf,), (1.0,), {}),
+    ("sin(c)*v1", (), (1.0,), {"c": math.inf}),
+], ids=["sin-of-overflowed-product", "cos-of-infinite-q", "hoisted-sin"])
+def test_sin_and_cos_of_an_infinite_value_are_domain_errors(src, q, v, p):
+    # math.sin and math.cos raise ValueError at an infinite argument: the
+    # scalar code names the expression, from its value and tangent code
+    # and from a hoisted parameter-only block alike, and array mode hands
+    # the point to it
+    node = xc.parse(src)
+    match = (r"^math domain error \(sin or cos of an infinite value\) in "
+             rf"subexpression '{re.escape(xc.to_source(node))}'$")
+    fns = [xc.compile_expr(node, len(v), wrt) for wrt in (None, "v")]
+    (consts, names) = xc.compile_blocks([node], len(v), "v", hoist=True)[1]
+    if consts:
+        fns.append(lambda q, v, p: xc.define("_c(p)", consts + [
+            f"return ({', '.join(names)},)"])(p))
+    fns.append(lambda q, v, p: xc.compile_array(node, len(v))(
+        q, np.array(v)[:, None], p))
+    for fn in fns:
+        with pytest.raises(xc.EvalDomainError, match=match):
+            fn(q, v, p)
+    assert len(fns) == (4 if src == "sin(c)*v1" else 3)
 
 
 def _general_scalar(node, dof, wrt, eps):
