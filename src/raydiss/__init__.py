@@ -8,7 +8,7 @@ from .raymodel import (DissipationSpec, DissipationTerm, QuadratureConfig,
                        eval_R_quadrature, grad_R_v, homogeneity_check,
                        euler_identity_check, positivity_scan)
 from .dynamics import (Diagnostics, IntegratorConfig, State, Trajectory,
-                       accel, integrate, step_rk4, step_rk45)
+                       accel, integrate)
 from .audit import (AuditReport, AuditTolerances, energy_balance_audit,
                     full_audit, generalized_force, stationarity_audit)
 from .builtins import BUILTIN_NAMES, get_builtin

@@ -17,7 +17,9 @@ Three independent families of checks:
 The last two read the trajectory's rows and the system's statics (M,
 dM/dq, V, dV/dq), and form each small dot product as a left-to-right sum
 of Python float products (raymodel._dot), which, unlike BLAS, does not
-depend on the host.
+depend on the host. The probe-growth slope is the closed-form
+least-squares slope in Python floats, not a LAPACK fit, for the same
+reason.
 """
 
 from __future__ import annotations
@@ -303,16 +305,22 @@ def stationarity_audit(sys: SystemSpec, traj: Trajectory, k: int,
                 skipped = ("dissipation is non-smooth (abs/sign) and a "
                            "velocity component sits near the kink")
         if skipped is None:
-            means = np.array([np.mean(per_mag[mag]) for mag in mags])
+            means = [math.fsum(per_mag[mag]) / len(per_mag[mag])
+                     for mag in mags]
             floor = 1e-14 * (1.0 + abs(base))
-            if np.all(means <= floor):
+            if all(x <= floor for x in means):
                 skipped = ("probe changes below floating-point floor; "
                            "reduced potential is locally flat beyond the "
                            "linear term")
             else:
-                logm = np.log(np.maximum(means, 1e-300))
-                logd = np.log(np.array(mags))
-                slope = float(np.polyfit(logd, logm, 1)[0])
+                # the least-squares slope Sxy/Sxx of log mean over log
+                # magnitude, in Python floats: no LAPACK fit, whose kernel
+                # the host's BLAS picks
+                x = [math.log(mag) for mag in mags]
+                y = [math.log(max(mean, 1e-300)) for mean in means]
+                xm, ym = math.fsum(x) / len(x), math.fsum(y) / len(y)
+                slope = (math.fsum((a - xm) * (b - ym) for a, b in zip(x, y))
+                         / math.fsum((a - xm) ** 2 for a in x))
     return ReducedDissipationReport(
         sample_index=k, state_t=traj.rows[k][0], frozen_force=frozen_force,
         gradient_residual=np.array(residual), probe_deltas=probe_deltas,

@@ -41,8 +41,12 @@ def write_trajectory(traj, dof, path, fmt):
             for row in traj.rows:
                 f.write(",".join(map(repr, row[:-1])) + "\n")
         else:
+            # a non-finite entry (say an H that overflows at a finite
+            # state) is null, as in the audit file: JSON has no NaN or
+            # Infinity
             for row in traj.rows:
-                f.write(json.dumps(dict(zip(cols, map(float, row)))) + "\n")
+                f.write(json.dumps(au._json_data(dict(zip(cols, row))),
+                                   allow_nan=False) + "\n")
 
 
 def write_plot_data(traj, dof, stem):

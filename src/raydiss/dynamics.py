@@ -27,17 +27,18 @@ the integral E of D alongside q and v, so the energy-balance audit runs
 at full integrator accuracy.
 
 The code that runs is generated once per (method, dof) on first use and
-shared by every system of that dof, from one generator of the stage
-lines (_stages): _loop(method, dof) runs every attempt of an integrate call
-(the max_steps and step-size-floor checks, the stages, the controller,
-the FSAL hand-over, the time advance and the sample rows, all in locals),
-and _attempt(method, dof) is one attempt, for step_rk4 and step_rk45.
-Each stage calls the model's D_R_grad and mechanics, passed in at each
-call with the params and the model's constants (computed once per
-integrate call). integrate keeps only its setup, the first RHS call and
-the counters. The list-form attempts, the Python integration loop and the
-generic sample row that these replaced are the test oracle,
-tests/stepper_oracle.py, bit for bit.
+shared by every system of that dof: _loop(method, dof) runs every attempt
+of an integrate call, from the stage lines of _stages. It sets the first
+step size, checks max_steps and the step-size floor, and keeps the
+stages, the controller, the FSAL hand-over, the time advance, the sample
+rows and the counters in locals. Each stage calls the model's D_R_grad
+and mechanics, passed in at each call with the params and the model's
+constants (computed once per integrate call). integrate keeps only its
+setup and the first RHS call, and knows nothing that differs per method.
+One RK4 step of size dt is integrate(sys, s, s.t + dt,
+IntegratorConfig("rk4", dt=dt)). The list-form attempts, the Python
+integration loop and the generic sample row that these replaced are the
+test oracle, tests/stepper_oracle.py, bit for bit.
 
 The stepper state y = [q, v, E] and the samples are Python floats; a
 sample is the row t, q, v, H, T, V, D, R, W, E (the columns(dof), then
@@ -45,8 +46,8 @@ E). Sampling calls no compiled code: the step's last RHS call gave M, V,
 D, R and dR/dv there, and the generated row (_sample_lines, also behind
 diagnostics) forms T = 0.5 (v.M).v and W = v.dR/dv as left-to-right sums
 in raymodel._dot's order, which, unlike BLAS, do not depend on the host.
-State and Diagnostics exist only at the API edge: the steppers, accel,
-diagnostics and the Trajectory accessors build them.
+State and Diagnostics exist only at the API edge: accel, diagnostics and
+the Trajectory accessors build them.
 """
 
 from __future__ import annotations
@@ -177,7 +178,7 @@ def diagnostics(sys: SystemSpec, s: State, e_diss: float = 0.0) -> Diagnostics:
 
 
 # ---------------------------------------------------------------------------
-# Steppers. Internal RK state is y = [q, v, E] with E' = D(q, v).
+# Stepping. Internal RK state is y = [q, v, E] with E' = D(q, v).
 
 
 def _constants(sys):
@@ -212,33 +213,6 @@ def _diverged(t):
     raise DivergenceError(f"non-finite state at t={t}") from None
 
 
-def _step(method, sys, s, dt, cfg):
-    """One attempt from s with a fresh k1: (state, dt_next, accepted)."""
-    y, m, sm = _pack(s, 0.0), sys.dof, sys.model
-    _check_finite([s.t] + y, s.t)
-    c = _constants(sys)
-    ynew, ok, dt_next, _ = _attempt(method, m)(
-        s.t, y, dt, _rhs(sys, s.t, y, c)[0], cfg, sm.dissipation.D_R_grad,
-        sm.mechanics, sm.params, c)
-    return (State(s.t + dt, ynew[:m], ynew[m:2 * m]) if ok else s,
-            dt_next, ok)
-
-
-def step_rk4(sys: SystemSpec, s: State, dt: float) -> State:
-    """One classical RK4 step; local error O(dt^5)."""
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    return _step("rk4", sys, s, dt, None)[0]
-
-
-def step_rk45(sys: SystemSpec, s: State, dt_try: float,
-              cfg: IntegratorConfig):
-    """One embedded 5(4) step. Returns (state, dt_next, accepted)."""
-    if not dt_try > 0:
-        raise ValueError("dt_try must be positive")
-    return _step("rk45", sys, s, dt_try, cfg)
-
-
 # Dormand-Prince 5(4) tableau. Row 6 of _DP_A is the 5th-order weights
 # b5, so stage 7 is evaluated at the new state (FSAL).
 _DP_C = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]
@@ -256,15 +230,16 @@ _DP_E = [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
 
 
 def _stages(method, m):
-    """(lines, new, last, accepted, dt_next): the lines of one attempt of
-    `method` for m coordinates, from the state y0.. and its f k0_0.. at
-    time t with step h, and the sources of the new state's entries, of f
-    there (its last entry D; R, gR, M and V are left bound), of the
-    verdict and of the next step size. The lines read atol and rtol for
-    the pair, and the model's D_R_grad and mechanics, the params p and the
-    model's constants c. A Dormand-Prince stage sum or error norm that
-    math.fsum or ** cannot form (inf - inf, or an overflow) is a
-    non-finite state at t + h, as the new state's own check reports it.
+    """(lines, stages, new, last, accepted, dt_next): the lines of one
+    attempt of `method` for m coordinates, from the state y0.. and its f
+    k0_0.. at time t with step h, the number of RHS calls they make, and
+    the sources of the new state's entries, of f there (its last entry D;
+    R, gR, M and V are left bound), of the verdict and of the next step
+    size. The lines read atol and rtol for the pair, and the model's
+    D_R_grad and mechanics, the params p and the model's constants c. A
+    Dormand-Prince stage sum or error norm that math.fsum or ** cannot
+    form (inf - inf, or an overflow) is a non-finite state at t + h, as
+    the new state's own check reports it.
     """
     n = 2 * m + 1
     K = [[f"k0_{c}" for c in range(n)]]
@@ -312,7 +287,7 @@ def _stages(method, m):
         body.append("h6 = h / 6.0")
         new = stage("h6", "t + h", lambda c: "(%s + 2.0 * %s + 2.0 * %s + %s)"
                     % tuple(k[c] for k in K), n)
-        return body, new, K[-1], "True", "h"
+        return body, len(K) - 1, new, K[-1], "True", "h"
     for i in range(1, 7):
         new = stage("h", f"t + {_DP_C[i]!r} * h", partial(fsum, _DP_A[i]),
                     n if i == 6 else 2 * m)
@@ -323,10 +298,9 @@ def _stages(method, m):
         + ["err = math.sqrt(fsum((%s,)) / %d)" % (", ".join(
             f"(e{c} / (atol + rtol * abs(y{c}))) ** 2"
             for c in range(2 * m)), 2 * m)])
-    # the step-size controller shared by step_rk45 and integrate
     body.append("factor = 5.0 if err == 0.0 else "
                 "min(5.0, max(0.2, 0.9 * err ** -0.2))")
-    return body, new, K[-1], "err <= 1.0", "h * factor"
+    return body, len(K) - 1, new, K[-1], "err <= 1.0", "h * factor"
 
 
 def _sample_lines(m, D):
@@ -346,38 +320,6 @@ def _sample_lines(m, D):
     return lines, f"[t, {', '.join(y[:-1])}, T + V, T, V, {D}, R, W, {y[-1]}]"
 
 
-_GLOBALS = dict(fsum=math.fsum, isfinite=math.isfinite,
-                MassMatrixError=MassMatrixError, MaxStepsError=MaxStepsError,
-                StiffnessError=StiffnessError, _diverged=_diverged)
-
-
-@lru_cache(maxsize=16)
-def _attempt(method, dof):
-    """The generated attempt of `method` for `dof`:
-
-        attempt(t, y, h, k1, cfg, D_R_grad, mechanics, p, c)
-            -> (ynew, accepted, dt_next, last)
-
-    one step from (t, y) with k1 = f(t, y), where ynew is the exact
-    argument of the last RHS call and last = _rhs(sys, t + h, ynew, c), as
-    the oracle tests/stepper_oracle.py computes it bit for bit. The model's
-    D_R_grad and mechanics, the params and the model's constants c come in
-    at each call, so the function depends only on (method, dof) and is
-    built once per pair.
-    """
-    body, new, last, ok, dt_next = _stages(method, dof)
-    n = 2 * dof + 1
-    head = [", ".join(f"y{c}" for c in range(n)) + ", = y",
-            ", ".join(f"k0_{c}" for c in range(n)) + ", = k1"]
-    if method == "rk45":  # step_rk4 passes no cfg
-        head.append("atol, rtol = cfg.abs_tol, cfg.rel_tol")
-    return xc.define(
-        f"_{method}(t, y, h, k1, cfg, D_R_grad, mechanics, p, c)",
-        head + body + [f"return [{', '.join(new)}], {ok}, {dt_next}, "
-                       f"([{', '.join(last)}], (M, V, {last[-1]}, R, gR))"],
-        **_GLOBALS)
-
-
 @lru_cache(maxsize=16)
 def _sample(dof):
     """The generated sample row of `dof`: row(t, y, M, V, D, R, gR) is the
@@ -392,28 +334,34 @@ def _sample(dof):
 def _loop(method, dof):
     """The generated integration loop of `method` for `dof`:
 
-        loop(t, y, k1, dt, t_end, end, cfg, D_R_grad, mechanics, p, c,
-             rows) -> (attempts, accepted)
+        loop(t, y, k1, t_end, cfg, D_R_grad, mechanics, p, c, rows)
+            -> (steps_taken, steps_rejected, rhs_calls)
 
-    runs every attempt from (t, y) with k1 = f(t, y) and the first step
-    size dt until t reaches end, as _attempt's lines, and appends the
-    sample row of every sample_every-th accepted step, and of the last,
-    to rows. In locals: the state, the next attempt's k1 (the last stage
-    of the accepted one: FSAL), the step size and the counters. RK4 times
-    are t0 + n * cfg.dt, capped at t_end: exact multiples, so no
-    rounding-made sliver step at the end; its step-size floor is 0, which
-    a step min(cfg.dt, t_end - t) > 0 never reaches, so it has no check.
+    runs every attempt from (t, y) with k1 = f(t, y) until t is within
+    1e-15 (1 + |t_end|) of t_end, and appends the sample row of every
+    sample_every-th accepted step, and of the last, to rows. The attempts
+    are _stages' lines, each with step h = min(dt, t_end - t); the first
+    dt is cfg.dt for RK4 and min(1e-2 (t_end - t), 0.1) for the pair. In
+    locals: the state, the next attempt's k1 (the last stage of the
+    accepted one: FSAL), the step size and the counters. RK4 times are
+    t0 + n * cfg.dt, capped at t_end: exact multiples, so no rounding-made
+    sliver step at the end; its step-size floor is 0, which a step
+    min(cfg.dt, t_end - t) > 0 never reaches, so it has no check. The
+    model's D_R_grad and mechanics, the params and the model's constants
+    c come in at each call, so the function depends only on (method, dof)
+    and is built once per pair.
     """
-    body, new, last, ok, dt_next = _stages(method, dof)
+    body, stages, new, last, ok, dt_next = _stages(method, dof)
     n = 2 * dof + 1
     lines, row = _sample_lines(dof, last[-1])
     y = ", ".join(f"y{c}" for c in range(n))
     k = ", ".join(f"k0_{c}" for c in range(n))
     if method == "rk4":
-        head, floor = ["t0, step = t, cfg.dt"], []
+        head, floor = ["t0 = t", "dt = step = cfg.dt"], []
         advance = "t = min(t0 + accepted * step, t_end)"
     else:
-        head = ["atol, rtol = cfg.abs_tol, cfg.rel_tol"]
+        head = ["dt = min(1e-2 * (t_end - t), 0.1)",
+                "atol, rtol = cfg.abs_tol, cfg.rel_tol"]
         floor = [
             "if dt < 1e-14 * (1.0 + abs(t)):",
             "    raise StiffnessError(",
@@ -433,25 +381,21 @@ def _loop(method, dof):
         *floor, "h = min(dt, t_end - t)", *body, "attempts += 1",
         f"dt = {dt_next}", *accept]
     return xc.define(
-        f"_{method}_loop(t, y, k1, dt, t_end, end, cfg, D_R_grad, "
-        "mechanics, p, c, rows)",
+        f"_{method}_loop(t, y, k1, t_end, cfg, D_R_grad, mechanics, p, c, "
+        "rows)",
         [f"{y}, = y", f"{k}, = k1", *head,
+         "end = t_end - 1e-15 * (1.0 + abs(t_end))",
          "max_steps, every = cfg.max_steps, cfg.sample_every",
          "append = rows.append", "attempts = accepted = 0",
          "while t < end:", *[f"    {x}" for x in step],
-         "return attempts, accepted"],
-        **_GLOBALS)
+         f"return accepted, attempts - accepted, 1 + {stages} * attempts"],
+        fsum=math.fsum, isfinite=math.isfinite,
+        MassMatrixError=MassMatrixError, MaxStepsError=MaxStepsError,
+        StiffnessError=StiffnessError, _diverged=_diverged)
 
 
 # ---------------------------------------------------------------------------
 # Driver
-
-
-# Per method: its stages and its first step size
-_METHODS = {
-    "rk4": (4, lambda cfg, span: cfg.dt),
-    "rk45": (6, lambda cfg, span: min(1e-2 * span, 0.1)),
-}
 
 
 def integrate(sys: SystemSpec, init: State, t_end: float,
@@ -462,17 +406,12 @@ def integrate(sys: SystemSpec, init: State, t_end: float,
     _check_finite([init.t] + y, init.t)
     if not (np.isfinite(t_end) and t_end > init.t):
         raise ValueError("t_end must be finite and exceed the initial time")
-    stages, first_dt = _METHODS[cfg.method]
     sm, m = sys.model, sys.dof
     c = sm.constants(sm.params)
-    t0, t_end = float(init.t), float(t_end)
+    t0 = float(init.t)
     k1, evals = _rhs(sys, t0, y, c)
     traj = Trajectory(rows=[_sample(m)(t0, y, *evals)], dof=m)
-    attempts, accepted = _loop(cfg.method, m)(
-        t0, y, k1, first_dt(cfg, t_end - t0), t_end,
-        t_end - 1e-15 * (1.0 + abs(t_end)), cfg, sm.dissipation.D_R_grad,
-        sm.mechanics, sm.params, c, traj.rows)
-    traj.steps_taken = accepted
-    traj.steps_rejected = attempts - accepted
-    traj.rhs_calls = 1 + stages * attempts  # k1, then the stages
+    traj.steps_taken, traj.steps_rejected, traj.rhs_calls = _loop(
+        cfg.method, m)(t0, y, k1, float(t_end), cfg, sm.dissipation.D_R_grad,
+                       sm.mechanics, sm.params, c, traj.rows)
     return traj

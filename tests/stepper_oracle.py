@@ -1,12 +1,12 @@
 """List form of the Runge-Kutta attempts and of the integration loop: the
-test oracle for the straight-line attempts and loops that
+test oracle for the straight-line integration loops that
 `raydiss.dynamics` generates per method and degree of freedom.
 
 Each stage goes through `dynamics._rhs` on lists of Python floats: RK4 sums
 its stages in textbook order, and the Dormand-Prince pair forms every stage
 sum, the new state and the error vector with `math.fsum` over the stage
 values in tableau order (a zero coefficient included), as the generated
-attempt does, so the two agree bit for bit. A pair's stage sum or error
+loop does, so the two agree bit for bit. A pair's stage sum or error
 norm that cannot be formed (`math.fsum` of inf and -inf, or an overflow)
 is a non-finite state at t + dt.
 

@@ -157,6 +157,18 @@ def test_stationarity_with_exact_force_quadratic_expansion():
     assert rep.slope == pytest.approx(2.0, abs=1e-6)
 
 
+def test_stationarity_slope_is_a_closed_form_fit(monkeypatch):
+    # the probe-growth slope is Sxy/Sxx in Python floats: no numpy or
+    # LAPACK least-squares fit, whose kernel the host's BLAS picks
+    def fit(*args, **kwargs):
+        raise AssertionError("least-squares fit through numpy")
+    monkeypatch.setattr(np, "polyfit", fit)
+    monkeypatch.setattr(np.linalg, "lstsq", fit)
+    b, traj = run_builtin("pendulum_drag_2dof", t_end=1.0)
+    rep = au.stationarity_audit(b.system, traj, len(traj) // 2)
+    assert type(rep.slope) is float and 1.8 <= rep.slope <= 2.2
+
+
 def test_stationarity_zero_probes_reports_residual_only():
     b, traj = rk4_run("damped_sho", dt=1e-3, t_end=1.0)
     rep = au.stationarity_audit(b.system, traj, len(traj) // 2, probes=0)

@@ -474,6 +474,35 @@ def test_simulate_jsonl_and_plot_data(workdir):
     assert (workdir / "cfg_plot" / "H.dat").exists()
 
 
+OVERFLOWING_H = {
+    # a free particle whose finite speed squares past the largest double
+    "dof": 1, "params": {"m": 1.0}, "mass_matrix": [["m"]], "potential": "0",
+    "dissipation": {"mode": "homogeneous_sum", "terms": []},
+    "initial": {"q": [0.0], "v": [1e155]}, "t_end": 1e-150,
+    "integrator": {"method": "rk4", "dt": 1e-151},
+    "output": {"format": "jsonl"},
+}
+
+
+def _reject(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_jsonl_writes_a_non_finite_diagnostic_as_null(workdir):
+    # H and T overflow at a finite state; a parser that rejects NaN and
+    # Infinity reads every line, with null where the audit file has it
+    rc = main(["simulate", "--config",
+               write_json(workdir / "o.json", OVERFLOWING_H),
+               "--format", "jsonl", "--out", "o.jsonl"])
+    assert rc == 2
+    rows = [json.loads(x, parse_constant=_reject)
+            for x in (workdir / "o.jsonl").read_text().splitlines()]
+    assert rows[0] == {"t": 0.0, "q1": 0.0, "v1": 1e155, "H": None,
+                       "T": None, "V": 0.0, "D": 0.0, "R": 0.0, "W": 0.0}
+    json.loads((workdir / "o.audit.json").read_text(),
+               parse_constant=_reject)
+
+
 def test_csv_round_trips_to_identical_doubles(workdir):
     cfg = cf.load_config(write_json(workdir / "c.json", DSHO_INLINE))
     traj, _ = cli.run_simulation(cfg)

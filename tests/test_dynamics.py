@@ -428,24 +428,30 @@ def test_concurrent_first_use_builds_complete_models():
 
 
 def test_rk4_free_particle_exact():
-    s = dy.step_rk4(free_particle(), dy.State(0.0, [0.0], [1.0]), 0.5)
-    assert s.q[0] == 0.5
-    assert s.v[0] == 1.0
+    # one RK4 step, integrate(sys, s, s.t + dt, rk4 at dt), of a free
+    # particle lands exactly: one attempt of four RHS calls after k1
+    cfg = dy.IntegratorConfig(method="rk4", dt=0.5)
+    traj = dy.integrate(free_particle(), dy.State(0.0, [0.0], [1.0]), 0.5,
+                        cfg)
+    assert (traj.steps_taken, traj.steps_rejected, traj.rhs_calls) == (1, 0,
+                                                                       5)
+    assert traj.rows[-1][:3] == [0.5, 0.5, 1.0]
 
 
 def test_rk4_sho_period_closure():
-    sys = make_sho()
     T = 2.0 * math.pi
-    s = dy.State(0.0, [1.0], [0.0])
-    dt = T / 1000.0
-    for _ in range(1000):
-        s = dy.step_rk4(sys, s, dt)
+    cfg = dy.IntegratorConfig(method="rk4", dt=T / 1000.0)
+    traj = dy.integrate(make_sho(), dy.State(0.0, [1.0], [0.0]), T, cfg)
+    assert traj.steps_taken == len(traj) - 1 == 1000
+    assert traj.column("t") == [min(n * cfg.dt, T) for n in range(1001)]
+    s = traj.state(-1)
     assert math.hypot(s.q[0] - 1.0, s.v[0]) <= 1e-9
 
 
 def test_rk4_negative_dt_is_error():
-    with pytest.raises(ValueError):
-        dy.step_rk4(make_sho(), dy.State(0.0, [1.0], [0.0]), -1.0)
+    # the step size is the config's, so no run starts from a negative one
+    with pytest.raises(ValueError, match="must be positive$"):
+        dy.IntegratorConfig(method="rk4", dt=-1.0)
 
 
 def test_rk4_order_of_convergence():
@@ -464,30 +470,37 @@ def test_rk4_order_of_convergence():
 # Adaptive RK45
 
 
+def _spacing(traj):
+    t = traj.column("t")
+    return [b - a for a, b in zip(t, t[1:])]
+
+
 def test_rk45_step_accepts_and_grows_at_loose_tolerance():
-    sys = make_damped_sho()
+    # a smooth problem at loose tolerance: every attempt from the first
+    # step, 1e-2 (t_end - t0), is accepted and none is shorter than the one
+    # before, except the last, cut to land on t_end
     cfg = dy.IntegratorConfig(method="rk45", rel_tol=1e-3, abs_tol=1e-6)
-    s = dy.State(0.0, [1.0], [0.0])
-    dt = 1e-3
-    for _ in range(4):
-        s2, dt_next, accepted = dy.step_rk45(sys, s, dt, cfg)
-        assert accepted
-        assert dt_next >= dt  # smooth problem at loose tolerance
-        s, dt = s2, dt_next
+    traj = dy.integrate(make_damped_sho(), dy.State(0.0, [1.0], [0.0]), 1.0,
+                        cfg)
+    steps = _spacing(traj)
+    assert traj.steps_rejected == 0 and len(steps) == traj.steps_taken > 3
+    assert steps[0] == 1e-2
+    assert all(b >= a for a, b in zip(steps, steps[1:-1]))
 
 
 def test_rk45_step_rejects_oversized_step():
-    sys = make_damped_sho()
+    # at a tight tolerance the first step, 0.1, is rejected: the first
+    # accepted step is shorter, and each attempt costs six RHS calls
     cfg = dy.IntegratorConfig(method="rk45", rel_tol=1e-12, abs_tol=1e-14)
-    s = dy.State(0.0, [1.0], [0.0])
-    s2, dt_next, accepted = dy.step_rk45(sys, s, 1.0, cfg)
-    assert not accepted
-    assert s2 is s
-    assert dt_next < 1.0
+    traj = dy.integrate(make_damped_sho(), dy.State(0.0, [1.0], [0.0]), 10.0,
+                        cfg)
+    assert traj.steps_rejected >= 1
+    assert _spacing(traj)[0] < 0.1
+    assert traj.rhs_calls == 1 + 6 * (traj.steps_taken + traj.steps_rejected)
 
 
 def _counting_rhs(monkeypatch, system):
-    # one dissipation call per RHS evaluation, in _rhs and in the attempt
+    # one dissipation call per RHS evaluation, in _rhs and in the loop
     calls = []
     model = system.model.dissipation
     D_R_grad = model.D_R_grad
@@ -656,31 +669,44 @@ def test_rk4_evaluates_dissipation_once_per_state(monkeypatch):
                              "statics": 0}, (name, cfg)
 
 
-def test_integrate_replays_step_rk45_bit_for_bit():
-    # integrate reuses each accepted step's last stage as the next first
-    # stage; step_rk45 evaluates every stage afresh, so a stale reused
-    # stage after an accept or a reject would show as a differing bit
-    # (or, when it shrinks the steps, as MaxStepsError)
-    b = get_builtin("pendulum_drag_2dof")
-    cfg = dataclasses.replace(b.integrator, max_steps=2000)
-    t_end = 3.0
-    traj = dy.integrate(b.system, b.initial, t_end, cfg)
-    s = b.initial
-    dt = min(1e-2 * (t_end - s.t), 0.1)
-    replay = [s]
-    rejected = 0
-    while s.t < t_end - 1e-15 * (1.0 + t_end):
-        s, dt_next, ok = dy.step_rk45(b.system, s, min(dt, t_end - s.t), cfg)
-        dt = dt_next
+def _replay(sys, init, t_end, cfg):
+    """(reprs of t, q, v, E at the start and after each accepted attempt,
+    rejected attempts) of integrate's steps taken by the oracle's attempts
+    (tests/stepper_oracle.py), each from a k1 = f(t, y) evaluated afresh,
+    not handed on from the attempt before."""
+    attempt = stepper_oracle.METHODS[cfg.method]
+    t, y = init.t, dy._pack(init, 0.0)
+    dt = cfg.dt if cfg.method == "rk4" else min(1e-2 * (t_end - t), 0.1)
+    states, rejected = [[t, *y]], 0
+    while t < t_end - 1e-15 * (1.0 + abs(t_end)):
+        h = min(dt, t_end - t)
+        k1 = dy._rhs(sys, t, y, dy._constants(sys))[0]
+        ynew, ok, dt, _ = attempt(sys, t, y, h, cfg, k1)
         if ok:
-            replay.append(s)
+            t, y = t + h, ynew
+            states.append([t, *y])
         else:
             rejected += 1
+    return [list(map(repr, x)) for x in states], rejected
+
+
+def _states(traj):
+    """The reprs of t, q, v and E of every sample row."""
+    m = traj.dof
+    return [list(map(repr, r[:1 + 2 * m] + r[-1:])) for r in traj.rows]
+
+
+def test_integrate_replays_step_rk45_bit_for_bit():
+    # integrate reuses each accepted step's last stage as the next first
+    # stage; the replay evaluates k1 afresh at each attempt, so a stale
+    # reused stage after an accept or a reject would show as a differing
+    # bit (or, when it shrinks the steps, as MaxStepsError)
+    b = get_builtin("pendulum_drag_2dof")
+    cfg = dataclasses.replace(b.integrator, max_steps=2000)
+    traj = dy.integrate(b.system, b.initial, 3.0, cfg)
+    states, rejected = _replay(b.system, b.initial, 3.0, cfg)
     assert rejected == traj.steps_rejected > 0
-    assert len(replay) == len(traj)
-    for r, x in zip(replay, traj.states()):
-        assert r.t == x.t
-        assert np.array_equal(r.q, x.q) and np.array_equal(r.v, x.v)
+    assert states == _states(traj)
 
 
 def _sprung_coulomb_block():
@@ -699,20 +725,14 @@ def _sprung_coulomb_block():
     _sprung_coulomb_block,
 ], ids=["pendulum_drag_2dof", "coulomb_block", "sprung_coulomb_block"])
 def test_integrate_replays_step_rk4_bit_for_bit(make):
-    # integrate hands each step's last RHS call on as the next k1;
-    # step_rk4 evaluates k1 afresh, so a stale k1 would show as a bit
+    # integrate hands each step's last RHS call on as the next k1; the
+    # replay evaluates k1 afresh, so a stale k1 would show as a bit (dt is
+    # 2^-7, so the replay's t + dt are integrate's multiples of dt)
     b = make()
     cfg = dataclasses.replace(_rk4(b), sample_every=1)
     traj = dy.integrate(b.system, b.initial, 1.0, cfg)
-    s = b.initial
-    replay = [s]
-    while len(replay) < len(traj):
-        s = dy.step_rk4(b.system, s, cfg.dt)
-        replay.append(s)
-    assert len(traj) == 129 and s.t == traj.state(-1).t == 1.0
-    for r, x in zip(replay, traj.states()):
-        assert r.t == x.t
-        assert np.array_equal(r.q, x.q) and np.array_equal(r.v, x.v)
+    assert len(traj) == 129 and traj.state(-1).t == 1.0
+    assert _replay(b.system, b.initial, 1.0, cfg) == (_states(traj), 0)
 
 
 def _numpy_f(system):
@@ -807,29 +827,27 @@ def test_integrate_rk45_matches_numpy_dormand_prince():
 
 def test_rk45_nan_state_is_divergence_error():
     with pytest.raises(dy.DivergenceError):
-        dy.step_rk45(make_sho(), dy.State(0.0, [float("nan")], [0.0]),
-                     1e-3, dy.IntegratorConfig())
+        dy.integrate(make_sho(), dy.State(0.0, [float("nan")], [0.0]), 1e-3,
+                     dy.IntegratorConfig())
 
 
 @pytest.mark.parametrize("name", ["damped_sho", "pendulum_drag_2dof"])
-@pytest.mark.parametrize("step", [
-    lambda sys, s: dy.step_rk4(sys, s, 0.1),
-    lambda sys, s: dy.step_rk45(sys, s, 0.1, dy.IntegratorConfig()),
-    lambda sys, s: dy.integrate(sys, s, 1.0, dy.IntegratorConfig())],
-    ids=["rk4", "rk45", "integrate"])
-def test_non_finite_start_is_divergence_error_at_its_time(step, name):
-    # both steppers and integrate refuse a non-finite start (a NaN time
-    # too) before any RHS call, in one wording: not at the end of the step,
-    # and not as a mass-matrix failure of the NaN
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_non_finite_start_is_divergence_error_at_its_time(method, name):
+    # integrate refuses a non-finite start (a NaN time too) before any RHS
+    # call, under either method: not at the end of the first step, and not
+    # as a mass-matrix failure of the NaN
     b = get_builtin(name)
+    cfg = dy.IntegratorConfig(method=method, dt=0.1)
     q = list(b.initial.q)
     q[0] = float("nan")
     with pytest.raises(dy.DivergenceError,
                        match=r"^non-finite state at t=0\.0$"):
-        step(b.system, dy.State(0.0, q, b.initial.v))
+        dy.integrate(b.system, dy.State(0.0, q, b.initial.v), 1.0, cfg)
     with pytest.raises(dy.DivergenceError,
                        match=r"^non-finite state at t=nan$"):
-        step(b.system, dy.State(float("nan"), b.initial.q, b.initial.v))
+        dy.integrate(b.system, dy.State(float("nan"), b.initial.q,
+                                        b.initial.v), 1.0, cfg)
 
 
 @pytest.mark.parametrize("potential,cfg,error,match", [
@@ -869,112 +887,7 @@ def test_infinite_stage_position_is_a_named_error(method, error, match):
 
 
 # ---------------------------------------------------------------------------
-# Generated attempts against the list-form oracle (tests/stepper_oracle.py)
-
-
-def _bits(x):
-    """x with every float replaced by its IEEE bits, so that == compares
-    values and sign bits."""
-    if isinstance(x, float):
-        return struct.pack("<d", x)
-    if isinstance(x, (list, tuple)):
-        return type(x)(map(_bits, x))
-    return x
-
-
-def _both(method, sys, t, y, dt, cfg, k1):
-    """(generated, oracle) outcomes of one attempt: the result, or the
-    error's type and message."""
-    sm = sys.model
-    out = []
-    for attempt in (
-            lambda: dy._attempt(method, sys.dof)(
-                t, list(y), dt, list(k1), cfg, sm.dissipation.D_R_grad,
-                sm.mechanics, sm.params, dy._constants(sys)),
-            lambda: stepper_oracle.METHODS[method](sys, t, list(y), dt, cfg,
-                                                   list(k1))):
-        try:
-            out.append(attempt())
-        except Exception as e:  # noqa: BLE001 - compared by the tests
-            out.append((type(e), str(e)))
-    return out
-
-
-@pytest.mark.parametrize("method", ["rk4", "rk45"])
-@pytest.mark.parametrize("make", [
-    make_damped_sho, lambda: get_builtin("pendulum_drag_2dof").system,
-    lambda: _general_pendulum(get_builtin("pendulum_drag_2dof")),
-    full_mass_3dof], ids=["damped_sho", "pendulum_drag_2dof", "general",
-                          "full_mass_3dof"])
-def test_generated_attempt_is_the_oracle_bit_for_bit(make, method):
-    # from seeded states with a fresh k1, then chained on each accepted
-    # attempt's own last stage, as integrate chains them; step sizes from
-    # small to far too large, so that rk45 both accepts and rejects
-    sys = make()
-    cfg = dy.IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
-    verdicts = set()
-    for q, v in rm.sample_states(sys.dof, 6, seed=21):
-        t, y = 0.25, [*q, *v, 0.5]
-        k1 = dy._rhs(sys, t, y, dy._constants(sys))[0]
-        for dt in (1e-3, 2e-2, 0.3):
-            new, old = _both(method, sys, t, y, dt, cfg, k1)
-            assert _bits(new) == _bits(old), (q, v, dt)
-            verdicts.add(new[1])
-            if new[1]:
-                new, old = _both(method, sys, t + dt, new[0], dt, cfg,
-                                 new[3][0])
-                assert _bits(new) == _bits(old), (q, v, dt)
-    assert verdicts == ({True} if method == "rk4" else {True, False})
-
-
-@pytest.mark.parametrize("method", ["rk4", "rk45"])
-def test_generated_attempt_errors_are_the_oracles(method):
-    cfg = dy.IntegratorConfig()
-    t, dt = 0.25, 4.0
-    # a mass that stops being positive at q1 = 1, crossed by the first
-    # stage after k1: the error names that stage's time
-    sys = _mass_system([["1 - q1"]])
-    y = [0.5, 1.0, 0.0]
-    new, old = _both(method, sys, t, y, dt, cfg,
-                     dy._rhs(sys, t, y, dy._constants(sys))[0])
-    stage_t = t + (0.2 if method == "rk45" else 0.5) * dt
-    assert new == old == (rm.MassMatrixError,
-                          f"mass matrix not positive definite at q=[1.3] "
-                          f"(t={stage_t})" if method == "rk45" else
-                          f"mass matrix not positive definite at q=[2.5] "
-                          f"(t={stage_t})")
-    # a position that the step carries past the largest double: only the
-    # new state overflows, no stage product
-    sys = free_particle()
-    t, dt = 0.25, 1.0
-    y = [1.7e308, 1e307, 0.0]
-    new, old = _both(method, sys, t, y, dt, cfg,
-                     dy._rhs(sys, t, y, dy._constants(sys))[0])
-    assert new == old == (dy.DivergenceError,
-                          f"non-finite state at t={t + dt}")
-    # a speed whose stage products overflow with both signs: the pair's
-    # stage sum is inf - inf, which math.fsum cannot form
-    y = [0.0, 1e308, 0.0]
-    new, old = _both(method, sys, t, y, dt, cfg,
-                     dy._rhs(sys, t, y, dy._constants(sys))[0])
-    assert new == old == (dy.DivergenceError,
-                          f"non-finite state at t={t + dt}")
-    # a k1 far off the state's own f: the new state is finite, but the
-    # pair's scaled error overflows when it is squared
-    y, k1 = [0.0, 1.0, 0.0], [1e250, 0.0, 0.0]
-    new, old = _both(method, sys, t, y, dt, cfg, k1)
-    assert new == old
-    if method == "rk45":
-        assert new == (dy.DivergenceError, f"non-finite state at t={t + dt}")
-    # a dissipation term whose log leaves its domain inside a stage
-    sys = free_particle(rm.DissipationSpec("homogeneous_sum", (
-        rm.DissipationTerm(xc.parse("ln(1 - q1)*v1^2"), 2.0),)))
-    y = [0.5, -1.0, 0.0]
-    k1 = dy._rhs(sys, t, y, dy._constants(sys))[0]
-    y[1] = 1.0  # k1 of another speed, so the first stage steps to q1 > 1
-    new, old = _both(method, sys, t, y, dt, cfg, k1)
-    assert new[0] is xc.EvalDomainError and new == old
-    assert "ln of non-positive value" in new[1]
+# Generated loops against the list-form oracle (tests/stepper_oracle.py)
 
 
 def _runs(sys, init, t_end, cfg):
@@ -992,19 +905,53 @@ def _runs(sys, init, t_end, cfg):
     return out
 
 
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+@pytest.mark.parametrize("make", [
+    make_damped_sho, lambda: get_builtin("pendulum_drag_2dof").system,
+    lambda: _general_pendulum(get_builtin("pendulum_drag_2dof")),
+    full_mass_3dof], ids=["damped_sho", "pendulum_drag_2dof", "general",
+                          "full_mass_3dof"])
+def test_generated_attempt_is_the_oracle_bit_for_bit(make, method):
+    # the generated attempts as integrate runs them, from seeded states:
+    # rk4 takes two steps of each size from small to far too large (the
+    # first from integrate's k1, the second from the first's last stage);
+    # rk45 starts from the first steps 1e-3, 2e-2 and 0.1 (spans 0.1, 2
+    # and 10), so that it both accepts and rejects
+    sys = make()
+    rejected = 0
+    for q, v in rm.sample_states(sys.dof, 6, seed=21):
+        for dt, span in ((1e-3, 0.1), (2e-2, 2.0), (0.3, 10.0)):
+            cfg = dy.IntegratorConfig(method=method, dt=dt, rel_tol=1e-8,
+                                      abs_tol=1e-10)
+            new, old = _runs(sys, dy.State(0.25, q, v),
+                             0.25 + (2 * dt if method == "rk4" else span), cfg)
+            assert new == old, (q, v, dt)
+            rejected += new[2]
+    assert (rejected > 0) == (method == "rk45")
+
+
 @pytest.mark.parametrize("sample_every", [1, 3])
 @pytest.mark.parametrize("method", ["rk4", "rk45"])
-@pytest.mark.parametrize("name", [*BUILTIN_NAMES, "general"])
+@pytest.mark.parametrize("name", [*BUILTIN_NAMES, "general",
+                                  "full_mass_3dof"])
 def test_generated_loop_is_the_oracle_bit_for_bit(name, method,
                                                   sample_every):
     # every row (repr, so signed zeros and the last digit count) and the
     # counters of the generated loop against the Python integration loop over
-    # the list-form attempts, which forms its rows with _dot sums
-    b = get_builtin("pendulum_drag_2dof" if name == "general" else name)
-    sys = _general_pendulum(b) if name == "general" else b.system
-    cfg = dataclasses.replace(b.integrator, method=method, dt=1e-2,
+    # the list-form attempts, which forms its rows with _dot sums; no
+    # builtin has three coordinates, so full_mass_3dof gives the 3-dof loop
+    # its oracle
+    if name == "full_mass_3dof":
+        sys, init, t_end = full_mass_3dof(), dy.State(
+            0.0, [0.3, -0.2, 0.1], [0.5, -0.4, 0.2]), 2.0
+        base = dy.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
+    else:
+        b = get_builtin("pendulum_drag_2dof" if name == "general" else name)
+        sys = _general_pendulum(b) if name == "general" else b.system
+        init, t_end, base = b.initial, min(b.t_end, 2.0), b.integrator
+    cfg = dataclasses.replace(base, method=method, dt=1e-2,
                               sample_every=sample_every)
-    new, old = _runs(sys, b.initial, min(b.t_end, 2.0), cfg)
+    new, old = _runs(sys, init, t_end, cfg)
     assert new == old
     rows, taken, rejected, _ = new
     assert len(rows) == 1 + math.ceil(taken / sample_every) and taken > 3
@@ -1025,13 +972,23 @@ def test_generated_loop_errors_are_the_oracles(method):
         "mass": (rm.MassMatrixError, "mass matrix not positive definite"),
         # a speed whose stage sums overflow
         "divergence": (dy.DivergenceError, "non-finite state at t="),
+        # a position that the run carries past the largest double: only the
+        # new state overflows, no stage product
+        "position": (dy.DivergenceError, "non-finite state at t="),
+        # a dissipation term whose log leaves its domain inside a stage
+        "ln": (xc.EvalDomainError, "ln of non-positive value"),
     }
     systems = {"max_steps": (pendulum(), state, 10.0,
                              dataclasses.replace(cfg, max_steps=7)),
                "mass": (_mass_system([["1 - q1"]]),
                         dy.State(0.25, [0.5], [10.0]), 10.0, cfg),
                "divergence": (free_particle(),
-                              dy.State(0.25, [0.0], [1e308]), 10.0, cfg)}
+                              dy.State(0.25, [0.0], [1e308]), 10.0, cfg),
+               "position": (free_particle(),
+                            dy.State(0.25, [1.7e308], [1e307]), 10.0, cfg),
+               "ln": (free_particle(rm.DissipationSpec("homogeneous_sum", (
+                   rm.DissipationTerm(xc.parse("ln(1 - q1)*v1^2"), 2.0),))),
+                   state, 10.0, cfg)}
     if method == "rk45":
         # a quartic hill that throws the state off faster and faster: the
         # step size falls below its floor
@@ -1041,6 +998,14 @@ def test_generated_loop_errors_are_the_oracles(method):
             dissipation=rm.null_dissipation()), dy.State(0.0, [1.0], [10.0]),
             10.0, cfg)
         expected["stiff"] = (dy.StiffnessError, "step size underflow")
+        # a speed of 1e200 at q1 = 0: the new state is finite, but the
+        # position's error entry (the rounding left by the fsum of b5 - b4
+        # times the speed) over the weight atol overflows when squared, in
+        # the first attempt, of step 1e-2 * 9.75
+        systems["norm"] = (free_particle(), dy.State(0.25, [0.0], [1e200]),
+                           10.0, cfg)
+        expected["norm"] = (dy.DivergenceError,
+                            f"non-finite state at t={0.25 + 0.0975}")
     for case, args in systems.items():
         new, old = _runs(*args)
         assert new == old, case
@@ -1063,20 +1028,19 @@ def test_overflowing_speed_is_a_divergence_error(method):
                      cfg)
 
 
-def test_attempt_is_generated_once_per_method_and_dof(monkeypatch):
-    # every system of one (method, dof) shares one generated loop and one
-    # generated attempt, and every system of one dof one sample row: the
-    # first integrate generates its loop (and the row, for the first
-    # sample), the first step its attempt, a second config of the same dof
-    # and method generates no code at all, and the shared functions keep
-    # no system or model alive
+def test_loop_is_generated_once_per_method_and_dof(monkeypatch):
+    # every system of one (method, dof) shares one generated loop, and every
+    # system of one dof one sample row: the first integrate generates its
+    # loop (and the row, for the first sample), a second config of the
+    # same dof and method generates no code at all, and the shared
+    # functions keep no system or model alive
     defined = []
 
     def define(signature, *args, define=xc.define, **names):
         defined.append(signature.split("(")[0])
         return define(signature, *args, **names)
     monkeypatch.setattr(xc, "define", define)
-    for cache in (dy._attempt, dy._loop, dy._sample):
+    for cache in (dy._loop, dy._sample):
         cache.cache_clear()
     for method, row in (("rk4", ["_sample"]), ("rk45", [])):
         for first in (True, False):
@@ -1088,9 +1052,6 @@ def test_attempt_is_generated_once_per_method_and_dof(monkeypatch):
             dy.integrate(cfg.system, cfg.initial, cfg.t_end, cfg.integrator)
             assert defined == (row + [f"_{method}_loop"] if first else []), \
                 method
-            defined.clear()
-            dy._step(method, cfg.system, cfg.initial, 1e-3, cfg.integrator)
-            assert defined == ([f"_{method}"] if first else []), method
     refs = [weakref.ref(cfg.system), weakref.ref(cfg.system.model)]
     del cfg
     gc.collect()
@@ -1191,13 +1152,11 @@ def test_integrator_config_rejects_nan(field):
         dy.IntegratorConfig(**{field: float("nan")})
 
 
-@pytest.mark.parametrize("step", [
-    lambda sys, s, dt: dy.step_rk4(sys, s, dt),
-    lambda sys, s, dt: dy.step_rk45(sys, s, dt, dy.IntegratorConfig())],
-    ids=["rk4", "rk45"])
-def test_step_rejects_nan_dt(step):
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_step_rejects_nan_dt(method):
+    # no run of either method starts from a NaN step: the config refuses it
     with pytest.raises(ValueError, match="must be positive$"):
-        step(make_sho(), dy.State(0.0, [1.0], [0.0]), float("nan"))
+        dy.IntegratorConfig(method=method, dt=float("nan"))
 
 
 def test_diagnostics_energy_partition():
