@@ -832,13 +832,15 @@ def test_rk45_nan_state_is_divergence_error():
 
 
 @pytest.mark.parametrize("name", ["damped_sho", "pendulum_drag_2dof"])
-@pytest.mark.parametrize("method", ["rk4", "rk45"])
-def test_non_finite_start_is_divergence_error_at_its_time(method, name):
+@pytest.mark.parametrize("cfg", [
+    dy.IntegratorConfig(method="rk4", dt=0.1),
+    dy.IntegratorConfig(method="rk45", dt=0.1),
+    dy.IntegratorConfig()], ids=["rk4", "rk45", "integrate"])
+def test_non_finite_start_is_divergence_error_at_its_time(cfg, name):
     # integrate refuses a non-finite start (a NaN time too) before any RHS
-    # call, under either method: not at the end of the first step, and not
-    # as a mass-matrix failure of the NaN
+    # call, under either method and under the default config: not at the
+    # end of the first step, and not as a mass-matrix failure of the NaN
     b = get_builtin(name)
-    cfg = dy.IntegratorConfig(method=method, dt=0.1)
     q = list(b.initial.q)
     q[0] = float("nan")
     with pytest.raises(dy.DivergenceError,
@@ -972,23 +974,13 @@ def test_generated_loop_errors_are_the_oracles(method):
         "mass": (rm.MassMatrixError, "mass matrix not positive definite"),
         # a speed whose stage sums overflow
         "divergence": (dy.DivergenceError, "non-finite state at t="),
-        # a position that the run carries past the largest double: only the
-        # new state overflows, no stage product
-        "position": (dy.DivergenceError, "non-finite state at t="),
-        # a dissipation term whose log leaves its domain inside a stage
-        "ln": (xc.EvalDomainError, "ln of non-positive value"),
     }
     systems = {"max_steps": (pendulum(), state, 10.0,
                              dataclasses.replace(cfg, max_steps=7)),
                "mass": (_mass_system([["1 - q1"]]),
                         dy.State(0.25, [0.5], [10.0]), 10.0, cfg),
                "divergence": (free_particle(),
-                              dy.State(0.25, [0.0], [1e308]), 10.0, cfg),
-               "position": (free_particle(),
-                            dy.State(0.25, [1.7e308], [1e307]), 10.0, cfg),
-               "ln": (free_particle(rm.DissipationSpec("homogeneous_sum", (
-                   rm.DissipationTerm(xc.parse("ln(1 - q1)*v1^2"), 2.0),))),
-                   state, 10.0, cfg)}
+                              dy.State(0.25, [0.0], [1e308]), 10.0, cfg)}
     if method == "rk45":
         # a quartic hill that throws the state off faster and faster: the
         # step size falls below its floor
@@ -998,14 +990,6 @@ def test_generated_loop_errors_are_the_oracles(method):
             dissipation=rm.null_dissipation()), dy.State(0.0, [1.0], [10.0]),
             10.0, cfg)
         expected["stiff"] = (dy.StiffnessError, "step size underflow")
-        # a speed of 1e200 at q1 = 0: the new state is finite, but the
-        # position's error entry (the rounding left by the fsum of b5 - b4
-        # times the speed) over the weight atol overflows when squared, in
-        # the first attempt, of step 1e-2 * 9.75
-        systems["norm"] = (free_particle(), dy.State(0.25, [0.0], [1e200]),
-                           10.0, cfg)
-        expected["norm"] = (dy.DivergenceError,
-                            f"non-finite state at t={0.25 + 0.0975}")
     for case, args in systems.items():
         new, old = _runs(*args)
         assert new == old, case
@@ -1013,6 +997,49 @@ def test_generated_loop_errors_are_the_oracles(method):
         assert new[1].startswith(expected[case][1]), (case, new[1])
         if case == "mass":
             assert re.search(r"\(t=[0-9.e-]+\)$", new[1])
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_generated_attempt_errors_are_the_oracles(method):
+    # errors raised inside the first attempt of a run, from integrate's own
+    # k1, each the oracle's in type and exact message: rk4 at dt 4 over a
+    # span of 4 takes one attempt of 4, rk45 over a span of 10 starts with
+    # one of 0.1
+    t = 0.25
+    h, span = (4.0, 4.0) if method == "rk4" else (0.1, 10.0)
+    cfg = dy.IntegratorConfig(method=method, dt=h)
+
+    def run(sys, q, v):
+        new, old = _runs(sys, dy.State(t, [q], [v]), t + span, cfg)
+        assert new == old
+        return new
+
+    # a mass that stops being positive at q1 = 1, crossed by the first
+    # stage after k1 (rk4 t + h/2, rk45 t + h/5): the error names that
+    # stage's position and time
+    v, stage = (1.0, "q=[2.5] (t=2.25)") if method == "rk4" else (
+        40.0, "q=[1.3] (t=0.27)")
+    assert run(_mass_system([["1 - q1"]]), 0.5, v) == (
+        rm.MassMatrixError, f"mass matrix not positive definite at {stage}")
+    # a position that a step of 1e307 carries past the largest double: the
+    # state overflows, no stage product
+    assert run(free_particle(), 1.7e308, 1e307 / h) == (
+        dy.DivergenceError, f"non-finite state at t={t + h}")
+    # a speed whose stage products overflow with both signs: the pair's
+    # stage sum is inf - inf, which math.fsum cannot form
+    assert run(free_particle(), 0.0, 1e308) == (
+        dy.DivergenceError, f"non-finite state at t={t + h}")
+    if method == "rk45":
+        # a speed of 1e200 at q1 = 0: the new state is finite, but the
+        # position's error entry (the rounding left by the fsum of b5 - b4
+        # times the speed) over the weight atol overflows when squared
+        assert run(free_particle(), 0.0, 1e200) == (
+            dy.DivergenceError, f"non-finite state at t={t + h}")
+    # a dissipation term whose log leaves its domain inside a stage
+    new = run(free_particle(rm.DissipationSpec("homogeneous_sum", (
+        rm.DissipationTerm(xc.parse("ln(1 - q1)*v1^2"), 2.0),))), 0.5, v)
+    assert new[0] is xc.EvalDomainError
+    assert "ln of non-positive value" in new[1]
 
 
 @pytest.mark.parametrize("method", ["rk4", "rk45"])
