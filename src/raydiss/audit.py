@@ -268,12 +268,14 @@ def stationarity_audit(sys: SystemSpec, traj: Trajectory, k: int,
     dissipation = sm.dissipation
     q, v = traj.rows[k][1:1 + m], traj.rows[k][1 + m:1 + 2 * m]
     spacing = 0.5 * (traj.rows[k + 1][0] - traj.rows[k - 1][0])
-    if frozen_force is None:
-        frozen_force = generalized_force(sys, traj, k).generalized
+    if frozen_force is None:  # its breakdown holds -dR/dv already
+        force = generalized_force(sys, traj, k)
+        frozen_force, gR = force.generalized, (-force.dissipative).tolist()
+    else:
+        gR = dissipation.D_R_grad(q, v, sm.params)[2]
     frozen_force = np.asarray(frozen_force, dtype=float)
     F = frozen_force.tolist()
-    residual = [g - f for g, f in
-                zip(dissipation.D_R_grad(q, v, sm.params)[2], F)]
+    residual = [g - f for g, f in zip(gR, F)]
 
     def rtilde(w):
         return dissipation.R(q, w, sm.params) - _dot(w, F)

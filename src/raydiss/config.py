@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from . import builtins as bi
 from . import exprcore as xc
 from . import raymodel as rm
-from .dynamics import IntegratorConfig, State
+from .dynamics import IntegratorConfig, State, check_span
 from .audit import AuditTolerances
 
 
@@ -61,9 +61,10 @@ class RunConfig:
     builtin_name: str | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.t_end) and self.t_end > self.initial.t):
-            raise ConfigError(f"t_end ({self.t_end}) must be finite and "
-                              f"exceed t0 ({self.initial.t})", "t_end")
+        try:
+            check_span(self.initial.t, self.t_end)
+        except ValueError as e:
+            raise ConfigError(str(e), "t_end") from None
 
     def with_params(self, overrides) -> "RunConfig":
         """New config with parameter values replaced. `overrides` (JSON

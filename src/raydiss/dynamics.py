@@ -20,25 +20,21 @@ with standard step-size control. Every attempt ends with an RHS call at
 its new state, which the next attempt takes as its 1st stage (for the
 pair, its 7th stage: "first same as last", FSAL; Hairer, Norsett &
 Wanner, Solving ODEs I, sec. II.6), so Trajectory.rhs_calls is
-1 + stages * attempts (4 stages for RK4, 6 for the pair). RK4 sums its
-stages in textbook order; the pair's stage sums are exactly rounded
-(math.fsum, every tableau coefficient kept, zeros included). Both carry
+1 + stages * attempts (4 stages for RK4, 6 for the pair). Each stage sum
+is a left-to-right float sum (RK4's in textbook order, the pair's over its
+nonzero tableau terms), which IEEE-754 fixes on every host. Both carry
 the integral E of D alongside q and v, so the energy-balance audit runs
 at full integrator accuracy.
 
 The code that runs is generated once per (method, dof) on first use and
-shared by every system of that dof: _loop(method, dof) runs every attempt
-of an integrate call, from the stage lines of _stages. It sets the first
-step size, checks max_steps and the step-size floor, and keeps the
-stages, the controller, the FSAL hand-over, the time advance, the sample
-rows and the counters in locals. Each stage calls the model's D_R_grad
-and mechanics, passed in at each call with the params and the model's
-constants (computed once per integrate call). integrate keeps only its
-setup and the first RHS call, and knows nothing that differs per method.
-One RK4 step of size dt is integrate(sys, s, s.t + dt,
-IntegratorConfig("rk4", dt=dt)). The list-form attempts, the Python
-integration loop and the generic sample row that these replaced are the
-test oracle, tests/stepper_oracle.py, bit for bit.
+shared by every system of that dof: _loop(method, dof), from the stage
+lines of _stages, runs every attempt of an integrate call, with the
+controller, the FSAL hand-over, the sample rows and the counters in
+locals. integrate keeps only its setup and the first RHS call, and knows
+nothing that differs per method. One RK4 step of size dt is
+integrate(sys, s, s.t + dt, IntegratorConfig("rk4", dt=dt)). The
+list-form attempts, Python loop and generic sample row that these
+replaced are the test oracle, tests/stepper_oracle.py, bit for bit.
 
 The stepper state y = [q, v, E] and the samples are Python floats; a
 sample is the row t, q, v, H, T, V, D, R, W, E (the columns(dof), then
@@ -213,6 +209,16 @@ def _diverged(t):
     raise DivergenceError(f"non-finite state at t={t}") from None
 
 
+def check_span(t0, t_end):
+    """Return the loop's end guard (it steps while t is below it); raise
+    ValueError unless t_end is finite and t0 is below the guard."""
+    end = t_end - 1e-15 * (1.0 + abs(t_end))
+    if not (math.isfinite(t_end) and t0 < end):
+        raise ValueError(f"t_end ({t_end}) must be finite and exceed t0 "
+                         f"({t0}) by more than 1e-15 (1 + |t_end|)")
+    return end
+
+
 # Dormand-Prince 5(4) tableau. Row 6 of _DP_A is the 5th-order weights
 # b5, so stage 7 is evaluated at the new state (FSAL).
 _DP_C = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]
@@ -236,48 +242,38 @@ def _stages(method, m):
     the sources of the new state's entries, of f there (its last entry D;
     R, gR, M and V are left bound), of the verdict and of the next step
     size. The lines read atol and rtol for the pair, and the model's
-    D_R_grad and mechanics, the params p and the model's constants c. A
-    Dormand-Prince stage sum or error norm that math.fsum or ** cannot
-    form (inf - inf, or an overflow) is a non-finite state at t + h, as
-    the new state's own check reports it.
+    D_R_grad and mechanics, the params p and the model's constants c. No
+    stage sum raises: a non-finite value flows on into the model or the
+    new state's check, and a non-finite error norm is that check's error.
     """
     n = 2 * m + 1
     K = [[f"k0_{c}" for c in range(n)]]
     body = []
 
-    def checked(lines):
-        if method == "rk4":  # its sums never raise: inf and NaN flow on
-            return lines
-        return (["try:"] + [f"    {x}" for x in lines]
-                + ["except (ValueError, OverflowError):",
-                   "    _diverged(t + h)"])
-
     def stage(h, t, terms, width=2 * m):
-        # the stage input y_c + h * terms(c), then f there at time t, as
-        # _rhs: its entries become K[-1], the last one D, and R, gR, M and
-        # V are left bound. f does not read E, so only the new state
+        # the stage input y_c + h * terms(c), then f there at time ts = t,
+        # as _rhs: its entries become K[-1], the last one D, and R, gR, M
+        # and V are left bound. f does not read E, so only the new state
         # (width n, which is checked) forms its E entry
         i = len(K)
         x = [f"s{i}_{c}" for c in range(width)]
-        body.extend(checked([f"{x[c]} = y{c} + {h} * {terms(c)}"
-                             for c in range(width)]))
+        body.extend(f"{x[c]} = y{c} + {h} * {terms(c)}" for c in range(width))
         if width == n:
             body.extend(["if not (%s):" % " and ".join(
                 f"isfinite({e})" for e in x), "    _diverged(t + h)"])
         k = x[m:2 * m] + [f"k{i}_{c}" for c in range(m, n)]
         body.extend([
             f"q = [{', '.join(x[:m])}]", f"v = [{', '.join(x[m:2 * m])}]",
-            f"{k[-1]}, R, gR = D_R_grad(q, v, p)", "try:",
-            "    qdd, M, V = mechanics(q, v, gR, c)",
-            "except MassMatrixError as e:",
-            f"    raise MassMatrixError(f'{{e}} (t={{{t}}})') from None",
+            f"{k[-1]}, R, gR = D_R_grad(q, v, p)", f"ts = {t}",
+            "qdd, M, V = mechanics(q, v, gR, c)",
             f"{', '.join(k[m:2 * m])}, = qdd"])
         K.append(k)
         return x
 
-    def fsum(coeffs, c):
-        return "fsum((%s,))" % ", ".join(
-            f"{a!r} * {k[c]}" for a, k in zip(coeffs, K))
+    def tableau_sum(coeffs, c):
+        # the nonzero terms, in tableau order
+        return "(%s)" % " + ".join(
+            f"{a!r} * {k[c]}" for a, k in zip(coeffs, K) if a)
 
     if method == "rk4":
         body.append("h2 = 0.5 * h")
@@ -289,17 +285,16 @@ def _stages(method, m):
                     % tuple(k[c] for k in K), n)
         return body, len(K) - 1, new, K[-1], "True", "h"
     for i in range(1, 7):
-        new = stage("h", f"t + {_DP_C[i]!r} * h", partial(fsum, _DP_A[i]),
-                    n if i == 6 else 2 * m)
-    # the error entries of q and v; each is squared, so the sign of a zero
-    # does not matter
-    body += checked(
-        [f"e{c} = h * {fsum(_DP_E, c)}" for c in range(2 * m)]
-        + ["err = math.sqrt(fsum((%s,)) / %d)" % (", ".join(
-            f"(e{c} / (atol + rtol * abs(y{c}))) ** 2"
-            for c in range(2 * m)), 2 * m)])
-    body.append("factor = 5.0 if err == 0.0 else "
-                "min(5.0, max(0.2, 0.9 * err ** -0.2))")
+        new = stage("h", f"t + {_DP_C[i]!r} * h",
+                    partial(tableau_sum, _DP_A[i]), n if i == 6 else 2 * m)
+    # the weighted error entries of q and v
+    body += [f"e{c} = h * {tableau_sum(_DP_E, c)} / (atol + rtol * abs(y{c}))"
+             for c in range(2 * m)]
+    body += ["err = math.sqrt((%s) / %d)" % (" + ".join(
+                 f"e{c} * e{c}" for c in range(2 * m)), 2 * m),
+             "if not isfinite(err):", "    _diverged(t + h)",
+             "factor = 5.0 if err == 0.0 else "
+             "min(5.0, max(0.2, 0.9 * err ** -0.2))"]
     return body, len(K) - 1, new, K[-1], "err <= 1.0", "h * factor"
 
 
@@ -337,19 +332,19 @@ def _loop(method, dof):
         loop(t, y, k1, t_end, cfg, D_R_grad, mechanics, p, c, rows)
             -> (steps_taken, steps_rejected, rhs_calls)
 
-    runs every attempt from (t, y) with k1 = f(t, y) until t is within
-    1e-15 (1 + |t_end|) of t_end, and appends the sample row of every
-    sample_every-th accepted step, and of the last, to rows. The attempts
-    are _stages' lines, each with step h = min(dt, t_end - t); the first
-    dt is cfg.dt for RK4 and min(1e-2 (t_end - t), 0.1) for the pair. In
-    locals: the state, the next attempt's k1 (the last stage of the
-    accepted one: FSAL), the step size and the counters. RK4 times are
-    t0 + n * cfg.dt, capped at t_end: exact multiples, so no rounding-made
-    sliver step at the end; its step-size floor is 0, which a step
-    min(cfg.dt, t_end - t) > 0 never reaches, so it has no check. The
-    model's D_R_grad and mechanics, the params and the model's constants
-    c come in at each call, so the function depends only on (method, dof)
-    and is built once per pair.
+    runs every attempt from (t, y) with k1 = f(t, y) while t is below the
+    end guard check_span(t, t_end), and appends the sample row of every
+    sample_every-th accepted step, and of the last, to rows. Each attempt
+    is _stages' lines with step h = min(dt, t_end - t). The first dt is
+    cfg.dt for RK4; for the pair, min(1e-2 (t_end - t), 0.1), but at least
+    its step-size floor 1e-14 (1 + |t|). RK4 times are t0 + n * cfg.dt,
+    capped at t_end: exact multiples, so no rounding-made sliver step at
+    the end; its floor is 0, which h > 0 never reaches, so it has no
+    check. A MassMatrixError gains its stage's time. In locals: the state,
+    the next attempt's k1 (the accepted attempt's last stage: FSAL), the
+    step size and the counters. The model's D_R_grad and mechanics, the
+    params and the constants c come in at each call, so the function
+    depends only on (method, dof) and is built once per pair.
     """
     body, stages, new, last, ok, dt_next = _stages(method, dof)
     n = 2 * dof + 1
@@ -360,14 +355,13 @@ def _loop(method, dof):
         head, floor = ["t0 = t", "dt = step = cfg.dt"], []
         advance = "t = min(t0 + accepted * step, t_end)"
     else:
-        head = ["dt = min(1e-2 * (t_end - t), 0.1)",
+        head = ["dt = max(min(1e-2 * (t_end - t), 0.1), "
+                "1e-14 * (1.0 + abs(t)))",
                 "atol, rtol = cfg.abs_tol, cfg.rel_tol"]
-        floor = [
-            "if dt < 1e-14 * (1.0 + abs(t)):",
-            "    raise StiffnessError(",
-            "        f'step size underflow (dt={dt:.3e}) at t={t}; '",
-            "        'the problem is likely too stiff for an explicit "
-            "pair')"]
+        floor = ["if dt < 1e-14 * (1.0 + abs(t)):",
+                 "    raise StiffnessError(f'step size underflow (dt={dt:.3e})"
+                 " at t={t}; the problem is likely too stiff for an explicit "
+                 "pair')"]
         advance = "t = t + h"
     accept = ["accepted += 1", f"{y}, = {', '.join(new)}",
               f"{k}, = {', '.join(last)}", advance,
@@ -384,14 +378,17 @@ def _loop(method, dof):
         f"_{method}_loop(t, y, k1, t_end, cfg, D_R_grad, mechanics, p, c, "
         "rows)",
         [f"{y}, = y", f"{k}, = k1", *head,
-         "end = t_end - 1e-15 * (1.0 + abs(t_end))",
+         "end = check_span(t, t_end)",
          "max_steps, every = cfg.max_steps, cfg.sample_every",
-         "append = rows.append", "attempts = accepted = 0",
-         "while t < end:", *[f"    {x}" for x in step],
+         "append = rows.append", "attempts = accepted = 0", "try:",
+         "    while t < end:", *[f"        {x}" for x in step],
+         "except MassMatrixError as e:",
+         "    raise MassMatrixError(f'{e} (t={ts})') from None",
          f"return accepted, attempts - accepted, 1 + {stages} * attempts"],
-        fsum=math.fsum, isfinite=math.isfinite,
+        isfinite=math.isfinite,
         MassMatrixError=MassMatrixError, MaxStepsError=MaxStepsError,
-        StiffnessError=StiffnessError, _diverged=_diverged)
+        StiffnessError=StiffnessError, _diverged=_diverged,
+        check_span=check_span)
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +398,11 @@ def _loop(method, dof):
 def integrate(sys: SystemSpec, init: State, t_end: float,
               cfg: IntegratorConfig) -> Trajectory:
     """Integrate from init.t to t_end; the final step lands exactly on
-    t_end. Deterministic for identical inputs."""
+    t_end. Deterministic for identical inputs. A span that the loop
+    would not step (check_span) is a ValueError."""
     y = _pack(init, 0.0)
     _check_finite([init.t] + y, init.t)
-    if not (np.isfinite(t_end) and t_end > init.t):
-        raise ValueError("t_end must be finite and exceed the initial time")
+    check_span(init.t, t_end)
     sm, m = sys.model, sys.dof
     c = sm.constants(sm.params)
     t0 = float(init.t)

@@ -346,14 +346,13 @@ class _HomogeneousSumModel:
     """R = sum of term/degree, exact for velocity-homogeneous terms."""
 
     def __init__(self, spec, dof):
-        self.terms = [(t.evaluate, t.degree) for t in spec.terms]
         # D_R_grad(q, v, p) -> (D, R, dR/dv as a list of floats): the
         # terms' gradient code unrolled in term order, each term with its
-        # own smooth_eps, accumulating D, R and dR/dv from 0.0 as a loop
-        # over the terms would, so D and R equal self.D and self.R bit for
-        # bit. A term's value comes from its gradient code, except where
-        # that differs (sign under smooth_eps is tanh there): that term
-        # calls its value code.
+        # own smooth_eps, accumulating D, R and dR/dv from 0.0 left to
+        # right; self.D and self.R are its values, so D and R have one
+        # evaluation path. A term's value comes from its gradient code,
+        # except where that differs (sign under smooth_eps is tanh there):
+        # that term calls its value code.
         blocks, _ = xc.compile_blocks(
             [t.expr for t in spec.terms], dof, "v",
             [t.smooth_eps for t in spec.terms])
@@ -371,10 +370,10 @@ class _HomogeneousSumModel:
             f"return D, R, {_list(g)}"], inf=math.inf, **values)
 
     def D(self, q, v, p):
-        return sum(fn(q, v, p) for fn, _ in self.terms)
+        return self.D_R_grad(q, v, p)[0]
 
     def R(self, q, v, p):
-        return sum(fn(q, v, p) / deg for fn, deg in self.terms)
+        return self.D_R_grad(q, v, p)[1]
 
 
 class _GeneralModel:

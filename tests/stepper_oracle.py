@@ -4,11 +4,13 @@ test oracle for the straight-line integration loops that
 
 Each stage goes through `dynamics._rhs` on lists of Python floats: RK4 sums
 its stages in textbook order, and the Dormand-Prince pair forms every stage
-sum, the new state and the error vector with `math.fsum` over the stage
-values in tableau order (a zero coefficient included), as the generated
-loop does, so the two agree bit for bit. A pair's stage sum or error
-norm that cannot be formed (`math.fsum` of inf and -inf, or an overflow)
-is a non-finite state at t + dt.
+sum, the new state and the error vector as a left-to-right sum (`_dot`)
+over the stage values with a nonzero tableau coefficient, in tableau
+order, as the generated loop does, so the two agree bit for bit. Such a
+sum never raises: a non-finite stage value flows on into `_rhs`, and a
+non-finite error norm is a non-finite state at t + dt. The exactly
+rounded `math.fsum` form of the pair stays in `tests/test_dynamics.py`,
+which checks the generated loop against it within a tolerance.
 
 `integrate` drives those attempts from a Python loop and forms each sample
 row with `_row`, from `_dot` sums over the last RHS call's values, as
@@ -16,13 +18,10 @@ row with `_row`, from `_dot` sums over the last RHS call's values, as
 """
 
 import math
-from operator import mul
-
-import numpy as np
 
 from raydiss.dynamics import (_DP_A, _DP_C, _DP_E, MaxStepsError,
                               StiffnessError, Trajectory, _check_finite,
-                              _constants, _diverged, _pack, _rhs)
+                              _constants, _diverged, _pack, _rhs, check_span)
 from raydiss.raymodel import _dot
 
 
@@ -43,14 +42,16 @@ def _rk4_raw(sys, t, y, dt, cfg, k1):
     return ynew, True, dt, _rhs(sys, t + dt, ynew, c)
 
 
-def _lincomb(y, h, coeffs, K, t):
-    """[y_c + h * fsum_j(coeffs[j] * K[j][c]) for each entry c of y]; a
-    sum that fsum cannot form is a non-finite state at t."""
-    try:
-        return [c + h * math.fsum(map(mul, coeffs, col))
-                for c, col in zip(y, zip(*K))]
-    except (ValueError, OverflowError):
-        _diverged(t)
+def _tableau_sums(coeffs, K):
+    """[sum over j, left to right, of coeffs[j] * K[j][c] for each entry c],
+    over the nonzero coeffs only."""
+    a, K = zip(*((a, k) for a, k in zip(coeffs, K) if a))
+    return [_dot(a, col) for col in zip(*K)]
+
+
+def _lincomb(y, h, coeffs, K):
+    """[y_c + h * (the tableau sum of entry c) for each entry c of y]."""
+    return [c + h * s for c, s in zip(y, _tableau_sums(coeffs, K))]
 
 
 def _rk45_raw(sys, t, y, dt, cfg, k1):
@@ -62,18 +63,16 @@ def _rk45_raw(sys, t, y, dt, cfg, k1):
     K = [k1]
     for i in range(1, 6):
         K.append(_rhs(sys, t + _DP_C[i] * dt,
-                      _lincomb(y, dt, _DP_A[i], K, t + dt), c)[0])
-    ynew = _lincomb(y, dt, _DP_A[6], K, t + dt)
+                      _lincomb(y, dt, _DP_A[i], K), c)[0])
+    ynew = _lincomb(y, dt, _DP_A[6], K)
     _check_finite(ynew, t + dt)
     last = _rhs(sys, t + dt, ynew, c)
     K.append(last[0])
-    # q and v entries only
-    errvec = _lincomb([0.0] * nmech, dt, _DP_E, K, t + dt)
-    try:
-        err = math.sqrt(math.fsum(
-            (e / (cfg.abs_tol + cfg.rel_tol * abs(x))) ** 2
-            for e, x in zip(errvec, y)) / nmech)
-    except OverflowError:
+    # the weighted error entries of q and v
+    e = [dt * s / (cfg.abs_tol + cfg.rel_tol * abs(x))
+         for s, x in zip(_tableau_sums(_DP_E, K), y[:nmech])]
+    err = math.sqrt(_dot(e, e) / nmech)
+    if not math.isfinite(err):
         _diverged(t + dt)
     factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
     return ynew, err <= 1.0, dt * factor, last
@@ -92,11 +91,13 @@ def _row(t, y, evals):
 
 # Per method: its stages, the first step size, the time after the n-th
 # accepted step h, and the step-size floor relative to 1 + |t|. RK4 times
-# are exact multiples of dt: no rounding-made sliver step at the end.
+# are exact multiples of dt: no rounding-made sliver step at the end. The
+# pair's first step is no less than its floor.
 _LOOP = {
-    "rk4": (4, lambda cfg, span: cfg.dt,
+    "rk4": (4, lambda cfg, t0, t_end: cfg.dt,
             lambda cfg, t0, n, t, h, t_end: min(t0 + n * cfg.dt, t_end), 0.0),
-    "rk45": (6, lambda cfg, span: min(1e-2 * span, 0.1),
+    "rk45": (6, lambda cfg, t0, t_end: max(min(1e-2 * (t_end - t0), 0.1),
+                                           1e-14 * (1.0 + abs(t0))),
              lambda cfg, t0, n, t, h, t_end: t + h, 1e-14),
 }
 
@@ -105,15 +106,14 @@ def integrate(sys, init, t_end, cfg):
     """dynamics.integrate as a Python loop over the list-form attempts."""
     y = _pack(init, 0.0)
     _check_finite([init.t] + y, init.t)
-    if not (np.isfinite(t_end) and t_end > init.t):
-        raise ValueError("t_end must be finite and exceed the initial time")
+    check_span(init.t, t_end)
     stages, first_dt, advance, floor = _LOOP[cfg.method]
     attempt = METHODS[cfg.method]
     t0, t_end = float(init.t), float(t_end)
     t = t0
     f1 = _rhs(sys, t, y, _constants(sys))  # k1 of the next attempt, evals
     traj = Trajectory(rows=[_row(t, y, f1[1])], dof=sys.dof)
-    dt = first_dt(cfg, t_end - t0)
+    dt = first_dt(cfg, t0, t_end)
     end = t_end - 1e-15 * (1.0 + abs(t_end))
     attempts = accepted = 0
     while t < end:

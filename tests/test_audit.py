@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from raydiss import audit as au
+from raydiss import config as cf
 from raydiss import dynamics as dy
 from raydiss import exprcore as xc
 from raydiss import raymodel as rm
@@ -295,3 +296,75 @@ def test_stationarity_threshold_scales_with_spacing():
     assert au._stationarity_threshold(1e-5, 1e-3) == pytest.approx(1e-5)
     assert au._stationarity_threshold(1e-5, 2e-3) == pytest.approx(4e-5)
     assert au._stationarity_threshold(1e-5, 1e-4) == pytest.approx(1e-5)
+
+
+# ---------------------------------------------------------------------------
+# One evaluation path for D and R, one D_R_grad call per stationarity sample
+
+
+# damped_sho with its D split into three terms, as CI's "Output digests"
+# step runs it: a compensated sum of the term values (the builtin sum of
+# Python 3.12 and later) differs from D_R_grad's left-to-right sum at many
+# states; at v1 = 1 it gives D = 0.6, where D_R_grad gives
+# 0.6000000000000001
+THREE_TERM_SHO = {
+    "dof": 1, "params": {"m": 1.0, "k": 1.0}, "mass_matrix": [["m"]],
+    "potential": "0.5*k*q1^2",
+    "dissipation": {"mode": "homogeneous_sum", "terms": [
+        {"expr": "0.1*v1^2", "degree": 2}, {"expr": "0.2*v1^2", "degree": 2},
+        {"expr": "0.3*v1^2", "degree": 2}]},
+    "initial": {"q": [1.0], "v": [0.0]}, "t_end": 10}
+
+
+def _recording(model, monkeypatch):
+    """The (D, R) of every D_R_grad call of `model` from now on."""
+    seen = []
+
+    def recorded(q, v, p, fn=model.D_R_grad):
+        out = fn(q, v, p)
+        seen.append(out[:2])
+        return out
+    monkeypatch.setattr(model, "D_R_grad", recorded)
+    return seen
+
+
+def test_homogeneous_sum_d_and_r_are_d_r_grads_bit_for_bit(monkeypatch):
+    cfg = cf.config_from_dict(THREE_TERM_SHO)
+    sys, p = cfg.system, cfg.system.params
+    spec, model = sys.dissipation, sys.model.dissipation
+    assert model.D_R_grad((0.0,), (1.0,), p)[:2] == (0.6000000000000001,
+                                                     0.30000000000000004)
+    for q, v in [((0.0,), (1.0,)), *rm.sample_states(1, 50, seed=0)]:
+        d, r, _ = model.D_R_grad(q, v, p)
+        c = xc.EvalContext(q, v, p)
+        assert [x.hex() for x in (rm.eval_D(spec, c), rm.eval_R(spec, c),
+                                  rm.eval_R_closed(spec, c))] == [
+            d.hex(), r.hex(), r.hex()], (q, v)
+    # positivity's D and stationarity's R are D_R_grad's: each value they
+    # read is one of its results (a sample's force, R there and 24 probes)
+    seen = _recording(model, monkeypatch)
+    rep = rm.positivity_scan(spec, 1, p, samples=20)
+    assert len(seen) == 20
+    assert rep.max_violation == max(0.0, *(-d for d, _ in seen))
+    traj = dy.integrate(sys, cfg.initial, 1.0, cfg.integrator)
+    seen.clear()
+    au.stationarity_audit(sys, traj, 5)
+    assert len(seen) == 1 + 1 + 3 * 8
+
+
+def test_stationarity_takes_one_d_r_grad_call_per_sample(monkeypatch):
+    # in general mode, whose R does not call D_R_grad, the sample's dR/dv
+    # comes from generalized_force's breakdown: one call per sample; a
+    # given frozen_force takes the audit's own call instead
+    b = get_builtin("pendulum_drag_2dof")
+    sys = dataclasses.replace(b.system, dissipation=rm.DissipationSpec(
+        "general", raw=xc.parse("A*(v1^2+v2^2)^1.5")))
+    traj = dy.integrate(sys, b.initial, 1.0, b.integrator)
+    force = au.generalized_force(sys, traj, 5).generalized
+    seen = _recording(sys.model.dissipation, monkeypatch)
+    rep = au.stationarity_audit(sys, traj, 5)
+    assert len(seen) == 1
+    frozen = au.stationarity_audit(sys, traj, 5, frozen_force=force)
+    assert len(seen) == 2
+    assert (repr(rep.gradient_residual.tolist())
+            == repr(frozen.gradient_residual.tolist()))

@@ -1,9 +1,13 @@
+import json
 import os
+import re
 import subprocess
 import sys
 
-SCRIPT = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), ".github", "compare_digests.py")
+from test_audit import THREE_TERM_SHO
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCRIPT = os.path.join(ROOT, ".github", "compare_digests.py")
 
 AGREED = {"damped_sho.csv": "a1", "damped_sho.audit.json": "b2",
           "pendulum_drag_2dof.rk4.csv": "c3"}
@@ -46,3 +50,13 @@ def test_a_missing_digest_fails(tmp_path):
     assert rc == 1
     assert "    missing  " in out
     assert err == "digests differ between entries: damped_sho.csv\n"
+
+
+def test_the_digested_three_term_run_is_the_audit_tests_config():
+    # the "Output digests" step runs the multi-term D that test_audit
+    # checks, so the matrix compares what that test pins down
+    with open(os.path.join(ROOT, ".github", "workflows", "tests.yml"),
+              encoding="utf-8") as f:
+        m = re.search(r"cat > three_terms.json <<'JSON'\n(.*?)\n *JSON\n",
+                      f.read(), re.S)
+    assert json.loads(m.group(1)) == THREE_TERM_SHO

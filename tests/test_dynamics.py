@@ -8,6 +8,8 @@ import sys
 import threading
 import warnings
 import weakref
+from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -882,7 +884,8 @@ def test_infinite_stage_position_is_a_named_error(method, error, match):
     # a pendulum thrown at v = 1e300 with a huge step: an RK4 stage
     # position overflows to inf before the new state's finite check, and
     # dV/dq = sin(q1) there is the scalar code's domain error, not a raw
-    # ValueError; the pair's stage sums meet inf - inf first
+    # ValueError; the pair starts with a step of 0.1, so its stage
+    # positions stay finite, and its error norm overflows
     cfg = dy.IntegratorConfig(method=method, dt=1e10)
     with pytest.raises(error, match=re.escape(match)):
         dy.integrate(pendulum(), dy.State(0.0, [0.0], [1e300]), 1e11, cfg)
@@ -1026,12 +1029,13 @@ def test_generated_attempt_errors_are_the_oracles(method):
     assert run(free_particle(), 1.7e308, 1e307 / h) == (
         dy.DivergenceError, f"non-finite state at t={t + h}")
     # a speed whose stage products overflow with both signs: the pair's
-    # stage sum is inf - inf, which math.fsum cannot form
+    # 4th to 6th stage positions are inf - inf (NaN), which the free
+    # particle's model ignores, and its error norm overflows
     assert run(free_particle(), 0.0, 1e308) == (
         dy.DivergenceError, f"non-finite state at t={t + h}")
     if method == "rk45":
         # a speed of 1e200 at q1 = 0: the new state is finite, but the
-        # position's error entry (the rounding left by the fsum of b5 - b4
+        # position's error entry (the rounding left by the sum of b5 - b4
         # times the speed) over the weight atol overflows when squared
         assert run(free_particle(), 0.0, 1e200) == (
             dy.DivergenceError, f"non-finite state at t={t + h}")
@@ -1046,7 +1050,8 @@ def test_generated_attempt_errors_are_the_oracles(method):
 def test_overflowing_speed_is_a_divergence_error(method):
     # a free particle from v = 1e308: rk4's sums overflow to inf and the
     # new state's check stops the run; the pair's stage sums meet inf and
-    # -inf, which is the same non-finite state at the same time
+    # -inf, and its error norm overflows: the same non-finite state at the
+    # same time
     cfg = dy.IntegratorConfig(method=method)
     dt = cfg.dt if method == "rk4" else 0.1
     with pytest.raises(dy.DivergenceError,
@@ -1083,6 +1088,126 @@ def test_loop_is_generated_once_per_method_and_dof(monkeypatch):
     del cfg
     gc.collect()
     assert [r() for r in refs] == [None, None]
+
+
+# ---------------------------------------------------------------------------
+# The Dormand-Prince pair: its exactly rounded form, its tableau, and the
+# edges of the time span
+
+
+# The Dormand-Prince 5(4) tableau as published (Hairer, Norsett & Wanner,
+# Solving ODEs I, sec. II.5, table 5.2), in exact fractions, written out
+# here rather than read from dynamics: rows 1-6 of A, then the 5th-order
+# weights b5 as row 7, and the error weights E = b5 - b4
+_DP5_A = [[Fraction(x) for x in row.split()] for row in (
+    "",
+    "1/5",
+    "3/40 9/40",
+    "44/45 -56/15 32/9",
+    "19372/6561 -25360/2187 64448/6561 -212/729",
+    "9017/3168 -355/33 46732/5247 49/176 -5103/18656",
+    "35/384 0 500/1113 125/192 -2187/6784 11/84")]
+_DP5_E = [Fraction(x) for x in (
+    "71/57600 0 -71/16695 71/1920 -17253/339200 22/525 -1/40").split()]
+
+
+def _rk45_exactly_rounded(sys, t, y, dt, cfg, k1):
+    """stepper_oracle's Dormand-Prince attempt with every stage sum, error
+    entry and the error norm's sum exactly rounded (math.fsum over every
+    tableau term, zeros included), from the published tableau: the sum
+    rule the pair had before its plain left-to-right sums."""
+    c = dy._constants(sys)
+    K = [k1]
+
+    def fsums(coeffs):
+        return [math.fsum(map(mul, map(float, coeffs), col))
+                for col in zip(*K)]
+
+    def stage(row):
+        return [x + dt * s for x, s in zip(y, fsums(row))]
+    for i in range(1, 6):
+        K.append(dy._rhs(sys, t + float(sum(_DP5_A[i])) * dt,
+                         stage(_DP5_A[i]), c)[0])
+    ynew = stage(_DP5_A[6])
+    dy._check_finite(ynew, t + dt)
+    last = dy._rhs(sys, t + dt, ynew, c)
+    K.append(last[0])
+    nmech = 2 * sys.dof
+    err = math.sqrt(math.fsum(
+        (dt * s / (cfg.abs_tol + cfg.rel_tol * abs(x))) ** 2
+        for s, x in zip(fsums(_DP5_E), y[:nmech])) / nmech)
+    factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+    return ynew, err <= 1.0, dt * factor, last
+
+
+@pytest.mark.parametrize("name", [*BUILTIN_NAMES, "general"])
+def test_pair_is_within_1e_13_of_its_exactly_rounded_form(name, monkeypatch):
+    # the generated loop sums left to right; beside it, the oracle's loop
+    # over the exactly rounded attempt takes the same accepted and rejected
+    # steps and RHS calls, and ends within 1e-13 absolute in every entry of
+    # its last row
+    b = get_builtin("pendulum_drag_2dof" if name == "general" else name)
+    sys = _general_pendulum(b) if name == "general" else b.system
+    t_end = 3.0 if name == "general" else b.t_end
+    traj = dy.integrate(sys, b.initial, t_end, b.integrator)
+    monkeypatch.setitem(stepper_oracle.METHODS, "rk45", _rk45_exactly_rounded)
+    exact = stepper_oracle.integrate(sys, b.initial, t_end, b.integrator)
+    assert (traj.steps_taken, traj.steps_rejected, traj.rhs_calls) == (
+        exact.steps_taken, exact.steps_rejected, exact.rhs_calls)
+    assert traj.rows[-1][0] == exact.rows[-1][0] == t_end
+    assert max(abs(a - e) for a, e in zip(traj.rows[-1],
+                                          exact.rows[-1])) <= 1e-13
+
+
+def test_dormand_prince_tableau_is_consistent():
+    # each node is its row sum; the 5th-order weights b5 (the last row)
+    # integrate c^k exactly for k = 0..4, the 4th-order weights b5 - E for
+    # k = 0..3, and the error weights sum to zero
+    for c, row in zip(dy._DP_C, dy._DP_A):
+        assert abs(c - math.fsum(row)) <= 1e-15, c
+    b5 = dy._DP_A[6] + [0.0]
+    b4 = [b - e for b, e in zip(b5, dy._DP_E)]
+    for weights, order in ((b5, 5), (b4, 4)):
+        for k in range(order):
+            assert abs(math.fsum(w * c ** k for w, c in zip(weights, dy._DP_C))
+                       - 1.0 / (k + 1)) <= 1e-15, (order, k)
+    assert abs(math.fsum(dy._DP_E)) <= 1e-15
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_a_span_the_loop_would_not_step_is_refused(method):
+    # t_end = 1e-150 from t0 = 0 lies inside the loop's end guard
+    # 1e-15 (1 + |t_end|): integrate refuses it instead of returning the
+    # initial sample alone, and a config reports it at t_end
+    cfg = dy.IntegratorConfig(method=method, dt=1e-151)
+    message = ("t_end (1e-150) must be finite and exceed t0 (0.0) by more "
+               "than 1e-15 (1 + |t_end|)")
+    for integrate in (dy.integrate, stepper_oracle.integrate):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            integrate(free_particle(), dy.State(0.0, [0.0], [1.0]), 1e-150,
+                      cfg)
+    with pytest.raises(cf.ConfigError, match=re.escape(message)) as e:
+        cf.config_from_dict({
+            "dof": 1, "params": {}, "mass_matrix": [["1"]], "potential": "0",
+            "dissipation": {"mode": "homogeneous_sum", "terms": []},
+            "initial": {"q": [0.0], "v": [1.0]}, "t_end": 1e-150,
+            "integrator": {"method": method, "dt": 1e-151}})
+    assert e.value.path == "t_end"
+
+
+@pytest.mark.parametrize("t0, t_end", [(0.0, 5e-13), (1e6, 1e6 + 1e-8)],
+                         ids=["short", "late"])
+def test_rk45_steps_a_short_span(t0, t_end):
+    # the pair's first step is min(1e-2 (t_end - t0), 0.1), but no less
+    # than its step-size floor 1e-14 (1 + |t0|): a short span, or one late
+    # in time, that is not stiff steps to t_end instead of underflowing on
+    # its first attempt, as the oracle does
+    cfg = dy.IntegratorConfig()
+    new, old = _runs(free_particle(), dy.State(t0, [0.0], [1.0]), t_end, cfg)
+    assert new == old
+    rows, taken, rejected, _ = new
+    assert taken >= 1 and rejected == 0
+    assert rows[-1][0] == repr(t_end)
 
 
 # ---------------------------------------------------------------------------

@@ -227,7 +227,8 @@ def test_r_ratio_is_reciprocal_degree():
 def test_d_r_grad_sums_equal_the_value_code(name):
     # D_R_grad takes a term's value from its gradient code, except for sign
     # under smooth_eps, where the gradient code's value is tanh(x/eps);
-    # its D and R still equal the value code's sums bit for bit
+    # its D and R still equal the value code's left-to-right sums from 0.0
+    # bit for bit (the model's D and R are D_R_grad's own values)
     if name == "smoothed_sign":
         terms = [rm.DissipationTerm(xc.parse("mu*v1*sign(v1)"), 1.0,
                                     smooth_eps=0.5),
@@ -241,8 +242,12 @@ def test_d_r_grad_sums_equal_the_value_code(name):
     model = spec.model(dof)
     for q, v in rm.sample_states(dof, 100, seed=13):
         d, r, _ = model.D_R_grad(q, v, p)
-        bits = [float(x).hex() for x in (d, r, model.D(q, v, p),
-                                         model.R(q, v, p))]
+        D = R = 0.0
+        for t in spec.terms:
+            x = t.evaluate(q, v, p)
+            D += x
+            R += x / t.degree
+        bits = [float(x).hex() for x in (d, r, D, R)]
         assert bits[:2] == bits[2:], (q, v)
     if name == "smoothed_sign":
         smoothed = xc.compile_expr(terms[0].expr, dof, "v", 0.5)
