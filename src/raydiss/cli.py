@@ -381,13 +381,12 @@ def main(argv=None) -> int:
         if overrides:
             cfg = cfg.with_params(overrides)
         if args.command == "simulate":
-            if args.t_end is not None:
-                cfg = replace(cfg, t_end=args.t_end)
             out = cfg.output
-            cfg = replace(cfg, output=replace(
-                out, path=args.out or out.path,
-                format=args.format or out.format,
-                plot_data=args.plot_data or out.plot_data))
+            cfg = replace(
+                cfg, t_end=cfg.t_end if args.t_end is None else args.t_end,
+                output=replace(out, path=args.out or out.path,
+                               format=args.format or out.format,
+                               plot_data=args.plot_data or out.plot_data))
             return cmd_simulate(cfg)
         if args.command == "check":
             return cmd_check(cfg)

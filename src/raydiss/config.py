@@ -4,17 +4,21 @@ A config either embeds the full system (dof, mass_matrix, potential,
 dissipation, params) or selects a builtin by name. A selection loads as
 the builtin's document (`builtins.DOCS`), each of its other top-level keys
 replacing that whole section, so both kinds take one path from here on.
-Either may carry parameter `overrides`, applied after the sections.
-Expressions are strings in the expression grammar; they are parsed and
-bound at load time, and declared homogeneity degrees are verified
-immediately so bad configs fail before any integration.
+Either may carry parameter `overrides`, applied to `params` before the
+system is built, by the rule of `--set` and sweep values. Expressions are
+strings in the expression grammar, parsed and bound at load time. Every
+`RunConfig` checks declared degrees and D(q, 0) = 0 when it is made, by
+a load, `with_params` or `replace` alike, so bad parameter values fail
+before any integration.
 
 The sections `integrator`, `audit`, `output` and `dissipation.quadrature`
 are read field by field into their dataclasses: each key must name a
 field, and each value must have the type of that field's default. The
-defaults and the range checks live only in those dataclasses. The other
-objects (the top level, `dissipation`, its terms and `initial`) reject
-unknown keys too, so a misspelt key is an error, not a silent default.
+defaults and the range checks live only in those dataclasses; `dof`,
+the `mass_matrix` grid and `initial` take the same typed reader. The
+other objects (the top level, `dissipation`, its terms and `initial`)
+reject unknown keys too, so a misspelt key is an error, not a silent
+default.
 """
 
 from __future__ import annotations
@@ -52,6 +56,9 @@ class OutputConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A run whose span, declared degrees and D(q, 0) = 0 at its parameter
+    values are checked when it is made, however it is made."""
+
     system: rm.SystemSpec
     initial: State
     t_end: float
@@ -65,26 +72,15 @@ class RunConfig:
             check_span(self.initial.t, self.t_end)
         except ValueError as e:
             raise ConfigError(str(e), "t_end") from None
+        _check_declared_degrees(self)
 
     def with_params(self, overrides) -> "RunConfig":
-        """New config with parameter values replaced. `overrides` (JSON
-        `overrides`, --set or a sweep value) maps known parameter names
-        to finite numbers."""
-        if not isinstance(overrides, dict):
-            raise ConfigError(f"expected an object, got {overrides!r}",
-                              "overrides")
-        unknown = set(overrides) - set(self.system.params)
-        if unknown:
-            raise ConfigError(
-                f"unknown parameter(s): {', '.join(sorted(unknown))} "
-                f"(have: {', '.join(sorted(self.system.params))})",
-                "overrides")
-        params = dict(self.system.params)
-        for name, value in overrides.items():
-            params[name] = _num(value, f"overrides.{name}")
+        """New config with parameter values replaced (--set or a sweep
+        value) by the rule of JSON `overrides`, checked like any other."""
         # structure does not depend on parameters, so the new system keeps
         # the parsed expressions and shares the compiled dissipation model
-        return replace(self, system=replace(self.system, params=params))
+        return replace(self, system=replace(
+            self.system, params=_override(self.system.params, overrides)))
 
 
 # ---------------------------------------------------------------------------
@@ -107,17 +103,37 @@ def _num(x, path):
     raise ConfigError(f"expected a finite number, got {x!r}", path)
 
 
-def _typed(x, default, path):
-    """JSON value `x` as the type of `default` (a section field's default,
-    or a vector of zeros): a finite number for a float, an integral number
-    for an int, true/false for a bool, a string (or null where the default
-    is None), and a list of the same length for a tuple."""
+def _override(params, overrides):
+    """`params` with `overrides` (JSON `overrides`, --set or a sweep value)
+    applied: an object of known parameter names and finite numbers."""
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"expected an object, got {overrides!r}",
+                          "overrides")
+    unknown = set(overrides) - set(params)
+    if unknown:
+        raise ConfigError(
+            f"unknown parameter(s): {', '.join(sorted(unknown))} "
+            f"(have: {', '.join(sorted(params))})", "overrides")
+    return {**params, **{name: _num(value, f"overrides.{name}")
+                         for name, value in overrides.items()}}
+
+
+def _typed(x, default, path, shape=()):
+    """JSON value `x` as the type of `default`: a finite number for a
+    float, an integral number for an int, true/false for a bool, a string
+    (or null where the default is None). With a `shape` (n, ...), `x` is a
+    list of n entries of the rest of the shape, its length checked before
+    any entry is read, so that a huge stated n builds nothing. A tuple
+    default (a section field's) is the shape of its length, each entry of
+    the type of its first."""
     if isinstance(default, tuple):
-        if not isinstance(x, (list, tuple)) or len(x) != len(default):
-            raise ConfigError(f"expected a list of length {len(default)}, "
+        default, shape = default[0], (len(default),)
+    if shape:
+        if not isinstance(x, (list, tuple)) or len(x) != shape[0]:
+            raise ConfigError(f"expected a list of length {shape[0]}, "
                               f"got {x!r}", path)
-        return tuple(_typed(e, d, f"{path}[{i}]")
-                     for i, (e, d) in enumerate(zip(x, default)))
+        return tuple(_typed(e, default, f"{path}[{i}]", shape[1:])
+                     for i, e in enumerate(x))
     if isinstance(default, bool):
         if not isinstance(x, bool):
             raise ConfigError(f"expected true or false, got {x!r}", path)
@@ -218,24 +234,17 @@ def config_from_dict(doc: dict) -> RunConfig:
         doc = {**builtin, **{k: v for k, v in doc.items() if k != "system"}}
     _check_keys(doc, ("dof", "params", "mass_matrix", "potential",
                       "dissipation") + _RUN_KEYS, "")
-    dof = _req(doc, "dof", "")
-    if not isinstance(dof, int) or dof < 1:
+    dof = _typed(_req(doc, "dof", ""), 1, "dof")
+    if dof < 1:
         raise ConfigError("dof must be a positive integer", "dof")
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params must be an object", "params")
-    params = {k: _num(v, f"params.{k}") for k, v in params.items()}
-    mm_src = _req(doc, "mass_matrix", "")
-    if not isinstance(mm_src, list) or len(mm_src) != dof:
-        raise ConfigError(f"mass_matrix must be a {dof}x{dof} grid",
-                          "mass_matrix")
-    mm = []
-    for i, row in enumerate(mm_src):
-        if not isinstance(row, list) or len(row) != dof:
-            raise ConfigError(f"row must have {dof} entries",
-                              f"mass_matrix[{i}]")
-        mm.append([_parse_expr(e, f"mass_matrix[{i}][{j}]")
-                   for j, e in enumerate(row)])
+    params = _override({k: _num(v, f"params.{k}") for k, v in params.items()},
+                       doc.get("overrides", {}))
+    grid = _typed(_req(doc, "mass_matrix", ""), "", "mass_matrix", (dof, dof))
+    mm = [[_parse_expr(e, f"mass_matrix[{i}][{j}]") for j, e in enumerate(row)]
+          for i, row in enumerate(grid)]
     potential = _parse_expr(_req(doc, "potential", ""), "potential")
     dissipation = _load_dissipation(_req(doc, "dissipation", ""),
                                     "dissipation")
@@ -247,11 +256,10 @@ def config_from_dict(doc: dict) -> RunConfig:
 
     init = _req(doc, "initial", "")
     _check_keys(init, ("q", "v", "t0"), "initial")
-    zeros = (0.0,) * dof
-    q = _typed(_req(init, "q", "initial"), zeros, "initial.q")
-    v = _typed(_req(init, "v", "initial"), zeros, "initial.v")
+    q = _typed(_req(init, "q", "initial"), 0.0, "initial.q", (dof,))
+    v = _typed(_req(init, "v", "initial"), 0.0, "initial.v", (dof,))
     t0 = _num(init.get("t0", 0.0), "initial.t0")
-    cfg = RunConfig(
+    return RunConfig(
         system=system, initial=State(t0, q, v),
         t_end=_num(_req(doc, "t_end", ""), "t_end"),
         integrator=_section(IntegratorConfig, doc.get("integrator", {}),
@@ -259,10 +267,6 @@ def config_from_dict(doc: dict) -> RunConfig:
         tolerances=_section(AuditTolerances, doc.get("audit", {}), "audit"),
         output=_section(OutputConfig, doc.get("output", {}), "output"),
         builtin_name=name)
-    if "overrides" in doc:
-        cfg = cfg.with_params(doc["overrides"])
-    _check_declared_degrees(cfg)
-    return cfg
 
 
 def _check_declared_degrees(cfg):

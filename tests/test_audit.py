@@ -292,6 +292,26 @@ def test_full_audit_sections_fail_independently():
     assert d["stationarity"]["max_gradient_residual"] is None
 
 
+def test_stationarity_skips_the_slope_near_a_friction_kink():
+    # past the stop at t = 10/3 the regularised Coulomb block creeps with
+    # |v| under the kink threshold max(1e-3, 10 * smooth_eps): the last
+    # four sampled reports skip the slope fit there, the first finds no
+    # growth above the float floor, and the audit passes. A new rule for
+    # non-smooth D must change this on purpose.
+    b, traj = run_builtin("coulomb_block", t_end=3.5)
+    assert len(traj) == 235
+    report = au.full_audit(b.system, traj)
+    assert report.passed and not report.errors
+    st = report.stationarity
+    assert st.passed and not st.quadratic_growth_verified
+    assert [r.slope for r in st.reports] == [None] * 5
+    assert [r.slope_skipped_reason for r in st.reports] == [
+        "probe changes below floating-point floor; reduced potential is "
+        "locally flat beyond the linear term"] + [
+        "dissipation is non-smooth (abs/sign) and a velocity component "
+        "sits near the kink"] * 4
+
+
 def test_stationarity_threshold_scales_with_spacing():
     assert au._stationarity_threshold(1e-5, 1e-3) == pytest.approx(1e-5)
     assert au._stationarity_threshold(1e-5, 2e-3) == pytest.approx(4e-5)

@@ -281,6 +281,111 @@ def test_malformed_input_is_a_one_line_config_error(workdir, capsys, doc,
     assert [p.name for p in workdir.iterdir()] == ["c.json"]
 
 
+# (document, path, message) of each config error that no other test
+# raises: the top level, the builtin name, dof, params, the mass_matrix
+# grid, the dissipation mode, a SystemSpec error, and the _req, _typed and
+# _parse_expr errors
+ERROR_PATHS = [
+    ([1], "", "top-level document must be a JSON object"),
+    ({"system": 5}, "system", "builtin selection must be a name string"),
+    ({**DSHO_INLINE, "dof": True}, "dof", "expected an integer, got True"),
+    ({**DSHO_INLINE, "dof": "1"}, "dof", "expected an integer, got '1'"),
+    ({**DSHO_INLINE, "dof": 1.5}, "dof", "expected an integer, got 1.5"),
+    ({**DSHO_INLINE, "dof": 0}, "dof", "dof must be a positive integer"),
+    ({**DSHO_INLINE, "params": [1]}, "params", "params must be an object"),
+    ({**DSHO_INLINE, "mass_matrix": "m"}, "mass_matrix",
+     "expected a list of length 1, got 'm'"),
+    ({**DSHO_INLINE, "mass_matrix": [["m"], ["m"]]}, "mass_matrix",
+     "expected a list of length 1, got [['m'], ['m']]"),
+    ({**DSHO_INLINE, "mass_matrix": [["m", "0"]]}, "mass_matrix[0]",
+     "expected a list of length 1, got ['m', '0']"),
+    ({**DSHO_INLINE, "mass_matrix": [[1.0]]}, "mass_matrix[0][0]",
+     "expected a string, got 1.0"),
+    # a stated dof far above the grid's own size fails on the grid's
+    # length, before anything of that size is built
+    ({**DSHO_INLINE, "dof": 1000000}, "mass_matrix",
+     "expected a list of length 1000000, got [['m']]"),
+    ({**DSHO_INLINE, "dof": 10 ** 30}, "mass_matrix",
+     f"expected a list of length {10 ** 30}, got [['m']]"),
+    # dof 2.0 reads as the integer 2, as integrator.max_steps: 8.0 does
+    ({**DSHO_INLINE, "dof": 2.0}, "mass_matrix",
+     "expected a list of length 2, got [['m']]"),
+    ({**DSHO_INLINE, "dissipation": {"mode": "linear"}}, "dissipation.mode",
+     "mode must be homogeneous_sum or general, got 'linear'"),
+    ({**DSHO_INLINE, "potential": "v1^2"}, "",
+     "potential must not reference velocities"),
+    ({**DSHO_INLINE, "dissipation": 5}, "dissipation",
+     "expected an object, got 5"),
+    ({**DSHO_INLINE, "dissipation": {"mode": "homogeneous_sum",
+                                     "terms": [{"degree": 2}]}},
+     "dissipation.terms[0]", "missing required field 'expr'"),
+    ({**DSHO_INLINE, "output": {"path": 5}}, "output.path",
+     "expected a string, got 5"),
+    ({**DSHO_INLINE, "potential": 5}, "potential",
+     "expected an expression string, got 5"),
+]
+
+
+@pytest.mark.parametrize("doc, path, message", ERROR_PATHS, ids=[
+    f"{i:02d}-{path}" for i, (_, path, _) in enumerate(ERROR_PATHS)])
+def test_each_config_error_path_is_one_line(workdir, capsys, doc, path,
+                                            message):
+    rc = main(["simulate", "--config", write_json(workdir / "c.json", doc)])
+    assert rc == 1
+    where = f" at '{path}'" if path else ""
+    assert capsys.readouterr().err == (
+        f"raydiss: config error{where}: {message}\n")
+    assert [p.name for p in workdir.iterdir()] == ["c.json"]
+
+
+# D = v1^2 + c*v1^3 declared of degree 2: homogeneous at c = 0 only
+NOT_HOMOGENEOUS = {
+    "dof": 1, "params": {"m": 1.0, "k": 1.0, "c": 0.0},
+    "mass_matrix": [["m"]], "potential": "0.5*k*q1^2",
+    "dissipation": {"mode": "homogeneous_sum",
+                    "terms": [{"expr": "v1^2 + c*v1^3", "degree": 2}]},
+    "initial": {"q": [1.0], "v": [0.0]}, "t_end": 1.0}
+
+
+@pytest.mark.parametrize("argv", [
+    ["derive-r", "--set", "c=1", "--q", "0", "--v", "1"],
+    ["simulate", "--set", "c=1"],
+    ["check", "--set", "c=1"],
+    ["sweep", "--param", "c", "--values", "0,1"],
+], ids=lambda argv: argv[0])
+def test_set_and_sweep_values_are_checked_like_overrides(workdir, capsys,
+                                                         argv):
+    # --set and each sweep value make their RunConfig as JSON overrides
+    # do, so a value that breaks the declared degree is the same config
+    # error, before any member runs or any file is written
+    overridden = write_json(workdir / "o.json",
+                            {**NOT_HOMOGENEOUS, "overrides": {"c": 1}})
+    assert main(["check", "--config", overridden]) == 1
+    expected = capsys.readouterr().err
+    assert expected.startswith(
+        "raydiss: config error at 'dissipation.terms[0]': term is not "
+        "homogeneous of declared degree 2.0 (")
+    config = write_json(workdir / "c.json", NOT_HOMOGENEOUS)
+    rc = main([argv[0], "--config", config] + argv[1:])
+    assert rc == 1
+    assert capsys.readouterr().err == expected
+    assert sorted(p.name for p in workdir.iterdir()) == ["c.json", "o.json"]
+
+
+def test_overrides_that_repair_the_params_load():
+    # the checks see the parameters after overrides, not before
+    doc = {**NOT_HOMOGENEOUS, "params": {"m": 1.0, "k": 1.0, "c": 1.0}}
+    with pytest.raises(cf.ConfigError, match="not homogeneous"):
+        cf.config_from_dict(doc)
+    cfg = cf.config_from_dict({**doc, "overrides": {"c": 0.0}})
+    assert cfg.system.params["c"] == 0.0
+    with pytest.raises(cf.ConfigError, match="not homogeneous"):
+        cfg.with_params({"c": 1.0})
+    with pytest.raises(cf.ConfigError, match="not homogeneous"):
+        dataclasses.replace(cfg, system=dataclasses.replace(
+            cfg.system, params={**cfg.system.params, "c": 1.0}))
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

@@ -1223,6 +1223,26 @@ def test_integrate_damped_sho_matches_analytic():
     assert abs(s.v[0] - vr[0]) <= 1e-8
 
 
+@pytest.mark.parametrize("name", ["sho", "quad_drag_particle",
+                                  "coulomb_block"])
+def test_builtin_run_matches_its_reference_at_every_sample(name):
+    # measured maxima of |dq| and |dv|: 1.1e-10 (sho), 2.3e-11
+    # (quad_drag_particle), 2.2e-16 (coulomb_block, whose t_end 2 is
+    # before the block stops at v0*m/mu = 10/3)
+    b = get_builtin(name)
+    traj = dy.integrate(b.system, b.initial, b.t_end, b.integrator)
+    for s in traj.states():
+        qr, vr = b.reference(s.t)
+        assert abs(s.q[0] - qr[0]) <= 1e-8 and abs(s.v[0] - vr[0]) <= 1e-8
+
+
+def test_coulomb_reference_raises_once_the_block_stops():
+    ref = get_builtin("coulomb_block").reference
+    ref(10.0 / 3.0 - 1e-9)
+    with pytest.raises(ValueError, match="before the block stops"):
+        ref(10.0 / 3.0)
+
+
 def test_integrate_quad_drag_half_velocity_at_t3():
     b = get_builtin("quad_drag_particle")
     traj = dy.integrate(b.system, b.initial, 3.0, b.integrator)
