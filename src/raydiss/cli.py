@@ -180,13 +180,14 @@ def cmd_derive_r(cfg: RunConfig, q, v) -> int:
             raise rm.ModelError(
                 f"non-finite result: D = {float(total_d)!r}, R = "
                 f"{float(total_r)!r}, dR/dv = {force!r}")
-        if d.mode == "homogeneous_sum":
+        terms, rest = d.split
+        if terms or rest is None:
             print(f"{'term':<30} {'degree':>8} {'D_n':>14} {'D_n/n':>14}")
-            for term in d.terms:
+            for term in terms:
                 dn = term.evaluate(qt, vt, p)
                 print(f"{xc.to_source(term.expr):<30} {term.degree:>8g} "
                       f"{dn:>14.8g} {dn / term.degree:>14.8g}")
-        else:
+        if rest is not None:
             qc = d.quadrature
             print(f"quadrature: {qc.panels} graded panels (ratio "
                   f"{rm.GRADING:g}) x {qc.node_count} Gauss nodes, estimate "

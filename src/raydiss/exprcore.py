@@ -349,6 +349,51 @@ def uses_abs_or_sign(node) -> bool:
     return any(isinstance(n, Call) and n.fn in ("abs", "sign") for n in walk(node))
 
 
+def addends(node):
+    """The top-level addends of node, in order; a - b gives a and -b."""
+    if isinstance(node, BinOp) and node.op in "+-":
+        right = node.right if node.op == "+" else Neg(node.right)
+        return addends(node.left) + [right]
+    return [node]
+
+
+def _literal(node):
+    """The value of a number or a negated number, else None."""
+    if isinstance(node, Neg):
+        c = _literal(node.child)
+        return None if c is None else -c
+    return node.value if isinstance(node, Const) else None
+
+
+def velocity_degree(node):
+    """n with node(q, lam*v) = lam^n node(q, v) for every lam > 0, read
+    from the syntax, or None where these rules give no finite n: v_j has
+    1; q, parameters and numbers 0; negation and abs keep the degree; a
+    product adds degrees, a quotient subtracts them, a sum needs them
+    equal; x ^ c with a literal c has c * deg(x); sign of a known degree,
+    a function of degree 0 and x ^ e with both of degree 0 have 0."""
+    if isinstance(node, Vel):
+        return 1.0
+    if isinstance(node, (Coord, Param, Const)):
+        return 0.0
+    if isinstance(node, Neg):
+        return velocity_degree(node.child)
+    if isinstance(node, Call):  # every function takes one argument
+        d = velocity_degree(node.args[0])
+        if node.fn == "abs" or d is None:
+            return d
+        return 0.0 if d == 0.0 or node.fn == "sign" else None
+    a, b = velocity_degree(node.left), velocity_degree(node.right)
+    if a is None or b is None:
+        return None
+    if node.op == "^":
+        c = _literal(node.right)
+        n = c * a if c is not None else 0.0 if a == b == 0.0 else None
+    else:
+        n = {"*": a + b, "/": a - b}.get(node.op, a if a == b else None)
+    return n if n is not None and math.isfinite(n) else None
+
+
 def bind_check(node, dof, params):
     """Validate variable references against a system of `dof` coordinates
     and the given parameter table. Raises BindError on any violation."""

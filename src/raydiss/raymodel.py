@@ -7,20 +7,20 @@ for nonconservative forces. The dissipation potential R is built from D:
 * homogeneous_sum mode: D = sum of terms, each velocity-homogeneous of a
   declared degree n > 0; then R = sum(term / n) exactly.
 * general mode: R(q, v) = integral over u in (0, 1] of D(q, u*v)/u du,
-  computed by one graded Gauss-Legendre rule whose panels shrink
-  geometrically towards u = 0, where D(q, u*v)/u need not be smooth, with
-  an error estimate from a cheaper rule on the same mesh. The arbitrary
-  additive constant is fixed by R(q, 0) = 0. Each evaluation of R, or of
-  R and dR/dv together, evaluates D (or D and dD/dv) at the nodes of both
-  rules in one array-mode call (exprcore.compile_array).
+  with R(q, 0) = 0: exactly D_n/n for an addend of known velocity degree
+  n > 0 (exprcore.velocity_degree), and for the rest of D one graded
+  Gauss-Legendre rule whose panels shrink geometrically towards u = 0,
+  with an error estimate from a cheaper rule on the same mesh, in one
+  array-mode call (exprcore.compile_array) for R or for R and dR/dv.
+  eval_R_quadrature integrates the whole D by that rule.
 
 Each spec compiles its evaluators once, on first use, and keeps them for
 its own lifetime: a DissipationSpec owns D, R and dR/dv (per dof), a
 SystemSpec owns M, dM/dq, V and dV/dq. Evaluators take
 (q, v, params); the eval_* functions below are adapters over them. D, R
 and dR/dv at one state come from one call, D_R_grad, in either mode, so
-v.dR/dv = D compares values of one evaluation. Point evaluations (D,
-homogeneous_sum R and dR/dv) use the scalar compiled code.
+v.dR/dv = D compares values of one evaluation. Point evaluations (D, and
+R and dR/dv in closed form) use the scalar compiled code.
 
 Structural checks (homogeneity, Euler identity v.dR/dv = D, positivity)
 are seeded and reproducible, with left-to-right dot products (_dot).
@@ -136,10 +136,40 @@ class DissipationSpec:
         use and kept for the life of this spec."""
         hit = self._models.get(dof)
         if hit is None:
-            cls = (_GeneralModel if self.mode == "general"
-                   else _HomogeneousSumModel)
-            hit = self._models[dof] = cls(self, dof)
+            terms, rest = self.split
+            if rest is None:
+                hit = _HomogeneousSumModel(terms, dof)
+            else:
+                hit = _GeneralModel(rest, self.quadrature, dof)
+                if terms:
+                    hit = _SplitModel(_HomogeneousSumModel(terms, dof), hit)
+            self._models[dof] = hit
         return hit
+
+    def quadrature_model(self, dof):
+        """General mode's graded rule over the whole of raw, built on first
+        use: the model itself when no addend of raw has a closed form."""
+        if not self.split[0]:
+            return self.model(dof)
+        if -dof not in self._models:
+            self._models[-dof] = _GeneralModel(self.raw, self.quadrature, dof)
+        return self._models[-dof]
+
+    @cached_property
+    def split(self):
+        """(terms, rest): the DissipationTerms whose R is D_n/n and the
+        expression the graded rule integrates, or None. In general mode the
+        terms are raw's addends of known velocity degree n > 0, and rest
+        sums the others (raw itself when there are no terms)."""
+        if self.mode == "homogeneous_sum":
+            return self.terms, None
+        parts = [(a, xc.velocity_degree(a) or 0.0)
+                 for a in xc.addends(self.raw)]
+        terms = tuple(DissipationTerm(a, n) for a, n in parts if n > 0)
+        rest = [a for a, n in parts if n <= 0]
+        if not terms:
+            return (), self.raw
+        return terms, reduce(partial(xc.BinOp, "+"), rest) if rest else None
 
     @property
     def is_null(self):
@@ -345,7 +375,7 @@ def _ldl_lines(M):
 class _HomogeneousSumModel:
     """R = sum of term/degree, exact for velocity-homogeneous terms."""
 
-    def __init__(self, spec, dof):
+    def __init__(self, terms, dof):
         # D_R_grad(q, v, p) -> (D, R, dR/dv as a list of floats): the
         # terms' gradient code unrolled in term order, each term with its
         # own smooth_eps, accumulating D, R and dR/dv from 0.0 left to
@@ -354,11 +384,10 @@ class _HomogeneousSumModel:
         # except where that differs (sign under smooth_eps is tanh there):
         # that term calls its value code.
         blocks, _ = xc.compile_blocks(
-            [t.expr for t in spec.terms], dof, "v",
-            [t.smooth_eps for t in spec.terms])
+            [t.expr for t in terms], dof, "v", [t.smooth_eps for t in terms])
         g = [f"g{j}" for j in range(dof)]
         body, values = [" = ".join(["D", "R", *g, "0.0"])], {}
-        for i, (t, (lines, val, dv)) in enumerate(zip(spec.terms, blocks)):
+        for i, (t, (lines, val, dv)) in enumerate(zip(terms, blocks)):
             if t.smooth_eps and any(isinstance(n, xc.Call) and n.fn == "sign"
                                     for n in xc.walk(t.expr)):
                 values[f"_value{i}"] = t.evaluate
@@ -377,19 +406,19 @@ class _HomogeneousSumModel:
 
 
 class _GeneralModel:
-    """R(q, v) = integral over u in (0, 1] of D(q, u*v)/u du by one graded
-    Gauss-Legendre rule, built once per model: hp-quadrature's geometric
-    mesh (Schwab, p- and hp-FEM, 1998) puts short panels where u*v is small,
-    so a sharp feature of D near rest or a non-integer power of the speed
-    needs no refinement. The main and then the estimate nodes, each
-    panel-major, go through one array-mode call of D, or of D and dD/dv;
-    R is the same np.dot over the main nodes either way, so bit-identical.
-    Point values of D use the scalar compiled code.
+    """R(q, v) = integral over u in (0, 1] of D(q, u*v)/u du, D = `expr`,
+    by one graded Gauss-Legendre rule, built once per model: hp-quadrature
+    geometric mesh (Schwab, p- and hp-FEM, 1998) puts short panels where
+    u*v is small, so a sharp feature of D near rest or a non-integer power
+    of the speed needs no refinement. The main and then the estimate
+    nodes, each panel-major, go through one array-mode call of D, or of D
+    and dD/dv; R is the same np.dot over the main nodes either way, so
+    bit-identical. Point values of D use the scalar compiled code.
     """
 
-    def __init__(self, spec, dof):
+    def __init__(self, expr, quadrature, dof):
         self.dof = dof
-        self.quadrature = qc = spec.quadrature
+        self.quadrature = qc = quadrature
         edges = [0.0] + [GRADING ** k for k in range(qc.panels - 1, -1, -1)]
         half = (0.5 * np.diff(edges))[:, None]
         mid = (0.5 * np.add(edges[:-1], edges[1:]))[:, None]
@@ -401,9 +430,9 @@ class _GeneralModel:
         self._n = n = qc.panels * qc.node_count
         self._w = w[:n]
         self._w_over_u, self._w_over_u_est = np.split(w / self._u, [n])
-        self.D = xc.compile_expr(spec.raw)
-        self._D_nodes = xc.compile_array(spec.raw)
-        self._D_grad_nodes = xc.compile_array(spec.raw, dof, "v")
+        self.D = xc.compile_expr(expr)
+        self._D_nodes = xc.compile_array(expr)
+        self._D_grad_nodes = xc.compile_array(expr, dof, "v")
 
     def _quad(self, q, v, p, with_grad):
         """R, and dR/dv when with_grad (else None), from one array call.
@@ -437,6 +466,26 @@ class _GeneralModel:
         the point. R equals self.R bit for bit."""
         r, g = self._quad(q, v, p, True)
         return self.D(q, v, p), r, g.tolist()
+
+
+class _SplitModel:
+    """D = `closed` (a _HomogeneousSumModel) + `quad` (a _GeneralModel):
+    D, R and dR/dv are the parts' sums, closed part first, so D and R are
+    D_R_grad's bit for bit and R makes no gradient pass."""
+
+    def __init__(self, closed, quad):
+        self.closed, self.quad = closed, quad
+
+    def D_R_grad(self, q, v, p):
+        (d, r, g), (dq, rq, gq) = (self.closed.D_R_grad(q, v, p),
+                                   self.quad.D_R_grad(q, v, p))
+        return d + dq, r + rq, [a + b for a, b in zip(g, gq)]
+
+    def D(self, q, v, p):
+        return self.closed.D(q, v, p) + self.quad.D(q, v, p)
+
+    def R(self, q, v, p):
+        return self.closed.R(q, v, p) + self.quad.R(q, v, p)
 
 
 # ---------------------------------------------------------------------------
@@ -516,10 +565,11 @@ def eval_R_closed(spec: DissipationSpec, ctx: EvalContext) -> float:
 
 
 def eval_R_quadrature(spec: DissipationSpec, ctx: EvalContext):
-    """General-mode R via the u-integral, as (value, None): no warnings."""
+    """General-mode R as the graded rule's u-integral of the whole D, also
+    where D's addends have closed forms, as (value, None): no warnings."""
     if spec.mode != "general":
         raise ModelError("eval_R_quadrature requires general mode")
-    return spec.model(ctx.dof).R(ctx.q, ctx.v, ctx.params), None
+    return spec.quadrature_model(ctx.dof).R(ctx.q, ctx.v, ctx.params), None
 
 
 def eval_R(spec: DissipationSpec, ctx: EvalContext) -> float:

@@ -373,12 +373,16 @@ def test_homogeneous_sum_d_and_r_are_d_r_grads_bit_for_bit(monkeypatch):
 
 
 def test_stationarity_takes_one_d_r_grad_call_per_sample(monkeypatch):
-    # in general mode, whose R does not call D_R_grad, the sample's dR/dv
-    # comes from generalized_force's breakdown: one call per sample; a
-    # given frozen_force takes the audit's own call instead
+    # in general mode with a graded-rule addend, whose R does not call
+    # D_R_grad, the sample's dR/dv comes from generalized_force's
+    # breakdown: one call per sample; a given frozen_force takes the
+    # audit's own call instead
     b = get_builtin("pendulum_drag_2dof")
-    sys = dataclasses.replace(b.system, dissipation=rm.DissipationSpec(
-        "general", raw=xc.parse("A*(v1^2+v2^2)^1.5")))
+    sys = dataclasses.replace(
+        b.system, params={**b.system.params, "c": 0.05},
+        dissipation=rm.DissipationSpec("general", raw=xc.parse(
+            "A*(v1^2+v2^2)^1.5 + c*v1*tanh(v1/0.001)")))
+    assert sys.model.dissipation.quad
     traj = dy.integrate(sys, b.initial, 1.0, b.integrator)
     force = au.generalized_force(sys, traj, 5).generalized
     seen = _recording(sys.model.dissipation, monkeypatch)

@@ -29,12 +29,24 @@ def _compare(tmp_path, *entries):
 
 
 def test_agreeing_entries_pass_and_general_mode_is_only_listed(tmp_path):
-    general = [{"pendulum_general.csv": h, "pendulum_general.audit.json": h}
-               for h in ("d4", "e5", "f6")]
-    rc, out, err = _compare(tmp_path, *({**AGREED, **g} for g in general))
+    # only the general-mode run with a graded-rule (tanh) addend is
+    # listed without comparing
+    tanh = [{"pendulum_tanh.csv": h, "pendulum_tanh.audit.json": h}
+            for h in ("d4", "e5", "f6")]
+    rc, out, err = _compare(tmp_path, *({**AGREED, **g} for g in tanh))
     assert (rc, err) == (0, "")
-    assert "pendulum_general.csv: listed only" in out
+    assert "pendulum_tanh.csv: listed only" in out
     assert all(f"    {h}  " in out for h in ("d4", "e5", "f6"))
+
+
+def test_a_differing_closed_form_general_mode_digest_fails(tmp_path):
+    # the general-mode pendulum's R is closed-form: compared like the rest
+    entries = [{**AGREED, "pendulum_general.csv": h} for h in ("d4", "d4",
+                                                               "e5")]
+    rc, out, err = _compare(tmp_path, *entries)
+    assert rc == 1
+    assert "pendulum_general.csv: compared" in out
+    assert err == "digests differ between entries: pendulum_general.csv\n"
 
 
 def test_a_differing_homogeneous_sum_digest_fails(tmp_path):

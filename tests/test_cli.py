@@ -423,6 +423,22 @@ def test_simulate_adversarial_negative_d_exit_two(workdir):
     assert report["euler_identity"]["passed"] is True
 
 
+def test_general_pendulum_output_is_its_homogeneous_sum_twins(workdir):
+    # in general mode, A*(v1^2+v2^2)^1.5 has velocity degree 3 and takes
+    # the closed form R = D/3 of its homogeneous_sum twin, the builtin:
+    # the same trajectory CSV and audit JSON, byte for byte
+    general = {**DOCS["pendulum_drag_2dof"], "t_end": 3.0, "dissipation": {
+        "mode": "general", "raw": "A*(v1^2+v2^2)^1.5"}}
+    twin = {"system": "pendulum_drag_2dof", "t_end": 3.0}
+    for stem, doc in (("g", general), ("h", twin)):
+        assert main(["simulate", "--config",
+                     write_json(workdir / f"{stem}.json", doc),
+                     "--out", f"{stem}.csv"]) == 0
+    for ext in (".csv", ".audit.json"):
+        assert ((workdir / f"g{ext}").read_bytes()
+                == (workdir / f"h{ext}").read_bytes())
+
+
 # D = c*v1*tanh(v1/0.001), a regularised Coulomb law, from |v1| = 1: the
 # former uniform rule needed 16 panels there and warned on stderr
 TANH_DOC = {"dof": 1, "params": {"c": 0.1}, "mass_matrix": [["1"]],
@@ -704,22 +720,46 @@ def test_derive_r_null_dissipation(workdir, capsys):
     assert "total R      = 0" in out
 
 
-def test_derive_r_general_mode_reports_quadrature(workdir, capsys):
+DERIVE_R_HEADER = ("term                             degree            D_n"
+                   "          D_n/n")
+QUADRATURE_LINE = ("quadrature: 13 graded panels (ratio 0.15) x 16 Gauss "
+                   "nodes, estimate rule 12 nodes, tolerance 1e-10")
+
+
+def _derive_r_general(workdir, capsys, raw, v):
     doc = json.loads(json.dumps(DSHO_INLINE))
-    doc["params"] = {"m": 1.0, "k": 1.0}
-    doc["dissipation"] = {"mode": "general", "raw": "v1^2"}
+    doc["params"] = {"m": 1.0, "k": 1.0, "c": 0.3}
+    doc["dissipation"] = {"mode": "general", "raw": raw}
     rc = main(["derive-r", "--config", write_json(workdir / "c.json", doc),
-               "--q", "0", "--v", "2"])
+               "--q", "0", "--v", v])
     assert rc == 0
-    out = capsys.readouterr().out.splitlines()
-    assert out[0] == ("quadrature: 13 graded panels (ratio 0.15) x 16 Gauss "
-                      "nodes, estimate rule 12 nodes, tolerance 1e-10")
-    assert not any("refinement" in ln for ln in out)
-    # R = v1^2/2 = 2; the weighted sum over 208 nodes rounds to within a
-    # few ulps of it (it prints 1.9999999999999996, one ulp of 2 below)
-    total_r, = [float(ln.split("=")[1]) for ln in out
-                if ln.startswith("total R")]
-    assert abs(total_r - 2.0) <= 4 * math.ulp(2.0)
+    return capsys.readouterr().out.splitlines()
+
+
+def test_derive_r_general_mode_reports_quadrature(workdir, capsys):
+    # v1^2 has velocity degree 2: one row with D_n/n, R = D/2 exactly and
+    # no quadrature line
+    out = _derive_r_general(workdir, capsys, "v1^2", "2")
+    row = ("v1 ^ 2.0                              2              4"
+           "              2")
+    assert out[:3] == [DERIVE_R_HEADER, row, "total D      = 4.0"]
+    assert "total R      = 2.0" in out
+    assert not any(ln.startswith("quadrature") for ln in out)
+    # c v tanh(v/eps) has none: the graded rule integrates it, R = c eps
+    # ln cosh(v/eps), after the rows of any closed-form addends
+    c, eps, v = 0.3, 0.001, 2.0
+    tanh_r = c * (v + eps * (math.log1p(math.exp(-2.0 * v / eps))
+                             - math.log(2.0)))
+    for raw, rows, exact in [
+            ("c*v1*tanh(v1/0.001)", [], tanh_r),
+            ("v1^2 + c*v1*tanh(v1/0.001)", [DERIVE_R_HEADER, row],
+             tanh_r + 2.0)]:
+        out = _derive_r_general(workdir, capsys, raw, "2")
+        assert out[:len(rows) + 1] == rows + [QUADRATURE_LINE]
+        assert not any("refinement" in ln for ln in out)
+        total_r, = [float(ln.split("=")[1]) for ln in out
+                    if ln.startswith("total R")]
+        assert abs(total_r - exact) <= 1e-10 * (1.0 + abs(exact))
 
 
 @pytest.mark.parametrize("dissipation, q, v, expr", [

@@ -527,10 +527,13 @@ def test_rk45_counts_rhs_calls_with_first_same_as_last(monkeypatch):
     assert traj.rhs_calls == len(calls) == 1 + 6 * attempts
 
 
-def _general_pendulum(b):
-    """b.system with its D in general mode (quadrature R)."""
-    d = rm.DissipationSpec("general", raw=xc.parse("A*(v1^2+v2^2)^1.5"))
-    return dataclasses.replace(b.system, dissipation=d)
+def _mixed_pendulum(b):
+    """b.system with a regularised Coulomb addend in its general-mode D:
+    the graded rule integrates that addend, of no velocity degree."""
+    d = rm.DissipationSpec("general", raw=xc.parse(
+        "A*(v1^2+v2^2)^1.5 + c*v1*tanh(v1/0.001)"))
+    return dataclasses.replace(b.system, dissipation=d,
+                               params={**b.system.params, "c": 0.05})
 
 
 def _rk4(b):
@@ -545,7 +548,7 @@ def test_rk45_samples_reuse_stage_values_bit_for_bit(method, general):
     # stage (the first sample from the first stage) instead of evaluating
     # them again; they must be the values a fresh evaluation gives
     b = get_builtin("pendulum_drag_2dof")
-    system = _general_pendulum(b) if general else b.system
+    system = _mixed_pendulum(b) if general else b.system
     cfg = _rk4(b) if method == "rk4" else b.integrator
     traj = dy.integrate(system, b.initial, 2.0, cfg)
     assert len(traj) > 20
@@ -608,27 +611,29 @@ def test_sample_T_and_W_are_fixed_order_sums():
 
 def test_rk45_general_mode_samples_add_no_quadrature(monkeypatch):
     b = get_builtin("pendulum_drag_2dof")
-    system = _general_pendulum(b)
-    calls = count_array_calls(system.dissipation.model(2), monkeypatch)
+    system = _mixed_pendulum(b)
+    calls = count_array_calls(system.dissipation.model(2).quad, monkeypatch)
     traj = dy.integrate(system, b.initial, 1.0, b.integrator)
     assert len(traj) > 20
     assert len(calls) == traj.rhs_calls
 
 
 def test_general_pendulum_from_rest_takes_no_scalar_pass(monkeypatch):
-    # the speed norm's kink at rest stays in array mode (no numpy flag)
+    # the Coulomb addend's rule at and near rest stays in array mode (no
+    # numpy flag); the speed norm's kink at rest is test_raymodel's
+    # zero-speed case, now that its addend has a closed form
     b = get_builtin("pendulum_drag_2dof")
     assert list(b.initial.v) == [0.0, 0.0]
     passes = count_scalar_passes(monkeypatch)
-    traj = dy.integrate(_general_pendulum(b), b.initial, 0.5, b.integrator)
+    traj = dy.integrate(_mixed_pendulum(b), b.initial, 0.5, b.integrator)
     assert len(traj) > 5
     assert passes == []
 
 
 def test_rk4_general_mode_samples_add_no_quadrature(monkeypatch):
     b = get_builtin("pendulum_drag_2dof")
-    system = _general_pendulum(b)
-    calls = count_array_calls(system.dissipation.model(2), monkeypatch)
+    system = _mixed_pendulum(b)
+    calls = count_array_calls(system.dissipation.model(2).quad, monkeypatch)
     traj = dy.integrate(system, b.initial, 1.0, _rk4(b))
     assert len(traj) > 20
     assert len(calls) == traj.rhs_calls == 1 + 4 * traj.steps_taken
@@ -913,7 +918,7 @@ def _runs(sys, init, t_end, cfg):
 @pytest.mark.parametrize("method", ["rk4", "rk45"])
 @pytest.mark.parametrize("make", [
     make_damped_sho, lambda: get_builtin("pendulum_drag_2dof").system,
-    lambda: _general_pendulum(get_builtin("pendulum_drag_2dof")),
+    lambda: _mixed_pendulum(get_builtin("pendulum_drag_2dof")),
     full_mass_3dof], ids=["damped_sho", "pendulum_drag_2dof", "general",
                           "full_mass_3dof"])
 def test_generated_attempt_is_the_oracle_bit_for_bit(make, method):
@@ -952,7 +957,7 @@ def test_generated_loop_is_the_oracle_bit_for_bit(name, method,
         base = dy.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
     else:
         b = get_builtin("pendulum_drag_2dof" if name == "general" else name)
-        sys = _general_pendulum(b) if name == "general" else b.system
+        sys = _mixed_pendulum(b) if name == "general" else b.system
         init, t_end, base = b.initial, min(b.t_end, 2.0), b.integrator
     cfg = dataclasses.replace(base, method=method, dt=1e-2,
                               sample_every=sample_every)
@@ -1147,7 +1152,7 @@ def test_pair_is_within_1e_13_of_its_exactly_rounded_form(name, monkeypatch):
     # steps and RHS calls, and ends within 1e-13 absolute in every entry of
     # its last row
     b = get_builtin("pendulum_drag_2dof" if name == "general" else name)
-    sys = _general_pendulum(b) if name == "general" else b.system
+    sys = _mixed_pendulum(b) if name == "general" else b.system
     t_end = 3.0 if name == "general" else b.t_end
     traj = dy.integrate(sys, b.initial, t_end, b.integrator)
     monkeypatch.setitem(stepper_oracle.METHODS, "rk45", _rk45_exactly_rounded)

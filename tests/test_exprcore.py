@@ -2,12 +2,15 @@ import gc
 import math
 import re
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from raydiss import exprcore as xc
+from raydiss import raymodel as rm
+from raydiss.builtins import BUILTIN_NAMES, get_builtin
 
 from conftest import CORPUS, CORPUS_PARAMS, random_contexts
 from dual_interpreter import (Dual, eval_dual, evaluate_interpreted,
@@ -706,3 +709,69 @@ def test_compile_cache_drops_entries_with_their_ast():
     fn = xc.compiled(e)
     assert xc.compiled(e) is fn
     assert xc.compiled(e, 1, "v", None) is xc.compiled(e, 1, "v", None)
+
+
+# ---------------------------------------------------------------------------
+# Velocity degree
+
+
+@pytest.mark.parametrize("src, degree", [
+    ("v1^c", None),                 # a parameter exponent of a velocity
+    ("q1^c", 0.0),                  # ... of a degree-0 base
+    ("exp(v1)", None),
+    ("tanh(v1/v2)", 0.0),
+    ("sign(v1)*v1^2", 2.0),
+    ("v1^-1", -1.0),                # -1 parses as a negated number
+    ("(v1^2+v1^3)*q1", None),
+    ("A*(v1^2+v2^2)^1.5", 3.0),
+    ("c*v1*tanh(v1/0.001)", None),
+    ("-abs(v1 - v2)", 1.0),
+    ("sqrt(abs(v1))", None),
+    ("(v1^1e200)^1e200", None),     # an infinite degree is no degree
+    ("v1^(3/2)", None),             # the exponent is not a literal
+])
+def test_velocity_degree_hand_cases(src, degree):
+    assert xc.velocity_degree(xc.parse(src)) == degree
+
+
+def test_addends_split_sums_and_differences_at_the_top_only():
+    node = xc.parse("a - b*(v1 - v2) + (c + d) - (e + f)")
+    assert list(map(xc.to_source, xc.addends(node))) == [
+        "a", "-(b * (v1 - v2))", "c + d", "-(e + f)"]
+    assert xc.addends(xc.parse("-(v1^2 + v2^2)")) == [
+        xc.parse("-(v1^2 + v2^2)")]
+
+
+def _degree_oracle(node, dof, params):
+    """raymodel.homogeneity_check of node at its inferred degree; a state
+    where the expression has no value fails at every scale, so it counts
+    as agreeing there."""
+    fn = xc.compile_expr(node)
+
+    def evaluate(q, v, p):
+        try:
+            return fn(q, v, p)
+        except xc.EvalDomainError:
+            return 0.0
+    term = SimpleNamespace(evaluate=evaluate,
+                           degree=xc.velocity_degree(node))
+    return rm.homogeneity_check(term, dof, params)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_velocity_degree_of_every_builtin_term_is_declared(name):
+    system = get_builtin(name).system
+    for t in system.dissipation.terms:
+        assert xc.velocity_degree(t.expr) == t.degree
+        assert _degree_oracle(t.expr, system.dof, system.params).passed
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(src=_grammar_exprs())
+def test_velocity_degree_passes_the_sampled_check(src):
+    # wherever the pass gives a degree, the sampled homogeneity check
+    # passes at that degree
+    node = xc.parse(src)
+    if xc.velocity_degree(node) is not None:
+        rep = _degree_oracle(node, 2, {"c": 0.7, "k": 3.0})
+        assert rep.passed, (src, rep)

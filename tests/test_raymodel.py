@@ -108,7 +108,9 @@ def test_general_quadrature_rule_built_once_per_spec(monkeypatch):
         return leggauss(n)
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
-    spec = general("v1^2 + abs(v2)^3")
+    # no addend has a velocity degree, so the model is the whole-D rule
+    spec = general("v1*tanh(v1/0.001) + v2^2*tanh(v2)")
+    assert spec.quadrature_model(2) is spec.model(2)
     for q, v in rm.sample_states(2, 3, seed=4):
         c = ctx(q, v)
         rm.grad_R_v(spec, c)
@@ -463,7 +465,7 @@ def test_vectorised_quadrature_matches_scalar_loop():
                ((0.0, 0.0), (0.0, 0.8), (-1.1, 0.0), (1.0, 0.3))]
     for src in QUAD_ORACLE_D:
         spec = general(src)
-        model = spec.model(2)
+        model = spec.quadrature_model(2)
         for q, v in states:
             q, v = tuple(q), tuple(v)
             ref_r, _ = _scalar_loop_graded(spec, 2, q, v, p, False)
@@ -479,7 +481,7 @@ def test_vectorised_quadrature_matches_scalar_loop():
 def test_tanh_law_converges_where_uniform_panels_refined():
     # |v1| = 1 needed 16 uniform panels of 64 nodes and |v1| = 1.78 did not
     # converge on them; R = eps ln cosh(v/eps), dR/dv = tanh(v/eps)
-    model = general("v1*tanh(v1/0.001)").model(1)
+    model = general("v1*tanh(v1/0.001)").quadrature_model(1)
     for v in (0.5, 1.0, 1.78):
         _, r, g = model.D_R_grad((0.0,), (v,), {})
         exact = v + 0.001 * (math.log1p(math.exp(-2000.0 * v))
@@ -495,7 +497,7 @@ def test_regularised_coulomb_law_matches_closed_form():
     # c (tanh s + s sech^2 s) at s = u v/eps, is sharper, and its error
     # reaches 9e-13 near |v| = 0.017
     c, eps = 0.3, 0.001
-    model = general("c*v1*tanh(v1/0.001)").model(1)
+    model = general("c*v1*tanh(v1/0.001)").quadrature_model(1)
     for speed in np.logspace(-2.0, 1.0, 400):
         exact = c * (speed + eps * (math.log1p(math.exp(-2.0 * speed / eps))
                                     - math.log(2.0)))
@@ -513,7 +515,7 @@ def test_regularised_coulomb_law_matches_closed_form():
 def test_non_integer_power_laws_match_d_over_degree(src, degree):
     # D(u v)/u = u^(n-1) D(v) is not smooth at u = 0 for these n; for a
     # degree-n homogeneous D, R = D/n and dR/dv = (dD/dv)/n
-    model = general(src).model(2)
+    model = general(src).quadrature_model(2)
     grad_D = xc.compile_expr(xc.parse(src), 2, "v")
     for q, v in rm.sample_states(2, 300, seed=13):
         q, v = tuple(q), tuple(v)
@@ -544,7 +546,7 @@ def _uniform_rule_R(src, q, v, p):
 ])
 def test_smooth_laws_match_homogeneous_twin_and_uniform_rule(src, twin):
     p = {"A": 0.1}
-    model = general(src).model(2)
+    model = general(src).quadrature_model(2)
     twin_model = homsum(*twin).model(2)
     for q, v in rm.sample_states(2, 25, seed=8):
         q, v = tuple(q), tuple(v)
@@ -555,7 +557,7 @@ def test_smooth_laws_match_homogeneous_twin_and_uniform_rule(src, twin):
 
 
 def test_each_quadrature_evaluation_is_one_array_call(monkeypatch):
-    model = general("v1^2 + abs(v2)^3").model(2)
+    model = general("v1^2 + abs(v2)^3").quadrature_model(2)
     calls = count_array_calls(model, monkeypatch)
     q, v = (0.1, 0.2), (0.7, -1.3)
     model.R(q, v, {})
@@ -572,7 +574,7 @@ def test_zero_speed_conventions_take_no_scalar_pass(monkeypatch, src, p, v):
     # a zero base to a power below 1 is masked in array mode, so the kink
     # convention (value and derivative 0) costs no point-by-point pass
     passes = count_scalar_passes(monkeypatch)
-    model = general(src).model(2)
+    model = general(src).quadrature_model(2)
     assert model.D_R_grad((0.1, 0.2), v, p) == (0.0, 0.0, [0.0, 0.0])
     assert model.R((0.1, 0.2), v, p) == 0.0
     assert passes == []
@@ -592,7 +594,7 @@ def test_vectorised_quadrature_domain_error_matches_scalar_loop(
     spec = general(src)
     with pytest.raises(xc.EvalDomainError) as ref:
         _scalar_loop_graded(spec, 1, (0.0,), v, {}, with_grad)
-    model = spec.model(1)
+    model = spec.quadrature_model(1)
     call = model.D_R_grad if with_grad else model.R
     with pytest.raises(xc.EvalDomainError) as got:
         call((0.0,), v, {})
@@ -603,14 +605,16 @@ def test_sqrt_derivative_at_zero_fails_only_the_gradient():
     spec = general("sqrt(v2)*v1^2")
     q, v = (0.0, 0.0), (1.2, 0.0)
     ref_r, _ = _scalar_loop_graded(spec, 2, q, v, {}, False)
-    assert _rel_close(spec.model(2).R(q, v, {}), ref_r)
+    model = spec.quadrature_model(2)
+    assert _rel_close(model.R(q, v, {}), ref_r)
     with pytest.raises(xc.EvalDomainError, match="sqrt derivative at zero"):
-        spec.model(2).D_R_grad(q, v, {})
+        model.D_R_grad(q, v, {})
 
 
 def test_vectorised_quadrature_still_diverges_for_rest_nonvanishing_d():
     spec = general("v1^2 + 1")
-    for call in (spec.model(1).R, spec.model(1).D_R_grad):
+    model = spec.quadrature_model(1)
+    for call in (model.R, model.D_R_grad):
         with pytest.raises(rm.QuadratureError):
             call((0.0,), (1.0,), {})
 
@@ -642,7 +646,8 @@ def test_quadrature_overflow_is_named_not_blamed_on_rest_value(
         d_over, grad_over = _exp_overflow_speeds(spec.quadrature)
         assert v > (d_over if which == "R" else grad_over)
         assert which == "R" or v < d_over
-    call = getattr(spec.model(1), "D_R_grad" if which == "grad_R" else which)
+    call = getattr(spec.quadrature_model(1),
+                   "D_R_grad" if which == "grad_R" else which)
     expected = (f"floating-point overflow in subexpression "
                 f"'{xc.to_source(spec.raw)}'")
     with warnings.catch_warnings():
@@ -650,6 +655,57 @@ def test_quadrature_overflow_is_named_not_blamed_on_rest_value(
         with pytest.raises(xc.EvalDomainError,
                            match=f"^{re.escape(expected)}$"):
             call((q,), (v,), {})
+
+
+# ---------------------------------------------------------------------------
+# General mode split: closed-form addends and the graded rule for the rest
+
+MIXED_D = "A*(v1^2+v2^2)^1.5 + c*v1*tanh(v1/0.001)"
+MIXED_PARAMS = {"A": 0.1, "c": 0.3}
+
+
+def test_general_split_takes_the_addends_of_known_positive_degree():
+    terms, rest = general("v1^2 - 0.5*abs(v2)^3 + c*v1^-1").split
+    assert [(xc.to_source(t.expr), t.degree) for t in terms] == [
+        ("v1 ^ 2.0", 2.0), ("-(0.5 * abs(v2) ^ 3.0)", 3.0)]
+    assert xc.to_source(rest) == "c * v1 ^ (-1.0)"  # degree -1: the rule
+    spec = general("c*v1*tanh(v1/0.001) - v2^c")
+    assert spec.split == ((), spec.raw)
+    assert general(MIXED_D).split[1] == xc.parse("c*v1*tanh(v1/0.001)")
+    declared = homsum(("v1^2", 2.0))
+    assert declared.split == (declared.terms, None)
+
+
+def test_homogeneous_general_d_is_its_homogeneous_sum_twin_bit_for_bit():
+    # no addend is left for the rule, so the model makes no array call
+    model = general("A*(v1^2+v2^2)^1.5").model(2)
+    twin = homsum(("A*(v1^2+v2^2)^1.5", 3.0)).model(2)
+    assert type(model) is type(twin)
+    for q, v in rm.sample_states(2, 25, seed=8):
+        got, ref = model.D_R_grad(q, v, MIXED_PARAMS), twin.D_R_grad(
+            q, v, MIXED_PARAMS)
+        assert repr(got) == repr(ref), v
+
+
+def test_split_law_matches_the_whole_d_quadrature(monkeypatch):
+    # the closed form of the norm addend plus the rule over the tanh
+    # addend against the rule over the whole D, within the rule's own
+    # tolerance; D and R are the split's D_R_grad values bit for bit, and
+    # each evaluation is one array call of the tanh addend's rule
+    spec = general(MIXED_D)
+    model, whole = spec.model(2), spec.quadrature_model(2)
+    tol = spec.quadrature.tolerance
+    calls = count_array_calls(model.quad, monkeypatch)
+    states = rm.sample_states(2, 40, seed=3, v_norm_range=(1e-3, 10.0))
+    for k, (q, v) in enumerate(states):
+        d, r, g = model.D_R_grad(q, v, MIXED_PARAMS)
+        _, r_whole, g_whole = whole.D_R_grad(q, v, MIXED_PARAMS)
+        assert _close(r, r_whole, tol) and _close(g, g_whole, tol), v
+        assert model.R(q, v, MIXED_PARAMS) == r
+        assert model.D(q, v, MIXED_PARAMS) == d
+        assert calls == ["_D_grad_nodes", "_D_nodes"] * (k + 1)
+    assert rm.eval_R_quadrature(spec, ctx(q, v, **MIXED_PARAMS))[0] == (
+        whole.R(q, v, MIXED_PARAMS))
 
 
 # ---------------------------------------------------------------------------
