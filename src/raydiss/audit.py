@@ -294,7 +294,7 @@ def stationarity_audit(sys: SystemSpec, traj: Trajectory, k: int,
         skipped = "no probes requested"
     else:
         eps_thresh = 1e-3
-        if sys.dissipation.uses_abs_or_sign():
+        if sys.dissipation.uses_abs_or_sign:
             eps_list = [t.smooth_eps for t in sys.dissipation.terms
                         if t.smooth_eps]
             if eps_list:

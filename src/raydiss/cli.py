@@ -134,35 +134,23 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def cmd_check(cfg: RunConfig) -> int:
     sys = cfg.system
     d = sys.dissipation
+    sampling = {"samples": cfg.tolerances.check_samples,
+                "seed": cfg.tolerances.check_seed}
     rows = []
-    ok = True
-    if d.mode == "homogeneous_sum":
-        for i, term in enumerate(d.terms):
-            rep = rm.homogeneity_check(term, sys.dof, sys.params,
-                                       samples=cfg.tolerances.check_samples,
-                                       seed=cfg.tolerances.check_seed)
-            rows.append((f"homogeneity[{i}] (degree {term.degree:g}, "
-                         f"R/D = {1.0 / term.degree:.6g})",
-                         rep.passed, rep.max_violation))
-            ok &= rep.passed
-    else:
-        rep = rm.rest_value_check(d, sys.dof, sys.params,
-                                  samples=cfg.tolerances.check_samples,
-                                  seed=cfg.tolerances.check_seed)
-        rows.append(("rest value D(q,0)=0", rep.passed, rep.max_violation))
-        ok &= rep.passed
+    for i, rep in rm.hypothesis_checks(sys, **sampling):
+        n = None if i is None else d.terms[i].degree
+        rows.append((f"homogeneity[{i}] (degree {n:g}, R/D = {1.0 / n:.6g})"
+                     if n else "rest value D(q,0)=0", rep))
     for fn in (rm.positivity_scan, rm.euler_identity_check):
-        rep = fn(d, sys.dof, sys.params,
-                 samples=cfg.tolerances.check_samples,
-                 seed=cfg.tolerances.check_seed)
+        rep = fn(d, sys.dof, sys.params, **sampling)
         rows.append((rep.name + (f" ({rep.detail})" if rep.detail else ""),
-                     rep.passed, rep.max_violation))
-        ok &= rep.passed
-    width = max((len(r[0]) for r in rows), default=10) + 2
+                     rep))
+    width = max(len(name) for name, _ in rows) + 2
     print(f"{'check':<{width}} {'result':<8} max violation")
-    for name, passed, viol in rows:
-        print(f"{name:<{width}} {'pass' if passed else 'FAIL':<8} {viol:.3e}")
-    return EXIT_OK if ok else EXIT_AUDIT_FAIL
+    for name, rep in rows:
+        print(f"{name:<{width}} {'pass' if rep.passed else 'FAIL':<8} "
+              f"{rep.max_violation:.3e}")
+    return EXIT_OK if all(rep.passed for _, rep in rows) else EXIT_AUDIT_FAIL
 
 
 def cmd_derive_r(cfg: RunConfig, q, v) -> int:

@@ -9,7 +9,8 @@ system is built, by the rule of `--set` and sweep values. Expressions are
 strings in the expression grammar, parsed and bound at load time. Every
 `RunConfig` checks declared degrees and D(q, 0) = 0 when it is made, by
 a load, `with_params` or `replace` alike, so bad parameter values fail
-before any integration.
+before any integration; the sampled checks run once per system, so a
+`replace` that keeps it reads their result.
 
 The sections `integrator`, `audit`, `output` and `dissipation.quadrature`
 are read field by field into their dataclasses: each key must name a
@@ -72,7 +73,23 @@ class RunConfig:
             check_span(self.initial.t, self.t_end)
         except ValueError as e:
             raise ConfigError(str(e), "t_end") from None
-        _check_declared_degrees(self)
+        failed = self.system.failed_hypothesis
+        if failed is None:
+            return
+        i, rep = failed
+        if i is None:
+            raise ConfigError(
+                f"general-mode dissipation must vanish at rest; max "
+                f"|D(q,0)| = {rep.max_violation:.3e}", "dissipation.raw")
+        term = self.system.dissipation.terms[i]
+        q, v = rep.witness
+        finite = math.isfinite(term.evaluate(q, v, self.system.params))
+        raise ConfigError(
+            f"term is not homogeneous of declared degree {term.degree} "
+            f"(max relative violation {rep.max_violation:.3e} at "
+            f"q={list(q)}, v={list(v)}"
+            f"{'' if finite else ', where the term overflows'})",
+            f"dissipation.terms[{i}]")
 
     def with_params(self, overrides) -> "RunConfig":
         """New config with parameter values replaced (--set or a sweep
@@ -267,28 +284,6 @@ def config_from_dict(doc: dict) -> RunConfig:
         tolerances=_section(AuditTolerances, doc.get("audit", {}), "audit"),
         output=_section(OutputConfig, doc.get("output", {}), "output"),
         builtin_name=name)
-
-
-def _check_declared_degrees(cfg):
-    d = cfg.system.dissipation
-    if d.mode != "homogeneous_sum":
-        rep = rm.rest_value_check(d, cfg.system.dof, cfg.system.params)
-        if not rep.passed:
-            raise ConfigError(
-                f"general-mode dissipation must vanish at rest; max "
-                f"|D(q,0)| = {rep.max_violation:.3e}", "dissipation.raw")
-        return
-    for i, term in enumerate(d.terms):
-        rep = rm.homogeneity_check(term, cfg.system.dof, cfg.system.params)
-        if not rep.passed:
-            q, v = rep.witness
-            finite = math.isfinite(term.evaluate(q, v, cfg.system.params))
-            raise ConfigError(
-                f"term is not homogeneous of declared degree {term.degree} "
-                f"(max relative violation {rep.max_violation:.3e} at "
-                f"q={list(q)}, v={list(v)}"
-                f"{'' if finite else ', where the term overflows'})",
-                f"dissipation.terms[{i}]")
 
 
 def load_config(path) -> RunConfig:

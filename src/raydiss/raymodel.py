@@ -2,25 +2,23 @@
 
 A system is (M(q), V(q), D(q, v)): a configuration-dependent mass matrix,
 a potential, and a dissipation function that is the sole constitutive input
-for nonconservative forces. The dissipation potential R is built from D:
-
-* homogeneous_sum mode: D = sum of terms, each velocity-homogeneous of a
-  declared degree n > 0; then R = sum(term / n) exactly.
-* general mode: R(q, v) = integral over u in (0, 1] of D(q, u*v)/u du,
-  with R(q, 0) = 0: exactly D_n/n for an addend of known velocity degree
-  n > 0 (exprcore.velocity_degree), and for the rest of D one graded
-  Gauss-Legendre rule whose panels shrink geometrically towards u = 0,
-  with an error estimate from a cheaper rule on the same mesh, in one
-  array-mode call (exprcore.compile_array) for R or for R and dR/dv.
-  eval_R_quadrature integrates the whole D by that rule.
+for nonconservative forces. The dissipation potential R is built from D as
+R(q, v) = integral over u in (0, 1] of D(q, u*v)/u du, with R(q, 0) = 0:
+exactly D_n/n for an addend of velocity degree n > 0, and for the rest of
+D one graded Gauss-Legendre rule whose panels shrink geometrically towards
+u = 0, with an error estimate from a cheaper rule on the same mesh, in one
+array-mode call (exprcore.compile_array). A dissipation `mode` is config
+syntax for where the degrees come from: homogeneous_sum declares terms and
+their degrees (checked on samples), general gives one expression, `raw`,
+whose addends of known degree (exprcore.velocity_degree) take D_n/n.
+eval_R_quadrature integrates the whole D by the rule.
 
 Each spec compiles its evaluators once, on first use, and keeps them for
-its own lifetime: a DissipationSpec owns D, R and dR/dv (per dof), a
-SystemSpec owns M, dM/dq, V and dV/dq. Evaluators take
-(q, v, params); the eval_* functions below are adapters over them. D, R
-and dR/dv at one state come from one call, D_R_grad, in either mode, so
-v.dR/dv = D compares values of one evaluation. Point evaluations (D, and
-R and dR/dv in closed form) use the scalar compiled code.
+its own lifetime: a DissipationSpec owns one DissipationModel per dof, a
+SystemSpec owns M, dM/dq, V and dV/dq. Evaluators take (q, v, params); the
+eval_* functions below are adapters over them. D, R and dR/dv at one state
+come from one call, D_R_grad, one generated function for every D, so
+v.dR/dv = D compares values of one evaluation.
 
 Structural checks (homogeneity, Euler identity v.dR/dv = D, positivity)
 are seeded and reproducible, with left-to-right dot products (_dot).
@@ -136,32 +134,27 @@ class DissipationSpec:
         use and kept for the life of this spec."""
         hit = self._models.get(dof)
         if hit is None:
-            terms, rest = self.split
-            if rest is None:
-                hit = _HomogeneousSumModel(terms, dof)
-            else:
-                hit = _GeneralModel(rest, self.quadrature, dof)
-                if terms:
-                    hit = _SplitModel(_HomogeneousSumModel(terms, dof), hit)
-            self._models[dof] = hit
+            hit = self._models[dof] = DissipationModel(
+                *self.split, self.quadrature, dof)
         return hit
 
     def quadrature_model(self, dof):
-        """General mode's graded rule over the whole of raw, built on first
-        use: the model itself when no addend of raw has a closed form."""
+        """The graded rule over the whole of raw, built on first use: the
+        model itself when no addend of raw has a closed form."""
         if not self.split[0]:
             return self.model(dof)
         if -dof not in self._models:
-            self._models[-dof] = _GeneralModel(self.raw, self.quadrature, dof)
+            self._models[-dof] = DissipationModel(
+                (), self.raw, self.quadrature, dof)
         return self._models[-dof]
 
     @cached_property
     def split(self):
         """(terms, rest): the DissipationTerms whose R is D_n/n and the
-        expression the graded rule integrates, or None. In general mode the
+        expression the graded rule integrates, or None. With raw set the
         terms are raw's addends of known velocity degree n > 0, and rest
         sums the others (raw itself when there are no terms)."""
-        if self.mode == "homogeneous_sum":
+        if self.raw is None:
             return self.terms, None
         parts = [(a, xc.velocity_degree(a) or 0.0)
                  for a in xc.addends(self.raw)]
@@ -171,19 +164,20 @@ class DissipationSpec:
             return (), self.raw
         return terms, reduce(partial(xc.BinOp, "+"), rest) if rest else None
 
+    @cached_property
+    def exprs(self):
+        """D's expressions as written: (raw,), or the declared terms'."""
+        if self.raw is not None:
+            return (self.raw,)
+        return tuple(t.expr for t in self.terms)
+
     @property
     def is_null(self):
-        return self.mode == "homogeneous_sum" and not self.terms
-
-    def uses_abs_or_sign(self):
-        return self._abs_or_sign
+        return not self.exprs
 
     @cached_property
-    def _abs_or_sign(self):
-        # the expressions never change: walked once per spec
-        if self.mode == "general":
-            return xc.uses_abs_or_sign(self.raw)
-        return any(xc.uses_abs_or_sign(t.expr) for t in self.terms)
+    def uses_abs_or_sign(self):
+        return any(map(xc.uses_abs_or_sign, self.exprs))
 
 
 def null_dissipation():
@@ -217,13 +211,18 @@ class SystemSpec:
         xc.bind_check(self.potential, m, self.params)
         if xc.uses_velocity(self.potential):
             raise ModelError("potential must not reference velocities")
-        d = self.dissipation
-        exprs = [d.raw] if d.mode == "general" else [t.expr for t in d.terms]
-        for e in exprs:
+        for e in self.dissipation.exprs:
             xc.bind_check(e, m, self.params)
 
     def ctx(self, q, v):
         return EvalContext(tuple(q), tuple(v), self.params)
+
+    @cached_property
+    def failed_hypothesis(self):
+        """The first failing (term index or None, CheckReport) of
+        hypothesis_checks at these params, or None: run once per spec."""
+        return next((c for c in hypothesis_checks(self) if not c[1].passed),
+                    None)
 
     @cached_property
     def model(self) -> SystemModel:
@@ -372,52 +371,44 @@ def _ldl_lines(M):
     return lines
 
 
-class _HomogeneousSumModel:
-    """R = sum of term/degree, exact for velocity-homogeneous terms."""
+class DissipationModel:
+    """D, R and dR/dv of D = the sum of `terms` (DissipationTerms, R =
+    D_n/n) plus `rest` (an expression, or None), whose R is the graded
+    rule's integral of D(q, u*v)/u over u in (0, 1].
 
-    def __init__(self, terms, dof):
-        # D_R_grad(q, v, p) -> (D, R, dR/dv as a list of floats): the
-        # terms' gradient code unrolled in term order, each term with its
-        # own smooth_eps, accumulating D, R and dR/dv from 0.0 left to
-        # right; self.D and self.R are its values, so D and R have one
-        # evaluation path. A term's value comes from its gradient code,
-        # except where that differs (sign under smooth_eps is tanh there):
-        # that term calls its value code.
+    D_R_grad(q, v, p) -> (D, R, dR/dv as a list of floats) is generated
+    straight-line code: the terms' gradient code unrolled in term order,
+    each with its own smooth_eps, summing D, R and dR/dv from 0.0 left to
+    right (a term whose value differs from its gradient code's, sign
+    under smooth_eps, calls its value code). With no rest, D and R are
+    D_R_grad's values. With a rest, the generated D_R_grad, R and D add
+    its part after the terms' sums: a gradient pass of the rule, a value
+    pass, and its scalar value at the point.
+
+    The rule is hp-quadrature's geometric mesh (Schwab, p- and hp-FEM,
+    1998): short panels where u*v is small, so a sharp feature of D near
+    rest or a non-integer power of the speed needs no refinement. Its main
+    then estimate nodes, each panel-major, go through one array-mode call;
+    R is the same np.dot over the main nodes in both passes.
+    """
+
+    def __init__(self, terms, rest, quadrature, dof):
         blocks, _ = xc.compile_blocks(
             [t.expr for t in terms], dof, "v", [t.smooth_eps for t in terms])
         g = [f"g{j}" for j in range(dof)]
-        body, values = [" = ".join(["D", "R", *g, "0.0"])], {}
+        body, names = [" = ".join(["D", "R", *g, "0.0"])], {"inf": math.inf}
         for i, (t, (lines, val, dv)) in enumerate(zip(terms, blocks)):
             if t.smooth_eps and any(isinstance(n, xc.Call) and n.fn == "sign"
                                     for n in xc.walk(t.expr)):
-                values[f"_value{i}"] = t.evaluate
+                names[f"_value{i}"] = t.evaluate
                 val = f"_value{i}(q, v, p)"
             deg = repr(float(t.degree))
             body += lines + [f"d = {val}", "D += d", f"R += d / {deg}"]
             body += [f"{x} += {y} / {deg}" for x, y in zip(g, dv)]
-        self.D_R_grad = xc.define("_D_R_grad(q, v, p)", body + [
-            f"return D, R, {_list(g)}"], inf=math.inf, **values)
-
-    def D(self, q, v, p):
-        return self.D_R_grad(q, v, p)[0]
-
-    def R(self, q, v, p):
-        return self.D_R_grad(q, v, p)[1]
-
-
-class _GeneralModel:
-    """R(q, v) = integral over u in (0, 1] of D(q, u*v)/u du, D = `expr`,
-    by one graded Gauss-Legendre rule, built once per model: hp-quadrature
-    geometric mesh (Schwab, p- and hp-FEM, 1998) puts short panels where
-    u*v is small, so a sharp feature of D near rest or a non-integer power
-    of the speed needs no refinement. The main and then the estimate
-    nodes, each panel-major, go through one array-mode call of D, or of D
-    and dD/dv; R is the same np.dot over the main nodes either way, so
-    bit-identical. Point values of D use the scalar compiled code.
-    """
-
-    def __init__(self, expr, quadrature, dof):
-        self.dof = dof
+        if rest is None:
+            self.D_R_grad = xc.define("_D_R_grad(q, v, p)", body + [
+                f"return D, R, {_list(g)}"], **names)
+            return
         self.quadrature = qc = quadrature
         edges = [0.0] + [GRADING ** k for k in range(qc.panels - 1, -1, -1)]
         half = (0.5 * np.diff(edges))[:, None]
@@ -430,17 +421,34 @@ class _GeneralModel:
         self._n = n = qc.panels * qc.node_count
         self._w = w[:n]
         self._w_over_u, self._w_over_u_est = np.split(w / self._u, [n])
-        self.D = xc.compile_expr(expr)
-        self._D_nodes = xc.compile_array(expr)
-        self._D_grad_nodes = xc.compile_array(expr, dof, "v")
+        self._D_nodes = xc.compile_array(rest)
+        self._D_grad_nodes = xc.compile_array(rest, dof, "v")
+
+        def plus(x, y):  # the rest's part y added to the terms' sum x
+            return f"{x} + {y}" if terms else y
+        names.update(_quad=self._quad, _rest=xc.compile_expr(rest))
+        body, d = body if terms else [], plus("D", "_rest(q, v, p)")
+        gr = _list([plus(x, f"gq[{j}]") for j, x in enumerate(g)])
+        for name, tail in (
+                ("D_R_grad", ["r, gq = _quad(q, v, p, True)",
+                              f"return {d}, {plus('R', 'r')}, {gr}"]),
+                ("R", ["r = _quad(q, v, p, False)[0]",
+                       f"return {plus('R', 'r')}"]),
+                ("D", [f"return {d}"])):
+            setattr(self, name, xc.define(f"_{name}(q, v, p)", body + tail,
+                                          **names))
+
+    def D(self, q, v, p):
+        return self.D_R_grad(q, v, p)[0]
+
+    def R(self, q, v, p):
+        return self.D_R_grad(q, v, p)[1]
 
     def _quad(self, q, v, p, with_grad):
-        """R, and dR/dv when with_grad (else None), from one array call.
-
-        d/dv_j of D(q, u*v) is u * (dD/dv_j)(q, u*v); the 1/u weight
-        cancels the chain factor, so the gradient integrand is just dD/dv
-        at u*v.
-        """
+        """The rest's R, and its dR/dv as a list when with_grad (else
+        None), from one array call. d/dv_j of D(q, u*v) is u * (dD/dv_j)
+        at u*v; the 1/u weight cancels the chain factor, so the gradient
+        integrand is just dD/dv at u*v."""
         n = self._n
         vs = np.asarray(v, dtype=float)[:, None] * self._u
         if with_grad:
@@ -456,36 +464,7 @@ class _GeneralModel:
                 f", v={[float(x) for x in v]}: R = {r!r}, estimate {est!r} "
                 f"(tolerance {tol:g}); check that D(q, 0) = 0; a D of "
                 f"velocity degree below 1 may need more quadrature panels")
-        return r, None if g is None else g[:, :n] @ self._w
-
-    def R(self, q, v, p):
-        return self._quad(q, v, p, False)[0]
-
-    def D_R_grad(self, q, v, p):
-        """(D, R, dR/dv as a list of floats): the gradient pass, then D at
-        the point. R equals self.R bit for bit."""
-        r, g = self._quad(q, v, p, True)
-        return self.D(q, v, p), r, g.tolist()
-
-
-class _SplitModel:
-    """D = `closed` (a _HomogeneousSumModel) + `quad` (a _GeneralModel):
-    D, R and dR/dv are the parts' sums, closed part first, so D and R are
-    D_R_grad's bit for bit and R makes no gradient pass."""
-
-    def __init__(self, closed, quad):
-        self.closed, self.quad = closed, quad
-
-    def D_R_grad(self, q, v, p):
-        (d, r, g), (dq, rq, gq) = (self.closed.D_R_grad(q, v, p),
-                                   self.quad.D_R_grad(q, v, p))
-        return d + dq, r + rq, [a + b for a, b in zip(g, gq)]
-
-    def D(self, q, v, p):
-        return self.closed.D(q, v, p) + self.quad.D(q, v, p)
-
-    def R(self, q, v, p):
-        return self.closed.R(q, v, p) + self.quad.R(q, v, p)
+        return r, None if g is None else (g[:, :n] @ self._w).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +538,7 @@ def eval_D(spec: DissipationSpec, ctx: EvalContext) -> float:
 
 def eval_R_closed(spec: DissipationSpec, ctx: EvalContext) -> float:
     """R = sum over terms of term/degree (exact for homogeneous terms)."""
-    if spec.mode != "homogeneous_sum":
+    if spec.raw is not None:
         raise ModelError("eval_R_closed requires homogeneous_sum mode")
     return spec.model(ctx.dof).R(ctx.q, ctx.v, ctx.params)
 
@@ -567,7 +546,7 @@ def eval_R_closed(spec: DissipationSpec, ctx: EvalContext) -> float:
 def eval_R_quadrature(spec: DissipationSpec, ctx: EvalContext):
     """General-mode R as the graded rule's u-integral of the whole D, also
     where D's addends have closed forms, as (value, None): no warnings."""
-    if spec.mode != "general":
+    if spec.raw is None:
         raise ModelError("eval_R_quadrature requires general mode")
     return spec.quadrature_model(ctx.dof).R(ctx.q, ctx.v, ctx.params), None
 
@@ -656,3 +635,14 @@ def rest_value_check(spec: DissipationSpec, dof: int, params: dict,
     return _sampled_check("rest_value", states,
                           lambda q, v: (abs(D(q, v, params)),), 1e-12,
                           "D(q, 0) = 0 hypothesis")
+
+
+def hypothesis_checks(sys: SystemSpec, **sampling):
+    """The sampled hypotheses on D, as (term index or None, CheckReport):
+    each declared term's homogeneity, then D(q, 0) = 0 when raw is set,
+    each check with `sampling` (samples, seed) if given."""
+    d, args = sys.dissipation, (sys.dof, sys.params)
+    for i, term in enumerate(d.terms):
+        yield i, homogeneity_check(term, *args, **sampling)
+    if d.raw is not None:
+        yield None, rest_value_check(d, *args, **sampling)

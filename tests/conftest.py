@@ -36,10 +36,14 @@ def random_contexts(n, seed=7, dof=2):
 
 
 def count_array_calls(model, monkeypatch):
-    """Names of the array-mode calls a general-mode model makes, in order,
-    from now on."""
+    """Names of the array-mode calls a dissipation model makes, in order,
+    from now on. A model with no rest for the graded rule has no array
+    evaluators, so its list stays empty."""
     calls = []
     for name in ("_D_nodes", "_D_grad_nodes"):
+        if not hasattr(model, name):
+            continue
+
         def counted(q, v, p, fn=getattr(model, name), name=name):
             calls.append(name)
             return fn(q, v, p)

@@ -382,7 +382,7 @@ def test_stationarity_takes_one_d_r_grad_call_per_sample(monkeypatch):
         b.system, params={**b.system.params, "c": 0.05},
         dissipation=rm.DissipationSpec("general", raw=xc.parse(
             "A*(v1^2+v2^2)^1.5 + c*v1*tanh(v1/0.001)")))
-    assert sys.model.dissipation.quad
+    assert sys.dissipation.split[1] is not None
     traj = dy.integrate(sys, b.initial, 1.0, b.integrator)
     force = au.generalized_force(sys, traj, 5).generalized
     seen = _recording(sys.model.dissipation, monkeypatch)

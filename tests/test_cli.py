@@ -386,6 +386,23 @@ def test_overrides_that_repair_the_params_load():
             cfg.system, params={**cfg.system.params, "c": 1.0}))
 
 
+@pytest.mark.parametrize("extra, runs", [
+    ([], 1), (["--set", "c=0.5", "--t-end", "0.2"], 2)])
+def test_sampled_checks_run_once_per_system(workdir, monkeypatch, extra,
+                                            runs):
+    # the flags' replace keeps the loaded system, whose checks ran at the
+    # load; --set makes a new system, whose params are checked again
+    calls = []
+
+    def counted(*args, fn=rm.hypothesis_checks, **kw):
+        calls.append(args[0].params)
+        return fn(*args, **kw)
+    monkeypatch.setattr(rm, "hypothesis_checks", counted)
+    config = write_json(workdir / "b.json", {"system": "damped_sho"})
+    assert main(["simulate", "--config", config] + extra) == 0
+    assert [p["c"] for p in calls] == [0.2, 0.5][:runs]
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

@@ -612,7 +612,7 @@ def test_sample_T_and_W_are_fixed_order_sums():
 def test_rk45_general_mode_samples_add_no_quadrature(monkeypatch):
     b = get_builtin("pendulum_drag_2dof")
     system = _mixed_pendulum(b)
-    calls = count_array_calls(system.dissipation.model(2).quad, monkeypatch)
+    calls = count_array_calls(system.dissipation.model(2), monkeypatch)
     traj = dy.integrate(system, b.initial, 1.0, b.integrator)
     assert len(traj) > 20
     assert len(calls) == traj.rhs_calls
@@ -633,7 +633,7 @@ def test_general_pendulum_from_rest_takes_no_scalar_pass(monkeypatch):
 def test_rk4_general_mode_samples_add_no_quadrature(monkeypatch):
     b = get_builtin("pendulum_drag_2dof")
     system = _mixed_pendulum(b)
-    calls = count_array_calls(system.dissipation.model(2).quad, monkeypatch)
+    calls = count_array_calls(system.dissipation.model(2), monkeypatch)
     traj = dy.integrate(system, b.initial, 1.0, _rk4(b))
     assert len(traj) > 20
     assert len(calls) == traj.rhs_calls == 1 + 4 * traj.steps_taken

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import count_array_calls, count_scalar_passes
+from raydiss import config as cf
 from raydiss import exprcore as xc
 from raydiss import raymodel as rm
 from raydiss.builtins import get_builtin
+from test_audit import THREE_TERM_SHO
 
 
 def ctx(q, v, **params):
@@ -662,6 +664,7 @@ def test_quadrature_overflow_is_named_not_blamed_on_rest_value(
 
 MIXED_D = "A*(v1^2+v2^2)^1.5 + c*v1*tanh(v1/0.001)"
 MIXED_PARAMS = {"A": 0.1, "c": 0.3}
+REST_ONLY_D = "c*v1*tanh(v1/0.001) + c*v2*tanh(v2/0.01)"
 
 
 def test_general_split_takes_the_addends_of_known_positive_degree():
@@ -676,7 +679,8 @@ def test_general_split_takes_the_addends_of_known_positive_degree():
     assert declared.split == (declared.terms, None)
 
 
-def test_homogeneous_general_d_is_its_homogeneous_sum_twin_bit_for_bit():
+def test_homogeneous_general_d_is_its_homogeneous_sum_twin_bit_for_bit(
+        monkeypatch):
     # no addend is left for the rule, so the model makes no array call
     model = general("A*(v1^2+v2^2)^1.5").model(2)
     twin = homsum(("A*(v1^2+v2^2)^1.5", 3.0)).model(2)
@@ -685,20 +689,47 @@ def test_homogeneous_general_d_is_its_homogeneous_sum_twin_bit_for_bit():
         got, ref = model.D_R_grad(q, v, MIXED_PARAMS), twin.D_R_grad(
             q, v, MIXED_PARAMS)
         assert repr(got) == repr(ref), v
+    # every shape of D is one model class whose D and R are D_R_grad's
+    # values bit for bit; with a rest for the rule, D_R_grad makes one
+    # gradient pass, R one value pass and D none, and otherwise no call
+    three_terms = cf.config_from_dict(THREE_TERM_SHO).system.dissipation
+    for spec, dof, rest in [
+            (rm.null_dissipation(), 2, False), (three_terms, 1, False),
+            (general("A*(v1^2+v2^2)^1.5"), 2, False),
+            (general(MIXED_D), 2, True), (general(REST_ONLY_D), 2, True)]:
+        model = spec.model(dof)
+        assert type(model) is rm.DissipationModel
+        assert (spec.split[1] is not None) == rest
+        calls = count_array_calls(model, monkeypatch)
+        for q, v in rm.sample_states(dof, 10, seed=8):
+            d, r, _ = model.D_R_grad(q, v, MIXED_PARAMS)
+            assert calls == ["_D_grad_nodes"] * rest
+            assert repr(model.R(q, v, MIXED_PARAMS)) == repr(r), v
+            assert calls == ["_D_grad_nodes", "_D_nodes"] * rest
+            assert repr(model.D(q, v, MIXED_PARAMS)) == repr(d), v
+            assert calls == ["_D_grad_nodes", "_D_nodes"] * rest
+            calls.clear()
 
 
 def test_split_law_matches_the_whole_d_quadrature(monkeypatch):
     # the closed form of the norm addend plus the rule over the tanh
     # addend against the rule over the whole D, within the rule's own
     # tolerance; D and R are the split's D_R_grad values bit for bit, and
-    # each evaluation is one array call of the tanh addend's rule
+    # each evaluation is one array call of the tanh addend's rule. D_R_grad
+    # is the closed part's values plus the rule's, bit for bit
     spec = general(MIXED_D)
     model, whole = spec.model(2), spec.quadrature_model(2)
+    closed = general("A*(v1^2+v2^2)^1.5").model(2)
+    rule = general("c*v1*tanh(v1/0.001)").model(2)
     tol = spec.quadrature.tolerance
-    calls = count_array_calls(model.quad, monkeypatch)
+    calls = count_array_calls(model, monkeypatch)
     states = rm.sample_states(2, 40, seed=3, v_norm_range=(1e-3, 10.0))
     for k, (q, v) in enumerate(states):
         d, r, g = model.D_R_grad(q, v, MIXED_PARAMS)
+        (dc, rc, gc), (dr, rr, gr) = (closed.D_R_grad(q, v, MIXED_PARAMS),
+                                      rule.D_R_grad(q, v, MIXED_PARAMS))
+        assert repr((d, r, g)) == repr(
+            (dc + dr, rc + rr, [a + b for a, b in zip(gc, gr)])), v
         _, r_whole, g_whole = whole.D_R_grad(q, v, MIXED_PARAMS)
         assert _close(r, r_whole, tol) and _close(g, g_whole, tol), v
         assert model.R(q, v, MIXED_PARAMS) == r
