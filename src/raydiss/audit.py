@@ -209,8 +209,7 @@ def generalized_force(sys: SystemSpec, traj: Trajectory,
             f"sample index {k} needs interior position 1..{len(traj) - 2}")
     sm, m = sys.model, sys.dof
     rows = traj.rows[k - 1:k + 2]
-    c = sm.constants(sm.params)
-    st = [sm.statics(r[1:1 + m], c) for r in rows]
+    st = [sm.statics(r[1:1 + m], sm.c) for r in rows]
     p = [[_dot(Ma, r[1 + m:1 + 2 * m]) for Ma in s[0]]
          for s, r in zip(st, rows)]
     dp_dt = [_central_diff(*(r[0] for r in rows), *f) for f in zip(*p)]

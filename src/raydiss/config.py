@@ -9,8 +9,8 @@ system is built, by the rule of `--set` and sweep values. Expressions are
 strings in the expression grammar, parsed and bound at load time. Every
 `RunConfig` checks declared degrees and D(q, 0) = 0 when it is made, by
 a load, `with_params` or `replace` alike, so bad parameter values fail
-before any integration; the sampled checks run once per system, so a
-`replace` that keeps it reads their result.
+before any integration; the sampled checks run once per system (its
+params are read-only), so a `replace` that keeps it reads their result.
 
 The sections `integrator`, `audit`, `output` and `dissipation.quadrature`
 are read field by field into their dataclasses: each key must name a

@@ -164,33 +164,26 @@ class Trajectory:
 def accel(sys: SystemSpec, s: State) -> np.ndarray:
     """Explicit second-order form of the dissipative Lagrange equations."""
     m = sys.dof
-    return np.array(_rhs(sys, s.t, _pack(s, 0.0), _constants(sys))[0][m:2 * m])
+    return np.array(_rhs(sys, s.t, _pack(s, 0.0))[0][m:2 * m])
 
 
 def diagnostics(sys: SystemSpec, s: State, e_diss: float = 0.0) -> Diagnostics:
     y = _pack(s, e_diss)
     return Diagnostics(*_sample(sys.dof)(
-        s.t, y, *_rhs(sys, s.t, y, _constants(sys))[1])[-7:])
+        s.t, y, *_rhs(sys, s.t, y)[1])[-7:])
 
 
 # ---------------------------------------------------------------------------
 # Stepping. Internal RK state is y = [q, v, E] with E' = D(q, v).
 
 
-def _constants(sys):
-    """The model's constants at the system's params as they are now."""
-    return sys.model.constants(sys.params)
-
-
-def _rhs(sys, t, y, c):
-    """(f(t, y), (M, V, D, R, dR/dv) at the state of y), where c is
-    _constants(sys)."""
-    m = sys.dof
-    sm = sys.model
+def _rhs(sys, t, y):
+    """(f(t, y), (M, V, D, R, dR/dv) at the state of y)."""
+    sm, m = sys.model, sys.dof
     q, v = y[:m], y[m:2 * m]
     D, R, gR = sm.dissipation.D_R_grad(q, v, sm.params)
     try:
-        qdd, M, V = sm.mechanics(q, v, gR, c)
+        qdd, M, V = sm.mechanics(q, v, gR, sm.c)
     except MassMatrixError as e:
         raise MassMatrixError(f"{e} (t={t})") from None
     return v + qdd + [D], (M, V, D, R, gR)
@@ -404,11 +397,10 @@ def integrate(sys: SystemSpec, init: State, t_end: float,
     _check_finite([init.t] + y, init.t)
     check_span(init.t, t_end)
     sm, m = sys.model, sys.dof
-    c = sm.constants(sm.params)
     t0 = float(init.t)
-    k1, evals = _rhs(sys, t0, y, c)
+    k1, evals = _rhs(sys, t0, y)
     traj = Trajectory(rows=[_sample(m)(t0, y, *evals)], dof=m)
     traj.steps_taken, traj.steps_rejected, traj.rhs_calls = _loop(
         cfg.method, m)(t0, y, k1, float(t_end), cfg, sm.dissipation.D_R_grad,
-                       sm.mechanics, sm.params, c, traj.rows)
+                       sm.mechanics, sm.params, sm.c, traj.rows)
     return traj

@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, partial, reduce
 from operator import add, mul
+from types import MappingProxyType
 
 import numpy as np
 
@@ -186,15 +187,17 @@ def null_dissipation():
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """Complete mechanical system: T via M(q), potential V(q), dissipation D."""
+    """Complete mechanical system: T via M(q), potential V(q), dissipation D,
+    at read-only params: a new value makes a new system, checked anew."""
 
     dof: int
     mass_matrix: tuple  # dof x dof nested tuple of ExprNode, q-only
     potential: ExprNode
     dissipation: DissipationSpec
-    params: dict = field(default_factory=dict)
+    params: MappingProxyType = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
         m = self.dof
         if m < 1:
             raise ModelError("dof must be >= 1")
@@ -232,13 +235,12 @@ class SystemSpec:
     def mass(self, q):
         """M(q) as a new array, from statics: checks symmetry, needs V(q)."""
         sm = self.model
-        return np.array(sm.statics(tuple(q), sm.constants(self.params))[0])
+        return np.array(sm.statics(tuple(q), sm.c)[0])
 
     def mass_grad(self, q):
         """dM/dq_j for all j: array of shape (dof, dof, dof), [j, a, b]."""
         sm = self.model
-        return np.moveaxis(
-            sm.statics(tuple(q), sm.constants(self.params))[1], 2, 0)
+        return np.moveaxis(sm.statics(tuple(q), sm.c)[1], 2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +254,9 @@ class SystemModel:
     for its dof from the same lines of the expressions' own compiled code
     (partial evaluation). constants(p) computes every parameter-only
     subexpression of V and M, each in its expression's own overflow guard,
-    and returns them as a tuple c; the other two take c and read no
-    params. So c is the parameters as of the constants call: every entry
-    point (integrate, once per run; accel, diagnostics, SystemSpec.mass
-    and mass_grad and each audit section, once per call) calls constants
-    first, and a change to params takes effect at its next call.
+    and returns them as a tuple; the model calls it once, when it is
+    built, and every entry point reads the result, c (the params of a
+    SystemSpec are read-only). The other two take c and read no params.
     statics(q, c) gives (M, dM, V, dV/dq), M[a][b] and dM[a][b][j] =
     dM_ab/dq_j as nested lists, after the symmetry check; it never checks
     definiteness. mechanics(q, v, gR, c) gives (qdd, M, V) at (q, v) with
@@ -302,8 +302,8 @@ class SystemModel:
             entries += [f"if not abs({M[a][b]} - {M[b][a]}) <= atol:",
                         "    " + _raise("symmetric")]
         names = "".join(f"{x}, " for x in names)
-        self.constants = _define("_constants(p)",
-                                 consts + [f"return ({names})"])
+        constants = _define("_constants(p)", consts + [f"return ({names})"])
+        self.c = constants(sys.params)
         head = ([f"{names}= c"] if names else []) + head
         self.statics = _define("_statics(q, c)", head + entries + [
             f"return {_list(M)}, {_list(dM)}, {V}, {_list(gV)}"])

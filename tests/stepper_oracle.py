@@ -21,7 +21,7 @@ import math
 
 from raydiss.dynamics import (_DP_A, _DP_C, _DP_E, MaxStepsError,
                               StiffnessError, Trajectory, _check_finite,
-                              _constants, _diverged, _pack, _rhs, check_span)
+                              _diverged, _pack, _rhs, check_span)
 from raydiss.raymodel import _dot
 
 
@@ -32,14 +32,13 @@ def _axpy(y, h, k):
 def _rk4_raw(sys, t, y, dt, cfg, k1):
     """One RK4 step from (t, y) with k1 = f(t, y), in four RHS calls;
     returns as _rk45_raw does, always accepted and with dt_next = dt."""
-    c = _constants(sys)
-    k2 = _rhs(sys, t + 0.5 * dt, _axpy(y, 0.5 * dt, k1), c)[0]
-    k3 = _rhs(sys, t + 0.5 * dt, _axpy(y, 0.5 * dt, k2), c)[0]
-    k4 = _rhs(sys, t + dt, _axpy(y, dt, k3), c)[0]
+    k2 = _rhs(sys, t + 0.5 * dt, _axpy(y, 0.5 * dt, k1))[0]
+    k3 = _rhs(sys, t + 0.5 * dt, _axpy(y, 0.5 * dt, k2))[0]
+    k4 = _rhs(sys, t + dt, _axpy(y, dt, k3))[0]
     ynew = _axpy(y, dt / 6.0, [a + 2.0 * b + 2.0 * c + d
                                for a, b, c, d in zip(k1, k2, k3, k4)])
     _check_finite(ynew, t + dt)
-    return ynew, True, dt, _rhs(sys, t + dt, ynew, c)
+    return ynew, True, dt, _rhs(sys, t + dt, ynew)
 
 
 def _tableau_sums(coeffs, K):
@@ -57,16 +56,14 @@ def _lincomb(y, h, coeffs, K):
 def _rk45_raw(sys, t, y, dt, cfg, k1):
     """One Dormand-Prince attempt from (t, y) with k1 = f(t, y), in six
     RHS calls. Returns (ynew, accepted, dt_next, last), where ynew is the
-    exact stage-7 argument and last = _rhs(sys, t + dt, ynew, c)."""
+    exact stage-7 argument and last = _rhs(sys, t + dt, ynew)."""
     nmech = 2 * sys.dof
-    c = _constants(sys)
     K = [k1]
     for i in range(1, 6):
-        K.append(_rhs(sys, t + _DP_C[i] * dt,
-                      _lincomb(y, dt, _DP_A[i], K), c)[0])
+        K.append(_rhs(sys, t + _DP_C[i] * dt, _lincomb(y, dt, _DP_A[i], K))[0])
     ynew = _lincomb(y, dt, _DP_A[6], K)
     _check_finite(ynew, t + dt)
-    last = _rhs(sys, t + dt, ynew, c)
+    last = _rhs(sys, t + dt, ynew)
     K.append(last[0])
     # the weighted error entries of q and v
     e = [dt * s / (cfg.abs_tol + cfg.rel_tol * abs(x))
@@ -111,7 +108,7 @@ def integrate(sys, init, t_end, cfg):
     attempt = METHODS[cfg.method]
     t0, t_end = float(init.t), float(t_end)
     t = t0
-    f1 = _rhs(sys, t, y, _constants(sys))  # k1 of the next attempt, evals
+    f1 = _rhs(sys, t, y)  # k1 of the next attempt, evals
     traj = Trajectory(rows=[_row(t, y, f1[1])], dof=sys.dof)
     dt = first_dt(cfg, t0, t_end)
     end = t_end - 1e-15 * (1.0 + abs(t_end))

@@ -254,7 +254,7 @@ def test_constant_mass_with_a_potential_singular_at_zero_is_audited():
             "homogeneous_sum", [rm.DissipationTerm(xc.parse("c*v1^2"), 2.0)]),
         params={"m": 1.0, "k": 0.5, "c": 0.2})
     with pytest.raises(xc.EvalDomainError, match="division by zero"):
-        sys.model.statics((0.0,), sys.model.constants(sys.params))
+        sys.model.statics((0.0,), sys.model.c)
     traj = dy.integrate(sys, dy.State(0.0, [1.0], [0.5]), 2.0,
                         dy.IntegratorConfig())
     assert len(traj) > 20

@@ -386,6 +386,33 @@ def test_overrides_that_repair_the_params_load():
             cfg.system, params={**cfg.system.params, "c": 1.0}))
 
 
+def test_a_new_parameter_value_is_checked_however_it_is_made():
+    # a loaded system's params are read-only, so no value reaches a run
+    # unchecked: at c = 1 this D is not of its declared degree 2, and a
+    # run would take R = D/2 = 1.0 at v = 1, where the integral gives
+    # 0.8333. with_params and a replace of the system raise the same
+    # one-line error; a replace that keeps the system runs at c = 0
+    cfg = cf.config_from_dict(NOT_HOMOGENEOUS)
+    with pytest.raises(TypeError):
+        cfg.system.params["c"] = 1.0
+    assert cfg.system.params["c"] == 0.0
+    errors = []
+    for make in (lambda: cfg.with_params({"c": 1.0}),
+                 lambda: dataclasses.replace(cfg, system=dataclasses.replace(
+                     cfg.system, params={**cfg.system.params, "c": 1.0}))):
+        with pytest.raises(cf.ConfigError) as e:
+            make()
+        errors.append(str(e.value))
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(
+        "config error at 'dissipation.terms[0]': term is not homogeneous "
+        "of declared degree 2.0 (")
+    assert "\n" not in errors[0]
+    system = dataclasses.replace(cfg, t_end=2.0).system
+    assert system.dissipation.model(1).D_R_grad(
+        (0.0,), (1.0,), system.params) == (1.0, 0.5, [1.0])
+
+
 @pytest.mark.parametrize("extra, runs", [
     ([], 1), (["--set", "c=0.5", "--t-end", "0.2"], 2)])
 def test_sampled_checks_run_once_per_system(workdir, monkeypatch, extra,
@@ -557,9 +584,9 @@ def test_simulate_set_override_and_t_end(workdir):
 @pytest.mark.parametrize("method", ["rk4", "rk45"])
 def test_parameter_changes_between_runs_take_effect(workdir, method):
     # systems of one dof and method share a generated attempt, and the
-    # parameters reach it at each call: a change made between two
-    # integrate calls takes effect in the second, through with_params,
-    # --set and a write into SystemSpec.params alike
+    # parameters reach it at each call: a new value, a new system through
+    # with_params, --set or replace alike, takes effect in its run. The
+    # params of a system are read-only, so a run's values are its own
     doc = {"system": "damped_sho", "t_end": 2.0,
            "integrator": {"method": method, "dt": 1e-2}}
 
@@ -580,16 +607,23 @@ def test_parameter_changes_between_runs_take_effect(workdir, method):
     assert (cli.read_trajectory_csv("set.csv")[1]
             == [r[:-1] for r in fresh(0.7)]
             != cli.read_trajectory_csv("base.csv")[1])
-    cfg.system.params["c"] = 0.9
+    with pytest.raises(TypeError):
+        cfg.system.params["c"] = 0.9
+    assert rows(cfg) == base
+    cfg = cfg.with_params({"c": 0.9})
     assert rows(cfg) == fresh(0.9) != base
-    # accel, diagnostics and SystemSpec.mass read the params at each call
-    # too: a write of the mass reaches the built model's constants
+    # accel, diagnostics and SystemSpec.mass of a system with a new mass
+    # read it: the new system's model computes its own constants
     new = cf.config_from_dict({**doc, "overrides": {"c": 0.9, "m": 2.0}})
     s = dy.State(0.0, [0.5], [1.0])
     before = dy.accel(cfg.system, s).tolist()
-    cfg.system.params["m"] = 2.0
+    with pytest.raises(TypeError):
+        cfg.system.params["m"] = 2.0
+    old, cfg = cfg, dataclasses.replace(cfg, system=dataclasses.replace(
+        cfg.system, params={**cfg.system.params, "m": 2.0}))
     assert (dy.accel(cfg.system, s).tolist()
             == dy.accel(new.system, s).tolist() != before)
+    assert dy.accel(old.system, s).tolist() == before
     assert dy.diagnostics(cfg.system, s) == dy.diagnostics(new.system, s)
     assert dy.diagnostics(cfg.system, s).T_kin == 1.0
     assert cfg.system.mass([0.5]).tolist() == [[2.0]]

@@ -17,6 +17,7 @@ import pytest
 import mechanics_oracle
 import stepper_oracle
 from conftest import count_array_calls, count_scalar_passes
+from raydiss import audit as au
 from raydiss import config as cf
 from raydiss import dynamics as dy
 from raydiss import exprcore as xc
@@ -246,8 +247,9 @@ def test_overflow_in_mass_or_potential_names_the_expression(mass, potential,
 
 def test_overflow_in_a_hoisted_constant_names_its_expression():
     # exp(k) depends on params only, so constants(p) computes it, in the
-    # potential's own overflow guard; integrate and accel call constants
-    # first, and a later write of k takes effect at the next call
+    # potential's own overflow guard, when the model is built; accel and
+    # integrate build it first. A failed build is not kept, and a system
+    # at another k builds its own
     sys = rm.SystemSpec(dof=1, mass_matrix=[[xc.parse("m")]],
                         potential=xc.parse("exp(k)*q1^2"),
                         dissipation=rm.null_dissipation(),
@@ -258,8 +260,11 @@ def test_overflow_in_a_hoisted_constant_names_its_expression():
         dy.accel(sys, s)
     with pytest.raises(xc.EvalDomainError, match=match):
         dy.integrate(sys, s, 1.0, dy.IntegratorConfig())
-    sys.params["k"] = 0.0
-    assert dy.accel(sys, s).tolist() == [-1.0]
+    assert "model" not in vars(sys)
+    with pytest.raises(TypeError):
+        sys.params["k"] = 0.0
+    new = dataclasses.replace(sys, params={**sys.params, "k": 0.0})
+    assert dy.accel(new, s).tolist() == [-1.0]
 
 
 def _asymmetric_2dof():
@@ -297,7 +302,7 @@ def test_generated_mechanics_matches_loop_oracle(make):
     # sign
     sys = make()
     sm = sys.model
-    c = sm.constants(sm.params)
+    c = sm.c
     states = list(rm.sample_states(sys.dof, 40, seed=29))
     states.append(((0.0,) * sys.dof, (0.0,) * sys.dof))
     states += [(q[:1] + (-0.0,) * (sys.dof - 1), (-0.0,) + v[1:])
@@ -347,7 +352,7 @@ def test_sparse_mass_adds_only_the_referenced_dm_terms(monkeypatch):
 def test_parameter_only_work_is_hoisted_into_constants(monkeypatch):
     # the double pendulum's mechanics and statics read no params: every
     # parameter-only subexpression of V and M, as (m1 + m2)*l1^2 and
-    # m2*l1*l2, is computed once per parameter set by constants(p)
+    # m2*l1*l2, is computed once per system by constants(p)
     sys, bodies = _generated(
         lambda: get_builtin("pendulum_drag_2dof").system, monkeypatch)
     for name in ("_mech", "_statics"):
@@ -355,7 +360,7 @@ def test_parameter_only_work_is_hoisted_into_constants(monkeypatch):
         assert bodies[name][0].endswith(", = c"), name
     assert sum("p[" in x for x in bodies["_constants"]) == 15
     # -(m1 + m2)*g*l1 and m2*g*l2 of V, then M's three distinct entries
-    assert sys.model.constants(sys.params) == (-2.0, 1.0, 2.0, 1.0, 1.0)
+    assert sys.model.c == (-2.0, 1.0, 2.0, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -687,7 +692,7 @@ def _replay(sys, init, t_end, cfg):
     states, rejected = [[t, *y]], 0
     while t < t_end - 1e-15 * (1.0 + abs(t_end)):
         h = min(dt, t_end - t)
-        k1 = dy._rhs(sys, t, y, dy._constants(sys))[0]
+        k1 = dy._rhs(sys, t, y)[0]
         ynew, ok, dt, _ = attempt(sys, t, y, h, cfg, k1)
         if ok:
             t, y = t + h, ynew
@@ -1121,7 +1126,6 @@ def _rk45_exactly_rounded(sys, t, y, dt, cfg, k1):
     entry and the error norm's sum exactly rounded (math.fsum over every
     tableau term, zeros included), from the published tableau: the sum
     rule the pair had before its plain left-to-right sums."""
-    c = dy._constants(sys)
     K = [k1]
 
     def fsums(coeffs):
@@ -1132,10 +1136,10 @@ def _rk45_exactly_rounded(sys, t, y, dt, cfg, k1):
         return [x + dt * s for x, s in zip(y, fsums(row))]
     for i in range(1, 6):
         K.append(dy._rhs(sys, t + float(sum(_DP5_A[i])) * dt,
-                         stage(_DP5_A[i]), c)[0])
+                         stage(_DP5_A[i]))[0])
     ynew = stage(_DP5_A[6])
     dy._check_finite(ynew, t + dt)
-    last = dy._rhs(sys, t + dt, ynew, c)
+    last = dy._rhs(sys, t + dt, ynew)
     K.append(last[0])
     nmech = 2 * sys.dof
     err = math.sqrt(math.fsum(
@@ -1311,15 +1315,49 @@ def test_trajectory_times_must_increase():
         dy.Trajectory(rows=[row, row], dof=1)
 
 
-def test_params_are_read_at_call_time():
-    # the compiled model, built before the write, reads the new mass
-    sys = make_damped_sho()
+def test_params_are_read_only_and_a_new_value_makes_a_new_system():
+    # a system keeps a read-only copy of its params, so its model's
+    # constants hold for its life; a new mass is a new system
+    params = {"m": 1.0, "k": 1.0}
+    sys = rm.SystemSpec(dof=1, mass_matrix=[[xc.parse("m")]],
+                        potential=xc.parse("0.5*k*q1^2"),
+                        dissipation=rm.null_dissipation(), params=params)
     s = dy.State(0.0, [1.0], [1.0])
     a1 = dy.accel(sys, s)[0]
-    sys.params["m"] = 2.0
-    assert sys.mass([1.0])[0, 0] == 2.0
-    assert dy.accel(sys, s)[0] == a1 / 2.0
-    assert dy.diagnostics(sys, s).T_kin == 1.0
+    params["m"] = 2.0
+    with pytest.raises(TypeError):
+        sys.params["m"] = 2.0
+    assert sys.params == {"m": 1.0, "k": 1.0} and dy.accel(sys, s)[0] == a1
+    new = dataclasses.replace(sys, params=params)
+    assert new.mass([1.0])[0, 0] == 2.0
+    assert dy.accel(new, s)[0] == a1 / 2.0
+    assert dy.diagnostics(new, s).T_kin == 1.0
+
+
+def test_constants_are_computed_once_per_system(monkeypatch):
+    # the model computes its constants when it is built; a run, its audit
+    # and each entry point read them
+    calls = []
+
+    def define(signature, body, define=rm._define, **names):
+        f = define(signature, body, **names)
+        if not signature.startswith("_constants("):
+            return f
+
+        def counted(p):
+            calls.append(p)
+            return f(p)
+        return counted
+    monkeypatch.setattr(rm, "_define", define)
+    b = get_builtin("pendulum_drag_2dof")
+    traj = dy.integrate(b.system, b.initial, 1.0, b.integrator)
+    assert au.full_audit(b.system, traj).stationarity is not None
+    s = traj.state(-1)
+    dy.accel(b.system, s)
+    dy.diagnostics(b.system, s)
+    b.system.mass(s.q)
+    b.system.mass_grad(s.q)
+    assert calls == [b.system.params]
 
 
 @pytest.mark.parametrize("field", ["dt", "rel_tol", "abs_tol"])
