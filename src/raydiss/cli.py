@@ -192,21 +192,10 @@ def cmd_derive_r(cfg: RunConfig, q, v) -> int:
     return EXIT_OK
 
 
-# (config, output path) of each sweep member. Set in each worker by
-# `_adopt`; under fork it is inherited, never pickled (a RunConfig holds
-# compiled code).
-_MEMBERS = ()
-
-
-def _adopt(members):
-    global _MEMBERS
-    _MEMBERS = members
-
-
-def _run_member(i):
-    """Run sweep member `i` and write its file. The result holds only
-    numbers, lists and strings, so it pickles back to the parent."""
-    c, out = _MEMBERS[i]
+def _run_member(c, out):
+    """Run the sweep member of config `c` and write its file `out`. The
+    config pickles as its fields, and the result holds only numbers, lists
+    and strings, so it pickles back to the parent."""
     try:
         traj, report = run_simulation(c)
     except Exception as e:
@@ -230,9 +219,8 @@ def _run_forked(members, indices, workers):
 
     fork = multiprocessing.get_context("fork")
     with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, mp_context=fork, initializer=_adopt,
-            initargs=(members,)) as ex:
-        futures = [ex.submit(_run_member, i) for i in indices]
+            max_workers=workers, mp_context=fork) as ex:
+        futures = [ex.submit(_run_member, *members[i]) for i in indices]
         return [f.exception() or f.result() for f in futures]
 
 
@@ -252,8 +240,9 @@ def cmd_sweep(cfg: RunConfig, param, values, out_stem=None, jobs=None) -> int:
     members = [(cfg.with_params({param: x}),
                 f"{stem}_{param}={name}.{cfg.output.format}")
                for x, name in zip(values, names)]
-    # members share one dissipation model: build it once, before the fork
-    cfg.system.dissipation.model(cfg.system.dof)
+    # members share the expressions, so their generated code: build it
+    # once, before the fork, for the workers to inherit
+    cfg.system.model
     n = len(members)
     results = _run_forked(members, range(n),
                           min(jobs or os.cpu_count() or 1, n))

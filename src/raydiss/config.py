@@ -94,8 +94,8 @@ class RunConfig:
     def with_params(self, overrides) -> "RunConfig":
         """New config with parameter values replaced (--set or a sweep
         value) by the rule of JSON `overrides`, checked like any other."""
-        # structure does not depend on parameters, so the new system keeps
-        # the parsed expressions and shares the compiled dissipation model
+        # the new system keeps the parsed expressions, so it shares all of
+        # its generated code, which is keyed by them, not by parameters
         return replace(self, system=replace(
             self.system, params=_override(self.system.params, overrides)))
 

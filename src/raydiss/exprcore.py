@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 import re
-import weakref
 from dataclasses import dataclass, field
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -63,6 +63,15 @@ class EvalDomainError(ExprError):
 @dataclass(frozen=True)
 class Const:
     value: float
+
+    # equal, and hashed alike, only where the literal compiles to the same
+    # code: 0.0 and -0.0 differ, and so do 1 and 1.0
+    def __eq__(self, other):
+        return (isinstance(other, Const)
+                and repr(self.value) == repr(other.value))
+
+    def __hash__(self):
+        return hash(repr(self.value))
 
 
 @dataclass(frozen=True)
@@ -433,9 +442,10 @@ def bind_check(node, dof, params):
 # to it. An overflow raises EvalDomainError naming the whole expression:
 # an OverflowError (math.exp, float **) in scalar mode, and in array mode
 # any overflow that no domain error at an earlier point precedes; so does
-# the ValueError of math.sin or math.cos at an infinite value. Systems
-# compile their own expressions and keep the result; the expression-level
-# helpers below (evaluate, grad_v, grad_q) cache scalar code per AST object.
+# the ValueError of math.sin or math.cos at an infinite value. Generated
+# code is cached by the values it is generated from, never by object:
+# compiled() keeps the scalar code of equal ASTs once, and the models that
+# raymodel generates are cached by their expressions in the same way.
 
 
 def _csgn(x):
@@ -876,19 +886,9 @@ def _abroadcast(x, shape):
     return x if np.shape(x) == shape else np.broadcast_to(x, shape)
 
 
-# Keyed by AST object identity. An entry is dropped when its AST dies,
-# before the id can be reused, so the cache keeps no AST alive.
-_COMPILE_CACHE = {}
-
-
-def compiled(node, dof=0, wrt=None, smooth_eps=None):
-    """compile_expr, cached per AST object."""
-    key = (id(node), dof, wrt, smooth_eps)
-    fn = _COMPILE_CACHE.get(key)
-    if fn is None:
-        fn = _COMPILE_CACHE[key] = compile_expr(node, dof, wrt, smooth_eps)
-        weakref.finalize(node, _COMPILE_CACHE.pop, key, None).atexit = False
-    return fn
+# compile_expr of equal ASTs (Const compares by repr), kept for the last
+# 256 keys: the helpers below and the scalar passes share it.
+compiled = lru_cache(maxsize=256)(compile_expr)
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,13 @@ their degrees (checked on samples), general gives one expression, `raw`,
 whose addends of known degree (exprcore.velocity_degree) take D_n/n.
 eval_R_quadrature integrates the whole D by the rule.
 
-Each spec compiles its evaluators once, on first use, and keeps them for
-its own lifetime: a DissipationSpec owns one DissipationModel per dof, a
-SystemSpec owns M, dM/dq, V and dV/dq. Evaluators take (q, v, params); the
-eval_* functions below are adapters over them. D, R and dR/dv at one state
-come from one call, D_R_grad, one generated function for every D, so
-v.dR/dv = D compares values of one evaluation.
+Generated code is cached by the values it comes from, never by object: a
+DissipationModel by D's split, quadrature and dof, the code of M, dM/dq,
+V and dV/dq by the dof, M and V. So systems of equal expressions share
+it, and a spec copies and pickles as its fields. Evaluators take (q, v,
+params); the eval_* functions below are adapters over them. D, R and
+dR/dv at one state come from one call, D_R_grad, one generated function
+for every D, so v.dR/dv = D compares values of one evaluation.
 
 Structural checks (homogeneity, Euler identity v.dR/dv = D, positivity)
 are seeded and reproducible, with left-to-right dot products (_dot).
@@ -104,10 +105,10 @@ class DissipationTerm:
                 f"smooth_eps must be > 0, got {self.smooth_eps}; a negative "
                 "width turns the regularised friction force around")
 
-    @cached_property
+    @property
     def evaluate(self):
         """Compiled term value, called as evaluate(q, v, params)."""
-        return xc.compile_expr(self.expr)
+        return xc.compiled(self.expr)
 
 
 @dataclass(frozen=True)
@@ -128,26 +129,16 @@ class DissipationSpec:
                 raise ModelError("general mode requires 'raw'")
             if self.terms:
                 raise ModelError("general mode must not set 'terms'")
-        object.__setattr__(self, "_models", {})
 
     def model(self, dof):
-        """Compiled D, R and dR/dv for `dof` coordinates, built on first
-        use and kept for the life of this spec."""
-        hit = self._models.get(dof)
-        if hit is None:
-            hit = self._models[dof] = DissipationModel(
-                *self.split, self.quadrature, dof)
-        return hit
+        """Compiled D, R and dR/dv for `dof` coordinates, shared by every
+        spec of the same split and quadrature."""
+        return _dissipation_model(*self.split, self.quadrature, dof)
 
     def quadrature_model(self, dof):
-        """The graded rule over the whole of raw, built on first use: the
-        model itself when no addend of raw has a closed form."""
-        if not self.split[0]:
-            return self.model(dof)
-        if -dof not in self._models:
-            self._models[-dof] = DissipationModel(
-                (), self.raw, self.quadrature, dof)
-        return self._models[-dof]
+        """The graded rule over the whole of raw: the model itself when no
+        addend of raw has a closed form (the key is the same)."""
+        return _dissipation_model((), self.raw, self.quadrature, dof)
 
     @cached_property
     def split(self):
@@ -217,6 +208,10 @@ class SystemSpec:
         for e in self.dissipation.exprs:
             xc.bind_check(e, m, self.params)
 
+    def __reduce__(self):  # copies are new systems, checked as any other
+        return SystemSpec, (self.dof, self.mass_matrix, self.potential,
+                            self.dissipation, dict(self.params))
+
     def ctx(self, q, v):
         return EvalContext(tuple(q), tuple(v), self.params)
 
@@ -250,76 +245,81 @@ class SystemSpec:
 class SystemModel:
     """M, dM/dq, V and dV/dq of one SystemSpec plus its dissipation model.
 
-    When built, the model emits three straight-line functions, unrolled
-    for its dof from the same lines of the expressions' own compiled code
-    (partial evaluation). constants(p) computes every parameter-only
-    subexpression of V and M, each in its expression's own overflow guard,
-    and returns them as a tuple; the model calls it once, when it is
-    built, and every entry point reads the result, c (the params of a
-    SystemSpec are read-only). The other two take c and read no params.
-    statics(q, c) gives (M, dM, V, dV/dq), M[a][b] and dM[a][b][j] =
-    dM_ab/dq_j as nested lists, after the symmetry check; it never checks
-    definiteness. mechanics(q, v, gR, c) gives (qdd, M, V) at (q, v) with
-    dR/dv = gR: it evaluates V, dV/dq and the mass entries, forms b =
-    -dV/dq - dR/dv, adds the dM terms in the loop order of
-    tests/mechanics_oracle.py, every accumulator starting at 0.0 as there,
-    and solves by an unrolled square-root-free LDL^T factorisation that
-    raises MassMatrixError naming q unless every pivot is > 0 (NaN fails
-    too), so a 1-dof solve is exactly b/m. dM_ac/dq_j adds terms only
-    where the entry M_ac references q_j, so a constant M adds none.
+    _system_code emits three straight-line functions, unrolled for the
+    dof from the same lines of the expressions' own compiled code
+    (partial evaluation), shared by every system of equal dof, M and V.
+    constants(p) computes every parameter-only subexpression of V and M,
+    each in its expression's own overflow guard, and returns them as a
+    tuple; the model calls it once, when it is built, and every entry
+    point reads the result, c (the params of a SystemSpec are read-only).
+    The other two take c and read no params. statics(q, c) gives (M, dM,
+    V, dV/dq), M[a][b] and dM[a][b][j] = dM_ab/dq_j as nested lists, after
+    the symmetry check; it never checks definiteness. mechanics(q, v, gR,
+    c) gives (qdd, M, V) at (q, v) with dR/dv = gR: it evaluates V, dV/dq
+    and the mass entries, forms b = -dV/dq - dR/dv, adds the dM terms in
+    the loop order of tests/mechanics_oracle.py, every accumulator
+    starting at 0.0 as there, and solves by an unrolled square-root-free
+    LDL^T factorisation that raises MassMatrixError naming q unless every
+    pivot is > 0 (NaN fails too), so a 1-dof solve is exactly b/m.
+    dM_ac/dq_j adds terms only where the entry M_ac references q_j, so a
+    constant M adds none.
 
-    A mirrored entry with the same expression is not evaluated again:
-    identical ASTs compile to identical code and return identical doubles,
-    so only pairs whose expressions differ are evaluated twice and checked
-    for symmetry.
+    A mirrored entry with an equal expression (a Const equal by repr) is
+    not evaluated again: equal ASTs compile to identical code and return
+    identical doubles, so only pairs whose expressions differ are
+    evaluated twice and checked for symmetry.
     """
 
     def __init__(self, sys: SystemSpec):
-        m = sys.dof
-        mm = sys.mass_matrix
         self.params = sys.params
-        self.dissipation = sys.dissipation.model(m)
-        asym = [(a, b) for a in range(m) for b in range(a + 1, m)
-                if mm[a][b] != mm[b][a]]
-        pairs = [(a, b) for a in range(m) for b in range(m)
-                 if a <= b or (b, a) in asym]
-        blocks, (consts, names) = xc.compile_blocks(
-            [sys.potential] + [mm[a][b] for a, b in pairs], m, "q",
-            hoist=True)
-        (head, V, gV), *blocks = blocks
-        M = [[None] * m for _ in range(m)]
-        dM = [[None] * m for _ in range(m)]
-        entries = []
-        for (a, b), (lines, val, g) in zip(pairs, blocks):
-            entries += lines
-            M[a][b], dM[a][b] = val, g
-            if (b, a) not in pairs:
-                M[b][a], dM[b][a] = val, g
-        if asym:
-            entries.append("atol = 1e-12 * (1.0 + max(%s))" % ", ".join(
-                f"abs({x})" for row in M for x in row))
-        for a, b in asym:
-            entries += [f"if not abs({M[a][b]} - {M[b][a]}) <= atol:",
-                        "    " + _raise("symmetric")]
-        names = "".join(f"{x}, " for x in names)
-        constants = _define("_constants(p)", consts + [f"return ({names})"])
+        self.dissipation = sys.dissipation.model(sys.dof)
+        constants, self.statics, self.mechanics = _system_code(
+            sys.dof, sys.mass_matrix, sys.potential)
         self.c = constants(sys.params)
-        head = ([f"{names}= c"] if names else []) + head
-        self.statics = _define("_statics(q, c)", head + entries + [
-            f"return {_list(M)}, {_list(dM)}, {V}, {_list(gV)}"])
-        b_lines = _b_lines(mm, dM)
-        body = head + [f"b{j} = -({gV[j]}) - gR[{j}]" for j in range(m)]
-        if b_lines:
-            body.append(", ".join(f"v{j}" for j in range(m)) + ", = v")
-        body += entries + b_lines + _ldl_lines(M)
-        body += [f"y{i} = b{i}" + "".join(
-            f" - L{i}_{k} * y{k}" for k in range(i)) for i in range(m)]
-        body += [f"x{i} = y{i} / d{i}" + "".join(
-            f" - L{k}_{i} * x{k}" for k in range(i + 1, m))
-            for i in reversed(range(m))]
-        qdd = _list([f"x{i}" for i in range(m)])
-        self.mechanics = _define("_mech(q, v, gR, c)", body + [
-            f"return {qdd}, {_list(M)}, {V}"])
+
+
+@lru_cache(maxsize=16)
+def _system_code(m, mm, potential):
+    """SystemModel's (constants, statics, mechanics) for these values."""
+    asym = [(a, b) for a in range(m) for b in range(a + 1, m)
+            if mm[a][b] != mm[b][a]]
+    pairs = [(a, b) for a in range(m) for b in range(m)
+             if a <= b or (b, a) in asym]
+    blocks, (consts, names) = xc.compile_blocks(
+        [potential] + [mm[a][b] for a, b in pairs], m, "q", hoist=True)
+    (head, V, gV), *blocks = blocks
+    M = [[None] * m for _ in range(m)]
+    dM = [[None] * m for _ in range(m)]
+    entries = []
+    for (a, b), (lines, val, g) in zip(pairs, blocks):
+        entries += lines
+        M[a][b], dM[a][b] = val, g
+        if (b, a) not in pairs:
+            M[b][a], dM[b][a] = val, g
+    if asym:
+        entries.append("atol = 1e-12 * (1.0 + max(%s))" % ", ".join(
+            f"abs({x})" for row in M for x in row))
+    for a, b in asym:
+        entries += [f"if not abs({M[a][b]} - {M[b][a]}) <= atol:",
+                    "    " + _raise("symmetric")]
+    names = "".join(f"{x}, " for x in names)
+    constants = _define("_constants(p)", consts + [f"return ({names})"])
+    head = ([f"{names}= c"] if names else []) + head
+    statics = _define("_statics(q, c)", head + entries + [
+        f"return {_list(M)}, {_list(dM)}, {V}, {_list(gV)}"])
+    b_lines = _b_lines(mm, dM)
+    body = head + [f"b{j} = -({gV[j]}) - gR[{j}]" for j in range(m)]
+    if b_lines:
+        body.append(", ".join(f"v{j}" for j in range(m)) + ", = v")
+    body += entries + b_lines + _ldl_lines(M)
+    body += [f"y{i} = b{i}" + "".join(
+        f" - L{i}_{k} * y{k}" for k in range(i)) for i in range(m)]
+    body += [f"x{i} = y{i} / d{i}" + "".join(
+        f" - L{k}_{i} * x{k}" for k in range(i + 1, m))
+        for i in reversed(range(m))]
+    qdd = _list([f"x{i}" for i in range(m)])
+    return constants, statics, _define("_mech(q, v, gR, c)", body + [
+        f"return {qdd}, {_list(M)}, {V}"])
 
 
 _define = partial(xc.define, MassMatrixError=MassMatrixError)
@@ -426,7 +426,7 @@ class DissipationModel:
 
         def plus(x, y):  # the rest's part y added to the terms' sum x
             return f"{x} + {y}" if terms else y
-        names.update(_quad=self._quad, _rest=xc.compile_expr(rest))
+        names.update(_quad=self._quad, _rest=xc.compiled(rest))
         body, d = body if terms else [], plus("D", "_rest(q, v, p)")
         gr = _list([plus(x, f"gq[{j}]") for j, x in enumerate(g)])
         for name, tail in (
@@ -465,6 +465,10 @@ class DissipationModel:
                 f"(tolerance {tol:g}); check that D(q, 0) = 0; a D of "
                 f"velocity degree below 1 may need more quadrature panels")
         return r, None if g is None else (g[:, :n] @ self._w).tolist()
+
+
+# one model per (terms, rest, quadrature, dof), for every spec of that split
+_dissipation_model = lru_cache(maxsize=16)(DissipationModel)
 
 
 # ---------------------------------------------------------------------------

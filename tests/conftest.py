@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from raydiss import exprcore as xc
+from raydiss import raymodel as rm
 
 # Expression corpus shared by the AD tests and the acceptance gate.
 # Contexts are sampled with strictly positive q, v (see random_contexts) so
@@ -33,6 +34,13 @@ def random_contexts(n, seed=7, dof=2):
         v = tuple(rng.uniform(0.4, 1.6, dof))
         out.append(xc.EvalContext(q, v, CORPUS_PARAMS))
     return out
+
+
+def clear_model_caches():
+    """Empty the value-keyed caches of generated expression and model code,
+    so that the next model built generates all of its code again."""
+    for cache in (xc.compiled, rm._dissipation_model, rm._system_code):
+        cache.cache_clear()
 
 
 def count_array_calls(model, monkeypatch):

@@ -1,0 +1,155 @@
+"""Mutant gate: the tests must kill a fixed list of wrong models.
+
+    python tests/mutants.py [NAME ...]
+
+Each mutant is one edit of `src/`: an exact old text, which must occur
+exactly once in `src/`, and the new text that replaces it, with the test
+files that must then fail. For each mutant (all of them, or the named
+ones) the script copies `src/`, `tests/` and `pyproject.toml` into a
+temporary directory, applies the edit there and runs pytest on the
+selection, which imports raydiss from that copy. The unmutated copy must
+pass every selection first, so that a broken environment cannot count as
+a kill. The exit code is 0 only if every mutant is killed.
+
+A mutant that survives is a missing test: add the test that kills it; do
+not drop the mutant. Only the standard library is used; pytest, numpy and
+hypothesis must be installed. tests/test_mutants.py checks, in tier-1,
+that every old text still occurs exactly once.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from collections import namedtuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+RUN_TIMEOUT_S = 900
+
+Mutant = namedtuple("Mutant", "name path old new tests")
+
+ACCEPT = ("tests/test_acceptance.py", "tests/test_audit.py")
+
+MUTANTS = (
+    Mutant("grad_R_v scaled by 1.01", "raydiss/raymodel.py",
+           'body += [f"{x} += {y} / {deg}" for x, y in zip(g, dv)]',
+           'body += [f"{x} += 1.01 * {y} / {deg}" for x, y in zip(g, dv)]',
+           ACCEPT),
+    Mutant("grad_R_v sign flipped", "raydiss/raymodel.py",
+           'body += [f"{x} += {y} / {deg}" for x, y in zip(g, dv)]',
+           'body += [f"{x} -= {y} / {deg}" for x, y in zip(g, dv)]',
+           ACCEPT),
+    Mutant("R = D/(n+1)", "raydiss/raymodel.py",
+           'f"R += d / {deg}"', 'f"R += d / ({deg} + 1)"', ACCEPT),
+    Mutant("no dM/dq terms in b", "raydiss/raymodel.py",
+           "            if not js:\n                continue",
+           "            if True:\n                continue", ACCEPT),
+    Mutant("velocity degree of a quotient adds", "raydiss/exprcore.py",
+           '{"*": a + b, "/": a - b}', '{"*": a + b, "/": a + b}',
+           ("tests/test_exprcore.py",)),
+    Mutant("DP5 coefficient off in its last digit", "raydiss/dynamics.py",
+           "-5103 / 18656", "-5103 / 18657", ("tests/test_dynamics.py",)),
+    Mutant("controller exponent -1/4", "raydiss/dynamics.py",
+           "0.9 * err ** -0.2", "0.9 * err ** -0.25",
+           ("tests/test_dynamics.py",)),
+    Mutant("check_span without its margin", "raydiss/dynamics.py",
+           "end = t_end - 1e-15 * (1.0 + abs(t_end))", "end = t_end",
+           ("tests/test_dynamics.py",)),
+    Mutant("Const equal by value", "raydiss/exprcore.py",
+           "and repr(self.value) == repr(other.value))",
+           "and self.value == other.value)",
+           ("tests/test_exprcore.py", "tests/test_raymodel.py")),
+)
+
+
+def copy_tree(dest):
+    """src/, tests/ and pyproject.toml of this checkout, under dest."""
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
+    for name in ("src", "tests"):
+        shutil.copytree(os.path.join(ROOT, name), os.path.join(dest, name),
+                        ignore=ignore)
+    shutil.copy(os.path.join(ROOT, "pyproject.toml"), dest)
+
+
+def apply(mutant, dest):
+    path = os.path.join(dest, "src", mutant.path)
+    with open(path, encoding="utf-8") as f:
+        text = f.read()
+    if text.count(mutant.old) != 1:
+        raise SystemExit(f"mutants: '{mutant.name}': old text occurs "
+                         f"{text.count(mutant.old)} times in {mutant.path}")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text.replace(mutant.old, mutant.new))
+
+
+def first_failure(dest, tests):
+    """None if pytest passes on `tests` in the copy at dest, else the id
+    of the first test that failed (pytest stops there)."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(dest, "src"),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE",
+            "-p", "no:cacheprovider", *tests]
+    p = subprocess.run(argv, cwd=dest, env=env, capture_output=True,
+                       text=True, timeout=RUN_TIMEOUT_S, check=False)
+    if p.returncode == 0:
+        return None
+    failed = [line.split()[1] for line in p.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))]
+    return failed[0] if failed else f"pytest exit {p.returncode}"
+
+
+def imports_copy(dest):
+    env = {**os.environ, "PYTHONPATH": os.path.join(dest, "src")}
+    p = subprocess.run([sys.executable, "-c",
+                        "import raydiss; print(raydiss.__file__)"],
+                       cwd=dest, env=env, capture_output=True, text=True,
+                       check=True)
+    return os.path.realpath(p.stdout.strip()).startswith(
+        os.path.realpath(dest) + os.sep)
+
+
+def main(argv):
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        raise SystemExit(f"mutants: unknown mutant(s): {sorted(unknown)}")
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        base = os.path.join(tmp, "base")
+        copy_tree(base)
+        if not imports_copy(base):
+            raise SystemExit("mutants: raydiss is not imported from the copy")
+        selections = sorted({t for m in chosen for t in m.tests})
+        failed = first_failure(base, selections)
+        if failed is not None:
+            raise SystemExit(f"mutants: the unmutated copy fails {failed}")
+        survivors = []
+        for i, mutant in enumerate(chosen):
+            dest = os.path.join(tmp, f"m{i}")
+            shutil.copytree(base, dest)
+            apply(mutant, dest)
+            t0 = time.perf_counter()
+            failed = first_failure(dest, mutant.tests)
+            took = f"{time.perf_counter() - t0:.1f} s"
+            if failed is None:
+                survivors.append(mutant.name)
+                print(f"SURVIVED {mutant.name}: {' '.join(mutant.tests)} "
+                      f"pass ({took})", flush=True)
+            else:
+                print(f"killed   {mutant.name}: by {failed} ({took})",
+                      flush=True)
+            shutil.rmtree(dest)
+    if survivors:
+        print(f"mutants: {len(survivors)} survived: {', '.join(survivors)}",
+              file=sys.stderr)
+        return 1
+    print(f"mutants: all {len(chosen)} killed")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

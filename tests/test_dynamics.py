@@ -16,7 +16,7 @@ import pytest
 
 import mechanics_oracle
 import stepper_oracle
-from conftest import count_array_calls, count_scalar_passes
+from conftest import clear_model_caches, count_array_calls, count_scalar_passes
 from raydiss import audit as au
 from raydiss import config as cf
 from raydiss import dynamics as dy
@@ -153,6 +153,7 @@ def _generated(make, monkeypatch):
     """(system, {function name: body lines}) of the functions that
     SystemModel defines for the system make() returns."""
     bodies = {}
+    clear_model_caches()
 
     def define(signature, body, define=rm._define, **names):
         bodies[signature.split("(")[0]] = body
@@ -379,6 +380,7 @@ def test_builtin_generated_code_has_no_neutral_factor(name, monkeypatch):
         lines.extend(out[0] + list(out[2]) + self.constants[n:])
         return out
     monkeypatch.setattr(xc._CodeGen, "block", block)
+    clear_model_caches()
     b = get_builtin(name)
     b.system.model.dissipation.D_R_grad(b.initial.q.tolist(),
                                         b.initial.v.tolist(), b.system.params)
@@ -1071,10 +1073,12 @@ def test_overflowing_speed_is_a_divergence_error(method):
 
 
 def test_loop_is_generated_once_per_method_and_dof(monkeypatch):
-    # every system of one (method, dof) shares one generated loop, and every
-    # system of one dof one sample row: the first integrate generates its
-    # loop (and the row, for the first sample), a second config of the
-    # same dof and method generates no code at all, and the shared
+    # every system of one (method, dof) shares one generated loop, every
+    # system of one dof one sample row, and every system of the same
+    # expressions its model code: the first integrate generates its loop
+    # (and the row, for the first sample); a second load, integrate and
+    # full_audit of the same document generates no code at all, nor does
+    # a with_params system, which runs on its new values; and the shared
     # functions keep no system or model alive
     defined = []
 
@@ -1084,18 +1088,35 @@ def test_loop_is_generated_once_per_method_and_dof(monkeypatch):
     monkeypatch.setattr(xc, "define", define)
     for cache in (dy._loop, dy._sample):
         cache.cache_clear()
+    clear_model_caches()
+
+    def run(cfg):
+        traj = dy.integrate(cfg.system, cfg.initial, cfg.t_end,
+                            cfg.integrator)
+        assert au.full_audit(cfg.system, traj, cfg.tolerances).passed
+        return traj.rows
+
+    new = {"g": 1.3, "A": 0.2}
     for method, row in (("rk4", ["_sample"]), ("rk45", [])):
-        for first in (True, False):
-            cfg = cf.config_from_dict({
-                "system": "pendulum_drag_2dof", "t_end": 0.5,
-                "integrator": {"method": method}})
-            cfg.system.model
-            defined.clear()
-            dy.integrate(cfg.system, cfg.initial, cfg.t_end, cfg.integrator)
-            assert defined == (row + [f"_{method}_loop"] if first else []), \
-                method
-    refs = [weakref.ref(cfg.system), weakref.ref(cfg.system.model)]
-    del cfg
+        doc = {"system": "pendulum_drag_2dof", "t_end": 0.5,
+               "integrator": {"method": method}}
+        cfg = cf.config_from_dict(doc)
+        cfg.system.model
+        defined.clear()
+        dy.integrate(cfg.system, cfg.initial, cfg.t_end, cfg.integrator)
+        assert defined == row + [f"_{method}_loop"], method
+        defined.clear()
+        cfg = cf.config_from_dict(doc)
+        run(cfg)
+        rows = run(cfg.with_params(new))
+        assert defined == [], method
+        assert rows != run(cfg)
+        clear_model_caches()
+        fresh = cf.config_from_dict({**doc, "overrides": new})
+        assert run(fresh) == rows
+    # fresh's model filled the emptied caches
+    refs = [weakref.ref(fresh.system), weakref.ref(fresh.system.model)]
+    del cfg, fresh
     gc.collect()
     assert [r() for r in refs] == [None, None]
 
@@ -1349,6 +1370,7 @@ def test_constants_are_computed_once_per_system(monkeypatch):
             return f(p)
         return counted
     monkeypatch.setattr(rm, "_define", define)
+    clear_model_caches()
     b = get_builtin("pendulum_drag_2dof")
     traj = dy.integrate(b.system, b.initial, 1.0, b.integrator)
     assert au.full_audit(b.system, traj).stationarity is not None

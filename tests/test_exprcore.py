@@ -1,4 +1,3 @@
-import gc
 import math
 import re
 import struct
@@ -691,24 +690,35 @@ def test_hoisted_constants_leave_every_value_as_it_was(src, v, q, wrt):
         assert got == ref
 
 
-def test_compile_cache_drops_entries_with_their_ast():
-    # the cache is keyed by AST identity and must not keep ASTs alive:
-    # a loop over freshly parsed expressions ends at the starting size
+def test_compile_cache_is_bounded_and_keyed_by_value():
+    # 2,000 distinct expressions leave the cache at or below its bound, and
+    # two parses of the same text share one compiled function
     ctx = xc.EvalContext((0.3,), (0.7,), {"c": 0.2})
-    gc.collect()
-    before = len(xc._COMPILE_CACHE)
     for i in range(2000):
         e = xc.parse(f"c*v1^2 + {i}*q1")
         xc.evaluate(e, ctx)
         xc.grad_v(e, ctx)
-    assert len(xc._COMPILE_CACHE) > before
-    del e
-    gc.collect()
-    assert len(xc._COMPILE_CACHE) == before
-    e = xc.parse("c*v1^2*sin(q1)")
-    fn = xc.compiled(e)
-    assert xc.compiled(e) is fn
-    assert xc.compiled(e, 1, "v", None) is xc.compiled(e, 1, "v", None)
+    info = xc.compiled.cache_info()
+    assert info.currsize <= info.maxsize
+    a, b = (xc.parse("c*v1^2*sin(q1)") for _ in range(2))
+    assert a is not b and a == b
+    assert xc.compiled(a) is xc.compiled(b)
+    assert xc.compiled(a, 1, "v", None) is xc.compiled(b, 1, "v", None)
+
+
+def test_constants_of_different_code_never_share_it():
+    # a Const equals another only where both compile to the same code:
+    # -0.0 and 0.0, and 1 and 1.0, compare equal as floats but not here
+    one = ((1.0,), (1.0,), {})
+    for x, y in ((-0.0, 0.0), (1, 1.0)):
+        a, b = (xc.BinOp("*", xc.Const(c), xc.Coord(1)) for c in (x, y))
+        assert a != b and xc.Const(x) != xc.Const(y)
+        assert xc.compiled(a) is not xc.compiled(b)
+        assert repr(xc.compiled(a)(*one)) == repr(x * 1.0)
+        assert repr(xc.compiled(xc.Const(x))(*one)) == repr(x)
+        assert repr(xc.compiled(xc.Const(y))(*one)) == repr(y)
+    assert xc.Const(0.5) == xc.Const(0.5)
+    assert hash(xc.Const(0.5)) == hash(xc.Const(0.5))
 
 
 # ---------------------------------------------------------------------------

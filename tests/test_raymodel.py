@@ -1,11 +1,14 @@
+import copy
 import math
+import pickle
 import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import count_array_calls, count_scalar_passes
+from conftest import (clear_model_caches, count_array_calls,
+                      count_scalar_passes)
 from raydiss import config as cf
 from raydiss import exprcore as xc
 from raydiss import raymodel as rm
@@ -110,6 +113,7 @@ def test_general_quadrature_rule_built_once_per_spec(monkeypatch):
         return leggauss(n)
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    clear_model_caches()
     # no addend has a velocity degree, so the model is the whole-D rule
     spec = general("v1*tanh(v1/0.001) + v2^2*tanh(v2)")
     assert spec.quadrature_model(2) is spec.model(2)
@@ -123,16 +127,29 @@ def test_general_quadrature_rule_built_once_per_spec(monkeypatch):
 
 
 def test_runs_do_not_grow_the_expression_compile_cache():
+    # 2,000 distinct systems leave every cache of generated code at or
+    # below its bound, and repeated runs of the same documents, also with
+    # other params, add no entry to any of them
     from raydiss import audit as au
-    from raydiss import config as cf
     from raydiss import dynamics as dy
+
+    caches = (xc.compiled, rm._dissipation_model, rm._system_code,
+              dy._loop, dy._sample)
+    for i in range(2000):
+        term = rm.DissipationTerm(xc.parse(f"c*v1^2 + {i}*v1^2"), 2.0)
+        term.evaluate((0.0,), (1.0,), {"c": 0.1})
+        rm.SystemSpec(1, [[xc.parse("m")]], xc.parse(f"{i}*q1^2"),
+                      rm.DissipationSpec("homogeneous_sum", [term]),
+                      {"m": 1.0, "c": 0.1}).model
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.currsize <= info.maxsize, cache
 
     def run(cfg):
         traj = dy.integrate(cfg.system, cfg.initial, cfg.t_end,
                             cfg.integrator)
         assert au.full_audit(cfg.system, traj, cfg.tolerances).passed
 
-    base = cf.config_from_dict({"system": "damped_sho", "t_end": 0.5})
     inline = {
         "dof": 2, "params": {"a": 1.0, "A": 0.1},
         "mass_matrix": [["2", "a*cos(q1-q2)"], ["a*cos(q1-q2)", "2"]],
@@ -142,12 +159,15 @@ def test_runs_do_not_grow_the_expression_compile_cache():
                                    "degree": 3}]},
         "initial": {"q": [0.6, -0.3], "v": [0.0, 0.0]}, "t_end": 0.2,
     }
-    before = len(xc._COMPILE_CACHE)
-    for c in (0.1, 0.2, 0.3):
-        run(base.with_params({"c": c}))
+    sizes = []
     for _ in range(2):
+        base = cf.config_from_dict({"system": "damped_sho", "t_end": 0.5})
+        for c in (0.1, 0.2, 0.3):
+            run(base.with_params({"c": c}))
         run(cf.config_from_dict(inline))
-    assert len(xc._COMPILE_CACHE) == before
+        sizes.append([(c.cache_info().currsize, c.cache_info().misses)
+                      for c in caches])
+    assert sizes[1] == sizes[0]
 
 
 def test_with_params_shares_the_builtin_dissipation_model():
@@ -162,6 +182,57 @@ def test_with_params_shares_the_builtin_dissipation_model():
     assert a.system.params["c"] == 0.1 and b.system.params["c"] == 0.3
     assert get_builtin("damped_sho", {"c": 0.1}).reference is not None
     assert get_builtin("damped_sho", {"c": 3.0}).reference is None
+
+
+def _pickled(x):
+    return pickle.loads(pickle.dumps(x))
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, _pickled],
+                         ids=["deepcopy", "pickle"])
+def test_systems_and_configs_copy_as_their_fields(clone):
+    # a copy is rebuilt from the declared fields and looks up the same
+    # compiled models by value, so it runs to the same rows
+    from raydiss import dynamics as dy
+
+    def rows(system, cfg):
+        return dy.integrate(system, cfg.initial, cfg.t_end,
+                            cfg.integrator).rows
+
+    sho = get_builtin("sho")
+    copied = clone(sho.system)
+    assert copied is not sho.system and copied.params == sho.system.params
+    assert rows(copied, sho) == rows(sho.system, sho)
+    cfg = cf.config_from_dict({
+        "dof": 1, "params": {"m": 1.0, "k": 1.0, "c": 0.05},
+        "mass_matrix": [["m"]], "potential": "0.5*k*q1^2",
+        "dissipation": {"mode": "general",
+                        "raw": "c*v1^2 + c*v1*tanh(v1/0.01)"},
+        "initial": {"q": [1.0], "v": [0.0]}, "t_end": 0.5})
+    back = clone(cfg)
+    assert back.system is not cfg.system
+    assert back.system.model.dissipation is cfg.system.model.dissipation
+    assert rows(back.system, back) == rows(cfg.system, cfg)
+
+
+def test_mirrored_mass_entries_of_different_constants_are_checked(
+        monkeypatch):
+    # -0.0*q1 and 0.0*q1 are different code: the pair is evaluated twice
+    # and checked for symmetry, each entry keeping its own sign of zero
+    bodies = {}
+
+    def define(signature, body, define=rm._define, **names):
+        bodies[signature.split("(")[0]] = body
+        return define(signature, body, **names)
+    monkeypatch.setattr(rm, "_define", define)
+    clear_model_caches()
+    two = xc.Const(2.0)
+    entry = [xc.BinOp("*", xc.Const(c), xc.Coord(1)) for c in (-0.0, 0.0)]
+    system = rm.SystemSpec(2, [[two, entry[0]], [entry[1], two]],
+                           xc.parse("0"), rm.null_dissipation())
+    M = system.mass((1.0, 0.0))
+    assert [math.copysign(1.0, x) for x in (M[0, 1], M[1, 0])] == [-1.0, 1.0]
+    assert sum(x.startswith("if not abs(") for x in bodies["_statics"]) == 1
 
 
 # ---------------------------------------------------------------------------
