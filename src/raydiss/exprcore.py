@@ -6,10 +6,12 @@ Grammar (infix, right-associative '^', unary minus looser than '^'):
     term   := factor (('*'|'/') factor)*
     factor := '-' factor | atom ('^' factor)?
     atom   := number | ident | func '(' expr (',' expr)* ')' | '(' expr ')'
+    number := (digit+ '.'? | '.') digit* (('e'|'E') ('+'|'-')? digit+)?
 
-Identifiers ``q1..qN`` are coordinates, ``v1..vN`` velocities; anything else
-is a named parameter. Supported functions: sin, cos, exp, ln, sqrt, abs,
-sign, tanh, pow.
+A digit is ASCII 0-9; a number has one before any exponent. An ident is
+letters, digits and '_', not led by a digit of any script: ``q1..qN`` are
+coordinates, ``v1..vN`` velocities, any other ident a named parameter.
+Functions: sin, cos, exp, ln, sqrt, abs, sign, tanh, pow.
 
 Evaluation is plain IEEE double arithmetic; first derivatives come from a
 forward-mode dual pass (one pass, one tangent direction per variable).
@@ -131,171 +133,138 @@ class EvalContext:
 
 # ---------------------------------------------------------------------------
 # Lexer / parser
+#
+# _DIGIT is the one digit rule, of numbers and of q<i> and v<i>: ASCII,
+# where str.isdigit and int() also take '٣' and '²'.
 
-_NUM_START = set("0123456789.")
+_DIGIT = "[0-9]"
+_WORD = re.compile(rf"""
+    (?P<num>(?:{_DIGIT}+\.?|\.){_DIGIT}*(?:[eE][+-]?{_DIGIT}+)?)
+    | (?P<ident>[^\W\d]\w*)""", re.X)
+_INDEX = re.compile(rf"[qv]({_DIGIT}+)")
 
 
 def _tokenize(source):
-    """Yield (kind, text, offset) triples; kind in {num, ident, op, eof}."""
-    toks = []
-    i, n = 0, len(source)
+    """(kind, text, offset) triples, the last ("eof", "end of input", n)."""
+    toks, i, n = [], 0, len(source)
     while i < n:
         c = source[i]
-        if c.isspace():
-            i += 1
-            continue
         if c in "+-*/^(),":
             toks.append(("op", c, i))
             i += 1
-            continue
-        if c in _NUM_START:
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            if j < n and source[j] == ".":
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdigit():
-                    j = k
-                    while j < n and source[j].isdigit():
-                        j += 1
-            text = source[i:j]
-            try:
-                float(text)
-            except ValueError:
+        elif c.isspace():
+            i += 1
+        else:
+            word = _WORD.match(source, i)
+            if word is None:
+                raise ParseError(f"unexpected character '{c}'", i)
+            kind, text = word.lastgroup, word[0]
+            if kind == "num" and c == "." and text[1:2] in "eE":
+                # a lone '.', or one with an exponent: no mantissa digit
                 raise ParseError(f"malformed number '{text}'", i)
-            toks.append(("num", text, i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            toks.append(("ident", source[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character '{c}'", i)
-    toks.append(("eof", "", n))
+            toks.append((kind, text, i))
+            i += len(text)
+    toks.append(("eof", "end of input", n))
     return toks
 
 
 class _Parser:
+    """Recursive descent, one method per rule. The hot rules (expr, factor
+    and an atom that is no call) peek at the next token inline."""
+
     def __init__(self, source):
-        self.source = source
         self.toks = _tokenize(source)
         self.pos = 0
 
-    def peek(self):
-        return self.toks[self.pos]
+    def take(self, op):
+        """Consume the next token if it is the operator op."""
+        if self.toks[self.pos][1] == op:
+            self.pos += 1
+            return True
+        return False
 
-    def next(self):
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def expect_op(self, op):
-        kind, text, off = self.peek()
-        if kind == "op" and text == op:
-            return self.next()
-        raise ParseError(f"unexpected token '{text or 'end of input'}'", off,
-                         expected=(f"'{op}'",))
+    def fail(self, *expected):
+        _, text, off = self.toks[self.pos]
+        raise ParseError(f"unexpected token '{text}'", off, expected)
 
     def parse(self):
         e = self.expr()
-        kind, text, off = self.peek()
+        kind, text, off = self.toks[self.pos]
         if kind != "eof":
             raise ParseError(f"trailing input '{text}'", off,
-                             expected=("operator", "end of input"))
+                             ("operator", "end of input"))
         return e
 
-    def expr(self):
-        left = self.term()
+    def expr(self, ops="+-"):
+        """Operands joined left to right by ops: terms by '+' and '-', and
+        factors by '*' and '/'."""
+        toks, left = self.toks, None
         while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.next()
-                left = BinOp(text, left, self.term())
-            else:
+            right = self.factor() if ops == "*/" else self.expr("*/")
+            left = right if left is None else BinOp(op, left, right)
+            op = toks[self.pos][1]
+            if op not in ops:
                 return left
-
-    def term(self):
-        left = self.factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.next()
-                left = BinOp(text, left, self.factor())
-            else:
-                return left
+            self.pos += 1
 
     def factor(self):
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
-            self.next()
+        toks = self.toks
+        if toks[self.pos][1] == "-":
+            self.pos += 1
             return Neg(self.factor())
         base = self.atom()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.next()
+        if toks[self.pos][1] == "^":
+            self.pos += 1
             return BinOp("^", base, self.factor())
         return base
 
     def atom(self):
-        kind, text, off = self.next()
+        kind, text, off = self.toks[self.pos]
+        if kind == "eof" or (kind == "op" and text != "("):
+            self.fail("expression")
+        self.pos += 1
         if kind == "num":
-            if math.isinf(float(text)):
+            value = float(text)
+            if math.isinf(value):
                 raise ParseError(f"number '{text}' overflows a double", off)
-            return Const(float(text))
-        if kind == "ident":
-            nk, nt, _ = self.peek()
-            if nk == "op" and nt == "(":
-                if text not in FUNCTIONS:
-                    raise ParseError(f"unknown function '{text}'", off)
-                self.next()
-                args = [self.expr()]
-                while True:
-                    k2, t2, o2 = self.peek()
-                    if k2 == "op" and t2 == ",":
-                        self.next()
-                        args.append(self.expr())
-                    elif k2 == "op" and t2 == ")":
-                        self.next()
-                        break
-                    else:
-                        raise ParseError(
-                            f"unexpected token '{t2 or 'end of input'}'", o2,
-                            expected=("','", "')'"))
-                if len(args) != FUNCTIONS[text]:
-                    raise ParseError(
-                        f"function '{text}' takes {FUNCTIONS[text]} "
-                        f"argument(s), got {len(args)}", off)
-                if text == "pow":
-                    return BinOp("^", args[0], args[1])
-                return Call(text, tuple(args))
-            return _classify_ident(text)
-        if kind == "op" and text == "(":
+            return Const(value)
+        if text == "(":
             e = self.expr()
-            self.expect_op(")")
+            if not self.take(")"):
+                self.fail("')'")
             return e
-        raise ParseError(f"unexpected token '{text or 'end of input'}'", off,
-                         expected=("expression",))
-
-
-def _classify_ident(name):
-    if len(name) > 1 and name[0] in "qv" and name[1:].isdigit():
-        idx = int(name[1:])
-        return Coord(idx) if name[0] == "q" else Vel(idx)
-    return Param(name)
+        if self.toks[self.pos][1] != "(":
+            index = _INDEX.fullmatch(text)
+            if index is None:
+                return Param(text)
+            try:
+                return (Coord if text[0] == "q" else Vel)(int(index[1]))
+            except ValueError:  # more digits than int() converts
+                raise ParseError(f"index of '{text[0]}' has too many digits",
+                                 off) from None
+        if text not in FUNCTIONS:
+            raise ParseError(f"unknown function '{text}'", off)
+        self.pos += 1
+        args = [self.expr()]
+        while self.take(","):
+            args.append(self.expr())
+        if not self.take(")"):
+            self.fail("','", "')'")
+        if len(args) != FUNCTIONS[text]:
+            raise ParseError(f"function '{text}' takes {FUNCTIONS[text]} "
+                             f"argument(s), got {len(args)}", off)
+        return BinOp("^", *args) if text == "pow" else Call(text, tuple(args))
 
 
 def parse(source: str) -> ExprNode:
-    """Parse source text into an AST. Raises ParseError with offset."""
-    return _Parser(source).parse()
+    """Parse source text into an AST. Raises ParseError with offset, and
+    nothing else, whatever the text."""
+    parser = _Parser(source)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("expression nests too deeply",
+                         parser.toks[parser.pos][2]) from None
 
 
 # ---------------------------------------------------------------------------

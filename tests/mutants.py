@@ -64,6 +64,24 @@ MUTANTS = (
            "and repr(self.value) == repr(other.value))",
            "and self.value == other.value)",
            ("tests/test_exprcore.py", "tests/test_raymodel.py")),
+    Mutant("energy balance subtracts the integral", "raydiss/audit.py",
+           "np.abs(H - H[0] + integral)", "np.abs(H - H[0] - integral)",
+           ("tests/test_acceptance.py",)),
+    Mutant("stationarity threshold grows as spacing", "raydiss/audit.py",
+           "(spacing / 1e-3) ** 2", "(spacing / 1e-3) ** 1",
+           ("tests/test_audit.py",)),
+    Mutant("_cpow without its whole-exponent test", "raydiss/exprcore.py",
+           "if a < 0.0 and (b % 1 or abs(b) >= 1e9):",
+           "if a < 0.0 and abs(b) >= 1e9:", ("tests/test_exprcore.py",)),
+    Mutant("rest-value tolerance 1e-3", "raydiss/raymodel.py",
+           "(abs(D(q, v, params)),), 1e-12", "(abs(D(q, v, params)),), 1e-3",
+           ("tests/test_cli.py",)),
+    Mutant("unary minus binds tighter than ^", "raydiss/exprcore.py",
+           "            return Neg(self.factor())\n        base = self.atom()",
+           "            base = Neg(self.atom())\n        else:\n"
+           "            base = self.atom()", ("tests/test_exprcore.py",)),
+    Mutant("a digit of any script", "raydiss/exprcore.py",
+           '_DIGIT = "[0-9]"', '_DIGIT = r"\\d"', ("tests/test_exprcore.py",)),
 )
 
 

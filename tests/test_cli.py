@@ -143,6 +143,16 @@ def test_overflowing_literal_is_a_one_line_config_error(workdir, capsys):
         "'1e400*v1^2': number '1e400' overflows a double at offset 0\n")
 
 
+def test_non_ascii_digit_is_a_one_line_config_error(workdir, capsys):
+    # '²' is no index digit, so q² is a parameter name, which the system
+    # does not define; the parser once ended here in a ValueError from int()
+    doc = {**DSHO_INLINE, "potential": "0.5*q\u00b2"}
+    rc = main(["check", "--config", write_json(workdir / "c.json", doc)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "raydiss: config error: unresolved parameter 'q\u00b2'\n")
+
+
 def test_load_rejects_wrong_initial_length(workdir):
     doc = json.loads(json.dumps(DSHO_INLINE))
     doc["initial"]["q"] = [1.0, 2.0]
@@ -192,11 +202,13 @@ def test_with_params_rejects_unknown(workdir):
 
 
 def test_general_mode_rest_value_rejected_at_load(workdir):
-    doc = json.loads(json.dumps(DSHO_INLINE))
-    doc["dissipation"] = {"mode": "general", "raw": "v1^2 + 1"}
-    with pytest.raises(cf.ConfigError) as exc:
-        cf.load_config(write_json(workdir / "bad.json", doc))
-    assert "vanish at rest" in str(exc.value)
+    # a rest far below 1 is rejected too: the check's tolerance is 1e-12
+    for raw in ("v1^2 + 1", "v1^2 + 1e-9"):
+        doc = json.loads(json.dumps(DSHO_INLINE))
+        doc["dissipation"] = {"mode": "general", "raw": raw}
+        with pytest.raises(cf.ConfigError) as exc:
+            cf.load_config(write_json(workdir / "bad.json", doc))
+        assert "vanish at rest" in str(exc.value)
 
 
 DSHO = {"system": "damped_sho"}

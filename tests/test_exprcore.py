@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from raydiss import exprcore as xc
 from raydiss import raymodel as rm
@@ -14,6 +14,7 @@ from raydiss.builtins import BUILTIN_NAMES, get_builtin
 from conftest import CORPUS, CORPUS_PARAMS, random_contexts
 from dual_interpreter import (Dual, eval_dual, evaluate_interpreted,
                               grad_q_interpreted, grad_v_interpreted)
+import parser_oracle
 
 
 def ctx1(q, v, **params):
@@ -42,8 +43,11 @@ def test_parse_error_truncated_call():
     assert "expression" in exc.value.expected
 
 
-@pytest.mark.parametrize("src", ["", "1 +", "sin()", "foo(1)",
-                                 "1.2.3", "(q1", "q1 @ v1"])
+_POSITIONED_ERRORS = ["", "1 +", "sin()", "foo(1)", "1.2.3", "(q1",
+                      "q1 @ v1"]
+
+
+@pytest.mark.parametrize("src", _POSITIONED_ERRORS)
 def test_parse_error_has_position(src):
     with pytest.raises(xc.ParseError) as exc:
         xc.parse(src)
@@ -77,6 +81,84 @@ def test_to_source_round_trip_corpus():
     for src in CORPUS:
         node = xc.parse(src)
         assert xc.parse(xc.to_source(node)) == node
+
+
+def _parsed(parse, src):
+    """The AST of src, or the (message, offset, expected) of its error."""
+    try:
+        return parse(src)
+    except xc.ParseError as e:
+        return str(e), e.offset, e.expected
+
+
+# every parse error of the tests above, and one of each message and
+# expected tuple that they do not raise
+_ERROR_CASES = _POSITIONED_ERRORS + [
+    "pow(q1,", "1e400*v1", "2*v1 + 1.5E999", "1e400*v1^2", ".", ".e5",
+    "1 2", "(1 2", "sin(1 2)", "sin(1, 2)", "q1(2)", ")", "1 + *"]
+
+
+@pytest.mark.parametrize("src", _ERROR_CASES)
+def test_parse_error_is_the_oracles(src):
+    # the message, offset and expected tuple of the parser that the token
+    # pattern replaced (tests/parser_oracle.py)
+    assert _parsed(xc.parse, src) == _parsed(parser_oracle.parse, src)
+    assert isinstance(_parsed(xc.parse, src), tuple)
+
+
+_FRAGMENTS = ["q1", "v2", "q", "v", "q01", "1", "0", "9", ".", "e", "E",
+              "1e400", "1.5e-3", "+", "-", "*", "/", "^", "(", ")", ",", " ",
+              "\t", "sin", "pow", "abs", "c", "_x", "foo", "@"]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.one_of(st.lists(st.sampled_from(_FRAGMENTS), max_size=12).map(
+                     "".join),
+                 st.text(st.characters(max_codepoint=127), max_size=30)))
+def test_parse_is_the_oracle_on_ascii_text(src):
+    # on ASCII text the oracle reads digits as parse does, so both give
+    # equal ASTs, or errors with equal messages, offsets and expected
+    assert _parsed(xc.parse, src) == _parsed(parser_oracle.parse, src)
+
+
+@pytest.mark.parametrize("src, parsed", [
+    ("q\u0663", xc.Param("q\u0663")),         # an Arabic-Indic three
+    ("q1\u00b2", xc.Param("q1\u00b2")),       # a superscript two
+    ("0.5*q\u00b2", xc.BinOp("*", xc.Const(0.5), xc.Param("q\u00b2"))),
+    ("1\u0663", ("unexpected character '\u0663' at offset 1", 1, ())),
+    ("\u0663", ("unexpected character '\u0663' at offset 0", 0, ())),
+])
+def test_a_digit_is_an_ascii_digit(src, parsed):
+    # str.isdigit holds for '\u0663' and '\u00b2', and int('\u0663') is 3
+    assert _parsed(xc.parse, src) == parsed
+
+
+def _ast_trees():
+    """ASTs of the parser's shape: nonnegative finite constants, and
+    parameter names that are neither functions nor q/v indices."""
+    consts = st.floats(0.0, allow_infinity=False).filter(
+        lambda x: math.copysign(1.0, x) > 0).map(xc.Const)
+    names = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True)
+    params = names.filter(lambda s: s not in xc.FUNCTIONS
+                          and not re.fullmatch(r"[qv][0-9]+", s))
+    leaves = st.one_of(consts, params.map(xc.Param),
+                       st.integers(0, 12).map(xc.Coord),
+                       st.integers(0, 12).map(xc.Vel))
+
+    def extend(sub):
+        unary = [f for f, n in xc.FUNCTIONS.items() if n == 1]
+        return st.one_of(
+            sub.map(xc.Neg),
+            st.builds(xc.BinOp, st.sampled_from("+-*/^"), sub, sub),
+            st.builds(lambda f, a: xc.Call(f, (a,)), st.sampled_from(unary),
+                      sub))
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_ast_trees())
+def test_to_source_round_trips_every_ast(node):
+    assert xc.parse(xc.to_source(node)) == node
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +442,14 @@ def test_fd_gradient_bad_wrt_is_error():
 
 @settings(max_examples=300, deadline=None)
 @given(st.text(max_size=40))
+@example("q\u00b2")
+@example("v\u00b9")
+@example("q1\u00b2")
+@example("q\u0663")
+@example("1\u0663")
+@example("q" + "1" * 5000)  # more digits than int() converts
+@example("(" * 2000 + "1" + ")" * 2000)  # deeper than the recursion limit
+@example("-" * 5000 + "v1")
 def test_parser_is_total(src):
     try:
         xc.parse(src)
