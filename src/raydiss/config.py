@@ -269,7 +269,7 @@ def config_from_dict(doc: dict) -> RunConfig:
         system = rm.SystemSpec(dof=dof, mass_matrix=mm, potential=potential,
                                dissipation=dissipation, params=params)
     except (rm.ModelError, xc.BindError) as e:
-        raise ConfigError(str(e)) from None
+        raise ConfigError(str(e), getattr(e, "path", "")) from None
 
     init = _req(doc, "initial", "")
     _check_keys(init, ("q", "v", "t0"), "initial")

@@ -8,12 +8,12 @@ The motion solves M(q) qdd = b with
 obtained by expanding d/dt(dT/dv) = M qdd + Mdot v for T = 0.5 v.M(q)v.
 Only first derivatives of the mass-matrix entries are needed.
 
-Every evaluation goes through the compiled model the SystemSpec owns
-(`sys.model`). Per RHS call, one dissipation call returns D, R and dR/dv,
-and one call of the model's generated straight-line `mechanics` returns
-qdd, M and V: it assembles b in Python floats and solves by an unrolled
-LDL^T factorisation (see raymodel.SystemModel). A MassMatrixError from it
-gains the stage time t.
+The right-hand side f(t, y) of the stepper state y = [q, v, E], E' = D,
+is stated once, as the generated lines of _f_lines: one call of the
+system model's (sys.model) dissipation D_R_grad gives D, R and dR/dv, and
+one call of its straight-line `mechanics` gives qdd, M and V (b in Python
+floats, solved by an unrolled LDL^T; see raymodel.SystemModel). A
+MassMatrixError from it gains the stage time t.
 
 Integrators: classical fixed-step RK4 and the Dormand-Prince 5(4) pair
 with standard step-size control. Every attempt ends with an RHS call at
@@ -26,24 +26,23 @@ nonzero tableau terms), which IEEE-754 fixes on every host. Both carry
 the integral E of D alongside q and v, so the energy-balance audit runs
 at full integrator accuracy.
 
-The code that runs is generated once per (method, dof) on first use and
-shared by every system of that dof: _loop(method, dof), from the stage
-lines of _stages, runs every attempt of an integrate call, with the
-controller, the FSAL hand-over, the sample rows and the counters in
-locals. integrate keeps only its setup and the first RHS call, and knows
-nothing that differs per method. One RK4 step of size dt is
-integrate(sys, s, s.t + dt, IntegratorConfig("rk4", dt=dt)). The
-list-form attempts, Python loop and generic sample row that these
-replaced are the test oracle, tests/stepper_oracle.py, bit for bit.
+The code that runs is generated on first use and shared by every system
+of a dof: _loop(method, dof) evaluates f at the first point and runs
+every attempt of an integrate call, with the controller, the FSAL
+hand-over, the sample rows and the counters in locals; _point(dof), behind
+accel and diagnostics, gives f and the sample row at one state. integrate
+keeps only its checks and knows nothing that differs per method. One RK4
+step of size dt is integrate(sys, s, s.t + dt, IntegratorConfig("rk4",
+dt=dt)). The Python right-hand side, attempts, loop and sample row that
+these replaced are the test oracle, tests/stepper_oracle.py, bit for bit.
 
-The stepper state y = [q, v, E] and the samples are Python floats; a
-sample is the row t, q, v, H, T, V, D, R, W, E (the columns(dof), then
-E). Sampling calls no compiled code: the step's last RHS call gave M, V,
-D, R and dR/dv there, and the generated row (_sample_lines, also behind
-diagnostics) forms T = 0.5 (v.M).v and W = v.dR/dv as left-to-right sums
-in raymodel._dot's order, which, unlike BLAS, do not depend on the host.
-State and Diagnostics exist only at the API edge: accel, diagnostics and
-the Trajectory accessors build them.
+A sample is the row t, q, v, H, T, V, D, R, W, E of Python floats (the
+columns(dof), then E). Sampling calls no compiled code: f at the state
+gave M, V, D, R and dR/dv, and the generated row (_sample_lines) forms
+T = 0.5 (v.M).v and W = v.dR/dv as left-to-right sums in raymodel._dot's
+order, which, unlike BLAS, do not depend on the host. State and
+Diagnostics exist only at the API edge: accel, diagnostics and the
+Trajectory accessors build them.
 """
 
 from __future__ import annotations
@@ -164,38 +163,20 @@ class Trajectory:
 def accel(sys: SystemSpec, s: State) -> np.ndarray:
     """Explicit second-order form of the dissipative Lagrange equations."""
     m = sys.dof
-    return np.array(_rhs(sys, s.t, _pack(s, 0.0))[0][m:2 * m])
+    return np.array(_point(m)(s.t, _pack(s, 0.0), sys.model)[0][m:2 * m])
 
 
 def diagnostics(sys: SystemSpec, s: State, e_diss: float = 0.0) -> Diagnostics:
-    y = _pack(s, e_diss)
-    return Diagnostics(*_sample(sys.dof)(
-        s.t, y, *_rhs(sys, s.t, y)[1])[-7:])
+    return Diagnostics(
+        *_point(sys.dof)(s.t, _pack(s, e_diss), sys.model)[1][-7:])
 
 
 # ---------------------------------------------------------------------------
 # Stepping. Internal RK state is y = [q, v, E] with E' = D(q, v).
 
 
-def _rhs(sys, t, y):
-    """(f(t, y), (M, V, D, R, dR/dv) at the state of y)."""
-    sm, m = sys.model, sys.dof
-    q, v = y[:m], y[m:2 * m]
-    D, R, gR = sm.dissipation.D_R_grad(q, v, sm.params)
-    try:
-        qdd, M, V = sm.mechanics(q, v, gR, sm.c)
-    except MassMatrixError as e:
-        raise MassMatrixError(f"{e} (t={t})") from None
-    return v + qdd + [D], (M, V, D, R, gR)
-
-
 def _pack(s: State, e_diss: float):
     return s.q.tolist() + s.v.tolist() + [e_diss]
-
-
-def _check_finite(y, t):
-    if not all(map(math.isfinite, y)):
-        _diverged(t)
 
 
 def _diverged(t):
@@ -228,38 +209,46 @@ _DP_E = [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
          22 / 525, -1 / 40]  # b5 - b4
 
 
-def _stages(method, m):
+def _f_lines(x, t, i):
+    """(lines, f): the lines of f at time t and the state named x (q, v
+    and possibly E, which f does not read), and f's entries there: x's v
+    names, then k{i}_m.. for qdd and k{i}_2m for D. The lines call the
+    model's D_R_grad and mechanics with the params p and constants c,
+    leave R, gR, M and V bound, and set ts = t, the time that a
+    MassMatrixError names."""
+    m = len(x) // 2
+    k = x[m:2 * m] + [f"k{i}_{c}" for c in range(m, 2 * m + 1)]
+    return [f"q = [{', '.join(x[:m])}]", f"v = [{', '.join(k[:m])}]",
+            f"{k[-1]}, R, gR = D_R_grad(q, v, p)", f"ts = {t}",
+            "qdd, M, V = mechanics(q, v, gR, c)",
+            f"{', '.join(k[m:2 * m])}, = qdd"], k
+
+
+def _stages(method, m, k0):
     """(lines, stages, new, last, accepted, dt_next): the lines of one
     attempt of `method` for m coordinates, from the state y0.. and its f
-    k0_0.. at time t with step h, the number of RHS calls they make, and
-    the sources of the new state's entries, of f there (its last entry D;
-    R, gR, M and V are left bound), of the verdict and of the next step
-    size. The lines read atol and rtol for the pair, and the model's
-    D_R_grad and mechanics, the params p and the model's constants c. No
-    stage sum raises: a non-finite value flows on into the model or the
-    new state's check, and a non-finite error norm is that check's error.
+    k0 at time t with step h, the number of RHS calls they make, and the
+    sources of the new state's entries, of f there (_f_lines' names), of
+    the verdict and of the next step size. The lines read atol and rtol
+    for the pair. No stage sum raises: a non-finite value flows on into
+    the model or the new state's check, and a non-finite error norm is
+    that check's error.
     """
     n = 2 * m + 1
-    K = [[f"k0_{c}" for c in range(n)]]
+    K = [k0]
     body = []
 
     def stage(h, t, terms, width=2 * m):
-        # the stage input y_c + h * terms(c), then f there at time ts = t,
-        # as _rhs: its entries become K[-1], the last one D, and R, gR, M
-        # and V are left bound. f does not read E, so only the new state
+        # the stage input y_c + h * terms(c), then f there at time t: its
+        # entries become K[-1]. f does not read E, so only the new state
         # (width n, which is checked) forms its E entry
-        i = len(K)
-        x = [f"s{i}_{c}" for c in range(width)]
+        x = [f"s{len(K)}_{c}" for c in range(width)]
         body.extend(f"{x[c]} = y{c} + {h} * {terms(c)}" for c in range(width))
         if width == n:
             body.extend(["if not (%s):" % " and ".join(
                 f"isfinite({e})" for e in x), "    _diverged(t + h)"])
-        k = x[m:2 * m] + [f"k{i}_{c}" for c in range(m, n)]
-        body.extend([
-            f"q = [{', '.join(x[:m])}]", f"v = [{', '.join(x[m:2 * m])}]",
-            f"{k[-1]}, R, gR = D_R_grad(q, v, p)", f"ts = {t}",
-            "qdd, M, V = mechanics(q, v, gR, c)",
-            f"{', '.join(k[m:2 * m])}, = qdd"])
+        lines, k = _f_lines(x, t, len(K))
+        body.extend(lines)
         K.append(k)
         return x
 
@@ -308,42 +297,57 @@ def _sample_lines(m, D):
     return lines, f"[t, {', '.join(y[:-1])}, T + V, T, V, {D}, R, W, {y[-1]}]"
 
 
+def _define(signature, m, body, tail):
+    """The generated function `signature`, of t, y = [q, v, E] and model
+    among its arguments: it unpacks y into y0.. and the model into
+    D_R_grad, mechanics, p and c, runs body, where a MassMatrixError gains
+    the time ts of its stage, then tail."""
+    return xc.define(signature, [
+        ", ".join(f"y{c}" for c in range(2 * m + 1)) + ", = y",
+        "D_R_grad, mechanics = model.dissipation.D_R_grad, model.mechanics",
+        "p, c = model.params, model.c",
+        "try:", *[f"    {x}" for x in body], "except MassMatrixError as e:",
+        "    raise MassMatrixError(f'{e} (t={ts})') from None", *tail],
+        isfinite=math.isfinite,
+        MassMatrixError=MassMatrixError, MaxStepsError=MaxStepsError,
+        StiffnessError=StiffnessError, _diverged=_diverged,
+        check_span=check_span)
+
+
 @lru_cache(maxsize=16)
-def _sample(dof):
-    """The generated sample row of `dof`: row(t, y, M, V, D, R, gR) is the
-    row at t of y = [q, v, E], given (M, V, D, R, dR/dv) there."""
-    lines, row = _sample_lines(dof, "D")
-    return xc.define("_sample(t, y, M, V, D, R, gR)", [
-        ", ".join(f"y{c}" for c in range(2 * dof + 1)) + ", = y",
-        *lines, f"return {row}"])
+def _point(dof):
+    """The generated point(t, y, model) -> (f, row) of `dof`: f(t, y) and
+    the sample row at t of y = [q, v, E]."""
+    lines, f = _f_lines([f"y{c}" for c in range(2 * dof + 1)], "t", 0)
+    sample, row = _sample_lines(dof, f[-1])
+    return _define("_point(t, y, model)", dof, lines,
+                   [*sample, f"return [{', '.join(f)}], {row}"])
 
 
 @lru_cache(maxsize=16)
 def _loop(method, dof):
     """The generated integration loop of `method` for `dof`:
 
-        loop(t, y, k1, t_end, cfg, D_R_grad, mechanics, p, c, rows)
+        loop(t, y, t_end, cfg, model, rows)
             -> (steps_taken, steps_rejected, rhs_calls)
 
-    runs every attempt from (t, y) with k1 = f(t, y) while t is below the
-    end guard check_span(t, t_end), and appends the sample row of every
-    sample_every-th accepted step, and of the last, to rows. Each attempt
-    is _stages' lines with step h = min(dt, t_end - t). The first dt is
-    cfg.dt for RK4; for the pair, min(1e-2 (t_end - t), 0.1), but at least
-    its step-size floor 1e-14 (1 + |t|). RK4 times are t0 + n * cfg.dt,
-    capped at t_end: exact multiples, so no rounding-made sliver step at
-    the end; its floor is 0, which h > 0 never reaches, so it has no
-    check. A MassMatrixError gains its stage's time. In locals: the state,
-    the next attempt's k1 (the accepted attempt's last stage: FSAL), the
-    step size and the counters. The model's D_R_grad and mechanics, the
-    params and the constants c come in at each call, so the function
-    depends only on (method, dof) and is built once per pair.
+    evaluates f at (t, y) and appends the sample row there to rows, then
+    runs every attempt while t is below the end guard check_span(t,
+    t_end), and appends the sample row of every sample_every-th accepted
+    step, and of the last. Each attempt is _stages' lines with step h =
+    min(dt, t_end - t). The first dt is cfg.dt for RK4; for the pair,
+    min(1e-2 (t_end - t), 0.1), but at least its step-size floor 1e-14
+    (1 + |t|). RK4 times are t0 + n * cfg.dt, capped at t_end: exact
+    multiples, so no rounding-made sliver step at the end; its floor is 0,
+    which h > 0 never reaches, so it has no check. In locals: the state,
+    the next attempt's f (the accepted attempt's last stage: FSAL), the
+    step size and the counters. The model comes in at each call, so the
+    function depends only on (method, dof) and is built once per pair.
     """
-    body, stages, new, last, ok, dt_next = _stages(method, dof)
-    n = 2 * dof + 1
-    lines, row = _sample_lines(dof, last[-1])
-    y = ", ".join(f"y{c}" for c in range(n))
-    k = ", ".join(f"k0_{c}" for c in range(n))
+    y = [f"y{c}" for c in range(2 * dof + 1)]
+    first, k0 = _f_lines(y, "t", 0)
+    sample, row = _sample_lines(dof, k0[-1])
+    body, stages, new, last, ok, dt_next = _stages(method, dof, k0)
     if method == "rk4":
         head, floor = ["t0 = t", "dt = step = cfg.dt"], []
         advance = "t = min(t0 + accepted * step, t_end)"
@@ -356,10 +360,11 @@ def _loop(method, dof):
                  " at t={t}; the problem is likely too stiff for an explicit "
                  "pair')"]
         advance = "t = t + h"
-    accept = ["accepted += 1", f"{y}, = {', '.join(new)}",
-              f"{k}, = {', '.join(last)}", advance,
+    # f's v entries are the state's own, so the hand-over is qdd and D
+    accept = ["accepted += 1", f"{', '.join(y)}, = {', '.join(new)}",
+              f"{', '.join(k0[dof:])}, = {', '.join(last[dof:])}", advance,
               "if accepted % every == 0 or t >= end:",
-              *[f"    {x}" for x in lines], f"    append({row})"]
+              *[f"    {x}" for x in sample], f"    append({row})"]
     if ok != "True":
         accept = [f"if {ok}:"] + [f"    {x}" for x in accept]
     step = [
@@ -367,21 +372,14 @@ def _loop(method, dof):
         "    raise MaxStepsError(f'max_steps={max_steps} exceeded at t={t}')",
         *floor, "h = min(dt, t_end - t)", *body, "attempts += 1",
         f"dt = {dt_next}", *accept]
-    return xc.define(
-        f"_{method}_loop(t, y, k1, t_end, cfg, D_R_grad, mechanics, p, c, "
-        "rows)",
-        [f"{y}, = y", f"{k}, = k1", *head,
-         "end = check_span(t, t_end)",
+    return _define(
+        f"_{method}_loop(t, y, t_end, cfg, model, rows)", dof,
+        [*head, "end = check_span(t, t_end)",
          "max_steps, every = cfg.max_steps, cfg.sample_every",
-         "append = rows.append", "attempts = accepted = 0", "try:",
-         "    while t < end:", *[f"        {x}" for x in step],
-         "except MassMatrixError as e:",
-         "    raise MassMatrixError(f'{e} (t={ts})') from None",
-         f"return accepted, attempts - accepted, 1 + {stages} * attempts"],
-        isfinite=math.isfinite,
-        MassMatrixError=MassMatrixError, MaxStepsError=MaxStepsError,
-        StiffnessError=StiffnessError, _diverged=_diverged,
-        check_span=check_span)
+         "append = rows.append", "attempts = accepted = 0",
+         *first, *sample, f"append({row})",
+         "while t < end:", *[f"    {x}" for x in step]],
+        [f"return accepted, attempts - accepted, 1 + {stages} * attempts"])
 
 
 # ---------------------------------------------------------------------------
@@ -394,13 +392,11 @@ def integrate(sys: SystemSpec, init: State, t_end: float,
     t_end. Deterministic for identical inputs. A span that the loop
     would not step (check_span) is a ValueError."""
     y = _pack(init, 0.0)
-    _check_finite([init.t] + y, init.t)
+    if not all(map(math.isfinite, [init.t] + y)):
+        _diverged(init.t)
     check_span(init.t, t_end)
-    sm, m = sys.model, sys.dof
-    t0 = float(init.t)
-    k1, evals = _rhs(sys, t0, y)
-    traj = Trajectory(rows=[_sample(m)(t0, y, *evals)], dof=m)
+    traj = Trajectory(rows=[], dof=sys.dof)
     traj.steps_taken, traj.steps_rejected, traj.rhs_calls = _loop(
-        cfg.method, m)(t0, y, k1, float(t_end), cfg, sm.dissipation.D_R_grad,
-                       sm.mechanics, sm.params, sm.c, traj.rows)
+        cfg.method, sys.dof)(float(init.t), y, float(t_end), cfg, sys.model,
+                             traj.rows)
     return traj

@@ -256,15 +256,29 @@ class _Parser:
         return BinOp("^", *args) if text == "pow" else Call(text, tuple(args))
 
 
+# The deepest tree parse returns: the caches hash trees and the code
+# generators walk them recursively, so a deeper one could exhaust the stack
+_MAX_DEPTH = 200
+
+
 def parse(source: str) -> ExprNode:
-    """Parse source text into an AST. Raises ParseError with offset, and
-    nothing else, whatever the text."""
+    """Parse source text into an AST of at most _MAX_DEPTH levels. Raises
+    ParseError with offset, and nothing else, whatever the text."""
     parser = _Parser(source)
     try:
-        return parser.parse()
+        node = parser.parse()
     except RecursionError:
         raise ParseError("expression nests too deeply",
                          parser.toks[parser.pos][2]) from None
+    level, depth = [node], 0
+    while level:  # level by level, so that no depth exhausts the stack
+        depth += 1
+        level = [c for n in level for c in (
+            (n.child,) if isinstance(n, Neg) else (n.left, n.right)
+            if isinstance(n, BinOp) else getattr(n, "args", ()))]
+    if depth > _MAX_DEPTH:
+        raise ParseError("expression nests too deeply", 0)
+    return node
 
 
 # ---------------------------------------------------------------------------

@@ -179,7 +179,9 @@ def null_dissipation():
 @dataclass(frozen=True)
 class SystemSpec:
     """Complete mechanical system: T via M(q), potential V(q), dissipation D,
-    at read-only params: a new value makes a new system, checked anew."""
+    at read-only params: a new value makes a new system, checked anew. An
+    expression that names an unknown parameter or index (BindError), or a
+    velocity in M or V (ModelError), raises with `path`, its field."""
 
     dof: int
     mass_matrix: tuple  # dof x dof nested tuple of ExprNode, q-only
@@ -196,17 +198,23 @@ class SystemSpec:
         object.__setattr__(self, "mass_matrix", mm)
         if len(mm) != m or any(len(row) != m for row in mm):
             raise ModelError(f"mass_matrix must be {m}x{m}")
-        for row in mm:
-            for e in row:
+        # (path, expression, what must not reference velocities)
+        d = self.dissipation
+        exprs = [(f"mass_matrix[{i}][{j}]", e, "mass_matrix entries")
+                 for i, row in enumerate(mm) for j, e in enumerate(row)]
+        exprs.append(("potential", self.potential, "potential"))
+        exprs += [(f"dissipation.terms[{i}].expr", t.expr, None)
+                  for i, t in enumerate(d.terms)]
+        if d.raw is not None:
+            exprs.append(("dissipation.raw", d.raw, None))
+        for path, e, what in exprs:
+            try:
                 xc.bind_check(e, m, self.params)
-                if xc.uses_velocity(e):
-                    raise ModelError(
-                        "mass_matrix entries must not reference velocities")
-        xc.bind_check(self.potential, m, self.params)
-        if xc.uses_velocity(self.potential):
-            raise ModelError("potential must not reference velocities")
-        for e in self.dissipation.exprs:
-            xc.bind_check(e, m, self.params)
+                if what and xc.uses_velocity(e):
+                    raise ModelError(f"{what} must not reference velocities")
+            except (ModelError, xc.BindError) as err:
+                err.path = path  # the field, as a config names it
+                raise
 
     def __reduce__(self):  # copies are new systems, checked as any other
         return SystemSpec, (self.dof, self.mass_matrix, self.potential,

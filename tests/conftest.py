@@ -23,6 +23,9 @@ CORPUS = [
     "(q1+v1)^q2",
     "mu*abs(v1 - v2)",
     "v1^2.5 + q2^0.5",
+    # quotients whose both sides carry a velocity tangent
+    "v1/(1+v1)",
+    "(v1+v2)/(v1*v2+3)",
 ]
 
 

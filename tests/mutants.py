@@ -82,6 +82,13 @@ MUTANTS = (
            "            base = self.atom()", ("tests/test_exprcore.py",)),
     Mutant("a digit of any script", "raydiss/exprcore.py",
            '_DIGIT = "[0-9]"', '_DIGIT = r"\\d"', ("tests/test_exprcore.py",)),
+    Mutant("quotient tangent adds", "raydiss/exprcore.py",
+           'g.append(self.temp(f"({x} - {_times(val, y)}) / {b}"))',
+           'g.append(self.temp(f"({x} + {_times(val, y)}) / {b}"))',
+           ("tests/test_exprcore.py",)),
+    Mutant("sign under smooth_eps valued by its gradient code",
+           "raydiss/raymodel.py", "if t.smooth_eps and any(",
+           "if False and any(", ("tests/test_raymodel.py",)),
 )
 
 

@@ -1,8 +1,11 @@
-"""List form of the Runge-Kutta attempts and of the integration loop: the
-test oracle for the straight-line integration loops that
+"""Python form of the right-hand side, the Runge-Kutta attempts and the
+integration loop: the test oracle for the straight-line code that
 `raydiss.dynamics` generates per method and degree of freedom.
 
-Each stage goes through `dynamics._rhs` on lists of Python floats: RK4 sums
+`_rhs` is f(t, y) for y = [q, v, E] in Python: one call of the system
+model's `D_R_grad` and one of its `mechanics` on lists of Python floats,
+a MassMatrixError gaining the time t, as the library made it before the
+generated code stated it once. Each stage goes through `_rhs`: RK4 sums
 its stages in textbook order, and the Dormand-Prince pair forms every stage
 sum, the new state and the error vector as a left-to-right sum (`_dot`)
 over the stage values with a nonzero tableau coefficient, in tableau
@@ -20,9 +23,26 @@ row with `_row`, from `_dot` sums over the last RHS call's values, as
 import math
 
 from raydiss.dynamics import (_DP_A, _DP_C, _DP_E, MaxStepsError,
-                              StiffnessError, Trajectory, _check_finite,
-                              _diverged, _pack, _rhs, check_span)
-from raydiss.raymodel import _dot
+                              StiffnessError, Trajectory, _diverged, _pack,
+                              check_span)
+from raydiss.raymodel import MassMatrixError, _dot
+
+
+def _rhs(sys, t, y):
+    """(f(t, y), (M, V, D, R, dR/dv) at the state of y)."""
+    sm, m = sys.model, sys.dof
+    q, v = y[:m], y[m:2 * m]
+    D, R, gR = sm.dissipation.D_R_grad(q, v, sm.params)
+    try:
+        qdd, M, V = sm.mechanics(q, v, gR, sm.c)
+    except MassMatrixError as e:
+        raise MassMatrixError(f"{e} (t={t})") from None
+    return v + qdd + [D], (M, V, D, R, gR)
+
+
+def _check_finite(y, t):
+    if not all(map(math.isfinite, y)):
+        _diverged(t)
 
 
 def _axpy(y, h, k):

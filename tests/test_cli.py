@@ -150,7 +150,24 @@ def test_non_ascii_digit_is_a_one_line_config_error(workdir, capsys):
     rc = main(["check", "--config", write_json(workdir / "c.json", doc)])
     assert rc == 1
     assert capsys.readouterr().err == (
-        "raydiss: config error: unresolved parameter 'q\u00b2'\n")
+        "raydiss: config error at 'potential': unresolved parameter "
+        "'q\u00b2'\n")
+
+
+@pytest.mark.parametrize("src", [
+    "-" * 600 + "q1^2", "+".join(["0.001*q1^2"] * 700)],
+    ids=["600-negations", "700-addends"])
+def test_deep_expression_is_a_one_line_config_error(workdir, capsys, src):
+    # both parse within the recursion limit, into trees deeper than the
+    # parser's bound; hashing such a tree for the caches of generated code
+    # once ended in a RecursionError out of cli.main
+    doc = {**DSHO_INLINE, "potential": src}
+    rc = main(["simulate", "--config", write_json(workdir / "c.json", doc)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"raydiss: config error at 'potential': expression '{src}': "
+        "expression nests too deeply at offset 0\n")
+    assert [p.name for p in workdir.iterdir()] == ["c.json"]
 
 
 def test_load_rejects_wrong_initial_length(workdir):
@@ -295,8 +312,8 @@ def test_malformed_input_is_a_one_line_config_error(workdir, capsys, doc,
 
 # (document, path, message) of each config error that no other test
 # raises: the top level, the builtin name, dof, params, the mass_matrix
-# grid, the dissipation mode, a SystemSpec error, and the _req, _typed and
-# _parse_expr errors
+# grid, the dissipation mode, a SystemSpec error in each kind of field, and
+# the _req, _typed and _parse_expr errors
 ERROR_PATHS = [
     ([1], "", "top-level document must be a JSON object"),
     ({"system": 5}, "system", "builtin selection must be a name string"),
@@ -324,7 +341,7 @@ ERROR_PATHS = [
      "expected a list of length 2, got [['m']]"),
     ({**DSHO_INLINE, "dissipation": {"mode": "linear"}}, "dissipation.mode",
      "mode must be homogeneous_sum or general, got 'linear'"),
-    ({**DSHO_INLINE, "potential": "v1^2"}, "",
+    ({**DSHO_INLINE, "potential": "v1^2"}, "potential",
      "potential must not reference velocities"),
     ({**DSHO_INLINE, "dissipation": 5}, "dissipation",
      "expected an object, got 5"),
@@ -335,6 +352,16 @@ ERROR_PATHS = [
      "expected a string, got 5"),
     ({**DSHO_INLINE, "potential": 5}, "potential",
      "expected an expression string, got 5"),
+    # a SystemSpec error names the expression's field
+    ({**DSHO_INLINE, "mass_matrix": [["m*v1"]]}, "mass_matrix[0][0]",
+     "mass_matrix entries must not reference velocities"),
+    ({**DSHO_INLINE, "potential": "0.5*k*q2^2"}, "potential",
+     "coordinate index 2 out of range 1..1"),
+    ({**DSHO_INLINE, "dissipation": {"mode": "homogeneous_sum", "terms": [
+        {"expr": "c*v1^2", "degree": 2}, {"expr": "b*v1^2", "degree": 2}]}},
+     "dissipation.terms[1].expr", "unresolved parameter 'b'"),
+    ({**DSHO_INLINE, "dissipation": {"mode": "general", "raw": "c*v2^2"}},
+     "dissipation.raw", "velocity index 2 out of range 1..1"),
 ]
 
 

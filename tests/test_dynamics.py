@@ -509,7 +509,7 @@ def test_rk45_step_rejects_oversized_step():
 
 
 def _counting_rhs(monkeypatch, system):
-    # one dissipation call per RHS evaluation, in _rhs and in the loop
+    # one dissipation call per RHS evaluation, all of them in the loop
     calls = []
     model = system.model.dissipation
     D_R_grad = model.D_R_grad
@@ -694,7 +694,7 @@ def _replay(sys, init, t_end, cfg):
     states, rejected = [[t, *y]], 0
     while t < t_end - 1e-15 * (1.0 + abs(t_end)):
         h = min(dt, t_end - t)
-        k1 = dy._rhs(sys, t, y)[0]
+        k1 = stepper_oracle._rhs(sys, t, y)[0]
         ynew, ok, dt, _ = attempt(sys, t, y, h, cfg, k1)
         if ok:
             t, y = t + h, ynew
@@ -1074,9 +1074,10 @@ def test_overflowing_speed_is_a_divergence_error(method):
 
 def test_loop_is_generated_once_per_method_and_dof(monkeypatch):
     # every system of one (method, dof) shares one generated loop, every
-    # system of one dof one sample row, and every system of the same
-    # expressions its model code: the first integrate generates its loop
-    # (and the row, for the first sample); a second load, integrate and
+    # system of one dof one point function, and every system of the same
+    # expressions its model code: the first integrate generates only its
+    # loop, which evaluates its own first point, and the first accel and
+    # diagnostics only the point function; a second load, integrate and
     # full_audit of the same document generates no code at all, nor does
     # a with_params system, which runs on its new values; and the shared
     # functions keep no system or model alive
@@ -1086,7 +1087,7 @@ def test_loop_is_generated_once_per_method_and_dof(monkeypatch):
         defined.append(signature.split("(")[0])
         return define(signature, *args, **names)
     monkeypatch.setattr(xc, "define", define)
-    for cache in (dy._loop, dy._sample):
+    for cache in (dy._loop, dy._point):
         cache.cache_clear()
     clear_model_caches()
 
@@ -1097,14 +1098,18 @@ def test_loop_is_generated_once_per_method_and_dof(monkeypatch):
         return traj.rows
 
     new = {"g": 1.3, "A": 0.2}
-    for method, row in (("rk4", ["_sample"]), ("rk45", [])):
+    for method, point in (("rk4", ["_point"]), ("rk45", [])):
         doc = {"system": "pendulum_drag_2dof", "t_end": 0.5,
                "integrator": {"method": method}}
         cfg = cf.config_from_dict(doc)
         cfg.system.model
         defined.clear()
         dy.integrate(cfg.system, cfg.initial, cfg.t_end, cfg.integrator)
-        assert defined == row + [f"_{method}_loop"], method
+        assert defined == [f"_{method}_loop"], method
+        defined.clear()
+        dy.accel(cfg.system, cfg.initial)
+        dy.diagnostics(cfg.system, cfg.initial)
+        assert defined == point, method
         defined.clear()
         cfg = cf.config_from_dict(doc)
         run(cfg)
@@ -1156,11 +1161,11 @@ def _rk45_exactly_rounded(sys, t, y, dt, cfg, k1):
     def stage(row):
         return [x + dt * s for x, s in zip(y, fsums(row))]
     for i in range(1, 6):
-        K.append(dy._rhs(sys, t + float(sum(_DP5_A[i])) * dt,
-                         stage(_DP5_A[i]))[0])
+        K.append(stepper_oracle._rhs(sys, t + float(sum(_DP5_A[i])) * dt,
+                                     stage(_DP5_A[i]))[0])
     ynew = stage(_DP5_A[6])
-    dy._check_finite(ynew, t + dt)
-    last = dy._rhs(sys, t + dt, ynew)
+    stepper_oracle._check_finite(ynew, t + dt)
+    last = stepper_oracle._rhs(sys, t + dt, ynew)
     K.append(last[0])
     nmech = 2 * sys.dof
     err = math.sqrt(math.fsum(

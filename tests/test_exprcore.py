@@ -450,11 +450,29 @@ def test_fd_gradient_bad_wrt_is_error():
 @example("q" + "1" * 5000)  # more digits than int() converts
 @example("(" * 2000 + "1" + ")" * 2000)  # deeper than the recursion limit
 @example("-" * 5000 + "v1")
+@example("-" * 600 + "q1^2")  # parses within the limit, deeper than the bound
+@example("+".join(["0.001*q1^2"] * 700))
 def test_parser_is_total(src):
     try:
         xc.parse(src)
     except xc.ParseError as e:
         assert 0 <= e.offset <= len(src)
+
+
+def test_parse_bounds_the_depth_of_the_tree():
+    # counted in levels: n negations of v1 are n + 1 levels, and so is a
+    # left-deep sum of n + 1 addends; the deepest tree that parses (200
+    # levels) still hashes and compiles, and one level more is refused
+    point = ((0.0,), (1.0,), {})
+    for deepest, value, deeper in (
+            ("-" * 199 + "v1", -1.0, "-" * 200 + "v1"),
+            ("+".join(["v1"] * 200), 200.0, "+".join(["v1"] * 201))):
+        node = xc.parse(deepest)
+        assert hash(node) == hash(xc.parse(deepest))
+        assert xc.compiled(node)(*point) == value
+        with pytest.raises(xc.ParseError,
+                           match="nests too deeply at offset 0$"):
+            xc.parse(deeper)
 
 
 @settings(max_examples=200, deadline=None)
@@ -822,6 +840,7 @@ def test_constants_of_different_code_never_share_it():
     ("tanh(v1/v2)", 0.0),
     ("sign(v1)*v1^2", 2.0),
     ("v1^-1", -1.0),                # -1 parses as a negated number
+    ("v1^-2", -2.0),
     ("(v1^2+v1^3)*q1", None),
     ("A*(v1^2+v2^2)^1.5", 3.0),
     ("c*v1*tanh(v1/0.001)", None),

@@ -134,7 +134,7 @@ def test_runs_do_not_grow_the_expression_compile_cache():
     from raydiss import dynamics as dy
 
     caches = (xc.compiled, rm._dissipation_model, rm._system_code,
-              dy._loop, dy._sample)
+              dy._loop, dy._point)
     for i in range(2000):
         term = rm.DissipationTerm(xc.parse(f"c*v1^2 + {i}*v1^2"), 2.0)
         term.evaluate((0.0,), (1.0,), {"c": 0.1})
@@ -298,7 +298,7 @@ def test_r_ratio_is_reciprocal_degree():
 
 @pytest.mark.parametrize("name", ["sho", "damped_sho", "quad_drag_particle",
                                   "pendulum_drag_2dof", "coulomb_block",
-                                  "smoothed_sign"])
+                                  "smoothed_sign", "sharp_smoothed_sign"])
 def test_d_r_grad_sums_equal_the_value_code(name):
     # D_R_grad takes a term's value from its gradient code, except for sign
     # under smooth_eps, where the gradient code's value is tanh(x/eps);
@@ -311,6 +311,20 @@ def test_d_r_grad_sums_equal_the_value_code(name):
                                     smooth_eps=0.5)]
         spec, dof, p = (rm.DissipationSpec("homogeneous_sum", terms), 2,
                         {"mu": 0.4, "c": 0.3})
+    elif name == "sharp_smoothed_sign":
+        # D = 0.3 |v1| exactly, while dR/dv is the derivative of
+        # 0.3 v1 tanh(v1/eps)
+        eps = 1e-3
+        terms = [rm.DissipationTerm(xc.parse("0.3*v1*sign(v1)"), 1.0,
+                                    smooth_eps=eps)]
+        spec, dof, p = rm.DissipationSpec("homogeneous_sum", terms), 1, {}
+        for v1 in (-0.2, -2e-3, -1e-4, 0.0, 5e-4, 3e-3, 1.5):
+            d, r, g = spec.model(1).D_R_grad((0.0,), (v1,), p)
+            x = v1 / eps
+            assert d == r == 0.3 * abs(v1)
+            assert g[0] == pytest.approx(
+                0.3 * (math.tanh(x) + x * (1.0 - math.tanh(x) ** 2)),
+                rel=1e-13, abs=1e-300)
     else:
         system = get_builtin(name).system
         spec, dof, p = system.dissipation, system.dof, system.params
