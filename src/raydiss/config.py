@@ -196,7 +196,13 @@ def _parse_expr(src, path):
     try:
         return xc.parse(src)
     except xc.ParseError as e:
-        raise ConfigError(f"expression '{src}': {e}", path) from None
+        # a long source is cut, so that the error stays one short line
+        quoted = (f"'{src}'" if len(src) <= _QUOTED else
+                  f"'{src[:_QUOTED]}…' ({len(src)} characters)")
+        raise ConfigError(f"expression {quoted}: {e}", path) from None
+
+
+_QUOTED = 60  # characters of an expression that a parse error quotes
 
 
 def _load_dissipation(obj, path):

@@ -10,10 +10,11 @@ Only first derivatives of the mass-matrix entries are needed.
 
 The right-hand side f(t, y) of the stepper state y = [q, v, E], E' = D,
 is stated once, as the generated lines of _f_lines: one call of the
-system model's (sys.model) dissipation D_R_grad gives D, R and dR/dv, and
-one call of its straight-line `mechanics` gives qdd, M and V (b in Python
-floats, solved by an unrolled LDL^T; see raymodel.SystemModel). A
-MassMatrixError from it gains the stage time t.
+system model's (sys.model) straight-line rhs, on the coordinates and
+velocities as scalar arguments, gives qdd, D, R, dR/dv, M and V (D, R
+and dR/dv from the dissipation model's lines, b in Python floats, solved
+by an unrolled LDL^T; see raymodel.SystemModel). A MassMatrixError from
+it gains the stage time t.
 
 Integrators: classical fixed-step RK4 and the Dormand-Prince 5(4) pair
 with standard step-size control. Every attempt ends with an RHS call at
@@ -37,12 +38,12 @@ dt=dt)). The Python right-hand side, attempts, loop and sample row that
 these replaced are the test oracle, tests/stepper_oracle.py, bit for bit.
 
 A sample is the row t, q, v, H, T, V, D, R, W, E of Python floats (the
-columns(dof), then E). Sampling calls no compiled code: f at the state
-gave M, V, D, R and dR/dv, and the generated row (_sample_lines) forms
-T = 0.5 (v.M).v and W = v.dR/dv as left-to-right sums in raymodel._dot's
-order, which, unlike BLAS, do not depend on the host. State and
-Diagnostics exist only at the API edge: accel, diagnostics and the
-Trajectory accessors build them.
+columns(dof), then E). Sampling calls no compiled code: the rhs call of
+f at the state gave M, V, D, R and dR/dv, and the generated row
+(_sample_lines) forms T = 0.5 (v.M).v and W = v.dR/dv as left-to-right
+sums in raymodel._dot's order, which, unlike BLAS, do not depend on the
+host. State and Diagnostics exist only at the API edge: accel,
+diagnostics and the Trajectory accessors build them.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import exprcore as xc
-from .raymodel import MassMatrixError, SystemSpec, _list
+from .raymodel import MassMatrixError, SystemSpec
 
 
 class DynamicsError(Exception):
@@ -212,16 +213,16 @@ _DP_E = [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
 def _f_lines(x, t, i):
     """(lines, f): the lines of f at time t and the state named x (q, v
     and possibly E, which f does not read), and f's entries there: x's v
-    names, then k{i}_m.. for qdd and k{i}_2m for D. The lines call the
-    model's D_R_grad and mechanics with the params p and constants c,
-    leave R, gR, M and V bound, and set ts = t, the time that a
-    MassMatrixError names."""
+    names, then k{i}_m.. for qdd and k{i}_2m for D. The lines set ts = t,
+    the time that a MassMatrixError names, and make one call of the
+    model's rhs with the params p and constants c, which leaves R, g0..
+    (dR/dv), M{a}_{b} and V bound."""
     m = len(x) // 2
     k = x[m:2 * m] + [f"k{i}_{c}" for c in range(m, 2 * m + 1)]
-    return [f"q = [{', '.join(x[:m])}]", f"v = [{', '.join(k[:m])}]",
-            f"{k[-1]}, R, gR = D_R_grad(q, v, p)", f"ts = {t}",
-            "qdd, M, V = mechanics(q, v, gR, c)",
-            f"{', '.join(k[m:2 * m])}, = qdd"], k
+    out = k[m:] + ["R"] + [f"g{a}" for a in range(m)] + [
+        f"M{a}_{b}" for a in range(m) for b in range(m)] + ["V"]
+    return [f"ts = {t}", f"{', '.join(out)} = rhs({', '.join(x[:2 * m])}, "
+            "p, c)"], k
 
 
 def _stages(method, m, k0):
@@ -282,30 +283,27 @@ def _stages(method, m, k0):
 
 def _sample_lines(m, D):
     """(lines, row): lines that form T = 0.5 (v.M).v and W = v.dR/dv at
-    the state y0.. from M and gR, as left-to-right sums in _dot's order,
-    and the source of the sample row there, with t, V, R and D (named D)
-    bound."""
+    the state y0.. from the names M{a}_{b} and g0.. that _f_lines binds,
+    as left-to-right sums in _dot's order, and the source of the sample
+    row there, with t, V, R and D (named D) bound."""
     y = [f"y{c}" for c in range(2 * m + 1)]
-    v, g = y[m:2 * m], [f"g{a}" for a in range(m)]
-    M = [[f"M{a}_{b}" for b in range(m)] for a in range(m)]
-    cols = ["(%s)" % " + ".join(f"{v[a]} * {M[a][b]}" for a in range(m))
+    v = y[m:2 * m]
+    cols = ["(%s)" % " + ".join(f"{v[a]} * M{a}_{b}" for a in range(m))
             for b in range(m)]
-    lines = [f"{_list(M)} = M", f"{', '.join(g)}, = gR",
-             "T = 0.5 * (%s)" % " + ".join(
+    lines = ["T = 0.5 * (%s)" % " + ".join(
                  f"{u} * {x}" for u, x in zip(cols, v)),
-             "W = " + " + ".join(f"{x} * {gx}" for x, gx in zip(v, g))]
+             "W = " + " + ".join(f"{x} * g{a}" for a, x in enumerate(v))]
     return lines, f"[t, {', '.join(y[:-1])}, T + V, T, V, {D}, R, W, {y[-1]}]"
 
 
 def _define(signature, m, body, tail):
     """The generated function `signature`, of t, y = [q, v, E] and model
-    among its arguments: it unpacks y into y0.. and the model into
-    D_R_grad, mechanics, p and c, runs body, where a MassMatrixError gains
-    the time ts of its stage, then tail."""
+    among its arguments: it unpacks y into y0.. and the model into rhs, p
+    and c, runs body, where a MassMatrixError gains the time ts of its
+    stage, then tail."""
     return xc.define(signature, [
         ", ".join(f"y{c}" for c in range(2 * m + 1)) + ", = y",
-        "D_R_grad, mechanics = model.dissipation.D_R_grad, model.mechanics",
-        "p, c = model.params, model.c",
+        "rhs, p, c = model.rhs, model.params, model.c",
         "try:", *[f"    {x}" for x in body], "except MassMatrixError as e:",
         "    raise MassMatrixError(f'{e} (t={ts})') from None", *tail],
         isfinite=math.isfinite,

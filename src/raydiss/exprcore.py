@@ -428,7 +428,10 @@ def bind_check(node, dof, params):
 # the ValueError of math.sin or math.cos at an infinite value. Generated
 # code is cached by the values it is generated from, never by object:
 # compiled() keeps the scalar code of equal ASTs once, and the models that
-# raymodel generates are cached by their expressions in the same way.
+# raymodel generates are cached by their expressions in the same way. The
+# code reads coordinate i and velocity i as the names q{i} and v{i}:
+# scalar arguments of a generated function, or bound once at its head from
+# the sequences q and v (unpack).
 
 
 def _csgn(x):
@@ -657,7 +660,7 @@ class _CodeGen:
             x, g = "q" if isinstance(node, Coord) else "v", self.zeros()
             if self.wrt == x:  # the seed
                 g[node.index - 1] = "1.0"
-            return f"{x}[{node.index - 1}]", g
+            return f"{x}{node.index - 1}", g
         if isinstance(node, Param):
             return self.temp(f"p[{node.name!r}]"), self.zeros()
         if isinstance(node, Neg):
@@ -732,8 +735,8 @@ class _CodeGen:
         return val, self.combine(("+", d, ga))
 
 
-# the source of a lone name (a temporary, q[i] or v[i]) or a float's repr
-_NAME = re.compile(r"t\d+|[qv]\[\d+\]")
+# the source of a lone name (a temporary, q{i} or v{i}) or a float's repr
+_NAME = re.compile(r"t\d+|[qv]\d+")
 _LITERAL = re.compile(r"-?\d[\d.]*(e[-+]\d+)?")
 
 
@@ -786,7 +789,18 @@ def _load(node, dof, wrt, smooth_eps, namespace, scalar=True):
         ret = f"return {val}, ({', '.join(g)}{',' if g else ''})"
     else:
         ret = f"return {val}"
-    return define("_f(q, v, p)", lines + [ret], namespace)
+    return define("_f(q, v, p)", unpack([node]) + lines + [ret], namespace)
+
+
+def unpack(nodes):
+    """The lines that bind q{i} and v{i}, the names by which the generated
+    code reads a coordinate and a velocity, for each one that the nodes
+    reference, from the sequences q and v: a generated function that takes
+    sequences runs them once, at its head."""
+    refs = sorted({("v" if isinstance(n, Vel) else "q", n.index - 1)
+                   for node in nodes for n in walk(node)
+                   if isinstance(n, (Coord, Vel))})
+    return [f"{x}{i} = {x}[{i}]" for x, i in refs]
 
 
 def define(signature, body, namespace=None, **names):

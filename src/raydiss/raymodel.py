@@ -15,11 +15,13 @@ eval_R_quadrature integrates the whole D by the rule.
 
 Generated code is cached by the values it comes from, never by object: a
 DissipationModel by D's split, quadrature and dof, the code of M, dM/dq,
-V and dV/dq by the dof, M and V. So systems of equal expressions share
-it, and a spec copies and pickles as its fields. Evaluators take (q, v,
-params); the eval_* functions below are adapters over them. D, R and
-dR/dv at one state come from one call, D_R_grad, one generated function
-for every D, so v.dR/dv = D compares values of one evaluation.
+V and dV/dq by the dof, M and V, and a system's rhs by all of them. So
+systems of equal expressions share it, and a spec copies and pickles as
+its fields. Evaluators take (q, v, params); the eval_* functions below
+are adapters over them. D, R and dR/dv at one state come from one call,
+D_R_grad, one generated function for every D, so v.dR/dv = D compares
+values of one evaluation; a system's generated rhs runs D_R_grad's
+lines inline (SystemModel).
 
 Structural checks (homogeneity, Euler identity v.dR/dv = D, positivity)
 are seeded and reproducible, with left-to-right dot products (_dot).
@@ -251,26 +253,30 @@ class SystemSpec:
 
 
 class SystemModel:
-    """M, dM/dq, V and dV/dq of one SystemSpec plus its dissipation model.
+    """The right-hand side of one SystemSpec, its statics and its
+    dissipation model.
 
-    _system_code emits three straight-line functions, unrolled for the
-    dof from the same lines of the expressions' own compiled code
-    (partial evaluation), shared by every system of equal dof, M and V.
-    constants(p) computes every parameter-only subexpression of V and M,
-    each in its expression's own overflow guard, and returns them as a
-    tuple; the model calls it once, when it is built, and every entry
-    point reads the result, c (the params of a SystemSpec are read-only).
-    The other two take c and read no params. statics(q, c) gives (M, dM,
-    V, dV/dq), M[a][b] and dM[a][b][j] = dM_ab/dq_j as nested lists, after
-    the symmetry check; it never checks definiteness. mechanics(q, v, gR,
-    c) gives (qdd, M, V) at (q, v) with dR/dv = gR: it evaluates V, dV/dq
-    and the mass entries, forms b = -dV/dq - dR/dv, adds the dM terms in
-    the loop order of tests/mechanics_oracle.py, every accumulator
-    starting at 0.0 as there, and solves by an unrolled square-root-free
-    LDL^T factorisation that raises MassMatrixError naming q unless every
-    pivot is > 0 (NaN fails too), so a 1-dof solve is exactly b/m.
-    dM_ac/dq_j adds terms only where the entry M_ac references q_j, so a
-    constant M adds none.
+    _system_code emits two straight-line functions and the mechanics
+    lines of rhs, unrolled for the dof from the same lines of the
+    expressions' own compiled code (partial evaluation), shared by every
+    system of equal dof, M and V. constants(p) computes every
+    parameter-only subexpression of V and M, each in its expression's own
+    overflow guard, and returns them as a tuple; the model calls it once,
+    when it is built, and every entry point reads the result, c (the
+    params of a SystemSpec are read-only). statics(q, c) gives (M, dM, V,
+    dV/dq), M[a][b] and dM[a][b][j] = dM_ab/dq_j as nested lists, after
+    the symmetry check; it never checks definiteness.
+
+    rhs(q0.., v0.., p, c) -> (qdd0.., D, R, dR/dv_0.., M00, M01, .., V),
+    on scalar coordinates, is the dissipation model's D_R_grad lines, then
+    the mechanics lines, which read dR/dv as g0.. and no params (_rhs).
+    They evaluate V, dV/dq and the mass entries, form b = -dV/dq - dR/dv,
+    add the dM terms in the loop order of tests/mechanics_oracle.py, every
+    accumulator starting at 0.0 as there, and solve by an unrolled
+    square-root-free LDL^T factorisation that raises MassMatrixError
+    naming q unless every pivot is > 0 (NaN fails too), so a 1-dof solve
+    is exactly b/m. dM_ac/dq_j adds terms only where the entry M_ac
+    references q_j, so a constant M adds none.
 
     A mirrored entry with an equal expression (a Const equal by repr) is
     not evaluated again: equal ASTs compile to identical code and return
@@ -279,16 +285,35 @@ class SystemModel:
     """
 
     def __init__(self, sys: SystemSpec):
+        d, code = sys.dissipation, (sys.dof, sys.mass_matrix, sys.potential)
         self.params = sys.params
-        self.dissipation = sys.dissipation.model(sys.dof)
-        constants, self.statics, self.mechanics = _system_code(
-            sys.dof, sys.mass_matrix, sys.potential)
+        self.rhs, self.dissipation = _rhs(*code, *d.split, d.quadrature)
+        constants, self.statics, _ = _system_code(*code)
         self.c = constants(sys.params)
 
 
 @lru_cache(maxsize=16)
+def _rhs(m, mm, potential, terms, rest, quadrature):
+    """(rhs, dissipation) of SystemModel for these values: the dissipation
+    model whose D_R_grad lines rhs runs, so the two never differ. rhs
+    builds the lists q and v only for D_R_grad lines that read them."""
+    dissipation = _dissipation_model(terms, rest, quadrature, m)
+    mech, M, V = _system_code(m, mm, potential)[2]
+    q, v = [f"q{i}" for i in range(m)], [f"v{i}" for i in range(m)]
+    head = [f"q = {_list(q)}", f"v = {_list(v)}"] if dissipation.lists else []
+    out = [f"x{i}" for i in range(m)] + ["D", "R"] + dissipation.g
+    out += [x for row in M for x in row] + [V]
+    # the mechanics lines come last: their temporaries reuse the names of
+    # the D_R_grad lines' own, which only D, R and g0.. outlive
+    return _define(f"_rhs({', '.join(q + v)}, p, c)", [
+        *head, *dissipation.lines, *mech, f"return {', '.join(out)}"],
+        **dissipation.names), dissipation
+
+
+@lru_cache(maxsize=16)
 def _system_code(m, mm, potential):
-    """SystemModel's (constants, statics, mechanics) for these values."""
+    """SystemModel's constants and statics for these values, and the
+    mechanics lines of its rhs with the sources of M and V there."""
     asym = [(a, b) for a in range(m) for b in range(a + 1, m)
             if mm[a][b] != mm[b][a]]
     pairs = [(a, b) for a in range(m) for b in range(m)
@@ -309,28 +334,25 @@ def _system_code(m, mm, potential):
             f"abs({x})" for row in M for x in row))
     for a, b in asym:
         entries += [f"if not abs({M[a][b]} - {M[b][a]}) <= atol:",
-                    "    " + _raise("symmetric")]
+                    "    " + _raise("symmetric", m)]
     names = "".join(f"{x}, " for x in names)
     constants = _define("_constants(p)", consts + [f"return ({names})"])
-    head = ([f"{names}= c"] if names else []) + head
-    statics = _define("_statics(q, c)", head + entries + [
-        f"return {_list(M)}, {_list(dM)}, {V}, {_list(gV)}"])
-    b_lines = _b_lines(mm, dM)
-    body = head + [f"b{j} = -({gV[j]}) - gR[{j}]" for j in range(m)]
-    if b_lines:
-        body.append(", ".join(f"v{j}" for j in range(m)) + ", = v")
-    body += entries + b_lines + _ldl_lines(M)
+    unpack_c = [f"{names}= c"] if names else []
+    statics = _define("_statics(q, c)", unpack_c + [
+        "".join(f"q{i}, " for i in range(m)) + "= q"] + head + entries
+        + [f"return {_list(M)}, {_list(dM)}, {V}, {_list(gV)}"])
+    body = unpack_c + head + [f"b{j} = -({gV[j]}) - g{j}" for j in range(m)]
+    body += entries + _b_lines(mm, dM) + _ldl_lines(M)
     body += [f"y{i} = b{i}" + "".join(
         f" - L{i}_{k} * y{k}" for k in range(i)) for i in range(m)]
     body += [f"x{i} = y{i} / d{i}" + "".join(
         f" - L{k}_{i} * x{k}" for k in range(i + 1, m))
         for i in reversed(range(m))]
-    qdd = _list([f"x{i}" for i in range(m)])
-    return constants, statics, _define("_mech(q, v, gR, c)", body + [
-        f"return {qdd}, {_list(M)}, {V}"])
+    return constants, statics, (body, M, V)
 
 
-_define = partial(xc.define, MassMatrixError=MassMatrixError)
+def _define(signature, body, **names):
+    return xc.define(signature, body, MassMatrixError=MassMatrixError, **names)
 
 
 def _list(x):
@@ -338,9 +360,9 @@ def _list(x):
     return x if isinstance(x, str) else f"[{', '.join(map(_list, x))}]"
 
 
-def _raise(what):
+def _raise(what, m):
     return (f"raise MassMatrixError(f'mass matrix not {what} "
-            "at q={list(q)}')")
+            f"at q={{{_list([f'q{i}' for i in range(m)])}}}')")
 
 
 def _b_lines(mm, dM):
@@ -375,7 +397,8 @@ def _ldl_lines(M):
                 + f") / d{j}")
         lines += [f"d{i} = {M[i][i]}" + "".join(
             f" - L{i}_{k} * L{i}_{k} * d{k}" for k in range(i)),
-            f"if not d{i} > 0.0:", "    " + _raise("positive definite")]
+            f"if not d{i} > 0.0:",
+            "    " + _raise("positive definite", len(M))]
     return lines
 
 
@@ -391,7 +414,10 @@ class DissipationModel:
     under smooth_eps, calls its value code). With no rest, D and R are
     D_R_grad's values. With a rest, the generated D_R_grad, R and D add
     its part after the terms' sums: a gradient pass of the rule, a value
-    pass, and its scalar value at the point.
+    pass, and its scalar value at the point. D_R_grad's body is `lines`,
+    which bind D, R and the names `g` (dR/dv) from q{i}, v{i} and the
+    params p, and read the lists q and v if `lists`; their globals are
+    `names`. A system's rhs runs the same lines (SystemModel).
 
     The rule is hp-quadrature's geometric mesh (Schwab, p- and hp-FEM,
     1998): short panels where u*v is small, so a sharp feature of D near
@@ -401,21 +427,26 @@ class DissipationModel:
     """
 
     def __init__(self, terms, rest, quadrature, dof):
-        blocks, _ = xc.compile_blocks(
-            [t.expr for t in terms], dof, "v", [t.smooth_eps for t in terms])
-        g = [f"g{j}" for j in range(dof)]
+        exprs = [t.expr for t in terms]
+        blocks, _ = xc.compile_blocks(exprs, dof, "v",
+                                      [t.smooth_eps for t in terms])
+        self.g = g = [f"g{j}" for j in range(dof)]
         body, names = [" = ".join(["D", "R", *g, "0.0"])], {"inf": math.inf}
+        self.lists = rest is not None
         for i, (t, (lines, val, dv)) in enumerate(zip(terms, blocks)):
             if t.smooth_eps and any(isinstance(n, xc.Call) and n.fn == "sign"
                                     for n in xc.walk(t.expr)):
                 names[f"_value{i}"] = t.evaluate
                 val = f"_value{i}(q, v, p)"
+                self.lists = True
             deg = repr(float(t.degree))
             body += lines + [f"d = {val}", "D += d", f"R += d / {deg}"]
             body += [f"{x} += {y} / {deg}" for x, y in zip(g, dv)]
+        self.lines, self.names = body, names
+        head, ret = xc.unpack(exprs), f"return D, R, {_list(g)}"
         if rest is None:
-            self.D_R_grad = xc.define("_D_R_grad(q, v, p)", body + [
-                f"return D, R, {_list(g)}"], **names)
+            self.D_R_grad = xc.define("_D_R_grad(q, v, p)",
+                                      head + body + [ret], **names)
             return
         self.quadrature = qc = quadrature
         edges = [0.0] + [GRADING ** k for k in range(qc.panels - 1, -1, -1)]
@@ -436,14 +467,15 @@ class DissipationModel:
             return f"{x} + {y}" if terms else y
         names.update(_quad=self._quad, _rest=xc.compiled(rest))
         body, d = body if terms else [], plus("D", "_rest(q, v, p)")
-        gr = _list([plus(x, f"gq[{j}]") for j, x in enumerate(g)])
-        for name, tail in (
-                ("D_R_grad", ["r, gq = _quad(q, v, p, True)",
-                              f"return {d}, {plus('R', 'r')}, {gr}"]),
-                ("R", ["r = _quad(q, v, p, False)[0]",
-                       f"return {plus('R', 'r')}"]),
-                ("D", [f"return {d}"])):
-            setattr(self, name, xc.define(f"_{name}(q, v, p)", body + tail,
+        self.lines = body + ["r, gq = _quad(q, v, p, True)", f"D = {d}",
+                             f"R = {plus('R', 'r')}"] + [
+            f"{x} = {plus(x, f'gq[{j}]')}" for j, x in enumerate(g)]
+        for name, lines in (
+                ("D_R_grad", self.lines + [ret]),
+                ("R", body + ["r = _quad(q, v, p, False)[0]",
+                              f"return {plus('R', 'r')}"]),
+                ("D", body + [f"return {d}"])):
+            setattr(self, name, xc.define(f"_{name}(q, v, p)", head + lines,
                                           **names))
 
     def D(self, q, v, p):

@@ -42,7 +42,8 @@ def random_contexts(n, seed=7, dof=2):
 def clear_model_caches():
     """Empty the value-keyed caches of generated expression and model code,
     so that the next model built generates all of its code again."""
-    for cache in (xc.compiled, rm._dissipation_model, rm._system_code):
+    for cache in (xc.compiled, rm._dissipation_model, rm._system_code,
+                  rm._rhs):
         cache.cache_clear()
 
 

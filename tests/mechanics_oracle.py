@@ -1,5 +1,6 @@
 """Loop form of the equations of motion: the test oracle for the
-straight-line mechanics code that `raydiss.raymodel.SystemModel` generates.
+straight-line mechanics lines of the right-hand side `rhs` that
+`raydiss.raymodel.SystemModel` generates.
 
 It evaluates each mass entry and the potential through the expressions'
 own compiled code (`exprcore.compiled`), assembles

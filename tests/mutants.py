@@ -89,6 +89,12 @@ MUTANTS = (
     Mutant("sign under smooth_eps valued by its gradient code",
            "raydiss/raymodel.py", "if t.smooth_eps and any(",
            "if False and any(", ("tests/test_raymodel.py",)),
+    Mutant("rhs adds dR/dv to b", "raydiss/raymodel.py",
+           'f"b{j} = -({gV[j]}) - g{j}"', 'f"b{j} = -({gV[j]}) + g{j}"',
+           ("tests/test_dynamics.py",)),
+    Mutant("rhs returns R for D and D for R", "raydiss/raymodel.py",
+           '["D", "R"] + dissipation.g', '["R", "D"] + dissipation.g',
+           ("tests/test_dynamics.py",)),
 )
 
 

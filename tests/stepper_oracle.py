@@ -3,9 +3,10 @@ integration loop: the test oracle for the straight-line code that
 `raydiss.dynamics` generates per method and degree of freedom.
 
 `_rhs` is f(t, y) for y = [q, v, E] in Python: one call of the system
-model's `D_R_grad` and one of its `mechanics` on lists of Python floats,
-a MassMatrixError gaining the time t, as the library made it before the
-generated code stated it once. Each stage goes through `_rhs`: RK4 sums
+model's `D_R_grad` on lists of Python floats, then the loop-form
+mechanics of `tests/mechanics_oracle.py`, a MassMatrixError gaining the
+time t, so the oracle shares no line of the library's generated
+right-hand side `SystemModel.rhs`. Each stage goes through `_rhs`: RK4 sums
 its stages in textbook order, and the Dormand-Prince pair forms every stage
 sum, the new state and the error vector as a left-to-right sum (`_dot`)
 over the stage values with a nonzero tableau coefficient, in tableau
@@ -22,6 +23,7 @@ row with `_row`, from `_dot` sums over the last RHS call's values, as
 
 import math
 
+from mechanics_oracle import mechanics
 from raydiss.dynamics import (_DP_A, _DP_C, _DP_E, MaxStepsError,
                               StiffnessError, Trajectory, _diverged, _pack,
                               check_span)
@@ -34,7 +36,7 @@ def _rhs(sys, t, y):
     q, v = y[:m], y[m:2 * m]
     D, R, gR = sm.dissipation.D_R_grad(q, v, sm.params)
     try:
-        qdd, M, V = sm.mechanics(q, v, gR, sm.c)
+        qdd, M, V = mechanics(sys, q, v, gR)
     except MassMatrixError as e:
         raise MassMatrixError(f"{e} (t={t})") from None
     return v + qdd + [D], (M, V, D, R, gR)

@@ -160,14 +160,29 @@ def test_non_ascii_digit_is_a_one_line_config_error(workdir, capsys):
 def test_deep_expression_is_a_one_line_config_error(workdir, capsys, src):
     # both parse within the recursion limit, into trees deeper than the
     # parser's bound; hashing such a tree for the caches of generated code
-    # once ended in a RecursionError out of cli.main
+    # once ended in a RecursionError out of cli.main. The line quotes the
+    # first 60 characters of the source and its length, not the whole of
+    # it (once 7,792 bytes for the 700 addends)
     doc = {**DSHO_INLINE, "potential": src}
     rc = main(["simulate", "--config", write_json(workdir / "c.json", doc)])
     assert rc == 1
-    assert capsys.readouterr().err == (
-        f"raydiss: config error at 'potential': expression '{src}': "
-        "expression nests too deeply at offset 0\n")
+    err = capsys.readouterr().err
+    assert err == (
+        f"raydiss: config error at 'potential': expression '{src[:60]}…' "
+        f"({len(src)} characters): expression nests too deeply at offset 0\n")
+    assert err.count("\n") == 1 and len(err.encode()) < 300
     assert [p.name for p in workdir.iterdir()] == ["c.json"]
+
+
+@pytest.mark.parametrize("n", [59, 60, 61])
+def test_parse_error_quotes_a_short_source_whole(n):
+    # up to 60 characters the source is quoted as written
+    src = "(" + "q" * (n - 1)
+    with pytest.raises(cf.ConfigError) as e:
+        cf._parse_expr(src, "potential")
+    quoted = f"'{src}'" if n <= 60 else f"'{src[:60]}…' ({n} characters)"
+    assert str(e.value).startswith(
+        f"config error at 'potential': expression {quoted}: ")
 
 
 def test_load_rejects_wrong_initial_length(workdir):

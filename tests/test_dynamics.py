@@ -283,6 +283,25 @@ def _constant_mass_2dof():
         dissipation=rm.null_dissipation(), params={"a": 0.7, "k": 1.5})
 
 
+def _sign_eps_sqrt():
+    # a sign term under smooth_eps, which rhs values by its own code, and
+    # a term undefined at q1 < 0
+    d = rm.DissipationSpec("homogeneous_sum", [
+        rm.DissipationTerm(xc.parse("mu*v1*sign(v1)"), 1.0, smooth_eps=1e-3),
+        rm.DissipationTerm(xc.parse("c*sqrt(q1)*v1^2"), 2.0)])
+    return dataclasses.replace(pendulum(), dissipation=d,
+                               params={"c": 0.3, "mu": 0.2})
+
+
+def _rule_error():
+    # a graded rule of two panels, too coarse for the tanh addend: its R
+    # fails the rule's error estimate at every state but rest
+    d = rm.DissipationSpec(
+        "general", raw=xc.parse("c*v1^2 + c*v1*tanh(v1/0.001)"),
+        quadrature=rm.QuadratureConfig(panels=2))
+    return dataclasses.replace(pendulum(), dissipation=d, params={"c": 0.3})
+
+
 def _bits(x):
     return np.array(x, dtype=float).tobytes()
 
@@ -292,18 +311,21 @@ def _bits(x):
       for name in ("sho", "damped_sho", "quad_drag_particle",
                    "pendulum_drag_2dof", "coulomb_block")],
     full_mass_3dof, sparse_mass_3dof, _asymmetric_2dof,
-    lambda: _mass_system([["1 + q1^2"]]), _constant_mass_2dof],
+    lambda: _mass_system([["1 + q1^2"]]), _constant_mass_2dof,
+    lambda: _mixed_pendulum(get_builtin("pendulum_drag_2dof")),
+    _sign_eps_sqrt, _rule_error],
     ids=["sho", "damped_sho", "quad_drag_particle", "pendulum_drag_2dof",
          "coulomb_block", "full_mass_3dof", "sparse_mass_3dof",
-         "asymmetric_2dof", "1+q1^2", "constant_mass_2dof"])
+         "asymmetric_2dof", "1+q1^2", "constant_mass_2dof", "general_tanh",
+         "sign_eps_sqrt", "rule_error"])
 def test_generated_mechanics_matches_loop_oracle(make):
-    # (qdd, M, V), or the MassMatrixError or EvalDomainError, of the
-    # generated code and of the loop form agree bit for bit, signed zeros
+    # the generated rhs is the model's D_R_grad followed by the loop form
+    # of the mechanics: (qdd, D, R, dR/dv, M, V), or the MassMatrixError,
+    # EvalDomainError or QuadratureError, agree bit for bit, signed zeros
     # included, also at states with zero coordinates and speeds of either
     # sign
     sys = make()
     sm = sys.model
-    c = sm.c
     states = list(rm.sample_states(sys.dof, 40, seed=29))
     states.append(((0.0,) * sys.dof, (0.0,) * sys.dof))
     states += [(q[:1] + (-0.0,) * (sys.dof - 1), (-0.0,) + v[1:])
@@ -311,30 +333,32 @@ def test_generated_mechanics_matches_loop_oracle(make):
     outcomes = set()
     for q, v in states:
         q, v = list(q), list(v)
-        gR = sm.dissipation.D_R_grad(q, v, sm.params)[2]
         try:
-            ref = mechanics_oracle.mechanics(sys, q, v, gR)
-        except (dy.MassMatrixError, xc.EvalDomainError) as e:
+            D, R, gR = sm.dissipation.D_R_grad(q, v, sm.params)
+            qdd, M, V = mechanics_oracle.mechanics(sys, q, v, gR)
+        except (dy.MassMatrixError, xc.EvalDomainError,
+                rm.QuadratureError) as e:
             with pytest.raises(type(e)) as got:
-                sm.mechanics(q, v, gR, c)
+                sm.rhs(*q, *v, sm.params, sm.c)
             assert str(got.value) == str(e)
-            outcomes.add("error")
+            outcomes.add(type(e).__name__)
             continue
-        qdd, M, V = sm.mechanics(q, v, gR, c)
-        assert [_bits(x) for x in (qdd, M, V)] == [
-            _bits(x) for x in ref], (q, v)
+        ref = [*qdd, D, R, *gR, *[x for row in M for x in row], V]
+        assert _bits(sm.rhs(*q, *v, sm.params, sm.c)) == _bits(ref), (q, v)
         outcomes.add("value")
-    assert outcomes == (
-        {"value", "error"} if make in (_asymmetric_2dof, _constant_mass_2dof)
-        else {"value"})
+    assert outcomes == {"value"} | {
+        _asymmetric_2dof: {"MassMatrixError"},
+        _constant_mass_2dof: {"EvalDomainError"},
+        _sign_eps_sqrt: {"EvalDomainError"},
+        _rule_error: {"QuadratureError"}}.get(make, set())
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_builtin_mechanics_has_no_zero_factor(name, monkeypatch):
     # a mass entry that references no coordinate adds no dM terms, so the
-    # generated mechanics never multiplies by a dM/dq that is the literal 0
+    # generated rhs never multiplies by a dM/dq that is the literal 0
     _, bodies = _generated(lambda: get_builtin(name).system, monkeypatch)
-    assert [x for x in bodies["_mech"]
+    assert [x for x in bodies["_rhs"]
             if re.search(r"\* 0\.0(?![\d.e])", x)] == []
 
 
@@ -343,7 +367,7 @@ def test_sparse_mass_adds_only_the_referenced_dm_terms(monkeypatch):
     # one per entry that references one coordinate, two for the (3, 3)
     # entry, none for the zero pair, and no factor that is the literal 0
     _, bodies = _generated(sparse_mass_3dof, monkeypatch)
-    mech = bodies["_mech"]
+    mech = bodies["_rhs"]
     assert [x for x in mech if re.search(r"\* 0\.0(?![\d.e])", x)] == []
     assert sum(x.startswith("w = ") for x in mech) == 7
     assert sum(re.match(r"b\d \+= w \* ", x) is not None
@@ -351,14 +375,18 @@ def test_sparse_mass_adds_only_the_referenced_dm_terms(monkeypatch):
 
 
 def test_parameter_only_work_is_hoisted_into_constants(monkeypatch):
-    # the double pendulum's mechanics and statics read no params: every
-    # parameter-only subexpression of V and M, as (m1 + m2)*l1^2 and
-    # m2*l1*l2, is computed once per system by constants(p)
+    # the double pendulum's mechanics lines and statics read no params:
+    # every parameter-only subexpression of V and M, as (m1 + m2)*l1^2 and
+    # m2*l1*l2, is computed once per system by constants(p). rhs is the
+    # dissipation's lines, which read the param A, then the mechanics lines
     sys, bodies = _generated(
         lambda: get_builtin("pendulum_drag_2dof").system, monkeypatch)
-    for name in ("_mech", "_statics"):
-        assert [x for x in bodies[name] if "p[" in x] == [], name
-        assert bodies[name][0].endswith(", = c"), name
+    mech = rm._system_code(sys.dof, sys.mass_matrix, sys.potential)[2][0]
+    assert bodies["_rhs"][-len(mech) - 1:-1] == mech
+    assert sum("p[" in x for x in bodies["_rhs"]) == 1
+    for body in (mech, bodies["_statics"]):
+        assert [x for x in body if "p[" in x] == []
+        assert body[0].endswith(", = c")
     assert sum("p[" in x for x in bodies["_constants"]) == 15
     # -(m1 + m2)*g*l1 and m2*g*l2 of V, then M's three distinct entries
     assert sys.model.c == (-2.0, 1.0, 2.0, 1.0, 1.0)
@@ -387,7 +415,7 @@ def test_builtin_generated_code_has_no_neutral_factor(name, monkeypatch):
     assert len(lines) > 10
     assert [x for x in lines if re.search(r"\* 1\.0(?![\d.e])", x)] == []
     assert [x for x in lines if re.fullmatch(
-        r"\s*t\d+ = (t\d+|[qv]\[\d+\]|-?\(?[\d.e+-]+\)?)", x)] == []
+        r"\s*t\d+ = (t\d+|[qv]\d+|-?\(?[\d.e+-]+\)?)", x)] == []
 
 
 def _first_use_race(n):
@@ -509,19 +537,19 @@ def test_rk45_step_rejects_oversized_step():
 
 
 def _counting_rhs(monkeypatch, system):
-    # one dissipation call per RHS evaluation, all of them in the loop
-    calls = []
-    model = system.model.dissipation
-    D_R_grad = model.D_R_grad
-
-    def counted(q, v, p):
-        # the stepper hands the model lists of Python floats
-        for x in (q, v):
-            assert type(x) is list and all(type(c) is float for c in x), x
-        calls.append(1)
-        return D_R_grad(q, v, p)
-
-    monkeypatch.setattr(model, "D_R_grad", counted)
+    """The number of calls, from now on, of the system model's rhs, of its
+    dissipation's D_R_grad and of its statics. Every rhs call is asserted
+    to take the state as Python floats."""
+    sm = system.model
+    owners = {"rhs": sm, "D_R_grad": sm.dissipation, "statics": sm}
+    calls = dict.fromkeys(owners, 0)
+    for key, owner in owners.items():
+        def counted(*args, fn=getattr(owner, key), key=key):
+            if key == "rhs":
+                assert all(type(x) is float for x in args[:-2]), args
+            calls[key] += 1
+            return fn(*args)
+        monkeypatch.setattr(owner, key, counted)
     return calls
 
 
@@ -531,7 +559,8 @@ def test_rk45_counts_rhs_calls_with_first_same_as_last(monkeypatch):
     traj = dy.integrate(b.system, b.initial, 3.0, b.integrator)
     assert traj.steps_rejected > 0
     attempts = traj.steps_taken + traj.steps_rejected
-    assert traj.rhs_calls == len(calls) == 1 + 6 * attempts
+    assert traj.rhs_calls == 1 + 6 * attempts
+    assert calls == {"rhs": traj.rhs_calls, "D_R_grad": 0, "statics": 0}
 
 
 def _mixed_pendulum(b):
@@ -646,6 +675,25 @@ def test_rk4_general_mode_samples_add_no_quadrature(monkeypatch):
     assert len(calls) == traj.rhs_calls == 1 + 4 * traj.steps_taken
 
 
+def test_model_dissipation_is_the_one_its_rhs_runs(monkeypatch):
+    # a system's rhs and its model's dissipation are one object, also
+    # after the dissipation cache has dropped the model that rhs was
+    # generated with: every array call of a run is that model's
+    d = rm.DissipationSpec("general",
+                           raw=xc.parse("c*v1^2 + c*v1*tanh(v1/0.001)"))
+    system = dataclasses.replace(pendulum(), dissipation=d,
+                                 params={"c": 0.3})
+    system.model
+    for i in range(rm._dissipation_model.cache_info().maxsize):
+        rm.DissipationSpec("homogeneous_sum", [rm.DissipationTerm(
+            xc.parse(f"{i + 1}*v1^2"), 2.0)]).model(1)
+    system = dataclasses.replace(system, params={"c": 0.2})
+    calls = count_array_calls(system.model.dissipation, monkeypatch)
+    traj = dy.integrate(system, dy.State(0.0, [0.5], [1.0]), 0.1,
+                        dy.IntegratorConfig(method="rk4", dt=0.01))
+    assert len(calls) == traj.rhs_calls == 41
+
+
 def test_rk4_counts_rhs_calls(monkeypatch):
     # k1 at the start, then four stages per step: the last stage of a
     # step is evaluated at its new state and is the next step's k1
@@ -653,33 +701,25 @@ def test_rk4_counts_rhs_calls(monkeypatch):
     calls = _counting_rhs(monkeypatch, system)
     traj = dy.integrate(system, dy.State(0.0, [1.0], [0.0]), 1.0,
                         dy.IntegratorConfig(method="rk4", dt=0.01))
-    assert traj.rhs_calls == len(calls) == 1 + 4 * traj.steps_taken == 401
+    assert traj.rhs_calls == 1 + 4 * traj.steps_taken == 401
+    assert calls == {"rhs": 401, "D_R_grad": 0, "statics": 0}
 
 
 def test_rk4_evaluates_dissipation_once_per_state(monkeypatch):
-    # each RHS call makes one dissipation call (D, R and dR/dv) and one
-    # call of the generated mechanics (V, M and qdd); a sample takes all of
-    # them from its step's last RHS call and evaluates nothing, under
-    # either method, and the audit's statics are not called
+    # each RHS call is one call of the generated rhs (D, R, dR/dv, V, M
+    # and qdd); a sample takes all of them from its step's last RHS call
+    # and evaluates nothing, under either method, and neither the
+    # dissipation's own D_R_grad nor the audit's statics is called
     for name in ("damped_sho", "pendulum_drag_2dof"):
         b = get_builtin(name)
-        sm = b.system.model
-        owners = {"D_R_grad": sm.dissipation, "mechanics": sm,
-                  "statics": sm}
-        calls = dict.fromkeys(owners, 0)
-        for key, owner in owners.items():
-            def counted(*args, fn=getattr(owner, key), key=key):
-                calls[key] += 1
-                return fn(*args)
-            monkeypatch.setattr(owner, key, counted)
+        calls = _counting_rhs(monkeypatch, b.system)
         for cfg in (dy.IntegratorConfig(method="rk4", dt=2e-3),
                     dy.IntegratorConfig(method="rk45")):
             calls.update(dict.fromkeys(calls, 0))
             traj = dy.integrate(b.system, b.initial, 1.0, cfg)
             assert len(traj) == 1 + traj.steps_taken > 20
             assert cfg.method == "rk45" or traj.rhs_calls == 2001
-            assert calls == {"D_R_grad": traj.rhs_calls,
-                             "mechanics": traj.rhs_calls,
+            assert calls == {"rhs": traj.rhs_calls, "D_R_grad": 0,
                              "statics": 0}, (name, cfg)
 
 
@@ -1075,12 +1115,13 @@ def test_overflowing_speed_is_a_divergence_error(method):
 def test_loop_is_generated_once_per_method_and_dof(monkeypatch):
     # every system of one (method, dof) shares one generated loop, every
     # system of one dof one point function, and every system of the same
-    # expressions its model code: the first integrate generates only its
-    # loop, which evaluates its own first point, and the first accel and
-    # diagnostics only the point function; a second load, integrate and
-    # full_audit of the same document generates no code at all, nor does
-    # a with_params system, which runs on its new values; and the shared
-    # functions keep no system or model alive
+    # expressions its model code, its rhs included: the first model build
+    # generates the one rhs, the first integrate only its loop, which
+    # evaluates its own first point, and the first accel and diagnostics
+    # only the point function; a second load, integrate and full_audit of
+    # the same document generates no code at all, nor does a with_params
+    # system, which runs on its new values; and the shared functions keep
+    # no system or model alive
     defined = []
 
     def define(signature, *args, define=xc.define, **names):
@@ -1098,11 +1139,13 @@ def test_loop_is_generated_once_per_method_and_dof(monkeypatch):
         return traj.rows
 
     new = {"g": 1.3, "A": 0.2}
-    for method, point in (("rk4", ["_point"]), ("rk45", [])):
+    for method, point, rhs in (("rk4", ["_point"], 1), ("rk45", [], 0)):
         doc = {"system": "pendulum_drag_2dof", "t_end": 0.5,
                "integrator": {"method": method}}
+        defined.clear()
         cfg = cf.config_from_dict(doc)
         cfg.system.model
+        assert defined.count("_rhs") == rhs, method
         defined.clear()
         dy.integrate(cfg.system, cfg.initial, cfg.t_end, cfg.integrator)
         assert defined == [f"_{method}_loop"], method
@@ -1119,6 +1162,7 @@ def test_loop_is_generated_once_per_method_and_dof(monkeypatch):
         clear_model_caches()
         fresh = cf.config_from_dict({**doc, "overrides": new})
         assert run(fresh) == rows
+        assert defined.count("_rhs") == 1, method
     # fresh's model filled the emptied caches
     refs = [weakref.ref(fresh.system), weakref.ref(fresh.system.model)]
     del cfg, fresh

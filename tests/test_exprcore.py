@@ -788,7 +788,7 @@ def test_hoisted_constants_leave_every_value_as_it_was(src, v, q, wrt):
     (lines, val, g), = blocks
     assert not any("p[" in x for x in lines)
     assert all(f"{n} = " in "".join(consts) for n in names)
-    hoisted = xc.define("_f(q, v, p)", consts + lines + [
+    hoisted = xc.define("_f(q, v, p)", xc.unpack([node]) + consts + lines + [
         f"return {val}" + (f", ({', '.join(g)},)" if wrt else "")])
     got, ref = (_exact(f, q, v, p)
                 for f in (hoisted, xc.compile_expr(node, 2, wrt)))

@@ -134,7 +134,7 @@ def test_runs_do_not_grow_the_expression_compile_cache():
     from raydiss import dynamics as dy
 
     caches = (xc.compiled, rm._dissipation_model, rm._system_code,
-              dy._loop, dy._point)
+              rm._rhs, dy._loop, dy._point)
     for i in range(2000):
         term = rm.DissipationTerm(xc.parse(f"c*v1^2 + {i}*v1^2"), 2.0)
         term.evaluate((0.0,), (1.0,), {"c": 0.1})
