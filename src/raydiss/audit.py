@@ -30,7 +30,6 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from . import raymodel as rm
 from .dynamics import Trajectory
 from .raymodel import CheckReport, SystemSpec, _dot
 
@@ -362,16 +361,17 @@ def _stationarity(sys, traj, tol):
 def full_audit(sys: SystemSpec, traj: Trajectory,
                tol: AuditTolerances = AuditTolerances()) -> AuditReport:
     """Run every audit section; sections fail independently: one that
-    raises is None, with its message in `errors`."""
-    checked = (sys.dissipation, sys.dof, sys.params)
-    sampled = {"samples": tol.check_samples, "seed": tol.check_seed}
+    raises is None, with its message in `errors`. The Euler identity and
+    positivity sections depend on the system alone, so they are the
+    system's stored reports (SystemSpec.sampled_check)."""
+    sampled = partial(sys.sampled_check, samples=tol.check_samples,
+                      seed=tol.check_seed)
     sections, errors = {}, {}
     for name, run in (
             ("energy_balance",
              partial(energy_balance_audit, traj, tol.energy)),
-            ("euler_identity",
-             partial(rm.euler_identity_check, *checked, **sampled)),
-            ("positivity", partial(rm.positivity_scan, *checked, **sampled)),
+            ("euler_identity", partial(sampled, "euler_identity")),
+            ("positivity", partial(sampled, "positivity")),
             ("stationarity", partial(_stationarity, sys, traj, tol))):
         try:
             sections[name] = run()

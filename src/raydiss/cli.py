@@ -141,8 +141,8 @@ def cmd_check(cfg: RunConfig) -> int:
         n = None if i is None else d.terms[i].degree
         rows.append((f"homogeneity[{i}] (degree {n:g}, R/D = {1.0 / n:.6g})"
                      if n else "rest value D(q,0)=0", rep))
-    for fn in (rm.positivity_scan, rm.euler_identity_check):
-        rep = fn(d, sys.dof, sys.params, **sampling)
+    for name in ("positivity", "euler_identity"):
+        rep = sys.sampled_check(name, **sampling)
         rows.append((rep.name + (f" ({rep.detail})" if rep.detail else ""),
                      rep))
     width = max(len(name) for name, _ in rows) + 2
@@ -240,9 +240,11 @@ def cmd_sweep(cfg: RunConfig, param, values, out_stem=None, jobs=None) -> int:
     members = [(cfg.with_params({param: x}),
                 f"{stem}_{param}={name}.{cfg.output.format}")
                for x, name in zip(values, names)]
-    # members share the expressions, so their generated code: build it
-    # once, before the fork, for the workers to inherit
+    # members share the expressions, so their generated code, and the
+    # integration loop: build both once, before the fork, for the workers
+    # to inherit
     cfg.system.model
+    dy._loop(cfg.integrator.method, cfg.system.dof)
     n = len(members)
     results = _run_forked(members, range(n),
                           min(jobs or os.cpu_count() or 1, n))

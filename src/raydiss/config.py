@@ -9,8 +9,10 @@ system is built, by the rule of `--set` and sweep values. Expressions are
 strings in the expression grammar, parsed and bound at load time. Every
 `RunConfig` checks declared degrees and D(q, 0) = 0 when it is made, by
 a load, `with_params` or `replace` alike, so bad parameter values fail
-before any integration; the sampled checks run once per system (its
-params are read-only), so a `replace` that keeps it reads their result.
+before any integration. A load and `with_params` take their system from
+one cache by value (raymodel.system), so the sampled checks run once per
+system value per process (its params are read-only): a repeat load, or a
+`replace` that keeps the system, reads their result.
 
 The sections `integrator`, `audit`, `output` and `dissipation.quadrature`
 are read field by field into their dataclasses: each key must name a
@@ -96,8 +98,10 @@ class RunConfig:
         value) by the rule of JSON `overrides`, checked like any other."""
         # the new system keeps the parsed expressions, so it shares all of
         # its generated code, which is keyed by them, not by parameters
-        return replace(self, system=replace(
-            self.system, params=_override(self.system.params, overrides)))
+        s = self.system
+        return replace(self, system=rm.system(
+            s.dof, s.mass_matrix, s.potential, s.dissipation,
+            _override(s.params, overrides)))
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +276,7 @@ def config_from_dict(doc: dict) -> RunConfig:
     dissipation = _load_dissipation(_req(doc, "dissipation", ""),
                                     "dissipation")
     try:
-        system = rm.SystemSpec(dof=dof, mass_matrix=mm, potential=potential,
-                               dissipation=dissipation, params=params)
+        system = rm.system(dof, mm, potential, dissipation, params)
     except (rm.ModelError, xc.BindError) as e:
         raise ConfigError(str(e), getattr(e, "path", "")) from None
 

@@ -261,9 +261,12 @@ class _Parser:
 _MAX_DEPTH = 200
 
 
+@lru_cache(maxsize=256)
 def parse(source: str) -> ExprNode:
     """Parse source text into an AST of at most _MAX_DEPTH levels. Raises
-    ParseError with offset, and nothing else, whatever the text."""
+    ParseError with offset, and nothing else, whatever the text. A repeat
+    text returns the same (frozen) tree, so caches keyed by trees compare
+    it by identity; a ParseError is never stored, so it is raised again."""
     parser = _Parser(source)
     try:
         node = parser.parse()

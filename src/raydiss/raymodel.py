@@ -17,7 +17,8 @@ Generated code is cached by the values it comes from, never by object: a
 DissipationModel by D's split, quadrature and dof, the code of M, dM/dq,
 V and dV/dq by the dof, M and V, and a system's rhs by all of them. So
 systems of equal expressions share it, and a spec copies and pickles as
-its fields. Evaluators take (q, v, params); the eval_* functions below
+its fields. A config load takes the SystemSpec itself from one more such
+cache (system), so it checks and builds each system value once. Evaluators take (q, v, params); the eval_* functions below
 are adapters over them. D, R and dR/dv at one state come from one call,
 D_R_grad, one generated function for every D, so v.dR/dv = D compares
 values of one evaluation; a system's generated rhs runs D_R_grad's
@@ -232,6 +233,38 @@ class SystemSpec:
         return next((c for c in hypothesis_checks(self) if not c[1].passed),
                     None)
 
+    def sampled_check(self, name, samples, seed):
+        """The CheckReport of euler_identity_check or positivity_scan
+        (`name` "euler_identity" or "positivity") of this system, run on
+        first use per (name, samples, seed) and stored, as
+        failed_hypothesis is: no run changes it. A check that raises stores
+        nothing, so it raises again."""
+        key = (name, samples, seed)
+        done = self._sampled
+        if key not in done:
+            check = (euler_identity_check if name == "euler_identity"
+                     else positivity_scan)
+            report = check(self.code[1], self.dof, self.params,
+                           samples=samples, seed=seed)
+            if len(done) >= _SAMPLED_KEPT:
+                done.pop(next(iter(done)), None)
+            done[key] = report
+        return done[key]
+
+    @cached_property
+    def _sampled(self):
+        return {}
+
+    @cached_property
+    def code(self):
+        """(rhs, dissipation) of _rhs for this system, fetched once: the
+        model's rhs and the dissipation model whose lines it runs, which
+        every check of this system evaluates too, so all of them evaluate
+        one model, also after _dissipation_model has evicted it."""
+        d = self.dissipation
+        return _rhs(self.dof, self.mass_matrix, self.potential, *d.split,
+                    d.quadrature)
+
     @cached_property
     def model(self) -> SystemModel:
         """Compiled evaluators of this system, built on first use."""
@@ -285,11 +318,26 @@ class SystemModel:
     """
 
     def __init__(self, sys: SystemSpec):
-        d, code = sys.dissipation, (sys.dof, sys.mass_matrix, sys.potential)
         self.params = sys.params
-        self.rhs, self.dissipation = _rhs(*code, *d.split, d.quadrature)
-        constants, self.statics, _ = _system_code(*code)
+        self.rhs, self.dissipation = sys.code
+        constants, self.statics, _ = _system_code(
+            sys.dof, sys.mass_matrix, sys.potential)
         self.c = constants(sys.params)
+
+
+def system(dof, mass_matrix, potential, dissipation, params):
+    """The SystemSpec of these values, one per value per process, so that a
+    repeat load reads the checks and the model of the first. Params are
+    keyed by repr, as Const is: -0.0 and 0.0 make different systems."""
+    return _system(dof, tuple(map(tuple, mass_matrix)), potential,
+                   dissipation, tuple((k, repr(v), v)
+                                      for k, v in params.items()))
+
+
+@lru_cache(maxsize=16)
+def _system(dof, mm, potential, dissipation, params):
+    return SystemSpec(dof, mm, potential, dissipation,
+                      {k: v for k, _, v in params})
 
 
 @lru_cache(maxsize=16)
@@ -541,6 +589,10 @@ def _dot(x, y):
     return reduce(add, map(mul, x, y))
 
 
+# (name, samples, seed) reports that SystemSpec.sampled_check keeps per
+# system: an audit's tolerances name one
+_SAMPLED_KEPT = 8
+
 # seeded draws kept by sample_states: every config load and audit of a
 # system draws the same few
 _SAMPLE_CACHE = 16
@@ -647,10 +699,10 @@ def homogeneity_check(term: DissipationTerm, dof: int, params: dict,
                           violations, 1e-9, f"declared degree {term.degree}")
 
 
-def euler_identity_check(spec: DissipationSpec, dof: int, params: dict,
+def euler_identity_check(model: DissipationModel, dof: int, params: dict,
                          samples: int = 50, seed: int = 0) -> CheckReport:
-    """Verify v . dR/dv = D, the defining relation of the R construction."""
-    model = spec.model(dof)
+    """Verify v . dR/dv = D, the defining relation of the R construction,
+    on the dissipation model `model` (a system's is SystemSpec.code[1])."""
 
     def violations(q, v):
         d, _, g = model.D_R_grad(q, v, params)
@@ -659,10 +711,10 @@ def euler_identity_check(spec: DissipationSpec, dof: int, params: dict,
                           violations, 1e-8, "v . dR/dv vs D")
 
 
-def positivity_scan(spec: DissipationSpec, dof: int, params: dict,
+def positivity_scan(model: DissipationModel, dof: int, params: dict,
                     samples: int = 50, seed: int = 0) -> CheckReport:
     """Report the minimum of D over sampled states; pass iff >= -1e-12."""
-    D = spec.model(dof).D
+    D = model.D
     rep = _sampled_check(
         "positivity", sample_states(dof, samples, seed),
         lambda q, v: (-D(q, v, params),), 1e-12)
@@ -670,10 +722,10 @@ def positivity_scan(spec: DissipationSpec, dof: int, params: dict,
     return replace(rep, detail=f"min D = {0.0 - rep.max_violation:.6g}")
 
 
-def rest_value_check(spec: DissipationSpec, dof: int, params: dict,
+def rest_value_check(model: DissipationModel, dof: int, params: dict,
                      samples: int = 20, seed: int = 0) -> CheckReport:
     """D(q, 0) must vanish, else the R integral diverges."""
-    D = spec.model(dof).D
+    D = model.D
     zeros = (0.0,) * dof
     states = [(q, zeros) for q, _ in sample_states(dof, samples, seed)]
     return _sampled_check("rest_value", states,
@@ -684,9 +736,10 @@ def rest_value_check(spec: DissipationSpec, dof: int, params: dict,
 def hypothesis_checks(sys: SystemSpec, **sampling):
     """The sampled hypotheses on D, as (term index or None, CheckReport):
     each declared term's homogeneity, then D(q, 0) = 0 when raw is set,
-    each check with `sampling` (samples, seed) if given."""
+    each check with `sampling` (samples, seed) if given, the rest value
+    on the system's own dissipation model."""
     d, args = sys.dissipation, (sys.dof, sys.params)
     for i, term in enumerate(d.terms):
         yield i, homogeneity_check(term, *args, **sampling)
     if d.raw is not None:
-        yield None, rest_value_check(d, *args, **sampling)
+        yield None, rest_value_check(sys.code[1], *args, **sampling)

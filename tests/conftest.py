@@ -40,10 +40,12 @@ def random_contexts(n, seed=7, dof=2):
 
 
 def clear_model_caches():
-    """Empty the value-keyed caches of generated expression and model code,
-    so that the next model built generates all of its code again."""
-    for cache in (xc.compiled, rm._dissipation_model, rm._system_code,
-                  rm._rhs):
+    """Empty the value-keyed caches of parsed trees, of systems and of
+    generated expression and model code, so that the next load parses,
+    checks and builds a new system, whose model generates all of its code
+    again."""
+    for cache in (xc.parse, rm._system, xc.compiled, rm._dissipation_model,
+                  rm._system_code, rm._rhs):
         cache.cache_clear()
 
 

@@ -95,6 +95,12 @@ MUTANTS = (
     Mutant("rhs returns R for D and D for R", "raydiss/raymodel.py",
            '["D", "R"] + dissipation.g', '["R", "D"] + dissipation.g',
            ("tests/test_dynamics.py",)),
+    Mutant("system key reads a param's value, not its repr",
+           "raydiss/raymodel.py", "tuple((k, repr(v), v)", "tuple((k, v, v)",
+           ("tests/test_raymodel.py",)),
+    Mutant("stored sampled sections keyed without their seed",
+           "raydiss/raymodel.py", "key = (name, samples, seed)",
+           "key = (name, samples)", ("tests/test_cli.py",)),
 )
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import clear_model_caches
 from raydiss import audit as au
 from raydiss import config as cf
 from raydiss import dynamics as dy
@@ -363,13 +364,49 @@ def test_homogeneous_sum_d_and_r_are_d_r_grads_bit_for_bit(monkeypatch):
     # positivity's D and stationarity's R are D_R_grad's: each value they
     # read is one of its results (a sample's force, R there and 24 probes)
     seen = _recording(model, monkeypatch)
-    rep = rm.positivity_scan(spec, 1, p, samples=20)
+    rep = rm.positivity_scan(model, 1, p, samples=20)
     assert len(seen) == 20
     assert rep.max_violation == max(0.0, *(-d for d, _ in seen))
     traj = dy.integrate(sys, cfg.initial, 1.0, cfg.integrator)
     seen.clear()
     au.stationarity_audit(sys, traj, 5)
     assert len(seen) == 1 + 1 + 3 * 8
+
+
+def test_checks_and_audit_evaluate_the_systems_own_model(monkeypatch):
+    # once _dissipation_model has evicted a system's dissipation model,
+    # DissipationSpec.model(dof) builds another, equal one; the system's
+    # hypotheses, its sampled sections and every other audit section still
+    # evaluate the model its rhs runs, and never the other. Here all of D
+    # takes the graded rule, so D, R and D_R_grad are generated functions
+    clear_model_caches()
+    cfg = cf.config_from_dict({
+        "dof": 1, "params": {"c": 0.1}, "mass_matrix": [["1"]],
+        "potential": "0.5*q1^2",
+        "dissipation": {"mode": "general", "raw": "c*v1*tanh(v1/0.01)"},
+        "initial": {"q": [0.0], "v": [1.0]}, "t_end": 0.2})
+    system = dataclasses.replace(cfg.system)  # a new spec of equal fields
+    own = system.model.dissipation
+    assert system.code[1] is own
+    rm._dissipation_model.cache_clear()
+    other = system.dissipation.model(1)
+    assert other is not own
+    seen = {"own": [], "other": []}
+    for key, model in (("own", own), ("other", other)):
+        for name in ("D", "R", "D_R_grad"):
+            def counted(*args, fn=getattr(model, name), name=name, key=key):
+                seen[key].append(name)
+                return fn(*args)
+            monkeypatch.setattr(model, name, counted)
+    assert system.failed_hypothesis is None
+    assert seen["own"] == ["D"] * 20  # the rest value at its 20 states
+    traj = dy.integrate(system, cfg.initial, cfg.t_end, cfg.integrator)
+    report = au.full_audit(system, traj, cfg.tolerances)
+    assert report.errors == {}
+    n = cfg.tolerances.check_samples
+    assert seen["own"].count("D") == 20 + n
+    assert seen["own"].count("D_R_grad") >= n
+    assert seen["other"] == []
 
 
 def test_stationarity_takes_one_d_r_grad_call_per_sample(monkeypatch):

@@ -8,9 +8,12 @@ import signal
 import numpy as np
 import pytest
 
+from conftest import clear_model_caches
+from raydiss import audit as au
 from raydiss import cli
 from raydiss import config as cf
 from raydiss import dynamics as dy
+from raydiss import exprcore as xc
 from raydiss import raymodel as rm
 from raydiss.builtins import BUILTIN_NAMES, DOCS, get_builtin
 from raydiss.cli import main
@@ -472,7 +475,9 @@ def test_a_new_parameter_value_is_checked_however_it_is_made():
 def test_sampled_checks_run_once_per_system(workdir, monkeypatch, extra,
                                             runs):
     # the flags' replace keeps the loaded system, whose checks ran at the
-    # load; --set makes a new system, whose params are checked again
+    # load; --set makes a new system, whose params are checked again. A
+    # system is checked once per process: start from an empty cache
+    clear_model_caches()
     calls = []
 
     def counted(*args, fn=rm.hypothesis_checks, **kw):
@@ -482,6 +487,86 @@ def test_sampled_checks_run_once_per_system(workdir, monkeypatch, extra,
     config = write_json(workdir / "b.json", {"system": "damped_sho"})
     assert main(["simulate", "--config", config] + extra) == 0
     assert [p["c"] for p in calls] == [0.2, 0.5][:runs]
+
+
+def test_a_repeat_load_is_the_same_checked_system():
+    # a system is built and checked once per value per process: loads of
+    # one document, also with other run sections, and a with_params of the
+    # values it has give the very system of the first load
+    system = cf.config_from_dict(DSHO_INLINE).system
+    assert cf.config_from_dict(DSHO_INLINE).system is system
+    for change in ({"t_end": 2.0}, {"initial": {"q": [0.5], "v": [0.1]}},
+                   {"integrator": {"method": "rk4"}},
+                   {"audit": {"check_seed": 1}},
+                   {"output": {"format": "jsonl"}}):
+        assert cf.config_from_dict({**DSHO_INLINE, **change}).system is system
+    cfg = cf.config_from_dict(DSHO_INLINE)
+    assert cfg.with_params({"c": 0.2}).system is system
+    assert cfg.with_params({"c": 0.3}).system is not system
+    # a system that fails its hypotheses fails each load alike
+    errors = []
+    for _ in range(2):
+        with pytest.raises(cf.ConfigError) as e:
+            cf.config_from_dict({**NOT_HOMOGENEOUS, "overrides": {"c": 1.0}})
+        errors.append(str(e.value))
+    assert errors[0] == errors[1]
+
+
+def _count_checks(monkeypatch):
+    """Names of the calls of the sampled checks, from now on."""
+    calls = []
+    for name in ("hypothesis_checks", "euler_identity_check",
+                 "positivity_scan"):
+        def counted(*args, fn=getattr(rm, name), name=name, **kw):
+            calls.append(name)
+            return fn(*args, **kw)
+        monkeypatch.setattr(rm, name, counted)
+    return calls
+
+
+def _audited_run(doc):
+    cfg = cf.config_from_dict(doc)
+    traj = dy.integrate(cfg.system, cfg.initial, cfg.t_end, cfg.integrator)
+    return au.full_audit(cfg.system, traj, cfg.tolerances)
+
+
+def test_audited_runs_of_one_system_sample_it_once(monkeypatch):
+    # the hypotheses, the Euler identity and positivity depend on the
+    # system (and the audit's sampling), not on a run: 20 audited runs from
+    # other starts check it once; a new check_seed samples the two audit
+    # sections again, and only them
+    clear_model_caches()
+    calls = _count_checks(monkeypatch)
+    doc = {**DSHO_INLINE, "t_end": 0.2}
+    for i in range(20):
+        assert _audited_run({**doc, "initial": {"q": [1.0 + i / 64],
+                                                "v": [0.0]}}).passed
+    assert calls == ["hypothesis_checks", "euler_identity_check",
+                     "positivity_scan"]
+    calls.clear()
+    assert _audited_run({**doc, "audit": {"check_seed": 1}}).passed
+    assert calls == ["euler_identity_check", "positivity_scan"]
+    system = cf.config_from_dict(doc).system
+    for seed in range(20):
+        system.sampled_check("positivity", 1, seed)
+    assert len(system._sampled) <= rm._SAMPLED_KEPT
+
+
+def test_a_raising_sampled_section_raises_on_each_audit(monkeypatch):
+    # a section that raises is not stored: each audit runs it again and
+    # reports the same message
+    clear_model_caches()
+    calls = []
+
+    def broken(*args, **kw):
+        calls.append(args)
+        raise rm.ModelError("no positivity today")
+    monkeypatch.setattr(rm, "positivity_scan", broken)
+    for _ in range(2):
+        report = _audited_run({**DSHO_INLINE, "t_end": 0.2})
+        assert report.positivity is None
+        assert report.errors == {"positivity": "no positivity today"}
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -995,6 +1080,28 @@ def test_sweep_without_values_is_a_config_error(workdir, capsys, values):
     assert capsys.readouterr().err == \
         "raydiss: config error: --values needs at least one number\n"
     assert [p.name for p in workdir.iterdir()] == ["b.json"]
+
+
+def test_sweep_builds_the_members_code_before_the_fork(workdir,
+                                                     monkeypatch):
+    # the workers inherit every function a member runs: the members run
+    # here, where the fork would start them, generate no code at all
+    clear_model_caches()
+    dy._loop.cache_clear()
+    defined = []
+
+    def run_here(members, indices, workers):
+        def counted(signature, *args, fn=xc.define, **names):
+            defined.append(signature)
+            return fn(signature, *args, **names)
+        monkeypatch.setattr(xc, "define", counted)
+        return [cli._run_member(*members[i]) for i in indices]
+    monkeypatch.setattr(cli, "_run_forked", run_here)
+    doc = {"system": "damped_sho", "t_end": 0.2,
+           "integrator": {"method": "rk4", "dt": 1e-2}}
+    assert main(["sweep", "--config", write_json(workdir / "s.json", doc),
+                 "--param", "c", "--values", "0.1,0.3"]) == 0
+    assert defined == []
 
 
 @pytest.mark.parametrize("jobs, values, workers", [

@@ -1163,9 +1163,11 @@ def test_loop_is_generated_once_per_method_and_dof(monkeypatch):
         fresh = cf.config_from_dict({**doc, "overrides": new})
         assert run(fresh) == rows
         assert defined.count("_rhs") == 1, method
-    # fresh's model filled the emptied caches
+    # fresh's model filled the emptied caches; the cache of systems holds
+    # fresh's own, by design, and no other cache holds it or its model
     refs = [weakref.ref(fresh.system), weakref.ref(fresh.system.model)]
     del cfg, fresh
+    rm._system.cache_clear()
     gc.collect()
     assert [r() for r in refs] == [None, None]
 

@@ -800,7 +800,8 @@ def test_hoisted_constants_leave_every_value_as_it_was(src, v, q, wrt):
 
 def test_compile_cache_is_bounded_and_keyed_by_value():
     # 2,000 distinct expressions leave the cache at or below its bound, and
-    # two parses of the same text share one compiled function
+    # two parses of the same text share one compiled function: two trees,
+    # as parse stores the tree of a text, so the second is parsed anew
     ctx = xc.EvalContext((0.3,), (0.7,), {"c": 0.2})
     for i in range(2000):
         e = xc.parse(f"c*v1^2 + {i}*q1")
@@ -808,10 +809,26 @@ def test_compile_cache_is_bounded_and_keyed_by_value():
         xc.grad_v(e, ctx)
     info = xc.compiled.cache_info()
     assert info.currsize <= info.maxsize
-    a, b = (xc.parse("c*v1^2*sin(q1)") for _ in range(2))
+    a = xc.parse("c*v1^2*sin(q1)")
+    xc.parse.cache_clear()
+    b = xc.parse("c*v1^2*sin(q1)")
     assert a is not b and a == b
     assert xc.compiled(a) is xc.compiled(b)
     assert xc.compiled(a, 1, "v", None) is xc.compiled(b, 1, "v", None)
+
+
+def test_parse_returns_one_tree_per_text_and_stores_no_error():
+    # a repeat text is the same tree, so the caches keyed by trees compare
+    # it by identity; a text that fails raises each time, the same error
+    assert xc.parse("c*v1^2 + q1") is xc.parse("c*v1^2 + q1")
+    errors = []
+    for _ in range(2):
+        with pytest.raises(xc.ParseError) as e:
+            xc.parse("c*v1^")
+        errors.append((str(e.value), e.value.offset))
+    assert errors[0] == errors[1]
+    info = xc.parse.cache_info()
+    assert info.currsize <= info.maxsize
 
 
 def test_constants_of_different_code_never_share_it():

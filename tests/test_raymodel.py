@@ -170,6 +170,46 @@ def test_runs_do_not_grow_the_expression_compile_cache():
     assert sizes[1] == sizes[0]
 
 
+def test_one_system_per_value_and_a_bounded_cache_of_them():
+    # rm.system returns one SystemSpec per value: trees equal by value
+    # (here parsed anew, so not the same objects) give the same system, and
+    # each field, a param's repr included, tells systems apart; 2,000
+    # distinct params leave the cache of systems within its bound
+    clear_model_caches()
+
+    def fields(dof=1, potential="0.5*k*q1^2", mode="homogeneous_sum",
+               degree=2.0, eps=None, node_count=16, c=0.0):
+        if mode == "general":
+            d = general("c*v1^2", node_count=node_count)
+        else:
+            d = rm.DissipationSpec("homogeneous_sum", [
+                rm.DissipationTerm(xc.parse("c*v1^2"), degree, eps)])
+        mm = [[xc.parse("m") if i == j else xc.parse("0")
+               for j in range(dof)] for i in range(dof)]
+        return (dof, mm, xc.parse(potential), d,
+                {"m": 1.0, "k": 1.0, "c": c})
+
+    first = rm.system(*fields())
+    xc.parse.cache_clear()
+    again = fields()
+    assert again[2] is not first.potential and again[2] == first.potential
+    assert rm.system(*again) is first
+    assert rm.system(*fields(c=0.0)) is first
+    others = [rm.system(*fields(**change)) for change in (
+        {"c": -0.0}, {"potential": "0.5*k*q1^4"}, {"degree": 3.0},
+        {"eps": 1e-3}, {"mode": "general"}, {"dof": 2})]
+    general_pair = [rm.system(*fields(mode="general", node_count=n))
+                    for n in (16, 24)]
+    systems = [first, *others, general_pair[1]]
+    assert len({id(x) for x in systems}) == len(systems)
+    assert repr(others[0].params["c"]) == "-0.0"
+    assert general_pair[0] is others[4]
+    for i in range(2000):
+        rm.system(*fields(c=float(i)))
+    info = rm._system.cache_info()
+    assert info.currsize <= info.maxsize
+
+
 def test_with_params_shares_the_builtin_dissipation_model():
     from raydiss import config as cf
     from raydiss.builtins import get_builtin
@@ -862,29 +902,30 @@ def test_force_general_matches_closed():
 
 
 def test_euler_identity_quadratic_exact():
-    rep = rm.euler_identity_check(homsum(("c*v1^2", 2.0)), 1, {"c": 0.4})
+    rep = rm.euler_identity_check(homsum(("c*v1^2", 2.0)).model(1), 1,
+                                  {"c": 0.4})
     assert rep.passed and rep.max_violation <= 1e-12
 
 
 def test_euler_identity_two_dof_cubic():
-    rep = rm.euler_identity_check(homsum(("A*(v1^2+v2^2)^1.5", 3.0)),
-                                  2, {"A": 0.8})
+    rep = rm.euler_identity_check(
+        homsum(("A*(v1^2+v2^2)^1.5", 3.0)).model(2), 2, {"A": 0.8})
     assert rep.passed
 
 
 def test_euler_identity_null():
-    rep = rm.euler_identity_check(rm.null_dissipation(), 1, {})
+    rep = rm.euler_identity_check(rm.null_dissipation().model(1), 1, {})
     assert rep.passed and rep.max_violation == 0.0
 
 
 def test_positivity_quadratic_passes():
-    rep = rm.positivity_scan(homsum(("c*v1^2", 2.0)), 1, {"c": 1.0})
+    rep = rm.positivity_scan(homsum(("c*v1^2", 2.0)).model(1), 1, {"c": 1.0})
     assert rep.passed
     assert rep.detail == "min D = 0"  # not "-0"
 
 
 def test_positivity_negative_fails_with_witness():
-    rep = rm.positivity_scan(homsum(("-v1^2", 2.0)), 1, {})
+    rep = rm.positivity_scan(homsum(("-v1^2", 2.0)).model(1), 1, {})
     assert not rep.passed
     assert rep.witness is not None
     q, v = rep.witness
@@ -894,14 +935,15 @@ def test_positivity_negative_fails_with_witness():
 
 def test_positivity_configuration_coefficient():
     # D = A(q) |v|^3 with A(q) = q1^2 >= 0
-    rep = rm.positivity_scan(homsum(("q1^2*abs(v1)^3", 3.0)), 1, {})
+    rep = rm.positivity_scan(homsum(("q1^2*abs(v1)^3", 3.0)).model(1), 1,
+                             {})
     assert rep.passed
 
 
 def test_rest_value_check():
-    good = rm.rest_value_check(general("v1^2"), 1, {})
+    good = rm.rest_value_check(general("v1^2").model(1), 1, {})
     assert good.passed
-    bad = rm.rest_value_check(general("v1^2 + q1"), 1, {})
+    bad = rm.rest_value_check(general("v1^2 + q1").model(1), 1, {})
     assert not bad.passed
     assert bad.witness[1] == (0.0,)  # the witness is the state at rest
 
@@ -909,9 +951,11 @@ def test_rest_value_check():
 @pytest.mark.parametrize("check", [
     lambda n: rm.homogeneity_check(homsum(("v1^2", 2.0)).terms[0], 1, {},
                                    samples=n),
-    lambda n: rm.euler_identity_check(general("v1^2"), 1, {}, samples=n),
-    lambda n: rm.positivity_scan(general("v1^2"), 1, {}, samples=n),
-    lambda n: rm.rest_value_check(general("v1^2"), 1, {}, samples=n),
+    lambda n: rm.euler_identity_check(general("v1^2").model(1), 1, {},
+                                       samples=n),
+    lambda n: rm.positivity_scan(general("v1^2").model(1), 1, {}, samples=n),
+    lambda n: rm.rest_value_check(general("v1^2").model(1), 1, {},
+                                   samples=n),
 ], ids=["homogeneity", "euler_identity", "positivity", "rest_value"])
 def test_sampled_checks_need_at_least_one_sample(check):
     assert check(1).samples == 1
@@ -988,5 +1032,5 @@ def test_euler_check_forms_v_dot_grad_as_the_sample_w(monkeypatch):
     W = traj.diagnostics()[0].W
     monkeypatch.setattr(rm, "sample_states",
                         lambda dof, samples, seed: [(q, v)])
-    rep = rm.euler_identity_check(b.system.dissipation, 2, b.system.params)
+    rep = rm.euler_identity_check(sm.dissipation, 2, b.system.params)
     assert rep.max_violation == abs(W - D) / (1.0 + abs(D))
