@@ -9,7 +9,6 @@ shortest-round-trip repr so files parse back to identical doubles.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys as _sys
@@ -162,7 +161,7 @@ def cmd_derive_r(cfg: RunConfig, q, v) -> int:
     qt, vt, p = tuple(q), tuple(v), sys.params
     d = sys.dissipation
     try:
-        total_d, total_r, force = d.model(sys.dof).D_R_grad(qt, vt, p)
+        total_d, total_r, force = sys.model.dissipation.D_R_grad(qt, vt, p)
         force = [float(x) for x in force]
         if not np.all(np.isfinite([total_d, total_r, *force])):
             raise rm.ModelError(
@@ -212,16 +211,22 @@ def _run_member(c, out):
 
 def _run_forked(members, indices, workers):
     """Results of the members at `indices`, run on `workers` forked
-    processes; a member whose future failed gets its exception instead."""
-    # imported here, not at the top: it adds about 20 ms and 1 MB to the
-    # start of every command
+    processes; a member whose future failed gets its exception instead. A
+    worker that dies fails every member pending in its pool: those run
+    again alone, so that only the member that died keeps the error."""
+    # imported here, not at the top, so that no other command loads them
+    import concurrent.futures
     import multiprocessing
 
     fork = multiprocessing.get_context("fork")
     with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers, mp_context=fork) as ex:
         futures = [ex.submit(_run_member, *members[i]) for i in indices]
-        return [f.exception() or f.result() for f in futures]
+        results = [f.exception() or f.result() for f in futures]
+    return [_run_forked(members, [i], 1)[0]
+            if isinstance(r, concurrent.futures.BrokenExecutor)
+            and len(indices) > 1 else r
+            for i, r in zip(indices, results)]
 
 
 def cmd_sweep(cfg: RunConfig, param, values, out_stem=None, jobs=None) -> int:
@@ -248,12 +253,6 @@ def cmd_sweep(cfg: RunConfig, param, values, out_stem=None, jobs=None) -> int:
     n = len(members)
     results = _run_forked(members, range(n),
                           min(jobs or os.cpu_count() or 1, n))
-    # a worker that dies fails every member still pending in its pool;
-    # rerun those alone, so that only the member that died keeps the error
-    results = [_run_forked(members, [i], 1)[0]
-               if isinstance(r, concurrent.futures.BrokenExecutor) and n > 1
-               else r
-               for i, r in enumerate(results)]
     results = [{"status": f"error: {r}"} if isinstance(r, Exception) else r
                for r in results]
     m = cfg.system.dof

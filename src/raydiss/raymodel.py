@@ -14,15 +14,16 @@ whose addends of known degree (exprcore.velocity_degree) take D_n/n.
 eval_R_quadrature integrates the whole D by the rule.
 
 Generated code is cached by the values it comes from, never by object: a
-DissipationModel by D's split, quadrature and dof, the code of M, dM/dq,
-V and dV/dq by the dof, M and V, and a system's rhs by all of them. So
-systems of equal expressions share it, and a spec copies and pickles as
-its fields. A config load takes the SystemSpec itself from one more such
-cache (system), so it checks and builds each system value once. Evaluators take (q, v, params); the eval_* functions below
-are adapters over them. D, R and dR/dv at one state come from one call,
-D_R_grad, one generated function for every D, so v.dR/dv = D compares
-values of one evaluation; a system's generated rhs runs D_R_grad's
-lines inline (SystemModel).
+DissipationModel by D's split, quadrature and dof, and a system model's
+rhs, statics, constants and dissipation model in one entry by those, M
+and V (_code); the model computes its constants c on first use. So
+systems of equal expressions share code, and a spec copies and pickles
+as its fields. A config load takes the SystemSpec itself from one more
+such cache (system), so it checks and builds each system value once.
+Evaluators take (q, v, params); the eval_* functions below are adapters
+over them. D, R and dR/dv at one state come from one call, D_R_grad, one
+generated function for every D, so v.dR/dv = D compares values of one
+evaluation; a system's generated rhs runs D_R_grad's lines inline.
 
 Structural checks (homogeneity, Euler identity v.dR/dv = D, positivity)
 are seeded and reproducible, with left-to-right dot products (_dot).
@@ -135,7 +136,9 @@ class DissipationSpec:
 
     def model(self, dof):
         """Compiled D, R and dR/dv for `dof` coordinates, shared by every
-        spec of the same split and quadrature."""
+        spec of the same split and quadrature. After _dissipation_model
+        evicts it, the eval_*/grad_R_v adapters may hold another, equal
+        model; a built system keeps its own (SystemModel.dissipation)."""
         return _dissipation_model(*self.split, self.quadrature, dof)
 
     def quadrature_model(self, dof):
@@ -244,7 +247,7 @@ class SystemSpec:
         if key not in done:
             check = (euler_identity_check if name == "euler_identity"
                      else positivity_scan)
-            report = check(self.code[1], self.dof, self.params,
+            report = check(self.model.dissipation, self.dof, self.params,
                            samples=samples, seed=seed)
             if len(done) >= _SAMPLED_KEPT:
                 done.pop(next(iter(done)), None)
@@ -254,16 +257,6 @@ class SystemSpec:
     @cached_property
     def _sampled(self):
         return {}
-
-    @cached_property
-    def code(self):
-        """(rhs, dissipation) of _rhs for this system, fetched once: the
-        model's rhs and the dissipation model whose lines it runs, which
-        every check of this system evaluates too, so all of them evaluate
-        one model, also after _dissipation_model has evicted it."""
-        d = self.dissipation
-        return _rhs(self.dof, self.mass_matrix, self.potential, *d.split,
-                    d.quadrature)
 
     @cached_property
     def model(self) -> SystemModel:
@@ -287,23 +280,22 @@ class SystemSpec:
 
 class SystemModel:
     """The right-hand side of one SystemSpec, its statics and its
-    dissipation model.
+    dissipation model, from one entry of _code per system's expressions.
 
-    _system_code emits two straight-line functions and the mechanics
-    lines of rhs, unrolled for the dof from the same lines of the
-    expressions' own compiled code (partial evaluation), shared by every
-    system of equal dof, M and V. constants(p) computes every
+    Its two straight-line functions and the mechanics lines of rhs are
+    unrolled for the dof from the same lines of the expressions' own
+    compiled code (partial evaluation). constants(p) computes every
     parameter-only subexpression of V and M, each in its expression's own
-    overflow guard, and returns them as a tuple; the model calls it once,
-    when it is built, and every entry point reads the result, c (the
-    params of a SystemSpec are read-only). statics(q, c) gives (M, dM, V,
-    dV/dq), M[a][b] and dM[a][b][j] = dM_ab/dq_j as nested lists, after
-    the symmetry check; it never checks definiteness.
+    overflow guard, and returns them as a tuple; the model calls it on
+    first use of c, which every entry point reads (the params of a
+    SystemSpec are read-only), and keeps no c that raised. statics(q, c)
+    gives (M, dM, V, dV/dq), M[a][b] and dM[a][b][j] = dM_ab/dq_j as
+    nested lists, after the symmetry check; it never checks definiteness.
 
     rhs(q0.., v0.., p, c) -> (qdd0.., D, R, dR/dv_0.., M00, M01, .., V),
     on scalar coordinates, is the dissipation model's D_R_grad lines, then
-    the mechanics lines, which read dR/dv as g0.. and no params (_rhs).
-    They evaluate V, dV/dq and the mass entries, form b = -dV/dq - dR/dv,
+    the mechanics lines, which read dR/dv as g0.. and no params. They
+    evaluate V, dV/dq and the mass entries, form b = -dV/dq - dR/dv,
     add the dM terms in the loop order of tests/mechanics_oracle.py, every
     accumulator starting at 0.0 as there, and solve by an unrolled
     square-root-free LDL^T factorisation that raises MassMatrixError
@@ -319,10 +311,13 @@ class SystemModel:
 
     def __init__(self, sys: SystemSpec):
         self.params = sys.params
-        self.rhs, self.dissipation = sys.code
-        constants, self.statics, _ = _system_code(
-            sys.dof, sys.mass_matrix, sys.potential)
-        self.c = constants(sys.params)
+        d = sys.dissipation
+        self.rhs, self.dissipation, self._constants, self.statics = _code(
+            sys.dof, sys.mass_matrix, sys.potential, *d.split, d.quadrature)
+
+    @cached_property
+    def c(self):
+        return self._constants(self.params)
 
 
 def system(dof, mass_matrix, potential, dissipation, params):
@@ -341,27 +336,11 @@ def _system(dof, mm, potential, dissipation, params):
 
 
 @lru_cache(maxsize=16)
-def _rhs(m, mm, potential, terms, rest, quadrature):
-    """(rhs, dissipation) of SystemModel for these values: the dissipation
-    model whose D_R_grad lines rhs runs, so the two never differ. rhs
+def _code(m, mm, potential, terms, rest, quadrature):
+    """(rhs, dissipation, constants, statics) of SystemModel: rhs runs the
+    D_R_grad lines of that dissipation model, so the two never differ, and
     builds the lists q and v only for D_R_grad lines that read them."""
     dissipation = _dissipation_model(terms, rest, quadrature, m)
-    mech, M, V = _system_code(m, mm, potential)[2]
-    q, v = [f"q{i}" for i in range(m)], [f"v{i}" for i in range(m)]
-    head = [f"q = {_list(q)}", f"v = {_list(v)}"] if dissipation.lists else []
-    out = [f"x{i}" for i in range(m)] + ["D", "R"] + dissipation.g
-    out += [x for row in M for x in row] + [V]
-    # the mechanics lines come last: their temporaries reuse the names of
-    # the D_R_grad lines' own, which only D, R and g0.. outlive
-    return _define(f"_rhs({', '.join(q + v)}, p, c)", [
-        *head, *dissipation.lines, *mech, f"return {', '.join(out)}"],
-        **dissipation.names), dissipation
-
-
-@lru_cache(maxsize=16)
-def _system_code(m, mm, potential):
-    """SystemModel's constants and statics for these values, and the
-    mechanics lines of its rhs with the sources of M and V there."""
     asym = [(a, b) for a in range(m) for b in range(a + 1, m)
             if mm[a][b] != mm[b][a]]
     pairs = [(a, b) for a in range(m) for b in range(m)
@@ -389,14 +368,23 @@ def _system_code(m, mm, potential):
     statics = _define("_statics(q, c)", unpack_c + [
         "".join(f"q{i}, " for i in range(m)) + "= q"] + head + entries
         + [f"return {_list(M)}, {_list(dM)}, {V}, {_list(gV)}"])
-    body = unpack_c + head + [f"b{j} = -({gV[j]}) - g{j}" for j in range(m)]
-    body += entries + _b_lines(mm, dM) + _ldl_lines(M)
-    body += [f"y{i} = b{i}" + "".join(
+    mech = unpack_c + head + [f"b{j} = -({gV[j]}) - g{j}" for j in range(m)]
+    mech += entries + _b_lines(mm, dM) + _ldl_lines(M)
+    mech += [f"y{i} = b{i}" + "".join(
         f" - L{i}_{k} * y{k}" for k in range(i)) for i in range(m)]
-    body += [f"x{i} = y{i} / d{i}" + "".join(
+    mech += [f"x{i} = y{i} / d{i}" + "".join(
         f" - L{k}_{i} * x{k}" for k in range(i + 1, m))
         for i in reversed(range(m))]
-    return constants, statics, (body, M, V)
+    q, v = [f"q{i}" for i in range(m)], [f"v{i}" for i in range(m)]
+    lists = [f"q = {_list(q)}", f"v = {_list(v)}"] if dissipation.lists else []
+    out = [f"x{i}" for i in range(m)] + ["D", "R"] + dissipation.g
+    out += [x for row in M for x in row] + [V]
+    # the mechanics lines come last: their temporaries reuse the names of
+    # the D_R_grad lines' own, which only D, R and g0.. outlive
+    rhs = _define(f"_rhs({', '.join(q + v)}, p, c)", [
+        *lists, *dissipation.lines, *mech, f"return {', '.join(out)}"],
+        **dissipation.names)
+    return rhs, dissipation, constants, statics
 
 
 def _define(signature, body, **names):
@@ -596,22 +584,24 @@ _SAMPLED_KEPT = 8
 # seeded draws kept by sample_states: every config load and audit of a
 # system draws the same few
 _SAMPLE_CACHE = 16
+# the speeds of sample_states are log-uniform between these
+V_NORM_RANGE = (0.1, 10.0)
 
 
-def sample_states(dof, samples, seed, v_norm_range=(0.1, 10.0)):
+def sample_states(dof, samples, seed):
     """Seeded reproducible state sampler: q uniform in [-2,2]^m, speed
-    log-uniform in v_norm_range, uniform direction. States are pairs of
+    log-uniform in V_NORM_RANGE, uniform direction. States are pairs of
     tuples of Python floats, so the checks evaluate in Python floats. The
     draw is a tuple, shared between the callers of the same arguments."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    return _draw(dof, samples, seed, tuple(v_norm_range))
+    return _draw(dof, samples, seed)
 
 
 @lru_cache(maxsize=_SAMPLE_CACHE)
-def _draw(dof, samples, seed, v_norm_range):
+def _draw(dof, samples, seed):
     rng = np.random.default_rng(seed)
-    lo, hi = np.log(v_norm_range[0]), np.log(v_norm_range[1])
+    lo, hi = np.log(V_NORM_RANGE[0]), np.log(V_NORM_RANGE[1])
     out = []
     for _ in range(samples):
         q = rng.uniform(-2.0, 2.0, dof)
@@ -702,7 +692,7 @@ def homogeneity_check(term: DissipationTerm, dof: int, params: dict,
 def euler_identity_check(model: DissipationModel, dof: int, params: dict,
                          samples: int = 50, seed: int = 0) -> CheckReport:
     """Verify v . dR/dv = D, the defining relation of the R construction,
-    on the dissipation model `model` (a system's is SystemSpec.code[1])."""
+    on the dissipation model `model` (a system's: sys.model.dissipation)."""
 
     def violations(q, v):
         d, _, g = model.D_R_grad(q, v, params)
@@ -742,4 +732,4 @@ def hypothesis_checks(sys: SystemSpec, **sampling):
     for i, term in enumerate(d.terms):
         yield i, homogeneity_check(term, *args, **sampling)
     if d.raw is not None:
-        yield None, rest_value_check(sys.code[1], *args, **sampling)
+        yield None, rest_value_check(sys.model.dissipation, *args, **sampling)

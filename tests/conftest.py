@@ -40,12 +40,13 @@ def random_contexts(n, seed=7, dof=2):
 
 
 def clear_model_caches():
-    """Empty the value-keyed caches of parsed trees, of systems and of
-    generated expression and model code, so that the next load parses,
+    """Empty the value-keyed caches of parsed trees, of systems, of
+    generated expression code, of dissipation models and of the one entry
+    of each system's model code (rm._code), so that the next load parses,
     checks and builds a new system, whose model generates all of its code
     again."""
     for cache in (xc.parse, rm._system, xc.compiled, rm._dissipation_model,
-                  rm._system_code, rm._rhs):
+                  rm._code):
         cache.cache_clear()
 
 

@@ -387,7 +387,7 @@ def test_checks_and_audit_evaluate_the_systems_own_model(monkeypatch):
         "initial": {"q": [0.0], "v": [1.0]}, "t_end": 0.2})
     system = dataclasses.replace(cfg.system)  # a new spec of equal fields
     own = system.model.dissipation
-    assert system.code[1] is own
+    assert system.dissipation.model(1) is own
     rm._dissipation_model.cache_clear()
     other = system.dissipation.model(1)
     assert other is not own

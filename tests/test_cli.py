@@ -952,6 +952,36 @@ def test_derive_r_general_mode_reports_quadrature(workdir, capsys):
         assert abs(total_r - exact) <= 1e-10 * (1.0 + abs(exact))
 
 
+def test_derive_r_evaluates_the_systems_own_model(workdir, capsys,
+                                                  monkeypatch):
+    # once _dissipation_model has evicted a system's dissipation model,
+    # DissipationSpec.model(dof) builds another, equal one; derive-r on
+    # the same document still evaluates the model the system's rhs runs,
+    # never the other, and prints what it printed before
+    clear_model_caches()
+    doc = json.loads(json.dumps(DSHO_INLINE))
+    doc["dissipation"] = {"mode": "general",
+                          "raw": "v1^2 + c*v1*tanh(v1/0.001)"}
+    path = write_json(workdir / "c.json", doc)
+    argv = ["derive-r", "--config", path, "--q", "0.5", "--v", "2"]
+    assert main(argv) == 0
+    before = capsys.readouterr().out
+    system = cf.load_config(path).system
+    own = system.model.dissipation
+    rm._dissipation_model.cache_clear()
+    other = system.dissipation.model(1)
+    assert other is not own
+    seen = []
+    for key, model in (("own", own), ("other", other)):
+        def counted(*args, fn=model.D_R_grad, key=key):
+            seen.append(key)
+            return fn(*args)
+        monkeypatch.setattr(model, "D_R_grad", counted)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == before
+    assert seen == ["own"]
+
+
 @pytest.mark.parametrize("dissipation, q, v, expr", [
     ({"mode": "general", "raw": "exp(v1^2) - 1"}, "0", "30",
      "exp(v1 ^ 2.0) - 1.0"),

@@ -248,9 +248,9 @@ def test_overflow_in_mass_or_potential_names_the_expression(mass, potential,
 
 def test_overflow_in_a_hoisted_constant_names_its_expression():
     # exp(k) depends on params only, so constants(p) computes it, in the
-    # potential's own overflow guard, when the model is built; accel and
-    # integrate build it first. A failed build is not kept, and a system
-    # at another k builds its own
+    # potential's own overflow guard, on the model's first read of c;
+    # accel and integrate read it first. A c that raised is not kept, so
+    # the next read raises again, and a system at another k has its own
     sys = rm.SystemSpec(dof=1, mass_matrix=[[xc.parse("m")]],
                         potential=xc.parse("exp(k)*q1^2"),
                         dissipation=rm.null_dissipation(),
@@ -261,7 +261,9 @@ def test_overflow_in_a_hoisted_constant_names_its_expression():
         dy.accel(sys, s)
     with pytest.raises(xc.EvalDomainError, match=match):
         dy.integrate(sys, s, 1.0, dy.IntegratorConfig())
-    assert "model" not in vars(sys)
+    assert "c" not in vars(sys.model)
+    with pytest.raises(xc.EvalDomainError, match=match):
+        sys.model.c
     with pytest.raises(TypeError):
         sys.params["k"] = 0.0
     new = dataclasses.replace(sys, params={**sys.params, "k": 0.0})
@@ -381,8 +383,9 @@ def test_parameter_only_work_is_hoisted_into_constants(monkeypatch):
     # dissipation's lines, which read the param A, then the mechanics lines
     sys, bodies = _generated(
         lambda: get_builtin("pendulum_drag_2dof").system, monkeypatch)
-    mech = rm._system_code(sys.dof, sys.mass_matrix, sys.potential)[2][0]
-    assert bodies["_rhs"][-len(mech) - 1:-1] == mech
+    lines = sys.model.dissipation.lines
+    assert bodies["_rhs"][:len(lines)] == lines
+    mech = bodies["_rhs"][len(lines):-1]
     assert sum("p[" in x for x in bodies["_rhs"]) == 1
     for body in (mech, bodies["_statics"]):
         assert [x for x in body if "p[" in x] == []
@@ -1116,7 +1119,8 @@ def test_loop_is_generated_once_per_method_and_dof(monkeypatch):
     # every system of one (method, dof) shares one generated loop, every
     # system of one dof one point function, and every system of the same
     # expressions its model code, its rhs included: the first model build
-    # generates the one rhs, the first integrate only its loop, which
+    # takes one entry of model code, which generates constants, statics
+    # and the one rhs once each, the first integrate only its loop, which
     # evaluates its own first point, and the first accel and diagnostics
     # only the point function; a second load, integrate and full_audit of
     # the same document generates no code at all, nor does a with_params
@@ -1139,13 +1143,18 @@ def test_loop_is_generated_once_per_method_and_dof(monkeypatch):
         return traj.rows
 
     new = {"g": 1.3, "A": 0.2}
+    model_code = ["_constants", "_statics", "_rhs"]
+
+    def built():
+        return [x for x in defined if x in model_code]
     for method, point, rhs in (("rk4", ["_point"], 1), ("rk45", [], 0)):
         doc = {"system": "pendulum_drag_2dof", "t_end": 0.5,
                "integrator": {"method": method}}
         defined.clear()
         cfg = cf.config_from_dict(doc)
         cfg.system.model
-        assert defined.count("_rhs") == rhs, method
+        assert built() == model_code * rhs, method
+        assert rm._code.cache_info().misses == 1, method
         defined.clear()
         dy.integrate(cfg.system, cfg.initial, cfg.t_end, cfg.integrator)
         assert defined == [f"_{method}_loop"], method
@@ -1162,7 +1171,8 @@ def test_loop_is_generated_once_per_method_and_dof(monkeypatch):
         clear_model_caches()
         fresh = cf.config_from_dict({**doc, "overrides": new})
         assert run(fresh) == rows
-        assert defined.count("_rhs") == 1, method
+        assert built() == model_code, method
+        assert rm._code.cache_info().misses == 1, method
     # fresh's model filled the emptied caches; the cache of systems holds
     # fresh's own, by design, and no other cache holds it or its model
     refs = [weakref.ref(fresh.system), weakref.ref(fresh.system.model)]

@@ -610,6 +610,40 @@ def test_array_mode_domain_error_matches_first_scalar_error(src, points):
     assert str(exc.value) == expected
 
 
+@pytest.mark.parametrize("src, q, points, p", [
+    # d(q1^v1)/dv1 = q1^v1 ln q1 is array mode's _adbpow: 0 at q1 = 0,
+    # where a negative exponent is the scalar code's error
+    ("q1^v1", (1.7,), [0.5, 1.0, 2.5, -1.0], {}),
+    ("q1^v1", (0.0,), [0.5, 1.0, 2.5], {}),
+    ("q1^v1", (0.0,), [0.5, -1.0], {}),
+    # a huge or NaN exponent is non-integer to the scalar code, while
+    # numpy raises a negative base to it without a flag: _apow's guard
+    ("v1^c", (), [-2.0], {"c": 1e10}),
+    ("v1^c", (), [-2.0], {"c": math.nan}),
+])
+def test_array_powers_are_the_scalar_code(src, q, points, p):
+    # array mode's values and tangents at every point are the scalar
+    # code's, or it raises the scalar code's first error
+    node = xc.parse(src)
+    vs = np.array([points])
+    for wrt in (None, "v"):
+        scalar = xc.compiled(node, 1, wrt)
+        arr = xc.compile_array(node, 1, wrt)
+        try:
+            ref = [scalar(q, (v,), p) for v in points]
+        except xc.EvalDomainError as e:
+            with pytest.raises(type(e)) as got:
+                arr(q, vs, p)
+            assert str(got.value) == str(e)
+            continue
+        out = arr(q, vs, p)
+        if wrt:
+            out = [(float(x), (float(g),)) for x, g in zip(out[0], out[1][0])]
+        else:
+            out = [float(x) for x in out]
+        assert repr(out) == repr(ref), wrt
+
+
 # The shared coordinates and parameters of the cases above that need them
 _SHARED_Q_AND_PARAMS = {
     "v1/(q1 - 0.7)": ((0.7, 0.0), {}),

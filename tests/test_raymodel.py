@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import math
 import pickle
 import sys
@@ -133,8 +134,8 @@ def test_runs_do_not_grow_the_expression_compile_cache():
     from raydiss import audit as au
     from raydiss import dynamics as dy
 
-    caches = (xc.compiled, rm._dissipation_model, rm._system_code,
-              rm._rhs, dy._loop, dy._point)
+    caches = (xc.compiled, rm._dissipation_model, rm._code, dy._loop,
+              dy._point)
     for i in range(2000):
         term = rm.DissipationTerm(xc.parse(f"c*v1^2 + {i}*v1^2"), 2.0)
         term.evaluate((0.0,), (1.0,), {"c": 0.1})
@@ -584,10 +585,16 @@ QUAD_ORACLE_D = [
 ]
 
 
-def test_vectorised_quadrature_matches_scalar_loop():
+def _draw_at_speeds(monkeypatch, speeds, *args):
+    """sample_states' draw of `args` (dof, samples, seed) with the speeds
+    log-uniform in `speeds` instead of rm.V_NORM_RANGE, outside its cache."""
+    monkeypatch.setattr(rm, "V_NORM_RANGE", speeds)
+    return rm._draw.__wrapped__(*args)
+
+
+def test_vectorised_quadrature_matches_scalar_loop(monkeypatch):
     p = {"A": 1.3, "mu": 0.7}
-    states = [(q, v) for q, v in rm.sample_states(2, 12, seed=21,
-                                                  v_norm_range=(0.1, 2.0))]
+    states = list(_draw_at_speeds(monkeypatch, (0.1, 2.0), 2, 12, 21))
     states += [((0.3, -1.0), v) for v in
                ((0.0, 0.0), (0.0, 0.8), (-1.1, 0.0), (1.0, 0.3))]
     for src in QUAD_ORACLE_D:
@@ -848,7 +855,7 @@ def test_split_law_matches_the_whole_d_quadrature(monkeypatch):
     rule = general("c*v1*tanh(v1/0.001)").model(2)
     tol = spec.quadrature.tolerance
     calls = count_array_calls(model, monkeypatch)
-    states = rm.sample_states(2, 40, seed=3, v_norm_range=(1e-3, 10.0))
+    states = _draw_at_speeds(monkeypatch, (1e-3, 10.0), 2, 40, 3)
     for k, (q, v) in enumerate(states):
         d, r, g = model.D_R_grad(q, v, MIXED_PARAMS)
         (dc, rc, gc), (dr, rr, gr) = (closed.D_R_grad(q, v, MIXED_PARAMS),
@@ -986,7 +993,12 @@ def test_sample_states_are_one_shared_immutable_draw():
     # arguments is kept, as tuples that no caller can change, in a cache
     # of fixed size
     a = rm.sample_states(2, 100, 20260823)
-    assert rm.sample_states(2, 100, 20260823, [0.1, 10.0]) is a
+    assert rm.sample_states(2, 100, 20260823) is a
+    # the draws every check reads are pinned, bit for bit
+    assert a[0] == ((-1.8350293311613068, -1.299356228655277),
+                    (4.848572066642935, -6.953757208472805))
+    assert hashlib.sha256(repr(a).encode()).hexdigest().startswith(
+        "1490ca4c7525ceb8")
     assert type(a) is tuple and len(a) == 100
     assert all(type(q) is tuple and type(v) is tuple for q, v in a)
     assert rm.sample_states(2, 100, 20260824) != a
