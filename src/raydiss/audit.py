@@ -17,9 +17,11 @@ Three independent families of checks:
 The last two read the trajectory's rows and the system's statics (M,
 dM/dq, V, dV/dq), and form each small dot product as a left-to-right sum
 of Python float products (raymodel._dot), which, unlike BLAS, does not
-depend on the host. The probe-growth slope is the closed-form
-least-squares slope in Python floats, not a LAPACK fit, for the same
-reason.
+depend on the host. A stationarity sample is one call of a function
+generated once per dissipation model (_stationarity_pass): the force,
+one D_R_grad call, and the model's own lines for R inline at every probe.
+The probe-growth slope is the closed-form least-squares slope in Python
+floats, not a LAPACK fit, for the same reason.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
+from . import exprcore as xc
 from .dynamics import Trajectory
 from .raymodel import CheckReport, SystemSpec, _dot
 
@@ -229,6 +232,14 @@ def generalized_force(sys: SystemSpec, traj: Trajectory,
 # Reduced-dissipation stationarity
 
 
+# the probe magnitudes, each probe direction's in this order; the slope
+# fit's abscissae are their logs, with mean _XM and Sxx _SXX
+_MAGS = (1e-1, 1e-2, 1e-3)
+_X = [math.log(mag) for mag in _MAGS]
+_XM = math.fsum(_X) / len(_X)
+_SXX = math.fsum((a - _XM) ** 2 for a in _X)
+
+
 @lru_cache(maxsize=16)
 def _probe_directions(dof, probes, seed):
     """The seeded unit probe directions of stationarity_audit, tuples of
@@ -244,6 +255,60 @@ def _probe_directions(dof, probes, seed):
     return tuple(out)
 
 
+@lru_cache(maxsize=16)
+def _stationarity_pass(model):
+    """The generated pass(rows, F, dirs, statics, D_R_grad, p, c) -> (F,
+    residual, base, probe_deltas, per-magnitude lists) of one sample of
+    the dissipation model `model` (one per value). rows are the samples
+    k-1, k, k+1. With F None it forms the force as generalized_force does,
+    from statics at the three rows. One D_R_grad call at sample k gives
+    dR/dv, and R for base = R - v.F unless R has a rest, whose R_lines run
+    at v. Then, direction by direction, the R_lines run inline at v + mag
+    * d for each mag of _MAGS. Every sum is left to right, as _dot, so the
+    numbers are tests/audit_oracle.py's, bit for bit. The functions come
+    in at each call, so the cache keeps no system alive."""
+    m, n = len(model.g), 1 + len(model.g)
+    q, v, u, F, s, e, d = ([f"{x}{i}" for i in range(m)] for x in "qvuFsed")
+    J = range(m)
+
+    def dot(x, y):
+        return " + ".join(f"{a} * {b}" for a, b in zip(x, y))
+
+    def R_at(w):  # the R_lines at velocity w
+        return [f"{', '.join(v)}, = {', '.join(w)},", *(
+            [f"v = [{', '.join(v)}]"] if model.lists else []), *model.R_lines]
+    force = [f"Ma = statics(ya[1:{n}], c)[0]", "Mb, dM, _, gV = statics(q, c)",
+             f"Mc = statics(yc[1:{n}], c)[0]", "h1 = yb[0] - ya[0]",
+             "h2 = yc[0] - yb[0]", "wa = -h2 / (h1 * (h1 + h2))",
+             "wb = (h2 - h1) / (h1 * h2)", "wc = h1 / (h2 * (h1 + h2))"]
+    for j in J:  # -dV/dq_j + (dT/dq_j - dp_j/dt)
+        dT = dot([f"{u[a]} * dM[{a}][{b}][{j}]" for a in J for b in J],
+                 [u[b] for _ in J for b in J])
+        dp = " + ".join("w%s * (%s)" % (r, dot(
+            [f"M{r}[{j}][{b}]" for b in J], [f"y{r}[{n + b}]" for b in J]))
+            for r in "abc")
+        force.append(f"{F[j]} = -gV[{j}] + (0.5 * ({dT}) - ({dp}))")
+    body = ["ya, yb, yc = rows", f"q, v = yb[1:{n}], yb[{n}:{n + m}]",
+            f"{', '.join(q)}, = q", f"{', '.join(u)}, = v", "if F is None:",
+            *[f"    {x}" for x in force + [f"F = [{', '.join(F)}]"]],
+            "_, R, g = D_R_grad(q, v, p)", f"{', '.join(F)}, = F",
+            *[f"{s[j]} = g[{j}] - {F[j]}" for j in J],
+            *(R_at(u) if model.R_lines is not model.lines else []),
+            f"base = R - ({dot(u, F)})",
+            "a1, a2, a3, b1, b2, b3 = [], [], [], [], [], []",
+            f"for {', '.join(d)}, in dirs:"]
+    # a{i}: (mag, change of R - w.F); b{i}: |change - e.residual|
+    for i, mag in enumerate(_MAGS, 1):
+        body += [f"    {x}" for x in [f"{e[j]} = {mag!r} * {d[j]}" for j in J]
+                 + R_at([f"{u[j]} + {e[j]}" for j in J]) + [
+                 f"x = R - ({dot(v, F)}) - base", f"a{i}.append(({mag!r}, x))",
+                 f"b{i}.append(abs(x - ({dot(e, s)})))"]]
+    body.append(f"return F, [{', '.join(s)}], base, a3 + a2 + a1, "
+                "(b1, b2, b3)")
+    return xc.define("_stationarity_pass(rows, F, dirs, statics, D_R_grad, "
+                     "p, c)", body, **model.names)
+
+
 def stationarity_audit(sys: SystemSpec, traj: Trajectory, k: int,
                        probes: int = 8, seed: int = 0,
                        frozen_force=None) -> ReducedDissipationReport:
@@ -253,39 +318,23 @@ def stationarity_audit(sys: SystemSpec, traj: Trajectory, k: int,
     equation of motion; probe growth checks that the change of the
     reduced potential is quadratic once the residual's linear part is
     subtracted. `frozen_force` overrides the finite-difference F (used
-    by tests with an analytic force).
+    by tests with an analytic force). One call of the generated pass
+    (_stationarity_pass) evaluates the sample.
     """
     if not (1 <= k <= len(traj) - 2):
         raise IndexError(
             f"sample index {k} needs interior position 1..{len(traj) - 2}")
     sm, m = sys.model, sys.dof
-    dissipation = sm.dissipation
-    q, v = traj.rows[k][1:1 + m], traj.rows[k][1 + m:1 + 2 * m]
+    if frozen_force is not None:
+        frozen_force = np.asarray(frozen_force, dtype=float)
+    sample = _stationarity_pass(sm.dissipation)
+    F, residual, base, probe_deltas, per_mag = sample(
+        traj.rows[k - 1:k + 2],
+        None if frozen_force is None else frozen_force.tolist(),
+        _probe_directions(m, probes, seed), sm.statics,
+        sm.dissipation.D_R_grad, sm.params, sm.c)
+    v = traj.rows[k][1 + m:1 + 2 * m]
     spacing = 0.5 * (traj.rows[k + 1][0] - traj.rows[k - 1][0])
-    if frozen_force is None:  # its breakdown holds -dR/dv already
-        force = generalized_force(sys, traj, k)
-        frozen_force, gR = force.generalized, (-force.dissipative).tolist()
-    else:
-        gR = dissipation.D_R_grad(q, v, sm.params)[2]
-    frozen_force = np.asarray(frozen_force, dtype=float)
-    F = frozen_force.tolist()
-    residual = [g - f for g, f in zip(gR, F)]
-
-    def rtilde(w):
-        return dissipation.R(q, w, sm.params) - _dot(w, F)
-
-    base = rtilde(v)
-    mags = (1e-1, 1e-2, 1e-3)
-    probe_deltas = []
-    per_mag = {mag: [] for mag in mags}
-    for d in _probe_directions(m, probes, seed):
-        for mag in mags:
-            delta = [mag * x for x in d]
-            change = rtilde([a + b for a, b in zip(v, delta)]) - base
-            probe_deltas.append((mag, change))
-            # remove the linear part contributed by the gradient residual
-            per_mag[mag].append(abs(change - _dot(delta, residual)))
-    probe_deltas.sort(key=lambda p: p[0])
     slope = None
     skipped = None
     if probes == 0:
@@ -301,8 +350,7 @@ def stationarity_audit(sys: SystemSpec, traj: Trajectory, k: int,
                 skipped = ("dissipation is non-smooth (abs/sign) and a "
                            "velocity component sits near the kink")
         if skipped is None:
-            means = [math.fsum(per_mag[mag]) / len(per_mag[mag])
-                     for mag in mags]
+            means = [math.fsum(x) / len(x) for x in per_mag]
             floor = 1e-14 * (1.0 + abs(base))
             if all(x <= floor for x in means):
                 skipped = ("probe changes below floating-point floor; "
@@ -312,13 +360,13 @@ def stationarity_audit(sys: SystemSpec, traj: Trajectory, k: int,
                 # the least-squares slope Sxy/Sxx of log mean over log
                 # magnitude, in Python floats: no LAPACK fit, whose kernel
                 # the host's BLAS picks
-                x = [math.log(mag) for mag in mags]
                 y = [math.log(max(mean, 1e-300)) for mean in means]
-                xm, ym = math.fsum(x) / len(x), math.fsum(y) / len(y)
-                slope = (math.fsum((a - xm) * (b - ym) for a, b in zip(x, y))
-                         / math.fsum((a - xm) ** 2 for a in x))
+                ym = math.fsum(y) / len(y)
+                slope = math.fsum((a - _XM) * (b - ym)
+                                  for a, b in zip(_X, y)) / _SXX
     return ReducedDissipationReport(
-        sample_index=k, state_t=traj.rows[k][0], frozen_force=frozen_force,
+        sample_index=k, state_t=traj.rows[k][0],
+        frozen_force=np.array(F) if frozen_force is None else frozen_force,
         gradient_residual=np.array(residual), probe_deltas=probe_deltas,
         slope=slope, slope_skipped_reason=skipped, spacing=spacing)
 

@@ -245,10 +245,10 @@ def cmd_sweep(cfg: RunConfig, param, values, out_stem=None, jobs=None) -> int:
     members = [(cfg.with_params({param: x}),
                 f"{stem}_{param}={name}.{cfg.output.format}")
                for x, name in zip(values, names)]
-    # members share the expressions, so their generated code, and the
-    # integration loop: build both once, before the fork, for the workers
-    # to inherit
-    cfg.system.model
+    # members share the expressions, so their generated code, the
+    # integration loop and the stationarity pass: build them once, before
+    # the fork, for the workers to inherit
+    au._stationarity_pass(cfg.system.model.dissipation)
     dy._loop(cfg.integrator.method, cfg.system.dof)
     n = len(members)
     results = _run_forked(members, range(n),

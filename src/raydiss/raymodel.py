@@ -453,7 +453,10 @@ class DissipationModel:
     pass, and its scalar value at the point. D_R_grad's body is `lines`,
     which bind D, R and the names `g` (dR/dv) from q{i}, v{i} and the
     params p, and read the lists q and v if `lists`; their globals are
-    `names`. A system's rhs runs the same lines (SystemModel).
+    `names`. A system's rhs runs the same lines (SystemModel). R's body is
+    `R_lines`, which bind R from the same names: `lines` with no rest, else
+    the terms' lines and the rule's value pass; the stationarity audit runs
+    them inline at each probe.
 
     The rule is hp-quadrature's geometric mesh (Schwab, p- and hp-FEM,
     1998): short panels where u*v is small, so a sharp feature of D near
@@ -478,7 +481,8 @@ class DissipationModel:
             deg = repr(float(t.degree))
             body += lines + [f"d = {val}", "D += d", f"R += d / {deg}"]
             body += [f"{x} += {y} / {deg}" for x, y in zip(g, dv)]
-        self.lines, self.names = body, names
+        self.lines = self.R_lines = body
+        self.names = names
         head, ret = xc.unpack(exprs), f"return D, R, {_list(g)}"
         if rest is None:
             self.D_R_grad = xc.define("_D_R_grad(q, v, p)",
@@ -506,10 +510,11 @@ class DissipationModel:
         self.lines = body + ["r, gq = _quad(q, v, p, True)", f"D = {d}",
                              f"R = {plus('R', 'r')}"] + [
             f"{x} = {plus(x, f'gq[{j}]')}" for j, x in enumerate(g)]
+        self.R_lines = body + ["r = _quad(q, v, p, False)[0]",
+                               f"R = {plus('R', 'r')}"]
         for name, lines in (
                 ("D_R_grad", self.lines + [ret]),
-                ("R", body + ["r = _quad(q, v, p, False)[0]",
-                              f"return {plus('R', 'r')}"]),
+                ("R", self.R_lines + ["return R"]),
                 ("D", body + [f"return {d}"])):
             setattr(self, name, xc.define(f"_{name}(q, v, p)", head + lines,
                                           **names))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from raydiss import audit as au
 from raydiss import exprcore as xc
 from raydiss import raymodel as rm
 
@@ -41,12 +42,12 @@ def random_contexts(n, seed=7, dof=2):
 
 def clear_model_caches():
     """Empty the value-keyed caches of parsed trees, of systems, of
-    generated expression code, of dissipation models and of the one entry
-    of each system's model code (rm._code), so that the next load parses,
-    checks and builds a new system, whose model generates all of its code
-    again."""
+    generated expression code, of dissipation models, of the one entry
+    of each system's model code (rm._code) and of each dissipation model's
+    stationarity pass, so that the next load parses, checks and builds a
+    new system, whose model and audit generate all of their code again."""
     for cache in (xc.parse, rm._system, xc.compiled, rm._dissipation_model,
-                  rm._code):
+                  rm._code, au._stationarity_pass):
         cache.cache_clear()
 
 

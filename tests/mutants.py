@@ -101,6 +101,12 @@ MUTANTS = (
     Mutant("stored sampled sections keyed without their seed",
            "raydiss/raymodel.py", "key = (name, samples, seed)",
            "key = (name, samples)", ("tests/test_cli.py",)),
+    Mutant("stationarity pass adds the probe's linear part",
+           "raydiss/audit.py", "abs(x - ({dot(e, s)}))",
+           "abs(x + ({dot(e, s)}))", ("tests/test_audit.py",)),
+    Mutant("stationarity pass swaps a central-difference weight",
+           "raydiss/audit.py", '"wa = -h2 / (h1 * (h1 + h2))"',
+           '"wa = -h1 / (h2 * (h1 + h2))"', ("tests/test_audit.py",)),
 )
 
 

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
+import audit_oracle
 from conftest import clear_model_caches
 from raydiss import audit as au
 from raydiss import config as cf
 from raydiss import dynamics as dy
 from raydiss import exprcore as xc
 from raydiss import raymodel as rm
-from raydiss.builtins import BUILTIN_NAMES, get_builtin
+from raydiss.builtins import BUILTIN_NAMES, DOCS, get_builtin
 
 
 def run_builtin(name, t_end=None, cfg=None, overrides=None):
@@ -361,8 +362,9 @@ def test_homogeneous_sum_d_and_r_are_d_r_grads_bit_for_bit(monkeypatch):
         assert [x.hex() for x in (rm.eval_D(spec, c), rm.eval_R(spec, c),
                                   rm.eval_R_closed(spec, c))] == [
             d.hex(), r.hex(), r.hex()], (q, v)
-    # positivity's D and stationarity's R are D_R_grad's: each value they
-    # read is one of its results (a sample's force, R there and 24 probes)
+    # positivity's D is D_R_grad's, one call per state; a stationarity
+    # sample makes one call, for its force and R there, and its 24 probes
+    # run D_R_grad's own lines inline (audit._stationarity_pass)
     seen = _recording(model, monkeypatch)
     rep = rm.positivity_scan(model, 1, p, samples=20)
     assert len(seen) == 20
@@ -370,7 +372,7 @@ def test_homogeneous_sum_d_and_r_are_d_r_grads_bit_for_bit(monkeypatch):
     traj = dy.integrate(sys, cfg.initial, 1.0, cfg.integrator)
     seen.clear()
     au.stationarity_audit(sys, traj, 5)
-    assert len(seen) == 1 + 1 + 3 * 8
+    assert len(seen) == 1
 
 
 def test_checks_and_audit_evaluate_the_systems_own_model(monkeypatch):
@@ -429,3 +431,134 @@ def test_stationarity_takes_one_d_r_grad_call_per_sample(monkeypatch):
     assert len(seen) == 2
     assert (repr(rep.gradient_residual.tolist())
             == repr(frozen.gradient_residual.tolist()))
+
+
+# ---------------------------------------------------------------------------
+# The generated stationarity pass against the Python oracle
+# (tests/audit_oracle.py), bit for bit
+
+
+# the CI pendulums: the builtin with D in general mode
+_PENDULUM = {**DOCS["pendulum_drag_2dof"], "t_end": 3, "dissipation": {
+    "mode": "general", "raw": "A*(v1^2+v2^2)^1.5"}}
+# the same pendulum with an addend of no velocity degree: R has a rest,
+# which the graded rule integrates
+_PENDULUM_TANH = {
+    **_PENDULUM, "params": {**_PENDULUM["params"], "c": 0.05},
+    "dissipation": {"mode": "general",
+                    "raw": "A*(v1^2+v2^2)^1.5 + c*v1*tanh(v1/0.001)"}}
+_RK4 = {"method": "rk4", "dt": 3e-3, "sample_every": 7}
+# a full, coordinate-dependent 3x3 mass matrix and a D that couples the
+# velocities
+_FULL_MASS_3DOF = {
+    "dof": 3, "params": {"c": 0.3, "k": 1.0},
+    "mass_matrix": [["2 + 0.5*cos(q2)", "0.3*cos(q1-q3)", "0.1*q2"],
+                    ["0.3*cos(q1-q3)", "1.5", "0.2*sin(q2)"],
+                    ["0.1*q2", "0.2*sin(q2)", "1 + 0.1*q1^2"]],
+    "potential": "0.5*k*(q1^2 + q2^2 + q3^2) + 0.1*q1*q3",
+    "dissipation": {"mode": "homogeneous_sum", "terms": [
+        {"expr": "c*(v1^2 + v1*v2 + v2^2 + v3^2)", "degree": 2},
+        {"expr": "0.05*(v1^2 + v3^2)^1.5", "degree": 3}]},
+    "initial": {"q": [0.5, -0.2, 0.3], "v": [0.0, 0.4, -0.1]}, "t_end": 2}
+# a sign term under smooth_eps: D_R_grad calls its value code on the
+# lists q and v
+_SIGN_EPS = {
+    "dof": 1, "params": {"mu": 0.2}, "mass_matrix": [["1"]],
+    "potential": "0.5*q1^2",
+    "dissipation": {"mode": "homogeneous_sum", "terms": [
+        {"expr": "mu*v1*sign(v1)", "degree": 1, "smooth_eps": 0.01}]},
+    "initial": {"q": [1.0], "v": [0.0]}, "t_end": 2}
+_ORACLE_CASES = {
+    **{name: {"system": name} for name in BUILTIN_NAMES},
+    "pendulum_drag_2dof_rk4": {"system": "pendulum_drag_2dof",
+                               "integrator": _RK4},
+    "damped_sho_rk4": {"system": "damped_sho", "integrator": _RK4},
+    "pendulum_general": _PENDULUM,
+    "pendulum_general_rk4": {**_PENDULUM, "integrator": _RK4},
+    "pendulum_tanh": _PENDULUM_TANH,
+    "pendulum_tanh_rk4": {**_PENDULUM_TANH, "integrator": _RK4},
+    "three_term_sho": THREE_TERM_SHO,
+    "full_mass_3dof": _FULL_MASS_3DOF,
+    "sign_under_smooth_eps": _SIGN_EPS,
+    "coulomb_block_near_the_kink": {"system": "coulomb_block", "t_end": 3.5},
+}
+
+
+def _run(doc):
+    cfg = cf.config_from_dict(doc)
+    return cfg.system, dy.integrate(cfg.system, cfg.initial, cfg.t_end,
+                                    cfg.integrator)
+
+
+def _same_report(sys, traj, k, **kwargs):
+    new = au.stationarity_audit(sys, traj, k, **kwargs)
+    old = audit_oracle.stationarity_audit(sys, traj, k, **kwargs)
+    assert repr(new.to_dict()) == repr(old.to_dict()), (k, kwargs)
+    assert repr(new.slope) == repr(old.slope)
+    return new
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_CASES))
+def test_stationarity_pass_is_the_oracle_bit_for_bit(name):
+    # the audit's five samples, each with its force, residual, base value
+    # and 24 probes, and the report built from them
+    sys, traj = _run(_ORACLE_CASES[name])
+    idx = sorted(set(np.linspace(1, len(traj) - 2, 5).astype(int)))
+    reports = [_same_report(sys, traj, int(k), probes=8, seed=20260823)
+               for k in idx]
+    if name == "coulomb_block_near_the_kink":
+        assert reports[-1].slope_skipped_reason.startswith(
+            "dissipation is non-smooth")
+
+
+@pytest.mark.parametrize("name", ["damped_sho", "pendulum_general",
+                                  "pendulum_tanh", "full_mass_3dof"])
+def test_stationarity_pass_without_probes_and_with_a_frozen_force(name):
+    sys, traj = _run(_ORACLE_CASES[name])
+    k = len(traj) // 2
+    rep = _same_report(sys, traj, k, probes=0)
+    assert rep.probe_deltas == [] and rep.slope is None
+    # a given force, as a list and as an array; the report holds the array
+    force = (au.generalized_force(sys, traj, k).generalized * 1.01).tolist()
+    for frozen in (force, np.array(force)):
+        rep = _same_report(sys, traj, k, probes=3, seed=5,
+                           frozen_force=frozen)
+        assert rep.frozen_force.tolist() == force
+
+
+def _same_error(sys, traj, k):
+    errors = []
+    for audit in (au.stationarity_audit, audit_oracle.stationarity_audit):
+        with pytest.raises(Exception) as info:
+            audit(sys, traj, k)
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
+    return errors[0]
+
+
+def test_stationarity_pass_raises_the_oracles_errors():
+    # a two-panel rule converges at the sample's own velocity and fails at
+    # one of its probes: the QuadratureError names that probe's v
+    _, traj = _run({"system": "damped_sho", "t_end": 10})
+    coarse = cf.config_from_dict({
+        "dof": 1, "params": {"c": 0.1}, "mass_matrix": [["1"]],
+        "potential": "0.5*q1^2",
+        "dissipation": {"mode": "general", "raw": "c*v1*tanh(v1/0.001)",
+                        "quadrature": {"panels": 2}},
+        "initial": {"q": [0.0], "v": [1.0]}, "t_end": 0.01}).system
+    q, v = traj.rows[1][1:2], traj.rows[1][2:3]
+    coarse.model.dissipation.D_R_grad(q, v, coarse.params)
+    kind, message = _same_error(coarse, traj, 1)
+    assert kind is rm.QuadratureError
+    assert f"v={v}" not in message
+    # a mass matrix that is not symmetric off the run: the force's statics
+    # at sample k - 1 raise, naming its q
+    _, traj = run_builtin("pendulum_drag_2dof", t_end=1.0)
+    mm = DOCS["pendulum_drag_2dof"]["mass_matrix"]
+    doc = {**_PENDULUM, "mass_matrix": [
+        mm[0], [f"{mm[1][0]} + 0.1*q1", mm[1][1]]]}
+    skew = cf.config_from_dict({**doc, "t_end": 0.01}).system
+    kind, message = _same_error(skew, traj, 5)
+    assert kind is rm.MassMatrixError
+    assert message == ("mass matrix not symmetric at "
+                       f"q={traj.rows[4][1:3]}")

@@ -1121,11 +1121,12 @@ def test_loop_is_generated_once_per_method_and_dof(monkeypatch):
     # expressions its model code, its rhs included: the first model build
     # takes one entry of model code, which generates constants, statics
     # and the one rhs once each, the first integrate only its loop, which
-    # evaluates its own first point, and the first accel and diagnostics
-    # only the point function; a second load, integrate and full_audit of
-    # the same document generates no code at all, nor does a with_params
-    # system, which runs on its new values; and the shared functions keep
-    # no system or model alive
+    # evaluates its own first point, the first accel and diagnostics only
+    # the point function, and the first full_audit only the stationarity
+    # pass of the system's dissipation model; a second load, integrate and
+    # full_audit of the same document generates no code at all, nor does a
+    # with_params system, which runs on its new values; and the shared
+    # functions keep no system or model alive
     defined = []
 
     def define(signature, *args, define=xc.define, **names):
@@ -1164,6 +1165,9 @@ def test_loop_is_generated_once_per_method_and_dof(monkeypatch):
         assert defined == point, method
         defined.clear()
         cfg = cf.config_from_dict(doc)
+        run(cfg)
+        assert defined == ["_stationarity_pass"] * rhs, method
+        defined.clear()
         run(cfg)
         rows = run(cfg.with_params(new))
         assert defined == [], method
