@@ -14,14 +14,15 @@ Three independent families of checks:
   residual and (b) quadratic growth of probe perturbations after the
   linear part from the residual is removed.
 
-The last two read the trajectory's rows and the system's statics (M,
-dM/dq, V, dV/dq), and form each small dot product as a left-to-right sum
-of Python float products (raymodel._dot), which, unlike BLAS, does not
-depend on the host. A stationarity sample is one call of a function
-generated once per dissipation model (_stationarity_pass): the force,
-one D_R_grad call, and the model's own lines for R inline at every probe.
-The probe-growth slope is the closed-form least-squares slope in Python
-floats, not a LAPACK fit, for the same reason.
+The last two are one call of a function generated once per dissipation
+model (_stationarity_pass): from the trajectory's rows and the system's
+statics (M, dM/dq, V, dV/dq) the force, one D_R_grad call, and the
+model's own lines for R inline at every probe; generalized_force is that
+call without probes. Each small dot product is a left-to-right sum of
+Python float products, as raymodel._dot, which, unlike BLAS, does not
+depend on the host. The probe-growth slope is the closed-form
+least-squares slope in Python floats, not a LAPACK fit, for the same
+reason.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import exprcore as xc
 from .dynamics import Trajectory
-from .raymodel import CheckReport, SystemSpec, _dot
+from .raymodel import CheckReport, SystemSpec, _direction
 
 
 class AuditError(Exception):
@@ -190,45 +191,6 @@ def energy_balance_audit(traj: Trajectory, tol: float) -> EnergyBalanceResult:
 
 
 # ---------------------------------------------------------------------------
-# Generalized force along a trajectory
-
-
-def _central_diff(t0, t1, t2, f0, f1, f2):
-    """3-point derivative at t1 on a possibly nonuniform stencil."""
-    h1 = t1 - t0
-    h2 = t2 - t1
-    return (-h2 / (h1 * (h1 + h2)) * f0
-            + (h2 - h1) / (h1 * h2) * f1
-            + h1 / (h2 * (h1 + h2)) * f2)
-
-
-def generalized_force(sys: SystemSpec, traj: Trajectory,
-                      k: int) -> ForceBreakdown:
-    """Force breakdown at interior sample k with d/dt(dL/dv) from finite
-    differences of the stored momentum p = M(q) v."""
-    if not (1 <= k <= len(traj) - 2):
-        raise IndexError(
-            f"sample index {k} needs interior position 1..{len(traj) - 2}")
-    sm, m = sys.model, sys.dof
-    rows = traj.rows[k - 1:k + 2]
-    st = [sm.statics(r[1:1 + m], sm.c) for r in rows]
-    p = [[_dot(Ma, r[1 + m:1 + 2 * m]) for Ma in s[0]]
-         for s, r in zip(st, rows)]
-    dp_dt = [_central_diff(*(r[0] for r in rows), *f) for f in zip(*p)]
-    q, v = rows[1][1:1 + m], rows[1][1 + m:1 + 2 * m]
-    _, dM, _, dV_dq = st[1]
-    # 0.5 v.(dM/dq_j).v summed over a, then b (v * m repeats v_b)
-    dT_dq = [0.5 * _dot([va * g[j] for va, row in zip(v, dM) for g in row],
-                        v * m) for j in range(m)]
-    conservative = [-x for x in dV_dq]
-    inertial = [x - y for x, y in zip(dT_dq, dp_dt)]
-    gR = sm.dissipation.D_R_grad(q, v, sm.params)[2]
-    return ForceBreakdown(*map(np.array, (
-        conservative, inertial, [-x for x in gR],
-        [x + y for x, y in zip(conservative, inertial)])))
-
-
-# ---------------------------------------------------------------------------
 # Reduced-dissipation stationarity
 
 
@@ -246,29 +208,27 @@ def _probe_directions(dof, probes, seed):
     Python floats drawn once per (dof, probes, seed): every sample of an
     audit probes the same ones."""
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(probes):
-        d = rng.normal(size=dof).tolist()
-        n = math.sqrt(_dot(d, d))
-        out.append(tuple(x / n for x in d) if n
-                   else (1.0,) + (0.0,) * (dof - 1))
-    return tuple(out)
+    draws = [_direction(rng, dof) for _ in range(probes)]
+    return tuple(tuple(x / n for x in d) for d, n in draws)
 
 
 @lru_cache(maxsize=16)
 def _stationarity_pass(model):
-    """The generated pass(rows, F, dirs, statics, D_R_grad, p, c) -> (F,
-    residual, base, probe_deltas, per-magnitude lists) of one sample of
-    the dissipation model `model` (one per value). rows are the samples
-    k-1, k, k+1. With F None it forms the force as generalized_force does,
-    from statics at the three rows. One D_R_grad call at sample k gives
-    dR/dv, and R for base = R - v.F unless R has a rest, whose R_lines run
-    at v. Then, direction by direction, the R_lines run inline at v + mag
-    * d for each mag of _MAGS. Every sum is left to right, as _dot, so the
-    numbers are tests/audit_oracle.py's, bit for bit. The functions come
-    in at each call, so the cache keeps no system alive."""
+    """The generated pass(rows, dirs, statics, D_R_grad, p, c) -> (F,
+    residual, base, probe_deltas, per-magnitude lists, dR/dv, dV/dq, I) of
+    one sample of the dissipation model `model` (one per value). rows are
+    the samples k-1, k, k+1. From statics at the three rows it forms the
+    force F = -dV/dq + I, with I = dT/dq - dp/dt, where dp/dt is the
+    3-point derivative of the momenta p = M(q) v on the rows' own times.
+    One D_R_grad call at sample k gives dR/dv, and R for base = R - v.F
+    unless R has a rest, whose R_lines run at v. Then, direction by
+    direction, the R_lines run inline at v + mag * d for each mag of
+    _MAGS. Every sum is left to right, as _dot, so the numbers are
+    tests/audit_oracle.py's, bit for bit. The functions come in at each
+    call, so the cache keeps no system alive."""
     m, n = len(model.g), 1 + len(model.g)
-    q, v, u, F, s, e, d = ([f"{x}{i}" for i in range(m)] for x in "qvuFsed")
+    q, v, u, F, I, s, e, d = ([f"{x}{i}" for i in range(m)]
+                              for x in "qvuFIsed")
     J = range(m)
 
     def dot(x, y):
@@ -277,62 +237,74 @@ def _stationarity_pass(model):
     def R_at(w):  # the R_lines at velocity w
         return [f"{', '.join(v)}, = {', '.join(w)},", *(
             [f"v = [{', '.join(v)}]"] if model.lists else []), *model.R_lines]
-    force = [f"Ma = statics(ya[1:{n}], c)[0]", "Mb, dM, _, gV = statics(q, c)",
-             f"Mc = statics(yc[1:{n}], c)[0]", "h1 = yb[0] - ya[0]",
-             "h2 = yc[0] - yb[0]", "wa = -h2 / (h1 * (h1 + h2))",
-             "wb = (h2 - h1) / (h1 * h2)", "wc = h1 / (h2 * (h1 + h2))"]
-    for j in J:  # -dV/dq_j + (dT/dq_j - dp_j/dt)
+    body = ["ya, yb, yc = rows", f"q, v = yb[1:{n}], yb[{n}:{n + m}]",
+            f"{', '.join(q)}, = q", f"{', '.join(u)}, = v",
+            f"Ma = statics(ya[1:{n}], c)[0]", "Mb, dM, _, gV = statics(q, c)",
+            f"Mc = statics(yc[1:{n}], c)[0]", "h1 = yb[0] - ya[0]",
+            "h2 = yc[0] - yb[0]", "wa = -h2 / (h1 * (h1 + h2))",
+            "wb = (h2 - h1) / (h1 * h2)", "wc = h1 / (h2 * (h1 + h2))"]
+    for j in J:  # 0.5 v.(dM/dq_j).v over a, then b; dp_j/dt
         dT = dot([f"{u[a]} * dM[{a}][{b}][{j}]" for a in J for b in J],
                  [u[b] for _ in J for b in J])
         dp = " + ".join("w%s * (%s)" % (r, dot(
             [f"M{r}[{j}][{b}]" for b in J], [f"y{r}[{n + b}]" for b in J]))
             for r in "abc")
-        force.append(f"{F[j]} = -gV[{j}] + (0.5 * ({dT}) - ({dp}))")
-    body = ["ya, yb, yc = rows", f"q, v = yb[1:{n}], yb[{n}:{n + m}]",
-            f"{', '.join(q)}, = q", f"{', '.join(u)}, = v", "if F is None:",
-            *[f"    {x}" for x in force + [f"F = [{', '.join(F)}]"]],
-            "_, R, g = D_R_grad(q, v, p)", f"{', '.join(F)}, = F",
-            *[f"{s[j]} = g[{j}] - {F[j]}" for j in J],
-            *(R_at(u) if model.R_lines is not model.lines else []),
-            f"base = R - ({dot(u, F)})",
-            "a1, a2, a3, b1, b2, b3 = [], [], [], [], [], []",
-            f"for {', '.join(d)}, in dirs:"]
+        body += [f"{I[j]} = 0.5 * ({dT}) - ({dp})",
+                 f"{F[j]} = -gV[{j}] + {I[j]}"]
+    body += ["_, R, g = D_R_grad(q, v, p)",
+             *[f"{s[j]} = g[{j}] - {F[j]}" for j in J],
+             *(R_at(u) if model.R_lines is not model.lines else []),
+             f"base = R - ({dot(u, F)})",
+             "a1, a2, a3, b1, b2, b3 = [], [], [], [], [], []",
+             f"for {', '.join(d)}, in dirs:"]
     # a{i}: (mag, change of R - w.F); b{i}: |change - e.residual|
     for i, mag in enumerate(_MAGS, 1):
         body += [f"    {x}" for x in [f"{e[j]} = {mag!r} * {d[j]}" for j in J]
                  + R_at([f"{u[j]} + {e[j]}" for j in J]) + [
                  f"x = R - ({dot(v, F)}) - base", f"a{i}.append(({mag!r}, x))",
                  f"b{i}.append(abs(x - ({dot(e, s)})))"]]
-    body.append(f"return F, [{', '.join(s)}], base, a3 + a2 + a1, "
-                "(b1, b2, b3)")
-    return xc.define("_stationarity_pass(rows, F, dirs, statics, D_R_grad, "
-                     "p, c)", body, **model.names)
+    body.append(f"return [{', '.join(F)}], [{', '.join(s)}], base, "
+                f"a3 + a2 + a1, (b1, b2, b3), g, gV, [{', '.join(I)}]")
+    return xc.define("_stationarity_pass(rows, dirs, statics, D_R_grad, p, "
+                     "c)", body, **model.names)
+
+
+def _sample(sys, traj, k, probes=0, seed=0):
+    """The generated pass's output at interior sample k, probed along
+    _probe_directions(dof, probes, seed)."""
+    if not (1 <= k <= len(traj) - 2):
+        raise IndexError(
+            f"sample index {k} needs interior position 1..{len(traj) - 2}")
+    sm = sys.model
+    return _stationarity_pass(sm.dissipation)(
+        traj.rows[k - 1:k + 2], _probe_directions(sys.dof, probes, seed),
+        sm.statics, sm.dissipation.D_R_grad, sm.params, sm.c)
+
+
+def generalized_force(sys: SystemSpec, traj: Trajectory,
+                      k: int) -> ForceBreakdown:
+    """Force breakdown at interior sample k with d/dt(dL/dv) from finite
+    differences of the stored momentum p = M(q) v: the generated pass's
+    force, without probes."""
+    F, *_, g, gV, inertial = _sample(sys, traj, k)
+    return ForceBreakdown(-np.array(gV), np.array(inertial), -np.array(g),
+                          np.array(F))
 
 
 def stationarity_audit(sys: SystemSpec, traj: Trajectory, k: int,
-                       probes: int = 8, seed: int = 0,
-                       frozen_force=None) -> ReducedDissipationReport:
+                       probes: int = 8,
+                       seed: int = 0) -> ReducedDissipationReport:
     """Stationarity of R(v) - v.F at frozen F, audited at sample k.
 
     The gradient residual dR/dv - F is the discrete shadow of the
     equation of motion; probe growth checks that the change of the
     reduced potential is quadratic once the residual's linear part is
-    subtracted. `frozen_force` overrides the finite-difference F (used
-    by tests with an analytic force). One call of the generated pass
-    (_stationarity_pass) evaluates the sample.
+    subtracted. F is generalized_force's, and one call of the generated
+    pass (_stationarity_pass) evaluates the sample.
     """
-    if not (1 <= k <= len(traj) - 2):
-        raise IndexError(
-            f"sample index {k} needs interior position 1..{len(traj) - 2}")
-    sm, m = sys.model, sys.dof
-    if frozen_force is not None:
-        frozen_force = np.asarray(frozen_force, dtype=float)
-    sample = _stationarity_pass(sm.dissipation)
-    F, residual, base, probe_deltas, per_mag = sample(
-        traj.rows[k - 1:k + 2],
-        None if frozen_force is None else frozen_force.tolist(),
-        _probe_directions(m, probes, seed), sm.statics,
-        sm.dissipation.D_R_grad, sm.params, sm.c)
+    F, residual, base, probe_deltas, per_mag, *_ = _sample(
+        sys, traj, k, probes, seed)
+    m = sys.dof
     v = traj.rows[k][1 + m:1 + 2 * m]
     spacing = 0.5 * (traj.rows[k + 1][0] - traj.rows[k - 1][0])
     slope = None
@@ -365,8 +337,7 @@ def stationarity_audit(sys: SystemSpec, traj: Trajectory, k: int,
                 slope = math.fsum((a - _XM) * (b - ym)
                                   for a, b in zip(_X, y)) / _SXX
     return ReducedDissipationReport(
-        sample_index=k, state_t=traj.rows[k][0],
-        frozen_force=np.array(F) if frozen_force is None else frozen_force,
+        sample_index=k, state_t=traj.rows[k][0], frozen_force=np.array(F),
         gradient_residual=np.array(residual), probe_deltas=probe_deltas,
         slope=slope, slope_skipped_reason=skipped, spacing=spacing)
 

@@ -241,12 +241,12 @@ class SystemSpec:
         (`name` "euler_identity" or "positivity") of this system, run on
         first use per (name, samples, seed) and stored, as
         failed_hypothesis is: no run changes it. A check that raises stores
-        nothing, so it raises again."""
+        nothing, so it raises again; another name raises KeyError."""
         key = (name, samples, seed)
         done = self._sampled
         if key not in done:
-            check = (euler_identity_check if name == "euler_identity"
-                     else positivity_scan)
+            check = {"euler_identity": euler_identity_check,
+                     "positivity": positivity_scan}[name]
             report = check(self.model.dissipation, self.dof, self.params,
                            samples=samples, seed=seed)
             if len(done) >= _SAMPLED_KEPT:
@@ -610,13 +610,18 @@ def _draw(dof, samples, seed):
     out = []
     for _ in range(samples):
         q = rng.uniform(-2.0, 2.0, dof)
-        d = rng.normal(size=dof).tolist()
-        n = math.sqrt(_dot(d, d))
-        if n == 0.0:
-            d, n = [1.0] + d[1:], 1.0
+        d, n = _direction(rng, dof)
         speed = float(np.exp(rng.uniform(lo, hi)))
         out.append((tuple(q.tolist()), tuple(speed * x / n for x in d)))
     return tuple(out)
+
+
+def _direction(rng, dof):
+    """A normal draw d of rng, as Python floats, and its norm n, so that
+    d / n is a seeded unit direction; e_1 and 1 for a draw of norm 0."""
+    d = rng.normal(size=dof).tolist()
+    n = math.sqrt(_dot(d, d))
+    return (d, n) if n else ([1.0] + [0.0] * (dof - 1), 1.0)
 
 
 # ---------------------------------------------------------------------------

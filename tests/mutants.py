@@ -107,6 +107,9 @@ MUTANTS = (
     Mutant("stationarity pass swaps a central-difference weight",
            "raydiss/audit.py", '"wa = -h2 / (h1 * (h1 + h2))"',
            '"wa = -h1 / (h2 * (h1 + h2))"', ("tests/test_audit.py",)),
+    Mutant("stationarity pass force without its dT/dq term",
+           "raydiss/audit.py", 'f"{I[j]} = 0.5 * ({dT}) - ({dp})"',
+           'f"{I[j]} = -({dp})"', ("tests/test_audit.py",)),
 )
 
 

@@ -306,6 +306,19 @@ MALFORMED = [
      ["check"], "dissipation.quadrature")
     for quad in ({"panels": rm.MAX_PANELS + 1},
                  {"node_count": rm.MAX_NODES + 1})
+] + [
+    # the checks of IntegratorConfig, AuditTolerances, OutputConfig,
+    # QuadratureConfig and DissipationTerm, each named by its section
+    ({**DSHO, "integrator": {"method": "euler"}}, ["simulate"], "integrator"),
+    ({**DSHO, "integrator": {"sample_every": 0}}, ["simulate"], "integrator"),
+    ({**DSHO, "audit": {"slope_window": [2.2, 1.8]}}, ["simulate"], "audit"),
+    ({**DSHO, "output": {"format": "xml"}}, ["simulate"], "output"),
+    ({**GENERAL_INLINE, "dissipation": {**GENERAL_INLINE["dissipation"],
+                                        "quadrature": {"tolerance": 0}}},
+     ["simulate"], "dissipation.quadrature"),
+    ({**DSHO_INLINE, "dissipation": {"mode": "homogeneous_sum", "terms": [
+        {"expr": "c*v1^2", "degree": 0}]}},
+     ["simulate"], "dissipation.terms[0]"),
 ]
 
 

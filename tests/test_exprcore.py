@@ -741,6 +741,26 @@ def test_sin_and_cos_of_an_infinite_value_are_domain_errors(src, q, v, p):
     assert len(fns) == (4 if src == "sin(c)*v1" else 3)
 
 
+def test_array_mode_hands_an_overflowing_point_to_the_scalar_code():
+    # tanh(v1*v1) at v1 = 1e200: numpy flags the product's overflow, and
+    # the scalar code gives tanh(inf) = 1.0 with tangent 0.0 there, and its
+    # own numbers at the ordinary point beside it; v1*v1 alone is
+    # non-finite there, which is an overflow in either mode
+    points = np.array([[1e200, 0.5]])
+    node = xc.parse("tanh(v1*v1)")
+    assert xc.compile_array(node, 1)((), points, {}).tolist() == [
+        1.0, xc.compiled(node)((), (0.5,), {})]
+    val, tan = xc.compile_array(node, 1, "v")((), points, {})
+    ref = xc.compiled(node, 1, "v")((), (0.5,), {})
+    assert val.tolist() == [1.0, ref[0]]
+    assert tan.tolist() == [[0.0, ref[1][0]]]
+    for wrt in (None, "v"):
+        with pytest.raises(xc.EvalDomainError,
+                           match="^floating-point overflow in subexpression "
+                                 "'v1 \\* v1'$"):
+            xc.compile_array(xc.parse("v1*v1"), 1, wrt)((), points, {})
+
+
 def _general_scalar(node, dof, wrt, eps):
     """The scalar code with `^` by the unspecialised one power rule
     (_cpow and _cdpow at every exponent): array mode's source run on the
@@ -892,6 +912,8 @@ def test_constants_of_different_code_never_share_it():
     ("sign(v1)*v1^2", 2.0),
     ("v1^-1", -1.0),                # -1 parses as a negated number
     ("v1^-2", -2.0),
+    ("v1^2*v1^-1", 1.0),
+    ("(v1^2+v2^2)^-0.5*v1^2", 1.0),
     ("(v1^2+v1^3)*q1", None),
     ("A*(v1^2+v2^2)^1.5", 3.0),
     ("c*v1*tanh(v1/0.001)", None),

@@ -55,12 +55,43 @@ def test_smooth_eps_must_be_positive(eps):
 
 
 def test_mode_field_consistency():
-    with pytest.raises(rm.ModelError):
-        rm.DissipationSpec("squiggly")
-    with pytest.raises(rm.ModelError):
-        rm.DissipationSpec("general")  # missing raw
-    with pytest.raises(rm.ModelError):
-        rm.DissipationSpec("homogeneous_sum", raw=xc.parse("v1^2"))
+    # a config names its mode by its own syntax, so these raise only for a
+    # direct caller
+    v2 = xc.parse("v1^2")
+    for args, kwargs, message in [
+            (("squiggly",), {}, "unknown dissipation mode 'squiggly'"),
+            (("general",), {}, "general mode requires 'raw'"),
+            (("homogeneous_sum",), {"raw": v2},
+             "homogeneous_sum mode must not set 'raw'"),
+            (("general", [rm.DissipationTerm(v2, 2.0)]), {"raw": v2},
+             "general mode must not set 'terms'")]:
+        with pytest.raises(rm.ModelError) as exc:
+            rm.DissipationSpec(*args, **kwargs)
+        assert str(exc.value) == message
+
+
+def test_checks_that_only_the_python_api_reaches():
+    # a config checks dof and the mass grid in its own terms first, and
+    # picks the evaluator by mode, so these raise only for a direct caller
+    v2, one = xc.parse("v1^2"), xc.parse("1")
+    for dof, mass, message in [
+            (0, [], "dof must be >= 1"),
+            (2, [[one, one], [one]], "mass_matrix must be 2x2"),
+            (2, [[one, one]], "mass_matrix must be 2x2")]:
+        with pytest.raises(rm.ModelError) as exc:
+            rm.SystemSpec(dof=dof, mass_matrix=mass, potential=one,
+                          dissipation=rm.null_dissipation())
+        assert str(exc.value) == message
+    ctx = xc.EvalContext((0.0,), (1.0,), {})
+    with pytest.raises(rm.ModelError,
+                       match="^eval_R_closed requires homogeneous_sum mode$"):
+        rm.eval_R_closed(rm.DissipationSpec("general", raw=v2), ctx)
+    with pytest.raises(rm.ModelError,
+                       match="^eval_R_quadrature requires general mode$"):
+        rm.eval_R_quadrature(rm.DissipationSpec(
+            "homogeneous_sum", [rm.DissipationTerm(v2, 2.0)]), ctx)
+    with pytest.raises(ValueError, match="^samples must be >= 1$"):
+        rm.sample_states(1, 0, 0)
 
 
 def test_system_rejects_velocity_in_mass_and_potential():
@@ -970,6 +1001,19 @@ def test_sampled_checks_need_at_least_one_sample(check):
         check(0)
 
 
+def test_sampled_check_looks_its_check_up_by_name():
+    # each name takes its own check; another name, "euler" among them,
+    # raises KeyError and stores nothing, where it once stored a positivity
+    # report
+    system = get_builtin("damped_sho").system
+    for name in ("euler_identity", "positivity"):
+        assert system.sampled_check(name, 5, 11).name == name
+    for name in ("euler", "homogeneity"):
+        with pytest.raises(KeyError):
+            system.sampled_check(name, 5, 11)
+        assert (name, 5, 11) not in system._sampled
+
+
 def test_sampled_check_counts_a_nan_violation_as_inf():
     # inf - inf in a check's arithmetic must fail the check, not pass it
     states = rm.sample_states(1, 3, seed=0)
@@ -1005,6 +1049,31 @@ def test_sample_states_are_one_shared_immutable_draw():
     for seed in range(3 * rm._SAMPLE_CACHE):
         rm.sample_states(1, 2, seed)
     assert rm._draw.cache_info().currsize == rm._SAMPLE_CACHE
+
+
+class _ZeroNormal:
+    """A generator whose normal draws are all zero, and whose uniform
+    draws are their lower bound."""
+
+    def normal(self, size):
+        return np.zeros(size)
+
+    def uniform(self, lo, hi, size=None):
+        return lo if size is None else np.full(size, lo)
+
+
+def test_a_direction_draw_of_norm_zero_is_e1(monkeypatch):
+    # the sampled states and the audit's probes take their directions
+    # from one helper; a zero draw, which numpy's normal never gives in
+    # practice, is the first unit vector for both
+    from raydiss import audit as au
+
+    assert rm._direction(_ZeroNormal(), 3) == ([1.0, 0.0, 0.0], 1.0)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _ZeroNormal())
+    assert au._probe_directions.__wrapped__(2, 3, 0) == ((1.0, 0.0),) * 3
+    speed = float(np.exp(np.log(rm.V_NORM_RANGE[0])))
+    assert rm._draw.__wrapped__(2, 2, 0) == (
+        ((-2.0, -2.0), (speed, 0.0)),) * 2
 
 
 def test_sample_states_normalise_by_the_left_to_right_norm():
