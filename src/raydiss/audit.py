@@ -16,13 +16,16 @@ Three independent families of checks:
 
 The last two are one call of a function generated once per dissipation
 model (_stationarity_pass): from the trajectory's rows and the system's
-statics (M, dM/dq, V, dV/dq) the force, one D_R_grad call, and the
-model's own lines for R inline at every probe; generalized_force is that
-call without probes. Each small dot product is a left-to-right sum of
-Python float products, as raymodel._dot, which, unlike BLAS, does not
-depend on the host. The probe-growth slope is the closed-form
-least-squares slope in Python floats, not a LAPACK fit, for the same
-reason.
+statics (M, dM/dq, V, dV/dq) the force, one D_R_grad call, and R's own
+value lines (DissipationModel.R_lines, no gradient code) inline at every
+probe; generalized_force is that call without probes. Each small dot
+product is a left-to-right sum of Python float products, as
+raymodel._dot, which, unlike BLAS, does not depend on the host. The
+probe-growth slope is the closed-form least-squares slope in Python
+floats, not a LAPACK fit, for the same reason. The energy defect, the
+residual norm and the audited sample indices are Python float and int
+arithmetic too, which on these few numbers costs less than numpy's
+calls; a NaN still makes a maximum NaN, as np.max does (_max).
 """
 
 from __future__ import annotations
@@ -95,7 +98,7 @@ class ReducedDissipationReport:
 
     @property
     def residual_norm(self):
-        return float(np.max(np.abs(self.gradient_residual)))
+        return _max([abs(x) for x in self.gradient_residual.tolist()])
 
     def to_dict(self):
         return {
@@ -182,12 +185,21 @@ def energy_balance_audit(traj: Trajectory, tol: float) -> EnergyBalanceResult:
     state channel (column E), at full integrator accuracy."""
     if len(traj) < 3:
         raise AuditError("energy balance audit needs at least 3 samples")
-    H = np.array(traj.column("H"))
-    integral = np.array(traj.column("E"))
-    defect = float(np.max(np.abs(H - H[0] + integral)))
-    thresh = tol * (1.0 + abs(H[0]))
+    # H is the seventh entry from the end of a row, and E the last
+    rows = traj.rows
+    H0 = rows[0][-7]
+    defect = _max([abs(r[-7] - H0 + r[-1]) for r in rows])
     return EnergyBalanceResult(max_defect=defect,
-                               passed=bool(defect <= thresh), tol=tol)
+                               passed=defect <= tol * (1.0 + abs(H0)),
+                               tol=tol)
+
+
+def _max(xs):
+    """The largest of the non-negative floats xs, or NaN if any is NaN, as
+    np.max: Python's max keeps a NaN only when it comes first. The test
+    is their sum, NaN exactly when some x is, as no sum of non-negative
+    numbers makes a NaN (compensated or not); only its NaN-ness is read."""
+    return math.nan if math.isnan(sum(xs)) else float(max(xs))
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +207,12 @@ def energy_balance_audit(traj: Trajectory, tol: float) -> EnergyBalanceResult:
 
 
 # the probe magnitudes, each probe direction's in this order; the slope
-# fit's abscissae are their logs, with mean _XM and Sxx _SXX
+# fit's abscissae are their logs, _DX less their mean, with Sxx _SXX
 _MAGS = (1e-1, 1e-2, 1e-3)
 _X = [math.log(mag) for mag in _MAGS]
 _XM = math.fsum(_X) / len(_X)
-_SXX = math.fsum((a - _XM) ** 2 for a in _X)
+_DX = [a - _XM for a in _X]
+_SXX = math.fsum(a ** 2 for a in _DX)
 
 
 @lru_cache(maxsize=16)
@@ -220,12 +233,13 @@ def _stationarity_pass(model):
     the samples k-1, k, k+1. From statics at the three rows it forms the
     force F = -dV/dq + I, with I = dT/dq - dp/dt, where dp/dt is the
     3-point derivative of the momenta p = M(q) v on the rows' own times.
-    One D_R_grad call at sample k gives dR/dv, and R for base = R - v.F
-    unless R has a rest, whose R_lines run at v. Then, direction by
-    direction, the R_lines run inline at v + mag * d for each mag of
-    _MAGS. Every sum is left to right, as _dot, so the numbers are
-    tests/audit_oracle.py's, bit for bit. The functions come in at each
-    call, so the cache keeps no system alive."""
+    One D_R_grad call at sample k gives dR/dv. With probe directions,
+    base = R - v.F takes R from that call, or R's value lines
+    (model.R_lines) at v when R has a rest; then, direction by direction,
+    the R_lines run inline at v + mag * d for each mag of _MAGS. Without
+    directions base is None. Every sum is left to right, as _dot, so the
+    numbers are tests/audit_oracle.py's, bit for bit. The functions come
+    in at each call, so the cache keeps no system alive."""
     m, n = len(model.g), 1 + len(model.g)
     q, v, u, F, I, s, e, d = ([f"{x}{i}" for i in range(m)]
                               for x in "qvuFIsed")
@@ -251,10 +265,13 @@ def _stationarity_pass(model):
             for r in "abc")
         body += [f"{I[j]} = 0.5 * ({dT}) - ({dp})",
                  f"{F[j]} = -gV[{j}] + {I[j]}"]
+    # base, R - v.F at v, only for probes: R is D_R_grad's, or with a
+    # rest R's lines at v
     body += ["_, R, g = D_R_grad(q, v, p)",
              *[f"{s[j]} = g[{j}] - {F[j]}" for j in J],
-             *(R_at(u) if model.R_lines is not model.lines else []),
-             f"base = R - ({dot(u, F)})",
+             "base = None", "if dirs:", *[f"    {x}" for x in [
+                 *(R_at(u) if model.rest is not None else []),
+                 f"base = R - ({dot(u, F)})"]],
              "a1, a2, a3, b1, b2, b3 = [], [], [], [], [], []",
              f"for {', '.join(d)}, in dirs:"]
     # a{i}: (mag, change of R - w.F); b{i}: |change - e.residual|
@@ -304,42 +321,35 @@ def stationarity_audit(sys: SystemSpec, traj: Trajectory, k: int,
     """
     F, residual, base, probe_deltas, per_mag, *_ = _sample(
         sys, traj, k, probes, seed)
-    m = sys.dof
-    v = traj.rows[k][1 + m:1 + 2 * m]
-    spacing = 0.5 * (traj.rows[k + 1][0] - traj.rows[k - 1][0])
+    rows, m = traj.rows, sys.dof
     slope = None
-    skipped = None
-    if probes == 0:
-        skipped = "no probes requested"
-    else:
-        eps_thresh = 1e-3
-        if sys.dissipation.uses_abs_or_sign:
-            eps_list = [t.smooth_eps for t in sys.dissipation.terms
-                        if t.smooth_eps]
-            if eps_list:
-                eps_thresh = max(eps_thresh, 10.0 * max(eps_list))
-            if min(map(abs, v)) < eps_thresh:
-                skipped = ("dissipation is non-smooth (abs/sign) and a "
-                           "velocity component sits near the kink")
-        if skipped is None:
-            means = [math.fsum(x) / len(x) for x in per_mag]
-            floor = 1e-14 * (1.0 + abs(base))
-            if all(x <= floor for x in means):
-                skipped = ("probe changes below floating-point floor; "
-                           "reduced potential is locally flat beyond the "
-                           "linear term")
-            else:
-                # the least-squares slope Sxy/Sxx of log mean over log
-                # magnitude, in Python floats: no LAPACK fit, whose kernel
-                # the host's BLAS picks
-                y = [math.log(max(mean, 1e-300)) for mean in means]
-                ym = math.fsum(y) / len(y)
-                slope = math.fsum((a - _XM) * (b - ym)
-                                  for a, b in zip(_X, y)) / _SXX
+    skipped = None if probes else "no probes requested"
+    d = sys.dissipation
+    if skipped is None and d.uses_abs_or_sign:
+        eps = max([1e-3] + [10.0 * t.smooth_eps for t in d.terms
+                            if t.smooth_eps])
+        if min(map(abs, rows[k][1 + m:1 + 2 * m])) < eps:
+            skipped = ("dissipation is non-smooth (abs/sign) and a "
+                       "velocity component sits near the kink")
+    if skipped is None:
+        means = [math.fsum(x) / len(x) for x in per_mag]
+        floor = 1e-14 * (1.0 + abs(base))
+        if all([x <= floor for x in means]):
+            skipped = ("probe changes below floating-point floor; "
+                       "reduced potential is locally flat beyond the "
+                       "linear term")
+        else:
+            # the least-squares slope Sxy/Sxx of log mean over log
+            # magnitude, in Python floats: no LAPACK fit, whose kernel
+            # the host's BLAS picks
+            y = [math.log(max(mean, 1e-300)) for mean in means]
+            ym = math.fsum(y) / len(y)
+            slope = math.fsum([a * (b - ym) for a, b in zip(_DX, y)]) / _SXX
     return ReducedDissipationReport(
-        sample_index=k, state_t=traj.rows[k][0], frozen_force=np.array(F),
+        sample_index=k, state_t=rows[k][0], frozen_force=np.array(F),
         gradient_residual=np.array(residual), probe_deltas=probe_deltas,
-        slope=slope, slope_skipped_reason=skipped, spacing=spacing)
+        slope=slope, slope_skipped_reason=skipped,
+        spacing=0.5 * (rows[k + 1][0] - rows[k - 1][0]))
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +361,14 @@ def _stationarity_threshold(tol, spacing):
     return tol * max(1.0, (spacing / 1e-3) ** 2)
 
 
+def _audited_indices(n):
+    """The interior samples that _stationarity audits of n >= 5, sorted
+    and distinct: np.linspace(1, n - 2, 5).astype(int), by numpy's own
+    arithmetic (1.0 + i * step for i < 4, the last exactly n - 2)."""
+    step = (n - 3) / 4
+    return sorted({*(int(i * step + 1.0) for i in range(4)), n - 2})
+
+
 def _stationarity(sys, traj, tol):
     """Stationarity at five interior samples, each probed 8 ways."""
     n = len(traj)
@@ -359,10 +377,10 @@ def _stationarity(sys, traj, tol):
             max_gradient_residual=float("nan"),
             quadratic_growth_verified=False, passed=False,
             error="too few samples for the stationarity audit")
-    idx = sorted(set(np.linspace(1, n - 2, 5).astype(int)))
-    reports = [stationarity_audit(sys, traj, int(k), probes=8,
-                                  seed=tol.check_seed) for k in idx]
-    worst = max(r.residual_norm for r in reports)
+    reports = [stationarity_audit(sys, traj, k, probes=8,
+                                  seed=tol.check_seed)
+               for k in _audited_indices(n)]
+    worst = _max([r.residual_norm for r in reports])
     lo, hi = tol.slope_window
     slopes = [r.slope for r in reports if r.slope is not None]
     # decay faster than quadratic (degenerate velocity Hessian) still

@@ -229,10 +229,23 @@ def _run_forked(members, indices, workers):
             for i, r in zip(indices, results)]
 
 
+def _member_names(values):
+    """Each value as its member's file names show it: {value:g}, with the
+    fewest significant digits from 6 on at which values of distinct repr
+    get distinct names (17 digits tell every two doubles apart), so only
+    a repeated value repeats a name."""
+    distinct = len(set(map(repr, values)))
+    for digits in range(6, 18):
+        names = [f"{x:.{digits}g}" for x in values]
+        if len(set(names)) == distinct:
+            return names
+    return names
+
+
 def cmd_sweep(cfg: RunConfig, param, values, out_stem=None, jobs=None) -> int:
     if not values:
         raise ConfigError("--values needs at least one number")
-    names = [f"{x:g}" for x in values]  # file names below use {value:g}
+    names = _member_names(values)
     clash = [repr(x) for x, n in zip(values, names) if names.count(n) > 1]
     if clash:
         print(f"sweep: error: values {', '.join(clash)} would write the "

@@ -30,6 +30,8 @@ import json
 import math
 import sys as _sys
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import lru_cache
+from types import MappingProxyType
 
 from . import builtins as bi
 from . import exprcore as xc
@@ -182,9 +184,16 @@ def _check_keys(obj, known, path):
                               f"{path}.{key}" if path else key)
 
 
+@lru_cache(maxsize=8)
+def _defaults(cls):
+    """Each field name of the section dataclass `cls` (one of four) and
+    its default, read once per class."""
+    return MappingProxyType({f.name: f.default for f in fields(cls)})
+
+
 def _section(cls, obj, path):
     """The dataclass `cls` built from the JSON object `obj` at `path`."""
-    defaults = {f.name: f.default for f in fields(cls)}
+    defaults = _defaults(cls)
     _check_keys(obj, defaults, path)
     values = {key: _typed(x, defaults[key], f"{path}.{key}")
               for key, x in obj.items()}

@@ -60,9 +60,32 @@ class EvalDomainError(ExprError):
 
 # ---------------------------------------------------------------------------
 # AST
+#
+# A node is a frozen dataclass whose hash is computed once and kept in the
+# node: caches keyed by trees (the system of a load, compiled code) hash a
+# tree that parse returns again and again, and its children need not be
+# visited each time. The kept hash stays out of a node's pickled or copied
+# state, as a string's hash differs between processes.
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    cls = dataclass(frozen=True)(cls)
+    fresh = cls.__hash__  # of the fields, or the class's own
+
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = fresh(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+    cls.__hash__, cls.__getstate__ = __hash__, __getstate__
+    return cls
+
+
+@_node
 class Const:
     value: float
 
@@ -76,34 +99,34 @@ class Const:
         return hash(repr(self.value))
 
 
-@dataclass(frozen=True)
+@_node
 class Coord:
     index: int  # 1-based
 
 
-@dataclass(frozen=True)
+@_node
 class Vel:
     index: int  # 1-based
 
 
-@dataclass(frozen=True)
+@_node
 class Param:
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Neg:
     child: "ExprNode"
 
 
-@dataclass(frozen=True)
+@_node
 class BinOp:
     op: str
     left: "ExprNode"
     right: "ExprNode"
 
 
-@dataclass(frozen=True)
+@_node
 class Call:
     fn: str
     args: tuple

@@ -447,16 +447,21 @@ class DissipationModel:
     straight-line code: the terms' gradient code unrolled in term order,
     each with its own smooth_eps, summing D, R and dR/dv from 0.0 left to
     right (a term whose value differs from its gradient code's, sign
-    under smooth_eps, calls its value code). With no rest, D and R are
-    D_R_grad's values. With a rest, the generated D_R_grad, R and D add
-    its part after the terms' sums: a gradient pass of the rule, a value
-    pass, and its scalar value at the point. D_R_grad's body is `lines`,
-    which bind D, R and the names `g` (dR/dv) from q{i}, v{i} and the
-    params p, and read the lists q and v if `lists`; their globals are
-    `names`. A system's rhs runs the same lines (SystemModel). R's body is
-    `R_lines`, which bind R from the same names: `lines` with no rest, else
-    the terms' lines and the rule's value pass; the stationarity audit runs
-    them inline at each probe.
+    under smooth_eps, calls its value code). With no rest, D is
+    D_R_grad's value. With a rest, the generated D_R_grad and D add its
+    part after the terms' sums: a gradient pass of the rule, and its
+    scalar value at the point. D_R_grad's body is `lines`, which bind D, R
+    and the names `g` (dR/dv) from q{i}, v{i} and the params p, and read
+    the lists q and v if `lists`; their globals are `names`. A system's
+    rhs runs the same lines (SystemModel).
+
+    R's body is `R_lines`, R's own value code, generated on first use:
+    the terms' value code summed as R = 0.0, R += value / degree in term
+    order, then with a rest the rule's value pass. They bind R from the
+    same names as `lines`, and give D_R_grad's R bit for bit, but raise
+    none of the errors that only gradient code raises (a sqrt or power
+    derivative at a zero base, a derivative that overflows). R runs them,
+    and the stationarity audit runs them inline at each probe.
 
     The rule is hp-quadrature's geometric mesh (Schwab, p- and hp-FEM,
     1998): short panels where u*v is small, so a sharp feature of D near
@@ -466,6 +471,7 @@ class DissipationModel:
     """
 
     def __init__(self, terms, rest, quadrature, dof):
+        self.terms, self.rest, self.dof = terms, rest, dof
         exprs = [t.expr for t in terms]
         blocks, _ = xc.compile_blocks(exprs, dof, "v",
                                       [t.smooth_eps for t in terms])
@@ -481,9 +487,10 @@ class DissipationModel:
             deg = repr(float(t.degree))
             body += lines + [f"d = {val}", "D += d", f"R += d / {deg}"]
             body += [f"{x} += {y} / {deg}" for x, y in zip(g, dv)]
-        self.lines = self.R_lines = body
+        self.lines = body
         self.names = names
-        head, ret = xc.unpack(exprs), f"return D, R, {_list(g)}"
+        self._head = head = xc.unpack(exprs)
+        ret = f"return D, R, {_list(g)}"
         if rest is None:
             self.D_R_grad = xc.define("_D_R_grad(q, v, p)",
                                       head + body + [ret], **names)
@@ -502,28 +509,39 @@ class DissipationModel:
         self._w_over_u, self._w_over_u_est = np.split(w / self._u, [n])
         self._D_nodes = xc.compile_array(rest)
         self._D_grad_nodes = xc.compile_array(rest, dof, "v")
-
-        def plus(x, y):  # the rest's part y added to the terms' sum x
-            return f"{x} + {y}" if terms else y
         names.update(_quad=self._quad, _rest=xc.compiled(rest))
-        body, d = body if terms else [], plus("D", "_rest(q, v, p)")
+        body, d = body if terms else [], _plus(terms, "D", "_rest(q, v, p)")
         self.lines = body + ["r, gq = _quad(q, v, p, True)", f"D = {d}",
-                             f"R = {plus('R', 'r')}"] + [
-            f"{x} = {plus(x, f'gq[{j}]')}" for j, x in enumerate(g)]
-        self.R_lines = body + ["r = _quad(q, v, p, False)[0]",
-                               f"R = {plus('R', 'r')}"]
-        for name, lines in (
-                ("D_R_grad", self.lines + [ret]),
-                ("R", self.R_lines + ["return R"]),
-                ("D", body + [f"return {d}"])):
+                             f"R = {_plus(terms, 'R', 'r')}"] + [
+            f"{x} = {_plus(terms, x, f'gq[{j}]')}" for j, x in enumerate(g)]
+        for name, lines in (("D_R_grad", self.lines + [ret]),
+                            ("D", body + [f"return {d}"])):
             setattr(self, name, xc.define(f"_{name}(q, v, p)", head + lines,
                                           **names))
 
     def D(self, q, v, p):
         return self.D_R_grad(q, v, p)[0]
 
-    def R(self, q, v, p):
-        return self.D_R_grad(q, v, p)[1]
+    @cached_property
+    def R_lines(self):
+        terms = self.terms
+        blocks, _ = xc.compile_blocks([t.expr for t in terms], self.dof, None,
+                                      [t.smooth_eps for t in terms])
+        body = ["R = 0.0"]
+        for i, (t, (lines, val, _)) in enumerate(zip(terms, blocks)):
+            if f"_value{i}" in self.names:  # sign under smooth_eps
+                lines, val = [], f"_value{i}(q, v, p)"
+            body += lines + [f"R += {val} / {float(t.degree)!r}"]
+        if self.rest is None:
+            return body
+        return (body if terms else []) + [
+            "r = _quad(q, v, p, False)[0]", f"R = {_plus(terms, 'R', 'r')}"]
+
+    @cached_property
+    def R(self):
+        """R(q, v, p): R_lines, generated on first use."""
+        return xc.define("_R(q, v, p)", self._head + self.R_lines
+                         + ["return R"], **self.names)
 
     def _quad(self, q, v, p, with_grad):
         """The rest's R, and its dR/dv as a list when with_grad (else
@@ -546,6 +564,12 @@ class DissipationModel:
                 f"(tolerance {tol:g}); check that D(q, 0) = 0; a D of "
                 f"velocity degree below 1 may need more quadrature panels")
         return r, None if g is None else (g[:, :n] @ self._w).tolist()
+
+
+def _plus(terms, x, y):
+    """Source of the rest's part y added to the terms' sum x, or y alone
+    when there are no terms."""
+    return f"{x} + {y}" if terms else y
 
 
 # one model per (terms, rest, quadrature, dof), for every spec of that split

@@ -46,6 +46,10 @@ MUTANTS = (
            ACCEPT),
     Mutant("R = D/(n+1)", "raydiss/raymodel.py",
            'f"R += d / {deg}"', 'f"R += d / ({deg} + 1)"', ACCEPT),
+    Mutant("probe R lines divide a term by degree + 1", "raydiss/raymodel.py",
+           'f"R += {val} / {float(t.degree)!r}"',
+           'f"R += {val} / ({float(t.degree)!r} + 1)"',
+           ("tests/test_raymodel.py", "tests/test_audit.py")),
     Mutant("no dM/dq terms in b", "raydiss/raymodel.py",
            "            if not js:\n                continue",
            "            if True:\n                continue", ACCEPT),
@@ -65,8 +69,11 @@ MUTANTS = (
            "and self.value == other.value)",
            ("tests/test_exprcore.py", "tests/test_raymodel.py")),
     Mutant("energy balance subtracts the integral", "raydiss/audit.py",
-           "np.abs(H - H[0] + integral)", "np.abs(H - H[0] - integral)",
+           "abs(r[-7] - H0 + r[-1])", "abs(r[-7] - H0 - r[-1])",
            ("tests/test_acceptance.py",)),
+    Mutant("energy balance adds H0 instead of subtracting it",
+           "raydiss/audit.py", "abs(r[-7] - H0 + r[-1])",
+           "abs(r[-7] + H0 + r[-1])", ("tests/test_audit.py",)),
     Mutant("stationarity threshold grows as spacing", "raydiss/audit.py",
            "(spacing / 1e-3) ** 2", "(spacing / 1e-3) ** 1",
            ("tests/test_audit.py",)),

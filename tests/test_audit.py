@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import audit_oracle
-from conftest import clear_model_caches
+from conftest import clear_model_caches, count_array_calls
 from raydiss import audit as au
 from raydiss import config as cf
 from raydiss import dynamics as dy
@@ -68,6 +68,63 @@ def test_energy_balance_too_few_samples():
         short = dataclasses.replace(traj, rows=traj.rows[:n])
         with pytest.raises(au.AuditError):
             au.energy_balance_audit(short, tol=1e-6)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("column", [-7, -1], ids=["H", "E"])
+def test_energy_balance_propagates_a_nan_in_any_row(where, column):
+    # a NaN H or E in any row makes the defect NaN, which fails the
+    # section, as np.max returns a NaN wherever it sits; Python's max
+    # would drop one that does not come first
+    _, traj = run_builtin("damped_sho")
+    k = {"first": 0, "middle": len(traj) // 2, "last": len(traj) - 1}[where]
+    rows = [list(r) for r in traj.rows]
+    rows[k][column] = math.nan
+    res = au.energy_balance_audit(dataclasses.replace(traj, rows=rows),
+                                  tol=1e-7)
+    assert math.isnan(res.max_defect)
+    assert res.passed is False
+
+
+@pytest.mark.parametrize("residual", [[math.nan, 1e-3], [1e-3, math.nan],
+                                      [math.inf, math.nan]])
+def test_residual_norm_propagates_a_nan(residual):
+    rep = au.ReducedDissipationReport(
+        sample_index=1, state_t=0.0, frozen_force=np.zeros(2),
+        gradient_residual=np.array(residual), probe_deltas=[], slope=None,
+        slope_skipped_reason=None, spacing=1e-3)
+    assert math.isnan(rep.residual_norm)
+
+
+def test_stationarity_section_fails_on_a_nan_residual_of_any_sample(
+        monkeypatch):
+    # a NaN residual norm at the third of the five samples makes the
+    # section's worst residual NaN, and fails it, where Python's max
+    # over the samples would keep the largest finite one
+    b, traj = run_builtin("damped_sho")
+    real, seen = au.stationarity_audit, []
+
+    def nan_at_third(sys, traj, k, **kwargs):
+        rep = real(sys, traj, k, **kwargs)
+        seen.append(k)
+        return rep if len(seen) != 3 else dataclasses.replace(
+            rep, gradient_residual=np.array([math.nan]))
+    monkeypatch.setattr(au, "stationarity_audit", nan_at_third)
+    res = au._stationarity(b.system, traj, au.AuditTolerances())
+    assert len(seen) == 5
+    assert math.isnan(res.max_gradient_residual)
+    assert res.passed is False
+
+
+@pytest.mark.parametrize("residual", [[-3e-4, 1e-3], [-2.0, 1e-3],
+                                      [-math.inf, 0.0]])
+def test_residual_norm_is_the_largest_magnitude(residual):
+    rep = au.ReducedDissipationReport(
+        sample_index=1, state_t=0.0, frozen_force=np.zeros(2),
+        gradient_residual=np.array(residual), probe_deltas=[], slope=None,
+        slope_skipped_reason=None, spacing=1e-3)
+    assert rep.residual_norm == max(map(abs, residual))
+    assert type(rep.residual_norm) is float
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +576,32 @@ def test_stationarity_pass_without_probes_and_with_a_frozen_force(name):
     assert rep.probe_deltas == [] and rep.slope is None
     force = au.generalized_force(sys, traj, k).generalized
     assert repr(rep.frozen_force.tolist()) == repr(force.tolist())
+
+
+def test_generalized_force_runs_no_value_pass_of_the_rule(monkeypatch):
+    # without probe directions the pass forms no base: with a rest, the
+    # force's one D_R_grad call is the rule's one array call (its gradient
+    # pass), and no value pass (_quad(..., False)) runs for a base that
+    # nothing reads
+    sys, traj = _run(_ORACLE_CASES["pendulum_tanh"])
+    assert sys.dissipation.split[1] is not None
+    calls = count_array_calls(sys.model.dissipation, monkeypatch)
+    au.generalized_force(sys, traj, len(traj) // 2)
+    assert calls == ["_D_grad_nodes"]
+    calls.clear()
+    rep = au.stationarity_audit(sys, traj, len(traj) // 2, probes=0)
+    assert calls == ["_D_grad_nodes"]
+    assert rep.slope_skipped_reason == "no probes requested"
+    calls.clear()
+    au.stationarity_audit(sys, traj, len(traj) // 2, probes=1)
+    assert calls == ["_D_grad_nodes"] + ["_D_nodes"] * 4  # base, 3 probes
+
+
+def test_audited_indices_are_numpys_linspace():
+    # the five audited samples, by numpy's own linspace arithmetic
+    for n in range(5, 20001):
+        assert au._audited_indices(n) == sorted(
+            set(np.linspace(1, n - 2, 5).astype(int).tolist())), n
 
 
 def _bits(breakdown):

@@ -1075,12 +1075,45 @@ def test_sweep_unknown_param_fails_before_running(workdir):
 
 
 def test_sweep_rejects_values_with_colliding_file_names(workdir, capsys):
+    # only a repeated value repeats a file name
     rc = main(["sweep", "--config",
                write_json(workdir / "b.json", {"system": "damped_sho"}),
-               "--param", "c", "--values", "0.2,0.1,0.1000001"])
+               "--param", "c", "--values", "0.2,0.1,0.1"])
     assert rc == 1
-    assert "0.1, 0.1000001" in capsys.readouterr().err
+    assert "0.1, 0.1 would write the same c=... file names" in (
+        capsys.readouterr().err)
     assert not list(workdir.glob("damped_sho_*"))
+
+
+def test_sweep_names_distinct_values_apart(workdir):
+    # 0.27401004760221975 and 0.274009676442738 are both 0.27401 by {:g}:
+    # their names take the seventh significant digit, while values that
+    # {:g} already tells apart keep its names
+    base = write_json(workdir / "b.json", {
+        "system": "damped_sho", "t_end": 0.5,
+        "integrator": {"method": "rk4", "dt": 1e-2}})
+    assert main(["sweep", "--config", base, "--param", "c", "--values",
+                 "0.27401004760221975,0.274009676442738", "--out", "w"]) == 0
+    assert {p.name for p in workdir.glob("w_c=*")} == {
+        "w_c=0.27401.csv", "w_c=0.2740097.csv"}
+    rows = (workdir / "w_sweep.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[-1] for r in rows] == [
+        "w_c=0.27401.csv", "w_c=0.2740097.csv"]
+    assert main(["sweep", "--config", base, "--param", "c", "--values",
+                 "0.1,0.274009676442738", "--out", "g"]) == 0
+    assert {p.name for p in workdir.glob("g_c=*")} == {
+        "g_c=0.1.csv", "g_c=0.27401.csv"}
+
+
+@pytest.mark.parametrize("values, names", [
+    ([0.1, 0.3], ["0.1", "0.3"]),
+    ([0.27401004760221975, 0.274009676442738], ["0.27401", "0.2740097"]),
+    ([1.0, 1.0 + 2 ** -52], ["1", "1.0000000000000002"]),
+    ([0.0, -0.0], ["0", "-0"]),
+    ([0.1, 0.1, 0.2], ["0.1", "0.1", "0.2"])])
+def test_sweep_member_names_take_the_fewest_digits_that_differ(values,
+                                                              names):
+    assert cli._member_names(values) == names
 
 
 def test_sweep_bad_values_exit_one(workdir):

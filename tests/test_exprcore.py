@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import re
 import struct
 from types import SimpleNamespace
@@ -967,3 +970,20 @@ def test_velocity_degree_passes_the_sampled_check(src):
     if xc.velocity_degree(node) is not None:
         rep = _degree_oracle(node, 2, {"c": 0.7, "k": 3.0})
         assert rep.passed, (src, rep)
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_a_nodes_kept_hash_stays_out_of_copies(clone):
+    # a tree keeps its hash once computed, so a cache keyed by it hashes no
+    # child again; a copy or a pickle does not carry it, as a string's hash
+    # differs between processes: here a stale one stands in for that
+    parsed = xc.parse("A*(v1^2+v2^2)^1.5 + c*v1*tanh(v1/0.001)")
+    node = dataclasses.replace(parsed)  # not the tree parse keeps
+    assert hash(node) == hash(parsed) and "_hash" in vars(node)
+    object.__setattr__(node, "_hash", 12345)
+    copied = clone(node)
+    assert "_hash" not in vars(copied)
+    assert copied == node
+    assert hash(copied) == hash(parsed) != 12345

@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (clear_model_caches, count_array_calls,
                       count_scalar_passes)
@@ -15,6 +16,7 @@ from raydiss import exprcore as xc
 from raydiss import raymodel as rm
 from raydiss.builtins import get_builtin
 from test_audit import THREE_TERM_SHO
+from test_exprcore import _EXACT_POINTS, _grammar_exprs
 
 
 def ctx(q, v, **params):
@@ -453,6 +455,129 @@ def test_straight_line_d_r_grad_is_the_term_loop_bit_for_bit():
             # repr tells -0.0 from 0.0, and every double from the next
             assert (repr(model.D_R_grad(q, v, p))
                     == repr(_term_loop(spec, 2, q, v, p))), (ts, q, v)
+
+
+# ---------------------------------------------------------------------------
+# R's own value lines against D_R_grad's R
+
+
+def _outcome(fn, *args):
+    """repr of fn(*args), which tells -0.0 from 0.0 and every double from
+    the next, or the type and message of what it raises."""
+    try:
+        return repr(fn(*args))
+    except Exception as e:
+        return type(e), str(e)
+
+
+def _r_of_d_r_grad(model):
+    return lambda q, v, p: model.D_R_grad(q, v, p)[1]
+
+
+_SIGN_EPS_TERMS = [
+    rm.DissipationTerm(xc.parse("mu*v1*sign(v1)"), 1.0, smooth_eps=0.5),
+    rm.DissipationTerm(xc.parse("c*v1^3 + v2^2*v1"), 3.0),
+    rm.DissipationTerm(xc.parse("-c*abs(v2)^1.5"), 1.5, smooth_eps=1e-3)]
+
+
+def _value_case(name):
+    """(model, dof, params) of a builtin, or of a named D: sign under
+    smooth_eps among other terms, a rest alone, and terms with a rest."""
+    if name == "sign_under_smooth_eps":
+        spec = rm.DissipationSpec("homogeneous_sum", _SIGN_EPS_TERMS)
+        return spec.model(2), 2, {"mu": 0.4, "c": 0.3}
+    if name in ("rest_alone", "terms_and_rest"):
+        raw = {"rest_alone": "c*v1*tanh(v1/0.01)",
+               "terms_and_rest": "A*(v1^2+v2^2)^1.5 + c*v1*tanh(v1/0.01) "
+                                 "+ 0.1*v2^2"}[name]
+        spec = general(raw)
+        dof = 1 if name == "rest_alone" else 2
+        assert spec.split[1] is not None
+        return spec.model(dof), dof, {"c": 0.05, "A": 0.1}
+    system = get_builtin(name).system
+    return system.model.dissipation, system.dof, system.params
+
+
+@pytest.mark.parametrize("name", ["sho", "damped_sho", "quad_drag_particle",
+                                  "coulomb_block", "pendulum_drag_2dof",
+                                  "sign_under_smooth_eps", "rest_alone",
+                                  "terms_and_rest"])
+def test_r_value_lines_are_d_r_grads_r_bit_for_bit(name):
+    # R runs R's own value lines, which give D_R_grad's R at sampled
+    # states and at zero speeds of either sign
+    model, dof, p = _value_case(name)
+    states = list(rm.sample_states(dof, 100, seed=17))
+    states += [((0.5,) * dof, v) for v in ((0.0,) * dof, (-0.0,) * dof,
+                                           (-0.0,) + (1.5,) * (dof - 1))]
+    for q, v in states:
+        assert _outcome(model.R, q, v, p) == _outcome(
+            _r_of_d_r_grad(model), q, v, p), (q, v)
+    assert "_quad(q, v, p, True)" not in "".join(model.R_lines)
+
+
+def test_r_value_lines_are_generated_on_first_use():
+    # a load, a run and its sampled checks generate neither R's lines nor
+    # R; the stationarity audit generates the lines
+    from raydiss import audit as au
+    from raydiss import dynamics as dy
+
+    clear_model_caches()
+    cfg = cf.config_from_dict({**THREE_TERM_SHO, "t_end": 1.0})
+    model = cfg.system.model.dissipation
+    traj = dy.integrate(cfg.system, cfg.initial, cfg.t_end, cfg.integrator)
+    cfg.system.sampled_check("euler_identity", 20, 1)
+    cfg.system.sampled_check("positivity", 20, 1)
+    assert "R_lines" not in vars(model) and "R" not in vars(model)
+    au.full_audit(cfg.system, traj, cfg.tolerances)
+    assert "R_lines" in vars(model) and "R" not in vars(model)
+    # the lines read no gradient: no tangent of any term is summed
+    assert not any(x.startswith(("D", "g")) for x in model.R_lines)
+
+
+def test_sqrt_derivative_at_rest_fails_d_r_grad_not_r():
+    # the deliberate difference: at rest a sqrt(v1^2)^3 law's gradient
+    # code raises for the derivative of sqrt at zero, while R, from the
+    # value code alone, is 0.0
+    spec = homsum(("c*sqrt(v1^2)^3", 3.0))
+    model, p = spec.model(1), {"c": 0.1}
+    with pytest.raises(xc.EvalDomainError, match="sqrt derivative at zero"):
+        model.D_R_grad((0.3,), (0.0,), p)
+    assert repr(model.R((0.3,), (0.0,), p)) == "0.0"
+    assert rm.eval_R_closed(spec, ctx([0.3], [0.0], c=0.1)) == 0.0
+
+
+_GRADIENT_ONLY = ("sqrt derivative at zero",
+                  "derivative w.r.t. exponent needs positive base",
+                  "floating-point overflow")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@example(src="sqrt(v1)", q=(0.0, 0.0), v=(0.0, 0.7), eps=None)
+@example(src="(-2)^v1", q=(0.0, 0.0), v=(2.0, 0.7), eps=None)
+@example(src="c*v1^-1", q=(0.0, 0.0), v=(1e-200, 0.7), eps=1e-3)
+@example(src="sqrt(v2) + ln(v1)", q=(0.0, 0.0), v=(-1.3, 0.0), eps=None)
+@given(src=_grammar_exprs(), v=st.tuples(_EXACT_POINTS, _EXACT_POINTS),
+       q=st.tuples(_EXACT_POINTS, _EXACT_POINTS),
+       eps=st.sampled_from([None, 1e-3]))
+def test_r_value_lines_on_the_grammar(src, q, v, eps):
+    # a term of any expression in the grammar: R gives D_R_grad's R bit
+    # for bit, or raises its error; where they differ, D_R_grad raised an
+    # error of the term's gradient code alone, and R gives what the term's
+    # value code gives, value or error
+    node = xc.parse(src)
+    p = {"c": 0.7, "k": 3.0}
+    term = rm.DissipationTerm(node, 2.0, smooth_eps=eps)
+    model = rm.DissipationModel((term,), None, rm.QuadratureConfig(), 2)
+    got = _outcome(model.R, q, v, p)
+    ref = _outcome(_r_of_d_r_grad(model), q, v, p)
+    if got == ref:
+        return
+    gradient = xc.compile_expr(node, 2, "v", eps)
+    assert _outcome(lambda *a: gradient(*a)[0], q, v, p) == ref
+    assert ref[0] is xc.EvalDomainError
+    assert ref[1].startswith(_GRADIENT_ONLY), ref
+    value = xc.compile_expr(node, 2)
+    assert got == _outcome(lambda *a: 0.0 + value(*a) / 2.0, q, v, p)
 
 
 def test_r_vanishes_at_rest():
