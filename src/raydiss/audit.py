@@ -15,10 +15,11 @@ Three independent families of checks:
   linear part from the residual is removed.
 
 The last two are one call of a function generated once per dissipation
-model (_stationarity_pass): from the trajectory's rows and the system's
-statics (M, dM/dq, V, dV/dq) the force, one D_R_grad call, and R's own
-value lines (DissipationModel.R_lines, no gradient code) inline at every
-probe; generalized_force is that call without probes. Each small dot
+model (_stationarity_pass): from the trajectory's rows, the system's
+statics (M, dM/dq, V, dV/dq) at the sample and its mass alone at the two
+neighbours the force, one D_R_grad call, and R's own value lines
+(DissipationModel.R_lines, no gradient code) inline at every probe;
+generalized_force is that call without probes. Each small dot
 product is a left-to-right sum of Python float products, as
 raymodel._dot, which, unlike BLAS, does not depend on the host. The
 probe-growth slope is the closed-form least-squares slope in Python
@@ -227,16 +228,18 @@ def _probe_directions(dof, probes, seed):
 
 @lru_cache(maxsize=16)
 def _stationarity_pass(model):
-    """The generated pass(rows, dirs, statics, D_R_grad, p, c) -> (F,
-    residual, base, probe_deltas, per-magnitude lists, dR/dv, dV/dq, I) of
-    one sample of the dissipation model `model` (one per value). rows are
-    the samples k-1, k, k+1. From statics at the three rows it forms the
-    force F = -dV/dq + I, with I = dT/dq - dp/dt, where dp/dt is the
-    3-point derivative of the momenta p = M(q) v on the rows' own times.
-    One D_R_grad call at sample k gives dR/dv. With probe directions,
-    base = R - v.F takes R from that call, or R's value lines
-    (model.R_lines) at v when R has a rest; then, direction by direction,
-    the R_lines run inline at v + mag * d for each mag of _MAGS. Without
+    """The generated pass(rows, dirs, statics, mass, D_R_grad, p, c) ->
+    (F, residual, base, probe_deltas, per-magnitude lists, dR/dv, dV/dq, I)
+    of one sample of the dissipation model `model` (one per value). rows
+    are the samples k-1, k, k+1. From statics at sample k and the mass
+    alone at the other two it forms the force F = -dV/dq + I, with
+    I = dT/dq - dp/dt, where dp/dt is the 3-point derivative of the
+    momenta p = M(q) v on the rows' own times. One D_R_grad call at sample
+    k gives dR/dv. With probe directions, R's constant lines
+    (model.R_consts) read the params once; base = R - v.F takes R from
+    that call, or R's value lines (model.R_lines) at v when R has a rest;
+    then, direction by direction, the R_lines run inline at v + mag * d
+    for each mag of _MAGS. Without
     directions base is None. Every sum is left to right, as _dot, so the
     numbers are tests/audit_oracle.py's, bit for bit. The functions come
     in at each call, so the cache keeps no system alive."""
@@ -253,8 +256,8 @@ def _stationarity_pass(model):
             [f"v = [{', '.join(v)}]"] if model.lists else []), *model.R_lines]
     body = ["ya, yb, yc = rows", f"q, v = yb[1:{n}], yb[{n}:{n + m}]",
             f"{', '.join(q)}, = q", f"{', '.join(u)}, = v",
-            f"Ma = statics(ya[1:{n}], c)[0]", "Mb, dM, _, gV = statics(q, c)",
-            f"Mc = statics(yc[1:{n}], c)[0]", "h1 = yb[0] - ya[0]",
+            f"Ma = mass(ya[1:{n}], c)", "Mb, dM, _, gV = statics(q, c)",
+            f"Mc = mass(yc[1:{n}], c)", "h1 = yb[0] - ya[0]",
             "h2 = yc[0] - yb[0]", "wa = -h2 / (h1 * (h1 + h2))",
             "wb = (h2 - h1) / (h1 * h2)", "wc = h1 / (h2 * (h1 + h2))"]
     for j in J:  # 0.5 v.(dM/dq_j).v over a, then b; dp_j/dt
@@ -270,6 +273,7 @@ def _stationarity_pass(model):
     body += ["_, R, g = D_R_grad(q, v, p)",
              *[f"{s[j]} = g[{j}] - {F[j]}" for j in J],
              "base = None", "if dirs:", *[f"    {x}" for x in [
+                 *model.R_consts,
                  *(R_at(u) if model.rest is not None else []),
                  f"base = R - ({dot(u, F)})"]],
              "a1, a2, a3, b1, b2, b3 = [], [], [], [], [], []",
@@ -282,8 +286,8 @@ def _stationarity_pass(model):
                  f"b{i}.append(abs(x - ({dot(e, s)})))"]]
     body.append(f"return [{', '.join(F)}], [{', '.join(s)}], base, "
                 f"a3 + a2 + a1, (b1, b2, b3), g, gV, [{', '.join(I)}]")
-    return xc.define("_stationarity_pass(rows, dirs, statics, D_R_grad, p, "
-                     "c)", body, **model.names)
+    return xc.define("_stationarity_pass(rows, dirs, statics, mass, "
+                     "D_R_grad, p, c)", body, **model.names)
 
 
 def _sample(sys, traj, k, probes=0, seed=0):
@@ -295,7 +299,7 @@ def _sample(sys, traj, k, probes=0, seed=0):
     sm = sys.model
     return _stationarity_pass(sm.dissipation)(
         traj.rows[k - 1:k + 2], _probe_directions(sys.dof, probes, seed),
-        sm.statics, sm.dissipation.D_R_grad, sm.params, sm.c)
+        sm.statics, sm.mass, sm.dissipation.D_R_grad, sm.params, sm.c)
 
 
 def generalized_force(sys: SystemSpec, traj: Trajectory,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys as _sys
 from dataclasses import replace
@@ -259,11 +260,19 @@ def cmd_sweep(cfg: RunConfig, param, values, out_stem=None, jobs=None) -> int:
                 f"{stem}_{param}={name}.{cfg.output.format}")
                for x, name in zip(values, names)]
     # members share the expressions, so their generated code, the
-    # integration loop and the stationarity pass: build them once, before
-    # the fork, for the workers to inherit
+    # integration loop, its compiled form and the stationarity pass: build
+    # them once, before the fork, for the workers to inherit. The compiled
+    # loop is built when the members' RHS calls pay for it, as integrate
+    # decides; an RK4 member's are known before it runs, 1 + 4 per step
+    from . import native  # here, as in _run_forked: no other command
+
     au._stationarity_pass(cfg.system.model.dissipation)
-    dy._loop(cfg.integrator.method, cfg.system.dof)
-    n = len(members)
+    ic, n = cfg.integrator, len(members)
+    loop = dy._loop(ic.method, cfg.system.dof)
+    if ic.method == "rk4":
+        steps = math.ceil((cfg.t_end - float(cfg.initial.t)) / ic.dt)
+        native.count(cfg.system.model, n * (1 + 4 * steps))
+    native.kernel(loop, cfg.system.model)
     results = _run_forked(members, range(n),
                           min(jobs or os.cpu_count() or 1, n))
     results = [{"status": f"error: {r}"} if isinstance(r, Exception) else r

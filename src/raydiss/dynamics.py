@@ -32,10 +32,15 @@ of a dof: _loop(method, dof) evaluates f at the first point and runs
 every attempt of an integrate call, with the controller, the FSAL
 hand-over, the sample rows and the counters in locals; _point(dof), behind
 accel and diagnostics, gives f and the sample row at one state. integrate
-keeps only its checks and knows nothing that differs per method. One RK4
-step of size dt is integrate(sys, s, s.t + dt, IntegratorConfig("rk4",
-dt=dt)). The Python right-hand side, attempts, loop and sample row that
-these replaced are the test oracle, tests/stepper_oracle.py, bit for bit.
+keeps only its checks and knows nothing that differs per method. Once a
+system's code has made native.THRESHOLD Python RHS calls in the process,
+integrate runs the loop's C transliteration (native.kernel), which gives
+the same rows and counters bit for bit; where it stops on a status (any
+point where the Python loop raises), integrate reruns the Python loop
+from the start, which raises the error. One RK4 step of size dt is
+integrate(sys, s, s.t + dt, IntegratorConfig("rk4", dt=dt)). The Python
+right-hand side, attempts, loop and sample row that these replaced are
+the test oracle, tests/stepper_oracle.py, bit for bit.
 
 A sample is the row t, q, v, H, T, V, D, R, W, E of Python floats (the
 columns(dof), then E). Sampling calls no compiled code: the rhs call of
@@ -393,8 +398,15 @@ def integrate(sys: SystemSpec, init: State, t_end: float,
     if not all(map(math.isfinite, [init.t] + y)):
         _diverged(init.t)
     check_span(init.t, t_end)
+    # imported here, so that a start that integrates nothing never loads it
+    from . import native
     traj = Trajectory(rows=[], dof=sys.dof)
-    traj.steps_taken, traj.steps_rejected, traj.rhs_calls = _loop(
-        cfg.method, sys.dof)(float(init.t), y, float(t_end), cfg, sys.model,
-                             traj.rows)
+    loop = _loop(cfg.method, sys.dof)
+    args = (float(init.t), y, float(t_end), cfg, sys.model, traj.rows)
+    run = native.kernel(loop, sys.model)
+    counts = run and run(*args)
+    if not counts:  # no kernel, or a status: the Python loop decides
+        counts = loop(*args)
+        native.count(sys.model, counts[2])
+    traj.steps_taken, traj.steps_rejected, traj.rhs_calls = counts
     return traj

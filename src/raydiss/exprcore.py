@@ -604,16 +604,21 @@ _FUNCTION_RULES = {
 
 
 class _CodeGen:
-    def __init__(self, dof, wrt, smooth_eps, scalar=True, hoist=False):
+    def __init__(self, dof, wrt, smooth_eps, scalar=True, hoist=False,
+                 prefix="t"):
         self.dof = dof
         self.wrt = wrt  # 'q' | 'v' | None
         self.smooth_eps = smooth_eps
         self.scalar = scalar  # False for array mode: no literal-power forms
         self.lines = []
         self.n = 0
-        # with hoist: the lines of each block's parameter-only
-        # subexpressions (in the block's own guard), and their value names
-        self.hoisted = [] if hoist else None
+        self.prefix = prefix  # of the temporaries' names
+        # with hoist: the generator of the parameter-only subexpressions,
+        # whose temporaries c0.. count apart, so that their lines and names
+        # depend on the nodes alone, not on wrt; each block's constant
+        # lines (in the block's own guard), and their value names
+        self.hoisted = (_CodeGen(0, None, None, scalar, prefix="c") if hoist
+                        else None)
         self.constants = []
         self.names = []
 
@@ -622,7 +627,7 @@ class _CodeGen:
         nonzero literal, else a new temporary."""
         if _NAME.fullmatch(expr) or _LITERAL.fullmatch(expr) and float(expr):
             return expr
-        name = f"t{self.n}"
+        name = f"{self.prefix}{self.n}"
         self.n += 1
         self.lines.append(f"{name} = {expr}")
         return name
@@ -636,9 +641,11 @@ class _CodeGen:
         guard of their own that names node too."""
         self.lines = []
         if self.hoisted is not None:
-            self.hoisted = []
+            self.hoisted.lines = []
+            self.hoisted.smooth_eps = self.smooth_eps
         val, g = self.gen(node)
-        self.constants += _guard(self.hoisted or [], node, self.scalar)
+        if self.hoisted is not None:
+            self.constants += _guard(self.hoisted.lines, node, self.scalar)
         return _guard(self.lines, node, self.scalar), val, g
 
     def zeros(self):
@@ -671,15 +678,12 @@ class _CodeGen:
         """Return (value expression, list of tangent expressions)."""
         if (self.hoisted is not None and not isinstance(node, Const)
                 and not any(isinstance(n, (Coord, Vel)) for n in walk(node))):
-            # a parameter-only subexpression: its lines go to the hoisted
-            # list, generated as usual (its tangents are all "0.0"), and
-            # its value name is read by the lines that use it
-            main, self.lines = self.lines, self.hoisted
-            self.hoisted = None
-            val, g = self.gen(node)
-            self.lines, self.hoisted = main, self.lines
+            # a parameter-only subexpression: the hoisted generator's lines
+            # (its tangents are all "0.0"), whose value name is read by the
+            # lines that use it
+            val, _ = self.hoisted.gen(node)
             self.names.append(val)
-            return val, g
+            return val, self.zeros()
         if isinstance(node, Const):
             return repr(node.value), self.zeros()
         if isinstance(node, (Coord, Vel)):
@@ -762,7 +766,7 @@ class _CodeGen:
 
 
 # the source of a lone name (a temporary, q{i} or v{i}) or a float's repr
-_NAME = re.compile(r"t\d+|[qv]\d+")
+_NAME = re.compile(r"[tcqv]\d+")
 _LITERAL = re.compile(r"-?\d[\d.]*(e[-+]\d+)?")
 
 
@@ -831,10 +835,14 @@ def unpack(nodes):
 
 def define(signature, body, namespace=None, **names):
     """The function `def <signature>:` with the given body lines, executed
-    with the scalar helpers (or namespace) and `names` as globals."""
+    with the scalar helpers (or namespace) and `names` as globals; its
+    `source` attribute is the source text (for raydiss.native)."""
     ns = dict(_COMPILE_GLOBALS if namespace is None else namespace, **names)
-    exec("\n    ".join([f"def {signature}:"] + body), ns)
-    return ns[signature.split("(")[0]]
+    source = "\n    ".join([f"def {signature}:"] + body)
+    exec(source, ns)
+    fn = ns[signature.split("(")[0]]
+    fn.source = source
+    return fn
 
 
 def compile_blocks(nodes, dof, wrt, smooth_eps=None, hoist=False):

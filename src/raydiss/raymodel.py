@@ -282,7 +282,7 @@ class SystemModel:
     """The right-hand side of one SystemSpec, its statics and its
     dissipation model, from one entry of _code per system's expressions.
 
-    Its two straight-line functions and the mechanics lines of rhs are
+    Its three straight-line functions and the mechanics lines of rhs are
     unrolled for the dof from the same lines of the expressions' own
     compiled code (partial evaluation). constants(p) computes every
     parameter-only subexpression of V and M, each in its expression's own
@@ -291,6 +291,8 @@ class SystemModel:
     SystemSpec are read-only), and keeps no c that raised. statics(q, c)
     gives (M, dM, V, dV/dq), M[a][b] and dM[a][b][j] = dM_ab/dq_j as
     nested lists, after the symmetry check; it never checks definiteness.
+    mass(q, c) gives statics' M and its symmetry check alone, from the
+    entries' value code, the same doubles.
 
     rhs(q0.., v0.., p, c) -> (qdd0.., D, R, dR/dv_0.., M00, M01, .., V),
     on scalar coordinates, is the dissipation model's D_R_grad lines, then
@@ -312,7 +314,8 @@ class SystemModel:
     def __init__(self, sys: SystemSpec):
         self.params = sys.params
         d = sys.dissipation
-        self.rhs, self.dissipation, self._constants, self.statics = _code(
+        (self.rhs, self.dissipation, self._constants, self.statics,
+         self.mass) = _code(
             sys.dof, sys.mass_matrix, sys.potential, *d.split, d.quadrature)
 
     @cached_property
@@ -337,37 +340,28 @@ def _system(dof, mm, potential, dissipation, params):
 
 @lru_cache(maxsize=16)
 def _code(m, mm, potential, terms, rest, quadrature):
-    """(rhs, dissipation, constants, statics) of SystemModel: rhs runs the
-    D_R_grad lines of that dissipation model, so the two never differ, and
-    builds the lists q and v only for D_R_grad lines that read them."""
+    """(rhs, dissipation, constants, statics, mass) of SystemModel: rhs
+    runs the D_R_grad lines of that dissipation model, so the two never
+    differ, and builds the lists q and v only for D_R_grad lines that read
+    them."""
     dissipation = _dissipation_model(terms, rest, quadrature, m)
-    asym = [(a, b) for a in range(m) for b in range(a + 1, m)
-            if mm[a][b] != mm[b][a]]
     pairs = [(a, b) for a in range(m) for b in range(m)
-             if a <= b or (b, a) in asym]
-    blocks, (consts, names) = xc.compile_blocks(
-        [potential] + [mm[a][b] for a, b in pairs], m, "q", hoist=True)
+             if a <= b or mm[a][b] != mm[b][a]]
+    # the gradient code, and the value code of the mass: the parameter-only
+    # subexpressions of both are the same constant lines and names
+    exprs = [potential] + [mm[a][b] for a, b in pairs]
+    blocks, (consts, names) = xc.compile_blocks(exprs, m, "q", hoist=True)
     (head, V, gV), *blocks = blocks
-    M = [[None] * m for _ in range(m)]
-    dM = [[None] * m for _ in range(m)]
-    entries = []
-    for (a, b), (lines, val, g) in zip(pairs, blocks):
-        entries += lines
-        M[a][b], dM[a][b] = val, g
-        if (b, a) not in pairs:
-            M[b][a], dM[b][a] = val, g
-    if asym:
-        entries.append("atol = 1e-12 * (1.0 + max(%s))" % ", ".join(
-            f"abs({x})" for row in M for x in row))
-    for a, b in asym:
-        entries += [f"if not abs({M[a][b]} - {M[b][a]}) <= atol:",
-                    "    " + _raise("symmetric", m)]
+    entries, M, dM = _entries(pairs, blocks, m)
     names = "".join(f"{x}, " for x in names)
     constants = _define("_constants(p)", consts + [f"return ({names})"])
     unpack_c = [f"{names}= c"] if names else []
-    statics = _define("_statics(q, c)", unpack_c + [
-        "".join(f"q{i}, " for i in range(m)) + "= q"] + head + entries
-        + [f"return {_list(M)}, {_list(dM)}, {V}, {_list(gV)}"])
+    unpack = unpack_c + ["".join(f"q{i}, " for i in range(m)) + "= q"]
+    statics = _define("_statics(q, c)", unpack + head + entries
+                      + [f"return {_list(M)}, {_list(dM)}, {V}, {_list(gV)}"])
+    values, Mv, _ = _entries(pairs, xc.compile_blocks(
+        exprs, m, None, hoist=True)[0][1:], m)
+    mass = _define("_mass(q, c)", unpack + values + [f"return {_list(Mv)}"])
     mech = unpack_c + head + [f"b{j} = -({gV[j]}) - g{j}" for j in range(m)]
     mech += entries + _b_lines(mm, dM) + _ldl_lines(M)
     mech += [f"y{i} = b{i}" + "".join(
@@ -384,7 +378,30 @@ def _code(m, mm, potential, terms, rest, quadrature):
     rhs = _define(f"_rhs({', '.join(q + v)}, p, c)", [
         *lists, *dissipation.lines, *mech, f"return {', '.join(out)}"],
         **dissipation.names)
-    return rhs, dissipation, constants, statics
+    return rhs, dissipation, constants, statics, mass
+
+
+def _entries(pairs, blocks, m):
+    """(lines, M, dM): the lines of the mass entries' blocks (of `pairs`,
+    the upper triangle and each lower entry whose expression differs from
+    its mirror's), then the symmetry check of each such pair, and the
+    names of the entries and of their gradients, mirrored."""
+    M = [[None] * m for _ in range(m)]
+    dM = [[None] * m for _ in range(m)]
+    lines = []
+    for (a, b), (block, val, g) in zip(pairs, blocks):
+        lines += block
+        M[a][b], dM[a][b] = val, g
+        if (b, a) not in pairs:
+            M[b][a], dM[b][a] = val, g
+    asym = [(a, b) for a, b in pairs if a < b and (b, a) in pairs]
+    if asym:
+        lines.append("atol = 1e-12 * (1.0 + max(%s))" % ", ".join(
+            f"abs({x})" for row in M for x in row))
+    for a, b in asym:
+        lines += [f"if not abs({M[a][b]} - {M[b][a]}) <= atol:",
+                  "    " + _raise("symmetric", m)]
+    return lines, M, dM
 
 
 def _define(signature, body, **names):
@@ -455,13 +472,16 @@ class DissipationModel:
     the lists q and v if `lists`; their globals are `names`. A system's
     rhs runs the same lines (SystemModel).
 
-    R's body is `R_lines`, R's own value code, generated on first use:
-    the terms' value code summed as R = 0.0, R += value / degree in term
-    order, then with a rest the rule's value pass. They bind R from the
-    same names as `lines`, and give D_R_grad's R bit for bit, but raise
-    none of the errors that only gradient code raises (a sqrt or power
-    derivative at a zero base, a derivative that overflows). R runs them,
-    and the stationarity audit runs them inline at each probe.
+    R's body is `R_consts`, then `R_lines`, R's own value code, generated
+    on first use: the constant lines bind every parameter-only
+    subexpression of the terms (in its term's guard), and the lines sum
+    the terms' value code as R = 0.0, R += value / degree in term order,
+    then with a rest the rule's value pass. They bind R from the same
+    names as `lines`, and give D_R_grad's R bit for bit, but raise none of
+    the errors that only gradient code raises (a sqrt or power derivative
+    at a zero base, a derivative that overflows). R runs them, and the
+    stationarity audit runs the constant lines once per sample and the
+    lines inline at each probe.
 
     The rule is hp-quadrature's geometric mesh (Schwab, p- and hp-FEM,
     1998): short panels where u*v is small, so a sharp feature of D near
@@ -523,25 +543,35 @@ class DissipationModel:
         return self.D_R_grad(q, v, p)[0]
 
     @cached_property
-    def R_lines(self):
+    def _R_code(self):
         terms = self.terms
-        blocks, _ = xc.compile_blocks([t.expr for t in terms], self.dof, None,
-                                      [t.smooth_eps for t in terms])
+        blocks, (consts, _) = xc.compile_blocks(
+            [t.expr for t in terms], self.dof, None,
+            [t.smooth_eps for t in terms], hoist=True)
         body = ["R = 0.0"]
         for i, (t, (lines, val, _)) in enumerate(zip(terms, blocks)):
             if f"_value{i}" in self.names:  # sign under smooth_eps
                 lines, val = [], f"_value{i}(q, v, p)"
             body += lines + [f"R += {val} / {float(t.degree)!r}"]
-        if self.rest is None:
-            return body
-        return (body if terms else []) + [
-            "r = _quad(q, v, p, False)[0]", f"R = {_plus(terms, 'R', 'r')}"]
+        if self.rest is not None:
+            body = (body if terms else []) + [
+                "r = _quad(q, v, p, False)[0]",
+                f"R = {_plus(terms, 'R', 'r')}"]
+        return consts, body
+
+    @cached_property
+    def R_lines(self):
+        return self._R_code[1]
+
+    @property
+    def R_consts(self):
+        return self._R_code[0]
 
     @cached_property
     def R(self):
-        """R(q, v, p): R_lines, generated on first use."""
-        return xc.define("_R(q, v, p)", self._head + self.R_lines
-                         + ["return R"], **self.names)
+        """R(q, v, p): R_consts and R_lines, generated on first use."""
+        return xc.define("_R(q, v, p)", self._head + self.R_consts
+                         + self.R_lines + ["return R"], **self.names)
 
     def _quad(self, q, v, p, with_grad):
         """The rest's R, and its dR/dv as a list when with_grad (else

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from raydiss import audit as au
 from raydiss import exprcore as xc
+from raydiss import native
 from raydiss import raymodel as rm
 
 # Expression corpus shared by the AD tests and the acceptance gate.
@@ -38,6 +41,15 @@ def random_contexts(n, seed=7, dof=2):
         v = tuple(rng.uniform(0.4, 1.6, dof))
         out.append(xc.EvalContext(q, v, CORPUS_PARAMS))
     return out
+
+
+@pytest.fixture(autouse=True)
+def python_loop(monkeypatch):
+    """Every test integrates in the generated Python loop unless it forces
+    the compiled loop (native.THRESHOLD 0): the RHS calls of the whole
+    session, counted per system code, would otherwise switch later tests
+    to the compiled loop part of the way through."""
+    monkeypatch.setattr(native, "THRESHOLD", math.inf)
 
 
 def clear_model_caches():

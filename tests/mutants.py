@@ -34,6 +34,7 @@ RUN_TIMEOUT_S = 900
 Mutant = namedtuple("Mutant", "name path old new tests")
 
 ACCEPT = ("tests/test_acceptance.py", "tests/test_audit.py")
+NATIVE = ("tests/test_native.py",)
 
 MUTANTS = (
     Mutant("grad_R_v scaled by 1.01", "raydiss/raymodel.py",
@@ -117,6 +118,19 @@ MUTANTS = (
     Mutant("stationarity pass force without its dT/dq term",
            "raydiss/audit.py", 'f"{I[j]} = 0.5 * ({dT}) - ({dp})"',
            'f"{I[j]} = -({dp})"', ("tests/test_audit.py",)),
+    Mutant("compiled loop built without -fno-builtin", "raydiss/native.py",
+           '"-O2", "-fno-builtin", ', '"-O2", ', NATIVE),
+    Mutant("compiled loop squares by a product", "raydiss/native.py",
+           'return f"py_pow({a}, {b}, &st)", "d"',
+           'return (f"({a} * {a})" if b == "2LL" else '
+           'f"py_pow({a}, {b}, &st)"), "d"', NATIVE),
+    Mutant("compiled loop skips the FP-flag test", "raydiss/native.py",
+           "#define FLAGS (FE_OVERFLOW | FE_INVALID | FE_DIVBYZERO)",
+           "#define FLAGS 0", NATIVE),
+    Mutant("compiled loop writes a tableau coefficient to 15 digits",
+           "raydiss/native.py", 'return float.hex(n.value), "d"',
+           'return float.hex(float(f"{n.value:.15g}") if n.value == 32 / 9 '
+           'else n.value), "d"', NATIVE),
 )
 
 

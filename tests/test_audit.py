@@ -655,3 +655,31 @@ def test_stationarity_pass_raises_the_oracles_errors():
     assert kind is rm.MassMatrixError
     assert message == ("mass matrix not symmetric at "
                        f"q={traj.rows[4][1:3]}")
+
+
+def test_stationarity_pass_reads_statics_once_and_each_param_twice(
+        monkeypatch):
+    # a sample takes statics at itself and the mass alone at its two
+    # neighbours, and reads each parameter of D once in its D_R_grad call
+    # and once in R's constant lines, which its 24 probes share; the
+    # output stays the oracle's
+    traj = run_builtin("pendulum_drag_2dof", t_end=1.0)[1]
+    sys = get_builtin("pendulum_drag_2dof").system
+    sm = sys.model
+    expected = au.stationarity_audit(sys, traj, 5, probes=8).to_dict()
+    calls = {"statics": 0, "mass": 0}
+    for name in calls:
+        def counted(*args, fn=getattr(sm, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(sm, name, counted)
+    reads = []
+
+    class Params(dict):
+        def __getitem__(self, key):
+            reads.append(key)
+            return super().__getitem__(key)
+    monkeypatch.setattr(sm, "params", Params(sm.params))
+    assert au.stationarity_audit(sys, traj, 5, probes=8).to_dict() == expected
+    assert calls == {"statics": 1, "mass": 2}
+    assert reads == ["A", "A"]

@@ -1240,3 +1240,32 @@ def test_euler_check_forms_v_dot_grad_as_the_sample_w(monkeypatch):
                         lambda dof, samples, seed: [(q, v)])
     rep = rm.euler_identity_check(sm.dissipation, 2, b.system.params)
     assert rep.max_violation == abs(W - D) / (1.0 + abs(D))
+
+
+@pytest.mark.parametrize("name", ["sho", "pendulum_drag_2dof", "full_mass_3dof",
+                                  "skew"])
+def test_mass_is_statics_mass_bit_for_bit(name):
+    # the mass alone, from the entries' value code, is statics' M, and
+    # raises statics' error where the symmetry check fails
+    from test_dynamics import full_mass_3dof
+
+    if name == "full_mass_3dof":
+        sys = full_mass_3dof()
+    elif name == "skew":
+        sys = rm.SystemSpec(dof=2, mass_matrix=[
+            [xc.parse("2"), xc.parse("q1")],
+            [xc.parse("q1 + 1e-9*q2"), xc.parse("2")]],
+            potential=xc.parse("0"), dissipation=rm.null_dissipation())
+    else:
+        sys = get_builtin(name).system
+    sm = sys.model
+    for q, _ in rm.sample_states(sys.dof, 50, seed=5):
+        try:
+            expected = sm.statics(q, sm.c)[0]
+        except rm.MassMatrixError as e:
+            with pytest.raises(rm.MassMatrixError) as info:
+                sm.mass(q, sm.c)
+            assert str(info.value) == str(e)
+            continue
+        assert [[x.hex() for x in row] for row in sm.mass(q, sm.c)] == [
+            [x.hex() for x in row] for row in expected]
