@@ -46,7 +46,7 @@ def random_contexts(n, seed=7, dof=2):
 @pytest.fixture(autouse=True)
 def python_loop(monkeypatch):
     """Every test integrates in the generated Python loop unless it forces
-    the compiled loop (native.THRESHOLD 0): the RHS calls of the whole
+    the compiled loop (native.THRESHOLD 0): the RHS calls of the whole test
     session, counted per system code, would otherwise switch later tests
     to the compiled loop part of the way through."""
     monkeypatch.setattr(native, "THRESHOLD", math.inf)
