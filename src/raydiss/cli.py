@@ -3,7 +3,10 @@
 Exit codes: 0 success, 1 error, 2 audit/check failure. Trajectory files
 are CSV (header t,q1..qm,v1..vm,H,T,V,D,R,W) or JSONL; audit results are
 written as JSON next to the trajectory. Float formatting uses Python's
-shortest-round-trip repr so files parse back to identical doubles.
+shortest-round-trip repr so files parse back to identical doubles; the
+CSV and plot-data files of a process that has written enough values are
+formatted by raydiss.native's compiled formatter, which writes the same
+bytes.
 """
 
 from __future__ import annotations
@@ -33,13 +36,39 @@ def _fmt(x):
     return repr(float(x))
 
 
+def _compiled(rows, width, values):
+    """fmt(cols, sep), the text of native's formatter for the entries at
+    cols of every row, where it is built and the rows are lists of
+    `width` floats; None otherwise, after counting the `values` that repr
+    then formats."""
+    # imported here, as in integrate: loaded once there are rows
+    from array import array
+    from itertools import chain
+
+    from . import native
+
+    fmt = native.formatter()
+    if fmt is not None and rows and set(map(len, rows)) == {width}:
+        flat = list(chain.from_iterable(rows))
+        if set(map(type, flat)) == {float}:
+            flat = array("d", flat)
+            return lambda cols, sep: fmt(flat, width, cols, sep)
+    native.count_values(values)
+    return None
+
+
 def write_trajectory(traj, dof, path, fmt):
     cols = dy.columns(dof)
     with open(path, "w", encoding="utf-8") as f:
         if fmt == "csv":
             f.write(",".join(cols) + "\n")
-            for row in traj.rows:
-                f.write(",".join(map(repr, row[:-1])) + "\n")
+            compiled = _compiled(traj.rows, len(cols) + 1,
+                                 len(traj.rows) * len(cols))
+            if compiled:
+                f.write(compiled(range(len(cols)), ","))
+            else:
+                for row in traj.rows:
+                    f.write(",".join(map(repr, row[:-1])) + "\n")
         else:
             # a non-finite entry (say an H that overflows at a finite
             # state) is null, as in the audit file: JSON has no NaN or
@@ -54,11 +83,16 @@ def write_plot_data(traj, dof, stem):
     cols = dy.columns(dof)
     outdir = stem + "_plot"
     os.makedirs(outdir, exist_ok=True)
+    compiled = _compiled(traj.rows, len(cols) + 1,
+                         2 * len(traj.rows) * (len(cols) - 1))
     for j, c in enumerate(cols[1:], 1):
         with open(os.path.join(outdir, f"{c}.dat"), "w",
                   encoding="utf-8") as f:
-            for row in traj.rows:
-                f.write(f"{_fmt(row[0])} {_fmt(row[j])}\n")
+            if compiled:
+                f.write(compiled((0, j), " "))
+            else:
+                for row in traj.rows:
+                    f.write(f"{_fmt(row[0])} {_fmt(row[j])}\n")
     return outdir
 
 
@@ -261,23 +295,28 @@ def cmd_sweep(cfg: RunConfig, param, values, out_stem=None, jobs=None) -> int:
                for x, name in zip(values, names)]
     # members share the expressions, so their generated code, the
     # integration loop, its compiled form and the stationarity pass: build
-    # them once, before the fork, for the workers to inherit. The compiled
-    # loop is built when the members' RHS calls pay for it, as integrate
-    # decides; an RK4 member's are known before it runs, 1 + 4 per step
+    # them once, before the fork, for the workers to inherit, and so the
+    # CSV formatter. The compiled loop and the formatter are built when the
+    # members' RHS calls and values pay for them, as integrate and
+    # write_trajectory decide; an RK4 member's are known before it runs:
+    # 1 + 4 calls a step, and a row of values every sample_every steps
     from . import native  # here, as in _run_forked: no other command
 
     au._stationarity_pass(cfg.system.model.dissipation)
-    ic, n = cfg.integrator, len(members)
-    loop = dy._loop(ic.method, cfg.system.dof)
+    ic, n, m = cfg.integrator, len(members), cfg.system.dof
+    loop = dy._loop(ic.method, m)
     if ic.method == "rk4":
         steps = math.ceil((cfg.t_end - float(cfg.initial.t)) / ic.dt)
         native.count(cfg.system.model, n * (1 + 4 * steps))
+        if cfg.output.format == "csv":
+            rows = 1 + math.ceil(steps / ic.sample_every)
+            native.count_values(n * rows * len(dy.columns(m)))
+            native.formatter()
     native.kernel(loop, cfg.system.model)
     results = _run_forked(members, range(n),
                           min(jobs or os.cpu_count() or 1, n))
     results = [{"status": f"error: {r}"} if isinstance(r, Exception) else r
                for r in results]
-    m = cfg.system.dof
     with open(summary, "w", encoding="utf-8") as f:
         qcols = ",".join(f"final_q{i + 1}" for i in range(m))
         vcols = ",".join(f"final_v{i + 1}" for i in range(m))

@@ -1,4 +1,5 @@
-"""The generated integration loop, compiled to C, bit for bit.
+"""The generated integration loop compiled to C, bit for bit, and repr of
+many floats compiled to C, byte for byte.
 
 kernel() transliterates the syntax trees of dynamics' generated loop and
 of a system model's generated rhs, statement by statement, into one C
@@ -28,6 +29,15 @@ A build costs about BUILD_S and saves about SAVED_S per RHS call, so a
 system code (its rhs source) gets its kernel once it has made THRESHOLD
 Python RHS calls in the process (count()): a shorter process never
 compiles.
+
+formatter() writes rows of doubles as cli's trajectory CSV and plot-data
+files join their repr: the shortest digits that read back to each double,
+the nearest of those and on a tie the even one, by Ryu (Adams, PLDI
+2018), whose 128-bit tables of powers of five are computed with Python's
+integers when the C is built, and repr's layout. It follows the kernel's
+rules: one build per process, once the process has formatted
+FORMAT_THRESHOLD values by repr (count_values()), and without a compiler
+repr writes every file.
 """
 
 from __future__ import annotations
@@ -383,15 +393,15 @@ def translate(loop, rhs):
     ), f.params, g.inputs, g.width
 
 
-def _build(translation, loop):
-    """The kernel of a translation, or None where no compiler builds it."""
+def _compile(source):
+    """source built with CFLAGS and loaded, or None where no compiler
+    builds it."""
     import ctypes
     import os
     import shutil
     import subprocess
     import tempfile
 
-    source, params, inputs, width = translation
     cc = shutil.which("cc")
     if cc is None:
         return None
@@ -404,11 +414,21 @@ def _build(translation, loop):
                           capture_output=True, timeout=300,
                           check=False).returncode:
             return None
-        lib = ctypes.CDLL(lib_file)  # stays mapped once its file is gone
+        return ctypes.CDLL(lib_file)  # stays mapped once its file is gone
     except subprocess.SubprocessError:
         return None
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
+
+
+def _build(translation, loop):
+    """The kernel of a translation, or None where no compiler builds it."""
+    import ctypes
+
+    source, params, inputs, width = translation
+    lib = _compile(source)
+    if lib is None:
+        return None
     d, i = ctypes.c_double, ctypes.c_longlong
     dp, ip = ctypes.POINTER(d), ctypes.POINTER(i)
     run, free = lib.rd_loop, lib.rd_free
@@ -438,3 +458,212 @@ def _build(translation, loop):
         rows.extend(flat[k:k + width] for k in range(0, len(flat), width))
         return tuple(counts)
     return compiled
+
+
+# ---------------------------------------------------------------------------
+# The row formatter: repr's text of many floats in one call
+
+# measured with gcc 12 on a 2-core x86-64 host: a build takes about 0.15 s,
+# and repr of a double 0.2-1.0 us (0.6 us on a sweep member's rows)
+# against about 0.1 us compiled, the flattening into an array included
+FORMAT_BUILD_S = 0.15
+FORMAT_SAVED_S = 5e-7
+FORMAT_THRESHOLD = round(FORMAT_BUILD_S / FORMAT_SAVED_S)
+FORMAT_WIDTH = 25  # bytes a value and its separator take at most
+
+_formatted = [0]   # values formatted by repr in this process
+_formatter = []    # [the compiled formatter, or None] once built
+
+
+def count_values(n):
+    """Add n values that repr formatted to the count of the process."""
+    _formatted[0] += n
+
+
+def formatter():
+    """The compiled formatter, built on first use once the process has
+    formatted FORMAT_THRESHOLD values by repr, called as
+
+        fmt(flat, stride, cols, sep) -> str
+
+    on an array('d') of rows of `stride` entries each: one line per row,
+    the entries at the indices cols, each as repr writes it, joined by
+    the one-character sep. None before that, and where no compiler
+    builds it."""
+    if _formatted[0] < FORMAT_THRESHOLD:
+        return None
+    if not _formatter:
+        _formatter.append(_build_formatter())
+    return _formatter[0]
+
+
+def _pow5_tables():
+    """Ryu's tables as C (Adams, PLDI 2018): 5^i scaled to 125 bits, and
+    2^(bits(5^i) + 124) / 5^i rounded up, each as {low, high} 64-bit
+    words, computed with exact integers."""
+    def table(name, values):
+        return "static const unsigned long long %s[%d][2] = {\n%s};\n" % (
+            name, len(values), "".join(
+                "{%du, %du},\n" % (x & (1 << 64) - 1, x >> 64)
+                for x in values))
+    powers = [5 ** i for i in range(342)]
+    return (table("POW5", [p << 125 >> p.bit_length() for p in powers[:326]])
+            + table("POW5_INV", [(1 << p.bit_length() + 124) // p + 1
+                                 for p in powers]))
+
+
+# Ryu's shortest digits (d2d, its general loop for every value) and repr's
+# layout: fixed notation for decimal exponents -4 to 15, with .0 on a
+# whole number, e+XX or e-XX otherwise
+_FORMAT = r"""
+typedef unsigned long long u64;
+typedef long long i64;
+typedef unsigned __int128 u128;
+static int pow5bits(int e) { return (int)((unsigned)e * 1217359u >> 19) + 1; }
+static int log10_pow2(int e) { return (int)((unsigned)e * 78913u >> 18); }
+static int log10_pow5(int e) { return (int)((unsigned)e * 732923u >> 20); }
+static u64 mul_shift(u64 m, const u64 *mul, int j) {
+    u128 b0 = (u128)m * mul[0], b2 = (u128)m * mul[1];
+    return (u64)(((b0 >> 64) + b2) >> (j - 64));
+}
+static int pow5_factor(u64 v) {
+    int n = 0;
+    for (; v % 5 == 0; v /= 5) n++;
+    return n;
+}
+/* the shortest digits of the finite nonzero double of bits b that read
+   back to it, the nearest to it among those, a tie to the even one; *e10
+   is the decimal exponent of their last digit */
+static u64 shortest(u64 b, int *e10) {
+    u64 mant = b & ((1ULL << 52) - 1), m2, mv, vr, vp, vm;
+    int exp = (int)(b >> 52 & 0x7ff), e2, q, i, removed = 0, last = 0;
+    int mm_shift = mant != 0 || exp <= 1, even, vm_zeros = 0, vr_zeros = 0;
+    e2 = (exp ? exp : 1) - 1077;
+    m2 = exp ? mant | 1ULL << 52 : mant;
+    even = !(m2 & 1);
+    mv = 4 * m2;
+    if (e2 >= 0) {
+        q = log10_pow2(e2) - (e2 > 3);
+        i = -e2 + q + 124 + pow5bits(q);
+        *e10 = q;
+        vr = mul_shift(mv, POW5_INV[q], i);
+        vp = mul_shift(mv + 2, POW5_INV[q], i);
+        vm = mul_shift(mv - 1 - mm_shift, POW5_INV[q], i);
+        if (q <= 21) {
+            if (mv % 5 == 0) vr_zeros = pow5_factor(mv) >= q;
+            else if (even) vm_zeros = pow5_factor(mv - 1 - mm_shift) >= q;
+            else vp -= pow5_factor(mv + 2) >= q;
+        }
+    } else {
+        q = log10_pow5(-e2) - (-e2 > 1);
+        i = -e2 - q;
+        *e10 = q + e2;
+        vr = mul_shift(mv, POW5[i], q - pow5bits(i) + 125);
+        vp = mul_shift(mv + 2, POW5[i], q - pow5bits(i) + 125);
+        vm = mul_shift(mv - 1 - mm_shift, POW5[i], q - pow5bits(i) + 125);
+        if (q <= 1) {
+            vr_zeros = 1;
+            if (even) vm_zeros = mm_shift == 1;
+            else vp--;
+        } else if (q < 63) {
+            vr_zeros = (mv & ((1ULL << q) - 1)) == 0;
+        }
+    }
+    for (; vp / 10 > vm / 10; removed++) {
+        vm_zeros &= vm % 10 == 0;
+        vr_zeros &= last == 0;
+        last = (int)(vr % 10);
+        vr /= 10, vp /= 10, vm /= 10;
+    }
+    if (vm_zeros)
+        for (; vm % 10 == 0; removed++) {
+            vr_zeros &= last == 0;
+            last = (int)(vr % 10);
+            vr /= 10, vp /= 10, vm /= 10;
+        }
+    if (vr_zeros && last == 5 && vr % 2 == 0)
+        last = 4;  /* exactly half-way: to the even digit */
+    *e10 += removed;
+    return vr + ((vr == vm && (!even || !vm_zeros)) || last >= 5);
+}
+static char *put(char *o, const char *s) {
+    while (*s) *o++ = *s++;
+    return o;
+}
+/* repr(x) at o; the end of its text */
+static char *repr(char *o, double x) {
+    union { double d; u64 u; } b = {x};
+    char d[20];
+    u64 v;
+    int n = 0, k, e;
+    if ((b.u >> 52 & 0x7ff) == 0x7ff)
+        return put(o, b.u << 12 ? "nan" : b.u >> 63 ? "-inf" : "inf");
+    if (b.u >> 63) *o++ = '-';
+    if (!(b.u << 1)) return put(o, "0.0");
+    for (v = shortest(b.u, &e); v; v /= 10) d[19 - n++] = (char)('0' + v % 10);
+    e += n;  /* the digits are 0.d1d2... times 10^e */
+    if (e > -4 && e <= 16) {
+        if (e <= 0) {
+            o = put(o, "0.");
+            for (k = e; k < 0; k++) *o++ = '0';
+        }
+        for (k = 0; k < n || k < e; k++) {
+            if (k == e && k) *o++ = '.';
+            *o++ = k < n ? d[20 - n + k] : '0';
+        }
+        if (e >= n) o = put(o, ".0");
+        return o;
+    }
+    *o++ = d[20 - n];
+    if (n > 1) *o++ = '.';
+    for (k = 1; k < n; k++) *o++ = d[20 - n + k];
+    *o++ = 'e';
+    *o++ = e > 0 ? '+' : '-';
+    e = e > 0 ? e - 1 : 1 - e;
+    if (e >= 100) *o++ = (char)('0' + e / 100);
+    *o++ = (char)('0' + e / 10 % 10);
+    *o++ = (char)('0' + e % 10);
+    return o;
+}
+i64 rd_format(const double *x, i64 rows, i64 stride, const i64 *cols,
+              i64 ncols, char sep, char *out) {
+    char *o = out;
+    i64 r, j;
+    for (r = 0; r < rows; r++, x += stride) {
+        for (j = 0; j < ncols; j++) {
+            if (j) *o++ = sep;
+            o = repr(o, x[cols[j]]);
+        }
+        *o++ = '\n';
+    }
+    return o - out;
+}
+"""
+
+
+def _build_formatter():
+    """The compiled formatter (see formatter()), or None where no compiler
+    builds it."""
+    import ctypes
+
+    lib = _compile(_pow5_tables() + _FORMAT)
+    if lib is None:
+        return None
+    d, i = ctypes.c_double, ctypes.c_longlong
+    run = lib.rd_format
+    run.argtypes = [ctypes.POINTER(d), i, i, ctypes.POINTER(i), i,
+                    ctypes.c_char, ctypes.c_char_p]
+    run.restype = i
+
+    def fmt(flat, stride, cols, sep):
+        rows, left = divmod(len(flat), stride)
+        if (left or not cols or len(sep) != 1
+                or not all(0 <= j < stride for j in cols)):
+            raise ValueError("rows of another width, or bad columns")
+        if not rows:
+            return ""
+        out = ctypes.create_string_buffer(rows * len(cols) * FORMAT_WIDTH)
+        n = run((d * len(flat)).from_buffer(flat), rows, stride,
+                (i * len(cols))(*cols), len(cols), sep.encode(), out)
+        return ctypes.string_at(out, n).decode("ascii")
+    return fmt

@@ -45,11 +45,13 @@ def random_contexts(n, seed=7, dof=2):
 
 @pytest.fixture(autouse=True)
 def python_loop(monkeypatch):
-    """Every test integrates in the generated Python loop unless it forces
-    the compiled loop (native.THRESHOLD 0): the RHS calls of the whole test
-    session, counted per system code, would otherwise switch later tests
-    to the compiled loop part of the way through."""
+    """Every test integrates in the generated Python loop and formats by
+    repr unless it forces the compiled loop (native.THRESHOLD 0) or
+    formatter (native.FORMAT_THRESHOLD 0): the RHS calls and the values
+    of the whole test session, counted per process, would otherwise
+    switch later tests to compiled code part of the way through."""
     monkeypatch.setattr(native, "THRESHOLD", math.inf)
+    monkeypatch.setattr(native, "FORMAT_THRESHOLD", math.inf)
 
 
 def clear_model_caches():

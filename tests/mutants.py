@@ -131,6 +131,17 @@ MUTANTS = (
            "raydiss/native.py", 'return float.hex(n.value), "d"',
            'return float.hex(float(f"{n.value:.15g}") if n.value == 32 / 9 '
            'else n.value), "d"', NATIVE),
+    Mutant("formatter writes e notation from decimal exponent 15",
+           "raydiss/native.py", "if (e > -4 && e <= 16) {",
+           "if (e > -4 && e <= 15) {", NATIVE),
+    Mutant("formatter rounds a tie up", "raydiss/native.py",
+           "last = 4;  /* exactly half-way: to the even digit */",
+           "last = 5;", NATIVE),
+    Mutant("formatter drops the added .0", "raydiss/native.py",
+           'if (e >= n) o = put(o, ".0");', "", NATIVE),
+    Mutant("CSV rows of any entry type go to the formatter",
+           "raydiss/cli.py", "if set(map(type, flat)) == {float}:",
+           "if True:", NATIVE),
 )
 
 

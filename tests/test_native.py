@@ -6,11 +6,13 @@ import dataclasses
 import json
 import math
 import os
+import random
 import shutil
 import subprocess
 import sys
 import textwrap
 import warnings
+from array import array
 
 import numpy as np
 import pytest
@@ -310,13 +312,19 @@ def test_the_kernel_engages_once_its_code_has_paid_for_the_build(
 
 def test_rk4_sweep_builds_the_kernel_once_before_the_fork(tmp_path,
                                                           monkeypatch):
+    # 8 members of 5,001 rows of 9 values pay for the formatter, which the
+    # parent builds after the kernel
     log = tmp_path / "cc.log"
     monkeypatch.setenv("PATH", _fake_cc(
         tmp_path, f'echo $PPID >> "{log}"\nexec "{CC}" "$@"\n')
         + os.pathsep + os.environ["PATH"])
     monkeypatch.setattr(native, "THRESHOLD", native.BUILD_S / native.SAVED_S)
+    monkeypatch.setattr(native, "FORMAT_THRESHOLD",
+                        native.FORMAT_BUILD_S / native.FORMAT_SAVED_S)
     monkeypatch.setattr(native, "_calls", {})
     monkeypatch.setattr(native, "_kernels", {})
+    monkeypatch.setattr(native, "_formatted", [0])
+    monkeypatch.setattr(native, "_formatter", [])
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps({"system": "damped_sho", "t_end": 10,
                                   "integrator": {"method": "rk4",
@@ -330,13 +338,15 @@ def test_rk4_sweep_builds_the_kernel_once_before_the_fork(tmp_path,
         outputs.append([(tmp_path / f"{stem}_c={x:g}.csv").read_bytes()
                         for x in values])
         monkeypatch.setattr(native, "THRESHOLD", math.inf)
-    assert log.read_text().split() == [str(os.getpid())]
+        monkeypatch.setattr(native, "FORMAT_THRESHOLD", math.inf)
+    assert log.read_text().split() == [str(os.getpid())] * 2
+    assert native._formatter[0] is not None
     assert outputs[0] == outputs[1]
 
 
 def test_a_load_accel_and_one_run_start_no_compiler(tmp_path):
     # numpy imports ctypes itself, so the check is that no compiler ran
-    # and no kernel was loaded
+    # and no kernel or formatter was loaded
     log = tmp_path / "cc.log"
     code = textwrap.dedent("""
         import sys
@@ -350,6 +360,7 @@ def test_a_load_accel_and_one_run_start_no_compiler(tmp_path):
         assert cli.main(["simulate", "--config", sys.argv[1], "--out",
                          sys.argv[2]]) == 0
         assert native._kernels == {}, native._kernels
+        assert native._formatter == [], native._formatter
     """)
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"system": "damped_sho"}))
@@ -361,3 +372,201 @@ def test_a_load_accel_and_one_run_start_no_compiler(tmp_path):
                        capture_output=True, text=True, check=False)
     assert p.returncode == 0, p.stderr
     assert not log.exists()
+
+
+# ---------------------------------------------------------------------------
+# The compiled row formatter against repr
+
+
+@pytest.fixture(scope="session")
+def built_formatter():
+    fmt = native._build_formatter()
+    assert fmt is not None
+    return fmt
+
+
+@pytest.fixture
+def compiled_format(built_formatter, monkeypatch):
+    """Force the compiled formatter for every CSV and plot-data write."""
+    monkeypatch.setattr(native, "FORMAT_THRESHOLD", 0)
+    monkeypatch.setattr(native, "_formatter", [built_formatter])
+    return built_formatter
+
+
+def _lines(fmt, values):
+    """The formatter's text of values, one a line, as a list."""
+    return fmt(array("d", values), 1, [0], ",").split("\n")[:-1]
+
+
+def _with_neighbours(values):
+    return [y for x in values for y in (
+        math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))]
+
+
+EDGES = [1e-05, 0.0001, 1e+16, 9999999999999998.0, 8 + 2 ** -16, 0.0,
+         0.1, 0.5, 1.0, 123.0, 1e15, 1e22, 1e23, 5e-324,
+         1.7976931348623157e308]
+# the smallest and largest subnormals and some between
+SUBNORMALS = [math.ldexp(k, -1074) for k in (
+    1, 2, 3, 5, 7, 10, 99, 12345, 123456789, 2 ** 51, 2 ** 52 - 1)]
+
+
+def test_formatter_is_repr_on_powers_of_two_and_ten_and_their_neighbours(
+        built_formatter):
+    values = _with_neighbours(
+        [math.ldexp(1.0, k) for k in range(-1074, 1024)]
+        + [float(f"1e{k}") for k in range(-323, 309)])
+    values += SUBNORMALS + EDGES
+    values += [-x for x in values] + [math.inf, -math.inf, math.nan]
+    assert _lines(built_formatter, values) == list(map(repr, values))
+
+
+def test_formatter_notation_edges_and_a_tie(built_formatter):
+    assert _lines(built_formatter, [1e-05, 0.0001, 1e16, 9999999999999998.0, 123.0,
+                        8 + 2 ** -16, -0.0, 0.0, math.inf, -math.inf,
+                        math.nan, -math.nan]) == [
+        "1e-05", "0.0001", "1e+16", "9999999999999998.0", "123.0",
+        "8.000015258789062", "-0.0", "0.0", "inf", "-inf", "nan", "nan"]
+
+
+def test_formatter_is_repr_on_random_bit_patterns(built_formatter):
+    values = array("d")
+    values.frombytes(random.Random(43).randbytes(8 * 200_000))
+    assert _lines(built_formatter, values) == list(map(repr, values))
+
+
+SWEEP_DOC = {"system": "damped_sho", "integrator": {"method": "rk4",
+                                                    "dt": 2e-3}, "t_end": 10}
+CI_PENDULUM = {**PENDULUM_GENERAL, "t_end": 3.0, "initial": {
+    "q": [0.6, -0.3], "v": [0.0, 0.0]}, "integrator": {
+        "method": "rk45", "rel_tol": 1e-10, "abs_tol": 1e-12}}
+CI_TANH = {**CI_PENDULUM, "params": PENDULUM_TANH["params"],
+           "dissipation": PENDULUM_TANH["dissipation"]}
+RUNS = {**{name: {"system": name} for name in DOCS},
+        "sweep_config": SWEEP_DOC, "ci_pendulum_general": CI_PENDULUM,
+        "ci_pendulum_tanh": CI_TANH}
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_formatter_is_repr_on_every_row_of_a_trajectory(name,
+                                                        built_formatter):
+    system, init, t_end, cfg = _config(RUNS[name])
+    rows = dy.integrate(system, init, t_end, cfg).rows
+    text = built_formatter(array("d", [x for r in rows for x in r]),
+                           len(rows[0]), range(len(rows[0])), ",")
+    assert text == "".join(",".join(map(repr, r)) + "\n" for r in rows)
+
+
+def _files(tmp_path, traj, dof, tag):
+    """The bytes of a trajectory's CSV and of its plot-data files."""
+    cli.write_trajectory(traj, dof, str(tmp_path / f"{tag}.csv"), "csv")
+    cli.write_plot_data(traj, dof, str(tmp_path / tag))
+    return {p.name: p.read_bytes() for p in sorted(
+        (tmp_path / f"{tag}_plot").iterdir())} | {
+        "csv": (tmp_path / f"{tag}.csv").read_bytes()}
+
+
+def _both_files(tmp_path, traj, dof, monkeypatch):
+    """(compiled, repr) bytes of the files of a trajectory."""
+    compiled = _files(tmp_path, traj, dof, "compiled")
+    with monkeypatch.context() as m:
+        m.setattr(native, "FORMAT_THRESHOLD", math.inf)
+        return compiled, _files(tmp_path, traj, dof, "repr")
+
+
+@pytest.mark.parametrize("method", ["rk45", "rk4"])
+@pytest.mark.parametrize("name", list(RUNS))
+def test_compiled_files_are_the_repr_files_byte_for_byte(
+        name, method, compiled_format, tmp_path, monkeypatch):
+    system, init, t_end, cfg = _config(RUNS[name])
+    if method != cfg.method:
+        cfg = _rk4(cfg) if method == "rk4" else dataclasses.replace(
+            cfg, method="rk45")
+    traj = dy.integrate(system, init, t_end, cfg)
+    compiled, python = _both_files(tmp_path, traj, system.dof, monkeypatch)
+    assert compiled == python
+    assert len(compiled) == 2 * system.dof + 7
+
+
+def _odd_trajectory(entry):
+    system = _config({"system": "damped_sho"})[0]
+    rows = [[0.0, 1.0, 0.5, 1.0, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0],
+            [1e-3, entry, -0.0, math.inf, -math.inf, math.nan, 1e300, 1e-7,
+             5e-324, 0.0]]
+    return system.dof, dy.Trajectory(rows=rows, dof=system.dof)
+
+
+@pytest.mark.parametrize("entry", [math.nan, -0.0, 3, np.float64(0.25),
+                                   True])
+def test_odd_entries_write_the_repr_text(entry, compiled_format, tmp_path,
+                                         monkeypatch):
+    # non-finite and signed-zero floats go through the formatter; an entry
+    # of another type sends the rows to repr, which writes what it writes
+    # (3, not 3.0, in the CSV)
+    dof, traj = _odd_trajectory(entry)
+    calls = []
+    monkeypatch.setattr(native, "_formatter", [
+        lambda *a: calls.append(a) or compiled_format(*a)])
+    compiled, python = _both_files(tmp_path, traj, dof, monkeypatch)
+    assert compiled == python
+    assert bool(calls) == (type(entry) is float)
+    assert compiled["csv"].split(b"\n")[2].startswith(
+        b"0.001," + repr(entry).encode() + b",-0.0,inf,-inf,nan,1e+300,")
+
+
+def test_a_row_of_another_width_writes_the_repr_text(compiled_format,
+                                                     tmp_path, monkeypatch):
+    dof, traj = _odd_trajectory(0.5)
+    del traj.rows[1][-4:]
+    texts = []
+    for threshold in (0, math.inf):
+        monkeypatch.setattr(native, "FORMAT_THRESHOLD", threshold)
+        cli.write_trajectory(traj, dof, str(tmp_path / "o.csv"), "csv")
+        texts.append((tmp_path / "o.csv").read_bytes())
+    assert texts[0] == texts[1]
+    assert texts[0].split(b"\n")[2] == b"0.001,0.5,-0.0,inf,-inf"
+
+
+@pytest.mark.parametrize("case", ["no compiler", "failing compiler"])
+def test_without_a_formatter_repr_writes_the_files(case, tmp_path,
+                                                   monkeypatch):
+    monkeypatch.setattr(native, "_formatter", [])
+    monkeypatch.setattr(native, "FORMAT_THRESHOLD", 0)
+    if case == "no compiler":
+        monkeypatch.setattr(shutil, "which", lambda name: None)
+    else:
+        monkeypatch.setenv("PATH", _fake_cc(tmp_path, "exit 1\n"))
+    system, init, t_end, cfg = _config({"system": "pendulum_drag_2dof"})
+    traj = dy.integrate(system, init, t_end, cfg)
+    compiled, python = _both_files(tmp_path, traj, system.dof, monkeypatch)
+    assert native._formatter == [None]
+    assert compiled == python
+
+
+def test_the_formatter_engages_once_repr_has_paid_for_the_build(
+        built_formatter, tmp_path, monkeypatch):
+    # a lone simulate of damped_sho formats far fewer values than the
+    # threshold: repr writes its files, and no formatter is built; the
+    # values that repr formats count until they reach the threshold
+    builds = []
+    monkeypatch.setattr(native, "FORMAT_THRESHOLD",
+                        native.FORMAT_BUILD_S / native.FORMAT_SAVED_S)
+    monkeypatch.setattr(native, "_formatted", [0])
+    monkeypatch.setattr(native, "_formatter", [])
+    monkeypatch.setattr(native, "_build_formatter",
+                        lambda: builds.append(1) or built_formatter)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"system": "damped_sho"}))
+    assert cli.main(["simulate", "--config", str(config), "--out",
+                     str(tmp_path / "o.csv"), "--plot-data"]) == 0
+    rows = len(cli.read_trajectory_csv(tmp_path / "o.csv")[1])
+    assert builds == [] and native._formatter == []
+    assert native._formatted == [rows * 9 + 2 * rows * 8]
+    assert 0 < native._formatted[0] < native.FORMAT_THRESHOLD / 10
+    monkeypatch.setattr(native, "FORMAT_THRESHOLD", native._formatted[0])
+    assert cli.main(["simulate", "--config", str(config), "--out",
+                     str(tmp_path / "p.csv")]) == 0
+    assert builds == [1] and native._formatter == [built_formatter]
+    assert native._formatted == [rows * 9 + 2 * rows * 8]
+    assert ((tmp_path / "p.csv").read_bytes()
+            == (tmp_path / "o.csv").read_bytes())
