@@ -23,10 +23,11 @@ generalized_force is that call without probes. Each small dot
 product is a left-to-right sum of Python float products, as
 raymodel._dot, which, unlike BLAS, does not depend on the host. The
 probe-growth slope is the closed-form least-squares slope in Python
-floats, not a LAPACK fit, for the same reason. The energy defect, the
-residual norm and the audited sample indices are Python float and int
-arithmetic too, which on these few numbers costs less than numpy's
-calls; a NaN still makes a maximum NaN, as np.max does (_max).
+floats, not a LAPACK fit, for the same reason. The residual norm and
+the audited sample indices are Python float and int arithmetic too,
+which on these few numbers costs less than numpy's calls; a NaN still
+makes a maximum NaN, as np.max does (_max). The energy defect is one
+numpy expression on strided views of H and E in the trajectory's array.
 """
 
 from __future__ import annotations
@@ -186,10 +187,12 @@ def energy_balance_audit(traj: Trajectory, tol: float) -> EnergyBalanceResult:
     state channel (column E), at full integrator accuracy."""
     if len(traj) < 3:
         raise AuditError("energy balance audit needs at least 3 samples")
-    # H is the seventh entry from the end of a row, and E the last
-    rows = traj.rows
-    H0 = rows[0][-7]
-    defect = _max([abs(r[-7] - H0 + r[-1]) for r in rows])
+    # H is the seventh entry from the end of a row, and E the last: numpy
+    # rounds (H - H0) + E as Python floats do, silently, keeping a NaN
+    w, x = traj.width, np.frombuffer(traj.data)
+    H0 = float(x[w - 7])
+    with np.errstate(all="ignore"):
+        defect = float(np.max(np.abs(x[w - 7::w] - H0 + x[w - 1::w])))
     return EnergyBalanceResult(max_defect=defect,
                                passed=defect <= tol * (1.0 + abs(H0)),
                                tol=tol)
@@ -291,15 +294,17 @@ def _stationarity_pass(model):
 
 
 def _sample(sys, traj, k, probes=0, seed=0):
-    """The generated pass's output at interior sample k, probed along
-    _probe_directions(dof, probes, seed)."""
+    """(samples k - 1, k and k + 1 as lists, from one slice, the generated
+    pass's output there), probed along _probe_directions(dof, probes, seed)."""
     if not (1 <= k <= len(traj) - 2):
         raise IndexError(
             f"sample index {k} needs interior position 1..{len(traj) - 2}")
-    sm = sys.model
-    return _stationarity_pass(sm.dissipation)(
-        traj.rows[k - 1:k + 2], _probe_directions(sys.dof, probes, seed),
-        sm.statics, sm.mass, sm.dissipation.D_R_grad, sm.params, sm.c)
+    w, sm = traj.width, sys.model
+    x = traj.data[(k - 1) * w:(k + 2) * w].tolist()
+    rows = x[:w], x[w:2 * w], x[2 * w:]
+    return rows, _stationarity_pass(sm.dissipation)(
+        rows, _probe_directions(sys.dof, probes, seed), sm.statics, sm.mass,
+        sm.dissipation.D_R_grad, sm.params, sm.c)
 
 
 def generalized_force(sys: SystemSpec, traj: Trajectory,
@@ -307,7 +312,7 @@ def generalized_force(sys: SystemSpec, traj: Trajectory,
     """Force breakdown at interior sample k with d/dt(dL/dv) from finite
     differences of the stored momentum p = M(q) v: the generated pass's
     force, without probes."""
-    F, *_, g, gV, inertial = _sample(sys, traj, k)
+    F, *_, g, gV, inertial = _sample(sys, traj, k)[1]
     return ForceBreakdown(-np.array(gV), np.array(inertial), -np.array(g),
                           np.array(F))
 
@@ -323,16 +328,15 @@ def stationarity_audit(sys: SystemSpec, traj: Trajectory, k: int,
     subtracted. F is generalized_force's, and one call of the generated
     pass (_stationarity_pass) evaluates the sample.
     """
-    F, residual, base, probe_deltas, per_mag, *_ = _sample(
+    rows, (F, residual, base, probe_deltas, per_mag, *_) = _sample(
         sys, traj, k, probes, seed)
-    rows, m = traj.rows, sys.dof
     slope = None
     skipped = None if probes else "no probes requested"
     d = sys.dissipation
     if skipped is None and d.uses_abs_or_sign:
         eps = max([1e-3] + [10.0 * t.smooth_eps for t in d.terms
                             if t.smooth_eps])
-        if min(map(abs, rows[k][1 + m:1 + 2 * m])) < eps:
+        if min(map(abs, rows[1][1 + sys.dof:1 + 2 * sys.dof])) < eps:
             skipped = ("dissipation is non-smooth (abs/sign) and a "
                        "velocity component sits near the kink")
     if skipped is None:
@@ -350,10 +354,10 @@ def stationarity_audit(sys: SystemSpec, traj: Trajectory, k: int,
             ym = math.fsum(y) / len(y)
             slope = math.fsum([a * (b - ym) for a, b in zip(_DX, y)]) / _SXX
     return ReducedDissipationReport(
-        sample_index=k, state_t=rows[k][0], frozen_force=np.array(F),
+        sample_index=k, state_t=rows[1][0], frozen_force=np.array(F),
         gradient_residual=np.array(residual), probe_deltas=probe_deltas,
         slope=slope, slope_skipped_reason=skipped,
-        spacing=0.5 * (rows[k + 1][0] - rows[k - 1][0]))
+        spacing=0.5 * (rows[2][0] - rows[0][0]))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ are CSV (header t,q1..qm,v1..vm,H,T,V,D,R,W) or JSONL; audit results are
 written as JSON next to the trajectory. Float formatting uses Python's
 shortest-round-trip repr so files parse back to identical doubles; the
 CSV and plot-data files of a process that has written enough values are
-formatted by raydiss.native's compiled formatter, which writes the same
-bytes.
+formatted by raydiss.native's compiled formatter, which reads the
+trajectory's array of doubles in place and writes the same bytes.
 """
 
 from __future__ import annotations
@@ -36,25 +36,18 @@ def _fmt(x):
     return repr(float(x))
 
 
-def _compiled(rows, width, values):
-    """fmt(cols, sep), the text of native's formatter for the entries at
-    cols of every row, where it is built and the rows are lists of
-    `width` floats; None otherwise, after counting the `values` that repr
-    then formats."""
-    # imported here, as in integrate: loaded once there are rows
-    from array import array
-    from itertools import chain
+def _repr_text(data, width, cols, sep):
+    """native's formatter text by repr: the entries at cols of each row of
+    `width` in the array data, joined by sep, a line per row."""
+    return "".join([sep.join([repr(data[k + j]) for j in cols]) + "\n"
+                    for k in range(0, len(data), width)])
 
-    from . import native
 
-    fmt = native.formatter()
-    if fmt is not None and rows and set(map(len, rows)) == {width}:
-        flat = list(chain.from_iterable(rows))
-        if set(map(type, flat)) == {float}:
-            flat = array("d", flat)
-            return lambda cols, sep: fmt(flat, width, cols, sep)
-    native.count_values(values)
-    return None
+def _formatter(values):
+    """native's compiled formatter where it is built; otherwise _repr_text,
+    after counting the `values` that it formats."""
+    from . import native  # here, as in integrate: loaded once there are rows
+    return native.formatter() or native.count_values(values) or _repr_text
 
 
 def write_trajectory(traj, dof, path, fmt):
@@ -62,13 +55,8 @@ def write_trajectory(traj, dof, path, fmt):
     with open(path, "w", encoding="utf-8") as f:
         if fmt == "csv":
             f.write(",".join(cols) + "\n")
-            compiled = _compiled(traj.rows, len(cols) + 1,
-                                 len(traj.rows) * len(cols))
-            if compiled:
-                f.write(compiled(range(len(cols)), ","))
-            else:
-                for row in traj.rows:
-                    f.write(",".join(map(repr, row[:-1])) + "\n")
+            text = _formatter(len(traj) * len(cols))
+            f.write(text(traj.data, traj.width, range(len(cols)), ","))
         else:
             # a non-finite entry (say an H that overflows at a finite
             # state) is null, as in the audit file: JSON has no NaN or
@@ -83,16 +71,11 @@ def write_plot_data(traj, dof, stem):
     cols = dy.columns(dof)
     outdir = stem + "_plot"
     os.makedirs(outdir, exist_ok=True)
-    compiled = _compiled(traj.rows, len(cols) + 1,
-                         2 * len(traj.rows) * (len(cols) - 1))
+    text = _formatter(2 * len(traj) * (len(cols) - 1))
     for j, c in enumerate(cols[1:], 1):
         with open(os.path.join(outdir, f"{c}.dat"), "w",
                   encoding="utf-8") as f:
-            if compiled:
-                f.write(compiled((0, j), " "))
-            else:
-                for row in traj.rows:
-                    f.write(f"{_fmt(row[0])} {_fmt(row[j])}\n")
+            f.write(text(traj.data, traj.width, (0, j), " "))
     return outdir
 
 

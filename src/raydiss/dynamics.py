@@ -42,18 +42,19 @@ integrate(sys, s, s.t + dt, IntegratorConfig("rk4", dt=dt)). The Python
 right-hand side, attempts, loop and sample row that these replaced are
 the test oracle, tests/stepper_oracle.py, bit for bit.
 
-A sample is the row t, q, v, H, T, V, D, R, W, E of Python floats (the
-columns(dof), then E). Sampling calls no compiled code: the rhs call of
-f at the state gave M, V, D, R and dR/dv, and the generated row
-(_sample_lines) forms T = 0.5 (v.M).v and W = v.dR/dv as left-to-right
-sums in raymodel._dot's order, which, unlike BLAS, do not depend on the
-host. State and Diagnostics exist only at the API edge: accel,
-diagnostics and the Trajectory accessors build them.
+A sample is the row t, q, v, H, T, V, D, R, W, E (the columns(dof),
+then E), of doubles in Trajectory.data. Sampling calls no compiled code:
+the rhs call of f at the state gave M, V, D, R and dR/dv, and the
+generated row (_sample_lines) forms T = 0.5 (v.M).v and W = v.dR/dv as
+left-to-right sums in raymodel._dot's order, which, unlike BLAS, do not
+depend on the host. State and Diagnostics exist only at the API edge:
+accel, diagnostics and the Trajectory accessors build them.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -128,38 +129,50 @@ def columns(dof):
 
 @dataclass
 class Trajectory:
-    rows: list  # one list of Python floats per sample: columns(dof) + [E]
+    data: array  # the samples' doubles, row after row: columns(dof) + [E]
     dof: int
     steps_taken: int = 0
     steps_rejected: int = 0
     rhs_calls: int = 0  # set by integrate: 1 + stages * attempts
+    width = property(lambda self: 2 * self.dof + 8)  # entries in a row
 
-    def __post_init__(self):
-        ts = self.column("t")
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("trajectory times must be strictly increasing")
+    @classmethod
+    def from_rows(cls, rows, dof):
+        """Hand-built rows, of columns(dof) + [E] each, as doubles."""
+        traj = cls(array("d", [x for r in rows for x in r]), dof)
+        if any(len(r) != traj.width for r in rows) or any(
+                b[0] <= a[0] for a, b in zip(rows, rows[1:])):
+            raise ValueError(f"trajectory rows must be {traj.width} numbers "
+                             "each, at strictly increasing times")
+        return traj
+
+    @property
+    def rows(self):  # a new list of the rows, for the API and the tests
+        x, w = self.data.tolist(), self.width
+        return [x[k:k + w] for k in range(0, len(x), w)]
 
     def __len__(self):
-        return len(self.rows)
+        return len(self.data) // self.width
 
     def column(self, name):
         """Entry `name` (of columns(dof), or "E") of every sample."""
         j = (columns(self.dof) + ["E"]).index(name)
-        return [r[j] for r in self.rows]
+        return self.data[j::self.width].tolist()
 
     def times(self):
         return np.array(self.column("t"))
 
     def state(self, k):
-        r, m = self.rows[k], self.dof
-        return State(r[0], r[1:1 + m], r[1 + m:1 + 2 * m])
+        k, m = range(len(self))[k] * self.width, self.dof
+        r = self.data[k:k + 1 + 2 * m].tolist()
+        return State(r[0], r[1:1 + m], r[1 + m:])
 
     def states(self):
-        return [self.state(k) for k in range(len(self.rows))]
+        return [self.state(k) for k in range(len(self))]
 
-    def diagnostics(self):
-        # the last seven entries, H to E, in Diagnostics' field order
-        return [Diagnostics(*r[-7:]) for r in self.rows]
+    def diagnostics(self):  # H to E, each row's last seven entries
+        x, w = self.data, self.width
+        return [Diagnostics(*x[k - 7:k]) for k in range(w, len(x) + 1, w)]
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +347,12 @@ def _loop(method, dof):
         loop(t, y, t_end, cfg, model, rows)
             -> (steps_taken, steps_rejected, rhs_calls)
 
-    evaluates f at (t, y) and appends the sample row there to rows, then
-    runs every attempt while t is below the end guard check_span(t,
-    t_end), and appends the sample row of every sample_every-th accepted
-    step, and of the last. Each attempt is _stages' lines with step h =
-    min(dt, t_end - t). The first dt is cfg.dt for RK4; for the pair,
-    min(1e-2 (t_end - t), 0.1), but at least its step-size floor 1e-14
+    evaluates f at (t, y) and extends the array rows by the sample row
+    there, then runs every attempt while t is below the end guard
+    check_span(t, t_end), and adds the sample row of every sample_every-th
+    accepted step, and of the last. Each attempt is _stages' lines with
+    step h = min(dt, t_end - t). The first dt is cfg.dt for RK4; for the
+    pair, min(1e-2 (t_end - t), 0.1), but at least its step-size floor 1e-14
     (1 + |t|). RK4 times are t0 + n * cfg.dt, capped at t_end: exact
     multiples, so no rounding-made sliver step at the end; its floor is 0,
     which h > 0 never reaches, so it has no check. In locals: the state,
@@ -379,7 +392,7 @@ def _loop(method, dof):
         f"_{method}_loop(t, y, t_end, cfg, model, rows)", dof,
         [*head, "end = check_span(t, t_end)",
          "max_steps, every = cfg.max_steps, cfg.sample_every",
-         "append = rows.append", "attempts = accepted = 0",
+         "append = rows.extend", "attempts = accepted = 0",
          *first, *sample, f"append({row})",
          "while t < end:", *[f"    {x}" for x in step]],
         [f"return accepted, attempts - accepted, 1 + {stages} * attempts"])
@@ -400,9 +413,9 @@ def integrate(sys: SystemSpec, init: State, t_end: float,
     check_span(init.t, t_end)
     # imported here, so that a start that integrates nothing never loads it
     from . import native
-    traj = Trajectory(rows=[], dof=sys.dof)
+    traj = Trajectory(array("d"), sys.dof)
     loop = _loop(cfg.method, sys.dof)
-    args = (float(init.t), y, float(t_end), cfg, sys.model, traj.rows)
+    args = (float(init.t), y, float(t_end), cfg, sys.model, traj.data)
     run = native.kernel(loop, sys.model)
     counts = run and run(*args)
     if not counts:  # no kernel, or a status: the Python loop decides

@@ -5,7 +5,8 @@ kernel() transliterates the syntax trees of dynamics' generated loop and
 of a system model's generated rhs, statement by statement, into one C
 function per (system code, method), builds it with the host's C compiler
 (`cc` on PATH) under CFLAGS and loads it with ctypes. It takes the loop's
-arguments and appends the same rows: each float operation in the Python
+arguments and adds the same rows to the trajectory's array('d'), copied
+in at once from the C buffer: each float operation in the Python
 code's order, each correctly rounded, and the C library's sin, cos, tanh,
 exp, log, sqrt and pow, as CPython's math module and float ** call them.
 -fno-builtin keeps each call a call (GCC folds pow(x, 2.0) into x * x,
@@ -30,14 +31,14 @@ system code (its rhs source) gets its kernel once it has made THRESHOLD
 Python RHS calls in the process (count()): a shorter process never
 compiles.
 
-formatter() writes rows of doubles as cli's trajectory CSV and plot-data
-files join their repr: the shortest digits that read back to each double,
-the nearest of those and on a tie the even one, by Ryu (Adams, PLDI
-2018), whose 128-bit tables of powers of five are computed with Python's
-integers when the C is built, and repr's layout. It follows the kernel's
-rules: one build per process, once the process has formatted
-FORMAT_THRESHOLD values by repr (count_values()), and without a compiler
-repr writes every file.
+formatter() writes the rows of a trajectory's array('d') as cli's
+trajectory CSV and plot-data files join their repr: the shortest digits
+that read back to each double, the nearest of those and on a tie the
+even one, by Ryu (Adams, PLDI 2018), whose 128-bit tables of powers of
+five are computed with Python's integers when the C is built, and
+repr's layout. It follows the kernel's rules: one build per process,
+once the process has formatted FORMAT_THRESHOLD values by repr
+(count_values()), and without a compiler repr writes every file.
 """
 
 from __future__ import annotations
@@ -245,7 +246,7 @@ class _Function:
 
     def assign(self, targets, value):
         src = ast.unparse(value)
-        if src == "rows.append":
+        if src == "rows.extend":
             self.push = targets[0].id
             return []
         if isinstance(value, ast.Tuple) and [ast.unparse(x) for x in
@@ -453,9 +454,8 @@ def _build(translation, loop):
                (i * len(iin))(*iin), (d * len(p))(*p), (d * len(c))(*c),
                ctypes.byref(out), ctypes.byref(n), counts):
             return None
-        flat = out[:n.value * width]
+        rows.frombytes(ctypes.string_at(out, rows.itemsize * width * n.value))
         free(out)
-        rows.extend(flat[k:k + width] for k in range(0, len(flat), width))
         return tuple(counts)
     return compiled
 
@@ -465,7 +465,7 @@ def _build(translation, loop):
 
 # measured with gcc 12 on a 2-core x86-64 host: a build takes about 0.15 s,
 # and repr of a double 0.2-1.0 us (0.6 us on a sweep member's rows)
-# against about 0.1 us compiled, the flattening into an array included
+# against about 0.1 us compiled
 FORMAT_BUILD_S = 0.15
 FORMAT_SAVED_S = 5e-7
 FORMAT_THRESHOLD = round(FORMAT_BUILD_S / FORMAT_SAVED_S)

@@ -70,11 +70,14 @@ MUTANTS = (
            "and self.value == other.value)",
            ("tests/test_exprcore.py", "tests/test_raymodel.py")),
     Mutant("energy balance subtracts the integral", "raydiss/audit.py",
-           "abs(r[-7] - H0 + r[-1])", "abs(r[-7] - H0 - r[-1])",
+           "- H0 + x[w - 1::w]", "- H0 - x[w - 1::w]",
            ("tests/test_acceptance.py",)),
     Mutant("energy balance adds H0 instead of subtracting it",
-           "raydiss/audit.py", "abs(r[-7] - H0 + r[-1])",
-           "abs(r[-7] + H0 + r[-1])", ("tests/test_audit.py",)),
+           "raydiss/audit.py", "x[w - 7::w] - H0",
+           "x[w - 7::w] + H0", ("tests/test_audit.py",)),
+    Mutant("energy balance reads H at the wrong stride offset",
+           "raydiss/audit.py", "x[w - 7::w]", "x[w - 6::w]",
+           ("tests/test_audit.py",)),
     Mutant("stationarity threshold grows as spacing", "raydiss/audit.py",
            "(spacing / 1e-3) ** 2", "(spacing / 1e-3) ** 1",
            ("tests/test_audit.py",)),
@@ -139,9 +142,12 @@ MUTANTS = (
            "last = 5;", NATIVE),
     Mutant("formatter drops the added .0", "raydiss/native.py",
            'if (e >= n) o = put(o, ".0");', "", NATIVE),
-    Mutant("CSV rows of any entry type go to the formatter",
-           "raydiss/cli.py", "if set(map(type, flat)) == {float}:",
-           "if True:", NATIVE),
+    Mutant("kernel copies one row short", "raydiss/native.py",
+           "rows.itemsize * width * n.value)",
+           "rows.itemsize * width * (n.value - 1))", NATIVE),
+    Mutant("hand-built rows of any width", "raydiss/dynamics.py",
+           "if any(len(r) != traj.width for r in rows) or any(", "if any(",
+           NATIVE),
 )
 
 

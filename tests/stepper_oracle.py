@@ -131,7 +131,7 @@ def integrate(sys, init, t_end, cfg):
     t0, t_end = float(init.t), float(t_end)
     t = t0
     f1 = _rhs(sys, t, y)  # k1 of the next attempt, evals
-    traj = Trajectory(rows=[_row(t, y, f1[1])], dof=sys.dof)
+    rows = [_row(t, y, f1[1])]
     dt = first_dt(cfg, t0, t_end)
     end = t_end - 1e-15 * (1.0 + abs(t_end))
     attempts = accepted = 0
@@ -150,7 +150,8 @@ def integrate(sys, init, t_end, cfg):
             y, f1 = ynew, last
             t = advance(cfg, t0, accepted, t, h, t_end)
             if accepted % cfg.sample_every == 0 or t >= end:
-                traj.rows.append(_row(t, y, f1[1]))
+                rows.append(_row(t, y, f1[1]))
+    traj = Trajectory.from_rows(rows, sys.dof)
     traj.steps_taken = accepted
     traj.steps_rejected = attempts - accepted
     traj.rhs_calls = 1 + stages * attempts  # k1, then the stages

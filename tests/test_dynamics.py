@@ -1398,7 +1398,7 @@ def test_trajectory_times_must_increase():
     b = get_builtin("sho")
     row = dy.integrate(b.system, b.initial, 0.1, b.integrator).rows[0]
     with pytest.raises(ValueError):
-        dy.Trajectory(rows=[row, row], dof=1)
+        dy.Trajectory.from_rows([row, row], dof=1)
 
 
 def test_params_are_read_only_and_a_new_value_makes_a_new_system():

@@ -65,12 +65,13 @@ def runs(monkeypatch):
 
 
 def _outcome(system, init, t_end, cfg):
-    """The rows as hex and the counters of one run, or its error."""
+    """The bytes of the rows' array of doubles, the number of rows and the
+    counters of one run, or its error."""
     try:
         traj = dy.integrate(system, init, t_end, cfg)
     except Exception as e:  # noqa: BLE001 - compared by the tests
         return type(e), str(e)
-    return ([[x.hex() for x in r] for r in traj.rows], traj.steps_taken,
+    return (traj.data.tobytes(), len(traj), traj.steps_taken,
             traj.steps_rejected, traj.rhs_calls)
 
 
@@ -89,6 +90,14 @@ def _config(doc):
 
 def _rk4(cfg, dt=3e-3):
     return dataclasses.replace(cfg, method="rk4", dt=dt, sample_every=7)
+
+
+def _method(cfg, method):
+    """cfg under `method`: as it is, or rk45 at its tolerances, or _rk4."""
+    if method == cfg.method:
+        return cfg
+    return _rk4(cfg) if method == "rk4" else dataclasses.replace(
+        cfg, method="rk45")
 
 
 # systems whose expressions use every rule of exprcore._FUNCTION_RULES but
@@ -148,8 +157,37 @@ def test_compiled_loop_is_the_python_loop_bit_for_bit(name, method, runs,
         cfg = _rk4(cfg)
     compiled, python = _both(monkeypatch, system, init, t_end, cfg)
     assert compiled == python
-    assert len(compiled[0]) > 3
+    assert compiled[1] > 3
     assert runs == ["kernel", "python"]
+
+
+SWEEP_DOC = {"system": "damped_sho", "integrator": {"method": "rk4",
+                                                    "dt": 2e-3}, "t_end": 10}
+CI_PENDULUM = {**PENDULUM_GENERAL, "t_end": 3.0, "initial": {
+    "q": [0.6, -0.3], "v": [0.0, 0.0]}, "integrator": {
+        "method": "rk45", "rel_tol": 1e-10, "abs_tol": 1e-12}}
+CI_TANH = {**CI_PENDULUM, "params": PENDULUM_TANH["params"],
+           "dissipation": PENDULUM_TANH["dissipation"]}
+RUNS = {**{name: {"system": name} for name in DOCS},
+        "sweep_config": SWEEP_DOC, "ci_pendulum_general": CI_PENDULUM,
+        "ci_pendulum_tanh": CI_TANH}
+
+
+@pytest.mark.parametrize("method", ["rk45", "rk4"])
+@pytest.mark.parametrize("name", ["sweep_config", "ci_pendulum_general",
+                                  "ci_pendulum_tanh"])
+def test_the_runs_of_ci_and_the_benchmark_fill_the_python_loops_array(
+        name, method, runs, monkeypatch):
+    # the array of doubles, byte for byte, of the runs whose outputs CI
+    # digests and of the benchmark's sweep member (the builtins are
+    # CASES); the tanh pendulum's graded rule keeps the Python loop
+    system, init, t_end, cfg = _config(RUNS[name])
+    compiled, python = _both(monkeypatch, system, init, t_end,
+                             _method(cfg, method))
+    assert compiled == python
+    assert compiled[1] > 3
+    assert runs == (["python"] * 2 if name == "ci_pendulum_tanh"
+                    else ["kernel", "python"])
 
 
 def _starts(doc, centre, q_half, v_half, t_end, seed, n=60):
@@ -175,7 +213,7 @@ def test_audits_of_compiled_runs_are_the_python_runs_with_the_oracle(
         cfg = cf.config_from_dict(d)
         traj = dy.integrate(cfg.system, cfg.initial, cfg.t_end,
                             cfg.integrator)
-        reports.append((traj.rows, json.dumps(au.full_audit(
+        reports.append((traj.data.tobytes(), json.dumps(au.full_audit(
             cfg.system, traj, cfg.tolerances).to_dict())))
     assert runs == ["kernel"] * 60
     monkeypatch.setattr(native, "THRESHOLD", math.inf)
@@ -186,7 +224,7 @@ def test_audits_of_compiled_runs_are_the_python_runs_with_the_oracle(
         cfg = cf.config_from_dict(d)
         traj = dy.integrate(cfg.system, cfg.initial, cfg.t_end,
                             cfg.integrator)
-        assert traj.rows == rows
+        assert traj.data.tobytes() == rows
         assert json.dumps(au.full_audit(
             cfg.system, traj, cfg.tolerances).to_dict()) == report
     assert runs[60:] == ["python"] * 60
@@ -435,26 +473,13 @@ def test_formatter_is_repr_on_random_bit_patterns(built_formatter):
     assert _lines(built_formatter, values) == list(map(repr, values))
 
 
-SWEEP_DOC = {"system": "damped_sho", "integrator": {"method": "rk4",
-                                                    "dt": 2e-3}, "t_end": 10}
-CI_PENDULUM = {**PENDULUM_GENERAL, "t_end": 3.0, "initial": {
-    "q": [0.6, -0.3], "v": [0.0, 0.0]}, "integrator": {
-        "method": "rk45", "rel_tol": 1e-10, "abs_tol": 1e-12}}
-CI_TANH = {**CI_PENDULUM, "params": PENDULUM_TANH["params"],
-           "dissipation": PENDULUM_TANH["dissipation"]}
-RUNS = {**{name: {"system": name} for name in DOCS},
-        "sweep_config": SWEEP_DOC, "ci_pendulum_general": CI_PENDULUM,
-        "ci_pendulum_tanh": CI_TANH}
-
-
 @pytest.mark.parametrize("name", list(RUNS))
 def test_formatter_is_repr_on_every_row_of_a_trajectory(name,
                                                         built_formatter):
     system, init, t_end, cfg = _config(RUNS[name])
-    rows = dy.integrate(system, init, t_end, cfg).rows
-    text = built_formatter(array("d", [x for r in rows for x in r]),
-                           len(rows[0]), range(len(rows[0])), ",")
-    assert text == "".join(",".join(map(repr, r)) + "\n" for r in rows)
+    traj = dy.integrate(system, init, t_end, cfg)
+    text = built_formatter(traj.data, traj.width, range(traj.width), ",")
+    assert text == "".join(",".join(map(repr, r)) + "\n" for r in traj.rows)
 
 
 def _files(tmp_path, traj, dof, tag):
@@ -479,52 +504,80 @@ def _both_files(tmp_path, traj, dof, monkeypatch):
 def test_compiled_files_are_the_repr_files_byte_for_byte(
         name, method, compiled_format, tmp_path, monkeypatch):
     system, init, t_end, cfg = _config(RUNS[name])
-    if method != cfg.method:
-        cfg = _rk4(cfg) if method == "rk4" else dataclasses.replace(
-            cfg, method="rk45")
-    traj = dy.integrate(system, init, t_end, cfg)
+    traj = dy.integrate(system, init, t_end, _method(cfg, method))
     compiled, python = _both_files(tmp_path, traj, system.dof, monkeypatch)
     assert compiled == python
     assert len(compiled) == 2 * system.dof + 7
 
 
-def _odd_trajectory(entry):
-    system = _config({"system": "damped_sho"})[0]
-    rows = [[0.0, 1.0, 0.5, 1.0, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0],
+def _no_rows(traj):
+    raise AssertionError("a list of rows was built")
+
+
+@pytest.mark.parametrize("name", ["sweep_config", "ci_pendulum_general"])
+def test_the_compiled_path_reads_the_array_and_builds_no_rows(
+        name, runs, compiled_format, tmp_path, monkeypatch):
+    # with Trajectory.rows raising, the kernel's run, its audit, its CSV
+    # and plot-data files and a sweep member read the array of doubles
+    # alone, and give what the Python loop and repr give
+    cfg = cf.config_from_dict(RUNS[name])
+
+    def outputs(tag):
+        traj = dy.integrate(cfg.system, cfg.initial, cfg.t_end,
+                            cfg.integrator)
+        report = au.full_audit(cfg.system, traj, cfg.tolerances).to_dict()
+        member = tmp_path / f"{tag}_member.csv"
+        result = cli._run_member(cfg, str(member))
+        assert result.pop("file") == str(member)
+        return (traj.data.tobytes(), json.dumps(report),
+                _files(tmp_path, traj, cfg.system.dof, tag), result,
+                member.read_bytes())
+
+    with monkeypatch.context() as m:
+        m.setattr(dy.Trajectory, "rows", property(_no_rows))
+        compiled = outputs("compiled")
+    monkeypatch.setattr(native, "THRESHOLD", math.inf)
+    monkeypatch.setattr(native, "FORMAT_THRESHOLD", math.inf)
+    assert compiled == outputs("repr")
+    assert compiled[3]["status"] == "ok"
+    assert runs == ["kernel"] * 2 + ["python"] * 2
+
+
+def _odd_rows(entry):
+    return [[0.0, 1.0, 0.5, 1.0, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0],
             [1e-3, entry, -0.0, math.inf, -math.inf, math.nan, 1e300, 1e-7,
              5e-324, 0.0]]
-    return system.dof, dy.Trajectory(rows=rows, dof=system.dof)
 
 
 @pytest.mark.parametrize("entry", [math.nan, -0.0, 3, np.float64(0.25),
                                    True])
 def test_odd_entries_write_the_repr_text(entry, compiled_format, tmp_path,
                                          monkeypatch):
-    # non-finite and signed-zero floats go through the formatter; an entry
-    # of another type sends the rows to repr, which writes what it writes
-    # (3, not 3.0, in the CSV)
-    dof, traj = _odd_trajectory(entry)
+    # non-finite and signed-zero floats go through the formatter; the
+    # constructor stores an entry of another type as its double (3 as 3.0,
+    # True as 1.0), which the formatter writes as repr writes it
+    traj = dy.Trajectory.from_rows(_odd_rows(entry), 1)
+    assert traj.rows[1][1].hex() == float(entry).hex()
     calls = []
     monkeypatch.setattr(native, "_formatter", [
         lambda *a: calls.append(a) or compiled_format(*a)])
-    compiled, python = _both_files(tmp_path, traj, dof, monkeypatch)
+    compiled, python = _both_files(tmp_path, traj, 1, monkeypatch)
     assert compiled == python
-    assert bool(calls) == (type(entry) is float)
+    assert len(calls) == len(compiled)  # one call per file
     assert compiled["csv"].split(b"\n")[2].startswith(
-        b"0.001," + repr(entry).encode() + b",-0.0,inf,-inf,nan,1e+300,")
+        b"0.001," + repr(float(entry)).encode()
+        + b",-0.0,inf,-inf,nan,1e+300,")
 
 
-def test_a_row_of_another_width_writes_the_repr_text(compiled_format,
-                                                     tmp_path, monkeypatch):
-    dof, traj = _odd_trajectory(0.5)
-    del traj.rows[1][-4:]
-    texts = []
-    for threshold in (0, math.inf):
-        monkeypatch.setattr(native, "FORMAT_THRESHOLD", threshold)
-        cli.write_trajectory(traj, dof, str(tmp_path / "o.csv"), "csv")
-        texts.append((tmp_path / "o.csv").read_bytes())
-    assert texts[0] == texts[1]
-    assert texts[0].split(b"\n")[2] == b"0.001,0.5,-0.0,inf,-inf"
+def test_a_row_of_another_width_is_refused_by_the_constructor():
+    # an array of doubles has no rows of their own width to fall back on:
+    # the constructors refuse them, and an entry that is no number
+    rows = _odd_rows(0.5)
+    del rows[1][-4:]
+    with pytest.raises(ValueError, match="must be 10 numbers each"):
+        dy.Trajectory.from_rows(rows, 1)
+    with pytest.raises(TypeError):
+        dy.Trajectory.from_rows([rows[0][:-1] + ["0.0"]], 1)
 
 
 @pytest.mark.parametrize("case", ["no compiler", "failing compiler"])
