@@ -210,14 +210,14 @@ def cmd_derive_r(cfg: RunConfig, q, v) -> int:
 
 
 def _run_member(c, out):
-    """Run the sweep member of config `c` and write its file `out`. The
-    config pickles as its fields, and the result holds only numbers, lists
-    and strings, so it pickles back to the parent."""
+    """Run the sweep member of config `c` and write its file `out`. A
+    forked worker inherits the config; the result holds only numbers,
+    lists and strings, so it pickles back to the parent."""
     try:
         traj, report = run_simulation(c)
+        write_trajectory(traj, c.system.dof, out, c.output.format)
     except Exception as e:
         return {"status": f"error: {e}"}
-    write_trajectory(traj, c.system.dof, out, c.output.format)
     s = traj.state(-1)
     defect = (report.energy_balance.max_defect
               if report.energy_balance else float("nan"))
@@ -227,24 +227,90 @@ def _run_member(c, out):
             "max_energy_defect": float(defect), "file": out}
 
 
+def _work(members, share, fd):
+    """A forked worker's whole life: run the members at `share`, pickle
+    each result onto the pipe `fd` as soon as it is known, flush the
+    streams it inherited and leave by os._exit, with status 0 once every
+    result is written."""
+    import pickle
+
+    code = 1
+    try:
+        with os.fdopen(fd, "wb") as pipe:
+            for i in share:
+                pickle.dump(_run_member(*members[i]), pipe)
+                pipe.flush()
+        code = 0
+    finally:
+        try:
+            for stream in (_sys.stdout, _sys.stderr):
+                stream.flush()
+        finally:
+            os._exit(code)
+
+
 def _run_forked(members, indices, workers):
     """Results of the members at `indices`, run on `workers` forked
-    processes; a member whose future failed gets its exception instead. A
-    worker that dies fails every member pending in its pool: those run
-    again alone, so that only the member that died keeps the error."""
-    # imported here, not at the top, so that no other command loads them
-    import concurrent.futures
-    import multiprocessing
+    processes: worker w runs indices[w::workers] from the members list it
+    inherits, so no config is pickled. Where a worker dies, the first
+    member of its share without a result gets an error that names the
+    exit status, and the rest of its share run again, so that only the
+    member that died keeps the error."""
+    import io
+    import pickle
+    import selectors
+    import signal
 
-    fork = multiprocessing.get_context("fork")
-    with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, mp_context=fork) as ex:
-        futures = [ex.submit(_run_member, *members[i]) for i in indices]
-        results = [f.exception() or f.result() for f in futures]
-    return [_run_forked(members, [i], 1)[0]
-            if isinstance(r, concurrent.futures.BrokenExecutor)
-            and len(indices) > 1 else r
-            for i, r in zip(indices, results)]
+    _sys.stdout.flush()  # or each child would print the parent's text too
+    _sys.stderr.flush()
+    children, results, again = [], {}, []  # children: not yet reaped
+    try:
+        for w in range(workers):
+            share = indices[w::workers]
+            r, fd = os.pipe()
+            pid = os.fork()
+            if not pid:
+                os.close(r)
+                _work(members, share, fd)
+            os.close(fd)
+            children.append((pid, share, r, bytearray()))
+        # every pipe is read as it fills, so that no worker waits on a
+        # full pipe while another one's is read
+        with selectors.DefaultSelector() as sel:
+            for _, _, r, data in children:
+                sel.register(r, selectors.EVENT_READ, data)
+            while sel.get_map():
+                for key, _ in sel.select():
+                    chunk = os.read(key.fd, 1 << 16)
+                    key.data.extend(chunk)
+                    if not chunk:
+                        sel.unregister(key.fd)
+        while children:
+            pid, share, r, data = children[0]
+            _, status = os.waitpid(pid, 0)
+            del children[0]
+            os.close(r)
+            got, stream = [], io.BytesIO(data)
+            try:
+                while stream.tell() < len(data):
+                    got.append(pickle.load(stream))
+            except (EOFError, pickle.UnpicklingError):
+                pass  # the worker died while writing a result
+            results.update(zip(share, got))
+            if len(got) < len(share):
+                code = os.waitstatus_to_exitcode(status)
+                results[share[len(got)]] = {
+                    "status": f"error: sweep worker exited with status "
+                              f"{code}"}
+                again += share[len(got) + 1:]
+    finally:
+        for pid, _, r, _ in children:
+            os.close(r)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if again:
+        results.update(zip(again, _run_forked(members, again, 1)))
+    return [results[i] for i in indices]
 
 
 def _member_names(values):
@@ -298,8 +364,6 @@ def cmd_sweep(cfg: RunConfig, param, values, out_stem=None, jobs=None) -> int:
     native.kernel(loop, cfg.system.model)
     results = _run_forked(members, range(n),
                           min(jobs or os.cpu_count() or 1, n))
-    results = [{"status": f"error: {r}"} if isinstance(r, Exception) else r
-               for r in results]
     with open(summary, "w", encoding="utf-8") as f:
         qcols = ",".join(f"final_q{i + 1}" for i in range(m))
         vcols = ",".join(f"final_v{i + 1}" for i in range(m))

@@ -497,10 +497,11 @@ def formatter():
     return _formatter[0]
 
 
-def _pow5_tables():
-    """Ryu's tables as C (Adams, PLDI 2018): 5^i scaled to 125 bits, and
-    2^(bits(5^i) + 124) / 5^i rounded up, each as {low, high} 64-bit
-    words, computed with exact integers."""
+def _tables():
+    """The formatter's tables as C: Ryu's (Adams, PLDI 2018) 5^i scaled
+    to 125 bits, and 2^(bits(5^i) + 124) / 5^i rounded up, each as {low,
+    high} 64-bit words, computed with exact integers; the powers of ten
+    up to 10^17; and the 200 bytes "00" to "99"."""
     def table(name, values):
         return "static const unsigned long long %s[%d][2] = {\n%s};\n" % (
             name, len(values), "".join(
@@ -509,7 +510,11 @@ def _pow5_tables():
     powers = [5 ** i for i in range(342)]
     return (table("POW5", [p << 125 >> p.bit_length() for p in powers[:326]])
             + table("POW5_INV", [(1 << p.bit_length() + 124) // p + 1
-                                 for p in powers]))
+                                 for p in powers])
+            + "static const unsigned long long POW10[18] = {%s};\n"
+            % ", ".join(f"{10 ** i}u" for i in range(18))
+            + 'static const char PAIRS[200] = "%s";\n'
+            % "".join(f"{i:02d}" for i in range(100)))
 
 
 # Ryu's shortest digits (d2d, its general loop for every value) and repr's
@@ -590,40 +595,84 @@ static char *put(char *o, const char *s) {
     while (*s) *o++ = *s++;
     return o;
 }
-/* repr(x) at o; the end of its text */
+/* the two digits of r < 100 at o */
+static void pair(char *o, unsigned r) {
+    o[0] = PAIRS[2 * r];
+    o[1] = PAIRS[2 * r + 1];
+}
+/* the decimal digits of v > 0 before end, two at a time from the right:
+   the low 8 of a v above 2^32 by one 64-bit division, the rest in 32 bits */
+static void digits(char *end, u64 v) {
+    unsigned w, r;
+    if (v >> 32) {
+        u64 q = v / 100000000;
+        w = (unsigned)(v - q * 100000000);
+        v = q;
+        r = w % 10000;
+        w /= 10000;
+        pair(end - 2, r % 100);
+        pair(end - 4, r / 100);
+        pair(end - 6, w % 100);
+        pair(end - 8, w / 100);
+        end -= 8;
+    }
+    for (w = (unsigned)v; w >= 100; w /= 100) {
+        end -= 2;
+        pair(end, w % 100);
+    }
+    if (w >= 10) pair(end - 2, w);
+    else end[-1] = (char)('0' + w);
+}
+/* repr(x) at o; the end of its text. Each layout writes the digits once,
+   into their place or one byte to the right of it, so that moving the
+   digits before the point one byte left makes room for the point; bytes
+   past the end may be written, within the FORMAT_WIDTH of the value */
 static char *repr(char *o, double x) {
     union { double d; u64 u; } b = {x};
-    char d[20];
     u64 v;
-    int n = 0, k, e;
+    int n, k, e;
     if ((b.u >> 52 & 0x7ff) == 0x7ff)
         return put(o, b.u << 12 ? "nan" : b.u >> 63 ? "-inf" : "inf");
     if (b.u >> 63) *o++ = '-';
     if (!(b.u << 1)) return put(o, "0.0");
-    for (v = shortest(b.u, &e); v; v /= 10) d[19 - n++] = (char)('0' + v % 10);
+    v = shortest(b.u, &e);
+    n = (64 - __builtin_clzll(v)) * 1233 >> 12;  /* digits of v, or one less */
+    n += v >= POW10[n];
     e += n;  /* the digits are 0.d1d2... times 10^e */
     if (e > -4 && e <= 16) {
-        if (e <= 0) {
-            o = put(o, "0.");
-            for (k = e; k < 0; k++) *o++ = '0';
+        if (e <= 0) {  /* 0.ddd to 0.000ddd: the digits keep -e zeros */
+            o[0] = '0';
+            o[1] = '.';
+            o[2] = o[3] = o[4] = '0';
+            o += 2 - e + n;
+            digits(o, v);
+            return o;
         }
-        for (k = 0; k < n || k < e; k++) {
-            if (k == e && k) *o++ = '.';
-            *o++ = k < n ? d[20 - n + k] : '0';
+        if (e < n) {  /* dd.ddd */
+            digits(o + n + 1, v);
+            for (k = 0; k < e; k++) o[k] = o[k + 1];
+            o[e] = '.';
+            return o + n + 1;
         }
-        if (e >= n) o = put(o, ".0");
-        return o;
+        digits(o + n, v);  /* ddd000.0 */
+        for (k = n; k < e; k++) o[k] = '0';
+        o[e] = '.';
+        o[e + 1] = '0';
+        return o + e + 2;
     }
-    *o++ = d[20 - n];
-    if (n > 1) *o++ = '.';
-    for (k = 1; k < n; k++) *o++ = d[20 - n + k];
+    digits(o + n + 1, v);  /* d.ddde+XX, or de+XX */
+    o[0] = o[1];
+    o[1] = '.';
+    o += n + (n > 1);
     *o++ = 'e';
     *o++ = e > 0 ? '+' : '-';
     e = e > 0 ? e - 1 : 1 - e;
-    if (e >= 100) *o++ = (char)('0' + e / 100);
-    *o++ = (char)('0' + e / 10 % 10);
-    *o++ = (char)('0' + e % 10);
-    return o;
+    if (e >= 100) {
+        *o++ = (char)('0' + e / 100);
+        e %= 100;
+    }
+    pair(o, (unsigned)e);
+    return o + 2;
 }
 i64 rd_format(const double *x, i64 rows, i64 stride, const i64 *cols,
               i64 ncols, char sep, char *out) {
@@ -646,7 +695,7 @@ def _build_formatter():
     builds it."""
     import ctypes
 
-    lib = _compile(_pow5_tables() + _FORMAT)
+    lib = _compile(_tables() + _FORMAT)
     if lib is None:
         return None
     d, i = ctypes.c_double, ctypes.c_longlong

@@ -141,13 +141,22 @@ MUTANTS = (
            "last = 4;  /* exactly half-way: to the even digit */",
            "last = 5;", NATIVE),
     Mutant("formatter drops the added .0", "raydiss/native.py",
-           'if (e >= n) o = put(o, ".0");', "", NATIVE),
+           "return o + e + 2;", "return o + e;", NATIVE),
     Mutant("kernel copies one row short", "raydiss/native.py",
            "rows.itemsize * width * n.value)",
            "rows.itemsize * width * (n.value - 1))", NATIVE),
     Mutant("hand-built rows of any width", "raydiss/dynamics.py",
            "if any(len(r) != traj.width for r in rows) or any(", "if any(",
            NATIVE),
+    Mutant("sweep worker leaves without flushing its streams",
+           "raydiss/cli.py", "for stream in (_sys.stdout, _sys.stderr):",
+           "for stream in ():", ("tests/test_cli.py",)),
+    Mutant("sweep worker shares stride by one more than the workers",
+           "raydiss/cli.py", "share = indices[w::workers]",
+           "share = indices[w::workers + 1]", ("tests/test_cli.py",)),
+    Mutant("dead sweep worker's error goes to the member before",
+           "raydiss/cli.py", "results[share[len(got)]] = {",
+           "results[share[len(got) - 1]] = {", ("tests/test_cli.py",)),
 )
 
 

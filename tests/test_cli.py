@@ -1,9 +1,11 @@
-import concurrent.futures
 import dataclasses
 import json
 import math
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -1127,7 +1129,7 @@ def test_sweep_bad_values_exit_one(workdir):
 def time_limit():
     """Fail, rather than hang, a test that waits on worker processes."""
     def expire(signum, frame):
-        signal.alarm(5)  # again, in case the executor's cleanup waits too
+        signal.alarm(5)  # again, in case reaping the workers waits too
         raise TimeoutError("sweep did not finish within 120 s")
 
     old = signal.signal(signal.SIGALRM, expire)
@@ -1186,20 +1188,19 @@ def test_sweep_builds_the_members_code_before_the_fork(workdir,
 def test_sweep_workers_are_capped_at_the_value_count(workdir, monkeypatch,
                                                      time_limit, jobs, values,
                                                      workers):
-    seen = []
+    forks = []
 
-    class Recording(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            seen.append(max_workers)
-            super().__init__(max_workers, **kwargs)
+    def fork(real=os.fork):
+        forks.append(os.getpid())
+        return real()
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     argv = ["sweep", "--config",
             write_json(workdir / "b.json", {"system": "damped_sho"}),
             "--param", "c", "--values", values]
     assert main(argv + (["--jobs", jobs] if jobs else [])) == 0
-    assert seen == [workers]
+    assert forks == [os.getpid()] * workers
 
 
 @pytest.mark.parametrize("doc, argv", [
@@ -1220,6 +1221,13 @@ def test_sweep_files_do_not_depend_on_jobs(workdir, monkeypatch, time_limit,
                        for p in (workdir / jobs).iterdir()}
     assert len(files["1"]) == len(argv[3].split(",")) + 1
     assert files["1"] == files["2"]
+    assert_no_child_left()
+
+
+def assert_no_child_left():
+    """Every worker a sweep forked is reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _failing_run(monkeypatch, how):
@@ -1237,25 +1245,99 @@ def _failing_run(monkeypatch, how):
 
 
 @pytest.mark.parametrize("how", ["raise", "die"])
-@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("jobs, values", [
+    pytest.param("1", "0.1,0.2,0.3,0.4", id="1"),
+    pytest.param("2", "0.1,0.2,0.3,0.4", id="2"),
+    pytest.param("2", "0.1,0.2,0.3,0.4,0.5,0.6", id="2-six-values")])
 def test_sweep_member_failure_is_an_error_row(workdir, capsys, monkeypatch,
-                                              time_limit, how, jobs):
+                                              time_limit, how, jobs, values):
+    # c = 0.2 is the second member of one worker's share, or the first of
+    # the second worker's: the members after it in its share run as well
     _failing_run(monkeypatch, how)
     rc = main(["sweep", "--config",
                write_json(workdir / "b.json", {"system": "damped_sho"}),
-               "--param", "c", "--values", "0.1,0.2,0.3,0.4",
-               "--jobs", jobs])
+               "--param", "c", "--values", values, "--jobs", jobs])
     assert rc == 1
     assert "Traceback" not in capsys.readouterr().err
     rows = (workdir / "damped_sho_sweep.csv").read_text().splitlines()[1:]
     status = [row.split(",")[1] for row in rows]
-    assert status[0] == status[2] == status[3] == "ok"
+    assert status[:1] + status[2:] == ["ok"] * (len(status) - 1)
     assert status[1].startswith('"error: ')
-    if how == "raise":
-        assert "step size underflow (forced)" in status[1]
-    assert sorted(p.name for p in workdir.glob("damped_sho_c=*")) == [
-        "damped_sho_c=0.1.csv", "damped_sho_c=0.3.csv",
-        "damped_sho_c=0.4.csv"]
+    assert ("step size underflow (forced)" if how == "raise"
+            else "sweep worker exited with status 3") in status[1]
+    names = [f"damped_sho_c={x}.csv" for x in values.split(",")]
+    assert sorted(p.name for p in workdir.glob("damped_sho_c=*")) == \
+        names[:1] + names[2:]
+    assert_no_child_left()
+
+
+def test_sweep_member_whose_file_cannot_be_written_is_an_error_row(
+        workdir, time_limit):
+    (workdir / "damped_sho_c=0.2.csv").mkdir()
+    rc = main(["sweep", "--config",
+               write_json(workdir / "b.json", {"system": "damped_sho"}),
+               "--param", "c", "--values", "0.1,0.2,0.3", "--jobs", "2"])
+    assert rc == 1
+    rows = (workdir / "damped_sho_sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == [
+        "ok", "\"error: [Errno 21] Is a directory: 'damped_sho_c=0.2.csv'\"",
+        "ok"]
+
+
+def test_sweep_parent_that_raises_mid_read_leaves_no_child_process(
+        workdir, monkeypatch, time_limit):
+    parent = os.getpid()
+
+    def read(fd, n, real=os.read):
+        if os.getpid() == parent:
+            raise OSError("read failed (forced)")
+        return real(fd, n)
+
+    monkeypatch.setattr(os, "read", read)
+    with pytest.raises(OSError, match="forced"):
+        main(["sweep", "--config",
+              write_json(workdir / "b.json", {"system": "damped_sho"}),
+              "--param", "c", "--values", "0.1,0.2,0.3", "--jobs", "2"])
+    assert_no_child_left()
+
+
+def test_sweep_members_text_reaches_the_terminal_once(workdir):
+    # through a pipe, and without PYTHONUNBUFFERED, stdout is
+    # block-buffered: a worker flushes its streams before os._exit, so a
+    # member's print, its stderr text without a newline and its warning
+    # all arrive; the parent flushes before the fork, so its own buffered
+    # line is printed once, not once more by each worker
+    script = textwrap.dedent("""
+        import sys
+        import warnings
+
+        from raydiss import cli
+
+        def run(c, real=cli.run_simulation):
+            x = c.system.params["c"]
+            warnings.warn(f"member c={x!r}")
+            print(f"[out c={x!r}]", end="")
+            print(f"[err c={x!r}]", end="", file=sys.stderr)
+            return real(c)
+
+        cli.run_simulation = run
+        print("before the sweep")
+        sys.exit(cli.main(sys.argv[1:]))
+        """)
+    config = write_json(workdir / "b.json", {"system": "damped_sho"})
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    p = subprocess.run(
+        [sys.executable, "-c", script, "sweep", "--config", config,
+         "--param", "c", "--values", "0.1,0.2,0.3", "--jobs", "2"],
+        env=env, capture_output=True, text=True, timeout=120, check=False)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.count("before the sweep\n") == 1
+    assert p.stdout.count("sweep: 3 runs") == 1
+    for x in ("0.1", "0.2", "0.3"):
+        assert p.stdout.count(f"[out c={x}]") == 1
+        assert p.stderr.count(f"[err c={x}]") == 1
+        assert p.stderr.count(f"UserWarning: member c={x}\n") == 1
 
 
 def test_sweep_tanh_law_converges_without_quadrature_warning(
